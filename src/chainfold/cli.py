@@ -1,8 +1,10 @@
 """Command-line surface: fold, dissect, verify, animate, bg, gen.
 
 Exit codes: 0 success/accepted, 1 verification rejected, 2 invalid
-input, 3 internal error.  Failure detail goes to stderr; reports go to
-stdout.  Every artifact written here is verified before it is written.
+input or an unwritable output, 3 internal error.  Failure detail goes
+to stderr; reports go to stdout.  Every artifact written here is
+verified before it is written, and is written through a temporary file,
+so a failed run leaves no partial file behind.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .chain import dissect_pair, fold_chain
 from .equidecompose import (
@@ -25,6 +28,7 @@ from .figures import (
     HdjFile,
     NamedConfiguration,
     NamedTarget,
+    atomic_output,
     load_hdj,
     save_hdj,
     verify_configuration,
@@ -73,13 +77,13 @@ def cmd_fold(args) -> int:
     try:
         p = _load_polyomino(args.infile, args.cells)
         doc = _fold_document(p)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        save_hdj(args.out, doc)
+        if args.svg:
+            with atomic_output(args.svg) as fh:
+                fh.write(render_config(doc.figure, doc.configurations[0].configuration,
+                                       RenderStyle(show_hinges=True)))
+    except (ValueError, OSError) as exc:
         return _fail(str(exc))
-    save_hdj(args.out, doc)
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_config(doc.figure, doc.configurations[0].configuration,
-                                   RenderStyle(show_hinges=True)))
     print(f"wrote {args.out}: {len(doc.figure.pieces)} pieces, verified exactly")
     return EXIT_OK
 
@@ -95,23 +99,23 @@ def cmd_dissect(args) -> int:
             report = verify_configuration(hd.figure, config, target)
             if not report.accepted:
                 raise RuntimeError(f"dissection failed self-verification: {report.failures}")
+        doc = HdjFile(
+            hd.figure,
+            [
+                NamedConfiguration("fold_a", hd.config_a),
+                NamedConfiguration("fold_b", hd.config_b),
+            ],
+            [
+                NamedTarget("a", "polyomino", hd.target_a),
+                NamedTarget("b", "polyomino", hd.target_b),
+            ],
+        )
+        save_hdj(args.out, doc)
+        if args.svg:
+            with atomic_output(args.svg) as fh:
+                fh.write(render_config(doc.figure, hd.config_a, RenderStyle(show_hinges=True)))
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
-    doc = HdjFile(
-        hd.figure,
-        [
-            NamedConfiguration("fold_a", hd.config_a),
-            NamedConfiguration("fold_b", hd.config_b),
-        ],
-        [
-            NamedTarget("a", "polyomino", hd.target_a),
-            NamedTarget("b", "polyomino", hd.target_b),
-        ],
-    )
-    save_hdj(args.out, doc)
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_config(doc.figure, hd.config_a, RenderStyle(show_hinges=True)))
     print(f"wrote {args.out}: {len(doc.figure.pieces)} pieces, both foldings verified")
     return EXIT_OK
 
@@ -157,22 +161,23 @@ def cmd_animate(args) -> int:
             args.frames,
             cut,
         )
+        with atomic_output(args.out) as fh:
+            fh.write(render_animation(samples, RenderStyle(), figure=doc.figure))
+        if args.report_overlaps:
+            with atomic_output(args.report_overlaps) as fh:
+                json.dump(motion_report_json(samples), fh, indent=1)
+                fh.write("\n")
     except (HdjError, OSError, ValueError) as exc:
         return _fail(str(exc))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(render_animation(samples, RenderStyle(), figure=doc.figure))
-    if args.report_overlaps:
-        with open(args.report_overlaps, "w", encoding="utf-8") as fh:
-            json.dump(motion_report_json(samples), fh, indent=1)
-            fh.write("\n")
     worst = max((o[2] for s in samples for o in s.overlaps), default=0.0)
     print(f"wrote {args.out}: {args.frames} frames, worst mid-motion overlap {worst:g}")
     return EXIT_OK
 
 
 def _load_polygon_json(path: str) -> SimplePolygon:
+    """Read [[x, y], ...]; decimals are read exactly, so 0.1 is 1/10."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = json.load(fh, parse_float=Fraction)
     if not isinstance(obj, list):
         raise ValueError(f"{path}: expected a JSON array of [x, y] points")
     return SimplePolygon([point_from_json(v) for v in obj])
@@ -190,19 +195,22 @@ def cmd_bg(args) -> int:
         chart_a = polygon_to_canonical_chart(pa, width)
         chart_b = polygon_to_canonical_chart(pb, width)
         mutual = overlay_charts(chart_a, chart_b)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc))
     report = verify_chart(mutual, CHART_TOLERANCE)
     if not report.accepted:
         print(f"error: mutual chart failed verification: {report.failures[:5]}",
               file=sys.stderr)
         return EXIT_REJECTED
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(chart_to_json(mutual), fh, indent=1)
-        fh.write("\n")
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_chart(mutual, RenderStyle()))
+    try:
+        with atomic_output(args.out) as fh:
+            json.dump(chart_to_json(mutual), fh, indent=1)
+            fh.write("\n")
+        if args.svg:
+            with atomic_output(args.svg) as fh:
+                fh.write(render_chart(mutual, RenderStyle()))
+    except OSError as exc:
+        return _fail(str(exc))
     print(f"wrote {args.out}: {len(mutual.pieces)} pieces, verified at {CHART_TOLERANCE:g}")
     return EXIT_OK
 
@@ -210,10 +218,10 @@ def cmd_bg(args) -> int:
 def cmd_gen(args) -> int:
     try:
         p = random_polyomino(args.cells, args.seed)
-    except ValueError as exc:
+        with atomic_output(args.out) as fh:
+            fh.write(to_grid(p) + "\n")
+    except (ValueError, OSError) as exc:
         return _fail(str(exc))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(to_grid(p) + "\n")
     print(f"wrote {args.out}: {p.cell_count} cells, seed {args.seed}")
     return EXIT_OK
 

@@ -47,13 +47,12 @@ from .numeric import (
     NumericMotion,
     apply_numeric_points,
     compose_numeric,
-    float_convex_parts,
-    float_overlap_area,
     float_polygon,
     invert_numeric,
     numeric_between_segments,
     numeric_from_rigid,
 )
+from .overlap import clip_parts, convex_parts, overlap_sum, pairs_across, pairs_within
 
 log = logging.getLogger(__name__)
 
@@ -359,7 +358,11 @@ class DissectionChart:
     """Unhinged dissection: one piece list with two assembly motion sets.
 
     Pieces live in source coordinates; the source assembly is the
-    identity by convention and the target assembly is numeric.
+    identity by convention and the target assembly is numeric.  An
+    overlay lists the fragments it dropped as (piece of a, piece of b,
+    area): slivers below the area threshold in sliver_report, and
+    fragments whose vertices fail SimplePolygon validation once mapped
+    back to the source in invalid_report.
     """
 
     pieces: list[SimplePolygon]
@@ -369,6 +372,7 @@ class DissectionChart:
     target: SimplePolygon
     source_exact: bool = True
     sliver_report: list = field(default_factory=list)
+    invalid_report: list = field(default_factory=list)
 
 
 def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
@@ -461,49 +465,42 @@ def overlay_charts(ca: DissectionChart, cb: DissectionChart) -> DissectionChart:
     total_area = float(polygon_area(ca.target))
     threshold = SLIVER_FRACTION * total_area
 
-    placed_b = []
-    for pb, mb in zip(cb.pieces, cb.target_motions):
-        pts = apply_numeric_points(mb, float_polygon(pb.as_tuples()))
-        placed_b.append((float_convex_parts(pts), _bbox(pts), mb))
+    placed_a = _placed(ca)
+    placed_b = _placed(cb)
+    parts_a = [convex_parts(pts) for pts in placed_a]
+    parts_b = [convex_parts(pts) for pts in placed_b]
 
     pieces: list[SimplePolygon] = []
     target_motions: list[NumericMotion] = []
     slivers: list[tuple[int, int, float]] = []
-    for ia, (pa, ma) in enumerate(zip(ca.pieces, ca.target_motions)):
-        pts_a = apply_numeric_points(ma, float_polygon(pa.as_tuples()))
-        parts_a = float_convex_parts(pts_a)
-        box_a = _bbox(pts_a)
+    invalid: list[tuple[int, int, float]] = []
+    for ia, ib in pairs_across([_bbox(p) for p in placed_a], [_bbox(p) for p in placed_b]):
+        ma, mb = ca.target_motions[ia], cb.target_motions[ib]
         back_a = invert_numeric(ma)
-        for ib, (parts_b, box_b, mb) in enumerate(placed_b):
-            if not _bboxes_interiors_overlap(box_a, box_b):
+        relative = compose_numeric(invert_numeric(mb), ma)
+        for frag in clip_parts(parts_a[ia], parts_b[ib]):
+            frag = _dedupe_collinear(frag)
+            if len(frag) < 3:
                 continue
-            relative = compose_numeric(invert_numeric(mb), ma)
-            for ta in parts_a:
-                bta = _bbox(ta)
-                for tb in parts_b:
-                    if not _bboxes_interiors_overlap(bta, _bbox(tb)):
-                        continue
-                    frag = _convex_clip(ta, tb)
-                    if not frag:
-                        continue
-                    frag = _dedupe_collinear(frag)
-                    if len(frag) < 3:
-                        continue
-                    frag_area = _signed_area2(frag) / 2.0
-                    if frag_area < threshold:
-                        if frag_area > 0.0:
-                            slivers.append((ia, ib, frag_area))
-                        continue
-                    source_pts = apply_numeric_points(back_a, frag)
-                    try:
-                        piece = SimplePolygon([point(x, y) for x, y in source_pts])
-                    except ValueError:
-                        slivers.append((ia, ib, frag_area))
-                        continue
-                    pieces.append(piece)
-                    target_motions.append(relative)
-    if slivers:
-        log.info("overlay dropped %d sliver fragments", len(slivers))
+            frag_area = _signed_area2(frag) / 2.0
+            if frag_area < threshold:
+                if frag_area > 0.0:
+                    slivers.append((ia, ib, frag_area))
+                continue
+            source_pts = apply_numeric_points(back_a, frag)
+            try:
+                piece = SimplePolygon([point(x, y) for x, y in source_pts])
+            except ValueError:
+                invalid.append((ia, ib, frag_area))
+                continue
+            pieces.append(piece)
+            target_motions.append(relative)
+    if slivers or invalid:
+        log.info(
+            "overlay dropped %d sliver fragments and %d invalid fragments",
+            len(slivers),
+            len(invalid),
+        )
     chart = DissectionChart(
         pieces,
         [IDENTITY_MOTION] * len(pieces),
@@ -512,6 +509,7 @@ def overlay_charts(ca: DissectionChart, cb: DissectionChart) -> DissectionChart:
         cb.source,
         source_exact=False,
         sliver_report=slivers,
+        invalid_report=invalid,
     )
     return chart
 
@@ -531,80 +529,39 @@ def verify_chart(c: DissectionChart, tolerance: float = 1e-9) -> VerifyReport:
     """
     failures: list[tuple[str, str]] = []
     source_area = polygon_area(c.source)
-
-    if c.source_exact:
-        piece_tuples = [p.as_tuples() for p in c.pieces]
-        boxes = [_bbox(pts) for pts in piece_tuples]
-        tris = [_exact_triangles(pts) for pts in piece_tuples]
-        for i in range(len(c.pieces)):
-            for j in range(i + 1, len(c.pieces)):
-                if not _bboxes_interiors_overlap(boxes[i], boxes[j]):
-                    continue
-                if _pairwise_overlap_exact(tris[i], tris[j]) > 0:
-                    failures.append(("SourceDisjoint", f"pieces {i} and {j} overlap"))
-        source_tris = [t.as_tuples() for t in triangulate_simple(c.source)]
-        source_boxes = [_bbox(t) for t in source_tris]
-        for i, pts in enumerate(piece_tuples):
-            piece_area = _signed_area2(pts) / 2
-            covered = Fraction(0)
-            for st, sb in zip(source_tris, source_boxes):
-                if not _bboxes_interiors_overlap(boxes[i], sb):
-                    continue
-                for t in tris[i]:
-                    frag = _convex_clip(list(t), list(st))
-                    if frag:
-                        covered += _signed_area2(frag) / 2
-            if covered != piece_area:
-                failures.append(("SourceContainment", f"piece {i} leaves the source"))
-        total = sum((_signed_area2(pts) for pts in piece_tuples), Fraction(0)) / 2
-        if total != source_area:
-            failures.append(
-                ("SourceArea", f"piece areas sum to {total}, source is {source_area}")
-            )
-        computed = total
+    exact = c.source_exact
+    if exact:
+        pieces, source, tol_abs = [p.as_tuples() for p in c.pieces], c.source.as_tuples(), 0
     else:
+        pieces = [float_polygon(p.as_tuples()) for p in c.pieces]
+        source = float_polygon(c.source.as_tuples())
         tol_abs = tolerance * float(source_area)
-        float_pieces = [float_polygon(p.as_tuples()) for p in c.pieces]
-        source_pts = float_polygon(c.source.as_tuples())
-        for i in range(len(float_pieces)):
-            for j in range(i + 1, len(float_pieces)):
-                area = float_overlap_area(float_pieces[i], float_pieces[j])
-                if area > tol_abs:
-                    failures.append(
-                        ("SourceDisjoint", f"pieces {i} and {j} overlap by {area:g}")
-                    )
-        for i, pts in enumerate(float_pieces):
-            outside = _signed_area2(pts) / 2.0 - float_overlap_area(pts, source_pts)
-            if outside > tol_abs:
-                failures.append(
-                    ("SourceContainment", f"piece {i}: {outside:g} outside source")
-                )
-        computed = sum(_signed_area2(pts) / 2.0 for pts in float_pieces)
-        if abs(computed - float(source_area)) > tol_abs:
-            failures.append(("SourceArea", f"piece areas sum to {computed:g}"))
+    areas, overlaps, outside = _partition_residuals(pieces, source)
+    for i, j, area in overlaps:
+        if area > tol_abs:
+            detail = "" if exact else f" by {area:g}"
+            failures.append(("SourceDisjoint", f"pieces {i} and {j} overlap{detail}"))
+    for i, area in enumerate(outside):
+        if area > tol_abs:
+            detail = "leaves the source" if exact else f": {area:g} outside source"
+            failures.append(("SourceContainment", f"piece {i} {detail}"))
+    computed = sum(areas)
+    if abs(computed - source_area) > tol_abs:
+        detail = f"{computed}, source is {source_area}" if exact else f"{computed:g}"
+        failures.append(("SourceArea", f"piece areas sum to {detail}"))
 
-    target_pts = float_polygon(c.target.as_tuples())
     target_area = float(polygon_area(c.target))
     tol_abs = tolerance * target_area
-    placed = [
-        apply_numeric_points(m, float_polygon(p.as_tuples()))
-        for p, m in zip(c.pieces, c.target_motions)
-    ]
-    boxes = [_bbox(pts) for pts in placed]
-    for i in range(len(placed)):
-        for j in range(i + 1, len(placed)):
-            if not _bboxes_interiors_overlap(boxes[i], boxes[j]):
-                continue
-            area = float_overlap_area(placed[i], placed[j])
-            if area > tol_abs:
-                failures.append(
-                    ("TargetOverlap", f"pieces {i} and {j} overlap by {area:g}")
-                )
-    for i, pts in enumerate(placed):
-        outside = _signed_area2(pts) / 2.0 - float_overlap_area(pts, target_pts)
-        if outside > tol_abs:
-            failures.append(("TargetContainment", f"piece {i}: {outside:g} outside"))
-    placed_total = sum(_signed_area2(pts) / 2.0 for pts in placed)
+    areas, overlaps, outside = _partition_residuals(
+        _placed(c), float_polygon(c.target.as_tuples())
+    )
+    for i, j, area in overlaps:
+        if area > tol_abs:
+            failures.append(("TargetOverlap", f"pieces {i} and {j} overlap by {area:g}"))
+    for i, area in enumerate(outside):
+        if area > tol_abs:
+            failures.append(("TargetContainment", f"piece {i}: {area:g} outside"))
+    placed_total = sum(areas)
     if abs(placed_total - target_area) > tol_abs:
         failures.append(
             ("TargetArea", f"placed areas sum to {placed_total:g}, target {target_area:g}")
@@ -613,25 +570,27 @@ def verify_chart(c: DissectionChart, tolerance: float = 1e-9) -> VerifyReport:
     return VerifyReport(not failures, failures, computed)
 
 
-def _exact_triangles(pts):
-    from .exact_geom import _is_convex, _ear_clip
+def _placed(c: DissectionChart) -> list:
+    """Float vertices of each piece moved by its target motion."""
+    return [
+        apply_numeric_points(m, float_polygon(p.as_tuples()))
+        for p, m in zip(c.pieces, c.target_motions)
+    ]
 
-    if len(pts) == 3 or _is_convex(pts):
-        return [(pts[0], pts[i], pts[i + 1]) for i in range(1, len(pts) - 1)]
-    return _ear_clip(list(pts))
 
-
-def _pairwise_overlap_exact(tris_a, tris_b) -> Fraction:
-    total = Fraction(0)
-    for ta in tris_a:
-        box_a = _bbox(ta)
-        for tb in tris_b:
-            if not _bboxes_interiors_overlap(box_a, _bbox(tb)):
-                continue
-            frag = _convex_clip(list(ta), list(tb))
-            if frag:
-                total += _signed_area2(frag) / 2
-    return total
+def _partition_residuals(pieces, region):
+    """What keeps pieces from partitioning a region: each piece's area,
+    the overlap (i, j, area) of every pair whose boxes meet, and each
+    piece's area outside the region."""
+    parts = [convex_parts(pts) for pts in pieces]
+    areas = [_signed_area2(pts) / 2 for pts in pieces]
+    overlaps = [
+        (i, j, overlap_sum(parts[i], parts[j]))
+        for i, j in pairs_within([_bbox(pts) for pts in pieces])
+    ]
+    region_parts = convex_parts(region)
+    outside = [area - overlap_sum(p, region_parts) for area, p in zip(areas, parts)]
+    return areas, overlaps, outside
 
 
 def chart_to_json(c: DissectionChart) -> dict:

@@ -226,6 +226,10 @@ def _on_segment(p, a, b) -> bool:
 
 def _segments_intersect(a1, a2, b1, b2) -> bool:
     """Closed segments share at least one point."""
+    # disjoint bounding boxes settle most pairs with comparisons alone
+    if (max(a1[0], a2[0]) < min(b1[0], b2[0]) or max(b1[0], b2[0]) < min(a1[0], a2[0])
+            or max(a1[1], a2[1]) < min(b1[1], b2[1]) or max(b1[1], b2[1]) < min(a1[1], a2[1])):
+        return False
     d1 = _orient(b1, b2, a1)
     d2 = _orient(b1, b2, a2)
     d3 = _orient(a1, a2, b1)
@@ -243,17 +247,6 @@ def _segments_intersect(a1, a2, b1, b2) -> bool:
     if d4 == 0 and _on_segment(b2, a1, a2):
         return True
     return False
-
-
-def _segments_properly_cross(a1, a2, b1, b2) -> bool:
-    """Segments cross at a single point interior to both."""
-    d1 = _orient(b1, b2, a1)
-    d2 = _orient(b1, b2, a2)
-    d3 = _orient(a1, a2, b1)
-    d4 = _orient(a1, a2, b2)
-    return ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    )
 
 
 def _point_in_polygon(pts, p) -> str:
@@ -541,32 +534,11 @@ def triangulate_simple(p: SimplePolygon) -> list[SimplePolygon]:
     ]
 
 
-def _triangles_of(p: SimplePolygon):
-    """Tuple-level triangulation, used by the overlap helpers."""
-    pts = p.as_tuples()
-    if len(pts) == 3 or _is_convex(pts):
-        # fan triangulation is valid for convex input and avoids ear search
-        return [(pts[0], pts[i], pts[i + 1]) for i in range(1, len(pts) - 1)]
-    return _ear_clip(pts)
-
-
 def overlap_area(a: SimplePolygon, b: SimplePolygon) -> Fraction:
     """Exact area of the intersection of two simple polygons."""
-    ba = _bbox(a.as_tuples())
-    bb = _bbox(b.as_tuples())
-    if not _bboxes_interiors_overlap(ba, bb):
-        return Fraction(0)
-    total = Fraction(0)
-    tris_b = _triangles_of(b)
-    for ta in _triangles_of(a):
-        bta = _bbox(ta)
-        for tb in tris_b:
-            if not _bboxes_interiors_overlap(bta, _bbox(tb)):
-                continue
-            frag = _convex_clip(list(ta), list(tb))
-            if frag:
-                total += _signed_area2(frag) / 2
-    return total
+    from .overlap import polygon_overlap  # the engine builds on the tuple core above
+
+    return Fraction(polygon_overlap(a.as_tuples(), b.as_tuples()))
 
 
 def interiors_overlap(a: SimplePolygon, b: SimplePolygon) -> bool:
@@ -577,17 +549,10 @@ def interiors_overlap(a: SimplePolygon, b: SimplePolygon) -> bool:
 def polygon_contains(outer: SimplePolygon, inner: SimplePolygon) -> bool:
     """True iff inner lies in the closure of outer.
 
-    Tested as: no inner edge properly crosses an outer edge, and a
-    representative interior point of inner lies inside outer.
+    Both are closed regions, so this holds exactly when the part of inner
+    covered by outer has all of inner's area.
     """
-    to = outer.as_tuples()
-    ti = inner.as_tuples()
-    n_o, n_i = len(to), len(ti)
-    for i in range(n_i):
-        a1, a2 = ti[i], ti[(i + 1) % n_i]
-        for j in range(n_o):
-            if _segments_properly_cross(a1, a2, to[j], to[(j + 1) % n_o]):
-                return False
-    a, b, c = _triangles_of(inner)[0]
-    probe = ((a[0] + b[0] + c[0]) / 3, (a[1] + b[1] + c[1]) / 3)
-    return _point_in_polygon(to, probe) != "outside"
+    from .overlap import convex_parts, overlap_sum
+
+    covered = overlap_sum(convex_parts(inner.as_tuples()), convex_parts(outer.as_tuples()))
+    return covered == polygon_area(inner)

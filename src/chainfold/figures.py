@@ -8,21 +8,19 @@ placed pieces realize a target polygon or polyomino.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from .exact_geom import (
-    Point2,
     RigidMotion,
     SimplePolygon,
     _bbox,
-    _bboxes_interiors_overlap,
-    _convex_clip,
     _signed_area2,
-    _triangles_of,
     apply_motion,
     point,
     point_from_json,
@@ -30,9 +28,9 @@ from .exact_geom import (
     polygon_area,
     rat,
     rational_to_json,
-    triangulate_simple,
 )
-from .numeric import float_overlap_area
+from .exact_geom import _bboxes_interiors_overlap, _convex_clip  # noqa: F401 - looked up by perfbench/tracing.py
+from .overlap import convex_parts, covered_by_cells, overlap_sum, pairs_within
 from .polyomino import BadSize, Cell, Polyomino, cells_from_json, cells_to_json
 
 DEFAULT_APPROX_TOLERANCE = 1e-9
@@ -187,35 +185,31 @@ def _verify_exact(f: HingedFigure, c: Configuration, target: Target) -> VerifyRe
                 ("ProperMotion", f"placement {i}: rot_cos^2+rot_sin^2 != 1")
             )
 
-    for idx, h in enumerate(f.hinges):
-        pa = apply_motion(c.placements[h.piece_a], f.pieces[h.piece_a].vertices[h.vertex_a])
-        pb = apply_motion(c.placements[h.piece_b], f.pieces[h.piece_b].vertices[h.vertex_b])
-        if pa != pb:
-            failures.append(
-                ("HingeCoincidence", f"hinge {idx}: ({pa.x},{pa.y}) vs ({pb.x},{pb.y})")
-            )
-
     placed = [
         [apply_motion(c.placements[i], v).as_tuple() for v in piece.vertices]
         for i, piece in enumerate(f.pieces)
     ]
-    tris = [_fan_or_ear(pts) for pts in placed]
+
+    for idx, h in enumerate(f.hinges):
+        (ax, ay), (bx, by) = placed[h.piece_a][h.vertex_a], placed[h.piece_b][h.vertex_b]
+        if (ax, ay) != (bx, by):
+            failures.append(("HingeCoincidence", f"hinge {idx}: ({ax},{ay}) vs ({bx},{by})"))
+
+    parts = [convex_parts(pts) for pts in placed]
     boxes = [_bbox(pts) for pts in placed]
 
-    for i in range(len(placed)):
-        for j in range(i + 1, len(placed)):
-            if not _bboxes_interiors_overlap(boxes[i], boxes[j]):
-                continue
-            if _tri_sets_overlap_area(tris[i], tris[j]) > 0:
-                failures.append(("PairwiseDisjoint", f"pieces {i} and {j} overlap"))
+    for i, j in pairs_within(boxes):
+        if overlap_sum(parts[i], parts[j]) > 0:
+            failures.append(("PairwiseDisjoint", f"pieces {i} and {j} overlap"))
 
-    if isinstance(target, Polyomino):
-        _check_containment_cells(placed, tris, boxes, target, failures)
-    else:
-        target_tris = [t.as_tuples() for t in triangulate_simple(target)]
-        _check_containment_polygon(placed, tris, target_tris, failures)
+    areas = [_signed_area2(pts) / 2 for pts in placed]
+    for i, covered in enumerate(_covered_areas(parts, boxes, target, Fraction)):
+        if covered != areas[i]:
+            failures.append(
+                ("Containment", f"piece {i}: {areas[i] - covered} of its area is outside")
+            )
 
-    total = sum((_signed_area2(pts) for pts in placed), Fraction(0)) / 2
+    total = sum(areas, Fraction(0))
     target_area = _target_area_exact(target)
     if total != target_area:
         failures.append(("AreaCoverage", f"piece areas sum to {total}, target {target_area}"))
@@ -223,77 +217,17 @@ def _verify_exact(f: HingedFigure, c: Configuration, target: Target) -> VerifyRe
     return VerifyReport(not failures, failures, total)
 
 
-def _fan_or_ear(pts):
-    return _triangles_of(SimplePolygon([Point2(x, y) for x, y in pts], _validated=True))
+def _covered_areas(parts, boxes, target: Target, num) -> list:
+    """Area of each placed piece inside the target, from its convex parts.
 
-
-def _tri_sets_overlap_area(tris_a, tris_b) -> Fraction:
-    total = Fraction(0)
-    for ta in tris_a:
-        box_a = _bbox(ta)
-        for tb in tris_b:
-            if not _bboxes_interiors_overlap(box_a, _bbox(tb)):
-                continue
-            frag = _convex_clip(list(ta), list(tb))
-            if frag:
-                total += _signed_area2(frag) / 2
-    return total
-
-
-def _cell_tuples(cell: Cell):
-    x, y = cell
-    return [
-        (Fraction(x), Fraction(y)),
-        (Fraction(x + 1), Fraction(y)),
-        (Fraction(x + 1), Fraction(y + 1)),
-        (Fraction(x), Fraction(y + 1)),
-    ]
-
-
-def _check_containment_cells(placed, tris, boxes, target: Polyomino, failures):
-    """Per-cell coverage accounting: every piece's area must be accounted
-    for by its intersections with the target's cells."""
-    for i, pts in enumerate(placed):
-        min_x, min_y, max_x, max_y = boxes[i]
-        cx0, cy0 = math.floor(min_x), math.floor(min_y)
-        cx1, cy1 = math.ceil(max_x), math.ceil(max_y)
-        piece_area = _signed_area2(pts) / 2
-        # fast path: bounding box inside a single target cell
-        if cx1 - cx0 == 1 and cy1 - cy0 == 1 and Cell(cx0, cy0) in target.cells:
-            continue
-        covered = Fraction(0)
-        for x in range(cx0, cx1):
-            for y in range(cy0, cy1):
-                if Cell(x, y) not in target.cells:
-                    continue
-                cell_pts = _cell_tuples(Cell(x, y))
-                for t in tris[i]:
-                    frag = _convex_clip(list(t), cell_pts)
-                    if frag:
-                        covered += _signed_area2(frag) / 2
-        if covered != piece_area:
-            failures.append(
-                ("Containment", f"piece {i}: {piece_area - covered} of its area is outside")
-            )
-
-
-def _check_containment_polygon(placed, tris, target_tris, failures):
-    target_boxes = [_bbox(t) for t in target_tris]
-    for i, pts in enumerate(placed):
-        piece_area = _signed_area2(pts) / 2
-        covered = Fraction(0)
-        box = _bbox(pts)
-        for t, tbox in zip(target_tris, target_boxes):
-            if not _bboxes_interiors_overlap(box, tbox):
-                continue
-            for pt in tris[i]:
-                frag = _convex_clip(list(pt), list(t))
-                if frag:
-                    covered += _signed_area2(frag) / 2
-        if covered != piece_area:
-            failures.append(
-                ("Containment", f"piece {i}: {piece_area - covered} of its area is outside")
-            )
+    A polyomino is covered through the cells near each piece, a polygon
+    through its own convex parts; num converts target coordinates to the
+    pieces' number type.
+    """
+    if isinstance(target, Polyomino):
+        return [covered_by_cells(p, box, target.cells, num) for p, box in zip(parts, boxes)]
+    target_parts = convex_parts([(num(v.x), num(v.y)) for v in target.vertices])
+    return [overlap_sum(p, target_parts) for p in parts]
 
 
 def _verify_approx(f: HingedFigure, c: Configuration, target: Target) -> VerifyReport:
@@ -316,48 +250,33 @@ def _verify_approx(f: HingedFigure, c: Configuration, target: Target) -> VerifyR
         x, y = float(v.x), float(v.y)
         return (cos * x - sin * y + tx, sin * x + cos * y + ty)
 
-    for idx, h in enumerate(f.hinges):
-        ax, ay = place(h.piece_a, f.pieces[h.piece_a].vertices[h.vertex_a])
-        bx, by = place(h.piece_b, f.pieces[h.piece_b].vertices[h.vertex_b])
-        gap = math.hypot(ax - bx, ay - by)
-        if gap > tol:
-            failures.append(("HingeCoincidence", f"hinge {idx}: gap {gap:g}"))
-
     placed = [
         [place(i, v) for v in piece.vertices] for i, piece in enumerate(f.pieces)
     ]
 
-    if isinstance(target, Polyomino):
-        target_area = float(target.cell_count)
-        target_pts_list = [
-            [(float(x), float(y)) for x, y in _cell_tuples(cell)]
-            for cell in sorted(target.cells)
-        ]
-    else:
-        target_area = float(polygon_area(target))
-        target_pts_list = [
-            [(float(v.x), float(v.y)) for v in target.vertices]
-        ]
+    for idx, h in enumerate(f.hinges):
+        (ax, ay), (bx, by) = placed[h.piece_a][h.vertex_a], placed[h.piece_b][h.vertex_b]
+        gap = math.hypot(ax - bx, ay - by)
+        if gap > tol:
+            failures.append(("HingeCoincidence", f"hinge {idx}: gap {gap:g}"))
+    parts = [convex_parts(pts) for pts in placed]
+    boxes = [_bbox(pts) for pts in placed]
+    target_area = float(_target_area_exact(target))
 
-    for i in range(len(placed)):
-        for j in range(i + 1, len(placed)):
-            area = float_overlap_area(placed[i], placed[j])
-            if area > tol * target_area:
-                failures.append(
-                    ("PairwiseDisjoint", f"pieces {i} and {j} overlap by {area:g}")
-                )
-
-    for i, pts in enumerate(placed):
-        piece_area = _signed_area2(pts) / 2.0
-        covered = 0.0
-        for target_pts in target_pts_list:
-            covered += float_overlap_area(pts, target_pts)
-        if piece_area - covered > tol * target_area:
+    for i, j in pairs_within(boxes):
+        area = overlap_sum(parts[i], parts[j])
+        if area > tol * target_area:
             failures.append(
-                ("Containment", f"piece {i}: {piece_area - covered:g} outside target")
+                ("PairwiseDisjoint", f"pieces {i} and {j} overlap by {area:g}")
             )
 
-    total = sum(_signed_area2(pts) / 2.0 for pts in placed)
+    areas = [_signed_area2(pts) / 2.0 for pts in placed]
+    for i, covered in enumerate(_covered_areas(parts, boxes, target, float)):
+        outside = areas[i] - covered
+        if outside > tol * target_area:
+            failures.append(("Containment", f"piece {i}: {outside:g} outside target"))
+
+    total = sum(areas)
     if abs(total - target_area) > tol * target_area:
         failures.append(
             ("AreaCoverage", f"piece areas sum to {total:g}, target {target_area:g}")
@@ -536,8 +455,29 @@ def hdj_from_json(obj) -> HdjFile:
     return HdjFile(figure, configurations, targets, cell_map)
 
 
+@contextlib.contextmanager
+def atomic_output(path):
+    """Open a text file that appears at path complete or not at all.
+
+    Writes go to a temporary file in the same directory, which replaces
+    path when the block ends.  If the block raises, the temporary file is
+    removed and any earlier file at path is left untouched.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from exc
+        raise
+
+
 def save_hdj(path, doc: HdjFile):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_output(path) as fh:
         json.dump(hdj_to_json(doc), fh, indent=1)
         fh.write("\n")
 

@@ -12,16 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .exact_geom import _bbox
 from .figures import Configuration, CountMismatch, HingedFigure
 from .numeric import (
     NumericMotion,
     apply_numeric,
     apply_numeric_points,
-    float_overlap_area,
     float_polygon,
     numeric_from_rigid,
     wrap_angle,
 )
+from .numeric import float_overlap_area  # noqa: F401 - looked up by perfbench/tracing.py
+from .overlap import convex_parts, overlap_sum, pairs_within
 
 OVERLAP_THRESHOLD = 1e-9
 
@@ -167,12 +169,12 @@ def sample_motion(
         placed = [
             apply_numeric_points(m, pts) for m, pts in zip(placements, local_pts)
         ]
+        parts = [convex_parts(pts) for pts in placed]
         overlaps = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                area = float_overlap_area(placed[i], placed[j])
-                if area > OVERLAP_THRESHOLD:
-                    overlaps.append((i, j, area))
+        for i, j in pairs_within([_bbox(pts) for pts in placed]):
+            area = overlap_sum(parts[i], parts[j])
+            if area > OVERLAP_THRESHOLD:
+                overlaps.append((i, j, area))
         samples.append(MotionSample(t, tuple(placements), tuple(overlaps)))
     return samples
 

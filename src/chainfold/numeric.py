@@ -10,15 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact_geom import (
-    RigidMotion,
-    _bbox,
-    _bboxes_interiors_overlap,
-    _convex_clip,
-    _ear_clip,
-    _is_convex,
-    _signed_area2,
-)
+from .exact_geom import RigidMotion
+
+# Kept importable under these names: perfbench/tracing.py counts the
+# clips and overlap calls made through them.
+from .exact_geom import _convex_clip  # noqa: F401
+from .overlap import polygon_overlap as float_overlap_area  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -92,39 +89,3 @@ def wrap_angle(delta: float) -> float:
 
 def float_polygon(pts) -> list[tuple[float, float]]:
     return [(float(p[0]), float(p[1])) for p in pts]
-
-
-def float_area(pts) -> float:
-    return float(_signed_area2(pts)) / 2.0
-
-
-def float_triangles(pts) -> list[tuple]:
-    """Triangulate a float ccw polygon; fan for convex, ear clipping otherwise."""
-    if len(pts) == 3 or _is_convex(pts):
-        return [(pts[0], pts[i], pts[i + 1]) for i in range(1, len(pts) - 1)]
-    return _ear_clip(list(pts))
-
-
-def float_convex_parts(pts) -> list[list]:
-    """Decompose into convex parts: the polygon itself when convex, else
-    its triangulation."""
-    if len(pts) == 3 or _is_convex(pts):
-        return [list(pts)]
-    return [list(t) for t in _ear_clip(list(pts))]
-
-
-def float_overlap_area(pts_a, pts_b) -> float:
-    """Intersection area of two float ccw simple polygons."""
-    if not _bboxes_interiors_overlap(_bbox(pts_a), _bbox(pts_b)):
-        return 0.0
-    total = 0.0
-    tris_b = float_triangles(pts_b)
-    for ta in float_triangles(pts_a):
-        box_a = _bbox(ta)
-        for tb in tris_b:
-            if not _bboxes_interiors_overlap(box_a, _bbox(tb)):
-                continue
-            frag = _convex_clip(list(ta), list(tb))
-            if frag:
-                total += _signed_area2(frag) / 2.0
-    return total

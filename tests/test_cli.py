@@ -196,3 +196,53 @@ class TestConsoleEntry:
             text=True,
         )
         assert result.returncode == 0
+
+
+class TestExactDecimals:
+    def test_decimal_square_matches_rational_triangle(self, workdir):
+        square = workdir / "dec.json"
+        square.write_text("[[0,0],[0.1,0],[0.1,0.1],[0,0.1]]")
+        tri = workdir / "rat.json"
+        tri.write_text('[[0,0],["1/5",0],[0,"1/10"]]')
+        out = workdir / "dec-chart.json"
+        assert main(["bg", "--a", str(square), "--b", str(tri), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["source"][1] == ["1/10", 0]
+
+
+def _pair_hdj(workdir):
+    pair = workdir / "pair.hdj"
+    assert main(["dissect", "--a", str(workdir / "L.txt"), "--b", str(workdir / "T.txt"),
+                 "--out", str(pair)]) == 0
+    return pair
+
+
+_UNWRITABLE_COMMANDS = {
+    "fold": lambda w, out: ["fold", "--in", str(w / "L.txt"), "--out", out],
+    "dissect": lambda w, out: ["dissect", "--a", str(w / "L.txt"), "--b", str(w / "T.txt"),
+                               "--out", out],
+    "bg": lambda w, out: ["bg", "--a", str(w / "sq.json"), "--b", str(w / "tri.json"),
+                          "--width", "2", "--out", out],
+    "animate": lambda w, out: ["animate", str(_pair_hdj(w)), "--frames", "4", "--out", out],
+    "gen": lambda w, out: ["gen", "--cells", "5", "--out", out],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_UNWRITABLE_COMMANDS))
+class TestUnwritableOutput:
+    """An output that cannot be written is bad input (exit 2), and no
+    partial or temporary file is left behind."""
+
+    def test_missing_directory_exits_2(self, workdir, command, capsys):
+        out = workdir / "missing" / "out"
+        assert main(_UNWRITABLE_COMMANDS[command](workdir, str(out))) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert not (workdir / "missing").exists()
+
+    def test_directory_in_the_way_leaves_nothing(self, workdir, command):
+        out = workdir / "taken"
+        out.mkdir()
+        argv = _UNWRITABLE_COMMANDS[command](workdir, str(out))
+        before = set(workdir.iterdir())
+        assert main(argv) == 2
+        assert set(workdir.iterdir()) == before
+        assert list(out.iterdir()) == []

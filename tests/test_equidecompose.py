@@ -302,3 +302,130 @@ class TestChartJson:
         decoded = chart_from_json(chart_to_json(mutual))
         assert not decoded.source_exact
         assert verify_chart(decoded, 1e-9).accepted
+
+
+def _exact_chart():
+    pentagon = polygon([(0, 0), (3, 0), (4, 2), (2, 4), (0, 3)])
+    return polygon_to_canonical_chart(pentagon, 2)
+
+
+def _overlay_chart():
+    square = polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
+    l_hexagon = polygon([(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (0, 2)])
+    return overlay_charts(
+        polygon_to_canonical_chart(square, 1), polygon_to_canonical_chart(l_hexagon, 1)
+    )
+
+
+def _mutated(chart, pieces, motions):
+    return DissectionChart(
+        pieces, [IDENTITY_MOTION] * len(pieces), motions, chart.source, chart.target,
+        chart.source_exact,
+    )
+
+
+@pytest.mark.parametrize("make_chart", [_exact_chart, _overlay_chart], ids=["exact", "overlay"])
+class TestChartMutationRejection:
+    """Chart analogue of acceptance criterion 5: every mutation is rejected,
+    so a broad phase that skipped a pair would show here."""
+
+    def test_unmutated_chart_accepted(self, make_chart):
+        chart = make_chart()
+        assert len(chart.pieces) >= 4
+        assert verify_chart(chart, 1e-9).accepted
+
+    def test_perturbed_target_motion(self, make_chart):
+        chart = make_chart()
+        motions = list(chart.target_motions)
+        k = len(motions) // 2
+        m = motions[k]
+        motions[k] = NumericMotion(m.angle_rad + 1e-3, m.tx, m.ty - 1e-3)
+        report = verify_chart(_mutated(chart, list(chart.pieces), motions), 1e-9)
+        assert not report.accepted
+        assert report.failed_checks() & {"TargetOverlap", "TargetContainment"}
+
+    def test_swapped_motions_of_non_congruent_pieces(self, make_chart):
+        chart = make_chart()
+        areas = [polygon_area(p) for p in chart.pieces]
+        i = 0
+        j = next(k for k in range(len(areas)) if abs(areas[k] - areas[i]) > Fraction(1, 100))
+        motions = list(chart.target_motions)
+        motions[i], motions[j] = motions[j], motions[i]
+        report = verify_chart(_mutated(chart, list(chart.pieces), motions), 1e-9)
+        assert not report.accepted
+        assert report.failed_checks() & {"TargetOverlap", "TargetContainment"}
+
+    def test_dropped_piece(self, make_chart):
+        chart = make_chart()
+        k = len(chart.pieces) - 1
+        report = verify_chart(
+            _mutated(chart, chart.pieces[:k], chart.target_motions[:k]), 1e-9
+        )
+        assert not report.accepted
+        assert {"SourceArea", "TargetArea"} <= report.failed_checks()
+
+    def test_duplicated_piece(self, make_chart):
+        chart = make_chart()
+        k = len(chart.pieces) // 2
+        pieces = list(chart.pieces) + [chart.pieces[k]]
+        motions = list(chart.target_motions) + [chart.target_motions[k]]
+        report = verify_chart(_mutated(chart, pieces, motions), 1e-9)
+        assert not report.accepted
+        # two identical boxes tie in the sweep; the pair must still be found
+        assert ("SourceDisjoint" in report.failed_checks()
+                and any(f"pieces {k} and {len(pieces) - 1} overlap" in d
+                        for _, d in report.failures))
+        assert "TargetOverlap" in report.failed_checks()
+
+
+class TestOverlayDrops:
+    def test_slivers_and_invalid_fragments_reported_apart(self):
+        chart = _overlay_chart()
+        assert chart.invalid_report == []
+        assert all(area > 0 for _, _, area in chart.sliver_report)
+
+    # Congruent copies of two criterion-8 pairs: the float inverse map of
+    # one overlay fragment lands two vertices 6e-16 apart, SimplePolygon
+    # rejects it ("edges 0 and 2 intersect"), and the dropped area makes
+    # the mutual chart fail its own verification.
+    RANDOM_7_A = [(0, 0), (2, 0), (2, 3), (0, 3)]
+    RANDOM_7_B = [("12/67", 0), ("48/67", 1), ("72/67", 5), ("36/67", 9), ("12/67", 11)]
+    RANDOM_8_A = [(0, 4), (3, 2), (9, 0), (10, 1), (11, 11), (11, 12), (5, 12)]
+    RANDOM_8_B = [(0, 0), ("543/10", 0), ("543/10", 1), ("181/10", 1), ("181/10", 3), (0, 3)]
+
+    @staticmethod
+    def _moved(coords, half_turn, dx, dy):
+        sign = -1 if half_turn else 1
+        return polygon([(sign * Fraction(x) + dx, sign * Fraction(y) + dy) for x, y in coords])
+
+    def _mutual(self, a, b):
+        return overlay_charts(polygon_to_canonical_chart(a, 1), polygon_to_canonical_chart(b, 1))
+
+    def test_congruent_random_7_reports_its_invalid_fragment(self):
+        mutual = self._mutual(
+            self._moved(self.RANDOM_7_A, True, -3, 2), self._moved(self.RANDOM_7_B, False, -2, 0)
+        )
+        assert len(mutual.invalid_report) == 1
+        assert abs(mutual.invalid_report[0][2] - 1.85e-4) < 1e-6
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="overlay drops a fragment whose float inverse map puts two vertices "
+        "6e-16 apart, so SimplePolygon validation fails and the chart loses area",
+    )
+    def test_congruent_random_7_verifies(self):
+        mutual = self._mutual(
+            self._moved(self.RANDOM_7_A, True, -3, 2), self._moved(self.RANDOM_7_B, False, -2, 0)
+        )
+        assert verify_chart(mutual, 1e-9).accepted
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="overlay drops a fragment whose float inverse map puts two vertices "
+        "6e-16 apart, so SimplePolygon validation fails and the chart loses area",
+    )
+    def test_congruent_random_8_verifies(self):
+        mutual = self._mutual(
+            self._moved(self.RANDOM_8_A, True, 1, 7), self._moved(self.RANDOM_8_B, True, -3, 7)
+        )
+        assert verify_chart(mutual, 1e-9).accepted
