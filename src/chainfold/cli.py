@@ -43,6 +43,8 @@ EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
 CHART_TOLERANCE = 1e-9
+MAX_FRAMES = 1000  # animate holds every frame and the whole SVG in memory
+MAX_GEN_CELLS = 16384  # random_polyomino's growth is quadratic in the cell count
 
 
 def _fail(message: str) -> int:
@@ -146,11 +148,13 @@ def cmd_verify(args) -> int:
 
 def cmd_animate(args) -> int:
     try:
+        if args.frames < 2:
+            raise ValueError(f"need at least 2 frames, got {args.frames}")
+        if args.frames > MAX_FRAMES:
+            raise ValueError(f"at most {MAX_FRAMES} frames, got {args.frames}")
         doc = load_hdj(args.file)
         if len(doc.configurations) < 2:
             raise ValueError("animation needs a document with two configurations")
-        if args.frames < 2:
-            raise ValueError(f"need at least 2 frames, got {args.frames}")
         cut = args.cut
         if cut is not None and not (0 <= cut < len(doc.figure.pieces)):
             raise ValueError(f"cut hinge {cut} out of range")
@@ -217,6 +221,8 @@ def cmd_bg(args) -> int:
 
 def cmd_gen(args) -> int:
     try:
+        if args.cells > MAX_GEN_CELLS:
+            raise ValueError(f"at most {MAX_GEN_CELLS} cells, got {args.cells}")
         p = random_polyomino(args.cells, args.seed)
         with atomic_output(args.out) as fh:
             fh.write(to_grid(p) + "\n")
@@ -256,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_anim = sub.add_parser("animate", help="animate between two configurations")
     p_anim.add_argument("file", help="HDJ file with two configurations")
-    p_anim.add_argument("--frames", type=int, default=60)
+    p_anim.add_argument("--frames", type=int, default=60,
+                        help=f"frames to sample, 2 to {MAX_FRAMES} (default: 60)")
     p_anim.add_argument("--cut", type=int, help="hinge to open (default: last)")
     p_anim.add_argument("--out", required=True, help="output SVG file")
     p_anim.add_argument("--report-overlaps", help="write per-frame overlap JSON")
@@ -271,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bg.set_defaults(func=cmd_bg)
 
     p_gen = sub.add_parser("gen", help="generate a random polyomino grid")
-    p_gen.add_argument("--cells", type=int, required=True)
+    p_gen.add_argument("--cells", type=int, required=True,
+                       help=f"cell count, 1 to {MAX_GEN_CELLS}")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True, help="output grid file")
     p_gen.set_defaults(func=cmd_gen)

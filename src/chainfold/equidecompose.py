@@ -32,7 +32,6 @@ from .exact_geom import (
     _dedupe_collinear,
     _signed_area2,
     apply_motion,
-    apply_motion_polygon,
     invert_motion,
     point,
     point_from_json,
@@ -130,6 +129,12 @@ class RectangleForm:
         """Map intrinsic-frame coordinates in [0,1]^2 to the plane."""
         return self.corners[0] + self.u.scaled(alpha) + self.v.scaled(beta)
 
+    def frame_coords(self, q: Point2) -> tuple[Fraction, Fraction]:
+        """Exact inverse of frame_point; u and v are perpendicular, so each
+        coordinate is a projection."""
+        d = q - self.corners[0]
+        return d.dot(self.u) / self.width_sq, d.dot(self.v) / self.height_sq
+
 
 def triangle_to_rectangle(tri) -> tuple[list[SimplePolygon], RectangleForm, list[RigidMotion]]:
     """Dissect a triangle into at most 3 pieces forming a rectangle.
@@ -203,19 +208,21 @@ def rectangle_to_width(r: RectangleForm, w) -> tuple[list[SimplePolygon], list[N
     middle and restacked) until its length lands in [w, 2w), then one
     slide dissection fixes the width exactly up to the rational snap.
     Cut coordinates are rational fractions of the sides, so the pieces
-    are exact in the source plane; placement motions are numeric.
+    are exact in the source plane; placement motions are numeric.  Each
+    piece is a deduplicated clip of two convex polygons moved by the
+    frame map, whose determinant is positive, so it is built without
+    re-validation.
     """
     w = rat(w)
     if w <= 0:
         raise BadWidth(f"target width must be positive, got {w}")
     h_out = r.area() / w
     out_rect = RectangleForm.axis_aligned(w, h_out)
-    frame_pieces = _normalize_frame_pieces(r, w)
     pieces = []
     motions = []
-    for fp in frame_pieces:
+    for fp in _normalize_frame_pieces(r, w):
         corners = [r.frame_point(alpha, beta) for alpha, beta in fp.frame_polygon]
-        pieces.append(SimplePolygon(corners))
+        pieces.append(SimplePolygon(corners, _validated=True))
         motions.append(fp.motion)
     return pieces, motions, out_rect
 
@@ -355,18 +362,17 @@ def _exact_sqrt(value: Fraction) -> Fraction:
 
 @dataclass
 class DissectionChart:
-    """Unhinged dissection: one piece list with two assembly motion sets.
+    """Unhinged dissection: pieces with their target assembly motions.
 
-    Pieces live in source coordinates; the source assembly is the
-    identity by convention and the target assembly is numeric.  An
-    overlay lists the fragments it dropped as (piece of a, piece of b,
-    area): slivers below the area threshold in sliver_report, and
-    fragments whose vertices fail SimplePolygon validation once mapped
-    back to the source in invalid_report.
+    Pieces live in source coordinates, so the source assembly is the
+    identity; the target assembly is numeric.  An overlay lists the
+    fragments it dropped as (piece of a, piece of b, area): slivers below
+    the area threshold in sliver_report, and fragments whose vertices fail
+    SimplePolygon validation once mapped back to the source in
+    invalid_report.
     """
 
     pieces: list[SimplePolygon]
-    source_motions: list[RigidMotion]
     target_motions: list[NumericMotion]
     source: SimplePolygon
     target: SimplePolygon
@@ -381,6 +387,14 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     Composition of triangulation, triangle-to-rectangle, width
     normalization and stacking; the pieces refine all stage cuts and
     remain exact rational in source coordinates.
+
+    Each rectangle's width-normalized pieces are cut against its
+    triangle pieces in the rectangle's unit frame, where the edges on the
+    unit square's boundary are axis-parallel, and each fragment is mapped
+    to the source once.  Positive-determinant affine maps commute exactly
+    with clipping, so the fragments equal those cut in the source plane.
+    A fragment is a deduplicated clip of two convex polygons, so it is
+    built without re-validation.
     """
     w = rat(w)
     if w <= 0:
@@ -391,49 +405,54 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
 
     direct = _axis_aligned_width_w(p, w)
     if direct is not None:
-        return DissectionChart([p], [IDENTITY_MOTION], [direct], p, target)
+        return DissectionChart([p], [direct], p, target)
 
+    stages = [triangle_to_rectangle(tri) for tri in triangulate_simple(p)]
+    stack_shifts, _ = stack_rectangles(
+        RectangleForm.axis_aligned(w, rect.area() / w) for _, rect, _ in stages
+    )
     pieces: list[SimplePolygon] = []
     target_motions: list[NumericMotion] = []
-    offset = Fraction(0)
-    for tri in triangulate_simple(p):
-        tri_pieces, rect, tri_motions = triangle_to_rectangle(tri)
-        norm_pieces, norm_motions, out_rect = rectangle_to_width(rect, w)
-        stack_shift = NumericMotion(0.0, 0.0, float(offset))
-        offset += rect.area() / w
-
-        placed2 = [
-            apply_motion_polygon(m2, piece).as_tuples()
-            for piece, m2 in zip(tri_pieces, tri_motions)
-        ]
-        boxes2 = [_bbox(pts) for pts in placed2]
-        for norm_piece, norm_motion in zip(norm_pieces, norm_motions):
-            pts3 = norm_piece.as_tuples()
-            box3 = _bbox(pts3)
-            for (pts2, m2, box2) in zip(placed2, tri_motions, boxes2):
-                if not _bboxes_interiors_overlap(box2, box3):
+    for (tri_pieces, rect, tri_motions), stack_shift in zip(stages, stack_shifts):
+        clippers = []
+        for piece, m in zip(tri_pieces, tri_motions):
+            pts = [rect.frame_coords(apply_motion(m, q)) for q in piece.vertices]
+            clippers.append((pts, _bbox(pts), _frame_to_source(rect, m), numeric_from_rigid(m)))
+        for fp in _normalize_frame_pieces(rect, w):
+            box = _bbox(fp.frame_polygon)
+            for pts, clip_box, (origin, ex, ey), rigid in clippers:
+                if not _bboxes_interiors_overlap(clip_box, box):
                     continue
-                frag = _convex_clip(pts3, pts2)
+                frag = _convex_clip(fp.frame_polygon, pts)
                 if not frag:
                     continue
                 frag = _dedupe_collinear(frag)
                 if len(frag) < 3:
                     continue
-                back = invert_motion(m2)
-                source_piece = SimplePolygon(
-                    [apply_motion(back, Point2(x, y)) for x, y in frag]
-                )
-                pieces.append(source_piece)
+                pieces.append(SimplePolygon(
+                    [
+                        Point2(origin.x + ex.x * a + ey.x * b, origin.y + ex.y * a + ey.y * b)
+                        for a, b in frag
+                    ],
+                    _validated=True,
+                ))
                 target_motions.append(
-                    compose_numeric(
-                        stack_shift,
-                        compose_numeric(norm_motion, numeric_from_rigid(m2)),
-                    )
+                    compose_numeric(stack_shift, compose_numeric(fp.motion, rigid))
                 )
-    chart = DissectionChart(
-        pieces, [IDENTITY_MOTION] * len(pieces), target_motions, p, target
+    return DissectionChart(pieces, target_motions, p, target)
+
+
+def _frame_to_source(r: RectangleForm, m: RigidMotion) -> tuple[Point2, Point2, Point2]:
+    """Affine map (origin, ex, ey), (a, b) -> origin + a*ex + b*ey, that sends
+    frame coordinates to the source point which m places at r.frame_point(a, b)."""
+    back = invert_motion(m)
+    c, s = back.rot_cos, back.rot_sin
+    u, v = r.u, r.v
+    return (
+        apply_motion(back, r.corners[0]),
+        Point2(c * u.x - s * u.y, s * u.x + c * u.y),
+        Point2(c * v.x - s * v.y, s * v.x + c * v.y),
     )
-    return chart
 
 
 def _axis_aligned_width_w(p: SimplePolygon, w: Fraction):
@@ -503,7 +522,6 @@ def overlay_charts(ca: DissectionChart, cb: DissectionChart) -> DissectionChart:
         )
     chart = DissectionChart(
         pieces,
-        [IDENTITY_MOTION] * len(pieces),
         target_motions,
         ca.source,
         cb.source,
@@ -625,8 +643,6 @@ def chart_from_json(obj) -> DissectionChart:
         ]
         if len(motions) != len(pieces):
             raise DissectionError("piece and motion counts differ")
-        return DissectionChart(
-            pieces, [IDENTITY_MOTION] * len(pieces), motions, source, target, exact
-        )
+        return DissectionChart(pieces, motions, source, target, exact)
     except (KeyError, TypeError) as exc:
         raise DissectionError(f"bad chart encoding: {exc}") from exc

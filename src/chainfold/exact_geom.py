@@ -286,17 +286,26 @@ def _is_convex(pts) -> bool:
 
 
 def _clip_halfplane(pts, e1, e2):
-    """Keep the part of the polygon on or left of the directed line e1->e2."""
+    """Keep the part of the polygon on or left of the directed line e1->e2.
+
+    Each vertex's side is computed once, as _orient(e1, e2, p) with the
+    same operands in the same order, so float results match it bit for bit.
+    """
+    ax, ay = e1
+    dx = e2[0] - ax
+    dy = e2[1] - ay
+    sides = [dx * (y - ay) - dy * (x - ax) for x, y in pts]
     out = []
     n = len(pts)
     for i in range(n):
         cur = pts[i]
-        nxt = pts[(i + 1) % n]
-        d_cur = _orient(e1, e2, cur)
-        d_nxt = _orient(e1, e2, nxt)
+        d_cur = sides[i]
+        j = i + 1 if i + 1 < n else 0
+        d_nxt = sides[j]
         if d_cur >= 0:
             out.append(cur)
         if (d_cur > 0 and d_nxt < 0) or (d_cur < 0 and d_nxt > 0):
+            nxt = pts[j]
             t = d_cur / (d_cur - d_nxt)
             out.append(
                 (cur[0] + (nxt[0] - cur[0]) * t, cur[1] + (nxt[1] - cur[1]) * t)
@@ -304,18 +313,49 @@ def _clip_halfplane(pts, e1, e2):
     return out
 
 
+def _box_inside_axis_edge(box, e1, e2) -> bool:
+    """The box lies on or left of the axis-parallel directed line e1->e2.
+
+    Then every vertex inside the box has a side value >= 0 and clipping by
+    the edge returns its input unchanged.  A zero-length edge gives every
+    vertex side 0, so it cannot cut either.
+    """
+    x0, y0, x1, y1 = box
+    if e1[1] == e2[1]:
+        if e2[0] > e1[0]:
+            return y0 >= e1[1]
+        if e2[0] < e1[0]:
+            return y1 <= e1[1]
+        return True
+    if e2[1] > e1[1]:
+        return x1 <= e1[0]
+    return x0 >= e1[0]
+
+
 def _convex_clip(subject, clipper):
     """Sutherland-Hodgman intersection of two convex ccw polygons.
 
     Returns the vertex list of the intersection, possibly with duplicate or
     collinear vertices, or an empty list when the intersection has no area.
+    Axis-parallel clipper edges with the current polygon's bounding box on
+    their inner side are skipped: clipping by them would change nothing.
+    The box is computed only when such an edge comes up.
     """
     out = list(subject)
+    box = None
     n = len(clipper)
     for i in range(n):
         if not out:
             return []
-        out = _clip_halfplane(out, clipper[i], clipper[(i + 1) % n])
+        e1 = clipper[i]
+        e2 = clipper[(i + 1) % n]
+        if e1[0] == e2[0] or e1[1] == e2[1]:
+            if box is None:
+                box = _bbox(out)
+            if _box_inside_axis_edge(box, e1, e2):
+                continue
+        out = _clip_halfplane(out, e1, e2)
+        box = None
     if len(out) < 3:
         return []
     if _signed_area2(out) == 0:

@@ -5,9 +5,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from hypothesis import settings
+
 from chainfold.chain import PlacedTriangle
 from chainfold.exact_geom import Point2, SimplePolygon
 from chainfold.polyomino import Polyomino
+
+# Every run draws the same examples (derandomize also turns the example
+# database off), and wall-clock jitter cannot fail a property test.
+settings.register_profile("chainfold", derandomize=True, deadline=None)
+settings.load_profile("chainfold")
 
 # the 5 free tetrominoes and 12 free pentominoes as ASCII grids
 TETROMINO_GRIDS = {

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from chainfold.cli import main
+from chainfold.cli import MAX_FRAMES, MAX_GEN_CELLS, main
 
 L_GRID = "#.\n#.\n##\n"
 T_GRID = "###\n.#.\n"
@@ -122,6 +122,14 @@ class TestAnimate:
         assert main(["animate", str(pair), "--frames", "1",
                      "--out", str(workdir / "x.svg")]) == 2
 
+    def test_frames_above_cap_exit_2_before_any_work(self, workdir, capsys):
+        # the HDJ file does not exist: the cap is checked before it is read
+        out = workdir / "x.svg"
+        assert main(["animate", str(workdir / "missing.hdj"), "--frames", str(MAX_FRAMES + 1),
+                     "--out", str(out)]) == 2
+        assert f"at most {MAX_FRAMES} frames" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_identity_pair_no_overlaps(self, workdir):
         pair = workdir / "same.hdj"
         main(["dissect", "--a", str(workdir / "L.txt"), "--b", str(workdir / "L.txt"),
@@ -181,10 +189,25 @@ class TestGen:
     def test_zero_cells_exits_2(self, workdir):
         assert main(["gen", "--cells", "0", "--seed", "1", "--out", str(workdir / "x")]) == 2
 
+    def test_cells_above_cap_exit_2(self, workdir, capsys):
+        out = workdir / "x.txt"
+        assert main(["gen", "--cells", str(MAX_GEN_CELLS + 1), "--out", str(out)]) == 2
+        assert f"at most {MAX_GEN_CELLS} cells" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_then_fold_round_trip(self, workdir):
         grid = workdir / "g.txt"
         main(["gen", "--cells", "12", "--seed", "7", "--out", str(grid)])
         assert main(["fold", "--in", str(grid), "--out", str(workdir / "g.hdj")]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, text", [("animate", f"2 to {MAX_FRAMES}"), ("gen", f"1 to {MAX_GEN_CELLS}")]
+)
+def test_caps_in_help(command, text, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert text in capsys.readouterr().out
 
 
 class TestConsoleEntry:

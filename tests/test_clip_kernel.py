@@ -1,0 +1,158 @@
+"""Property tests of the Sutherland-Hodgman clip kernel against a reference.
+
+The reference is the plain form of the kernel: two orientation tests per
+step and no skipped clipper edges.  The kernel must return exactly what it
+returns, float bits included, on Fraction and float polygons.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from chainfold.exact_geom import _bbox, _clip_halfplane, _convex_clip, _orient, _signed_area2
+
+from conftest import rational_convex_hull
+
+
+def reference_clip_halfplane(pts, e1, e2):
+    out = []
+    n = len(pts)
+    for i in range(n):
+        cur = pts[i]
+        nxt = pts[(i + 1) % n]
+        d_cur = _orient(e1, e2, cur)
+        d_nxt = _orient(e1, e2, nxt)
+        if d_cur >= 0:
+            out.append(cur)
+        if (d_cur > 0 and d_nxt < 0) or (d_cur < 0 and d_nxt > 0):
+            t = d_cur / (d_cur - d_nxt)
+            out.append(
+                (cur[0] + (nxt[0] - cur[0]) * t, cur[1] + (nxt[1] - cur[1]) * t)
+            )
+    return out
+
+
+def reference_convex_clip(subject, clipper):
+    out = list(subject)
+    n = len(clipper)
+    for i in range(n):
+        if not out:
+            return []
+        out = reference_clip_halfplane(out, clipper[i], clipper[(i + 1) % n])
+    if len(out) < 3 or _signed_area2(out) == 0:
+        return []
+    return out
+
+
+def bits(pts):
+    """Vertices with each coordinate's type and exact value (floats by hex,
+    so 0.0 and -0.0 differ)."""
+    return [
+        tuple((type(v).__name__, v.hex() if isinstance(v, float) else v) for v in p)
+        for p in pts
+    ]
+
+
+_coords = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 6]))
+
+
+@st.composite
+def convex_polygons(draw):
+    """A rational convex polygon as (x, y) tuples."""
+    points = draw(st.lists(st.tuples(_coords, _coords), min_size=3, max_size=8))
+    try:
+        return rational_convex_hull(points).as_tuples()
+    except ValueError:  # collinear points
+        assume(False)
+
+
+def _levels(lo, hi):
+    """Coordinates around [lo, hi]: outside, on the ends, and between."""
+    span = hi - lo
+    return [lo - 1, lo, lo + span / 3, lo + span / 2, hi, hi + Fraction(1, 2)]
+
+
+@st.composite
+def axis_clippers(draw, subject):
+    """Axis-parallel rectangles and half-squares placed against the
+    subject's box, so they contain, touch, straddle and miss it."""
+    x0, y0, x1, y1 = _bbox(subject)
+    xs, ys = _levels(x0, x1), _levels(y0, y1)
+    if draw(st.booleans()):
+        xa, xb = sorted(draw(st.lists(st.sampled_from(xs), min_size=2, max_size=2, unique=True)))
+        ya, yb = sorted(draw(st.lists(st.sampled_from(ys), min_size=2, max_size=2, unique=True)))
+        return [(xa, ya), (xb, ya), (xb, yb), (xa, yb)]
+    cx, cy = draw(st.sampled_from(xs)), draw(st.sampled_from(ys))
+    leg = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), max(x1 - x0, y1 - y0)]))
+    sx, sy = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+    tri = [(cx, cy), (cx + sx * leg, cy), (cx, cy + sy * leg)]
+    return tri if sx * sy > 0 else [tri[0], tri[2], tri[1]]
+
+
+@st.composite
+def clip_cases(draw):
+    """(subject, clipper) in Fraction or float coordinates."""
+    subject = draw(convex_polygons())
+    clipper = draw(st.one_of(convex_polygons(), axis_clippers(subject)))
+    if draw(st.booleans()):
+        subject = [(float(x), float(y)) for x, y in subject]
+        clipper = [(float(x), float(y)) for x, y in clipper]
+    return subject, clipper
+
+
+@st.composite
+def positive_affine_maps(draw):
+    small = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 5]))
+    a, b, c, d, tx, ty = (draw(small) for _ in range(6))
+    det = a * d - b * c
+    assume(det != 0)
+    if det < 0:
+        b, d = -b, -d  # negating a column flips the determinant's sign
+    return lambda p: (a * p[0] + b * p[1] + tx, c * p[0] + d * p[1] + ty)
+
+
+class TestClipKernel:
+    @settings(max_examples=400)
+    @given(clip_cases())
+    def test_halfplane_matches_reference(self, case):
+        subject, clipper = case
+        n = len(clipper)
+        for i in range(n):
+            e1, e2 = clipper[i], clipper[(i + 1) % n]
+            assert bits(_clip_halfplane(subject, e1, e2)) == bits(
+                reference_clip_halfplane(subject, e1, e2)
+            )
+
+    @settings(max_examples=400)
+    @given(clip_cases())
+    def test_convex_clip_matches_reference(self, case):
+        subject, clipper = case
+        assert bits(_convex_clip(subject, clipper)) == bits(
+            reference_convex_clip(subject, clipper)
+        )
+
+    @settings(max_examples=200)
+    @given(convex_polygons(), st.data(), positive_affine_maps())
+    def test_convex_clip_commutes_with_positive_affine_maps(self, subject, data, f):
+        clipper = data.draw(st.one_of(convex_polygons(), axis_clippers(subject)))
+        moved = _convex_clip([f(p) for p in subject], [f(p) for p in clipper])
+        assert moved == [f(p) for p in _convex_clip(subject, clipper)]
+
+    def test_skipped_edges_cover_every_relation(self):
+        # one subject against rectangles that contain, touch, straddle and
+        # miss it; each result equals the reference
+        subject = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0)), (Fraction(1), Fraction(2))]
+        rectangles = {
+            "contain": (-1, -1, 3, 3),
+            "touch": (2, 0, 3, 2),
+            "straddle": (1, -1, 3, 1),
+            "miss": (3, 3, 4, 4),
+        }
+        areas = {}
+        for name, (xa, ya, xb, yb) in rectangles.items():
+            clipper = [(xa, ya), (xb, ya), (xb, yb), (xa, yb)]
+            out = _convex_clip(subject, clipper)
+            assert bits(out) == bits(reference_convex_clip(subject, clipper))
+            areas[name] = _signed_area2(out) / 2 if out else 0
+        assert areas == {"contain": 2, "touch": 0, "straddle": Fraction(3, 4), "miss": 0}

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chainfold.equidecompose import (
     BadWidth,
@@ -21,6 +23,8 @@ from chainfold.equidecompose import (
 )
 from chainfold.exact_geom import (
     IDENTITY_MOTION,
+    SimplePolygon,
+    _orient,
     apply_motion_polygon,
     interiors_overlap,
     overlap_area,
@@ -29,6 +33,8 @@ from chainfold.exact_geom import (
     polygon_area,
 )
 from chainfold.numeric import NumericMotion
+
+from conftest import rational_convex_hull
 
 UNIT_SQUARE = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -109,7 +115,7 @@ class TestRectangleToWidth:
         assert len(pieces) == 2
         assert out.corners[2] == point(2, 2)
         report = verify_chart(
-            DissectionChart(pieces, [IDENTITY_MOTION] * 2, motions,
+            DissectionChart(pieces, motions,
                             polygon([(0, 0), (1, 0), (1, 4), (0, 4)]), out.polygon()),
             1e-9,
         )
@@ -124,7 +130,7 @@ class TestRectangleToWidth:
         pieces, motions, out = rectangle_to_width(RectangleForm.axis_aligned(1, 3), 2)
         assert len(pieces) <= 4
         chart = DissectionChart(
-            pieces, [IDENTITY_MOTION] * len(pieces), motions,
+            pieces, motions,
             polygon([(0, 0), (1, 0), (1, 3), (0, 3)]), out.polygon(),
         )
         assert out.corners[2] == point(2, Fraction(3, 2))
@@ -134,7 +140,7 @@ class TestRectangleToWidth:
         # 3 x 1 to width 2: ratio 3/2, one slide, no halvings
         pieces, motions, out = rectangle_to_width(RectangleForm.axis_aligned(3, 1), 2)
         chart = DissectionChart(
-            pieces, [IDENTITY_MOTION] * len(pieces), motions,
+            pieces, motions,
             polygon([(0, 0), (3, 0), (3, 1), (0, 1)]), out.polygon(),
         )
         assert verify_chart(chart, 1e-9).accepted
@@ -148,7 +154,7 @@ class TestRectangleToWidth:
         )
         pieces, motions, out = rectangle_to_width(rect, 1)
         chart = DissectionChart(
-            pieces, [IDENTITY_MOTION] * len(pieces), motions,
+            pieces, motions,
             rect.polygon(), out.polygon(),
         )
         assert verify_chart(chart, 1e-9).accepted
@@ -210,6 +216,45 @@ class TestCanonicalChart:
         assert total == rect.area()
 
 
+_coords = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3]))
+_lengths = st.builds(Fraction, st.integers(1, 8), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def _rational_simple_polygons(draw):
+    """Convex hulls of rational points, or L-shaped hexagons."""
+    if draw(st.booleans()):
+        points = draw(st.lists(st.tuples(_coords, _coords), min_size=3, max_size=7))
+        try:
+            return rational_convex_hull(points)
+        except ValueError:
+            assume(False)
+    a, d = draw(_lengths), draw(_lengths)
+    c = a * draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]))
+    b = d * draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)]))
+    x, y = draw(_coords), draw(_coords)
+    return polygon([(x, y), (x + a, y), (x + a, y + b), (x + c, y + b), (x + c, y + d), (x, y + d)])
+
+
+class TestCanonicalChartProperties:
+    """Canonical-chart pieces skip SimplePolygon validation; they must be
+    exactly what validation would accept."""
+
+    @settings(max_examples=40)
+    @given(_rational_simple_polygons(), st.builds(Fraction, st.integers(1, 9), st.integers(1, 3)))
+    def test_pieces_are_strictly_convex_and_partition_the_source(self, p, w):
+        chart = polygon_to_canonical_chart(p, w)
+        assert verify_chart(chart, 1e-9).accepted
+        assert sum((polygon_area(q) for q in chart.pieces), Fraction(0)) == polygon_area(p)
+        for piece in chart.pieces:
+            pts = piece.as_tuples()
+            n = len(pts)
+            assert n >= 3 and len(set(pts)) == n
+            # every turn strictly left: ccw, convex, no collinear vertex
+            assert all(_orient(pts[i - 1], pts[i], pts[(i + 1) % n]) > 0 for i in range(n))
+            assert SimplePolygon(piece.vertices).vertices == piece.vertices
+
+
 class TestOverlay:
     def _half_charts(self):
         left = polygon([(0, 0), (Fraction(1, 2), 0), (Fraction(1, 2), 1), (0, 1)])
@@ -217,9 +262,9 @@ class TestOverlay:
         bottom = polygon([(0, 0), (1, 0), (1, Fraction(1, 2)), (0, Fraction(1, 2))])
         top = polygon([(0, Fraction(1, 2)), (1, Fraction(1, 2)), (1, 1), (0, 1)])
         zero = NumericMotion(0.0, 0.0, 0.0)
-        ca = DissectionChart([left, right], [IDENTITY_MOTION] * 2, [zero, zero],
+        ca = DissectionChart([left, right], [zero, zero],
                              UNIT_SQUARE, UNIT_SQUARE)
-        cb = DissectionChart([bottom, top], [IDENTITY_MOTION] * 2, [zero, zero],
+        cb = DissectionChart([bottom, top], [zero, zero],
                              UNIT_SQUARE, UNIT_SQUARE)
         return ca, cb
 
@@ -270,7 +315,7 @@ class TestVerifyChart:
         assert not verify_chart(chart, 1e-9).accepted
 
     def test_empty_pieces_rejected(self):
-        chart = DissectionChart([], [], [], UNIT_SQUARE, UNIT_SQUARE)
+        chart = DissectionChart([], [], UNIT_SQUARE, UNIT_SQUARE)
         report = verify_chart(chart, 1e-9)
         assert not report.accepted
         assert "SourceArea" in report.failed_checks()
@@ -319,7 +364,7 @@ def _overlay_chart():
 
 def _mutated(chart, pieces, motions):
     return DissectionChart(
-        pieces, [IDENTITY_MOTION] * len(pieces), motions, chart.source, chart.target,
+        pieces, motions, chart.source, chart.target,
         chart.source_exact,
     )
 
