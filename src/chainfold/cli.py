@@ -135,7 +135,10 @@ def cmd_verify(args) -> int:
             config = Configuration(config.placements, args.mode, config.tolerance)
         if args.tol is not None:
             config = Configuration(config.placements, config.mode, args.tol)
-        report = verify_configuration(doc.figure, config, nt.data)
+        try:
+            report = verify_configuration(doc.figure, config, nt.data)
+        except OverflowError as exc:  # approx mode: a value beyond the double range
+            return _fail(f"configuration '{nc.name}': {exc}")
         status = "ACCEPTED" if report.accepted else "REJECTED"
         print(f"configuration '{nc.name}' vs target '{nt.name}': {status}")
         for check, detail in report.failures:

@@ -51,7 +51,7 @@ from .numeric import (
     numeric_between_segments,
     numeric_from_rigid,
 )
-from .overlap import clip_parts, convex_parts, overlap_sum, pairs_across, pairs_within
+from .overlap import clip_parts, convex_parts, overlap_sum2, pairs_across, pairs_within
 
 log = logging.getLogger(__name__)
 
@@ -554,32 +554,32 @@ def verify_chart(c: DissectionChart, tolerance: float = 1e-9) -> VerifyReport:
         pieces = [float_polygon(p.as_tuples()) for p in c.pieces]
         source = float_polygon(c.source.as_tuples())
         tol_abs = tolerance * float(source_area)
-    areas, overlaps, outside = _partition_residuals(pieces, source)
-    for i, j, area in overlaps:
-        if area > tol_abs:
-            detail = "" if exact else f" by {area:g}"
+    areas2, overlaps2, outside2 = _partition_residuals(pieces, source)
+    for i, j, area2 in overlaps2:
+        if area2 > 2 * tol_abs:
+            detail = "" if exact else f" by {area2 / 2:g}"
             failures.append(("SourceDisjoint", f"pieces {i} and {j} overlap{detail}"))
-    for i, area in enumerate(outside):
-        if area > tol_abs:
-            detail = "leaves the source" if exact else f": {area:g} outside source"
+    for i, area2 in enumerate(outside2):
+        if area2 > 2 * tol_abs:
+            detail = "leaves the source" if exact else f": {area2 / 2:g} outside source"
             failures.append(("SourceContainment", f"piece {i} {detail}"))
-    computed = sum(areas)
+    computed = sum(area2 / 2 for area2 in areas2)
     if abs(computed - source_area) > tol_abs:
         detail = f"{computed}, source is {source_area}" if exact else f"{computed:g}"
         failures.append(("SourceArea", f"piece areas sum to {detail}"))
 
     target_area = float(polygon_area(c.target))
     tol_abs = tolerance * target_area
-    areas, overlaps, outside = _partition_residuals(
+    areas2, overlaps2, outside2 = _partition_residuals(
         _placed(c), float_polygon(c.target.as_tuples())
     )
-    for i, j, area in overlaps:
-        if area > tol_abs:
-            failures.append(("TargetOverlap", f"pieces {i} and {j} overlap by {area:g}"))
-    for i, area in enumerate(outside):
-        if area > tol_abs:
-            failures.append(("TargetContainment", f"piece {i}: {area:g} outside"))
-    placed_total = sum(areas)
+    for i, j, area2 in overlaps2:
+        if area2 > 2 * tol_abs:
+            failures.append(("TargetOverlap", f"pieces {i} and {j} overlap by {area2 / 2:g}"))
+    for i, area2 in enumerate(outside2):
+        if area2 > 2 * tol_abs:
+            failures.append(("TargetContainment", f"piece {i}: {area2 / 2:g} outside"))
+    placed_total = sum(area2 / 2 for area2 in areas2)
     if abs(placed_total - target_area) > tol_abs:
         failures.append(
             ("TargetArea", f"placed areas sum to {placed_total:g}, target {target_area:g}")
@@ -597,18 +597,18 @@ def _placed(c: DissectionChart) -> list:
 
 
 def _partition_residuals(pieces, region):
-    """What keeps pieces from partitioning a region: each piece's area,
-    the overlap (i, j, area) of every pair whose boxes meet, and each
-    piece's area outside the region."""
+    """What keeps pieces from partitioning a region, as doubled areas:
+    each piece's area, the overlap (i, j, area) of every pair whose boxes
+    meet, and each piece's area outside the region."""
     parts = [convex_parts(pts) for pts in pieces]
-    areas = [_signed_area2(pts) / 2 for pts in pieces]
-    overlaps = [
-        (i, j, overlap_sum(parts[i], parts[j]))
+    areas2 = [_signed_area2(pts) for pts in pieces]
+    overlaps2 = [
+        (i, j, overlap_sum2(parts[i], parts[j]))
         for i, j in pairs_within([_bbox(pts) for pts in pieces])
     ]
     region_parts = convex_parts(region)
-    outside = [area - overlap_sum(p, region_parts) for area, p in zip(areas, parts)]
-    return areas, overlaps, outside
+    outside2 = [area2 - overlap_sum2(p, region_parts) for area2, p in zip(areas2, parts)]
+    return areas2, overlaps2, outside2
 
 
 def chart_to_json(c: DissectionChart) -> dict:

@@ -9,7 +9,10 @@ The low-level helpers prefixed with an underscore operate on plain
 ``(x, y)`` coordinate tuples and are deliberately agnostic about the
 number type, so the same clipping/triangulation code serves both the
 exact rational paths and the float paths used by tolerance-based
-verification elsewhere in the package.
+verification elsewhere in the package.  On exact paths a coordinate may
+be an int or a Fraction: every division either stays a Fraction or is
+avoided (doubled areas, a doubled midpoint), so ints never turn into
+floats.
 """
 
 from __future__ import annotations
@@ -42,15 +45,22 @@ class InvalidPolygon(GeometryError):
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, 'p/q' strings, floats and Fractions to an exact Fraction."""
+    """Coerce ints, 'p/q' strings, floats and Fractions to an exact Fraction.
+
+    Floats keep their exact binary expansion, with no rounding.  A zero
+    denominator or a non-finite float is a ValueError.
+    """
+    if type(value) is int:  # the common case, before the slower ABC checks
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)  # exact binary expansion, no rounding
+    if isinstance(value, (int, str, float)):
+        try:
+            return Fraction(value)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"cannot interpret {value!r} as a rational: {exc}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -290,6 +300,8 @@ def _clip_halfplane(pts, e1, e2):
 
     Each vertex's side is computed once, as _orient(e1, e2, p) with the
     same operands in the same order, so float results match it bit for bit.
+    A crossing between int sides gets a Fraction parameter, so int
+    coordinates give exact crossings, never floats.
     """
     ax, ay = e1
     dx = e2[0] - ax
@@ -306,7 +318,8 @@ def _clip_halfplane(pts, e1, e2):
             out.append(cur)
         if (d_cur > 0 and d_nxt < 0) or (d_cur < 0 and d_nxt > 0):
             nxt = pts[j]
-            t = d_cur / (d_cur - d_nxt)
+            den = d_cur - d_nxt
+            t = Fraction(d_cur, den) if type(den) is int else d_cur / den
             out.append(
                 (cur[0] + (nxt[0] - cur[0]) * t, cur[1] + (nxt[1] - cur[1]) * t)
             )
@@ -467,8 +480,9 @@ def _is_diagonal(verts, i, j) -> bool:
             continue
         if _segments_intersect(a, b, verts[k], verts[k2]):
             return False
-    mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-    return _point_in_polygon(verts, mid) == "inside"
+    # the midpoint against the polygon scaled by 2, so nothing is halved
+    doubled = [(x + x, y + y) for x, y in verts]
+    return _point_in_polygon(doubled, (a[0] + b[0], a[1] + b[1])) == "inside"
 
 
 def _point_in_triangle_closed(tri, p) -> bool:
@@ -592,7 +606,8 @@ def polygon_contains(outer: SimplePolygon, inner: SimplePolygon) -> bool:
     Both are closed regions, so this holds exactly when the part of inner
     covered by outer has all of inner's area.
     """
-    from .overlap import convex_parts, overlap_sum
+    from .overlap import convex_parts, overlap_sum2
 
-    covered = overlap_sum(convex_parts(inner.as_tuples()), convex_parts(outer.as_tuples()))
-    return covered == polygon_area(inner)
+    inner_pts = inner.as_tuples()
+    covered2 = overlap_sum2(convex_parts(inner_pts), convex_parts(outer.as_tuples()))
+    return covered2 == _signed_area2(inner_pts)

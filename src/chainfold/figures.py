@@ -21,7 +21,6 @@ from .exact_geom import (
     SimplePolygon,
     _bbox,
     _signed_area2,
-    apply_motion,
     point,
     point_from_json,
     point_to_json,
@@ -30,8 +29,8 @@ from .exact_geom import (
     rational_to_json,
 )
 from .exact_geom import _bboxes_interiors_overlap, _convex_clip  # noqa: F401 - looked up by perfbench/tracing.py
-from .overlap import convex_parts, covered_by_cells, overlap_sum, pairs_within
-from .polyomino import BadSize, Cell, Polyomino, cells_from_json, cells_to_json
+from .overlap import cell_bounds, convex_parts, covered_by_cells2, overlap_sum2, pairs_within
+from .polyomino import BadSize, Cell, Polyomino, cells_from_json, cells_to_json, int_from_json
 
 DEFAULT_APPROX_TOLERANCE = 1e-9
 
@@ -176,18 +175,39 @@ def _target_area_exact(target: Target) -> Fraction:
     return polygon_area(target)
 
 
+def _exact_value(v):
+    """A Fraction whose denominator is 1 as its int; any other value as is.
+
+    Exact verification runs on these values, so a lattice configuration
+    (a chain fold: quarter turns, integer translations and cells) runs on
+    ints, and any other one mixes ints and Fractions per coordinate.
+    """
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return v.numerator
+    return v
+
+
 def _verify_exact(f: HingedFigure, c: Configuration, target: Target) -> VerifyReport:
     failures: list[tuple[str, str]] = []
+    num = _exact_value
+    motions = [
+        (num(m.rot_cos), num(m.rot_sin), num(m.translate.x), num(m.translate.y))
+        for m in c.placements
+    ]
 
-    for i, m in enumerate(c.placements):
-        if not m.is_unit():
+    for i, (cos, sin, _, _) in enumerate(motions):
+        if cos * cos + sin * sin != 1:
             failures.append(
                 ("ProperMotion", f"placement {i}: rot_cos^2+rot_sin^2 != 1")
             )
 
+    local = {}  # each distinct piece's vertices, converted once
+    for piece in f.pieces:
+        if id(piece) not in local:
+            local[id(piece)] = [(num(v.x), num(v.y)) for v in piece.vertices]
     placed = [
-        [apply_motion(c.placements[i], v).as_tuple() for v in piece.vertices]
-        for i, piece in enumerate(f.pieces)
+        [(cos * x - sin * y + tx, sin * x + cos * y + ty) for x, y in local[id(piece)]]
+        for (cos, sin, tx, ty), piece in zip(motions, f.pieces)
     ]
 
     for idx, h in enumerate(f.hinges):
@@ -199,17 +219,17 @@ def _verify_exact(f: HingedFigure, c: Configuration, target: Target) -> VerifyRe
     boxes = [_bbox(pts) for pts in placed]
 
     for i, j in pairs_within(boxes):
-        if overlap_sum(parts[i], parts[j]) > 0:
+        if overlap_sum2(parts[i], parts[j]) > 0:
             failures.append(("PairwiseDisjoint", f"pieces {i} and {j} overlap"))
 
-    areas = [_signed_area2(pts) / 2 for pts in placed]
-    for i, covered in enumerate(_covered_areas(parts, boxes, target, Fraction)):
-        if covered != areas[i]:
-            failures.append(
-                ("Containment", f"piece {i}: {areas[i] - covered} of its area is outside")
-            )
+    # doubled areas, so int coordinates are never halved
+    areas2 = [_signed_area2(pts) for pts in placed]
+    for i, covered2 in enumerate(_covered_areas2(parts, boxes, target, num)):
+        if covered2 != areas2[i]:
+            outside = Fraction(areas2[i] - covered2, 2)
+            failures.append(("Containment", f"piece {i}: {outside} of its area is outside"))
 
-    total = sum(areas, Fraction(0))
+    total = Fraction(sum(areas2), 2)
     target_area = _target_area_exact(target)
     if total != target_area:
         failures.append(("AreaCoverage", f"piece areas sum to {total}, target {target_area}"))
@@ -217,17 +237,21 @@ def _verify_exact(f: HingedFigure, c: Configuration, target: Target) -> VerifyRe
     return VerifyReport(not failures, failures, total)
 
 
-def _covered_areas(parts, boxes, target: Target, num) -> list:
-    """Area of each placed piece inside the target, from its convex parts.
+def _covered_areas2(parts, boxes, target: Target, num) -> list:
+    """Twice the area of each placed piece inside the target, from its
+    convex parts.
 
     A polyomino is covered through the cells near each piece, a polygon
     through its own convex parts; num converts target coordinates to the
     pieces' number type.
     """
     if isinstance(target, Polyomino):
-        return [covered_by_cells(p, box, target.cells, num) for p, box in zip(parts, boxes)]
+        bounds = cell_bounds(target.cells)
+        return [
+            covered_by_cells2(p, box, target.cells, bounds, num) for p, box in zip(parts, boxes)
+        ]
     target_parts = convex_parts([(num(v.x), num(v.y)) for v in target.vertices])
-    return [overlap_sum(p, target_parts) for p in parts]
+    return [overlap_sum2(p, target_parts) for p in parts]
 
 
 def _verify_approx(f: HingedFigure, c: Configuration, target: Target) -> VerifyReport:
@@ -264,15 +288,15 @@ def _verify_approx(f: HingedFigure, c: Configuration, target: Target) -> VerifyR
     target_area = float(_target_area_exact(target))
 
     for i, j in pairs_within(boxes):
-        area = overlap_sum(parts[i], parts[j])
+        area = overlap_sum2(parts[i], parts[j]) / 2
         if area > tol * target_area:
             failures.append(
                 ("PairwiseDisjoint", f"pieces {i} and {j} overlap by {area:g}")
             )
 
     areas = [_signed_area2(pts) / 2.0 for pts in placed]
-    for i, covered in enumerate(_covered_areas(parts, boxes, target, float)):
-        outside = areas[i] - covered
+    for i, covered2 in enumerate(_covered_areas2(parts, boxes, target, float)):
+        outside = areas[i] - covered2 / 2
         if outside > tol * target_area:
             failures.append(("Containment", f"piece {i}: {outside:g} outside target"))
 
@@ -344,11 +368,26 @@ def figure_to_json(f: HingedFigure, approx: bool = False) -> dict:
 
 
 def figure_from_json(obj) -> HingedFigure:
+    """Parse a figure; identical pieces share one validated SimplePolygon.
+
+    Pieces are keyed on their parsed points, not on the JSON values
+    (true == 1 == 1.0 there), and the keys live for this call only.  A
+    key holds each coordinate's numerator and denominator, which hash
+    much faster than the Fraction.
+    """
     try:
-        pieces = tuple(
-            SimplePolygon([point_from_json(v) for v in piece]) for piece in obj["pieces"]
-        )
-        hinges = tuple(Hinge(*[int(x) for x in h]) for h in obj["hinges"])
+        polygons: dict[tuple, SimplePolygon] = {}
+        pieces = []
+        for piece in obj["pieces"]:
+            pts = [point_from_json(v) for v in piece]
+            key = tuple(
+                (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in pts
+            )
+            if key not in polygons:
+                polygons[key] = SimplePolygon(pts)
+            pieces.append(polygons[key])
+        pieces = tuple(pieces)
+        hinges = tuple(Hinge(*[int_from_json(x) for x in h]) for h in obj["hinges"])
         return HingedFigure(pieces, hinges, obj.get("topology", "general"))
     except HdjError:
         raise
@@ -378,6 +417,8 @@ def configuration_to_json(nc: NamedConfiguration) -> dict:
 
 
 def configuration_from_json(obj) -> NamedConfiguration:
+    if not isinstance(obj, dict):
+        raise HdjError(f"bad configuration encoding: expected an object, got {obj!r}")
     try:
         mode = obj.get("mode", "exact")
         placements = tuple(
@@ -403,6 +444,8 @@ def target_to_json(nt: NamedTarget, approx: bool = False) -> dict:
 
 
 def target_from_json(obj) -> NamedTarget:
+    if not isinstance(obj, dict):
+        raise HdjError(f"bad target encoding: expected an object, got {obj!r}")
     try:
         kind = obj["kind"]
         if kind == "polygon":
@@ -441,18 +484,32 @@ def hdj_from_json(obj) -> HdjFile:
     if not isinstance(obj, dict) or "figure" not in obj:
         raise HdjError("document has no figure")
     figure = figure_from_json(obj["figure"])
-    configurations = [configuration_from_json(c) for c in obj.get("configurations", [])]
-    targets = [target_from_json(t) for t in obj.get("targets", [])]
+    configurations = [configuration_from_json(c) for c in _json_list(obj, "configurations")]
+    for nc in configurations:
+        if len(nc.configuration.placements) != len(figure.pieces):
+            raise HdjError(
+                f"configuration {nc.name!r}: {len(nc.configuration.placements)} placements"
+                f" for {len(figure.pieces)} pieces"
+            )
+    targets = [target_from_json(t) for t in _json_list(obj, "targets")]
     cell_map = None
     if "cell_map" in obj:
         try:
             cell_map = {
-                Cell(int(c[0]), int(c[1])): (int(p[0]), int(p[1]))
+                Cell(int_from_json(c[0]), int_from_json(c[1])):
+                    (int_from_json(p[0]), int_from_json(p[1]))
                 for c, p in obj["cell_map"]
             }
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError, KeyError) as exc:
             raise HdjError(f"bad cell_map encoding: {exc}") from exc
     return HdjFile(figure, configurations, targets, cell_map)
+
+
+def _json_list(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise HdjError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 @contextlib.contextmanager

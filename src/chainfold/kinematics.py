@@ -23,7 +23,7 @@ from .numeric import (
     wrap_angle,
 )
 from .numeric import float_overlap_area  # noqa: F401 - looked up by perfbench/tracing.py
-from .overlap import convex_parts, overlap_sum, pairs_within
+from .overlap import convex_parts, overlap_sum2, pairs_within
 
 OVERLAP_THRESHOLD = 1e-9
 
@@ -172,7 +172,7 @@ def sample_motion(
         parts = [convex_parts(pts) for pts in placed]
         overlaps = []
         for i, j in pairs_within([_bbox(pts) for pts in placed]):
-            area = overlap_sum(parts[i], parts[j])
+            area = overlap_sum2(parts[i], parts[j]) / 2
             if area > OVERLAP_THRESHOLD:
                 overlaps.append((i, j, area))
         samples.append(MotionSample(t, tuple(placements), tuple(overlaps)))

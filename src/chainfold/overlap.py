@@ -7,8 +7,10 @@ overlap report, and the public ``overlap_area``, ``interiors_overlap``
 and ``polygon_contains``.
 
 Like the tuple core of ``exact_geom`` it works on ``(x, y)`` tuples and
-never looks at the number type: Fraction coordinates give exact
-Fraction areas, float coordinates give float areas.
+never looks at the number type: int and Fraction coordinates give exact
+areas, float coordinates give float areas.  The sums are doubled areas,
+as ``_signed_area2`` gives them, so an int sum is never halved into a
+float; callers compare doubled areas or halve a float.
 
 - Broad phase: sort and sweep over precomputed bounding boxes.  Boxes
   are sorted by their lower x; each box is tested only against the boxes
@@ -74,39 +76,48 @@ def clip_parts(parts_a, parts_b):
                     yield frag
 
 
-def overlap_sum(parts_a, parts_b):
-    """Area shared by two convex-part lists (0 when they do not meet)."""
-    total = 0
-    for frag in clip_parts(parts_a, parts_b):
-        total += _signed_area2(frag) / 2
-    return total
+def overlap_sum2(parts_a, parts_b):
+    """Twice the area shared by two convex-part lists (0 when they do not meet)."""
+    return sum(_signed_area2(frag) for frag in clip_parts(parts_a, parts_b))
 
 
 def polygon_overlap(pts_a, pts_b):
-    """Intersection area of two ccw simple polygons."""
+    """Intersection area of two ccw simple polygons with Fraction or float
+    coordinates (the int 0 when they do not meet)."""
     ax0, ay0, ax1, ay1 = _bbox(pts_a)
     bx0, by0, bx1, by1 = _bbox(pts_b)
     if not (ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1):
         return 0
-    return overlap_sum(convex_parts(pts_a), convex_parts(pts_b))
+    area2 = overlap_sum2(convex_parts(pts_a), convex_parts(pts_b))
+    return area2 / 2 if area2 else area2
 
 
-def covered_by_cells(parts, box, cells, num):
-    """Area of the parts inside a polyomino given by its set of (x, y) cells.
+def cell_bounds(cells):
+    """(x0, y0, x1, y1) such that every cell of the set lies in
+    [x0, x1) x [y0, y1)."""
+    xs = [x for x, _ in cells]
+    ys = [y for _, y in cells]
+    return min(xs), min(ys), max(xs) + 1, max(ys) + 1
 
-    Only the cells inside the floor/ceil hull of the box can meet the
-    parts; they are visited in sorted order.  ``num`` converts a cell
-    coordinate to the parts' number type.
+
+def covered_by_cells2(parts, box, cells, bounds, num):
+    """Twice the area of the parts inside a polyomino given by its set of
+    (x, y) cells and their cell_bounds.
+
+    Only the cells inside the floor/ceil hull of the box, clamped to the
+    bounds, can meet the parts; they are visited in sorted order.  ``num``
+    converts a cell coordinate to the parts' number type.
     """
     x0, y0, x1, y1 = box
     cx0, cy0, cx1, cy1 = math.floor(x0), math.floor(y0), math.ceil(x1), math.ceil(y1)
     if cx1 - cx0 == 1 and cy1 - cy0 == 1 and (cx0, cy0) in cells:
-        return sum(_signed_area2(part) for part, _ in parts) / 2  # inside one target cell
+        return sum(_signed_area2(part) for part, _ in parts)  # inside one target cell
+    bx0, by0, bx1, by1 = bounds
     covered = 0
-    for x in range(cx0, cx1):
-        for y in range(cy0, cy1):
+    for x in range(max(cx0, bx0), min(cx1, bx1)):
+        for y in range(max(cy0, by0), min(cy1, by1)):
             if (x, y) in cells:
                 lo_x, lo_y, hi_x, hi_y = num(x), num(y), num(x + 1), num(y + 1)
                 cell = [(lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y)]
-                covered += overlap_sum(parts, [(cell, (lo_x, lo_y, hi_x, hi_y))])
+                covered += overlap_sum2(parts, [(cell, (lo_x, lo_y, hi_x, hi_y))])
     return covered

@@ -135,10 +135,23 @@ def cells_to_json(p: Polyomino) -> dict:
     return {"cells": [[c.x, c.y] for c in sorted(p.cells)]}
 
 
+def int_from_json(value) -> int:
+    """A JSON integer as an int; bools, floats and strings are errors."""
+    if type(value) is not int:
+        raise PolyominoError(f"expected an integer, got {value!r}")
+    return value
+
+
 def cells_from_json(obj) -> Polyomino:
-    if not isinstance(obj, dict) or "cells" not in obj:
+    """Read {"cells": [[x, y], ...]}; each coordinate must be an integer."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
         raise BadCharacter("expected an object with a 'cells' array")
-    return Polyomino(Cell(int(x), int(y)) for x, y in obj["cells"])
+    cells = []
+    for c in obj["cells"]:
+        if not isinstance(c, list) or len(c) != 2:
+            raise BadCharacter(f"bad cell {c!r}: expected [x, y]")
+        cells.append(Cell(int_from_json(c[0]), int_from_json(c[1])))
+    return Polyomino(cells)
 
 
 def boundary_polygon(p: Polyomino) -> SimplePolygon:

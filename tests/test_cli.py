@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainfold.cli import MAX_FRAMES, MAX_GEN_CELLS, main
 
@@ -269,3 +274,135 @@ class TestUnwritableOutput:
         assert main(argv) == 2
         assert set(workdir.iterdir()) == before
         assert list(out.iterdir()) == []
+
+
+def _tromino_hdj(workdir):
+    """A verified 3-cell fold as a JSON document."""
+    grid = workdir / "tromino.txt"
+    grid.write_text("##\n#.\n")
+    out = workdir / "tromino.hdj"
+    assert main(["fold", "--in", str(grid), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _verify_doc(workdir, doc, *extra):
+    path = workdir / "doc.hdj"
+    path.write_text(json.dumps(doc))
+    return main(["verify", str(path), *extra])
+
+
+class TestParseErrors:
+    def test_zero_denominator_in_placement_exits_2(self, workdir, capsys):
+        doc = _tromino_hdj(workdir)
+        doc["configurations"][0]["placements"][1]["tx"] = "1/0"
+        assert _verify_doc(workdir, doc) == 2
+        assert "1/0" in capsys.readouterr().err
+
+    def test_zero_denominator_in_polygon_vertex_exits_2(self, workdir):
+        (workdir / "bad.json").write_text('[[0,0],["1/0",0],[0,2]]')
+        assert main(["bg", "--a", str(workdir / "bad.json"), "--b", str(workdir / "tri.json"),
+                     "--out", str(workdir / "c.json")]) == 2
+
+    def test_non_object_configuration_exits_2(self, workdir, capsys):
+        doc = _tromino_hdj(workdir)
+        doc["configurations"] = ["x"]
+        assert _verify_doc(workdir, doc) == 2
+        assert "expected an object" in capsys.readouterr().err
+
+    def test_placement_count_mismatch_exits_2(self, workdir):
+        doc = _tromino_hdj(workdir)
+        del doc["configurations"][0]["placements"][-1]
+        assert _verify_doc(workdir, doc) == 2
+
+    @pytest.mark.parametrize("cell", [[1.5, 0], [True, 0], ["1", 0], [1], [1, 0, 0], None])
+    def test_cells_must_be_integer_pairs(self, workdir, cell):
+        cells = workdir / "cells.json"
+        cells.write_text(json.dumps({"cells": [[0, 0], cell]}))
+        assert main(["fold", "--cells", str(cells), "--out", str(workdir / "c.hdj")]) == 2
+        doc = _tromino_hdj(workdir)
+        doc["targets"][0]["data"]["cells"][1] = cell
+        assert _verify_doc(workdir, doc) == 2
+
+    def test_huge_rotation_entry_is_rejected_quickly(self, workdir):
+        # the piece's box spans 10**400 cells; containment visits only the
+        # cells inside the target's own bounding box
+        doc = _tromino_hdj(workdir)
+        doc["configurations"][0]["placements"][2]["cos"] = "1e400"
+        start = time.perf_counter()
+        assert _verify_doc(workdir, doc) == 1
+        assert time.perf_counter() - start < 5
+
+    def test_value_beyond_double_range_in_approx_mode_exits_2(self, workdir, capsys):
+        doc = _tromino_hdj(workdir)
+        doc["configurations"][0]["placements"][2]["cos"] = "1e400"
+        assert _verify_doc(workdir, doc, "--mode", "approx") == 2
+        assert "too large" in capsys.readouterr().err
+
+
+_FUZZ_VALUES = st.sampled_from(
+    [None, True, False, 0, 7, -1, 1.5, "x", "", "1/0", "0/0", "3/5", [], [1], [1, 2, 3], {}, {"a": 1}]
+)
+
+
+def _paths(obj, prefix=()):
+    """Every (container path, key) in a JSON value."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return []
+    out = []
+    for key, value in items:
+        out.append((prefix, key))
+        out.extend(_paths(value, prefix + (key,)))
+    return out
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def _mutated_documents(draw, base):
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = _paths(doc)
+        if not paths:
+            break
+        prefix, key = draw(st.sampled_from(paths))
+        parent = _at(doc, prefix)
+        action = draw(st.sampled_from(["drop", "replace", "short"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "replace":
+            parent[key] = draw(_FUZZ_VALUES)
+        elif isinstance(parent[key], list):
+            parent[key] = parent[key][: draw(st.integers(0, max(0, len(parent[key]) - 1)))]
+    if draw(st.integers(0, 3)) == 0:
+        # a repeated piece carrying true, so the piece cache sees a key
+        # that compares equal to a valid piece's JSON
+        pieces = doc.get("figure", {}).get("pieces") if isinstance(doc.get("figure"), dict) else None
+        if isinstance(pieces, list) and pieces:
+            pieces[-1] = [[0, 0], [True, 0], [0, True]]
+    return doc
+
+
+class TestVerifyFuzz:
+    def test_repeated_piece_with_true_exits_2(self, workdir):
+        doc = _tromino_hdj(workdir)
+        doc["figure"]["pieces"][-1] = [[0, 0], [True, 0], [0, True]]
+        assert _verify_doc(workdir, doc) == 2
+
+    def test_mutated_documents_exit_0_1_or_2(self, workdir):
+        base = _tromino_hdj(workdir)
+
+        @settings(max_examples=300)
+        @given(_mutated_documents(base), st.sampled_from([(), ("--mode", "approx")]))
+        def check(doc, extra):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert _verify_doc(workdir, doc, *extra) in (0, 1, 2)
+
+        check()

@@ -189,3 +189,39 @@ class TestHdj:
             HingedFigure((UNIT_SQUARE,), (Hinge(0, 0, 0, 1),), "general")
         with pytest.raises(FigureError):
             HingedFigure((UNIT_SQUARE, UNIT_SQUARE), (Hinge(0, 9, 1, 0),), "general")
+
+
+class TestPieceSharing:
+    def test_identical_pieces_are_validated_once_and_shared(self, monkeypatch):
+        from chainfold import exact_geom
+
+        calls = []
+        check = exact_geom._check_simple
+        monkeypatch.setattr(exact_geom, "_check_simple", lambda t: calls.append(t) or check(t))
+        encoded = figure_to_json(fold_chain(parse_grid("###\n#.#")).figure)
+        encoded["pieces"][3] = [[0, 0], [2, 0], [0, 2]]  # one distinct piece
+        encoded["pieces"][4] = [[0, 0], ["2", 0], [0, 2.0]]  # equal once parsed
+        encoded["topology"] = "general"
+        f = figure_from_json(encoded)
+        assert len(calls) == 2
+        assert len({id(p) for p in f.pieces}) == 2
+        assert f.pieces[3] is f.pieces[4]
+        assert f.pieces[0] is f.pieces[1]
+        assert f.pieces[0] is not f.pieces[3]
+
+    def test_key_is_the_parsed_points_not_the_json(self):
+        encoded = figure_to_json(fold_chain(parse_grid("##")).figure)
+        encoded["pieces"][1] = [[0, 0], [True, 0], [0, 1]]  # == [[0, 0], [1, 0], [0, 1]]
+        with pytest.raises(HdjError):
+            figure_from_json(encoded)
+
+    def test_nothing_is_shared_across_documents(self):
+        encoded = figure_to_json(fold_chain(parse_grid("##")).figure)
+        assert figure_from_json(encoded).pieces[0] is not figure_from_json(encoded).pieces[0]
+
+    def test_hinge_indices_must_be_integers(self):
+        for bad in (1.0, True, "1"):
+            encoded = figure_to_json(fold_chain(parse_grid("##")).figure)
+            encoded["hinges"][0][1] = bad
+            with pytest.raises(HdjError):
+                figure_from_json(encoded)

@@ -1,0 +1,323 @@
+"""Exact verification on ints: a differential test and int-safety properties.
+
+The reference verifier is the Fraction-only form of ``_verify_exact``: it
+places every vertex with ``apply_motion`` in Fractions and halves each
+area.  The verifier under test turns integer-valued Fractions into ints
+first, so a chain fold runs on ints; its report must be exactly the
+reference's, on folds, on lattice and non-lattice mutants, and on polygon
+targets whose vertices are not integers.
+
+The properties check that the tuple core and the overlap engine keep int
+coordinates exact: every value they return is an int or a Fraction, never
+a float, and equals the same computation on Fraction inputs.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from chainfold import exact_geom
+from chainfold.chain import dissect_pair, fold_chain, load_sample_shape
+from chainfold.exact_geom import (
+    RigidMotion,
+    SimplePolygon,
+    _bbox,
+    _clip_halfplane,
+    _convex_clip,
+    _signed_area2,
+    _split_by_diagonals,
+    apply_motion,
+    point,
+    polygon_area,
+)
+from chainfold.figures import Configuration, Hinge, HingedFigure, verify_configuration
+from chainfold.overlap import (
+    cell_bounds,
+    clip_parts,
+    convex_parts,
+    covered_by_cells2,
+    overlap_sum2,
+    pairs_within,
+)
+from chainfold.polyomino import Polyomino, boundary_polygon, parse_grid, random_polyomino
+
+from conftest import PENTOMINO_GRIDS, rational_convex_hull
+
+# ---------------------------------------------------------------------------
+# the Fraction-only reference verifier
+
+
+def _reference_overlap(parts_a, parts_b):
+    total = 0
+    for frag in clip_parts(parts_a, parts_b):
+        total += _signed_area2(frag) / 2
+    return total
+
+
+def _reference_covered_by_cells(parts, box, cells):
+    x0, y0, x1, y1 = box
+    cx0, cy0, cx1, cy1 = math.floor(x0), math.floor(y0), math.ceil(x1), math.ceil(y1)
+    if cx1 - cx0 == 1 and cy1 - cy0 == 1 and (cx0, cy0) in cells:
+        return sum(_signed_area2(part) for part, _ in parts) / 2
+    covered = 0
+    for x in range(cx0, cx1):
+        for y in range(cy0, cy1):
+            if (x, y) in cells:
+                lo_x, lo_y, hi_x, hi_y = Fraction(x), Fraction(y), Fraction(x + 1), Fraction(y + 1)
+                cell = [(lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y)]
+                covered += _reference_overlap(parts, [(cell, (lo_x, lo_y, hi_x, hi_y))])
+    return covered
+
+
+def reference_verify_exact(f, c, target):
+    """(accepted, failures, computed_area) of the Fraction-only verifier."""
+    failures = []
+    for i, m in enumerate(c.placements):
+        if not m.is_unit():
+            failures.append(("ProperMotion", f"placement {i}: rot_cos^2+rot_sin^2 != 1"))
+    placed = [
+        [apply_motion(c.placements[i], v).as_tuple() for v in piece.vertices]
+        for i, piece in enumerate(f.pieces)
+    ]
+    for idx, h in enumerate(f.hinges):
+        (ax, ay), (bx, by) = placed[h.piece_a][h.vertex_a], placed[h.piece_b][h.vertex_b]
+        if (ax, ay) != (bx, by):
+            failures.append(("HingeCoincidence", f"hinge {idx}: ({ax},{ay}) vs ({bx},{by})"))
+    parts = [convex_parts(pts) for pts in placed]
+    boxes = [_bbox(pts) for pts in placed]
+    for i, j in pairs_within(boxes):
+        if _reference_overlap(parts[i], parts[j]) > 0:
+            failures.append(("PairwiseDisjoint", f"pieces {i} and {j} overlap"))
+    areas = [_signed_area2(pts) / 2 for pts in placed]
+    if isinstance(target, Polyomino):
+        covered = [_reference_covered_by_cells(p, b, target.cells) for p, b in zip(parts, boxes)]
+        target_area = Fraction(target.cell_count)
+    else:
+        target_parts = convex_parts(target.as_tuples())
+        covered = [_reference_overlap(p, target_parts) for p in parts]
+        target_area = polygon_area(target)
+    for i, cov in enumerate(covered):
+        if cov != areas[i]:
+            failures.append(("Containment", f"piece {i}: {areas[i] - cov} of its area is outside"))
+    total = sum(areas, Fraction(0))
+    if total != target_area:
+        failures.append(("AreaCoverage", f"piece areas sum to {total}, target {target_area}"))
+    return not failures, failures, total
+
+
+# ---------------------------------------------------------------------------
+# cases: folds, lattice mutants, non-lattice mutants, polygon targets
+
+
+def _fold(p):
+    r = fold_chain(p)
+    return r.figure, r.config, p
+
+
+def _moved(config, i, fn):
+    placements = list(config.placements)
+    placements[i] = fn(placements[i])
+    return Configuration(tuple(placements), config.mode)
+
+
+def _translated(dx, dy):
+    return lambda m: RigidMotion(m.rot_cos, m.rot_sin, point(m.translate.x + dx, m.translate.y + dy))
+
+
+def _quarter_turn(m):
+    return RigidMotion(-m.rot_sin, m.rot_cos, m.translate)
+
+
+def _rotation_3_4_5(m):
+    return RigidMotion(Fraction(3, 5), Fraction(4, 5), m.translate)
+
+
+def _hinge_swap(f, i, j):
+    hinges = list(f.hinges)
+    a, b = hinges[i], hinges[j]
+    hinges[i] = Hinge(a.piece_a, a.vertex_a, b.piece_b, b.vertex_b)
+    hinges[j] = Hinge(b.piece_a, b.vertex_a, a.piece_b, a.vertex_b)
+    return HingedFigure(f.pieces, tuple(hinges), "general")
+
+
+def _third_vertex(f, k):
+    pieces = list(f.pieces)
+    pieces[k] = SimplePolygon([point(Fraction(1, 3), Fraction(-1, 3)), point(1, 0), point(0, 1)])
+    return HingedFigure(tuple(pieces), f.hinges, f.topology_tag)
+
+
+def _shifted_boundary(p, dx, dy):
+    return SimplePolygon(
+        [point(v.x + dx, v.y + dy) for v in boundary_polygon(p).vertices]
+    )
+
+
+def _cases():
+    cases = []
+    for n, seed in ((64, 0), (64, 1), (256, 2)):
+        cases.append((f"rand{n}-{seed}", _fold(random_polyomino(n, seed))))
+    for name in ("I", "L", "O", "T"):
+        cases.append((f"glyph-{name}", _fold(load_sample_shape(name))))
+    for a, b in (("L", "T"), ("F", "W")):
+        hd = dissect_pair(parse_grid(PENTOMINO_GRIDS[a]), parse_grid(PENTOMINO_GRIDS[b]))
+        cases.append((f"dissect-{a}{b}-a", (hd.figure, hd.config_a, hd.target_a)))
+        cases.append((f"dissect-{a}{b}-b", (hd.figure, hd.config_b, hd.target_b)))
+
+    f, c, p = _fold(load_sample_shape("L"))
+    k = len(f.pieces) // 3
+    cases += [
+        ("translate-1", (f, _moved(c, k, _translated(1, 0)), p)),
+        ("quarter-turn", (f, _moved(c, k, _quarter_turn), p)),
+        ("hinge-swap", (_hinge_swap(f, 5, 40), c, p)),
+        ("translate-1/2", (f, _moved(c, k, _translated(Fraction(1, 2), 0)), p)),
+        ("rotation-3/5-4/5", (f, _moved(c, k, _rotation_3_4_5), p)),
+        ("vertex-1/3", (_third_vertex(f, k), c, p)),
+        ("polygon-target", (f, c, boundary_polygon(p))),
+        # int() would truncate these vertices onto the true boundary
+        ("polygon-target-1/2", (f, c, _shifted_boundary(p, Fraction(1, 2), Fraction(1, 2)))),
+        ("polygon-target-1/3", (f, c, _shifted_boundary(p, Fraction(1, 3), 0))),
+    ]
+    return cases
+
+
+CASES = _cases()
+
+
+class TestAgainstFractionReference:
+    @pytest.mark.parametrize("name,case", CASES, ids=[name for name, _ in CASES])
+    def test_report_equals_reference(self, name, case):
+        f, c, target = case
+        report = verify_configuration(f, c, target)
+        accepted, failures, total = reference_verify_exact(f, c, target)
+        assert report.failures == failures
+        assert report.accepted == accepted
+        assert type(report.computed_area) is Fraction
+        assert report.computed_area == total
+
+    def test_cases_accept_and_reject_as_built(self):
+        verdicts = {name: verify_configuration(*case).accepted for name, case in CASES}
+        mutants = {
+            "translate-1", "quarter-turn", "hinge-swap", "translate-1/2",
+            "rotation-3/5-4/5", "vertex-1/3", "polygon-target-1/2", "polygon-target-1/3",
+        }
+        assert {name for name, ok in verdicts.items() if not ok} == mutants
+
+
+# ---------------------------------------------------------------------------
+# int safety of the tuple core and the engine
+
+
+def _assert_exact(values):
+    for v in values:
+        assert type(v) in (int, Fraction), f"{v!r} is a {type(v).__name__}"
+
+
+def _flat(pts):
+    return [v for p in pts for v in p]
+
+
+def _as_fractions(pts):
+    return [(Fraction(x), Fraction(y)) for x, y in pts]
+
+
+def _ints_of(pts):
+    return [(int(x), int(y)) for x, y in pts]
+
+
+_ints = st.integers(-8, 8)
+
+
+@st.composite
+def int_convex_polygons(draw):
+    points = draw(st.lists(st.tuples(_ints, _ints), min_size=3, max_size=8))
+    try:
+        hull = rational_convex_hull(points).as_tuples()
+    except ValueError:  # collinear points
+        assume(False)
+    return _ints_of(hull)
+
+
+@st.composite
+def int_simple_polygons(draw):
+    """Convex hulls, and histogram polygons (unit columns of random
+    heights on one base line), which are not convex when heights vary."""
+    if draw(st.booleans()):
+        return draw(int_convex_polygons())
+    heights = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    x0, y0 = draw(_ints), draw(_ints)
+    k = len(heights)
+    pts = [(x0, y0), (x0 + k, y0)]
+    for i in reversed(range(k)):
+        pts += [(x0 + i + 1, y0 + heights[i]), (x0 + i, y0 + heights[i])]
+    return _ints_of(SimplePolygon([point(*p) for p in pts]).as_tuples())
+
+
+class TestIntSafety:
+    @settings(max_examples=300)
+    @given(int_convex_polygons(), int_convex_polygons())
+    def test_halfplane_and_convex_clip(self, subject, clipper):
+        n = len(clipper)
+        for i in range(n):
+            e1, e2 = clipper[i], clipper[(i + 1) % n]
+            out = _clip_halfplane(subject, e1, e2)
+            _assert_exact(_flat(out))
+            assert out == _clip_halfplane(_as_fractions(subject), *_as_fractions([e1, e2]))
+        out = _convex_clip(subject, clipper)
+        _assert_exact(_flat(out))
+        assert out == _convex_clip(_as_fractions(subject), _as_fractions(clipper))
+
+    @settings(max_examples=200)
+    @given(int_simple_polygons(), int_simple_polygons())
+    def test_parts_and_overlap_sums(self, a, b):
+        parts_a, parts_b = convex_parts(a), convex_parts(b)
+        for part, box in parts_a + parts_b:
+            _assert_exact(_flat(part) + list(box))
+        area2 = overlap_sum2(parts_a, parts_b)
+        _assert_exact([area2])
+        assert area2 == overlap_sum2(convex_parts(_as_fractions(a)), convex_parts(_as_fractions(b)))
+
+    @settings(max_examples=200)
+    @given(int_simple_polygons(), st.sets(st.tuples(st.integers(-9, 8), st.integers(-9, 8)), min_size=1))
+    def test_covered_by_cells(self, pts, cells):
+        parts = convex_parts(pts)
+        fparts = convex_parts(_as_fractions(pts))
+        box, bounds = _bbox(pts), cell_bounds(cells)
+        covered2 = covered_by_cells2(parts, box, cells, bounds, int)
+        _assert_exact([covered2])
+        assert covered2 == covered_by_cells2(fparts, box, cells, bounds, Fraction)
+        assert covered2 == 2 * _reference_covered_by_cells(fparts, box, cells)
+
+    def test_covered_by_cells_inside_one_cell(self):
+        # a piece inside one target cell takes the shortcut that sums its
+        # parts' doubled areas
+        square = [(3, 4), (4, 4), (4, 5), (3, 5)]
+        halves = [[(3, 4), (4, 4), (3, 5)], [(4, 5), (3, 5), (4, 4)]]
+        for pts, area2 in [(square, 2)] + [(h, 1) for h in halves]:
+            parts = convex_parts(pts)
+            covered2 = covered_by_cells2(parts, _bbox(pts), {(3, 4)}, (3, 4, 4, 5), int)
+            assert type(covered2) is int and covered2 == area2
+            assert covered_by_cells2(parts, _bbox(pts), {(3, 5)}, (3, 5, 4, 6), int) == 0
+
+    @settings(max_examples=100)
+    @given(int_simple_polygons())
+    def test_diagonal_split(self, pts):
+        # the ear scan of _ear_clip almost never stalls on a simple polygon,
+        # so the diagonal split it falls back on is called directly; the
+        # point its midpoint test classifies must stay exact
+        classify = exact_geom._point_in_polygon
+
+        def exact_point(poly, p):
+            _assert_exact(p)
+            return classify(poly, p)
+
+        exact_geom._point_in_polygon = exact_point
+        try:
+            tris = _split_by_diagonals(pts)
+        finally:
+            exact_geom._point_in_polygon = classify
+        _assert_exact([v for t in tris for p in t for v in p])
+        assert sum(_signed_area2(t) for t in tris) == _signed_area2(pts)
+        assert tris == _split_by_diagonals(_as_fractions(pts))

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from chainfold.exact_geom import _bboxes_interiors_overlap
 from chainfold.overlap import (
+    cell_bounds,
     convex_parts,
-    covered_by_cells,
-    overlap_sum,
+    covered_by_cells2,
+    overlap_sum2,
     pairs_across,
     pairs_within,
     polygon_overlap,
@@ -99,7 +100,7 @@ class TestPartsAndNarrowPhase:
         area = polygon_overlap(L_HEXAGON, shifted)
         assert isinstance(area, Fraction)
         assert area == Fraction(2, 3)  # [1/3, 1] x [1, 2]
-        assert overlap_sum(convex_parts(L_HEXAGON), convex_parts(shifted)) == area
+        assert overlap_sum2(convex_parts(L_HEXAGON), convex_parts(shifted)) == 2 * area
 
     def test_float_overlap(self):
         a = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -112,6 +113,7 @@ class TestPartsAndNarrowPhase:
         tri = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0)), (Fraction(0), Fraction(2))]
         parts = convex_parts(tri)
         cells = {(0, 0), (0, 1), (5, 5)}
-        covered = covered_by_cells(parts, (0, 0, 2, 2), cells, Fraction)
-        assert covered == Fraction(1) + Fraction(1, 2)
-        assert covered_by_cells(parts, (0, 0, 2, 2), cells | {(1, 0)}, Fraction) == 2
+        covered2 = covered_by_cells2(parts, (0, 0, 2, 2), cells, cell_bounds(cells), Fraction)
+        assert covered2 == 2 * (Fraction(1) + Fraction(1, 2))
+        cells.add((1, 0))
+        assert covered_by_cells2(parts, (0, 0, 2, 2), cells, cell_bounds(cells), Fraction) == 4
