@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .chain import dissect_pair, fold_chain
 from .equidecompose import (
@@ -33,7 +32,7 @@ from .figures import (
     save_hdj,
     verify_configuration,
 )
-from .kinematics import motion_report_json, sample_motion
+from .kinematics import motion_frame_json, sample_motion
 from .polyomino import Polyomino, cells_from_json, parse_grid, random_polyomino, to_grid
 from .render import RenderStyle, render_animation, render_chart, render_config
 
@@ -171,9 +170,14 @@ def cmd_animate(args) -> int:
         with atomic_output(args.out) as fh:
             fh.write(render_animation(samples, RenderStyle(), figure=doc.figure))
         if args.report_overlaps:
+            # motion_report_json(samples), one frame per line: json.dumps of
+            # a frame runs the C encoder, json.dump with indent the Python one
             with atomic_output(args.report_overlaps) as fh:
-                json.dump(motion_report_json(samples), fh, indent=1)
-                fh.write("\n")
+                sep = '{"frames": [\n'
+                for s in samples:
+                    fh.write(sep + json.dumps(motion_frame_json(s)))
+                    sep = ",\n"
+                fh.write("\n]}\n")
     except (HdjError, OSError, ValueError) as exc:
         return _fail(str(exc))
     worst = max((o[2] for s in samples for o in s.overlaps), default=0.0)
@@ -182,12 +186,17 @@ def cmd_animate(args) -> int:
 
 
 def _load_polygon_json(path: str) -> SimplePolygon:
-    """Read [[x, y], ...]; decimals are read exactly, so 0.1 is 1/10."""
+    """Read [[x, y], ...]; decimals are read exactly, so 0.1 is 1/10, and
+    capped like every other rational value."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh, parse_float=Fraction)
+        obj = json.load(fh, parse_float=rat)
     if not isinstance(obj, list):
         raise ValueError(f"{path}: expected a JSON array of [x, y] points")
-    return SimplePolygon([point_from_json(v) for v in obj])
+    try:
+        points = [point_from_json(v) for v in obj]
+    except TypeError as exc:  # a coordinate that is not a number: null, a bool, a list
+        raise ValueError(f"{path}: {exc}") from None
+    return SimplePolygon(points)
 
 
 def cmd_bg(args) -> int:

@@ -44,11 +44,27 @@ class InvalidPolygon(GeometryError):
     """Vertex list does not describe a counterclockwise simple polygon."""
 
 
+RAT_MAX_DIGITS = 1000
+
+
+def _text_within_cap(text: str) -> bool:
+    """The digits of a number's text, and its exponent, are within
+    RAT_MAX_DIGITS; counted on the text, before any number is built."""
+    mantissa, _, exponent = text.lower().partition("e")
+    if sum(map(str.isdecimal, mantissa)) > RAT_MAX_DIGITS:
+        return False
+    exponent = "".join(filter(str.isdecimal, exponent)).lstrip("0")
+    return len(exponent) <= len(str(RAT_MAX_DIGITS)) and int(exponent or 0) <= RAT_MAX_DIGITS
+
+
 def rat(value) -> Fraction:
     """Coerce ints, 'p/q' strings, floats and Fractions to an exact Fraction.
 
     Floats keep their exact binary expansion, with no rounding.  A zero
-    denominator or a non-finite float is a ValueError.
+    denominator or a non-finite float is a ValueError.  So is a string
+    with more than RAT_MAX_DIGITS digits or an exponent beyond that in
+    magnitude: the cap is read off the text before the number is built,
+    so "1e3000000" costs nothing.
     """
     if type(value) is int:  # the common case, before the slower ABC checks
         return Fraction(value)
@@ -56,6 +72,11 @@ def rat(value) -> Fraction:
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
+    if isinstance(value, str) and not _text_within_cap(value):
+        raise ValueError(
+            f"{value[:24]!r}{'...' if len(value) > 24 else ''} has more than "
+            f"{RAT_MAX_DIGITS} digits or an exponent beyond {RAT_MAX_DIGITS}"
+        )
     if isinstance(value, (int, str, float)):
         try:
             return Fraction(value)
@@ -302,11 +323,25 @@ def _clip_halfplane(pts, e1, e2):
     same operands in the same order, so float results match it bit for bit.
     A crossing between int sides gets a Fraction parameter, so int
     coordinates give exact crossings, never floats.
+
+    Two early-outs return what the loop would: the input itself when no
+    vertex is strictly outside, and [] when every vertex is.  A NaN side
+    is neither inside nor outside, so it always reaches the loop.
     """
     ax, ay = e1
     dx = e2[0] - ax
     dy = e2[1] - ay
     sides = [dx * (y - ay) - dy * (x - ax) for x, y in pts]
+    for d in sides:
+        if not d >= 0:
+            break
+    else:
+        return pts
+    for d in sides:
+        if not d < 0:
+            break
+    else:
+        return []
     out = []
     n = len(pts)
     for i in range(n):
@@ -345,16 +380,16 @@ def _box_inside_axis_edge(box, e1, e2) -> bool:
     return x0 >= e1[0]
 
 
-def _convex_clip(subject, clipper):
-    """Sutherland-Hodgman intersection of two convex ccw polygons.
+def _clip_convex_raw(subject, clipper):
+    """The Sutherland-Hodgman loop of _convex_clip, without its final test.
 
-    Returns the vertex list of the intersection, possibly with duplicate or
-    collinear vertices, or an empty list when the intersection has no area.
-    Axis-parallel clipper edges with the current polygon's bounding box on
-    their inner side are skipped: clipping by them would change nothing.
-    The box is computed only when such an edge comes up.
+    Returns the clipped vertex list, which may have fewer than three
+    vertices or zero area, and may be the subject itself when no clipper
+    edge cuts it.  Axis-parallel clipper edges with the current polygon's
+    bounding box on their inner side are skipped: clipping by them would
+    change nothing.  The box is computed only when such an edge comes up.
     """
-    out = list(subject)
+    out = subject
     box = None
     n = len(clipper)
     for i in range(n):
@@ -367,13 +402,24 @@ def _convex_clip(subject, clipper):
                 box = _bbox(out)
             if _box_inside_axis_edge(box, e1, e2):
                 continue
-        out = _clip_halfplane(out, e1, e2)
-        box = None
-    if len(out) < 3:
-        return []
-    if _signed_area2(out) == 0:
-        return []
+        clipped = _clip_halfplane(out, e1, e2)
+        if clipped is not out:
+            out = clipped
+            box = None
     return out
+
+
+def _convex_clip(subject, clipper):
+    """Sutherland-Hodgman intersection of two convex ccw polygons.
+
+    Returns a new vertex list of the intersection, possibly with duplicate
+    or collinear vertices, or an empty list when the intersection has no
+    area.
+    """
+    out = _clip_convex_raw(subject, clipper)
+    if len(out) < 3 or _signed_area2(out) == 0:
+        return []
+    return list(out)
 
 
 def _dedupe_collinear(pts):

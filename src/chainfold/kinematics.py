@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 from .exact_geom import _bbox
 from .figures import Configuration, CountMismatch, HingedFigure
-from .numeric import (
-    NumericMotion,
-    apply_numeric,
-    apply_numeric_points,
-    float_polygon,
-    numeric_from_rigid,
-    wrap_angle,
-)
+from .numeric import NumericMotion, float_polygon, numeric_from_rigid, wrap_angle
 from .numeric import float_overlap_area  # noqa: F401 - looked up by perfbench/tracing.py
 from .overlap import convex_parts, overlap_sum2, pairs_within
 
@@ -89,26 +82,35 @@ def pose_placements(f: HingedFigure, pose: AnglePose) -> list[NumericMotion]:
     local vertex 2 onto the predecessor's placed vertex 1.
     """
     _require_cycle(f)
-    k = len(f.pieces)
+    return _walk(pose, [float_polygon(p.as_tuples()) for p in f.pieces])[0]
+
+
+def _walk(pose: AnglePose, local_pts):
+    """pose_placements on float local outlines, with each placement's
+    (cos, sin) alongside, so no rotation is evaluated twice."""
+    k = len(local_pts)
     placements: list[NumericMotion | None] = [None] * k
-    placements[pose.root_index] = pose.root_placement
+    rotations: list[tuple[float, float] | None] = [None] * k
     current = pose.root_index
-    angle = pose.root_placement.angle_rad
+    m = pose.root_placement
+    angle = m.angle_rad
+    c, s = math.cos(angle), math.sin(angle)
+    tx, ty = m.tx, m.ty
+    placements[current] = m
+    rotations[current] = c, s
     for step in range(k - 1):
         nxt = (current + 1) % k
+        x, y = local_pts[current][1]
+        pin_x, pin_y = c * x - s * y + tx, s * x + c * y + ty
         angle = angle + pose.relative_angles[step]
-        pin = apply_numeric(
-            placements[current], f.pieces[current].vertices[1].as_tuple()
-        )
         # translation chosen so the successor's vertex 2 lands on the pin
         c, s = math.cos(angle), math.sin(angle)
-        v2 = f.pieces[nxt].vertices[2]
-        x, y = float(v2.x), float(v2.y)
-        placements[nxt] = NumericMotion(
-            angle, pin[0] - (c * x - s * y), pin[1] - (s * x + c * y)
-        )
+        x, y = local_pts[nxt][2]
+        tx, ty = pin_x - (c * x - s * y), pin_y - (s * x + c * y)
+        placements[nxt] = NumericMotion(angle, tx, ty)
+        rotations[nxt] = c, s
         current = nxt
-    return placements  # type: ignore[return-value]
+    return placements, rotations
 
 
 def interpolate(pose_a: AnglePose, pose_b: AnglePose, t: float) -> AnglePose:
@@ -164,14 +166,16 @@ def sample_motion(
     samples = []
     for frame in range(frames):
         t = frame / (frames - 1)
-        pose = interpolate(pose_a, pose_b, t)
-        placements = pose_placements(f, pose)
+        placements, rotations = _walk(interpolate(pose_a, pose_b, t), local_pts)
         placed = [
-            apply_numeric_points(m, pts) for m, pts in zip(placements, local_pts)
+            [(c * x - s * y + m.tx, s * x + c * y + m.ty) for x, y in pts]
+            for m, (c, s), pts in zip(placements, rotations, local_pts)
         ]
         parts = [convex_parts(pts) for pts in placed]
+        # a convex piece is its own single part, whose box is the piece's
+        boxes = [p[0][1] if len(p) == 1 else _bbox(pts) for p, pts in zip(parts, placed)]
         overlaps = []
-        for i, j in pairs_within([_bbox(pts) for pts in placed]):
+        for i, j in pairs_within(boxes):
             area = overlap_sum2(parts[i], parts[j]) / 2
             if area > OVERLAP_THRESHOLD:
                 overlaps.append((i, j, area))
@@ -179,17 +183,15 @@ def sample_motion(
     return samples
 
 
-def motion_report_json(samples: list[MotionSample]) -> dict:
+def motion_frame_json(s: MotionSample) -> dict:
     return {
-        "frames": [
-            {
-                "t": s.t,
-                "placements": [
-                    {"angle_rad": m.angle_rad, "tx": m.tx, "ty": m.ty}
-                    for m in s.placements
-                ],
-                "overlaps": [[i, j, area] for i, j, area in s.overlaps],
-            }
-            for s in samples
-        ]
+        "t": s.t,
+        "placements": [
+            {"angle_rad": m.angle_rad, "tx": m.tx, "ty": m.ty} for m in s.placements
+        ],
+        "overlaps": [[i, j, area] for i, j, area in s.overlaps],
     }
+
+
+def motion_report_json(samples: list[MotionSample]) -> dict:
+    return {"frames": [motion_frame_json(s) for s in samples]}

@@ -22,6 +22,8 @@ float; callers compare doubled areas or halve a float.
   is convex and into its ear-clip triangles otherwise.  Parts live in
   the caller's lists, so nothing is cached across calls.
 - Narrow phase: convex clipping of every part pair whose boxes overlap.
+  Area sums measure each raw clip once, with no second pass over the
+  fragments.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 
-from .exact_geom import _bbox, _convex_clip, _ear_clip, _is_convex, _signed_area2
+from .exact_geom import _bbox, _clip_convex_raw, _convex_clip, _ear_clip, _is_convex, _signed_area2
 
 
 def pairs_within(boxes) -> list[tuple[int, int]]:
@@ -77,8 +79,22 @@ def clip_parts(parts_a, parts_b):
 
 
 def overlap_sum2(parts_a, parts_b):
-    """Twice the area shared by two convex-part lists (0 when they do not meet)."""
-    return sum(_signed_area2(frag) for frag in clip_parts(parts_a, parts_b))
+    """Twice the area shared by two convex-part lists (0 when they do not meet).
+
+    Each raw clip is measured once and kept under the test _convex_clip
+    applies (three or more vertices, non-zero area), so this sums exactly
+    the areas of what clip_parts yields, in the same order.
+    """
+    areas = []
+    for pa, (ax0, ay0, ax1, ay1) in parts_a:
+        for pb, (bx0, by0, bx1, by1) in parts_b:
+            if ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1:
+                frag = _clip_convex_raw(pa, pb)
+                if len(frag) > 2:
+                    area2 = _signed_area2(frag)
+                    if area2 != 0:
+                        areas.append(area2)
+    return sum(areas)
 
 
 def polygon_overlap(pts_a, pts_b):

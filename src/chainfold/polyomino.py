@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -27,6 +28,11 @@ class BadCharacter(PolyominoError):
 
 class HolePresent(PolyominoError):
     pass
+
+
+class CornerContact(HolePresent):
+    """Two cells meet only at a corner.  The empty space they pinch off
+    is a hole whose boundary touches the outline at that vertex."""
 
 
 class BadSize(PolyominoError):
@@ -158,19 +164,27 @@ def boundary_polygon(p: Polyomino) -> SimplePolygon:
     """Counterclockwise outer boundary with integer vertices.
 
     Raises HolePresent when the cells enclose empty space: an enclosed
-    region produces a second boundary cycle.
+    region produces a second boundary cycle.  Its subclass CornerContact
+    is raised when two cells meet only at a corner, where the outline
+    would leave one vertex along two edges.
     """
     # directed boundary edges with the owning cell on the left
-    edges: dict[tuple[int, int], tuple[int, int]] = {}
-    for cx, cy in p.cells:
-        if Cell(cx, cy - 1) not in p.cells:
-            edges[(cx, cy)] = (cx + 1, cy)
-        if Cell(cx + 1, cy) not in p.cells:
-            edges[(cx + 1, cy)] = (cx + 1, cy + 1)
-        if Cell(cx, cy + 1) not in p.cells:
-            edges[(cx + 1, cy + 1)] = (cx, cy + 1)
-        if Cell(cx - 1, cy) not in p.cells:
-            edges[(cx, cy + 1)] = (cx, cy)
+    cells = p.cells
+    pairs = []
+    for cx, cy in cells:
+        if Cell(cx, cy - 1) not in cells:
+            pairs.append(((cx, cy), (cx + 1, cy)))
+        if Cell(cx + 1, cy) not in cells:
+            pairs.append(((cx + 1, cy), (cx + 1, cy + 1)))
+        if Cell(cx, cy + 1) not in cells:
+            pairs.append(((cx + 1, cy + 1), (cx, cy + 1)))
+        if Cell(cx - 1, cy) not in cells:
+            pairs.append(((cx, cy + 1), (cx, cy)))
+    edges = dict(pairs)
+    if len(edges) < len(pairs):
+        starts = Counter(v for v, _ in pairs)
+        x, y = min(v for v, k in starts.items() if k > 1)
+        raise CornerContact(f"cells meet only at the corner ({x}, {y}); the outline is not simple")
     start = min(edges)
     loop = [start]
     cur = edges.pop(start)

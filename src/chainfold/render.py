@@ -51,7 +51,7 @@ def _fmt(x: float) -> str:
 
 
 def _path_d(points) -> str:
-    coords = [f"{_fmt(x)},{_fmt(y)}" for x, y in points]
+    coords = [f"{x:.6f},{y:.6f}" for x, y in points]  # _fmt on each coordinate
     return "M " + " L ".join(coords) + " Z"
 
 
@@ -150,20 +150,23 @@ def render_animation(samples: list[MotionSample], style: RenderStyle = RenderSty
             raise ValueError("render_animation needs the figure or explicit local points")
         local_points = [float_polygon(p.as_tuples()) for p in figure.pieces]
     piece_count = len(samples[0].placements)
-    frames = []
+    boxes = []
+    paths = []  # per frame, each piece's outline formatted once
     for s in samples:
         if len(s.placements) != piece_count:
             raise CountMismatch("samples disagree on piece count")
-        frames.append(
-            [apply_numeric_points(m, pts) for m, pts in zip(s.placements, local_points)]
-        )
-    lines = _svg_open(*_bounds([pts for frame in frames for pts in frame]), style.scale)
-    loop = frames + frames[-2::-1]  # forward then back, sharing the endpoints
-    key_times = ";".join(_fmt(i / (len(loop) - 1)) for i in range(len(loop)))
-    for i in range(piece_count):
-        values = ";".join(_path_d(frame[i]) for frame in loop)
+        frame = [apply_numeric_points(m, pts) for m, pts in zip(s.placements, local_points)]
+        boxes.append(_bounds(frame))
+        paths.append([_path_d(pts) for pts in frame])
+    min_xs, min_ys, max_xs, max_ys = zip(*boxes)
+    lines = _svg_open(min(min_xs), min(min_ys), max(max_xs), max(max_ys), style.scale)
+    steps = 2 * len(paths) - 1  # forward then back, sharing the endpoints
+    key_times = ";".join(_fmt(i / (steps - 1)) for i in range(steps))
+    columns = zip(*paths)  # piece i's forward outlines, joined both ways
+    for i, forward in enumerate(columns):
+        values = ";".join(forward + forward[-2::-1])
         lines.append(
-            f'<path d="{_path_d(frames[0][i])}" fill="{style.color(i)}" '
+            f'<path d="{forward[0]}" fill="{style.color(i)}" '
             f'fill-opacity="0.85" stroke="#222222" stroke-width="{_fmt(style.stroke_width)}">'
         )
         lines.append(

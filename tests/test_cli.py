@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -9,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainfold.chain import load_sample_shape
 from chainfold.cli import MAX_FRAMES, MAX_GEN_CELLS, main
+from chainfold.exact_geom import RAT_MAX_DIGITS
+from chainfold.figures import load_hdj
+from chainfold.kinematics import motion_report_json, sample_motion
+from chainfold.polyomino import to_grid
+from chainfold.render import render_animation
 
 L_GRID = "#.\n#.\n##\n"
 T_GRID = "###\n.#.\n"
@@ -144,6 +151,47 @@ class TestAnimate:
                      "--report-overlaps", str(report)]) == 0
         frames = json.loads(report.read_text())["frames"]
         assert all(f["overlaps"] == [] for f in frames)
+
+
+# SHA-256 of render_animation for the 128-piece L-T glyph pair at 6 frames;
+# any change to the animation's bytes fails the pin
+GLYPH_ANIMATION_SHA256 = "f9dcd2c5c41f60f86ee7eadfcdaf667bd24722735b6f9fcd3f0056db49b094d5"
+
+
+class TestGlyphAnimation:
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("glyphs")
+        for name in "LT":
+            (work / f"{name}.txt").write_text(to_grid(load_sample_shape(name)) + "\n")
+        pair, svg, report = work / "L-T.hdj", work / "L-T.svg", work / "L-T.json"
+        assert main(["dissect", "--a", str(work / "L.txt"), "--b", str(work / "T.txt"),
+                     "--out", str(pair)]) == 0
+        assert main(["animate", str(pair), "--frames", "6", "--out", str(svg),
+                     "--report-overlaps", str(report)]) == 0
+        doc = load_hdj(pair)
+        configs = [nc.configuration for nc in doc.configurations]
+        samples = sample_motion(doc.figure, configs[0], configs[1], 6)
+        return doc, samples, svg, report
+
+    def test_svg_matches_pinned_digest(self, run):
+        doc, samples, svg, _ = run
+        text = render_animation(samples, figure=doc.figure)
+        assert hashlib.sha256(text.encode()).hexdigest() == GLYPH_ANIMATION_SHA256
+        assert svg.read_text() == text
+
+    def test_report_streams_one_frame_per_line(self, run):
+        _, samples, _, report = run
+        lines = report.read_text().split("\n")
+        assert lines[0] == '{"frames": [' and lines[-2:] == ["]}", ""]
+        frames = lines[1:-2]
+        assert len(frames) == 6
+        for k, line in enumerate(frames):
+            frame = json.loads(line.rstrip(","))
+            assert frame == motion_report_json(samples[k : k + 1])["frames"][0]
+        with open(report, encoding="utf-8") as fh:
+            assert json.load(fh) == motion_report_json(samples)
+        assert any(s.overlaps for s in samples)  # the report is not trivially empty
 
 
 class TestBg:
@@ -332,6 +380,22 @@ class TestParseErrors:
         assert _verify_doc(workdir, doc) == 1
         assert time.perf_counter() - start < 5
 
+    def test_huge_exponent_exits_2_quickly(self, workdir, capsys):
+        # the cap is read off the text: 10**3000000 is never built
+        doc = _tromino_hdj(workdir)
+        doc["configurations"][0]["placements"][1]["tx"] = "1e3000000"
+        start = time.perf_counter()
+        assert _verify_doc(workdir, doc) == 2
+        assert time.perf_counter() - start < 1
+        assert f"exponent beyond {RAT_MAX_DIGITS}" in capsys.readouterr().err
+
+    def test_huge_decimal_in_polygon_exits_2_quickly(self, workdir):
+        (workdir / "huge.json").write_text("[[0,0],[1e-3000000,0],[0,2]]")
+        start = time.perf_counter()
+        assert main(["bg", "--a", str(workdir / "huge.json"), "--b", str(workdir / "tri.json"),
+                     "--out", str(workdir / "c.json")]) == 2
+        assert time.perf_counter() - start < 1
+
     def test_value_beyond_double_range_in_approx_mode_exits_2(self, workdir, capsys):
         doc = _tromino_hdj(workdir)
         doc["configurations"][0]["placements"][2]["cos"] = "1e400"
@@ -404,5 +468,58 @@ class TestVerifyFuzz:
         def check(doc, extra):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 assert _verify_doc(workdir, doc, *extra) in (0, 1, 2)
+
+        check()
+
+
+# JSON number tokens json.dumps cannot write: decimals read as exact
+# rationals, and an int past the interpreter's digit limit
+_RAW_NUMBERS = ["1e3000000", "-1e-3000000", "1e400", "2.0e0", "9" * 5000]
+_BG_FUZZ_VALUES = st.sampled_from(
+    [None, True, False, 0, 2, -1, 1.5, "x", "1/0", "3/5", "1e3000000", [], [1], [1, 2, 3],
+     [[0, 0]], {}]
+    + [f"@raw{k}@" for k in range(len(_RAW_NUMBERS))]
+)
+
+
+@st.composite
+def _mutated_polygons(draw):
+    """Drops, replacements and truncations of a 2x2 square's JSON text."""
+    doc = [[0, 0], [2, 0], [2, 2], [0, 2]]
+    for _ in range(draw(st.integers(1, 3))):
+        paths = _paths(doc)
+        if not paths:
+            break
+        prefix, key = draw(st.sampled_from(paths))
+        parent = _at(doc, prefix)
+        action = draw(st.sampled_from(["drop", "replace", "short"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "replace":
+            parent[key] = draw(_BG_FUZZ_VALUES)
+        elif isinstance(parent[key], list):
+            parent[key] = parent[key][: draw(st.integers(0, max(0, len(parent[key]) - 1)))]
+    text = json.dumps(doc)
+    for k, raw in enumerate(_RAW_NUMBERS):
+        text = text.replace(f'"@raw{k}@"', raw)
+    if draw(st.integers(0, 4)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestBgFuzz:
+    def test_mutated_polygons_exit_0_1_or_2(self, workdir):
+        # the triangle has the square's area, so a mutation that keeps the
+        # area runs the whole chart pipeline
+        path = workdir / "fuzz.json"
+
+        @settings(max_examples=150)
+        @given(_mutated_polygons())
+        def check(text):
+            path.write_text(text)
+            argv = ["bg", "--a", str(path), "--b", str(workdir / "tri.json"),
+                    "--out", str(workdir / "fuzz-chart.json")]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2)
 
         check()

@@ -1,8 +1,10 @@
 """Property tests of the Sutherland-Hodgman clip kernel against a reference.
 
 The reference is the plain form of the kernel: two orientation tests per
-step and no skipped clipper edges.  The kernel must return exactly what it
-returns, float bits included, on Fraction and float polygons.
+step, no early-outs and no skipped clipper edges.  The kernel must return
+exactly what it returns, float bits included, on int, Fraction and float
+polygons, and overlap_sum2 must return exactly the sum() of the reference
+fragments' areas.
 """
 
 from fractions import Fraction
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainfold.exact_geom import _bbox, _clip_halfplane, _convex_clip, _orient, _signed_area2
+from chainfold.overlap import overlap_sum2
 
 from conftest import rational_convex_hull
 
@@ -26,7 +29,8 @@ def reference_clip_halfplane(pts, e1, e2):
         if d_cur >= 0:
             out.append(cur)
         if (d_cur > 0 and d_nxt < 0) or (d_cur < 0 and d_nxt > 0):
-            t = d_cur / (d_cur - d_nxt)
+            den = d_cur - d_nxt
+            t = Fraction(d_cur, den) if type(den) is int else d_cur / den  # int sides: exact
             out.append(
                 (cur[0] + (nxt[0] - cur[0]) * t, cur[1] + (nxt[1] - cur[1]) * t)
             )
@@ -43,6 +47,20 @@ def reference_convex_clip(subject, clipper):
     if len(out) < 3 or _signed_area2(out) == 0:
         return []
     return out
+
+
+def reference_overlap_sum2(parts_a, parts_b):
+    """Twice the shared area as sum() over the reference fragments, with the
+    engine's box test in front of each clip."""
+    def fragments():
+        for pa, (ax0, ay0, ax1, ay1) in parts_a:
+            for pb, (bx0, by0, bx1, by1) in parts_b:
+                if ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1:
+                    frag = reference_convex_clip(pa, pb)
+                    if frag:
+                        yield frag
+
+    return sum(_signed_area2(frag) for frag in fragments())
 
 
 def bits(pts):
@@ -101,6 +119,48 @@ def clip_cases(draw):
     return subject, clipper
 
 
+def number_bits(v):
+    return type(v).__name__, v.hex() if isinstance(v, float) else v
+
+
+def as_number_type(pts, kind):
+    """Fraction points (denominators dividing 6) as ints (scaled by 6),
+    Fractions or floats."""
+    if kind == "int":
+        return [(int(x * 6), int(y * 6)) for x, y in pts]
+    if kind == "float":
+        return [(float(x), float(y)) for x, y in pts]
+    return list(pts)
+
+
+_KINDS = st.sampled_from(["int", "Fraction", "float"])
+_DIRECTIONS = st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (2, -1), (-1, 3), (3, 2)])
+
+
+@st.composite
+def placed_edges(draw, subject):
+    """(relation, e1, e2, e3) for a directed edge e1->e2 placed against the
+    subject with every vertex strictly inside, touching from inside (the
+    smallest side 0), touching from outside (the largest side 0) or
+    strictly outside; e3 closes a ccw clipper triangle on the edge's inner
+    side."""
+    relation = draw(st.sampled_from(["inside", "touch-inside", "touch-outside", "outside"]))
+    dx, dy = draw(_DIRECTIONS)
+    side = lambda p: dx * p[1] - dy * p[0]  # the kernel's side, up to a constant
+    if relation in ("inside", "touch-inside"):
+        base = min(subject, key=side)
+    else:
+        base = max(subject, key=side)
+    # moving along the left normal (-dy, dx) raises every side's constant
+    shift = {"inside": -1, "touch-inside": 0, "touch-outside": 0, "outside": 1}[relation]
+    e1 = (base[0] - dy * shift, base[1] + dx * shift)
+    scale = draw(st.sampled_from([1, 2, 5]))
+    e2 = (e1[0] + dx * scale, e1[1] + dy * scale)
+    depth, slide = draw(st.sampled_from([1, 3, 40])), draw(st.sampled_from([-2, 0, 1]))
+    e3 = (e1[0] - dy * depth + dx * slide, e1[1] + dx * depth + dy * slide)
+    return relation, e1, e2, e3
+
+
 @st.composite
 def positive_affine_maps(draw):
     small = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 5]))
@@ -156,3 +216,69 @@ class TestClipKernel:
             assert bits(out) == bits(reference_convex_clip(subject, clipper))
             areas[name] = _signed_area2(out) / 2 if out else 0
         assert areas == {"contain": 2, "touch": 0, "straddle": Fraction(3, 4), "miss": 0}
+
+
+class TestEarlyOuts:
+    @settings(max_examples=400)
+    @given(convex_polygons(), _KINDS, st.data())
+    def test_placed_edges_match_reference(self, subject, kind, data):
+        subject = as_number_type(subject, kind)
+        relation, e1, e2, e3 = data.draw(placed_edges(subject))
+        out = _clip_halfplane(subject, e1, e2)
+        assert bits(out) == bits(reference_clip_halfplane(subject, e1, e2))
+        clipper = [e1, e2, e3]
+        assert bits(_convex_clip(subject, clipper)) == bits(reference_convex_clip(subject, clipper))
+        if kind != "float":  # exact sides: the relation is what was asked for
+            if relation in ("inside", "touch-inside"):
+                assert out is subject
+            elif relation == "outside":
+                assert out == []
+            else:
+                assert 0 < len(out) < len(subject) or len(subject) == 1
+
+    def test_nan_sides_reach_the_loop(self):
+        nan = float("nan")
+        e1, e2 = (0.0, 0.0), (1.0, 0.0)
+        cases = [
+            [(0.0, 1.0), (1.0, 1.0), (0.5, nan)],  # inside but for one NaN side
+            [(0.0, -1.0), (1.0, -1.0), (0.5, nan)],  # outside but for one NaN side
+            [(0.0, 1.0), (nan, nan), (0.0, -1.0), (1.0, 0.0)],
+        ]
+        for subject in cases:
+            out = _clip_halfplane(subject, e1, e2)
+            assert out is not subject
+            assert bits(out) == bits(reference_clip_halfplane(subject, e1, e2))
+        # a NaN edge gives every vertex a NaN side
+        subject = [(0.0, 0.0), (2.0, 0.0), (1.0, 2.0)]
+        assert _clip_halfplane(subject, (nan, 0.0), e2) == []
+        clipper = [(0.5, nan), (3.0, 0.5), (0.5, 3.0)]
+        assert bits(_convex_clip(subject, clipper)) == bits(reference_convex_clip(subject, clipper))
+
+
+@st.composite
+def part_lists(draw, kind):
+    polys = draw(st.lists(convex_polygons(), min_size=1, max_size=3))
+    if draw(st.booleans()):  # rectangles and half-squares against the first part
+        polys.append(draw(axis_clippers(polys[0])))
+    return [(pts, _bbox(pts)) for pts in (as_number_type(p, kind) for p in polys)]
+
+
+class TestOverlapSum:
+    @settings(max_examples=150)
+    @given(_KINDS, st.data())
+    def test_matches_sum_of_reference_fragments(self, kind, data):
+        parts_a = data.draw(part_lists(kind))
+        parts_b = data.draw(part_lists(kind))
+        got = overlap_sum2(parts_a, parts_b)
+        assert number_bits(got) == number_bits(reference_overlap_sum2(parts_a, parts_b))
+
+    def test_zero_overlap_is_the_int_zero(self):
+        # fragments of zero area are dropped, so nothing is added, in any type
+        square = [(Fraction(x), Fraction(y)) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]
+        for kind in ("int", "Fraction", "float"):
+            a, b = (as_number_type([(x + dx, y) for x, y in square], kind) for dx in (0, 1))
+            # the boxes are widened so that the clip runs
+            parts_a = [(a, (-1, -1, 3, 3))]
+            parts_b = [(b, (-1, -1, 3, 3))]
+            assert number_bits(overlap_sum2(parts_a, parts_b)) == ("int", 0)
+            assert number_bits(reference_overlap_sum2(parts_a, parts_b)) == ("int", 0)

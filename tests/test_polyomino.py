@@ -7,6 +7,7 @@ from chainfold.polyomino import (
     BadCharacter,
     BadSize,
     Cell,
+    CornerContact,
     Disconnected,
     EmptyShape,
     HolePresent,
@@ -74,6 +75,27 @@ class TestBoundaryPolygon:
         ring = parse_grid("###\n#.#\n###")
         with pytest.raises(HolePresent):
             boundary_polygon(ring)
+
+    def test_cells_meeting_at_a_corner(self):
+        # the ring of 8 minus one corner: cells (1, 2) and (2, 1) meet only
+        # at the vertex (2, 2), and the middle cell is pinched off
+        shape = parse_grid("##.\n#.#\n###")
+        with pytest.raises(CornerContact, match=r"corner \(2, 2\)"):
+            boundary_polygon(shape)
+        with pytest.raises(HolePresent):  # callers that skip holes skip it too
+            boundary_polygon(shape)
+
+    def test_random_64_cell_shape_with_corner_contacts(self):
+        # random_polyomino(64, 1000), translated to the origin: some of its
+        # cells meet only at a corner
+        shape = parse_grid(
+            "...#......\n..##......\n...##.....\n..###.....\n..#####...\n"
+            "..###.###.\n..#.#.###.\n.######...\n.#####.###\n.#.#####..\n"
+            "####.##...\n#####.#...\n..####....\n...###....\n....#....."
+        )
+        assert shape == random_polyomino(64, 1000).translated_to_origin()
+        with pytest.raises(CornerContact):
+            boundary_polygon(shape)
 
     def test_area_equals_cell_count_per_grid(self):
         for grid in list(TETROMINO_GRIDS.values()) + list(PENTOMINO_GRIDS.values()):
