@@ -40,7 +40,7 @@ from .exact_geom import (
     rat,
     triangulate_simple,
 )
-from .figures import VerifyReport
+from .figures import VerifyReport, _partition_failures
 from .numeric import (
     NUMERIC_IDENTITY,
     NumericMotion,
@@ -51,7 +51,7 @@ from .numeric import (
     numeric_between_segments,
     numeric_from_rigid,
 )
-from .overlap import clip_parts, convex_parts, overlap_sum2, pairs_across, pairs_within
+from .overlap import clip_parts, convex_parts, pairs_across, partition_residuals
 
 log = logging.getLogger(__name__)
 
@@ -209,8 +209,9 @@ def rectangle_to_width(r: RectangleForm, w) -> tuple[list[SimplePolygon], list[N
     slide dissection fixes the width exactly up to the rational snap.
     Cut coordinates are rational fractions of the sides, so the pieces
     are exact in the source plane; placement motions are numeric.  Each
-    piece is a deduplicated clip of two convex polygons moved by the
-    frame map, whose determinant is positive, so it is built without
+    piece is an exact clip of two strictly convex polygons, which repeats
+    no vertex and has no three collinear (see _clip_convex_raw), moved by
+    the frame map, whose determinant is positive, so it is built without
     re-validation.
     """
     w = rat(w)
@@ -309,9 +310,6 @@ def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[_FramePiece]:
             frag = _convex_clip([tuple(p) for p in stacked_piece], [tuple(p) for p in band])
             if not frag:
                 continue
-            frag = _dedupe_collinear(frag)
-            if len(frag) < 3:
-                continue
             frame_poly = tuple(_stacked_to_frame(sigma, tau, band, k) for sigma, tau in frag)
             piece_motion = compose_numeric(slide_motion, compose_numeric(shift, align))
             out.append(_FramePiece(frame_poly, piece_motion))
@@ -393,8 +391,9 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     unit square's boundary are axis-parallel, and each fragment is mapped
     to the source once.  Positive-determinant affine maps commute exactly
     with clipping, so the fragments equal those cut in the source plane.
-    A fragment is a deduplicated clip of two convex polygons, so it is
-    built without re-validation.
+    A fragment is an exact clip of a strictly convex piece by a convex
+    one, which repeats no vertex and has no three collinear (see
+    _clip_convex_raw), so it is built without re-validation.
     """
     w = rat(w)
     if w <= 0:
@@ -425,9 +424,6 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
                     continue
                 frag = _convex_clip(fp.frame_polygon, pts)
                 if not frag:
-                    continue
-                frag = _dedupe_collinear(frag)
-                if len(frag) < 3:
                     continue
                 pieces.append(SimplePolygon(
                     [
@@ -545,46 +541,24 @@ def verify_chart(c: DissectionChart, tolerance: float = 1e-9) -> VerifyReport:
     pairwise overlap and the area residual must each stay below
     tolerance times the target area.
     """
-    failures: list[tuple[str, str]] = []
-    source_area = polygon_area(c.source)
     exact = c.source_exact
+    source_area2 = 2 * polygon_area(c.source)
     if exact:
-        pieces, source, tol_abs = [p.as_tuples() for p in c.pieces], c.source.as_tuples(), 0
+        pieces, source, tol = [p.as_tuples() for p in c.pieces], c.source.as_tuples(), 0
     else:
         pieces = [float_polygon(p.as_tuples()) for p in c.pieces]
-        source = float_polygon(c.source.as_tuples())
-        tol_abs = tolerance * float(source_area)
-    areas2, overlaps2, outside2 = _partition_residuals(pieces, source)
-    for i, j, area2 in overlaps2:
-        if area2 > 2 * tol_abs:
-            detail = "" if exact else f" by {area2 / 2:g}"
-            failures.append(("SourceDisjoint", f"pieces {i} and {j} overlap{detail}"))
-    for i, area2 in enumerate(outside2):
-        if area2 > 2 * tol_abs:
-            detail = "leaves the source" if exact else f": {area2 / 2:g} outside source"
-            failures.append(("SourceContainment", f"piece {i} {detail}"))
-    computed = sum(area2 / 2 for area2 in areas2)
-    if abs(computed - source_area) > tol_abs:
-        detail = f"{computed}, source is {source_area}" if exact else f"{computed:g}"
-        failures.append(("SourceArea", f"piece areas sum to {detail}"))
-
-    target_area = float(polygon_area(c.target))
-    tol_abs = tolerance * target_area
-    areas2, overlaps2, outside2 = _partition_residuals(
-        _placed(c), float_polygon(c.target.as_tuples())
+        source, source_area2 = float_polygon(c.source.as_tuples()), float(source_area2)
+        tol = tolerance
+    failures, computed = _partition_failures(
+        partition_residuals(pieces, source), source_area2, tol, exact,
+        ("SourceDisjoint", "SourceContainment", "SourceArea"), "source",
     )
-    for i, j, area2 in overlaps2:
-        if area2 > 2 * tol_abs:
-            failures.append(("TargetOverlap", f"pieces {i} and {j} overlap by {area2 / 2:g}"))
-    for i, area2 in enumerate(outside2):
-        if area2 > 2 * tol_abs:
-            failures.append(("TargetContainment", f"piece {i}: {area2 / 2:g} outside"))
-    placed_total = sum(area2 / 2 for area2 in areas2)
-    if abs(placed_total - target_area) > tol_abs:
-        failures.append(
-            ("TargetArea", f"placed areas sum to {placed_total:g}, target {target_area:g}")
-        )
-
+    target_failures, _ = _partition_failures(
+        partition_residuals(_placed(c), float_polygon(c.target.as_tuples())),
+        float(2 * polygon_area(c.target)), tolerance, False,
+        ("TargetOverlap", "TargetContainment", "TargetArea"), "target",
+    )
+    failures += target_failures
     return VerifyReport(not failures, failures, computed)
 
 
@@ -594,21 +568,6 @@ def _placed(c: DissectionChart) -> list:
         apply_numeric_points(m, float_polygon(p.as_tuples()))
         for p, m in zip(c.pieces, c.target_motions)
     ]
-
-
-def _partition_residuals(pieces, region):
-    """What keeps pieces from partitioning a region, as doubled areas:
-    each piece's area, the overlap (i, j, area) of every pair whose boxes
-    meet, and each piece's area outside the region."""
-    parts = [convex_parts(pts) for pts in pieces]
-    areas2 = [_signed_area2(pts) for pts in pieces]
-    overlaps2 = [
-        (i, j, overlap_sum2(parts[i], parts[j]))
-        for i, j in pairs_within([_bbox(pts) for pts in pieces])
-    ]
-    region_parts = convex_parts(region)
-    outside2 = [area2 - overlap_sum2(p, region_parts) for area2, p in zip(areas2, parts)]
-    return areas2, overlaps2, outside2
 
 
 def chart_to_json(c: DissectionChart) -> dict:

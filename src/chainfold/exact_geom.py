@@ -388,6 +388,17 @@ def _clip_convex_raw(subject, clipper):
     edge cuts it.  Axis-parallel clipper edges with the current polygon's
     bounding box on their inner side are skipped: clipping by them would
     change nothing.  The box is computed only when such an edge comes up.
+
+    On exact (int or Fraction) coordinates a strictly convex subject (no
+    repeated vertex, no three collinear) gives a strictly convex result,
+    or one with no area, which _convex_clip drops; so neither needs a
+    dedupe.  A crossing is added only inside an edge whose ends lie
+    strictly on opposite sides, so it repeats no vertex.  Three collinear
+    vertices of a convex polygon lie on one of its edge lines, and each
+    edge of a half-plane clip lies on the clip line, which meets the
+    subject's boundary in at most two points or one edge, or on a subject
+    edge, which keeps both ends or one end and one crossing.  Induction
+    over the clipper's edges ends the proof; a clip with no area stays so.
     """
     out = subject
     box = None
@@ -412,9 +423,10 @@ def _clip_convex_raw(subject, clipper):
 def _convex_clip(subject, clipper):
     """Sutherland-Hodgman intersection of two convex ccw polygons.
 
-    Returns a new vertex list of the intersection, possibly with duplicate
-    or collinear vertices, or an empty list when the intersection has no
-    area.
+    Returns a new vertex list of the intersection, or an empty list when
+    the intersection has no area.  Float inputs may give duplicate or
+    collinear vertices; exact strictly convex ones give neither (see
+    _clip_convex_raw).
     """
     out = _clip_convex_raw(subject, clipper)
     if len(out) < 3 or _signed_area2(out) == 0:
@@ -652,8 +664,6 @@ def polygon_contains(outer: SimplePolygon, inner: SimplePolygon) -> bool:
     Both are closed regions, so this holds exactly when the part of inner
     covered by outer has all of inner's area.
     """
-    from .overlap import convex_parts, overlap_sum2
+    from .overlap import partition_residuals
 
-    inner_pts = inner.as_tuples()
-    covered2 = overlap_sum2(convex_parts(inner_pts), convex_parts(outer.as_tuples()))
-    return covered2 == _signed_area2(inner_pts)
+    return partition_residuals([inner.as_tuples()], outer.as_tuples())[2] == [0]

@@ -19,8 +19,6 @@ from typing import Optional, Union
 from .exact_geom import (
     RigidMotion,
     SimplePolygon,
-    _bbox,
-    _signed_area2,
     point,
     point_from_json,
     point_to_json,
@@ -29,7 +27,7 @@ from .exact_geom import (
     rational_to_json,
 )
 from .exact_geom import _bboxes_interiors_overlap, _convex_clip  # noqa: F401 - looked up by perfbench/tracing.py
-from .overlap import cell_bounds, convex_parts, covered_by_cells2, overlap_sum2, pairs_within
+from .overlap import partition_residuals
 from .polyomino import BadSize, Cell, Polyomino, cells_from_json, cells_to_json, int_from_json
 
 DEFAULT_APPROX_TOLERANCE = 1e-9
@@ -160,19 +158,9 @@ def verify_configuration(f: HingedFigure, c: Configuration, target: Target) -> V
     tolerance anywhere; approx configurations run in doubles against the
     configuration's tolerance.
     """
-    if len(c.placements) != len(f.pieces):
-        raise CountMismatch(
-            f"{len(c.placements)} placements for {len(f.pieces)} pieces"
-        )
     if c.mode == "exact":
         return _verify_exact(f, c, target)
     return _verify_approx(f, c, target)
-
-
-def _target_area_exact(target: Target) -> Fraction:
-    if isinstance(target, Polyomino):
-        return Fraction(target.cell_count)
-    return polygon_area(target)
 
 
 def _exact_value(v):
@@ -188,125 +176,118 @@ def _exact_value(v):
 
 
 def _verify_exact(f: HingedFigure, c: Configuration, target: Target) -> VerifyReport:
+    return _verify(f, c, target, _exact_value, 0)
+
+
+def _verify_approx(f: HingedFigure, c: Configuration, target: Target) -> VerifyReport:
+    return _verify(f, c, target, float, c.effective_tolerance)
+
+
+def _verify(f: HingedFigure, c: Configuration, target: Target, num, tol) -> VerifyReport:
+    """The five checks on coordinates converted by num: exact mode runs on
+    ints and Fractions with tol 0, approx mode on doubles.  Only
+    HingeCoincidence tests by mode: equal points, or a gap of at most tol."""
+    exact = num is _exact_value
+    placed = _placed_points(f, c, num)
     failures: list[tuple[str, str]] = []
-    num = _exact_value
+    for i, m in enumerate(c.placements):
+        cos, sin = num(m.rot_cos), num(m.rot_sin)
+        err = abs(cos * cos + sin * sin - 1)
+        if err > tol:
+            text = "rot_cos^2+rot_sin^2 != 1" if exact else f"|cos^2+sin^2-1| = {_value_text(err)}"
+            failures.append(("ProperMotion", f"placement {i}: {text}"))
+
+    for idx, h in enumerate(f.hinges):
+        (ax, ay), (bx, by) = placed[h.piece_a][h.vertex_a], placed[h.piece_b][h.vertex_b]
+        if exact and (ax, ay) != (bx, by):
+            a, b = ",".join(map(_value_text, (ax, ay))), ",".join(map(_value_text, (bx, by)))
+            failures.append(("HingeCoincidence", f"hinge {idx}: ({a}) vs ({b})"))
+        elif not exact and (gap := math.hypot(ax - bx, ay - by)) > tol:
+            failures.append(("HingeCoincidence", f"hinge {idx}: gap {_value_text(gap)}"))
+
+    if isinstance(target, Polyomino):
+        region, area2 = target.cells, 2 * target.cell_count
+    else:
+        region = [(num(v.x), num(v.y)) for v in target.vertices]
+        area2 = 2 * polygon_area(target)
+    partition, total = _partition_failures(
+        partition_residuals(placed, region), num(area2), tol, exact,
+        ("PairwiseDisjoint", "Containment", "AreaCoverage"), "target",
+    )
+    failures += partition
+    return VerifyReport(not failures, failures, total)
+
+
+def _placed_points(f: HingedFigure, c: Configuration, num=float) -> list:
+    """Each piece's vertices moved by its placement, on the numbers num
+    converts to; each distinct piece's vertices are converted once."""
+    if len(c.placements) != len(f.pieces):
+        raise CountMismatch(f"{len(c.placements)} placements for {len(f.pieces)} pieces")
     motions = [
         (num(m.rot_cos), num(m.rot_sin), num(m.translate.x), num(m.translate.y))
         for m in c.placements
     ]
-
-    for i, (cos, sin, _, _) in enumerate(motions):
-        if cos * cos + sin * sin != 1:
-            failures.append(
-                ("ProperMotion", f"placement {i}: rot_cos^2+rot_sin^2 != 1")
-            )
-
-    local = {}  # each distinct piece's vertices, converted once
+    local = {}
     for piece in f.pieces:
         if id(piece) not in local:
             local[id(piece)] = [(num(v.x), num(v.y)) for v in piece.vertices]
-    placed = [
+    return [
         [(cos * x - sin * y + tx, sin * x + cos * y + ty) for x, y in local[id(piece)]]
         for (cos, sin, tx, ty), piece in zip(motions, f.pieces)
     ]
 
-    for idx, h in enumerate(f.hinges):
-        (ax, ay), (bx, by) = placed[h.piece_a][h.vertex_a], placed[h.piece_b][h.vertex_b]
-        if (ax, ay) != (bx, by):
-            failures.append(("HingeCoincidence", f"hinge {idx}: ({ax},{ay}) vs ({bx},{by})"))
 
-    parts = [convex_parts(pts) for pts in placed]
-    boxes = [_bbox(pts) for pts in placed]
+def _partition_failures(residuals, region_area2, tol, exact: bool, checks, region: str):
+    """(failures, total area) from partition_residuals and twice the region's
+    area.  Each doubled residual is held to a doubled bound, 0 when exact,
+    and halved only to be shown; checks names the overlap, containment and
+    area checks, region the region in their texts."""
+    areas2, overlaps2, outside2 = residuals
+    bound2 = tol * region_area2 if tol else 0
 
-    for i, j in pairs_within(boxes):
-        if overlap_sum2(parts[i], parts[j]) > 0:
-            failures.append(("PairwiseDisjoint", f"pieces {i} and {j} overlap"))
+    def half_text(v):
+        return _value_text(Fraction(v, 2) if exact else v / 2)
 
-    # doubled areas, so int coordinates are never halved
-    areas2 = [_signed_area2(pts) for pts in placed]
-    for i, covered2 in enumerate(_covered_areas2(parts, boxes, target, num)):
-        if covered2 != areas2[i]:
-            outside = Fraction(areas2[i] - covered2, 2)
-            failures.append(("Containment", f"piece {i}: {outside} of its area is outside"))
-
-    total = Fraction(sum(areas2), 2)
-    target_area = _target_area_exact(target)
-    if total != target_area:
-        failures.append(("AreaCoverage", f"piece areas sum to {total}, target {target_area}"))
-
-    return VerifyReport(not failures, failures, total)
-
-
-def _covered_areas2(parts, boxes, target: Target, num) -> list:
-    """Twice the area of each placed piece inside the target, from its
-    convex parts.
-
-    A polyomino is covered through the cells near each piece, a polygon
-    through its own convex parts; num converts target coordinates to the
-    pieces' number type.
-    """
-    if isinstance(target, Polyomino):
-        bounds = cell_bounds(target.cells)
-        return [
-            covered_by_cells2(p, box, target.cells, bounds, num) for p, box in zip(parts, boxes)
-        ]
-    target_parts = convex_parts([(num(v.x), num(v.y)) for v in target.vertices])
-    return [overlap_sum2(p, target_parts) for p in parts]
-
-
-def _verify_approx(f: HingedFigure, c: Configuration, target: Target) -> VerifyReport:
-    tol = c.effective_tolerance
-    failures: list[tuple[str, str]] = []
-
-    mats = []
-    for i, m in enumerate(c.placements):
-        cos = float(m.rot_cos)
-        sin = float(m.rot_sin)
-        tx = float(m.translate.x)
-        ty = float(m.translate.y)
-        mats.append((cos, sin, tx, ty))
-        err = abs(cos * cos + sin * sin - 1.0)
-        if err > tol:
-            failures.append(("ProperMotion", f"placement {i}: |cos^2+sin^2-1| = {err:g}"))
-
-    def place(i, v):
-        cos, sin, tx, ty = mats[i]
-        x, y = float(v.x), float(v.y)
-        return (cos * x - sin * y + tx, sin * x + cos * y + ty)
-
-    placed = [
-        [place(i, v) for v in piece.vertices] for i, piece in enumerate(f.pieces)
+    failures = [
+        (checks[0], f"pieces {i} and {j} overlap" + ("" if exact else f" by {half_text(area2)}"))
+        for i, j, area2 in overlaps2 if area2 > bound2
     ]
+    where = "of its area is outside" if exact else f"outside {region}"
+    failures += [
+        (checks[1], f"piece {i}: {half_text(area2)} {where}")
+        for i, area2 in enumerate(outside2) if area2 > bound2
+    ]
+    total2 = sum(areas2)
+    if abs(total2 - region_area2) > bound2:
+        text = f"piece areas sum to {half_text(total2)}, {region} {half_text(region_area2)}"
+        failures.append((checks[2], text))
+    return failures, Fraction(total2, 2) if exact else total2 / 2
 
-    for idx, h in enumerate(f.hinges):
-        (ax, ay), (bx, by) = placed[h.piece_a][h.vertex_a], placed[h.piece_b][h.vertex_b]
-        gap = math.hypot(ax - bx, ay - by)
-        if gap > tol:
-            failures.append(("HingeCoincidence", f"hinge {idx}: gap {gap:g}"))
-    parts = [convex_parts(pts) for pts in placed]
-    boxes = [_bbox(pts) for pts in placed]
-    target_area = float(_target_area_exact(target))
 
-    for i, j in pairs_within(boxes):
-        area = overlap_sum2(parts[i], parts[j]) / 2
-        if area > tol * target_area:
-            failures.append(
-                ("PairwiseDisjoint", f"pieces {i} and {j} overlap by {area:g}")
-            )
+_SHORT_BITS = 200  # longer exact numerators or denominators are shown approximately
 
-    areas = [_signed_area2(pts) / 2.0 for pts in placed]
-    for i, covered2 in enumerate(_covered_areas2(parts, boxes, target, float)):
-        outside = areas[i] - covered2 / 2
-        if outside > tol * target_area:
-            failures.append(("Containment", f"piece {i}: {outside:g} outside target"))
 
-    total = sum(areas)
-    if abs(total - target_area) > tol * target_area:
-        failures.append(
-            ("AreaCoverage", f"piece areas sum to {total:g}, target {target_area:g}")
-        )
+def _value_text(v) -> str:
+    """A computed value for a failure text: a float as :g, an int or
+    Fraction exactly while short, else as "~" and a 6-digit approximation
+    with the digit counts of its numerator and denominator.  Those come
+    from logarithms and bit lengths, so no oversized int goes through
+    str() or float()."""
+    if isinstance(v, float):
+        return f"{v:g}"
+    n, d = v.numerator, v.denominator
+    if max(n.bit_length(), d.bit_length()) <= _SHORT_BITS:
+        return str(v)
+    log = math.log10(abs(n)) - math.log10(d)
+    mantissa = f"{'-' if n < 0 else ''}{min(10 ** (log % 1), 9.99999):.5f}"
+    return f"~{mantissa}e{math.floor(log):+d} ({_digits(abs(n))}/{_digits(d)} digits)"
 
-    return VerifyReport(not failures, failures, total)
+
+def _digits(n: int) -> int:
+    """Decimal digits of n >= 1: k, those of 2**(bits-1), or k + 1 once n
+    reaches 10**k."""
+    k = int((n.bit_length() - 1) * math.log10(2)) + 1
+    return k + (n >= 10**k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """The overlap engine: broad phase, convex parts and narrow phase.
 
-Every overlap computation of the package runs through here: exact and
-approximate configuration verification, both sides of chart
-verification, the chart overlay, the animation sampler's per-frame
-overlap report, and the public ``overlap_area``, ``interiors_overlap``
-and ``polygon_contains``.
+Every overlap computation of the package runs through here: the
+partition check that exact and approximate configuration verification
+and both sides of chart verification share, the chart overlay, the
+animation sampler's per-frame overlap report, and the public
+``overlap_area``, ``interiors_overlap`` and ``polygon_contains``.
 
 Like the tuple core of ``exact_geom`` it works on ``(x, y)`` tuples and
 never looks at the number type: int and Fraction coordinates give exact
@@ -116,13 +116,13 @@ def cell_bounds(cells):
     return min(xs), min(ys), max(xs) + 1, max(ys) + 1
 
 
-def covered_by_cells2(parts, box, cells, bounds, num):
+def covered_by_cells2(parts, box, cells, bounds):
     """Twice the area of the parts inside a polyomino given by its set of
     (x, y) cells and their cell_bounds.
 
     Only the cells inside the floor/ceil hull of the box, clamped to the
-    bounds, can meet the parts; they are visited in sorted order.  ``num``
-    converts a cell coordinate to the parts' number type.
+    bounds, can meet the parts; they are visited in sorted order.  Cell
+    corners are ints, which mix exactly with int, Fraction and float parts.
     """
     x0, y0, x1, y1 = box
     cx0, cy0, cx1, cy1 = math.floor(x0), math.floor(y0), math.ceil(x1), math.ceil(y1)
@@ -133,7 +133,28 @@ def covered_by_cells2(parts, box, cells, bounds, num):
     for x in range(max(cx0, bx0), min(cx1, bx1)):
         for y in range(max(cy0, by0), min(cy1, by1)):
             if (x, y) in cells:
-                lo_x, lo_y, hi_x, hi_y = num(x), num(y), num(x + 1), num(y + 1)
-                cell = [(lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y)]
-                covered += overlap_sum2(parts, [(cell, (lo_x, lo_y, hi_x, hi_y))])
+                cell = [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
+                covered += overlap_sum2(parts, [(cell, (x, y, x + 1, y + 1))])
     return covered
+
+
+def partition_residuals(pieces, region):
+    """What keeps pieces from partitioning a region, as doubled areas:
+    each piece's area, the overlap (i, j, area) of every pair whose boxes
+    meet, and each piece's area outside the region.
+
+    The region is a ccw simple polygon's points, or a polyomino's
+    frozenset of (x, y) cells.
+    """
+    parts = [convex_parts(pts) for pts in pieces]
+    boxes = [_bbox(pts) for pts in pieces]
+    areas2 = [_signed_area2(pts) for pts in pieces]
+    overlaps2 = [(i, j, overlap_sum2(parts[i], parts[j])) for i, j in pairs_within(boxes)]
+    if isinstance(region, frozenset):
+        bounds = cell_bounds(region)
+        covered2 = [covered_by_cells2(p, box, region, bounds) for p, box in zip(parts, boxes)]
+    else:
+        region_parts = convex_parts(region)
+        covered2 = [overlap_sum2(p, region_parts) for p in parts]
+    outside2 = [area2 - cov2 for area2, cov2 in zip(areas2, covered2)]
+    return areas2, overlaps2, outside2

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .equidecompose import DissectionChart
-from .figures import Configuration, CountMismatch, HingedFigure
+from .figures import Configuration, CountMismatch, HingedFigure, _placed_points
 from .kinematics import MotionSample, TooFewFrames
 from .numeric import apply_numeric_points, float_polygon
 
@@ -83,25 +83,6 @@ def _svg_open(min_x, min_y, max_x, max_y, scale) -> list[str]:
 _SVG_CLOSE = ["</g>", "</svg>"]
 
 
-def _placed_points(f: HingedFigure, c: Configuration):
-    if len(c.placements) != len(f.pieces):
-        raise CountMismatch(
-            f"{len(c.placements)} placements for {len(f.pieces)} pieces"
-        )
-    placed = []
-    for piece, m in zip(f.pieces, c.placements):
-        cos, sin = float(m.rot_cos), float(m.rot_sin)
-        tx, ty = float(m.translate.x), float(m.translate.y)
-        placed.append(
-            [
-                (cos * float(v.x) - sin * float(v.y) + tx,
-                 sin * float(v.x) + cos * float(v.y) + ty)
-                for v in piece.vertices
-            ]
-        )
-    return placed
-
-
 def render_config(f: HingedFigure, c: Configuration, style: RenderStyle = RenderStyle()) -> str:
     """Static picture of one placed configuration, one path per piece."""
     placed = _placed_points(f, c)
@@ -113,11 +94,7 @@ def render_config(f: HingedFigure, c: Configuration, style: RenderStyle = Render
         )
     if style.show_hinges:
         for h in f.hinges:
-            cos = float(c.placements[h.piece_a].rot_cos)
-            sin = float(c.placements[h.piece_a].rot_sin)
-            v = f.pieces[h.piece_a].vertices[h.vertex_a]
-            x = cos * float(v.x) - sin * float(v.y) + float(c.placements[h.piece_a].translate.x)
-            y = sin * float(v.x) + cos * float(v.y) + float(c.placements[h.piece_a].translate.y)
+            x, y = placed[h.piece_a][h.vertex_a]
             lines.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(0.06)}" '
                 'fill="#ffffff" stroke="#222222" '

@@ -403,8 +403,12 @@ class TestParseErrors:
         assert "too large" in capsys.readouterr().err
 
 
+# rationals whose denominators have 999 digits, within RAT_MAX_DIGITS, so
+# that failure texts show products of them
+_NEAR_CAP = ["1/1" + "0" * 997 + "7", "1/1" + "0" * 997 + "9", "1/3" + "0" * 997 + "1"]
 _FUZZ_VALUES = st.sampled_from(
     [None, True, False, 0, 7, -1, 1.5, "x", "", "1/0", "0/0", "3/5", [], [1], [1, 2, 3], {}, {"a": 1}]
+    + _NEAR_CAP
 )
 
 
@@ -459,6 +463,16 @@ class TestVerifyFuzz:
         doc = _tromino_hdj(workdir)
         doc["figure"]["pieces"][-1] = [[0, 0], [True, 0], [0, True]]
         assert _verify_doc(workdir, doc) == 2
+
+    @pytest.mark.parametrize("extra", [(), ("--mode", "approx")])
+    def test_near_cap_denominators_exit_1_with_bounded_lines(self, workdir, capsys, extra):
+        doc = _tromino_hdj(workdir)
+        cos, sin, shift = _NEAR_CAP
+        doc["configurations"][0]["placements"][1].update(cos=cos, sin=sin, tx=shift, ty=shift)
+        assert _verify_doc(workdir, doc, *extra) == 1
+        out = capsys.readouterr().out
+        assert "REJECTED" in out
+        assert max(len(line) for line in out.splitlines()) <= 200
 
     def test_mutated_documents_exit_0_1_or_2(self, workdir):
         base = _tromino_hdj(workdir)

@@ -4,7 +4,8 @@ The reference is the plain form of the kernel: two orientation tests per
 step, no early-outs and no skipped clipper edges.  The kernel must return
 exactly what it returns, float bits included, on int, Fraction and float
 polygons, and overlap_sum2 must return exactly the sum() of the reference
-fragments' areas.
+fragments' areas.  On exact strictly convex polygons its fragments repeat
+no vertex and have no three collinear, so the chart path skips a dedupe.
 """
 
 from fractions import Fraction
@@ -12,7 +13,14 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainfold.exact_geom import _bbox, _clip_halfplane, _convex_clip, _orient, _signed_area2
+from chainfold.exact_geom import (
+    _bbox,
+    _clip_halfplane,
+    _convex_clip,
+    _dedupe_collinear,
+    _orient,
+    _signed_area2,
+)
 from chainfold.overlap import overlap_sum2
 
 from conftest import rational_convex_hull
@@ -282,3 +290,26 @@ class TestOverlapSum:
             parts_b = [(b, (-1, -1, 3, 3))]
             assert number_bits(overlap_sum2(parts_a, parts_b)) == ("int", 0)
             assert number_bits(reference_overlap_sum2(parts_a, parts_b)) == ("int", 0)
+
+
+def _exact_kind(pts, kind):
+    """Points whose coordinates are multiples of 1/36, as drawn here: as
+    Fractions, or as ints scaled by 36."""
+    return [(int(x * 36), int(y * 36)) for x, y in pts] if kind == "int" else list(pts)
+
+
+class TestExactClipsNeedNoDedupe:
+    """The chart path builds pieces from exact clips of strictly convex
+    polygons without a _dedupe_collinear pass; this holds the docstring
+    proof in _clip_convex_raw that such a pass would change nothing."""
+
+    @settings(max_examples=500)
+    @given(convex_polygons(), st.data(), st.sampled_from(["int", "Fraction"]))
+    def test_dedupe_changes_nothing(self, subject, data, kind):
+        frag = _exact_kind(subject, kind)
+        for _ in range(2):  # the chart path clips a clip again
+            clipper = data.draw(st.one_of(convex_polygons(), axis_clippers(subject)))
+            frag = _convex_clip(frag, _exact_kind(clipper, kind))
+            assert _dedupe_collinear(frag) == frag
+            if not frag:
+                break

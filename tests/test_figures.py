@@ -15,6 +15,7 @@ from chainfold.figures import (
     HingedFigure,
     NamedConfiguration,
     NamedTarget,
+    _value_text,
     canonical_chain_figure,
     configuration_from_json,
     configuration_to_json,
@@ -143,6 +144,32 @@ class TestVerifyConfiguration:
         m = RigidMotion(Fraction(1), Fraction(0), point(0, 0))
         report = verify_configuration(f, Configuration((m, m), "exact"), UNIT_SQUARE)
         assert not report.accepted
+
+
+class TestValueText:
+    def test_short_values_print_exactly(self):
+        big = 10**60 - 1  # 199 bits, the longest numerator still shown in full
+        for v in (0, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(big, 7), 1.5, 1e-300):
+            assert _value_text(v) == (f"{v:g}" if isinstance(v, float) else str(v))
+
+    @pytest.mark.parametrize("n,d", [
+        (1, 10**998 + 7),
+        (-(10**999), 3),
+        (10**999 - 1, 1),
+        (7 * 10**500 + 3, 3 * 10**400),
+        (99999999 * 10**300, 1),  # the mantissa rounds up to 10, shown as 9.99999
+    ], ids=["tiny", "negative", "999-nines", "ratio", "rounds-up"])
+    def test_long_values_print_approximately(self, n, d):
+        v = Fraction(n, d)
+        n, d = v.numerator, v.denominator
+        text = _value_text(v)
+        approx, digits = text.split(" ", 1)
+        mantissa, exp = approx.lstrip("~").split("e")
+        # the value to 5 decimals of its mantissa, read without float(v)
+        shown = Fraction(mantissa) * Fraction(10) ** int(exp)
+        assert abs(shown - v) <= abs(v) * Fraction(1, 10**5)
+        assert digits == f"({len(str(abs(n)))}/{len(str(d))} digits)"
+        assert len(text) < 40
 
 
 class TestHdj:

@@ -5,7 +5,9 @@ places every vertex with ``apply_motion`` in Fractions and halves each
 area.  The verifier under test turns integer-valued Fractions into ints
 first, so a chain fold runs on ints; its report must be exactly the
 reference's, on folds, on lattice and non-lattice mutants, and on polygon
-targets whose vertices are not integers.
+targets whose vertices are not integers.  Approx mode is held the same
+way, to a frozen form of the approx verifier that halves each area as it
+is made: verdict, failure texts and the float bits of the total.
 
 The properties check that the tuple core and the overlap engine keep int
 coordinates exact: every value they return is an int or a Fraction, never
@@ -34,6 +36,7 @@ from chainfold.exact_geom import (
     polygon_area,
 )
 from chainfold.figures import Configuration, Hinge, HingedFigure, verify_configuration
+from chainfold.numeric import float_polygon
 from chainfold.overlap import (
     cell_bounds,
     clip_parts,
@@ -105,6 +108,71 @@ def reference_verify_exact(f, c, target):
     total = sum(areas, Fraction(0))
     if total != target_area:
         failures.append(("AreaCoverage", f"piece areas sum to {total}, target {target_area}"))
+    return not failures, failures, total
+
+
+def _float_covered2(parts, box, cells):
+    x0, y0, x1, y1 = box
+    cx0, cy0, cx1, cy1 = math.floor(x0), math.floor(y0), math.ceil(x1), math.ceil(y1)
+    if cx1 - cx0 == 1 and cy1 - cy0 == 1 and (cx0, cy0) in cells:
+        return sum(_signed_area2(part) for part, _ in parts)
+    covered = 0
+    for x in range(cx0, cx1):
+        for y in range(cy0, cy1):
+            if (x, y) in cells:
+                lo_x, lo_y, hi_x, hi_y = float(x), float(y), float(x + 1), float(y + 1)
+                cell = [(lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y)]
+                covered += overlap_sum2(parts, [(cell, (lo_x, lo_y, hi_x, hi_y))])
+    return covered
+
+
+def reference_verify_approx(f, c, target):
+    """(accepted, failures, computed_area) of the approx verifier in its
+    own body: float cells, and every area halved as it is made."""
+    tol = c.effective_tolerance
+    failures = []
+    mats = []
+    for i, m in enumerate(c.placements):
+        cos, sin = float(m.rot_cos), float(m.rot_sin)
+        mats.append((cos, sin, float(m.translate.x), float(m.translate.y)))
+        err = abs(cos * cos + sin * sin - 1.0)
+        if err > tol:
+            failures.append(("ProperMotion", f"placement {i}: |cos^2+sin^2-1| = {err:g}"))
+    placed = [
+        [
+            (cos * float(v.x) - sin * float(v.y) + tx, sin * float(v.x) + cos * float(v.y) + ty)
+            for v in piece.vertices
+        ]
+        for (cos, sin, tx, ty), piece in zip(mats, f.pieces)
+    ]
+    for idx, h in enumerate(f.hinges):
+        (ax, ay), (bx, by) = placed[h.piece_a][h.vertex_a], placed[h.piece_b][h.vertex_b]
+        gap = math.hypot(ax - bx, ay - by)
+        if gap > tol:
+            failures.append(("HingeCoincidence", f"hinge {idx}: gap {gap:g}"))
+    parts = [convex_parts(pts) for pts in placed]
+    boxes = [_bbox(pts) for pts in placed]
+    if isinstance(target, Polyomino):
+        target_area = float(target.cell_count)
+        covered2 = [_float_covered2(p, b, target.cells) for p, b in zip(parts, boxes)]
+    else:
+        target_area = float(polygon_area(target))
+        target_parts = convex_parts(float_polygon(target.as_tuples()))
+        covered2 = [overlap_sum2(p, target_parts) for p in parts]
+    for i, j in pairs_within(boxes):
+        area = overlap_sum2(parts[i], parts[j]) / 2
+        if area > tol * target_area:
+            failures.append(("PairwiseDisjoint", f"pieces {i} and {j} overlap by {area:g}"))
+    areas = [_signed_area2(pts) / 2.0 for pts in placed]
+    for i, cov2 in enumerate(covered2):
+        outside = areas[i] - cov2 / 2
+        if outside > tol * target_area:
+            failures.append(("Containment", f"piece {i}: {outside:g} outside target"))
+    total = sum(areas)
+    if abs(total - target_area) > tol * target_area:
+        failures.append(
+            ("AreaCoverage", f"piece areas sum to {total:g}, target {target_area:g}")
+        )
     return not failures, failures, total
 
 
@@ -206,6 +274,28 @@ class TestAgainstFractionReference:
         assert {name for name, ok in verdicts.items() if not ok} == mutants
 
 
+class TestApproxAgainstReference:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-2, 0.0])
+    @pytest.mark.parametrize("name,case", CASES, ids=[name for name, _ in CASES])
+    def test_report_equals_reference(self, name, case, tol):
+        f, c, target = case
+        approx = Configuration(c.placements, "approx", tol)
+        report = verify_configuration(f, approx, target)
+        accepted, failures, total = reference_verify_approx(f, approx, target)
+        assert report.failures == failures
+        assert report.accepted == accepted
+        assert type(report.computed_area) is float
+        assert report.computed_area.hex() == total.hex()
+
+    def test_cases_include_approx_rejections(self):
+        # the mutants that move a piece off the lattice fail at every tolerance
+        loose = [
+            name for name, (f, c, t) in CASES
+            if not verify_configuration(f, Configuration(c.placements, "approx", 1e-2), t).accepted
+        ]
+        assert {"translate-1", "quarter-turn", "hinge-swap", "translate-1/2"} <= set(loose)
+
+
 # ---------------------------------------------------------------------------
 # int safety of the tuple core and the engine
 
@@ -285,9 +375,9 @@ class TestIntSafety:
         parts = convex_parts(pts)
         fparts = convex_parts(_as_fractions(pts))
         box, bounds = _bbox(pts), cell_bounds(cells)
-        covered2 = covered_by_cells2(parts, box, cells, bounds, int)
+        covered2 = covered_by_cells2(parts, box, cells, bounds)
         _assert_exact([covered2])
-        assert covered2 == covered_by_cells2(fparts, box, cells, bounds, Fraction)
+        assert covered2 == covered_by_cells2(fparts, box, cells, bounds)
         assert covered2 == 2 * _reference_covered_by_cells(fparts, box, cells)
 
     def test_covered_by_cells_inside_one_cell(self):
@@ -297,9 +387,9 @@ class TestIntSafety:
         halves = [[(3, 4), (4, 4), (3, 5)], [(4, 5), (3, 5), (4, 4)]]
         for pts, area2 in [(square, 2)] + [(h, 1) for h in halves]:
             parts = convex_parts(pts)
-            covered2 = covered_by_cells2(parts, _bbox(pts), {(3, 4)}, (3, 4, 4, 5), int)
+            covered2 = covered_by_cells2(parts, _bbox(pts), {(3, 4)}, (3, 4, 4, 5))
             assert type(covered2) is int and covered2 == area2
-            assert covered_by_cells2(parts, _bbox(pts), {(3, 5)}, (3, 5, 4, 6), int) == 0
+            assert covered_by_cells2(parts, _bbox(pts), {(3, 5)}, (3, 5, 4, 6)) == 0
 
     @settings(max_examples=100)
     @given(int_simple_polygons())

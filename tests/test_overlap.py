@@ -113,7 +113,7 @@ class TestPartsAndNarrowPhase:
         tri = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0)), (Fraction(0), Fraction(2))]
         parts = convex_parts(tri)
         cells = {(0, 0), (0, 1), (5, 5)}
-        covered2 = covered_by_cells2(parts, (0, 0, 2, 2), cells, cell_bounds(cells), Fraction)
+        covered2 = covered_by_cells2(parts, (0, 0, 2, 2), cells, cell_bounds(cells))
         assert covered2 == 2 * (Fraction(1) + Fraction(1, 2))
         cells.add((1, 0))
-        assert covered_by_cells2(parts, (0, 0, 2, 2), cells, cell_bounds(cells), Fraction) == 4
+        assert covered_by_cells2(parts, (0, 0, 2, 2), cells, cell_bounds(cells)) == 4
