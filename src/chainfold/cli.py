@@ -28,6 +28,7 @@ from .figures import (
     NamedConfiguration,
     NamedTarget,
     atomic_output,
+    check_tolerance,
     load_hdj,
     save_hdj,
     verify_configuration,
@@ -123,6 +124,8 @@ def cmd_dissect(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
+        if args.tol is not None:
+            check_tolerance(args.tol)
         doc = load_hdj(args.file)
         pairs = doc.pairs()
     except (HdjError, OSError, ValueError) as exc:
@@ -269,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="verify every configuration in an HDJ file")
     p_ver.add_argument("file", help="HDJ file")
     p_ver.add_argument("--mode", choices=("exact", "approx"), help="override stored modes")
-    p_ver.add_argument("--tol", type=float, help="override tolerance (approx mode)")
+    p_ver.add_argument("--tol", type=float, help="override tolerance (approx mode; finite, >= 0)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_anim = sub.add_parser("animate", help="animate between two configurations")

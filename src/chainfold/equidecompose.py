@@ -38,9 +38,10 @@ from .exact_geom import (
     point_to_json,
     polygon_area,
     rat,
+    rational_to_json,
     triangulate_simple,
 )
-from .figures import VerifyReport, _partition_failures
+from .figures import VerifyReport, _partition_failures, check_tolerance
 from .numeric import (
     NUMERIC_IDENTITY,
     NumericMotion,
@@ -363,20 +364,19 @@ class DissectionChart:
     """Unhinged dissection: pieces with their target assembly motions.
 
     Pieces live in source coordinates, so the source assembly is the
-    identity; the target assembly is numeric.  An overlay lists the
-    fragments it dropped as (piece of a, piece of b, area): slivers below
-    the area threshold in sliver_report, and fragments whose vertices fail
-    SimplePolygon validation once mapped back to the source in
-    invalid_report.
+    identity; the target assembly is numeric.  An exact chart
+    (source_exact) holds SimplePolygons with rational vertices; an
+    approximate one, such as an overlay, holds tuples of float (x, y)
+    points.  An overlay lists the slivers it dropped, fragments below the
+    area threshold, in sliver_report as (piece of a, piece of b, area).
     """
 
-    pieces: list[SimplePolygon]
+    pieces: list
     target_motions: list[NumericMotion]
     source: SimplePolygon
     target: SimplePolygon
     source_exact: bool = True
     sliver_report: list = field(default_factory=list)
-    invalid_report: list = field(default_factory=list)
 
 
 def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
@@ -472,8 +472,11 @@ def overlay_charts(ca: DissectionChart, cb: DissectionChart) -> DissectionChart:
     Every piece of ca is intersected with every piece of cb inside the
     shared rectangle (numerically, at convex-part granularity: convex
     pieces clip whole, non-convex ones via their triangulations); each
-    fragment becomes a piece of the source-of-ca to source-of-cb chart.
-    Fragments below the sliver threshold are dropped and logged.
+    fragment, mapped back by the inverse of its ca motion, becomes a
+    float piece of the source-of-ca to source-of-cb chart.  Duplicate and
+    collinear vertices are dropped in floats before the sliver test and
+    again after the map back.  Fragments below the sliver threshold are
+    dropped and logged.
     """
     if ca.target != cb.target:
         raise TargetMismatch("charts do not share a target rectangle")
@@ -485,10 +488,9 @@ def overlay_charts(ca: DissectionChart, cb: DissectionChart) -> DissectionChart:
     parts_a = [convex_parts(pts) for pts in placed_a]
     parts_b = [convex_parts(pts) for pts in placed_b]
 
-    pieces: list[SimplePolygon] = []
+    pieces: list[tuple] = []
     target_motions: list[NumericMotion] = []
     slivers: list[tuple[int, int, float]] = []
-    invalid: list[tuple[int, int, float]] = []
     for ia, ib in pairs_across([_bbox(p) for p in placed_a], [_bbox(p) for p in placed_b]):
         ma, mb = ca.target_motions[ia], cb.target_motions[ib]
         back_a = invert_numeric(ma)
@@ -502,30 +504,13 @@ def overlay_charts(ca: DissectionChart, cb: DissectionChart) -> DissectionChart:
                 if frag_area > 0.0:
                     slivers.append((ia, ib, frag_area))
                 continue
-            source_pts = apply_numeric_points(back_a, frag)
-            try:
-                piece = SimplePolygon([point(x, y) for x, y in source_pts])
-            except ValueError:
-                invalid.append((ia, ib, frag_area))
-                continue
-            pieces.append(piece)
+            pieces.append(tuple(_dedupe_collinear(apply_numeric_points(back_a, frag))))
             target_motions.append(relative)
-    if slivers or invalid:
-        log.info(
-            "overlay dropped %d sliver fragments and %d invalid fragments",
-            len(slivers),
-            len(invalid),
-        )
-    chart = DissectionChart(
-        pieces,
-        target_motions,
-        ca.source,
-        cb.source,
-        source_exact=False,
-        sliver_report=slivers,
-        invalid_report=invalid,
+    if slivers:
+        log.info("overlay dropped %d sliver fragments", len(slivers))
+    return DissectionChart(
+        pieces, target_motions, ca.source, cb.source, source_exact=False, sliver_report=slivers
     )
-    return chart
 
 
 # ---------------------------------------------------------------------------
@@ -539,18 +524,16 @@ def verify_chart(c: DissectionChart, tolerance: float = 1e-9) -> VerifyReport:
     summing exactly) when the chart is all-rational, else it is checked
     at the tolerance like the target side.  Target-side containment,
     pairwise overlap and the area residual must each stay below
-    tolerance times the target area.
+    tolerance times the target area, a finite tolerance >= 0.
     """
+    check_tolerance(tolerance)
     exact = c.source_exact
-    source_area2 = 2 * polygon_area(c.source)
-    if exact:
-        pieces, source, tol = [p.as_tuples() for p in c.pieces], c.source.as_tuples(), 0
-    else:
-        pieces = [float_polygon(p.as_tuples()) for p in c.pieces]
-        source, source_area2 = float_polygon(c.source.as_tuples()), float(source_area2)
-        tol = tolerance
+    source, source_area2 = c.source.as_tuples(), 2 * polygon_area(c.source)
+    if not exact:
+        source, source_area2 = float_polygon(source), float(source_area2)
     failures, computed = _partition_failures(
-        partition_residuals(pieces, source), source_area2, tol, exact,
+        partition_residuals(_piece_points(c), source), source_area2,
+        0 if exact else tolerance, exact,
         ("SourceDisjoint", "SourceContainment", "SourceArea"), "source",
     )
     target_failures, _ = _partition_failures(
@@ -562,24 +545,25 @@ def verify_chart(c: DissectionChart, tolerance: float = 1e-9) -> VerifyReport:
     return VerifyReport(not failures, failures, computed)
 
 
+def _piece_points(c: DissectionChart) -> list:
+    """Each piece's vertices as (x, y) pairs: rationals from an exact
+    chart's SimplePolygons, the stored float tuples of an approximate one."""
+    if c.source_exact:
+        return [p.as_tuples() for p in c.pieces]
+    return c.pieces
+
+
 def _placed(c: DissectionChart) -> list:
     """Float vertices of each piece moved by its target motion."""
-    return [
-        apply_numeric_points(m, float_polygon(p.as_tuples()))
-        for p, m in zip(c.pieces, c.target_motions)
-    ]
+    return [apply_numeric_points(m, pts) for pts, m in zip(_piece_points(c), c.target_motions)]
 
 
 def chart_to_json(c: DissectionChart) -> dict:
-    def encode_poly(p: SimplePolygon):
-        if c.source_exact:
-            return [point_to_json(v) for v in p.vertices]
-        return [[float(v.x), float(v.y)] for v in p.vertices]
-
+    encode = rational_to_json if c.source_exact else float
     return {
         "source": [point_to_json(v) for v in c.source.vertices],
         "target": [point_to_json(v) for v in c.target.vertices],
-        "pieces": [encode_poly(p) for p in c.pieces],
+        "pieces": [[[encode(x), encode(y)] for x, y in pts] for pts in _piece_points(c)],
         "target_motions": [
             {"angle_rad": m.angle_rad, "tx": m.tx, "ty": m.ty} for m in c.target_motions
         ],
@@ -596,6 +580,8 @@ def chart_from_json(obj) -> DissectionChart:
                 if any(isinstance(x, float) for x in coord):
                     exact = False
         pieces = [SimplePolygon([point_from_json(v) for v in piece]) for piece in obj["pieces"]]
+        if not exact:
+            pieces = [tuple(float_polygon(p.as_tuples())) for p in pieces]
         motions = [
             NumericMotion(float(m["angle_rad"]), float(m["tx"]), float(m["ty"]))
             for m in obj["target_motions"]

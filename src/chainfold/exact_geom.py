@@ -630,7 +630,7 @@ def convex_clip(a: SimplePolygon, b: SimplePolygon):
     out = _convex_clip(ta, tb)
     if not out:
         return None
-    return SimplePolygon([Point2(x, y) for x, y in _dedupe_collinear(out)], _validated=True)
+    return SimplePolygon([Point2(x, y) for x, y in out], _validated=True)
 
 
 def triangulate_simple(p: SimplePolygon) -> list[SimplePolygon]:

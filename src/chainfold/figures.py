@@ -90,6 +90,14 @@ class HingedFigure:
                     raise FigureError(f"hinge {i} breaks the canonical cycle layout")
 
 
+def check_tolerance(tol) -> None:
+    """Raise FigureError unless tol is finite and >= 0: a NaN tolerance
+    would pass every comparison, an infinite one every check, and a
+    negative one would reject an intact figure."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise FigureError(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class Configuration:
     """One motion per piece; exact configurations tolerate nothing."""
@@ -101,6 +109,8 @@ class Configuration:
     def __post_init__(self):
         if self.mode not in ("exact", "approx"):
             raise FigureError(f"unknown mode {self.mode!r}")
+        if self.tolerance is not None:
+            check_tolerance(self.tolerance)
 
     @property
     def effective_tolerance(self) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equidecompose import DissectionChart
+from .equidecompose import DissectionChart, _piece_points, _placed
 from .figures import Configuration, CountMismatch, HingedFigure, _placed_points
 from .kinematics import MotionSample, TooFewFrames
 from .numeric import apply_numeric_points, float_polygon
@@ -157,11 +157,8 @@ def render_animation(samples: list[MotionSample], style: RenderStyle = RenderSty
 
 def render_chart(chart: DissectionChart, style: RenderStyle = RenderStyle()) -> str:
     """Source and target assemblies side by side with matching piece colors."""
-    source_pts = [float_polygon(p.as_tuples()) for p in chart.pieces]
-    placed_pts = [
-        apply_numeric_points(m, pts)
-        for pts, m in zip(source_pts, chart.target_motions)
-    ]
+    source_pts = [float_polygon(pts) for pts in _piece_points(chart)]
+    placed_pts = _placed(chart)
     src_min_x, src_min_y, src_max_x, src_max_y = _bounds(
         source_pts + [float_polygon(chart.source.as_tuples())]
     )

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import settings
 
 from chainfold.chain import PlacedTriangle
-from chainfold.exact_geom import Point2, SimplePolygon
-from chainfold.polyomino import Polyomino
+from chainfold.exact_geom import Point2, SimplePolygon, polygon, polygon_area
+from chainfold.polyomino import Polyomino, boundary_polygon, random_polyomino
 
 # Every run draws the same examples (derandomize also turns the example
 # database off), and wall-clock jitter cannot fail a property test.
@@ -116,3 +117,39 @@ def rational_convex_hull(points) -> SimplePolygon:
 def scale_x(poly: SimplePolygon, k: Fraction) -> SimplePolygon:
     """Anisotropic x-scaling; preserves simplicity and scales area by k."""
     return SimplePolygon([Point2(v.x * k, v.y) for v in poly.vertices])
+
+
+def _random_rational_polygon(rng, kind):
+    if kind == "hull":
+        pts = {(rng.randrange(0, 13), rng.randrange(0, 13)) for _ in range(rng.randrange(8, 15))}
+        try:
+            return rational_convex_hull(pts)
+        except ValueError:
+            return _random_rational_polygon(rng, kind)
+    shape = random_polyomino(rng.randrange(4, 9), rng.randrange(10**6))
+    try:
+        return boundary_polygon(shape)
+    except Exception:
+        return _random_rational_polygon(rng, kind)
+
+
+def criterion_8_cases() -> list[tuple[str, SimplePolygon, SimplePolygon, Fraction]]:
+    """The 21 equal-area pairs of acceptance criterion 8 as (label, a, b,
+    width): a square and a triangle, then 20 pairs drawn from
+    random.Random(733), alternating a lattice hull against a polyomino
+    boundary, with b scaled in x to a's area."""
+    cases = [
+        (
+            "square2-vs-triangle",
+            polygon([(0, 0), (2, 0), (2, 2), (0, 2)]),
+            polygon([(0, 0), (4, 0), (0, 2)]),
+            Fraction(2),
+        )
+    ]
+    rng = random.Random(733)
+    for k in range(20):
+        pa = _random_rational_polygon(rng, "hull" if k % 2 == 0 else "grid")
+        pb = _random_rational_polygon(rng, "grid" if k % 2 == 0 else "hull")
+        pb = scale_x(pb, polygon_area(pa) / polygon_area(pb))
+        cases.append((f"random-{k}", pa, pb, Fraction(1)))
+    return cases

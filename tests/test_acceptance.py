@@ -22,18 +22,17 @@ from chainfold.equidecompose import (
     polygon_to_canonical_chart,
     verify_chart,
 )
-from chainfold.exact_geom import polygon, polygon_area
+from chainfold.exact_geom import polygon_area
 from chainfold.figures import figures_equal, load_hdj, verify_configuration
 from chainfold.kinematics import sample_motion
 from chainfold.numeric import apply_numeric, numeric_from_rigid
-from chainfold.polyomino import boundary_polygon, parse_grid, random_polyomino
+from chainfold.polyomino import parse_grid, random_polyomino
 from conftest import (
     PENTOMINO_GRIDS,
     TETROMINO_GRIDS,
     canonical_cycle,
+    criterion_8_cases,
     enumerate_half_square_cycles,
-    rational_convex_hull,
-    scale_x,
 )
 
 FOLD_TIME_LIMIT = 1.0
@@ -219,36 +218,8 @@ def test_criterion_7_kinematics_fidelity():
     print("\nACCEPTANCE 7 (60-frame kinematics endpoint+hinge fidelity <= 1e-9): PASS")
 
 
-def _random_rational_polygon(rng, kind):
-    if kind == "hull":
-        pts = {(rng.randrange(0, 13), rng.randrange(0, 13)) for _ in range(rng.randrange(8, 15))}
-        try:
-            return rational_convex_hull(pts)
-        except ValueError:
-            return _random_rational_polygon(rng, kind)
-    shape = random_polyomino(rng.randrange(4, 9), rng.randrange(10**6))
-    try:
-        return boundary_polygon(shape)
-    except Exception:
-        return _random_rational_polygon(rng, kind)
-
-
 def test_criterion_8_bolyai_gerwien():
-    cases = [
-        (
-            "square2-vs-triangle",
-            polygon([(0, 0), (2, 0), (2, 2), (0, 2)]),
-            polygon([(0, 0), (4, 0), (0, 2)]),
-            Fraction(2),
-        )
-    ]
-    rng = random.Random(733)
-    for k in range(20):
-        pa = _random_rational_polygon(rng, "hull" if k % 2 == 0 else "grid")
-        pb = _random_rational_polygon(rng, "grid" if k % 2 == 0 else "hull")
-        pb = scale_x(pb, polygon_area(pa) / polygon_area(pb))
-        cases.append((f"random-{k}", pa, pb, Fraction(1)))
-
+    cases = criterion_8_cases()
     for label, pa, pb, width in cases:
         assert polygon_area(pa) == polygon_area(pb), label
         start = time.perf_counter()

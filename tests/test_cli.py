@@ -113,6 +113,24 @@ class TestVerify:
         asset = resources.files("chainfold") / "assets" / "dudeney.hdj"
         assert main(["verify", str(asset), "--mode", "approx", "--tol", "1e-6"]) == 0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exits_2(self, workdir, capsys, tol):
+        # a moved placement passed at nan and inf, and -1 rejected an intact fold
+        doc = _tromino_hdj(workdir)
+        assert _verify_doc(workdir, doc, "--mode", "approx", "--tol", tol) == 2
+        doc["configurations"][0]["placements"][1]["tx"] = "1/1000"
+        assert _verify_doc(workdir, doc, "--mode", "approx") == 1
+        assert _verify_doc(workdir, doc, "--mode", "approx", "--tol", tol) == 2
+        assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
+    def test_nan_tolerance_in_document_exits_2(self, workdir, capsys):
+        doc = _tromino_hdj(workdir)
+        config = doc["configurations"][0]
+        config.update(mode="approx", tolerance=float("nan"))
+        config["placements"][1]["tx"] = "1/1000"
+        assert _verify_doc(workdir, doc) == 2
+        assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
 
 class TestAnimate:
     def test_pair_animation(self, workdir):

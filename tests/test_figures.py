@@ -172,6 +172,31 @@ class TestValueText:
         assert len(text) < 40
 
 
+_BAD_TOLERANCES = [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300]
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", _BAD_TOLERANCES)
+    def test_configuration_rejects_bad_tolerance(self, tol):
+        fr = fold_chain(parse_grid("#"))
+        with pytest.raises(FigureError, match="tolerance"):
+            Configuration(fr.config.placements, "approx", tol)
+
+    @pytest.mark.parametrize("tol", [None, 0.0, 1e-9, 1])
+    def test_configuration_accepts_finite_nonnegative_tolerance(self, tol):
+        fr = fold_chain(parse_grid("#"))
+        config = Configuration(fr.config.placements, "approx", tol)
+        assert verify_configuration(fr.figure, config, UNIT_SQUARE).accepted
+
+    @pytest.mark.parametrize("tol", _BAD_TOLERANCES)
+    def test_hdj_bad_tolerance_is_hdj_error(self, tol):
+        fr = fold_chain(parse_grid("#"))
+        obj = configuration_to_json(NamedConfiguration("fold", fr.config))
+        obj.update(mode="approx", tolerance=tol)
+        with pytest.raises(HdjError, match="tolerance"):
+            configuration_from_json(json.loads(json.dumps(obj)))
+
+
 class TestHdj:
     def test_figure_round_trip(self):
         fr = fold_chain(parse_grid("##\n.#"))
