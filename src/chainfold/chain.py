@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .exact_geom import RigidMotion, point
+from .exact_geom import Point2, RigidMotion
 from .figures import Configuration, HingedFigure, canonical_chain_figure
-from .polyomino import Cell, Polyomino, dual_spanning_tree, parse_grid
+from .polyomino import NEIGHBOR_STEPS, Cell, Polyomino, dual_spanning_tree, parse_grid
 
 GridPoint = tuple[int, int]
 
@@ -59,42 +59,49 @@ class PlacedTriangle:
         ys = (self.right_angle_corner[1], self.base_u[1], self.base_v[1])
         return Cell(min(xs), min(ys))
 
-    def placement(self) -> RigidMotion:
-        """Quarter-turn motion carrying the canonical local piece here."""
+    def placement(self, fraction=Fraction) -> RigidMotion:
+        """Quarter-turn motion carrying the canonical local piece here;
+        fraction turns each int coordinate into a Fraction."""
         cx, cy = self.right_angle_corner
         ux, uy = self.base_u
-        return RigidMotion(Fraction(ux - cx), Fraction(uy - cy), point(cx, cy))
+        return RigidMotion(
+            fraction(ux - cx), fraction(uy - cy), Point2(fraction(cx), fraction(cy))
+        )
 
 
 def _cross(o: GridPoint, a: GridPoint, b: GridPoint) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _right_angle_corner(cell: Cell, base_u: GridPoint, base_v: GridPoint) -> GridPoint:
-    """The corner of the cell making (corner, base_u, base_v) counterclockwise."""
-    corners = {
-        (cell.x, cell.y),
-        (cell.x + 1, cell.y),
-        (cell.x + 1, cell.y + 1),
-        (cell.x, cell.y + 1),
-    }
-    for c in corners - {base_u, base_v}:
-        if _cross(c, base_u, base_v) > 0:
-            return c
-    raise BadSplice(f"no counterclockwise corner in {cell} for base {base_u}->{base_v}")
+def _is_corner(cell, pt: GridPoint) -> bool:
+    return 0 <= pt[0] - cell[0] <= 1 and 0 <= pt[1] - cell[1] <= 1
 
 
-def _cell_corners(cell: Cell) -> set[GridPoint]:
-    return {
-        (cell.x, cell.y),
-        (cell.x + 1, cell.y),
-        (cell.x + 1, cell.y + 1),
-        (cell.x, cell.y + 1),
-    }
+def _check_splice(occupied, cell: Cell, u: GridPoint) -> None:
+    """The splice checks, each O(1): the cell is free, u is one of its
+    corners, and an occupied edge neighbour of the cell has u as a corner."""
+    if cell in occupied:
+        raise BadSplice(f"cell {cell} is already occupied")
+    if not _is_corner(cell, u):
+        raise BadSplice(f"hinge at {u} is not a corner of cell {cell}")
+    x, y = cell
+    if not any(
+        (x + dx, y + dy) in occupied and _is_corner((x + dx, y + dy), u)
+        for dx, dy in NEIGHBOR_STEPS
+    ):
+        raise BadSplice(f"cell {cell} is not attached at {u}")
 
 
-def _opposite_corner(cell: Cell, corner: GridPoint) -> GridPoint:
-    return (2 * cell.x + 1 - corner[0], 2 * cell.y + 1 - corner[1])
+def _halves(cell: Cell, u: GridPoint) -> tuple[PlacedTriangle, PlacedTriangle]:
+    """The pieces X (base u* -> u) and Y (base u -> u*) spliced in at u,
+    where u* is the corner of the cell diagonally opposite u.  Each
+    piece's right angle sits at the cell's other corner that makes its
+    triple counterclockwise."""
+    u_star = (2 * cell.x + 1 - u[0], 2 * cell.y + 1 - u[1])
+    x_corner, y_corner = (u[0], u_star[1]), (u_star[0], u[1])
+    if _cross(x_corner, u_star, u) < 0:
+        x_corner, y_corner = y_corner, x_corner
+    return PlacedTriangle(x_corner, u_star, u), PlacedTriangle(y_corner, u, u_star)
 
 
 @dataclass(frozen=True)
@@ -110,9 +117,6 @@ class PartialFold:
 
     def hinge_point(self, index: int) -> GridPoint:
         return self.triangles[index].base_u
-
-    def hinge_occurrences(self, pt: GridPoint) -> list[int]:
-        return [i for i, t in enumerate(self.triangles) if t.base_u == pt]
 
 
 def base_fold(root: Cell) -> PartialFold:
@@ -133,26 +137,141 @@ def splice_step(state: PartialFold, hinge_index: int, cell: Cell) -> PartialFold
     pieces X (base u* -> u) and Y (base u -> u*) between them, where u*
     is the corner of the cell diagonally opposite u.  The cycle grows by
     two and every previously existing hinge point survives.
+
+    This is the reference form of one step of fold_chain, which makes
+    the same splices on a linked cycle.
     """
-    if cell in state.occupied:
-        raise BadSplice(f"cell {cell} is already occupied")
     if not (0 <= hinge_index < len(state.triangles)):
         raise BadSplice(f"hinge index {hinge_index} out of range")
     u = state.hinge_point(hinge_index)
-    if u not in _cell_corners(cell):
-        raise BadSplice(f"hinge at {u} is not a corner of cell {cell}")
-    if not any(
-        Cell(cell.x + dx, cell.y + dy) in state.occupied
-        and u in _cell_corners(Cell(cell.x + dx, cell.y + dy))
-        for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1))
-    ):
-        raise BadSplice(f"cell {cell} is not attached at {u}")
-    u_star = _opposite_corner(cell, u)
-    x_piece = PlacedTriangle(_right_angle_corner(cell, u_star, u), u_star, u)
-    y_piece = PlacedTriangle(_right_angle_corner(cell, u, u_star), u, u_star)
+    _check_splice(state.occupied, cell, u)
     tris = list(state.triangles)
-    tris[hinge_index + 1 : hinge_index + 1] = [x_piece, y_piece]
+    tris[hinge_index + 1 : hinge_index + 1] = _halves(cell, u)
     return PartialFold(tuple(tris), state.occupied | {cell})
+
+
+class _CycleOrder:
+    """A growing list of nodes whose relative order is one comparison of
+    labels: order maintenance after Dietz & Sleator, "Two algorithms for
+    maintaining order in a list" (1987), and Bender et al., "Two
+    simplified algorithms for maintaining order in a list" (2002).
+
+    Nodes are numbered 0, 1, ... in creation order; node 0 stays first.
+    The list is cut into runs of consecutive nodes, and a node's label is
+    (its run's label, its label in the run).  A node inserted after
+    another joins that node's run, at the midpoint of its neighbours'
+    labels there.  When they leave no room, or the run holds RUN nodes,
+    the run is relabelled evenly, a full one split in two first.  That
+    costs O(RUN), and runs of RUN/2 nodes spread over 2**62 labels take
+    RUN/2 or more insertions before they need it again.  A split adds
+    a run to the list of runs, which is labelled by the simplified
+    algorithm: if the new run's neighbours leave no room, the smallest
+    aligned label range around it whose density is at most (2/3)**level is
+    relabelled evenly, O(log n) amortized per split.  With RUN at least
+    log n, every insertion costs O(1) amortized.
+    """
+
+    RUN = 64  # nodes per run at most; at least the log2 of any list size
+    INNER = 1 << 62  # labels inside a run lie in [0, INNER)
+    TOP_BITS = 62  # run labels lie in [0, 2**TOP_BITS), room for ~5e7 runs
+
+    def __init__(self):
+        self.next = [-1]  # node -> next node, -1 at the end
+        self.run = [0]  # node -> its run
+        self.inner = [self.INNER // 2]  # node -> its label in its run
+        self.run_label = [0]
+        self.run_size = [1]
+        self.run_first = [0]
+        self.run_next = [-1]
+        self.run_prev = [-1]
+
+    def key(self, node: int) -> tuple[int, int]:
+        """Smaller keys come earlier in the list."""
+        return self.run_label[self.run[node]], self.inner[node]
+
+    def insert_after(self, node: int) -> int:
+        """Add a node right after node; return its number."""
+        after = self.next[node]
+        room = self._room(node, after)
+        if room < 2 or self.run_size[self.run[node]] >= self.RUN:
+            self._relabel_run(self.run[node])
+            room = self._room(node, after)
+        new = len(self.next)
+        r = self.run[node]
+        self.next.append(after)
+        self.next[node] = new
+        self.run.append(r)
+        self.run_size[r] += 1
+        self.inner.append(self.inner[node] + room // 2)
+        return new
+
+    def _room(self, node: int, after: int) -> int:
+        """The label gap after node inside its run."""
+        if after != -1 and self.run[after] == self.run[node]:
+            return self.inner[after] - self.inner[node]
+        return self.INNER - self.inner[node]
+
+    def _relabel_run(self, r: int) -> None:
+        nodes = []
+        node = self.run_first[r]
+        while node != -1 and self.run[node] == r:
+            nodes.append(node)
+            node = self.next[node]
+        if len(nodes) >= self.RUN:
+            half = len(nodes) // 2
+            new = self._insert_run_after(r)
+            self.run_first[new] = nodes[half]
+            for node in nodes[half:]:
+                self.run[node] = new
+            self.run_size[new] = len(nodes) - half
+            self.run_size[r] = half
+            self._spread(nodes[half:])
+            nodes = nodes[:half]
+        self._spread(nodes)
+
+    def _spread(self, nodes: list[int]) -> None:
+        step = self.INNER // (len(nodes) + 1)
+        for k, node in enumerate(nodes, 1):
+            self.inner[node] = k * step
+
+    def _insert_run_after(self, r: int) -> int:
+        after = self.run_next[r]
+        labels = self.run_label
+        if (labels[after] if after != -1 else 1 << self.TOP_BITS) - labels[r] < 2:
+            self._relabel_runs_around(r)
+        high = labels[after] if after != -1 else 1 << self.TOP_BITS
+        new = len(labels)
+        labels.append((labels[r] + high) // 2)
+        self.run_size.append(0)
+        self.run_first.append(-1)
+        self.run_next.append(after)
+        self.run_prev.append(r)
+        self.run_next[r] = new
+        if after != -1:
+            self.run_prev[after] = new
+        return new
+
+    def _relabel_runs_around(self, r: int) -> None:
+        """Spread the runs of the smallest aligned label range around run r
+        that holds at most (2/3)**level runs per label, one more run included."""
+        labels = self.run_label
+        for level in range(1, self.TOP_BITS + 1):
+            lo = labels[r] >> level << level
+            hi = lo + (1 << level)
+            first = r
+            while self.run_prev[first] != -1 and labels[self.run_prev[first]] >= lo:
+                first = self.run_prev[first]
+            runs = []
+            k = first
+            while k != -1 and labels[k] < hi:
+                runs.append(k)
+                k = self.run_next[k]
+            if len(runs) + 1 <= (4 / 3) ** level:
+                step = (hi - lo) // (len(runs) + 1)
+                for j, k in enumerate(runs):
+                    labels[k] = lo + j * step
+                return
+        raise ChainError("too many runs for the label space")
 
 
 @dataclass(frozen=True)
@@ -163,39 +282,65 @@ class FoldResult:
     placed: tuple[PlacedTriangle, ...] = ()
 
 
+class _Fractions(dict):
+    """int -> Fraction, each distinct int converted once."""
+
+    def __missing__(self, value: int) -> Fraction:
+        self[value] = f = Fraction(value)
+        return f
+
+
 def fold_chain(p: Polyomino) -> FoldResult:
     """Deterministic fold of the canonical 2n-cycle onto the polyomino.
 
     Cells are visited in dual-spanning-tree preorder.  For each new cell
     the splice hinge is chosen at the lexicographically smallest corner
     of the attachment edge carrying a hinge, lowest cycle index first.
+
+    The cycle is a linked list of triangles with order-maintenance
+    labels, and each lattice point maps to the list nodes of its hinges,
+    so a cell costs O(1) amortized and the fold O(n).  It makes the same
+    splices, with the same checks, as base_fold and splice_step.
     """
     tree = dual_spanning_tree(p)
-    state = base_fold(tree.root)
-    for entry in tree.entries:
-        state = splice_step(state, _pick_hinge(state, entry.edge), entry.cell)
-
-    placements = tuple(t.placement() for t in state.triangles)
-    n = p.cell_count
-    figure = canonical_chain_figure(n)
-    config = Configuration(placements, "exact")
-    cell_map: dict[Cell, tuple[int, int]] = {}
-    for i, t in enumerate(state.triangles):
-        cell = t.cell()
-        if cell in cell_map:
-            cell_map[cell] = (cell_map[cell][0], i)
+    triangles = list(base_fold(tree.root).triangles)
+    cells = [tree.root, tree.root]
+    order = _CycleOrder()
+    order.insert_after(0)  # node 1, the root's NE half
+    hinges: dict[GridPoint, list[int]] = {}  # point -> nodes whose hinge is there
+    for node, t in enumerate(triangles):
+        hinges.setdefault(t.base_u, []).append(node)
+    occupied = {tree.root}
+    for cell, _, edge in tree.entries:
+        for endpoint in edge:  # edge endpoints arrive lexicographically sorted
+            at = hinges.get(endpoint)
+            if at:
+                break
         else:
-            cell_map[cell] = (i, i)
-    return FoldResult(figure, config, cell_map, state.triangles)
+            raise BadSplice(f"no hinge at either endpoint of edge {edge}")
+        node = at[0] if len(at) == 1 else min(at, key=order.key)
+        _check_splice(occupied, cell, endpoint)
+        occupied.add(cell)
+        for piece in _halves(cell, endpoint):
+            node = order.insert_after(node)
+            triangles.append(piece)
+            cells.append(cell)
+            hinges.setdefault(piece.base_u, []).append(node)
 
-
-def _pick_hinge(state: PartialFold, edge) -> int:
-    """Lowest cycle index at the smallest attachment-edge endpoint with a hinge."""
-    for endpoint in edge:  # edge endpoints arrive lexicographically sorted
-        occurrences = state.hinge_occurrences(endpoint)
-        if occurrences:
-            return occurrences[0]
-    raise BadSplice(f"no hinge at either endpoint of edge {edge}")
+    placed = []
+    cell_map: dict[Cell, tuple[int, int]] = {}
+    node = 0
+    while node != -1:
+        cell = cells[node]
+        first = cell_map.get(cell)
+        cell_map[cell] = (len(placed), len(placed)) if first is None else (first[0], len(placed))
+        placed.append(triangles[node])
+        node = order.next[node]
+    fractions = _Fractions()
+    placements = tuple(t.placement(fractions.__getitem__) for t in placed)
+    figure = canonical_chain_figure(p.cell_count)
+    config = Configuration(placements, "exact")
+    return FoldResult(figure, config, cell_map, tuple(placed))
 
 
 @dataclass(frozen=True)

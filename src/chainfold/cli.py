@@ -32,6 +32,7 @@ from .figures import (
     load_hdj,
     save_hdj,
     verify_configuration,
+    write_json,
 )
 from .kinematics import motion_frame_json, sample_motion
 from .polyomino import Polyomino, cells_from_json, parse_grid, random_polyomino, to_grid
@@ -44,7 +45,7 @@ EXIT_INTERNAL = 3
 
 CHART_TOLERANCE = 1e-9
 MAX_FRAMES = 1000  # animate holds every frame and the whole SVG in memory
-MAX_GEN_CELLS = 16384  # random_polyomino's growth is quadratic in the cell count
+MAX_GEN_CELLS = 16384  # bounds the grid, and the fold and exact verify of it
 
 
 def _fail(message: str) -> int:
@@ -223,7 +224,7 @@ def cmd_bg(args) -> int:
         return EXIT_REJECTED
     try:
         with atomic_output(args.out) as fh:
-            json.dump(chart_to_json(mutual), fh, indent=1)
+            write_json(chart_to_json(mutual), fh)
             fh.write("\n")
         if args.svg:
             with atomic_output(args.svg) as fh:

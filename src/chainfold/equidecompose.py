@@ -570,18 +570,40 @@ def chart_to_json(c: DissectionChart) -> dict:
     }
 
 
+def _float_piece(piece) -> tuple:
+    """An approximate chart's piece: float (x, y) points, each coordinate
+    read exactly and then rounded, so a finite one; 3 or more of them."""
+    try:
+        points = tuple((float(p.x), float(p.y)) for p in map(point_from_json, piece))
+    except OverflowError as exc:
+        raise DissectionError(f"a piece coordinate is beyond the float range: {exc}") from None
+    if len(points) < 3:
+        raise DissectionError(f"a chart piece needs 3 or more vertices, got {len(points)}")
+    return points
+
+
 def chart_from_json(obj) -> DissectionChart:
+    """Read a chart written by chart_to_json.
+
+    The exactness rule: a chart is approximate when any piece coordinate
+    is a JSON float, and exact otherwise.  An exact chart's pieces are
+    validated SimplePolygons.  An approximate chart's pieces are tuples
+    of finite float (x, y) points, at least 3 per piece, and are not
+    validated as exact polygons: a chart that verify_chart accepts may
+    hold float vertices 6e-16 apart, which exact validation rejects.
+    verify_chart checks them.  Source and target are exact polygons
+    either way.  Any malformed or non-finite value is a DissectionError.
+    """
     try:
         source = SimplePolygon([point_from_json(v) for v in obj["source"]])
         target = SimplePolygon([point_from_json(v) for v in obj["target"]])
-        exact = True
-        for piece in obj["pieces"]:
-            for coord in piece:
-                if any(isinstance(x, float) for x in coord):
-                    exact = False
-        pieces = [SimplePolygon([point_from_json(v) for v in piece]) for piece in obj["pieces"]]
-        if not exact:
-            pieces = [tuple(float_polygon(p.as_tuples())) for p in pieces]
+        exact = not any(
+            isinstance(x, float) for piece in obj["pieces"] for coord in piece for x in coord
+        )
+        if exact:
+            pieces = [SimplePolygon([point_from_json(v) for v in piece]) for piece in obj["pieces"]]
+        else:
+            pieces = [_float_piece(piece) for piece in obj["pieces"]]
         motions = [
             NumericMotion(float(m["angle_rad"]), float(m["tx"]), float(m["ty"]))
             for m in obj["target_motions"]
@@ -589,5 +611,7 @@ def chart_from_json(obj) -> DissectionChart:
         if len(motions) != len(pieces):
             raise DissectionError("piece and motion counts differ")
         return DissectionChart(pieces, motions, source, target, exact)
-    except (KeyError, TypeError) as exc:
+    except DissectionError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise DissectionError(f"bad chart encoding: {exc}") from exc

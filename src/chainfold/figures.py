@@ -14,9 +14,11 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from .exact_geom import (
+    Point2,
     RigidMotion,
     SimplePolygon,
     point,
@@ -350,9 +352,15 @@ def _point_encoder(approx: bool):
 
 
 def figure_to_json(f: HingedFigure, approx: bool = False) -> dict:
+    """The figure as JSON values; pieces that are one SimplePolygon share
+    one encoded list, which write_json formats once."""
     encode = _point_encoder(approx)
+    encoded = {}
+    for piece in f.pieces:
+        if id(piece) not in encoded:
+            encoded[id(piece)] = [encode(v) for v in piece.vertices]
     return {
-        "pieces": [[encode(v) for v in piece.vertices] for piece in f.pieces],
+        "pieces": [encoded[id(piece)] for piece in f.pieces],
         "hinges": [[h.piece_a, h.vertex_a, h.piece_b, h.vertex_b] for h in f.hinges],
         "topology": f.topology_tag,
     }
@@ -361,22 +369,30 @@ def figure_to_json(f: HingedFigure, approx: bool = False) -> dict:
 def figure_from_json(obj) -> HingedFigure:
     """Parse a figure; identical pieces share one validated SimplePolygon.
 
-    Pieces are keyed on their parsed points, not on the JSON values
-    (true == 1 == 1.0 there), and the keys live for this call only.  A
-    key holds each coordinate's numerator and denominator, which hash
-    much faster than the Fraction.
+    A piece is looked up first by the repr of its JSON values, which
+    keeps true, 1, 1.0 and "1" apart as their JSON text does and costs a
+    third of json.dumps, then by its parsed points, since true == 1 ==
+    1.0 there.  A points key holds each coordinate's numerator and
+    denominator, which hash much faster than the Fraction.  Both lookups
+    live for this call only.
     """
     try:
-        polygons: dict[tuple, SimplePolygon] = {}
+        by_text: dict[str, SimplePolygon] = {}
+        by_points: dict[tuple, SimplePolygon] = {}
         pieces = []
         for piece in obj["pieces"]:
-            pts = [point_from_json(v) for v in piece]
-            key = tuple(
-                (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in pts
-            )
-            if key not in polygons:
-                polygons[key] = SimplePolygon(pts)
-            pieces.append(polygons[key])
+            text = repr(piece)
+            polygon = by_text.get(text)
+            if polygon is None:
+                pts = [point_from_json(v) for v in piece]
+                key = tuple(
+                    (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+                    for p in pts
+                )
+                if key not in by_points:
+                    by_points[key] = SimplePolygon(pts)
+                polygon = by_text[text] = by_points[key]
+            pieces.append(polygon)
         pieces = tuple(pieces)
         hinges = tuple(Hinge(*[int_from_json(x) for x in h]) for h in obj["hinges"])
         return HingedFigure(pieces, hinges, obj.get("topology", "general"))
@@ -407,13 +423,30 @@ def configuration_to_json(nc: NamedConfiguration) -> dict:
     return out
 
 
+def _rat_once(cache: dict, value) -> Fraction:
+    """rat(value), converted once per distinct (type, value) in cache;
+    the type keeps true, which rat rejects, apart from 1."""
+    try:
+        return cache[type(value), value]
+    except KeyError:
+        cache[type(value), value] = r = rat(value)
+        return r
+    except TypeError:  # an unhashable value: rat names it in its error
+        return rat(value)
+
+
 def configuration_from_json(obj) -> NamedConfiguration:
     if not isinstance(obj, dict):
         raise HdjError(f"bad configuration encoding: expected an object, got {obj!r}")
     try:
         mode = obj.get("mode", "exact")
+        cache: dict = {}
         placements = tuple(
-            RigidMotion(rat(m["cos"]), rat(m["sin"]), point(m["tx"], m["ty"]))
+            RigidMotion(
+                _rat_once(cache, m["cos"]),
+                _rat_once(cache, m["sin"]),
+                Point2(_rat_once(cache, m["tx"]), _rat_once(cache, m["ty"])),
+            )
             for m in obj["placements"]
         )
         tol = obj.get("tolerance")
@@ -503,6 +536,135 @@ def _json_list(obj: dict, key: str) -> list:
     return value
 
 
+def _float_text(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v in (math.inf, -math.inf):
+        return "Infinity" if v > 0 else "-Infinity"
+    return float.__repr__(v)
+
+
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _scalar_text(v) -> str:
+    """The JSON text of a value that is not a list, tuple or dict;
+    subclasses of str, int and float are written as their base type, as
+    json does."""
+    text = _SCALAR_TEXT.get(type(v))
+    if text is not None:
+        return text(v)
+    for base in (str, int, float):
+        if isinstance(v, base):
+            return _SCALAR_TEXT[base](v)
+    raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (bool, int, float)) or key is None:
+        return encode_basestring_ascii(_scalar_text(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+class _IndentedJson:
+    """The text of json.dumps(obj, indent=1), built with the scalar
+    formatters the json module itself uses.
+
+    A first walk counts the references to every list, tuple and dict.
+    A container met more than once, such as a piece that every position
+    of a chain figure shares, is formatted once per nesting level and its
+    text kept; every other text is dropped once its parent has it.
+    """
+
+    def __init__(self, obj):
+        self.obj = obj
+        refs = {id(obj): 1}
+        stack = [obj] if isinstance(obj, (list, tuple, dict)) else []
+        while stack:
+            o = stack.pop()
+            # plain scalars drop out by a type lookup, faster than isinstance
+            for v in [v for v in (o.values() if isinstance(o, dict) else o)
+                      if type(v) not in _SCALAR_TEXT]:
+                if not isinstance(v, (list, tuple, dict)):
+                    continue
+                if id(v) in refs:
+                    refs[id(v)] += 1
+                else:
+                    refs[id(v)] = 1
+                    stack.append(v)
+        self.repeated = {i for i, count in refs.items() if count > 1}
+        self.texts = {}  # (id, level) -> text of a repeated container
+        self.open = set()  # ids of the repeated containers being formatted
+
+    def chunks(self):
+        """The text in pieces: the brackets and each top-level item."""
+        o = self.obj
+        if not isinstance(o, (list, tuple, dict)):
+            yield _scalar_text(o)
+            return
+        brackets = "{}" if isinstance(o, dict) else "[]"
+        if not o:
+            yield brackets
+            return
+        self.open.add(id(o))
+        sep = brackets[0] + "\n "
+        for item in self._items(o, 1):
+            yield sep + item
+            sep = ",\n "
+        yield "\n" + brackets[1]
+
+    def _items(self, o, level: int) -> list:
+        """The texts of a container's items (with their keys) at level."""
+        scalar, text = _SCALAR_TEXT.get, self._text
+        if isinstance(o, dict):
+            return [
+                (encode_basestring_ascii(k) if type(k) is str else _key_text(k)) + ": "
+                + (f(v) if (f := scalar(type(v))) else text(v, level))
+                for k, v in o.items()
+            ]
+        return [f(v) if (f := scalar(type(v))) else text(v, level) for v in o]
+
+    def _text(self, v, level: int) -> str:
+        if not isinstance(v, (list, tuple, dict)):
+            return _scalar_text(v)
+        key = id(v)
+        if key not in self.repeated:
+            return self._container(v, level)
+        text = self.texts.get((key, level))
+        if text is None:
+            if key in self.open:
+                raise ValueError("Circular reference detected")
+            self.open.add(key)
+            text = self.texts[key, level] = self._container(v, level)
+            self.open.discard(key)
+        return text
+
+    def _container(self, v, level: int) -> str:
+        brackets = "{}" if isinstance(v, dict) else "[]"
+        if not v:
+            return brackets
+        inner = "\n" + " " * (level + 1)
+        return (brackets[0] + inner + ("," + inner).join(self._items(v, level + 1))
+                + "\n" + " " * level + brackets[1])
+
+
+def write_json(obj, fh) -> None:
+    """Write exactly json.dumps(obj, indent=1) to fh, one top-level item at
+    a time.  json.dump with an indent always runs the pure-Python encoder;
+    this runs the json module's own scalar formatters in a few list
+    comprehensions and formats a repeated container once."""
+    for chunk in _IndentedJson(obj).chunks():
+        fh.write(chunk)
+
+
 @contextlib.contextmanager
 def atomic_output(path):
     """Open a text file that appears at path complete or not at all.
@@ -526,7 +688,7 @@ def atomic_output(path):
 
 def save_hdj(path, doc: HdjFile):
     with atomic_output(path) as fh:
-        json.dump(hdj_to_json(doc), fh, indent=1)
+        write_json(hdj_to_json(doc), fh)
         fh.write("\n")
 
 

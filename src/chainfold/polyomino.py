@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -252,18 +253,24 @@ def dual_spanning_tree(p: Polyomino) -> DualSpanningTree:
 
 
 def random_polyomino(n: int, seed: int) -> Polyomino:
-    """Seeded random growth: repeatedly attach a uniformly chosen boundary cell."""
+    """Seeded random growth: repeatedly attach a uniformly chosen boundary cell.
+
+    The pick is the k-th frontier cell in sorted order, k drawn uniformly;
+    the frontier is kept sorted, so a step costs a bisection and a list
+    insert or delete instead of a sort.
+    """
     if n < 1:
         raise BadSize(f"cell count must be >= 1, got {n}")
     rng = random.Random(seed)
     cells = {Cell(0, 0)}
-    frontier = {Cell(dx, dy) for dx, dy in NEIGHBOR_STEPS}
+    frontier = sorted(Cell(dx, dy) for dx, dy in NEIGHBOR_STEPS)
     while len(cells) < n:
-        pick = sorted(frontier)[rng.randrange(len(frontier))]
+        pick = frontier.pop(rng.randrange(len(frontier)))
         cells.add(pick)
-        frontier.discard(pick)
         for dx, dy in NEIGHBOR_STEPS:
             nb = Cell(pick.x + dx, pick.y + dy)
             if nb not in cells:
-                frontier.add(nb)
+                at = bisect.bisect_left(frontier, nb)
+                if at == len(frontier) or frontier[at] != nb:
+                    frontier.insert(at, nb)
     return Polyomino(cells).translated_to_origin()

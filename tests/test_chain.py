@@ -1,10 +1,15 @@
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainfold.chain import (
     AreaMismatch,
     BadSplice,
     PlacedTriangle,
     UnknownShape,
+    _CycleOrder,
     base_fold,
     dissect_pair,
     fold_chain,
@@ -14,8 +19,44 @@ from chainfold.chain import (
 )
 from chainfold.exact_geom import apply_motion, point
 from chainfold.figures import canonical_chain_figure, figures_equal, verify_configuration
-from chainfold.polyomino import Cell, parse_grid, random_polyomino
+from chainfold.polyomino import Cell, dual_spanning_tree, parse_grid, random_polyomino
 from conftest import TETROMINO_GRIDS, canonical_cycle, enumerate_half_square_cycles
+
+
+def hinge_occurrences(state, pt) -> list[int]:
+    """Cycle indices of the hinges at pt, in cycle order."""
+    return [i for i, t in enumerate(state.triangles) if t.base_u == pt]
+
+
+def pick_hinge(state, edge) -> int:
+    """Lowest cycle index at the smallest attachment-edge endpoint with a hinge."""
+    for endpoint in edge:  # edge endpoints arrive lexicographically sorted
+        occurrences = hinge_occurrences(state, endpoint)
+        if occurrences:
+            return occurrences[0]
+    raise BadSplice(f"no hinge at either endpoint of edge {edge}")
+
+
+def reference_fold(p, ties=None):
+    """fold_chain's triangles by base_fold and splice_step, scanning the
+    whole cycle for every cell.  ties, if given, receives one entry per
+    splice whose point holds two or more hinges: (their count, whether
+    the lowest cycle index is not the one created first)."""
+    tree = dual_spanning_tree(p)
+    state = base_fold(tree.root)
+    born = {t: 0 for t in state.triangles}
+    for step, entry in enumerate(tree.entries, 1):
+        hinge = pick_hinge(state, entry.edge)
+        if ties is not None:
+            at = hinge_occurrences(state, state.hinge_point(hinge))
+            if len(at) > 1:
+                first = min(at, key=lambda i: born[state.triangles[i]])
+                ties.append((len(at), first != hinge))
+        state = splice_step(state, hinge, entry.cell)
+        if ties is not None:
+            for t in state.triangles:
+                born.setdefault(t, step)
+    return state.triangles
 
 
 class TestFoldBasics:
@@ -95,19 +136,12 @@ class TestHingeAvailability:
     def test_invariant_after_every_splice(self):
         # every occupied cell keeps hinges at two diagonally opposite
         # corners, and hinge points never disappear
-        from chainfold.polyomino import dual_spanning_tree
-
         p = random_polyomino(14, 8)
         tree = dual_spanning_tree(p)
         state = base_fold(tree.root)
         points_ever = set(t.base_u for t in state.triangles)
         for entry in tree.entries:
-            hinge = next(
-                i
-                for endpoint in entry.edge
-                for i in state.hinge_occurrences(endpoint)
-            )
-            state = splice_step(state, hinge, entry.cell)
+            state = splice_step(state, pick_hinge(state, entry.edge), entry.cell)
             current = [t.base_u for t in state.triangles]
             for pt in points_ever:
                 assert pt in current
@@ -170,6 +204,86 @@ class TestSpliceStep:
         state = base_fold(Cell(0, 0))
         out = splice_step(state, 0, Cell(1, 0))
         assert len(out.triangles) == len(state.triangles) + 2
+
+
+class TestLinearFold:
+    """fold_chain against reference_fold, the splice_step loop it replaced."""
+
+    @given(st.integers(1, 512), st.integers(0, 2**32 - 1))
+    def test_matches_reference_on_random_shapes(self, n, seed):
+        p = random_polyomino(n, seed)
+        assert fold_chain(p).placed == reference_fold(p)
+
+    def test_matches_reference_at_4096_cells(self):
+        p = random_polyomino(4096, 11)
+        assert fold_chain(p).placed == reference_fold(p)
+
+    def test_lowest_cycle_index_among_tied_hinges(self):
+        # one splice point holds two hinges whose lowest cycle index is
+        # the later-created one, so creation order would pick wrong
+        p = parse_grid(".##\n###\n##.")
+        ties = []
+        expected = reference_fold(p, ties)
+        assert any(count >= 2 and later for count, later in ties)
+        assert fold_chain(p).placed == expected
+
+    def test_ties_of_three_or_more_hinges(self):
+        ties = []
+        for seed in range(4):
+            p = random_polyomino(200, seed)
+            assert fold_chain(p).placed == reference_fold(p, ties)
+        assert any(count >= 3 for count, _ in ties)
+
+    def test_cell_map_pairs_each_cells_halves(self):
+        fr = fold_chain(random_polyomino(300, 2))
+        expected = {}
+        for i, t in enumerate(fr.placed):
+            cell = t.cell()
+            expected[cell] = (expected[cell][0], i) if cell in expected else (i, i)
+        assert fr.cell_map == expected
+
+
+class _TinyOrder(_CycleOrder):
+    """Labels small enough that runs split and run labels run out; it
+    counts both kinds of relabelling."""
+
+    RUN = 4
+    INNER = 1 << 4
+    TOP_BITS = 24
+
+    def __init__(self):
+        super().__init__()
+        self.relabels = {"run": 0, "runs": 0}
+
+    def _relabel_run(self, r):
+        self.relabels["run"] += 1
+        super()._relabel_run(r)
+
+    def _relabel_runs_around(self, r):
+        self.relabels["runs"] += 1
+        super()._relabel_runs_around(r)
+
+
+class TestCycleOrder:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_keys_follow_list_order_through_relabels(self, seed):
+        rng = random.Random(seed)
+        order, expected = _TinyOrder(), [0]
+        for _ in range(300):
+            # half the insertions go after the first three nodes, to
+            # exhaust the same label gaps over and over
+            after = expected[rng.randrange(min(3, len(expected)) if rng.random() < 0.5
+                                           else len(expected))]
+            expected.insert(expected.index(after) + 1, order.insert_after(after))
+        walk, node = [], 0
+        while node != -1:
+            walk.append(node)
+            node = order.next[node]
+        assert walk == expected
+        keys = [order.key(node) for node in expected]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert order.relabels["run"] and order.relabels["runs"]
+        assert max(order.run_size) <= _TinyOrder.RUN
 
 
 class TestOracle:

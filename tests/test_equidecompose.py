@@ -1,3 +1,5 @@
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from chainfold.equidecompose import (
     BadWidth,
     DegenerateTriangle,
     DissectionChart,
+    DissectionError,
     RectangleForm,
     TargetMismatch,
     WidthMismatch,
@@ -34,6 +37,7 @@ from chainfold.exact_geom import (
     polygon,
     polygon_area,
 )
+from chainfold.figures import write_json
 from chainfold.numeric import NumericMotion
 
 from conftest import criterion_8_cases, rational_convex_hull
@@ -527,3 +531,43 @@ class TestChartTolerance:
 
     def test_zero_tolerance_is_allowed(self):
         assert verify_chart(polygon_to_canonical_chart(UNIT_SQUARE, 1), 0.0).accepted
+
+
+class TestChartReadBack:
+    def test_congruent_random_7_reads_back_and_verifies(self, criterion_8_pairs):
+        # its mutual chart holds a piece with two float vertices 6e-16
+        # apart, which exact validation rejects
+        pa, pb, width = criterion_8_pairs["random-7"]
+        mutual = overlay_charts(
+            polygon_to_canonical_chart(_quarter_turned(pa, 2, (-3, 2)), width),
+            polygon_to_canonical_chart(_quarter_turned(pb, 0, (-2, 0)), width),
+        )
+        decoded = chart_from_json(chart_to_json(mutual))
+        assert not decoded.source_exact
+        assert decoded.pieces == mutual.pieces
+        assert verify_chart(decoded, 1e-9).accepted
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10**400])
+    def test_non_finite_coordinate_raises(self, bad):
+        encoded = chart_to_json(_overlay_chart())
+        encoded["pieces"][0][1][0] = bad
+        with pytest.raises(DissectionError):
+            chart_from_json(encoded)
+
+    def test_float_piece_needs_three_vertices(self):
+        encoded = chart_to_json(_overlay_chart())
+        encoded["pieces"][0] = encoded["pieces"][0][:2]
+        with pytest.raises(DissectionError, match="3 or more"):
+            chart_from_json(encoded)
+
+
+def test_chart_json_written_as_json_dumps(criterion_8_pairs):
+    """The bg chart JSON of every criterion-8 pair, written by write_json,
+    is exactly json.dumps(chart, indent=1)."""
+    for label, (pa, pb, width) in criterion_8_pairs.items():
+        mutual = overlay_charts(polygon_to_canonical_chart(pa, width),
+                                polygon_to_canonical_chart(pb, width))
+        obj = chart_to_json(mutual)
+        fh = io.StringIO()
+        write_json(obj, fh)
+        assert fh.getvalue() == json.dumps(obj, indent=1), label

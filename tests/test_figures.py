@@ -1,9 +1,10 @@
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
-from chainfold.chain import fold_chain
+from chainfold.chain import dissect_pair, fold_chain
 from chainfold.exact_geom import RigidMotion, point, polygon
 from chainfold.figures import (
     Configuration,
@@ -24,9 +25,12 @@ from chainfold.figures import (
     figures_equal,
     hdj_from_json,
     hdj_to_json,
+    save_hdj,
     verify_configuration,
+    write_json,
 )
 from chainfold.polyomino import BadSize, parse_grid
+from conftest import TETROMINO_GRIDS
 
 UNIT_SQUARE = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -277,3 +281,94 @@ class TestPieceSharing:
             encoded["hinges"][0][1] = bad
             with pytest.raises(HdjError):
                 figure_from_json(encoded)
+
+
+def _written(obj) -> str:
+    fh = io.StringIO()
+    write_json(obj, fh)
+    return fh.getvalue()
+
+
+class TestWriteJson:
+    """write_json writes exactly the text of json.dumps(obj, indent=1)."""
+
+    FOLD = parse_grid("###\n#.#")
+    TURNED = RigidMotion(Fraction(3, 5), Fraction(4, 5), point("1/3", 0))
+
+    def _fold_document(self, mode, name="fold", tolerance=None):
+        fr = fold_chain(self.FOLD)
+        placements = (self.TURNED,) + fr.config.placements[1:]
+        config = Configuration(placements, mode, tolerance)
+        return HdjFile(fr.figure, [NamedConfiguration(name, config)],
+                       [NamedTarget("target", "polyomino", self.FOLD)], dict(fr.cell_map))
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_fold_documents(self, mode):
+        obj = hdj_to_json(self._fold_document(mode))
+        assert _written(obj) == json.dumps(obj, indent=1)
+
+    def test_dissect_document(self):
+        a, b = parse_grid(TETROMINO_GRIDS["L4"]), parse_grid(TETROMINO_GRIDS["T4"])
+        hd = dissect_pair(a, b)
+        doc = HdjFile(hd.figure,
+                      [NamedConfiguration("fold_a", hd.config_a),
+                       NamedConfiguration("fold_b", hd.config_b)],
+                      [NamedTarget("a", "polyomino", a), NamedTarget("b", "polyomino", b)])
+        obj = hdj_to_json(doc)
+        assert _written(obj) == json.dumps(obj, indent=1)
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_polygon_target(self, mode):
+        f = HingedFigure((UNIT_SQUARE,), ())
+        doc = HdjFile(f, [NamedConfiguration("id", Configuration((self.TURNED,), mode))],
+                      [NamedTarget("square", "polygon", UNIT_SQUARE)])
+        obj = hdj_to_json(doc)
+        assert _written(obj) == json.dumps(obj, indent=1)
+
+    def test_no_configurations(self):
+        obj = hdj_to_json(HdjFile(canonical_chain_figure(2), [],
+                                  [NamedTarget("t", "polyomino", parse_grid("##"))]))
+        assert obj["configurations"] == []
+        assert _written(obj) == json.dumps(obj, indent=1)
+
+    def test_names_that_need_escapes(self):
+        name = 'q"b\\s]c\u00e9\U0001F600\n'
+        obj = hdj_to_json(self._fold_document("exact", name=name))
+        assert _written(obj) == json.dumps(obj, indent=1)
+        assert _written({name: [name]}) == json.dumps({name: [name]}, indent=1)
+
+    def test_floats(self):
+        floats = [-0.0, 1e-300, 0.1, 1e300, float("nan"), float("inf"), -float("inf")]
+        assert _written(floats) == json.dumps(floats, indent=1)
+        obj = hdj_to_json(self._fold_document("approx", tolerance=-0.0))
+        assert obj["configurations"][0]["tolerance"] == 0
+        assert _written(obj) == json.dumps(obj, indent=1)
+
+    def test_scalars_keys_and_empty_containers(self):
+        for obj in (None, True, 7, "s", 0.5, [], {}, [[], {}], {"a": {}, "b": [[]]},
+                    {1: "int", 2.5: "float", False: "bool", None: "none"}, (1, (2,))):
+            assert _written(obj) == json.dumps(obj, indent=1)
+
+    def test_shared_containers_at_two_levels(self):
+        shared = {"p": [1, 2]}
+        obj = [shared, [shared, {"k": shared}], shared]
+        assert _written(obj) == json.dumps(obj, indent=1)
+
+    def test_circular_and_unserializable_values_raise_as_in_json(self):
+        loop = []
+        loop.append([loop])
+        for bad, error in ((loop, ValueError), ([object()], TypeError), ({(1,): 2}, TypeError)):
+            with pytest.raises(error):
+                json.dumps(bad, indent=1)
+            with pytest.raises(error):
+                _written(bad)
+
+    def test_figure_to_json_encodes_each_distinct_piece_once(self):
+        pieces = figure_to_json(fold_chain(self.FOLD).figure)["pieces"]
+        assert all(piece is pieces[0] for piece in pieces)
+
+    def test_save_hdj_writes_the_json_text(self, tmp_path):
+        doc = self._fold_document("exact")
+        save_hdj(tmp_path / "f.hdj", doc)
+        text = (tmp_path / "f.hdj").read_text(encoding="utf-8")
+        assert text == json.dumps(hdj_to_json(doc), indent=1) + "\n"

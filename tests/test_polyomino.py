@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from chainfold.exact_geom import polygon_area
 from chainfold.polyomino import (
     BadCharacter,
     BadSize,
+    NEIGHBOR_STEPS,
     Cell,
     CornerContact,
     Disconnected,
@@ -192,3 +194,25 @@ class TestPolyomino:
     def test_empty_rejected(self):
         with pytest.raises(EmptyShape):
             Polyomino([])
+
+
+def _sorted_every_step(n: int, seed: int) -> Polyomino:
+    """random_polyomino's growth as first written: the frontier is a set,
+    sorted at every step to draw its k-th cell."""
+    rng = random.Random(seed)
+    cells = {Cell(0, 0)}
+    frontier = {Cell(dx, dy) for dx, dy in NEIGHBOR_STEPS}
+    while len(cells) < n:
+        pick = sorted(frontier)[rng.randrange(len(frontier))]
+        cells.add(pick)
+        frontier.discard(pick)
+        for dx, dy in NEIGHBOR_STEPS:
+            nb = Cell(pick.x + dx, pick.y + dy)
+            if nb not in cells:
+                frontier.add(nb)
+    return Polyomino(cells).translated_to_origin()
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 5), (9, 1), (64, 1000), (300, 7), (1024, 0), (2000, 42)])
+def test_sorted_frontier_grows_the_same_shapes(n, seed):
+    assert random_polyomino(n, seed) == _sorted_every_step(n, seed)
