@@ -15,6 +15,7 @@ import sys
 
 from .chain import dissect_pair, fold_chain
 from .equidecompose import (
+    MAX_HALVINGS,
     chart_to_json,
     overlay_charts,
     polygon_to_canonical_chart,
@@ -288,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bg = sub.add_parser("bg", help="mutual dissection of two equal-area polygons")
     p_bg.add_argument("--a", required=True, help="first polygon JSON ([[x,y],...])")
     p_bg.add_argument("--b", required=True, help="second polygon JSON")
-    p_bg.add_argument("--width", default="1", help="common rectangle width (rational)")
+    p_bg.add_argument("--width", default="1",
+                      help="common rectangle width (rational); a width that cuts a rectangle "
+                      f"into more than 2**{MAX_HALVINGS} strips is rejected (default: 1)")
     p_bg.add_argument("--out", required=True, help="output chart JSON")
     p_bg.add_argument("--svg", help="also render the chart side by side")
     p_bg.set_defaults(func=cmd_bg)

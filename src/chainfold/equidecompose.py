@@ -27,9 +27,13 @@ from .exact_geom import (
     RigidMotion,
     SimplePolygon,
     _bbox,
-    _bboxes_interiors_overlap,
-    _convex_clip,
+    _clip_homogeneous,
+    _convex_clip,  # noqa: F401 - looked up by perfbench/tracing.py
     _dedupe_collinear,
+    _homogeneous,
+    _int_affine,
+    _lines,
+    _map_homogeneous,
     _signed_area2,
     apply_motion,
     invert_motion,
@@ -41,7 +45,7 @@ from .exact_geom import (
     rational_to_json,
     triangulate_simple,
 )
-from .figures import VerifyReport, _partition_failures, check_tolerance
+from .figures import VerifyReport, _partition_failures, _value_text, check_tolerance
 from .numeric import (
     NUMERIC_IDENTITY,
     NumericMotion,
@@ -58,6 +62,7 @@ log = logging.getLogger(__name__)
 
 SLIVER_FRACTION = 1e-12  # fragments below this share of the total area are dropped
 SNAP_DENOMINATOR = 10**12
+MAX_HALVINGS = 10  # width normalization cuts a rectangle into at most 2**10 strips
 
 
 class DissectionError(ValueError):
@@ -126,13 +131,10 @@ class RectangleForm:
     def polygon(self) -> SimplePolygon:
         return SimplePolygon(self.corners)
 
-    def frame_point(self, alpha: Fraction, beta: Fraction) -> Point2:
-        """Map intrinsic-frame coordinates in [0,1]^2 to the plane."""
-        return self.corners[0] + self.u.scaled(alpha) + self.v.scaled(beta)
-
     def frame_coords(self, q: Point2) -> tuple[Fraction, Fraction]:
-        """Exact inverse of frame_point; u and v are perpendicular, so each
-        coordinate is a projection."""
+        """Intrinsic-frame coordinates (alpha, beta), in [0,1]^2 inside the
+        rectangle, of q = corners[0] + alpha*u + beta*v; u and v are
+        perpendicular, so each coordinate is a projection."""
         d = q - self.corners[0]
         return d.dot(self.u) / self.width_sq, d.dot(self.v) / self.height_sq
 
@@ -195,11 +197,42 @@ def _half_turn_about(center: Point2) -> RigidMotion:
 
 @dataclass(frozen=True)
 class _FramePiece:
-    """A convex piece of a rectangle in intrinsic-frame coordinates with its
-    numeric motion into the normalized axis-aligned rectangle."""
+    """A convex piece of a rectangle in intrinsic-frame coordinates, as
+    homogeneous int points (see exact_geom._homogeneous), with its numeric
+    motion into the normalized axis-aligned rectangle."""
 
-    frame_polygon: tuple  # tuples of rational (alpha, beta)
+    frame_polygon: list
     motion: NumericMotion
+
+
+def _width(w) -> Fraction:
+    """A target width: a positive rational whose float is nonzero and finite."""
+    w = rat(w)
+    if w <= 0:
+        raise BadWidth(f"target width must be positive, got {w}")
+    _in_float_range(w, "target width")
+    return w
+
+
+def _in_float_range(value, what: str) -> float:
+    """value as a float for the numeric motions.  A DissectionError when it
+    is beyond the float range, or is nonzero and rounds to 0."""
+    try:
+        f = float(value)
+    except OverflowError:
+        f = math.inf
+    if math.isinf(f) or (f == 0.0 and value != 0):
+        raise DissectionError(f"{what} {_value_text(value)} is outside the float range")
+    return f
+
+
+def _rational_polygon(pts) -> SimplePolygon:
+    """Homogeneous int points as a SimplePolygon of Fractions, one per
+    coordinate, built without re-validation (the callers' clips are
+    strictly convex and ccw)."""
+    return SimplePolygon(
+        [Point2(Fraction(x, w), Fraction(y, w)) for x, y, w in pts], _validated=True
+    )
 
 
 def rectangle_to_width(r: RectangleForm, w) -> tuple[list[SimplePolygon], list[NumericMotion], RectangleForm]:
@@ -213,27 +246,25 @@ def rectangle_to_width(r: RectangleForm, w) -> tuple[list[SimplePolygon], list[N
     piece is an exact clip of two strictly convex polygons, which repeats
     no vertex and has no three collinear (see _clip_convex_raw), moved by
     the frame map, whose determinant is positive, so it is built without
-    re-validation.
+    re-validation.  A width that takes more than MAX_HALVINGS halvings or
+    doublings is a BadWidth.
     """
-    w = rat(w)
-    if w <= 0:
-        raise BadWidth(f"target width must be positive, got {w}")
+    w = _width(w)
     h_out = r.area() / w
     out_rect = RectangleForm.axis_aligned(w, h_out)
+    to_source = _frame_to_source(r, IDENTITY_MOTION)
     pieces = []
     motions = []
     for fp in _normalize_frame_pieces(r, w):
-        corners = [r.frame_point(alpha, beta) for alpha, beta in fp.frame_polygon]
-        pieces.append(SimplePolygon(corners, _validated=True))
+        pieces.append(_rational_polygon(_map_homogeneous(to_source, fp.frame_polygon)))
         motions.append(fp.motion)
     return pieces, motions, out_rect
 
 
-def _choose_halvings(len_u_sq: Fraction, w: Fraction) -> int:
-    """Exact k with 4**k * w**2 <= |u|**2 < 4**(k+1) * w**2."""
-    a = math.sqrt(float(len_u_sq))
-    guess = math.floor(math.log2(max(a / float(w), 1e-300)))
-    k = guess
+def _choose_halvings(len_u_sq: Fraction, w: Fraction, a: float) -> int:
+    """Exact k with 4**k * w**2 <= |u|**2 < 4**(k+1) * w**2, where a is
+    the float |u|; a and w are positive floats."""
+    k = math.floor(math.log2(a) - math.log2(float(w)))
     w_sq = w * w
     while len_u_sq < Fraction(4) ** k * w_sq:
         k -= 1
@@ -243,38 +274,46 @@ def _choose_halvings(len_u_sq: Fraction, w: Fraction) -> int:
 
 
 def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[_FramePiece]:
-    len_u_sq = r.width_sq
-    k = _choose_halvings(len_u_sq, w)
+    """Width normalization in the rectangle's unit frame.
 
-    a = math.sqrt(float(len_u_sq))
-    b = math.sqrt(float(r.height_sq))
+    Each strip is cut out of the slide pieces in stacked-frame
+    coordinates and mapped to frame coordinates by an integer affine
+    map, all on homogeneous ints.  A rectangle whose side or corner does
+    not fit a float, or which needs more than MAX_HALVINGS halvings or
+    doublings, is rejected before any strip is built.
+    """
+    len_u_sq = r.width_sq
+    a = math.sqrt(_in_float_range(len_u_sq, "a rectangle side squared"))
+    b = math.sqrt(_in_float_range(r.height_sq, "a rectangle side squared"))
+    c0, c1 = (
+        tuple(_in_float_range(v, "a rectangle corner coordinate") for v in r.corners[i].as_tuple())
+        for i in (0, 1)
+    )
+    k = _choose_halvings(len_u_sq, w, a)
+    if abs(k) > MAX_HALVINGS:
+        raise BadWidth(
+            f"width {_value_text(w)} needs 2**{abs(k)} strips of a rectangle of side "
+            f"{a:g}; at most 2**{MAX_HALVINGS}"
+        )
+
     a_prime = a / (2.0**k)
     b_prime = b * (2.0**k)
-    align = numeric_between_segments(
-        (float(r.corners[0].x), float(r.corners[0].y)),
-        (float(r.corners[1].x), float(r.corners[1].y)),
-        (0.0, 0.0),
-        (a, 0.0),
-    )
+    align = numeric_between_segments(c0, c1, (0.0, 0.0), (a, 0.0))
 
     # stacked-frame bands, one per strip, each with its stacking translation
-    bands: list[tuple[tuple, NumericMotion]] = []
-    if k >= 0:
-        count = 2**k
-        for i in range(count):
-            lo = Fraction(i, count)
-            hi = Fraction(i + 1, count)
-            band = ((Fraction(0), lo), (Fraction(1), lo), (Fraction(1), hi), (Fraction(0), hi))
+    # and the int affine map from stacked-frame to frame coordinates
+    bands: list[tuple[list, NumericMotion, tuple]] = []
+    count = 2 ** abs(k)
+    for i in range(count):
+        if k >= 0:  # strip i of the base, stacked i heights up
+            band = [(0, i, count), (count, i, count), (count, i + 1, count), (0, i + 1, count)]
             shift = NumericMotion(0.0, -i * a_prime, i * b)
-            bands.append((band, shift))
-    else:
-        count = 2**(-k)
-        for j in range(count):
-            lo = Fraction(j, count)
-            hi = Fraction(j + 1, count)
-            band = ((lo, Fraction(0)), (hi, Fraction(0)), (hi, Fraction(1)), (lo, Fraction(1)))
-            shift = NumericMotion(0.0, j * a, -j * (b / count))
-            bands.append((band, shift))
+            to_frame = _int_affine((Fraction(i, count), -i), (Fraction(1, count), 0), (0, count))
+        else:  # strip i of the height, moved i base lengths along
+            band = [(i, 0, count), (i + 1, 0, count), (i + 1, count, count), (i, count, count)]
+            shift = NumericMotion(0.0, i * a, -i * (b / count))
+            to_frame = _int_affine((-i, Fraction(i, count)), (count, 0), (0, Fraction(1, count)))
+        bands.append((band, shift, to_frame))
 
     exact_fit = len_u_sq == Fraction(4) ** k * (w * w)
     omega = Fraction(1)
@@ -283,13 +322,7 @@ def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[_FramePiece]:
         omega = min(max(omega, Fraction(1, 2)), Fraction(1))
 
     if exact_fit or omega == 1:
-        slide_pieces = [
-            (
-                ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-                 (Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))),
-                NUMERIC_IDENTITY,
-            )
-        ]
+        slide_pieces = [(((0, 0), (1, 0), (1, 1), (0, 1)), NUMERIC_IDENTITY)]
     else:
         lam = Fraction(1) / omega - 1  # in (0, 1], rational
         lam_f = float(lam)
@@ -304,28 +337,18 @@ def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[_FramePiece]:
             (t2, NumericMotion(0.0, 2.0 * w_eff - a_prime, b_prime * (lam_f - 1.0))),
             (t3, NumericMotion(0.0, w_eff - a_prime, b_prime * lam_f)),
         ]
+    slides = [([_homogeneous(x, y) for x, y in piece], m) for piece, m in slide_pieces]
 
     out: list[_FramePiece] = []
-    for band, shift in bands:
-        for stacked_piece, slide_motion in slide_pieces:
-            frag = _convex_clip([tuple(p) for p in stacked_piece], [tuple(p) for p in band])
+    for band, shift, to_frame in bands:
+        lines = _lines(band)
+        for stacked_piece, slide_motion in slides:
+            frag = _clip_homogeneous(stacked_piece, lines)
             if not frag:
                 continue
-            frame_poly = tuple(_stacked_to_frame(sigma, tau, band, k) for sigma, tau in frag)
             piece_motion = compose_numeric(slide_motion, compose_numeric(shift, align))
-            out.append(_FramePiece(frame_poly, piece_motion))
+            out.append(_FramePiece(_map_homogeneous(to_frame, frag), piece_motion))
     return out
-
-
-def _stacked_to_frame(sigma: Fraction, tau: Fraction, band, k: int):
-    """Invert the per-strip map from intrinsic frame to stacked-frame coords."""
-    if k >= 0:
-        count = 2**k
-        i = int(band[0][1] * count)  # band lower bound identifies the strip
-        return ((sigma + i) / count, tau * count - i)
-    count = 2**(-k)
-    j = int(band[0][0] * count)
-    return (sigma * count - j, (tau + j) / count)
 
 
 def stack_rectangles(rects) -> tuple[list[NumericMotion], RectangleForm]:
@@ -387,19 +410,27 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     remain exact rational in source coordinates.
 
     Each rectangle's width-normalized pieces are cut against its
-    triangle pieces in the rectangle's unit frame, where the edges on the
-    unit square's boundary are axis-parallel, and each fragment is mapped
-    to the source once.  Positive-determinant affine maps commute exactly
-    with clipping, so the fragments equal those cut in the source plane.
-    A fragment is an exact clip of a strictly convex piece by a convex
-    one, which repeats no vertex and has no three collinear (see
-    _clip_convex_raw), so it is built without re-validation.
+    triangle pieces in the rectangle's unit frame, and each fragment is
+    mapped to the source once.  Positive-determinant affine maps commute
+    exactly with clipping, so the fragments equal those cut in the source
+    plane.  Both clips and both maps run on homogeneous ints, and each
+    output coordinate becomes one Fraction.  A fragment is an exact clip
+    of a strictly convex piece by a convex one, which repeats no vertex
+    and has no three collinear (see _clip_convex_raw), so it is built
+    without re-validation.
+
+    The motions are floats, so a coordinate, the area or the width that
+    does not fit a float (beyond its range, or nonzero and rounding to
+    0) is a DissectionError, as are the cases rectangle_to_width rejects.
     """
-    w = rat(w)
-    if w <= 0:
-        raise BadWidth(f"target width must be positive, got {w}")
+    w = _width(w)
+    for v in p.vertices:
+        _in_float_range(v.x, "a coordinate")
+        _in_float_range(v.y, "a coordinate")
     area = polygon_area(p)
+    _in_float_range(area, "the area")
     h_total = area / w
+    _in_float_range(h_total, "the target height")
     target = RectangleForm.axis_aligned(w, h_total).polygon()
 
     direct = _axis_aligned_width_w(p, w)
@@ -415,39 +446,30 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     for (tri_pieces, rect, tri_motions), stack_shift in zip(stages, stack_shifts):
         clippers = []
         for piece, m in zip(tri_pieces, tri_motions):
-            pts = [rect.frame_coords(apply_motion(m, q)) for q in piece.vertices]
-            clippers.append((pts, _bbox(pts), _frame_to_source(rect, m), numeric_from_rigid(m)))
+            pts = [_homogeneous(*rect.frame_coords(apply_motion(m, q))) for q in piece.vertices]
+            clippers.append((_lines(pts), _frame_to_source(rect, m), numeric_from_rigid(m)))
         for fp in _normalize_frame_pieces(rect, w):
-            box = _bbox(fp.frame_polygon)
-            for pts, clip_box, (origin, ex, ey), rigid in clippers:
-                if not _bboxes_interiors_overlap(clip_box, box):
-                    continue
-                frag = _convex_clip(fp.frame_polygon, pts)
+            for lines, to_source, rigid in clippers:
+                frag = _clip_homogeneous(fp.frame_polygon, lines)
                 if not frag:
                     continue
-                pieces.append(SimplePolygon(
-                    [
-                        Point2(origin.x + ex.x * a + ey.x * b, origin.y + ex.y * a + ey.y * b)
-                        for a, b in frag
-                    ],
-                    _validated=True,
-                ))
+                pieces.append(_rational_polygon(_map_homogeneous(to_source, frag)))
                 target_motions.append(
                     compose_numeric(stack_shift, compose_numeric(fp.motion, rigid))
                 )
     return DissectionChart(pieces, target_motions, p, target)
 
 
-def _frame_to_source(r: RectangleForm, m: RigidMotion) -> tuple[Point2, Point2, Point2]:
-    """Affine map (origin, ex, ey), (a, b) -> origin + a*ex + b*ey, that sends
-    frame coordinates to the source point which m places at r.frame_point(a, b)."""
+def _frame_to_source(r: RectangleForm, m: RigidMotion) -> tuple:
+    """The _int_affine map that sends frame coordinates (a, b) to the source
+    point which m places at corners[0] + a*u + b*v."""
     back = invert_motion(m)
     c, s = back.rot_cos, back.rot_sin
     u, v = r.u, r.v
-    return (
-        apply_motion(back, r.corners[0]),
-        Point2(c * u.x - s * u.y, s * u.x + c * u.y),
-        Point2(c * v.x - s * v.y, s * v.x + c * v.y),
+    return _int_affine(
+        apply_motion(back, r.corners[0]).as_tuple(),
+        (c * u.x - s * u.y, s * u.x + c * u.y),
+        (c * v.x - s * v.y, s * v.x + c * v.y),
     )
 
 

@@ -17,6 +17,7 @@ floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -432,6 +433,103 @@ def _convex_clip(subject, clipper):
     if len(out) < 3 or _signed_area2(out) == 0:
         return []
     return list(out)
+
+
+# ---------------------------------------------------------------------------
+# homogeneous integer points
+#
+# A rational point (x, y) is held as ints (X, Y, W) with W > 0, x = X/W and
+# y = Y/W.  A line is held as ints (a, b, c); a point's side of it is
+# a*X + b*Y + c*W.  Divided by its gcd, a point has one such form, so a
+# chain of clips and integer affine maps runs on ints alone and builds one
+# Fraction per output coordinate at the end.
+
+
+def _homogeneous(x, y) -> tuple[int, int, int]:
+    """The int or Fraction point (x, y) as (X, Y, W), with W > 0 the least
+    common denominator, so the three share no factor."""
+    xd, yd = x.denominator, y.denominator
+    w = math.lcm(xd, yd)
+    return x.numerator * (w // xd), y.numerator * (w // yd), w
+
+
+def _lines(pts) -> list[tuple[int, int, int]]:
+    """The directed edge lines of a homogeneous polygon, each the cross
+    product (a, b, c) of its end points p and q.  A point r's side,
+    a*X + b*Y + c*W, is the determinant of p, q and r: the product of the
+    three W and _orient(p, q, r) in rational coordinates, so it has that
+    orientation's sign."""
+    out = []
+    n = len(pts)
+    for i in range(n):
+        px, py, pw = pts[i]
+        qx, qy, qw = pts[(i + 1) % n]
+        out.append((py * qw - pw * qy, pw * qx - px * qw, px * qy - py * qx))
+    return out
+
+
+def _clip_homogeneous(subject, lines):
+    """_convex_clip on homogeneous int points, the clipper given by _lines.
+
+    Each step is _clip_halfplane's: the same kept vertices and crossings,
+    in the same order, since every side has the sign of the rational
+    orientation.  The crossing on edge p->q, between sides s_p and s_q of
+    opposite signs, is |s_p|*q + |s_q|*p, which lies on the line and has
+    a positive W, divided by the gcd of its three ints.  The subject may
+    come back unchanged.  For a convex ccw sequence, every triangle of the
+    fan from the first vertex has a determinant >= 0, so the area is zero
+    exactly when all of them are zero, and then [] is returned.
+    """
+    out = subject
+    for a, b, c in lines:
+        sides = [a * x + b * y + c * w for x, y, w in out]
+        if min(sides) >= 0:
+            continue
+        if max(sides) < 0:
+            return []
+        clipped = []
+        n = len(out)
+        for i in range(n):
+            s_p = sides[i]
+            j = i + 1 if i + 1 < n else 0
+            s_q = sides[j]
+            if s_p >= 0:
+                clipped.append(out[i])
+            if (s_p > 0 and s_q < 0) or (s_p < 0 and s_q > 0):
+                px, py, pw = out[i]
+                qx, qy, qw = out[j]
+                s_p, s_q = abs(s_p), abs(s_q)
+                x, y, w = s_p * qx + s_q * px, s_p * qy + s_q * py, s_p * qw + s_q * pw
+                g = math.gcd(x, y, w)
+                clipped.append((x // g, y // g, w // g))
+        out = clipped
+    for i in range(1, len(out) - 1):
+        (x0, y0, w0), (px, py, pw), (qx, qy, qw) = out[0], out[i], out[i + 1]
+        if x0 * (py * qw - pw * qy) + y0 * (pw * qx - px * qw) + w0 * (px * qy - py * qx):
+            return out
+    return []
+
+
+def _int_affine(origin, ex, ey):
+    """The affine map (a, b) -> origin + a*ex + b*ey, given by int or
+    Fraction (x, y) pairs, as int rows over one denominator d > 0:
+    ((m00, m01, m02), (m10, m11, m12), d)."""
+    entries = (ex[0], ey[0], origin[0], ex[1], ey[1], origin[1])
+    d = math.lcm(*(v.denominator for v in entries))
+    m = [v.numerator * (d // v.denominator) for v in entries]
+    return (m[0], m[1], m[2]), (m[3], m[4], m[5]), d
+
+
+def _map_homogeneous(f, pts) -> list[tuple[int, int, int]]:
+    """Homogeneous points moved by an _int_affine map, each divided by the
+    gcd of its ints; W stays positive."""
+    (a, b, c), (d, e, g), s = f
+    out = []
+    for x, y, w in pts:
+        x, y, w = a * x + b * y + c * w, d * x + e * y + g * w, s * w
+        k = math.gcd(x, y, w)
+        out.append((x // k, y // k, w // k))
+    return out
 
 
 def _dedupe_collinear(pts):

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .exact_geom import (
     Point2,
@@ -49,9 +49,9 @@ class HdjError(ValueError):
     """Malformed HDJ document."""
 
 
-@dataclass(frozen=True)
-class Hinge:
-    """Pin joining vertex_a of piece_a to vertex_b of piece_b."""
+class Hinge(NamedTuple):
+    """Pin joining vertex_a of piece_a to vertex_b of piece_b: a tuple of
+    four ints, equal to the plain tuple of the same ints."""
 
     piece_a: int
     vertex_a: int
@@ -75,6 +75,12 @@ class HingedFigure:
         if self.topology_tag not in ("cycle", "general"):
             raise FigureError(f"unknown topology tag {self.topology_tag!r}")
         k = len(self.pieces)
+        if (
+            self.topology_tag == "cycle" and k >= 2 and k % 2 == 0
+            and self.hinges == _cycle_layout(k)
+            and all(len(p.vertices) > 2 for p in self.pieces)
+        ):
+            return  # vertices 1 and 2 of pieces i != i+1 mod k: every check below passes
         for h in self.hinges:
             if not (0 <= h.piece_a < k and 0 <= h.piece_b < k):
                 raise FigureError(f"hinge piece index out of range: {h}")
@@ -87,9 +93,15 @@ class HingedFigure:
         if self.topology_tag == "cycle":
             if k < 2 or k % 2 != 0 or len(self.hinges) != k:
                 raise FigureError("cycle figures need 2k pieces and 2k hinges")
-            for i, h in enumerate(self.hinges):
-                if h != Hinge(i, 1, (i + 1) % k, 2):
+            for i, (h, canonical) in enumerate(zip(self.hinges, _cycle_layout(k))):
+                if h != canonical:
                     raise FigureError(f"hinge {i} breaks the canonical cycle layout")
+
+
+def _cycle_layout(k: int) -> tuple:
+    """The hinges of the canonical k-piece cycle as plain int tuples: hinge
+    i joins piece i's vertex 1 to piece i+1's vertex 2, mod k."""
+    return tuple([(i, 1, i + 1, 2) for i in range(k - 1)] + [(k - 1, 1, 0, 2)])
 
 
 def check_tolerance(tol) -> None:
@@ -145,8 +157,7 @@ def canonical_chain_figure(n: int) -> HingedFigure:
         raise BadSize(f"chain needs n >= 1, got {n}")
     k = 2 * n
     pieces = tuple(_CANONICAL_TRIANGLE for _ in range(k))
-    hinges = tuple(Hinge(i, 1, (i + 1) % k, 2) for i in range(k))
-    return HingedFigure(pieces, hinges, "cycle")
+    return HingedFigure(pieces, tuple(map(Hinge._make, _cycle_layout(k))), "cycle")
 
 
 def figures_equal(f1: HingedFigure, f2: HingedFigure) -> bool:
@@ -361,7 +372,7 @@ def figure_to_json(f: HingedFigure, approx: bool = False) -> dict:
             encoded[id(piece)] = [encode(v) for v in piece.vertices]
     return {
         "pieces": [encoded[id(piece)] for piece in f.pieces],
-        "hinges": [[h.piece_a, h.vertex_a, h.piece_b, h.vertex_b] for h in f.hinges],
+        "hinges": [list(h) for h in f.hinges],
         "topology": f.topology_tag,
     }
 
@@ -394,12 +405,22 @@ def figure_from_json(obj) -> HingedFigure:
                 polygon = by_text[text] = by_points[key]
             pieces.append(polygon)
         pieces = tuple(pieces)
-        hinges = tuple(Hinge(*[int_from_json(x) for x in h]) for h in obj["hinges"])
+        hinges = tuple(map(_hinge_from_json, obj["hinges"]))
         return HingedFigure(pieces, hinges, obj.get("topology", "general"))
     except HdjError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise HdjError(f"bad figure encoding: {exc}") from exc
+
+
+def _hinge_from_json(h) -> Hinge:
+    """A hinge from a list of four JSON integers; int_from_json's errors
+    for anything else."""
+    if type(h) is list and len(h) == 4:
+        a, b, c, d = h
+        if type(a) is type(b) is type(c) is type(d) is int:
+            return Hinge(a, b, c, d)
+    return Hinge(*[int_from_json(x) for x in h])
 
 
 def configuration_to_json(nc: NamedConfiguration) -> dict:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from chainfold.chain import load_sample_shape
 from chainfold.cli import MAX_FRAMES, MAX_GEN_CELLS, main
+from chainfold.equidecompose import MAX_HALVINGS
 from chainfold.exact_geom import RAT_MAX_DIGITS
 from chainfold.figures import load_hdj
 from chainfold.kinematics import motion_report_json, sample_motion
@@ -227,6 +228,33 @@ class TestBg:
         assert main(["bg", "--a", str(workdir / "sq.json"), "--b", str(small),
                      "--out", str(workdir / "x.json")]) == 2
 
+    @pytest.mark.parametrize("width", ["1e-300", "1e300"])
+    def test_width_beyond_the_strip_cap_exits_2_quickly(self, workdir, capsys, width):
+        # 2**997 halvings or doublings of a side: rejected before any strip is built
+        (workdir / "t2.json").write_text("[[0,0],[2,0],[0,2]]")
+        (workdir / "r2.json").write_text("[[0,0],[2,0],[2,1],[0,1]]")
+        out = workdir / "o.json"
+        start = time.perf_counter()
+        assert main(["bg", "--a", str(workdir / "t2.json"), "--b", str(workdir / "r2.json"),
+                     "--width", width, "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 2
+        assert f"at most 2**{MAX_HALVINGS}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale, width", [
+        ("e400", "1"), ("", "1e400"), ("e-400", "1"), ("", "1e-400"),
+    ])
+    def test_outside_the_float_range_exits_2_quickly(self, workdir, capsys, scale, width):
+        # the motions are floats: a coordinate or width beyond their range, or
+        # one that rounds to 0, is invalid input, not an internal error
+        (workdir / "t2.json").write_text(f"[[0,0],[2{scale},0],[0,2{scale}]]")
+        (workdir / "r2.json").write_text(f"[[0,0],[2{scale},0],[2{scale},1{scale}],[0,1{scale}]]")
+        start = time.perf_counter()
+        assert main(["bg", "--a", str(workdir / "t2.json"), "--b", str(workdir / "r2.json"),
+                     "--width", width, "--out", str(workdir / "o.json")]) == 2
+        assert time.perf_counter() - start < 2
+        assert "outside the float range" in capsys.readouterr().err
+
     def test_square_vs_itself(self, workdir):
         out = workdir / "self.json"
         assert main(["bg", "--a", str(workdir / "sq.json"), "--b", str(workdir / "sq.json"),
@@ -273,7 +301,12 @@ class TestGen:
 
 
 @pytest.mark.parametrize(
-    "command, text", [("animate", f"2 to {MAX_FRAMES}"), ("gen", f"1 to {MAX_GEN_CELLS}")]
+    "command, text",
+    [
+        ("animate", f"2 to {MAX_FRAMES}"),
+        ("gen", f"1 to {MAX_GEN_CELLS}"),
+        ("bg", f"2**{MAX_HALVINGS} strips"),
+    ],
 )
 def test_caps_in_help(command, text, capsys):
     with pytest.raises(SystemExit):

@@ -6,8 +6,11 @@ exactly what it returns, float bits included, on int, Fraction and float
 polygons, and overlap_sum2 must return exactly the sum() of the reference
 fragments' areas.  On exact strictly convex polygons its fragments repeat
 no vertex and have no three collinear, so the chart path skips a dedupe.
+The homogeneous-integer kernel of the chart path must return what
+_convex_clip returns, point for point.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
@@ -16,8 +19,13 @@ from hypothesis import strategies as st
 from chainfold.exact_geom import (
     _bbox,
     _clip_halfplane,
+    _clip_homogeneous,
     _convex_clip,
     _dedupe_collinear,
+    _homogeneous,
+    _int_affine,
+    _lines,
+    _map_homogeneous,
     _orient,
     _signed_area2,
 )
@@ -84,9 +92,9 @@ _coords = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 6]
 
 
 @st.composite
-def convex_polygons(draw):
-    """A rational convex polygon as (x, y) tuples."""
-    points = draw(st.lists(st.tuples(_coords, _coords), min_size=3, max_size=8))
+def convex_polygons(draw, coords=_coords):
+    """A rational strictly convex polygon as (x, y) tuples."""
+    points = draw(st.lists(st.tuples(coords, coords), min_size=3, max_size=8))
     try:
         return rational_convex_hull(points).as_tuples()
     except ValueError:  # collinear points
@@ -313,3 +321,108 @@ class TestExactClipsNeedNoDedupe:
             assert _dedupe_collinear(frag) == frag
             if not frag:
                 break
+
+
+# ---------------------------------------------------------------------------
+# the homogeneous-integer kernel
+
+
+def _big_fractions(d):
+    """Fractions with denominator d (reduced, so often a divisor of it)."""
+    return st.builds(Fraction, st.integers(-12 * d, 12 * d), st.just(d))
+
+
+# ints, or Fractions whose denominators of up to 100 bits are drawn per
+# coordinate, so a polygon's denominators are unrelated
+_EXACT_COORDS = st.one_of(
+    st.integers(-12, 12).map(Fraction),
+    st.integers(1, 2**100).flatmap(_big_fractions),
+)
+
+
+def _rotate_half_turn(pts, c):
+    """The polygon turned a half turn about c: still ccw."""
+    return [(2 * c[0] - x, 2 * c[1] - y) for x, y in pts]
+
+
+@st.composite
+def exact_clip_pairs(draw, coords=_EXACT_COORDS):
+    """(relation, subject, clipper): strictly convex rational polygons that
+    are unrelated, share an edge or a vertex, nest, or touch with no area."""
+    subject = draw(convex_polygons(coords))
+    n = len(subject)
+    i = draw(st.integers(0, n - 1))
+    a, b = subject[i], subject[(i + 1) % n]
+    relation = draw(st.sampled_from(
+        ["unrelated", "shared-edge", "shared-vertex", "inside", "contains", "same",
+         "touch-edge", "touch-vertex"]
+    ))
+    if relation == "unrelated":
+        clipper = draw(convex_polygons(coords))
+    elif relation in ("shared-edge", "shared-vertex"):
+        extra = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=4))
+        keep = [a, b] if relation == "shared-edge" else [a]
+        try:
+            clipper = rational_convex_hull(keep + extra).as_tuples()
+        except ValueError:
+            assume(False)
+    elif relation in ("inside", "contains"):
+        cx = sum(x for x, _ in subject) / n
+        cy = sum(y for _, y in subject) / n
+        k = draw(st.sampled_from([Fraction(1, 3), Fraction(99, 100)] if relation == "inside"
+                                 else [Fraction(3, 2), Fraction(7)]))
+        clipper = [(cx + (x - cx) * k, cy + (y - cy) * k) for x, y in subject]
+    elif relation == "same":
+        clipper = list(subject)
+    elif relation == "touch-edge":  # across the edge a-b, with no area in common
+        clipper = _rotate_half_turn(subject, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
+    else:  # opposite cones at the vertex a
+        clipper = _rotate_half_turn(subject, a)
+    if draw(st.booleans()):
+        subject, clipper = clipper, subject
+    return relation, subject, clipper
+
+
+def _rational(pts):
+    return [(Fraction(x, w), Fraction(y, w)) for x, y, w in pts]
+
+
+class TestHomogeneousKernel:
+    @settings(max_examples=400)
+    @given(exact_clip_pairs())
+    def test_matches_convex_clip(self, case):
+        relation, subject, clipper = case
+        got = _clip_homogeneous(
+            [_homogeneous(x, y) for x, y in subject],
+            _lines([_homogeneous(x, y) for x, y in clipper]),
+        )
+        for x, y, w in got:
+            assert w > 0 and math.gcd(x, y, w) == 1
+        assert _rational(got) == _convex_clip(subject, clipper)
+        if relation.startswith("touch"):
+            assert got == []
+        if relation in ("inside", "contains", "same"):  # the area of the inner one
+            inner = min(_signed_area2(subject), _signed_area2(clipper))
+            assert _signed_area2(_rational(got)) == inner
+
+    @settings(max_examples=300)
+    @given(exact_clip_pairs(st.integers(-12, 12).map(Fraction)))
+    def test_int_points_match_convex_clip(self, case):
+        # the pair scaled to ints by its common denominator, with W = 1
+        _, subject, clipper = case
+        d = math.lcm(*(v.denominator for p in subject + clipper for v in p))
+        subject, clipper = ([(int(x * d), int(y * d)) for x, y in pts] for pts in (subject, clipper))
+        got = _clip_homogeneous(
+            [(x, y, 1) for x, y in subject], _lines([(x, y, 1) for x, y in clipper])
+        )
+        assert _rational(got) == _convex_clip(subject, clipper)
+
+    @settings(max_examples=100)
+    @given(convex_polygons(_EXACT_COORDS), st.lists(_EXACT_COORDS, min_size=6, max_size=6))
+    def test_affine_map_matches_fractions(self, pts, entries):
+        ox, oy, ex, ey, fx, fy = entries
+        f = _int_affine((ox, oy), (ex, ey), (fx, fy))
+        got = _map_homogeneous(f, [_homogeneous(x, y) for x, y in pts])
+        for x, y, w in got:
+            assert w > 0 and math.gcd(x, y, w) == 1
+        assert _rational(got) == [(ox + a * ex + b * fx, oy + a * ey + b * fy) for a, b in pts]

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from chainfold.equidecompose import (
     DegenerateTriangle,
     DissectionChart,
     DissectionError,
+    MAX_HALVINGS,
     RectangleForm,
     TargetMismatch,
     WidthMismatch,
@@ -176,6 +179,29 @@ class TestRectangleToWidth:
         with pytest.raises(BadWidth):
             rectangle_to_width(RectangleForm.axis_aligned(1, 1), 0)
 
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_strip_cap_in_both_directions(self, direction):
+        # a unit square to width 2**-k takes k halvings, to 2**k k doublings
+        square = RectangleForm.axis_aligned(1, 1)
+        pieces, _, _ = rectangle_to_width(square, Fraction(2) ** (-direction * MAX_HALVINGS))
+        assert len(pieces) == 2**MAX_HALVINGS
+        start = time.perf_counter()
+        for k in (MAX_HALVINGS + 1, 1000):
+            with pytest.raises(BadWidth, match=f"2\\*\\*{k} strips"):
+                rectangle_to_width(square, Fraction(2) ** (-direction * k))
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("width", [Fraction(1, 10**400), Fraction(10**400)])
+    def test_width_outside_float_range(self, width):
+        with pytest.raises(DissectionError, match="target width .* outside the float range"):
+            rectangle_to_width(RectangleForm.axis_aligned(1, 1), width)
+
+    @pytest.mark.parametrize("scale", [Fraction(1, 10**200), Fraction(10**200)])
+    def test_side_outside_float_range(self, scale):
+        # the sides fit a float, their squares do not
+        with pytest.raises(DissectionError, match="side squared .* outside the float range"):
+            rectangle_to_width(RectangleForm.axis_aligned(scale, scale), 1)
+
 
 class TestStackRectangles:
     def test_two_rectangles(self):
@@ -217,6 +243,12 @@ class TestCanonicalChart:
         chart = polygon_to_canonical_chart(hexagon, 1)
         assert verify_chart(chart, 1e-9).accepted
 
+    @pytest.mark.parametrize("scale", [Fraction(1, 10**400), Fraction(10**400)])
+    def test_coordinates_outside_float_range(self, scale):
+        tri = polygon([(0, 0), (2 * scale, 0), (0, 2 * scale)])
+        with pytest.raises(DissectionError, match="outside the float range"):
+            polygon_to_canonical_chart(tri, 1)
+
     def test_stage_conservation(self):
         tri = polygon([(0, 0), (5, 0), (2, 3)])
         pieces, rect, motions = triangle_to_rectangle(tri)
@@ -245,6 +277,46 @@ def _rational_simple_polygons(draw):
     b = d * draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)]))
     x, y = draw(_coords), draw(_coords)
     return polygon([(x, y), (x + a, y), (x + a, y + b), (x + c, y + b), (x + c, y + d), (x, y + d)])
+
+
+# sha256 prefixes of the exact piece vertices, as p/q text, of both
+# canonical charts of each criterion-8 pair; the float motions are left
+# out, since libm may differ across platforms
+CHART_DIGESTS = {
+    "square2-vs-triangle": "ac0bb39ab804eb74",
+    "random-0": "a9d46f3ba58d0785",
+    "random-1": "db4a44682e961d0d",
+    "random-2": "b133b5b6cd40e513",
+    "random-3": "0696e775c3d9b455",
+    "random-4": "c6509b45fa2e894f",
+    "random-5": "94e7cfe07062319a",
+    "random-6": "6915eee6bf1a1a11",
+    "random-7": "4b697c91f76797f4",
+    "random-8": "a0602237d3179ec5",
+    "random-9": "2893470729b67b4e",
+    "random-10": "9935f24837be0f55",
+    "random-11": "5dc7a41bb63a6030",
+    "random-12": "3de59b16d3c3d759",
+    "random-13": "208b879527c29e56",
+    "random-14": "5e6409d2393c7e79",
+    "random-15": "8e1a5cf842e8006d",
+    "random-16": "9f5a54b27e678587",
+    "random-17": "bdf512409cdc8260",
+    "random-18": "2352c35c0522f251",
+    "random-19": "50d22b6e4d553b81",
+}
+
+
+def test_canonical_chart_pieces_match_pinned_digests():
+    digests = {}
+    for label, pa, pb, width in criterion_8_cases():
+        text = "\n".join(
+            " ".join(f"{v.x},{v.y}" for v in piece.vertices)
+            for p in (pa, pb)
+            for piece in polygon_to_canonical_chart(p, width).pieces
+        )
+        digests[label] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digests == CHART_DIGESTS
 
 
 class TestCanonicalChartProperties:
