@@ -26,7 +26,6 @@ from .exact_geom import (
     Point2,
     RigidMotion,
     SimplePolygon,
-    _bbox,
     _clip_homogeneous,
     _convex_clip,  # noqa: F401 - looked up by perfbench/tracing.py
     _dedupe_collinear,
@@ -56,7 +55,7 @@ from .numeric import (
     numeric_between_segments,
     numeric_from_rigid,
 )
-from .overlap import clip_parts, convex_parts, pairs_across, partition_residuals
+from .overlap import clip_parts, diagonal_pairs, pairs_across, partition_residuals, parts_and_boxes
 
 log = logging.getLogger(__name__)
 
@@ -507,13 +506,13 @@ def overlay_charts(ca: DissectionChart, cb: DissectionChart) -> DissectionChart:
 
     placed_a = _placed(ca)
     placed_b = _placed(cb)
-    parts_a = [convex_parts(pts) for pts in placed_a]
-    parts_b = [convex_parts(pts) for pts in placed_b]
+    parts_a, boxes_a = parts_and_boxes(placed_a)
+    parts_b, boxes_b = parts_and_boxes(placed_b)
 
     pieces: list[tuple] = []
     target_motions: list[NumericMotion] = []
     slivers: list[tuple[int, int, float]] = []
-    for ia, ib in pairs_across([_bbox(p) for p in placed_a], [_bbox(p) for p in placed_b]):
+    for ia, ib in diagonal_pairs(pairs_across(boxes_a, boxes_b), placed_a, placed_b):
         ma, mb = ca.target_motions[ia], cb.target_motions[ib]
         back_a = invert_numeric(ma)
         relative = compose_numeric(invert_numeric(mb), ma)

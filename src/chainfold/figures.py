@@ -211,10 +211,9 @@ def _verify(f: HingedFigure, c: Configuration, target: Target, num, tol) -> Veri
     ints and Fractions with tol 0, approx mode on doubles.  Only
     HingeCoincidence tests by mode: equal points, or a gap of at most tol."""
     exact = num is _exact_value
-    placed = _placed_points(f, c, num)
+    motions, placed = _placed_points(f, c, num)
     failures: list[tuple[str, str]] = []
-    for i, m in enumerate(c.placements):
-        cos, sin = num(m.rot_cos), num(m.rot_sin)
+    for i, (cos, sin, _, _) in enumerate(motions):
         err = abs(cos * cos + sin * sin - 1)
         if err > tol:
             text = "rot_cos^2+rot_sin^2 != 1" if exact else f"|cos^2+sin^2-1| = {_value_text(err)}"
@@ -241,9 +240,10 @@ def _verify(f: HingedFigure, c: Configuration, target: Target, num, tol) -> Veri
     return VerifyReport(not failures, failures, total)
 
 
-def _placed_points(f: HingedFigure, c: Configuration, num=float) -> list:
-    """Each piece's vertices moved by its placement, on the numbers num
-    converts to; each distinct piece's vertices are converted once."""
+def _placed_points(f: HingedFigure, c: Configuration, num=float) -> tuple[list, list]:
+    """(motions, placed): each placement's (cos, sin, tx, ty) and each
+    piece's vertices moved by it, on the numbers num converts to; each
+    distinct piece's vertices are converted once."""
     if len(c.placements) != len(f.pieces):
         raise CountMismatch(f"{len(c.placements)} placements for {len(f.pieces)} pieces")
     motions = [
@@ -254,7 +254,7 @@ def _placed_points(f: HingedFigure, c: Configuration, num=float) -> list:
     for piece in f.pieces:
         if id(piece) not in local:
             local[id(piece)] = [(num(v.x), num(v.y)) for v in piece.vertices]
-    return [
+    return motions, [
         [(cos * x - sin * y + tx, sin * x + cos * y + ty) for x, y in local[id(piece)]]
         for (cos, sin, tx, ty), piece in zip(motions, f.pieces)
     ]

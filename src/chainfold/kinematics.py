@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact_geom import _bbox
 from .figures import Configuration, CountMismatch, HingedFigure
 from .numeric import NumericMotion, float_polygon, numeric_from_rigid, wrap_angle
 from .numeric import float_overlap_area  # noqa: F401 - looked up by perfbench/tracing.py
-from .overlap import convex_parts, overlap_sum2, pairs_within
+from .overlap import diagonal_pairs, overlap_sum2, pairs_within, parts_and_boxes
 
 OVERLAP_THRESHOLD = 1e-9
 
@@ -171,11 +170,9 @@ def sample_motion(
             [(c * x - s * y + m.tx, s * x + c * y + m.ty) for x, y in pts]
             for m, (c, s), pts in zip(placements, rotations, local_pts)
         ]
-        parts = [convex_parts(pts) for pts in placed]
-        # a convex piece is its own single part, whose box is the piece's
-        boxes = [p[0][1] if len(p) == 1 else _bbox(pts) for p, pts in zip(parts, placed)]
+        parts, boxes = parts_and_boxes(placed)
         overlaps = []
-        for i, j in pairs_within(boxes):
+        for i, j in diagonal_pairs(pairs_within(boxes), placed, placed):
             area = overlap_sum2(parts[i], parts[j]) / 2
             if area > OVERLAP_THRESHOLD:
                 overlaps.append((i, j, area))

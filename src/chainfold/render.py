@@ -85,7 +85,7 @@ _SVG_CLOSE = ["</g>", "</svg>"]
 
 def render_config(f: HingedFigure, c: Configuration, style: RenderStyle = RenderStyle()) -> str:
     """Static picture of one placed configuration, one path per piece."""
-    placed = _placed_points(f, c)
+    _, placed = _placed_points(f, c)
     lines = _svg_open(*_bounds(placed), style.scale)
     for i, pts in enumerate(placed):
         lines.append(

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainfold import exact_geom
+from chainfold import exact_geom, overlap
 from chainfold.chain import dissect_pair, fold_chain, load_sample_shape
 from chainfold.exact_geom import (
     RigidMotion,
@@ -296,6 +296,34 @@ class TestApproxAgainstReference:
         assert {"translate-1", "quarter-turn", "hinge-swap", "translate-1/2"} <= set(loose)
 
 
+class TestLatticeFoldPrune:
+    def test_intact_fold_clips_no_piece_pair(self, monkeypatch):
+        # the two half-squares of a cell share only their diagonal, which
+        # their diagonal extents see; every piece also lies in one target
+        # cell, whose coverage takes the shortcut, so no clip runs at all
+        f, c, p = _fold(random_polyomino(256, 0))
+        calls = []
+        real = overlap.overlap_sum2
+
+        def counted(parts_a, parts_b):
+            calls.append(parts_b)
+            return real(parts_a, parts_b)
+
+        monkeypatch.setattr(overlap, "overlap_sum2", counted)
+        assert verify_configuration(f, c, p).accepted
+        assert calls == []
+
+        k = len(f.pieces) // 3
+        mutants = {
+            "translate-1": (f, _moved(c, k, _translated(1, 0)), p),
+            "quarter-turn": (f, _moved(c, k, _quarter_turn), p),
+            "hinge-swap": (_hinge_swap(f, 5, 40), c, p),
+        }
+        for name, case in mutants.items():
+            assert not verify_configuration(*case).accepted, name
+        assert calls  # the moved pieces are clipped against their new neighbours
+
+
 # ---------------------------------------------------------------------------
 # int safety of the tuple core and the engine
 
@@ -375,21 +403,22 @@ class TestIntSafety:
         parts = convex_parts(pts)
         fparts = convex_parts(_as_fractions(pts))
         box, bounds = _bbox(pts), cell_bounds(cells)
-        covered2 = covered_by_cells2(parts, box, cells, bounds)
+        area2 = _signed_area2(pts)
+        covered2 = covered_by_cells2(parts, box, area2, cells, bounds)
         _assert_exact([covered2])
-        assert covered2 == covered_by_cells2(fparts, box, cells, bounds)
+        assert covered2 == covered_by_cells2(fparts, box, area2, cells, bounds)
         assert covered2 == 2 * _reference_covered_by_cells(fparts, box, cells)
 
     def test_covered_by_cells_inside_one_cell(self):
-        # a piece inside one target cell takes the shortcut that sums its
-        # parts' doubled areas
+        # a piece inside one target cell takes the shortcut that returns its
+        # own doubled area
         square = [(3, 4), (4, 4), (4, 5), (3, 5)]
         halves = [[(3, 4), (4, 4), (3, 5)], [(4, 5), (3, 5), (4, 4)]]
         for pts, area2 in [(square, 2)] + [(h, 1) for h in halves]:
             parts = convex_parts(pts)
-            covered2 = covered_by_cells2(parts, _bbox(pts), {(3, 4)}, (3, 4, 4, 5))
+            covered2 = covered_by_cells2(parts, _bbox(pts), area2, {(3, 4)}, (3, 4, 4, 5))
             assert type(covered2) is int and covered2 == area2
-            assert covered_by_cells2(parts, _bbox(pts), {(3, 5)}, (3, 5, 4, 6)) == 0
+            assert covered_by_cells2(parts, _bbox(pts), area2, {(3, 5)}, (3, 5, 4, 6)) == 0
 
     @settings(max_examples=100)
     @given(int_simple_polygons())

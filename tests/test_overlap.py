@@ -1,18 +1,22 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainfold.exact_geom import _bboxes_interiors_overlap
+from chainfold.exact_geom import _bboxes_interiors_overlap, _signed_area2
 from chainfold.overlap import (
     cell_bounds,
     convex_parts,
     covered_by_cells2,
+    diagonal_pairs,
     overlap_sum2,
     pairs_across,
     pairs_within,
     polygon_overlap,
 )
+
+from conftest import rational_convex_hull
+from test_clip_kernel import convex_polygons, reference_convex_clip
 
 # Box corners on a half-integer grid of a few steps, so lists are full of
 # tied lower x values, boxes touching along an edge, and zero-width or
@@ -37,6 +41,20 @@ def _box_list(draw, num):
 
 
 _box_lists = st.one_of(_box_list(Fraction), _box_list(float), _box_list(None))
+
+
+@st.composite
+def _strip_list(draw):
+    """Boxes that each span most of a narrow x range, stacked along a tall
+    y range: the mutual chart's pieces inside its width-w rectangle."""
+    strips = []
+    for _ in range(draw(st.integers(0, 24))):
+        x0, x1 = draw(st.sampled_from([(0, 4), (0, 3), (1, 4), (0, 2), (2, 4), (1, 1)]))
+        y0, h = draw(st.integers(-30, 30)), draw(st.integers(0, 4))
+        strips.append((Fraction(x0, 4), Fraction(y0, 2), Fraction(x1, 4), Fraction(y0 + h, 2)))
+    if draw(st.booleans()):  # or lying across a wide x range
+        strips = [(y0, x0, y1, x1) for x0, y0, x1, y1 in strips]
+    return strips
 
 
 def _brute_within(boxes):
@@ -67,6 +85,12 @@ class TestBroadPhase:
     @given(_box_lists, _box_lists)
     def test_across_matches_brute_force(self, boxes_a, boxes_b):
         assert pairs_across(boxes_a, boxes_b) == _brute_across(boxes_a, boxes_b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_strip_list(), _strip_list())
+    def test_strips_match_brute_force(self, strips, others):
+        assert pairs_within(strips) == _brute_within(strips)
+        assert pairs_across(strips, others) == _brute_across(strips, others)
 
     def test_identical_boxes_pair_once(self):
         box = (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
@@ -113,7 +137,127 @@ class TestPartsAndNarrowPhase:
         tri = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0)), (Fraction(0), Fraction(2))]
         parts = convex_parts(tri)
         cells = {(0, 0), (0, 1), (5, 5)}
-        covered2 = covered_by_cells2(parts, (0, 0, 2, 2), cells, cell_bounds(cells))
+        covered2 = covered_by_cells2(parts, (0, 0, 2, 2), 4, cells, cell_bounds(cells))
         assert covered2 == 2 * (Fraction(1) + Fraction(1, 2))
         cells.add((1, 0))
-        assert covered_by_cells2(parts, (0, 0, 2, 2), cells, cell_bounds(cells)) == 4
+        assert covered_by_cells2(parts, (0, 0, 2, 2), 4, cells, cell_bounds(cells)) == 4
+
+
+def _half_squares(x, y, s):
+    """The four half-squares of the square [x, x + s] x [y, y + s], as two
+    pairs split along each of its diagonals."""
+    a, b, c, d = (x, y), (x + s, y), (x + s, y + s), (x, y + s)
+    return [([a, b, c], [a, c, d]), ([a, b, d], [b, c, d])]
+
+
+@st.composite
+def _touching_pairs(draw):
+    """(a, b): exact convex polygons that share a vertex, an edge or a
+    diagonal, so their interiors are disjoint, or two independent ones;
+    b is then nudged by a sixth or not at all, to overlap a by a sliver
+    or to leave a gap."""
+    a = draw(convex_polygons())
+    how = draw(st.sampled_from(["vertex", "edge", "diagonal", "free"]))
+    k = draw(st.integers(0, len(a) - 1))
+    if how == "vertex":  # a half-turn about one vertex
+        vx, vy = a[k]
+        b = [(2 * vx - x, 2 * vy - y) for x, y in a]
+    elif how == "edge":  # a half-turn about the midpoint of one edge
+        (px, py), (qx, qy) = a[k], a[(k + 1) % len(a)]
+        b = [(px + qx - x, py + qy - y) for x, y in a]
+    elif how == "diagonal":  # a split along a chord
+        assume(len(a) >= 4)
+        j = draw(st.integers(2, len(a) - 2))
+        turned = a[k:] + a[:k]
+        a, b = turned[: j + 1], turned[j:] + turned[:1]
+    else:
+        b = draw(convex_polygons())
+    dx, dy = (Fraction(draw(st.integers(-1, 1)), 6) for _ in range(2))
+    return a, [(x + dx, y + dy) for x, y in b]
+
+
+# coordinates whose sums and differences round: 0.1 + 0.2 != 0.3, and
+# 1e16 + 1 rounds to 1e16
+_ROUNDING = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, -0.3, 1e16, 1e16 + 2, -1e16, 2.5e-16])
+
+
+def _float_hull(points):
+    """The convex hull of the points rounded to floats, as float points."""
+    try:
+        hull = rational_convex_hull([(Fraction(float(x)), Fraction(float(y))) for x, y in points])
+    except ValueError:  # rounding made the points collinear
+        assume(False)
+    return [(float(x), float(y)) for x, y in hull.as_tuples()]
+
+
+@st.composite
+def _rounded_pairs(draw):
+    """(a, b): float convex polygons from a touching construction on
+    coordinates that round badly; rounding may leave a sliver of overlap."""
+    pts = draw(st.lists(st.tuples(_ROUNDING, _ROUNDING), min_size=3, max_size=6))
+    shift = draw(st.tuples(_ROUNDING, _ROUNDING))
+    a = _float_hull([(Fraction(x), Fraction(y)) for x, y in pts])
+    exact = [(Fraction(x), Fraction(y)) for x, y in a]
+    k = draw(st.integers(0, len(a) - 1))
+    how = draw(st.sampled_from(["vertex", "edge", "shifted"]))
+    if how == "vertex":
+        vx, vy = exact[k]
+        b = [(2 * vx - x, 2 * vy - y) for x, y in exact]
+    elif how == "edge":
+        (px, py), (qx, qy) = exact[k], exact[(k + 1) % len(a)]
+        b = [(px + qx - x, py + qy - y) for x, y in exact]
+    else:
+        b = [(x + float(shift[0]), y + float(shift[1])) for x, y in exact]
+    return a, _float_hull(b)
+
+
+def _exact_overlap2(a, b):
+    """Twice the exact area shared by two convex polygons, by the
+    reference clip on their coordinates read as Fractions."""
+    frag = reference_convex_clip(
+        [(Fraction(x), Fraction(y)) for x, y in a], [(Fraction(x), Fraction(y)) for x, y in b]
+    )
+    return _signed_area2(frag) if frag else 0
+
+
+class TestDiagonalPrune:
+    def test_half_squares_of_a_cell_are_dropped(self):
+        for num in (int, Fraction):
+            for a, b in _half_squares(num(3), num(-2), num(1)):
+                assert diagonal_pairs([(0, 0)], [a], [b]) == []
+                assert diagonal_pairs([(0, 1)], [a, b], [a, b]) == []
+
+    def test_float_tie_is_kept(self):
+        # exactly, a reaches x + y = 1 + 2**-53 and b starts at x + y = 1,
+        # and they share a sliver; both sums round to 1.0
+        a = [(-1.0, -1.0), (1.0, -1.0), (1.0, 2.0**-53)]
+        b = [(0.5, 0.5), (3.0, -2.0), (3.0, 3.0)]
+        assert _exact_overlap2(a, b) > 0
+        assert diagonal_pairs([(0, 0)], [a], [b]) == [(0, 0)]
+        exact_a = [(Fraction(x), Fraction(y)) for x, y in a]
+        exact_b = [(Fraction(x), Fraction(y)) for x, y in b]
+        assert diagonal_pairs([(0, 0)], [exact_a], [exact_b]) == [(0, 0)]
+
+    def test_pieces_meeting_only_in_a_box_are_dropped(self):
+        # the boxes overlap, the diagonal extents are apart
+        a = [(0, 0), (2, 0), (0, 2)]
+        b = [(3, 3), (1, 3), (3, 1)]
+        assert diagonal_pairs([(0, 0)], [a], [b]) == []
+        a, b = ([(float(x), float(y)) for x, y in p] for p in (a, b))
+        assert diagonal_pairs([(0, 0)], [a], [b]) == []
+
+    @settings(max_examples=400)
+    @given(_touching_pairs(), st.sampled_from(["int", "Fraction"]))
+    def test_exact_drops_have_no_overlap(self, pair, kind):
+        a, b = pair
+        if kind == "int":  # convex_polygons' denominators divide 6
+            a, b = ([(int(6 * x), int(6 * y)) for x, y in p] for p in (a, b))
+        if diagonal_pairs([(0, 0)], [a], [b]) == []:
+            assert reference_convex_clip(a, b) == []
+
+    @settings(max_examples=400)
+    @given(_rounded_pairs())
+    def test_float_drops_have_no_overlap(self, pair):
+        a, b = pair
+        if _exact_overlap2(a, b) > 0:
+            assert diagonal_pairs([(0, 0)], [a], [b]) == [(0, 0)]
