@@ -165,13 +165,16 @@ def cmd_animate(args) -> int:
         cut = args.cut
         if cut is not None and not (0 <= cut < len(doc.figure.pieces)):
             raise ValueError(f"cut hinge {cut} out of range")
-        samples = sample_motion(
-            doc.figure,
-            doc.configurations[0].configuration,
-            doc.configurations[1].configuration,
-            args.frames,
-            cut,
-        )
+        try:
+            samples = sample_motion(
+                doc.figure,
+                doc.configurations[0].configuration,
+                doc.configurations[1].configuration,
+                args.frames,
+                cut,
+            )
+        except OverflowError as exc:  # a value beyond the double range
+            return _fail(str(exc))
         with atomic_output(args.out) as fh:
             fh.write(render_animation(samples, RenderStyle(), figure=doc.figure))
         if args.report_overlaps:

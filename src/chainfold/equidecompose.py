@@ -55,7 +55,7 @@ from .numeric import (
     numeric_between_segments,
     numeric_from_rigid,
 )
-from .overlap import clip_parts, diagonal_pairs, pairs_across, partition_residuals, parts_and_boxes
+from .overlap import overlapping_pairs, part_clips, partition_residuals, parts_and_bounds
 
 log = logging.getLogger(__name__)
 
@@ -506,18 +506,18 @@ def overlay_charts(ca: DissectionChart, cb: DissectionChart) -> DissectionChart:
 
     placed_a = _placed(ca)
     placed_b = _placed(cb)
-    parts_a, boxes_a = parts_and_boxes(placed_a)
-    parts_b, boxes_b = parts_and_boxes(placed_b)
+    parts_a, bounds_a = parts_and_bounds(placed_a)
+    parts_b, bounds_b = parts_and_bounds(placed_b)
 
     pieces: list[tuple] = []
     target_motions: list[NumericMotion] = []
     slivers: list[tuple[int, int, float]] = []
-    for ia, ib in diagonal_pairs(pairs_across(boxes_a, boxes_b), placed_a, placed_b):
+    for ia, ib in overlapping_pairs(bounds_a, bounds_b):
         ma, mb = ca.target_motions[ia], cb.target_motions[ib]
         back_a = invert_numeric(ma)
         relative = compose_numeric(invert_numeric(mb), ma)
-        for frag in clip_parts(parts_a[ia], parts_b[ib]):
-            frag = _dedupe_collinear(frag)
+        for frag, _ in part_clips(parts_a[ia], parts_b[ib]):
+            frag = _dedupe_collinear(frag)  # a copy: frag may be a part itself
             if len(frag) < 3:
                 continue
             frag_area = _signed_area2(frag) / 2.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .figures import Configuration, CountMismatch, HingedFigure
 from .numeric import NumericMotion, float_polygon, numeric_from_rigid, wrap_angle
 from .numeric import float_overlap_area  # noqa: F401 - looked up by perfbench/tracing.py
-from .overlap import diagonal_pairs, overlap_sum2, pairs_within, parts_and_boxes
+from .overlap import overlap_sum2, overlapping_pairs, parts_and_bounds
 
 OVERLAP_THRESHOLD = 1e-9
 
@@ -170,9 +170,9 @@ def sample_motion(
             [(c * x - s * y + m.tx, s * x + c * y + m.ty) for x, y in pts]
             for m, (c, s), pts in zip(placements, rotations, local_pts)
         ]
-        parts, boxes = parts_and_boxes(placed)
+        parts, bounds = parts_and_bounds(placed)
         overlaps = []
-        for i, j in diagonal_pairs(pairs_within(boxes), placed, placed):
+        for i, j in overlapping_pairs(bounds):
             area = overlap_sum2(parts[i], parts[j]) / 2
             if area > OVERLAP_THRESHOLD:
                 overlaps.append((i, j, area))

@@ -34,7 +34,6 @@ class RenderStyle:
     palette: tuple[str, ...] = DEFAULT_PALETTE
     stroke_width: float = 0.02
     show_hinges: bool = False
-    show_labels: bool = False
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -100,21 +99,12 @@ def render_config(f: HingedFigure, c: Configuration, style: RenderStyle = Render
                 'fill="#ffffff" stroke="#222222" '
                 f'stroke-width="{_fmt(style.stroke_width)}"/>'
             )
-    if style.show_labels:
-        for i, pts in enumerate(placed):
-            cx = sum(x for x, _ in pts) / len(pts)
-            cy = sum(y for _, y in pts) / len(pts)
-            lines.append(
-                f'<text x="{_fmt(cx)}" y="{_fmt(-cy)}" font-size="0.2" '
-                f'text-anchor="middle" transform="scale(1,-1)">{i}</text>'
-            )
     lines.extend(_SVG_CLOSE)
     return "\n".join(lines) + "\n"
 
 
-def render_animation(samples: list[MotionSample], style: RenderStyle = RenderStyle(),
-                     figure: HingedFigure | None = None,
-                     local_points: list | None = None) -> str:
+def render_animation(samples: list[MotionSample], style: RenderStyle = RenderStyle(), *,
+                     figure: HingedFigure) -> str:
     """Looping animation A -> B -> A over the sampled frames.
 
     Each piece is one path whose "d" attribute is morphed linearly
@@ -122,10 +112,7 @@ def render_animation(samples: list[MotionSample], style: RenderStyle = RenderSty
     """
     if len(samples) < 2:
         raise TooFewFrames(f"need at least 2 samples, got {len(samples)}")
-    if local_points is None:
-        if figure is None:
-            raise ValueError("render_animation needs the figure or explicit local points")
-        local_points = [float_polygon(p.as_tuples()) for p in figure.pieces]
+    local_points = [float_polygon(p.as_tuples()) for p in figure.pieces]
     piece_count = len(samples[0].placements)
     boxes = []
     paths = []  # per frame, each piece's outline formatted once

@@ -161,6 +161,27 @@ class TestAnimate:
         assert f"at most {MAX_FRAMES} frames" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["placement", "vertex"])
+    def test_value_outside_the_float_range_exits_2(self, workdir, capsys, where):
+        # a 3-cell pair; verify --mode approx exits 2 on the same documents
+        (workdir / "L3.txt").write_text("##\n#.\n")
+        (workdir / "I3.txt").write_text("###\n")
+        pair = workdir / "pair.hdj"
+        assert main(["dissect", "--a", str(workdir / "L3.txt"), "--b", str(workdir / "I3.txt"),
+                     "--out", str(pair)]) == 0
+        doc = json.loads(pair.read_text())
+        if where == "placement":  # of piece 0, the root of the default cut
+            doc["configurations"][0]["placements"][0]["tx"] = "1e400"
+        else:  # the piece stays counter-clockwise
+            doc["figure"]["pieces"][0][1] = ["1e400", 0]
+        pair.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = workdir / "x.svg"
+        assert main(["animate", str(pair), "--out", str(out)]) == 2
+        assert "too large for a float" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["verify", "--mode", "approx", str(pair)]) == 2
+
     def test_identity_pair_no_overlaps(self, workdir):
         pair = workdir / "same.hdj"
         main(["dissect", "--a", str(workdir / "L.txt"), "--b", str(workdir / "L.txt"),

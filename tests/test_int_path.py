@@ -27,6 +27,7 @@ from chainfold.exact_geom import (
     RigidMotion,
     SimplePolygon,
     _bbox,
+    _bboxes_interiors_overlap,
     _clip_halfplane,
     _convex_clip,
     _signed_area2,
@@ -37,14 +38,7 @@ from chainfold.exact_geom import (
 )
 from chainfold.figures import Configuration, Hinge, HingedFigure, verify_configuration
 from chainfold.numeric import float_polygon
-from chainfold.overlap import (
-    cell_bounds,
-    clip_parts,
-    convex_parts,
-    covered_by_cells2,
-    overlap_sum2,
-    pairs_within,
-)
+from chainfold.overlap import cell_bounds, convex_parts, covered_by_cells2, overlap_sum2
 from chainfold.polyomino import Polyomino, boundary_polygon, parse_grid, random_polyomino
 
 from conftest import PENTOMINO_GRIDS, rational_convex_hull
@@ -53,10 +47,24 @@ from conftest import PENTOMINO_GRIDS, rational_convex_hull
 # the Fraction-only reference verifier
 
 
+def _box_pairs(boxes):
+    """Index pairs i < j whose box interiors overlap, by an all-pairs loop."""
+    return [
+        (i, j)
+        for i in range(len(boxes))
+        for j in range(i + 1, len(boxes))
+        if _bboxes_interiors_overlap(boxes[i], boxes[j])
+    ]
+
+
 def _reference_overlap(parts_a, parts_b):
     total = 0
-    for frag in clip_parts(parts_a, parts_b):
-        total += _signed_area2(frag) / 2
+    for part_a, box_a in parts_a:
+        for part_b, box_b in parts_b:
+            if _bboxes_interiors_overlap(box_a, box_b):
+                frag = _convex_clip(part_a, part_b)
+                if frag:
+                    total += _signed_area2(frag) / 2
     return total
 
 
@@ -91,7 +99,7 @@ def reference_verify_exact(f, c, target):
             failures.append(("HingeCoincidence", f"hinge {idx}: ({ax},{ay}) vs ({bx},{by})"))
     parts = [convex_parts(pts) for pts in placed]
     boxes = [_bbox(pts) for pts in placed]
-    for i, j in pairs_within(boxes):
+    for i, j in _box_pairs(boxes):
         if _reference_overlap(parts[i], parts[j]) > 0:
             failures.append(("PairwiseDisjoint", f"pieces {i} and {j} overlap"))
     areas = [_signed_area2(pts) / 2 for pts in placed]
@@ -159,7 +167,7 @@ def reference_verify_approx(f, c, target):
         target_area = float(polygon_area(target))
         target_parts = convex_parts(float_polygon(target.as_tuples()))
         covered2 = [overlap_sum2(p, target_parts) for p in parts]
-    for i, j in pairs_within(boxes):
+    for i, j in _box_pairs(boxes):
         area = overlap_sum2(parts[i], parts[j]) / 2
         if area > tol * target_area:
             failures.append(("PairwiseDisjoint", f"pieces {i} and {j} overlap by {area:g}"))

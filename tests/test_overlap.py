@@ -8,39 +8,55 @@ from chainfold.overlap import (
     cell_bounds,
     convex_parts,
     covered_by_cells2,
-    diagonal_pairs,
     overlap_sum2,
-    pairs_across,
-    pairs_within,
+    overlapping_pairs,
+    part_clips,
+    parts_and_bounds,
     polygon_overlap,
 )
 
 from conftest import rational_convex_hull
 from test_clip_kernel import convex_polygons, reference_convex_clip
 
-# Box corners on a half-integer grid of a few steps, so lists are full of
-# tied lower x values, boxes touching along an edge, and zero-width or
-# zero-height boxes.
+
+def _octagon(pts):
+    """The bound (x0, y0, x1, y1, s0, s1, d0, d1) of a point list: its box
+    and the min and max of x + y and of x - y."""
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    sums, diffs = [x + y for x, y in pts], [x - y for x, y in pts]
+    return min(xs), min(ys), max(xs), max(ys), min(sums), max(sums), min(diffs), max(diffs)
+
+
+def _box_bound(x0, y0, x1, y1):
+    """The bound of a box's four corners."""
+    return _octagon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+
+# Points on a half-integer grid (an integer grid for int) of a few steps,
+# so lists are full of tied lower x values, boxes touching along an edge,
+# zero-width or zero-height boxes, and diagonal extents that only touch.
 _steps = st.integers(-3, 3)
-_sizes = st.integers(0, 3)
-_number_types = st.sampled_from([Fraction, float])
+_number_types = st.sampled_from([int, Fraction, float])
 
 
 @st.composite
-def _box(draw, num):
-    x0, y0, w, h = draw(_steps), draw(_steps), draw(_sizes), draw(_sizes)
-    if num is None:  # mixed lists: each box picks its own number type
+def _bound(draw, num):
+    """The bound of one to four grid points, all of one number type."""
+    if num is None:  # mixed lists: each bound picks its own number type
         num = draw(_number_types)
-    corners = (Fraction(x0, 2), Fraction(y0, 2), Fraction(x0 + w, 2), Fraction(y0 + h, 2))
-    return tuple(num(v) for v in corners)
+    scale = 1 if num is int else 2
+    pts = draw(st.lists(st.tuples(_steps, _steps), min_size=1, max_size=4))
+    return _octagon([(num(Fraction(x, scale)), num(Fraction(y, scale))) for x, y in pts])
 
 
 @st.composite
-def _box_list(draw, num):
-    return draw(st.lists(_box(num), max_size=14))
+def _bound_list(draw, num):
+    return draw(st.lists(_bound(num), max_size=14))
 
 
-_box_lists = st.one_of(_box_list(Fraction), _box_list(float), _box_list(None))
+_bound_lists = st.one_of(
+    _bound_list(int), _bound_list(Fraction), _bound_list(float), _bound_list(None)
+)
 
 
 @st.composite
@@ -54,53 +70,68 @@ def _strip_list(draw):
         strips.append((Fraction(x0, 4), Fraction(y0, 2), Fraction(x1, 4), Fraction(y0 + h, 2)))
     if draw(st.booleans()):  # or lying across a wide x range
         strips = [(y0, x0, y1, x1) for x0, y0, x1, y1 in strips]
-    return strips
+    return [_box_bound(*box) for box in strips]
 
 
-def _brute_within(boxes):
+def _meet(a, b):
+    """The broad-phase rule on two bounds: box interiors overlap, and the
+    diagonal extents overlap, or tie when either bound is float."""
+    if not _bboxes_interiors_overlap(a[:4], b[:4]):
+        return False
+    sa0, sa1, da0, da1 = a[4:]
+    sb0, sb1, db0, db1 = b[4:]
+    if sa0 < sb1 and sb0 < sa1 and da0 < db1 and db0 < da1:
+        return True
+    tie = not (sa1 < sb0 or sb1 < sa0 or da1 < db0 or db1 < da0)
+    return tie and (isinstance(sa0, float) or isinstance(sb0, float))
+
+
+def _brute_within(bounds):
     return [
         (i, j)
-        for i in range(len(boxes))
-        for j in range(i + 1, len(boxes))
-        if _bboxes_interiors_overlap(boxes[i], boxes[j])
+        for i in range(len(bounds))
+        for j in range(i + 1, len(bounds))
+        if _meet(bounds[i], bounds[j])
     ]
 
 
-def _brute_across(boxes_a, boxes_b):
+def _brute_across(bounds_a, bounds_b):
     return [
         (i, j)
-        for i in range(len(boxes_a))
-        for j in range(len(boxes_b))
-        if _bboxes_interiors_overlap(boxes_a[i], boxes_b[j])
+        for i in range(len(bounds_a))
+        for j in range(len(bounds_b))
+        if _meet(bounds_a[i], bounds_b[j])
     ]
 
 
 class TestBroadPhase:
     @settings(max_examples=300, deadline=None)
-    @given(_box_lists)
-    def test_within_matches_brute_force(self, boxes):
-        assert pairs_within(boxes) == _brute_within(boxes)
+    @given(_bound_lists)
+    def test_within_matches_brute_force(self, bounds):
+        assert overlapping_pairs(bounds) == _brute_within(bounds)
 
     @settings(max_examples=300, deadline=None)
-    @given(_box_lists, _box_lists)
-    def test_across_matches_brute_force(self, boxes_a, boxes_b):
-        assert pairs_across(boxes_a, boxes_b) == _brute_across(boxes_a, boxes_b)
+    @given(_bound_lists, _bound_lists)
+    def test_across_matches_brute_force(self, bounds_a, bounds_b):
+        assert overlapping_pairs(bounds_a, bounds_b) == _brute_across(bounds_a, bounds_b)
 
     @settings(max_examples=200, deadline=None)
     @given(_strip_list(), _strip_list())
     def test_strips_match_brute_force(self, strips, others):
-        assert pairs_within(strips) == _brute_within(strips)
-        assert pairs_across(strips, others) == _brute_across(strips, others)
+        assert overlapping_pairs(strips) == _brute_within(strips)
+        assert overlapping_pairs(strips, others) == _brute_across(strips, others)
 
     def test_identical_boxes_pair_once(self):
-        box = (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
-        assert pairs_within([box, box, box]) == [(0, 1), (0, 2), (1, 2)]
-        assert pairs_across([box, box], [box]) == [(0, 0), (1, 0)]
+        bound = _box_bound(Fraction(0), Fraction(0), Fraction(1), Fraction(1))
+        assert overlapping_pairs([bound, bound, bound]) == [(0, 1), (0, 2), (1, 2)]
+        assert overlapping_pairs([bound, bound], [bound]) == [(0, 0), (1, 0)]
 
     def test_touching_and_degenerate_boxes_never_pair(self):
-        boxes = [(0, 0, 1, 1), (1, 0, 2, 1), (0, 1, 1, 2), (1, 0, 1, 1)]
-        assert pairs_within(boxes) == []
-        assert pairs_across(boxes[:1], boxes[1:]) == []
+        for num in (int, float):
+            boxes = [(0, 0, 1, 1), (1, 0, 2, 1), (0, 1, 1, 2), (1, 0, 1, 1)]
+            bounds = [_box_bound(*map(num, box)) for box in boxes]
+            assert overlapping_pairs(bounds) == []
+            assert overlapping_pairs(bounds[:1], bounds[1:]) == []
 
 
 SQUARE = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0)),
@@ -114,6 +145,12 @@ class TestPartsAndNarrowPhase:
         parts = convex_parts(SQUARE)
         assert parts == [(SQUARE, (0, 0, 2, 2))]
 
+    def test_bounds_are_boxes_and_diagonal_extents(self):
+        parts, bounds = parts_and_bounds([SQUARE, L_HEXAGON])
+        assert parts == [convex_parts(SQUARE), convex_parts(L_HEXAGON)]
+        assert bounds == [_octagon(SQUARE), _octagon(L_HEXAGON)]
+        assert bounds[0][:4] == parts[0][0][1]  # a convex piece's box is its part's
+
     def test_non_convex_polygon_splits_into_triangles(self):
         parts = convex_parts(L_HEXAGON)
         assert len(parts) == 4
@@ -125,6 +162,9 @@ class TestPartsAndNarrowPhase:
         assert isinstance(area, Fraction)
         assert area == Fraction(2, 3)  # [1/3, 1] x [1, 2]
         assert overlap_sum2(convex_parts(L_HEXAGON), convex_parts(shifted)) == 2 * area
+        clips = list(part_clips(convex_parts(L_HEXAGON), convex_parts(shifted)))
+        assert clips and all(_signed_area2(frag) == area2 != 0 for frag, area2 in clips)
+        assert sum(area2 for _, area2 in clips) == 2 * area
 
     def test_float_overlap(self):
         a = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -220,12 +260,23 @@ def _exact_overlap2(a, b):
     return _signed_area2(frag) if frag else 0
 
 
+def _bounds(*pieces):
+    return parts_and_bounds(pieces)[1]
+
+
+def _pruned(a, b):
+    """Whether the broad phase drops the pair of pieces a and b, asserting
+    that the self and cross forms agree."""
+    across = overlapping_pairs(_bounds(a), _bounds(b))
+    assert overlapping_pairs(_bounds(a, b)) == [(0, 1)] * len(across)
+    return across == []
+
+
 class TestDiagonalPrune:
     def test_half_squares_of_a_cell_are_dropped(self):
         for num in (int, Fraction):
             for a, b in _half_squares(num(3), num(-2), num(1)):
-                assert diagonal_pairs([(0, 0)], [a], [b]) == []
-                assert diagonal_pairs([(0, 1)], [a, b], [a, b]) == []
+                assert _pruned(a, b)
 
     def test_float_tie_is_kept(self):
         # exactly, a reaches x + y = 1 + 2**-53 and b starts at x + y = 1,
@@ -233,18 +284,18 @@ class TestDiagonalPrune:
         a = [(-1.0, -1.0), (1.0, -1.0), (1.0, 2.0**-53)]
         b = [(0.5, 0.5), (3.0, -2.0), (3.0, 3.0)]
         assert _exact_overlap2(a, b) > 0
-        assert diagonal_pairs([(0, 0)], [a], [b]) == [(0, 0)]
+        assert not _pruned(a, b)
         exact_a = [(Fraction(x), Fraction(y)) for x, y in a]
         exact_b = [(Fraction(x), Fraction(y)) for x, y in b]
-        assert diagonal_pairs([(0, 0)], [exact_a], [exact_b]) == [(0, 0)]
+        assert not _pruned(exact_a, exact_b)
 
     def test_pieces_meeting_only_in_a_box_are_dropped(self):
         # the boxes overlap, the diagonal extents are apart
         a = [(0, 0), (2, 0), (0, 2)]
         b = [(3, 3), (1, 3), (3, 1)]
-        assert diagonal_pairs([(0, 0)], [a], [b]) == []
+        assert _pruned(a, b)
         a, b = ([(float(x), float(y)) for x, y in p] for p in (a, b))
-        assert diagonal_pairs([(0, 0)], [a], [b]) == []
+        assert _pruned(a, b)
 
     @settings(max_examples=400)
     @given(_touching_pairs(), st.sampled_from(["int", "Fraction"]))
@@ -252,7 +303,7 @@ class TestDiagonalPrune:
         a, b = pair
         if kind == "int":  # convex_polygons' denominators divide 6
             a, b = ([(int(6 * x), int(6 * y)) for x, y in p] for p in (a, b))
-        if diagonal_pairs([(0, 0)], [a], [b]) == []:
+        if _pruned(a, b):
             assert reference_convex_clip(a, b) == []
 
     @settings(max_examples=400)
@@ -260,4 +311,4 @@ class TestDiagonalPrune:
     def test_float_drops_have_no_overlap(self, pair):
         a, b = pair
         if _exact_overlap2(a, b) > 0:
-            assert diagonal_pairs([(0, 0)], [a], [b]) == [(0, 0)]
+            assert not _pruned(a, b)
