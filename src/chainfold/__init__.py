@@ -53,6 +53,6 @@ from .equidecompose import (
     verify_chart,
 )
 from .kinematics import AnglePose, MotionSample, extract_pose, interpolate, sample_motion
-from .render import RenderStyle, render_animation, render_chart, render_config
+from .render import render_animation, render_chart, render_config
 
 __version__ = "0.1.0"

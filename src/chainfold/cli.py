@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .chain import dissect_pair, fold_chain
@@ -37,7 +38,7 @@ from .figures import (
 )
 from .kinematics import motion_frame_json, sample_motion
 from .polyomino import Polyomino, cells_from_json, parse_grid, random_polyomino, to_grid
-from .render import RenderStyle, render_animation, render_chart, render_config
+from .render import render_animation, render_chart, render_config
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -84,8 +85,7 @@ def cmd_fold(args) -> int:
         save_hdj(args.out, doc)
         if args.svg:
             with atomic_output(args.svg) as fh:
-                fh.write(render_config(doc.figure, doc.configurations[0].configuration,
-                                       RenderStyle(show_hinges=True)))
+                fh.write(render_config(doc.figure, doc.configurations[0].configuration))
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
     print(f"wrote {args.out}: {len(doc.figure.pieces)} pieces, verified exactly")
@@ -117,11 +117,18 @@ def cmd_dissect(args) -> int:
         save_hdj(args.out, doc)
         if args.svg:
             with atomic_output(args.svg) as fh:
-                fh.write(render_config(doc.figure, hd.config_a, RenderStyle(show_hinges=True)))
+                fh.write(render_config(doc.figure, hd.config_a))
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
     print(f"wrote {args.out}: {len(doc.figure.pieces)} pieces, both foldings verified")
     return EXIT_OK
+
+
+def _print_report(nc: NamedConfiguration, nt: NamedTarget, report, file) -> None:
+    status = "ACCEPTED" if report.accepted else "REJECTED"
+    print(f"configuration '{nc.name}' vs target '{nt.name}': {status}", file=file)
+    for check, detail in report.failures:
+        print(f"  {check}: {detail}", file=file)
 
 
 def cmd_verify(args) -> int:
@@ -143,11 +150,7 @@ def cmd_verify(args) -> int:
             report = verify_configuration(doc.figure, config, nt.data)
         except OverflowError as exc:  # approx mode: a value beyond the double range
             return _fail(f"configuration '{nc.name}': {exc}")
-        status = "ACCEPTED" if report.accepted else "REJECTED"
-        print(f"configuration '{nc.name}' vs target '{nt.name}': {status}")
-        for check, detail in report.failures:
-            print(f"  {check}: {detail}")
-            all_ok = False
+        _print_report(nc, nt, report, sys.stdout)
         if not report.accepted:
             all_ok = False
     return EXIT_OK if all_ok else EXIT_REJECTED
@@ -173,10 +176,18 @@ def cmd_animate(args) -> int:
                 args.frames,
                 cut,
             )
+            # both ends, in their stored modes, as verify checks them
+            ends = [(nc, nt, verify_configuration(doc.figure, nc.configuration, nt.data))
+                    for nc, nt in doc.pairs()[:2]]
         except OverflowError as exc:  # a value beyond the double range
             return _fail(str(exc))
+        rejected = [(nc, nt, report) for nc, nt, report in ends if not report.accepted]
+        for nc, nt, report in rejected:
+            _print_report(nc, nt, report, sys.stderr)
+        if rejected:
+            return EXIT_REJECTED
         with atomic_output(args.out) as fh:
-            fh.write(render_animation(samples, RenderStyle(), figure=doc.figure))
+            fh.write(render_animation(samples, figure=doc.figure))
         if args.report_overlaps:
             # motion_report_json(samples), one frame per line: json.dumps of
             # a frame runs the C encoder, json.dump with indent the Python one
@@ -232,7 +243,7 @@ def cmd_bg(args) -> int:
             fh.write("\n")
         if args.svg:
             with atomic_output(args.svg) as fh:
-                fh.write(render_chart(mutual, RenderStyle()))
+                fh.write(render_chart(mutual))
     except OSError as exc:
         return _fail(str(exc))
     print(f"wrote {args.out}: {len(mutual.pieces)} pieces, verified at {CHART_TOLERANCE:g}")
@@ -312,9 +323,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except SystemExit:
         raise
+    except BrokenPipeError:
+        # the reader of stdout has gone; point stdout at devnull, so that
+        # Python's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail("standard output is closed")
     except Exception as exc:  # noqa: BLE001 - last-resort CLI guard
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

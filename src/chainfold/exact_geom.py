@@ -362,33 +362,12 @@ def _clip_halfplane(pts, e1, e2):
     return out
 
 
-def _box_inside_axis_edge(box, e1, e2) -> bool:
-    """The box lies on or left of the axis-parallel directed line e1->e2.
-
-    Then every vertex inside the box has a side value >= 0 and clipping by
-    the edge returns its input unchanged.  A zero-length edge gives every
-    vertex side 0, so it cannot cut either.
-    """
-    x0, y0, x1, y1 = box
-    if e1[1] == e2[1]:
-        if e2[0] > e1[0]:
-            return y0 >= e1[1]
-        if e2[0] < e1[0]:
-            return y1 <= e1[1]
-        return True
-    if e2[1] > e1[1]:
-        return x1 <= e1[0]
-    return x0 >= e1[0]
-
-
 def _clip_convex_raw(subject, clipper):
     """The Sutherland-Hodgman loop of _convex_clip, without its final test.
 
     Returns the clipped vertex list, which may have fewer than three
     vertices or zero area, and may be the subject itself when no clipper
-    edge cuts it.  Axis-parallel clipper edges with the current polygon's
-    bounding box on their inner side are skipped: clipping by them would
-    change nothing.  The box is computed only when such an edge comes up.
+    edge cuts it (_clip_halfplane returns its input then).
 
     On exact (int or Fraction) coordinates a strictly convex subject (no
     repeated vertex, no three collinear) gives a strictly convex result,
@@ -402,22 +381,11 @@ def _clip_convex_raw(subject, clipper):
     over the clipper's edges ends the proof; a clip with no area stays so.
     """
     out = subject
-    box = None
     n = len(clipper)
     for i in range(n):
+        out = _clip_halfplane(out, clipper[i], clipper[(i + 1) % n])
         if not out:
             return []
-        e1 = clipper[i]
-        e2 = clipper[(i + 1) % n]
-        if e1[0] == e2[0] or e1[1] == e2[1]:
-            if box is None:
-                box = _bbox(out)
-            if _box_inside_axis_edge(box, e1, e2):
-                continue
-        clipped = _clip_halfplane(out, e1, e2)
-        if clipped is not out:
-            out = clipped
-            box = None
     return out
 
 

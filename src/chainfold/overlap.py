@@ -30,8 +30,9 @@ float; callers compare doubled areas or halve a float.
   is convex and into its ear-clip triangles otherwise.  Parts live in
   the caller's lists, so nothing is cached across calls.
 - Narrow phase: one loop clips every part pair whose boxes overlap and
-  yields each fragment with its doubled area, so area sums measure each
-  raw clip once, with no second pass over the fragments.
+  returns the list of fragments with their doubled areas, so area sums
+  measure each raw clip once.  Each clip is a plain Sutherland-Hodgman
+  pass, one half-plane per clipper edge.
 """
 
 from __future__ import annotations
@@ -112,14 +113,15 @@ def overlapping_pairs(bounds_a, bounds_b=None) -> list[tuple[int, int]]:
     return [(i, j - n) for i, j in pairs] if cross else pairs
 
 
-def part_clips(parts_a, parts_b):
-    """Yield (fragment, doubled area) for each part of a and each part of
-    b whose boxes overlap and whose intersection has area, a-major.
+def part_clips(parts_a, parts_b) -> list[tuple]:
+    """(fragment, doubled area) for each part of a and each part of b
+    whose boxes overlap and whose intersection has area, a-major.
 
     Each raw clip is measured once and kept under the test _convex_clip
     applies: three or more vertices, non-zero area.  A fragment may be
     the part of a itself, when no edge of the part of b cuts it.
     """
+    clips = []
     for pa, (ax0, ay0, ax1, ay1) in parts_a:
         for pb, (bx0, by0, bx1, by1) in parts_b:
             if ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1:
@@ -127,7 +129,8 @@ def part_clips(parts_a, parts_b):
                 if len(frag) > 2:
                     area2 = _signed_area2(frag)
                     if area2 != 0:
-                        yield frag, area2
+                        clips.append((frag, area2))
+    return clips
 
 
 def overlap_sum2(parts_a, parts_b):

@@ -7,14 +7,13 @@ inputs produce byte-identical documents.  Animations are declarative
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .equidecompose import DissectionChart, _piece_points, _placed
 from .figures import Configuration, CountMismatch, HingedFigure, _placed_points
 from .kinematics import MotionSample, TooFewFrames
 from .numeric import apply_numeric_points, float_polygon
 
-DEFAULT_PALETTE = (
+SCALE = 40.0  # SVG user units per unit of length
+PALETTE = (
     "#4e79a7",
     "#f28e2b",
     "#59a14f",
@@ -26,23 +25,11 @@ DEFAULT_PALETTE = (
     "#9c755f",
     "#bab0ac",
 )
+STROKE_WIDTH = 0.02
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    scale: float = 40.0
-    palette: tuple[str, ...] = DEFAULT_PALETTE
-    stroke_width: float = 0.02
-    show_hinges: bool = False
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if not self.palette:
-            raise ValueError("palette must not be empty")
-
-    def color(self, index: int) -> str:
-        return self.palette[index % len(self.palette)]
+def _color(index: int) -> str:
+    return PALETTE[index % len(PALETTE)]
 
 
 def _fmt(x: float) -> str:
@@ -60,7 +47,7 @@ def _bounds(point_lists):
     return min(xs), min(ys), max(xs), max(ys)
 
 
-def _svg_open(min_x, min_y, max_x, max_y, scale) -> list[str]:
+def _svg_open(min_x, min_y, max_x, max_y) -> list[str]:
     """Document header; the inner group flips y so +y points up."""
     span_x = max(max_x - min_x, 1e-9)
     span_y = max(max_y - min_y, 1e-9)
@@ -73,7 +60,7 @@ def _svg_open(min_x, min_y, max_x, max_y, scale) -> list[str]:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(vb_w * scale)}" height="{_fmt(vb_h * scale)}" '
+        f'width="{_fmt(vb_w * SCALE)}" height="{_fmt(vb_h * SCALE)}" '
         f'viewBox="{_fmt(vb_x)} {_fmt(vb_y)} {_fmt(vb_w)} {_fmt(vb_h)}">',
         '<g transform="scale(1,-1)">',
     ]
@@ -82,29 +69,27 @@ def _svg_open(min_x, min_y, max_x, max_y, scale) -> list[str]:
 _SVG_CLOSE = ["</g>", "</svg>"]
 
 
-def render_config(f: HingedFigure, c: Configuration, style: RenderStyle = RenderStyle()) -> str:
-    """Static picture of one placed configuration, one path per piece."""
+def render_config(f: HingedFigure, c: Configuration) -> str:
+    """Static picture of one placed configuration, one path per piece,
+    with a marker on each hinge."""
     _, placed = _placed_points(f, c)
-    lines = _svg_open(*_bounds(placed), style.scale)
+    lines = _svg_open(*_bounds(placed))
     for i, pts in enumerate(placed):
         lines.append(
-            f'<path d="{_path_d(pts)}" fill="{style.color(i)}" '
-            f'stroke="#222222" stroke-width="{_fmt(style.stroke_width)}"/>'
+            f'<path d="{_path_d(pts)}" fill="{_color(i)}" '
+            f'stroke="#222222" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
         )
-    if style.show_hinges:
-        for h in f.hinges:
-            x, y = placed[h.piece_a][h.vertex_a]
-            lines.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(0.06)}" '
-                'fill="#ffffff" stroke="#222222" '
-                f'stroke-width="{_fmt(style.stroke_width)}"/>'
-            )
+    for h in f.hinges:
+        x, y = placed[h.piece_a][h.vertex_a]
+        lines.append(
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(0.06)}" '
+            f'fill="#ffffff" stroke="#222222" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
+        )
     lines.extend(_SVG_CLOSE)
     return "\n".join(lines) + "\n"
 
 
-def render_animation(samples: list[MotionSample], style: RenderStyle = RenderStyle(), *,
-                     figure: HingedFigure) -> str:
+def render_animation(samples: list[MotionSample], *, figure: HingedFigure) -> str:
     """Looping animation A -> B -> A over the sampled frames.
 
     Each piece is one path whose "d" attribute is morphed linearly
@@ -123,15 +108,15 @@ def render_animation(samples: list[MotionSample], style: RenderStyle = RenderSty
         boxes.append(_bounds(frame))
         paths.append([_path_d(pts) for pts in frame])
     min_xs, min_ys, max_xs, max_ys = zip(*boxes)
-    lines = _svg_open(min(min_xs), min(min_ys), max(max_xs), max(max_ys), style.scale)
+    lines = _svg_open(min(min_xs), min(min_ys), max(max_xs), max(max_ys))
     steps = 2 * len(paths) - 1  # forward then back, sharing the endpoints
     key_times = ";".join(_fmt(i / (steps - 1)) for i in range(steps))
     columns = zip(*paths)  # piece i's forward outlines, joined both ways
     for i, forward in enumerate(columns):
         values = ";".join(forward + forward[-2::-1])
         lines.append(
-            f'<path d="{forward[0]}" fill="{style.color(i)}" '
-            f'fill-opacity="0.85" stroke="#222222" stroke-width="{_fmt(style.stroke_width)}">'
+            f'<path d="{forward[0]}" fill="{_color(i)}" '
+            f'fill-opacity="0.85" stroke="#222222" stroke-width="{_fmt(STROKE_WIDTH)}">'
         )
         lines.append(
             f'<animate attributeName="d" dur="8s" repeatCount="indefinite" '
@@ -142,7 +127,7 @@ def render_animation(samples: list[MotionSample], style: RenderStyle = RenderSty
     return "\n".join(lines) + "\n"
 
 
-def render_chart(chart: DissectionChart, style: RenderStyle = RenderStyle()) -> str:
+def render_chart(chart: DissectionChart) -> str:
     """Source and target assemblies side by side with matching piece colors."""
     source_pts = [float_polygon(pts) for pts in _piece_points(chart)]
     placed_pts = _placed(chart)
@@ -155,19 +140,19 @@ def render_chart(chart: DissectionChart, style: RenderStyle = RenderStyle()) -> 
     everything = source_pts + shifted + [
         [(x + shift, y) for x, y in float_polygon(chart.target.as_tuples())]
     ]
-    lines = _svg_open(*_bounds(everything), style.scale)
+    lines = _svg_open(*_bounds(everything))
     lines.append('<g id="source">')
     for i, pts in enumerate(source_pts):
         lines.append(
-            f'<path d="{_path_d(pts)}" fill="{style.color(i)}" '
-            f'stroke="#222222" stroke-width="{_fmt(style.stroke_width)}"/>'
+            f'<path d="{_path_d(pts)}" fill="{_color(i)}" '
+            f'stroke="#222222" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
         )
     lines.append("</g>")
     lines.append(f'<g id="target" transform="translate({_fmt(shift)},0)">')
     for i, pts in enumerate(placed_pts):
         lines.append(
-            f'<path d="{_path_d(pts)}" fill="{style.color(i)}" '
-            f'stroke="#222222" stroke-width="{_fmt(style.stroke_width)}"/>'
+            f'<path d="{_path_d(pts)}" fill="{_color(i)}" '
+            f'stroke="#222222" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
         )
     lines.append("</g>")
     lines.extend(_SVG_CLOSE)

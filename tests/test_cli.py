@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -182,6 +183,27 @@ class TestAnimate:
         assert not out.exists()
         assert main(["verify", "--mode", "approx", str(pair)]) == 2
 
+    def test_rejected_end_exits_1_and_writes_nothing(self, workdir, capsys):
+        # a finite but far-off root placement samples without overflow;
+        # verify rejects the configuration, and so must animate
+        (workdir / "L3.txt").write_text("##\n#.\n")
+        (workdir / "I3.txt").write_text("###\n")
+        pair = workdir / "pair.hdj"
+        assert main(["dissect", "--a", str(workdir / "L3.txt"), "--b", str(workdir / "I3.txt"),
+                     "--out", str(pair)]) == 0
+        doc = json.loads(pair.read_text())
+        doc["configurations"][0]["placements"][0]["tx"] = "1e308"
+        pair.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out, report = workdir / "x.svg", workdir / "ov.json"
+        assert main(["animate", str(pair), "--out", str(out),
+                     "--report-overlaps", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration 'fold_a' vs target 'a': REJECTED" in err
+        assert "HingeCoincidence" in err
+        assert not out.exists() and not report.exists()
+        assert main(["verify", str(pair)]) == 1
+
     def test_identity_pair_no_overlaps(self, workdir):
         pair = workdir / "same.hdj"
         main(["dissect", "--a", str(workdir / "L.txt"), "--b", str(workdir / "L.txt"),
@@ -344,6 +366,28 @@ class TestConsoleEntry:
             text=True,
         )
         assert result.returncode == 0
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_closed_stdout_exits_2(self, workdir, buffered):
+        # an unwritable output exits 2, also when it is stdout, whether the
+        # write fails at once or at the flush of a buffered stream
+        hdj = workdir / "L.hdj"
+        assert main(["fold", "--in", str(workdir / "L.txt"), "--out", str(hdj)]) == 0
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "chainfold.cli", "verify", str(hdj)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert "internal error" not in result.stderr
+        assert "Exception ignored" not in result.stderr
 
 
 class TestExactDecimals:

@@ -9,7 +9,7 @@ from chainfold.exact_geom import polygon
 from chainfold.figures import CountMismatch
 from chainfold.kinematics import TooFewFrames, sample_motion
 from chainfold.polyomino import parse_grid
-from chainfold.render import RenderStyle, render_animation, render_chart, render_config
+from chainfold.render import render_animation, render_chart, render_config
 from conftest import TETROMINO_GRIDS
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -33,7 +33,7 @@ class TestRenderConfig:
 
     def test_hinge_markers(self):
         fr = fold_chain(parse_grid("#"))
-        svg = render_config(fr.figure, fr.config, RenderStyle(show_hinges=True))
+        svg = render_config(fr.figure, fr.config)
         root = ET.fromstring(svg)
         assert len(root.findall(f".//{SVG_NS}circle")) == 2
 
@@ -121,12 +121,3 @@ class TestRenderChart:
         fills_tgt = [p.get("fill") for p in groups[1].findall(f"{SVG_NS}path")]
         assert fills_src == fills_tgt
 
-
-class TestStyle:
-    def test_bad_scale(self):
-        with pytest.raises(ValueError):
-            RenderStyle(scale=0)
-
-    def test_empty_palette(self):
-        with pytest.raises(ValueError):
-            RenderStyle(palette=())
