@@ -603,6 +603,14 @@ def _float_piece(piece) -> tuple:
     return points
 
 
+def _motion_value(value) -> float:
+    """A target motion value: a JSON int or float, not a bool, finite as a
+    double.  An int beyond the double range raises OverflowError."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise DissectionError(f"a target motion value must be a finite number, got {value!r:.40}")
+    return float(value)
+
+
 def chart_from_json(obj) -> DissectionChart:
     """Read a chart written by chart_to_json.
 
@@ -613,7 +621,9 @@ def chart_from_json(obj) -> DissectionChart:
     validated as exact polygons: a chart that verify_chart accepts may
     hold float vertices 6e-16 apart, which exact validation rejects.
     verify_chart checks them.  Source and target are exact polygons
-    either way.  Any malformed or non-finite value is a DissectionError.
+    either way, and each target motion value is a finite JSON int or
+    float, not a bool.  Any malformed or non-finite value is a
+    DissectionError.
     """
     try:
         source = SimplePolygon([point_from_json(v) for v in obj["source"]])
@@ -626,7 +636,7 @@ def chart_from_json(obj) -> DissectionChart:
         else:
             pieces = [_float_piece(piece) for piece in obj["pieces"]]
         motions = [
-            NumericMotion(float(m["angle_rad"]), float(m["tx"]), float(m["ty"]))
+            NumericMotion(*map(_motion_value, (m["angle_rad"], m["tx"], m["ty"])))
             for m in obj["target_motions"]
         ]
         if len(motions) != len(pieces):
@@ -634,5 +644,5 @@ def chart_from_json(obj) -> DissectionChart:
         return DissectionChart(pieces, motions, source, target, exact)
     except DissectionError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DissectionError(f"bad chart encoding: {exc}") from exc

@@ -23,7 +23,6 @@ from .exact_geom import (
     SimplePolygon,
     point,
     point_from_json,
-    point_to_json,
     polygon_area,
     rat,
     rational_to_json,
@@ -209,13 +208,14 @@ def _verify_approx(f: HingedFigure, c: Configuration, target: Target) -> VerifyR
 def _verify(f: HingedFigure, c: Configuration, target: Target, num, tol) -> VerifyReport:
     """The five checks on coordinates converted by num: exact mode runs on
     ints and Fractions with tol 0, approx mode on doubles.  Only
-    HingeCoincidence tests by mode: equal points, or a gap of at most tol."""
+    HingeCoincidence tests by mode: equal points, or a gap of at most tol.
+    Each residual passes only when it is <= its bound, so a NaN fails."""
     exact = num is _exact_value
     motions, placed = _placed_points(f, c, num)
     failures: list[tuple[str, str]] = []
     for i, (cos, sin, _, _) in enumerate(motions):
         err = abs(cos * cos + sin * sin - 1)
-        if err > tol:
+        if not err <= tol:
             text = "rot_cos^2+rot_sin^2 != 1" if exact else f"|cos^2+sin^2-1| = {_value_text(err)}"
             failures.append(("ProperMotion", f"placement {i}: {text}"))
 
@@ -224,7 +224,7 @@ def _verify(f: HingedFigure, c: Configuration, target: Target, num, tol) -> Veri
         if exact and (ax, ay) != (bx, by):
             a, b = ",".join(map(_value_text, (ax, ay))), ",".join(map(_value_text, (bx, by)))
             failures.append(("HingeCoincidence", f"hinge {idx}: ({a}) vs ({b})"))
-        elif not exact and (gap := math.hypot(ax - bx, ay - by)) > tol:
+        elif not exact and not (gap := math.hypot(ax - bx, ay - by)) <= tol:
             failures.append(("HingeCoincidence", f"hinge {idx}: gap {_value_text(gap)}"))
 
     if isinstance(target, Polyomino):
@@ -263,8 +263,9 @@ def _placed_points(f: HingedFigure, c: Configuration, num=float) -> tuple[list, 
 def _partition_failures(residuals, region_area2, tol, exact: bool, checks, region: str):
     """(failures, total area) from partition_residuals and twice the region's
     area.  Each doubled residual is held to a doubled bound, 0 when exact,
-    and halved only to be shown; checks names the overlap, containment and
-    area checks, region the region in their texts."""
+    and halved only to be shown, and passes only when it is <= the bound,
+    so a NaN fails; checks names the overlap, containment and area checks,
+    region the region in their texts."""
     areas2, overlaps2, outside2 = residuals
     bound2 = tol * region_area2 if tol else 0
 
@@ -273,15 +274,15 @@ def _partition_failures(residuals, region_area2, tol, exact: bool, checks, regio
 
     failures = [
         (checks[0], f"pieces {i} and {j} overlap" + ("" if exact else f" by {half_text(area2)}"))
-        for i, j, area2 in overlaps2 if area2 > bound2
+        for i, j, area2 in overlaps2 if not area2 <= bound2
     ]
     where = "of its area is outside" if exact else f"outside {region}"
     failures += [
         (checks[1], f"piece {i}: {half_text(area2)} {where}")
-        for i, area2 in enumerate(outside2) if area2 > bound2
+        for i, area2 in enumerate(outside2) if not area2 <= bound2
     ]
     total2 = sum(areas2)
-    if abs(total2 - region_area2) > bound2:
+    if not abs(total2 - region_area2) <= bound2:
         text = f"piece areas sum to {half_text(total2)}, {region} {half_text(region_area2)}"
         failures.append((checks[2], text))
     return failures, Fraction(total2, 2) if exact else total2 / 2
@@ -350,26 +351,16 @@ class HdjFile:
         return list(zip(self.configurations, self.targets))
 
 
-def _num_to_json(value: Fraction, approx: bool):
-    if approx:
-        return float(value)
-    return rational_to_json(value)
-
-
-def _point_encoder(approx: bool):
-    if approx:
-        return lambda v: [float(v.x), float(v.y)]
-    return point_to_json
-
-
 def figure_to_json(f: HingedFigure, approx: bool = False) -> dict:
-    """The figure as JSON values; pieces that are one SimplePolygon share
-    one encoded list, which write_json formats once."""
-    encode = _point_encoder(approx)
+    """The figure as JSON values, coordinates as floats when approx and
+    as rational_to_json values otherwise.  Pieces that are one
+    SimplePolygon share one encoded list, which write_json formats once
+    for each run of consecutive references to it."""
+    encode = float if approx else rational_to_json
     encoded = {}
     for piece in f.pieces:
         if id(piece) not in encoded:
-            encoded[id(piece)] = [encode(v) for v in piece.vertices]
+            encoded[id(piece)] = [[encode(v.x), encode(v.y)] for v in piece.vertices]
     return {
         "pieces": [encoded[id(piece)] for piece in f.pieces],
         "hinges": [list(h) for h in f.hinges],
@@ -425,16 +416,16 @@ def _hinge_from_json(h) -> Hinge:
 
 def configuration_to_json(nc: NamedConfiguration) -> dict:
     c = nc.configuration
-    approx = c.mode == "approx"
+    encode = float if c.mode == "approx" else rational_to_json
     out = {
         "name": nc.name,
         "mode": c.mode,
         "placements": [
             {
-                "cos": _num_to_json(m.rot_cos, approx),
-                "sin": _num_to_json(m.rot_sin, approx),
-                "tx": _num_to_json(m.translate.x, approx),
-                "ty": _num_to_json(m.translate.y, approx),
+                "cos": encode(m.rot_cos),
+                "sin": encode(m.rot_sin),
+                "tx": encode(m.translate.x),
+                "ty": encode(m.translate.y),
             }
             for m in c.placements
         ],
@@ -479,8 +470,8 @@ def configuration_from_json(obj) -> NamedConfiguration:
 
 def target_to_json(nt: NamedTarget, approx: bool = False) -> dict:
     if nt.kind == "polygon":
-        encode = _point_encoder(approx)
-        data = [encode(v) for v in nt.data.vertices]
+        encode = float if approx else rational_to_json
+        data = [[encode(v.x), encode(v.y)] for v in nt.data.vertices]
     elif nt.kind == "polyomino":
         data = cells_to_json(nt.data)
     else:
@@ -595,95 +586,57 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-class _IndentedJson:
-    """The text of json.dumps(obj, indent=1), built with the scalar
-    formatters the json module itself uses.
-
-    A first walk counts the references to every list, tuple and dict.
-    A container met more than once, such as a piece that every position
-    of a chain figure shares, is formatted once per nesting level and its
-    text kept; every other text is dropped once its parent has it.
-    """
-
-    def __init__(self, obj):
-        self.obj = obj
-        refs = {id(obj): 1}
-        stack = [obj] if isinstance(obj, (list, tuple, dict)) else []
-        while stack:
-            o = stack.pop()
-            # plain scalars drop out by a type lookup, faster than isinstance
-            for v in [v for v in (o.values() if isinstance(o, dict) else o)
-                      if type(v) not in _SCALAR_TEXT]:
-                if not isinstance(v, (list, tuple, dict)):
-                    continue
-                if id(v) in refs:
-                    refs[id(v)] += 1
-                else:
-                    refs[id(v)] = 1
-                    stack.append(v)
-        self.repeated = {i for i, count in refs.items() if count > 1}
-        self.texts = {}  # (id, level) -> text of a repeated container
-        self.open = set()  # ids of the repeated containers being formatted
-
-    def chunks(self):
-        """The text in pieces: the brackets and each top-level item."""
-        o = self.obj
-        if not isinstance(o, (list, tuple, dict)):
-            yield _scalar_text(o)
-            return
-        brackets = "{}" if isinstance(o, dict) else "[]"
-        if not o:
-            yield brackets
-            return
-        self.open.add(id(o))
-        sep = brackets[0] + "\n "
-        for item in self._items(o, 1):
-            yield sep + item
-            sep = ",\n "
-        yield "\n" + brackets[1]
-
-    def _items(self, o, level: int) -> list:
-        """The texts of a container's items (with their keys) at level."""
-        scalar, text = _SCALAR_TEXT.get, self._text
-        if isinstance(o, dict):
-            return [
-                (encode_basestring_ascii(k) if type(k) is str else _key_text(k)) + ": "
-                + (f(v) if (f := scalar(type(v))) else text(v, level))
-                for k, v in o.items()
-            ]
-        return [f(v) if (f := scalar(type(v))) else text(v, level) for v in o]
-
-    def _text(self, v, level: int) -> str:
-        if not isinstance(v, (list, tuple, dict)):
-            return _scalar_text(v)
-        key = id(v)
-        if key not in self.repeated:
-            return self._container(v, level)
-        text = self.texts.get((key, level))
-        if text is None:
-            if key in self.open:
-                raise ValueError("Circular reference detected")
-            self.open.add(key)
-            text = self.texts[key, level] = self._container(v, level)
-            self.open.discard(key)
-        return text
-
-    def _container(self, v, level: int) -> str:
-        brackets = "{}" if isinstance(v, dict) else "[]"
-        if not v:
-            return brackets
-        inner = "\n" + " " * (level + 1)
-        return (brackets[0] + inner + ("," + inner).join(self._items(v, level + 1))
-                + "\n" + " " * level + brackets[1])
-
-
 def write_json(obj, fh) -> None:
     """Write exactly json.dumps(obj, indent=1) to fh, one top-level item at
     a time.  json.dump with an indent always runs the pure-Python encoder;
-    this runs the json module's own scalar formatters in a few list
-    comprehensions and formats a repeated container once."""
-    for chunk in _IndentedJson(obj).chunks():
-        fh.write(chunk)
+    this formats every scalar with the json module's own functions, in
+    one pass.  The text of the container formatted last is kept, so a
+    container that comes again next at the same level, such as the piece
+    list every position of a chain figure shares, is formatted once."""
+    scalar = _SCALAR_TEXT.get
+    open_ids = set()  # the containers being formatted, to find a cycle
+    last = (None, 0, "")  # the container formatted last, its level and its text
+
+    def text(v, level: int) -> str:
+        nonlocal last
+        if not isinstance(v, (list, tuple, dict)):
+            return _scalar_text(v)
+        if v is last[0] and level == last[1]:
+            return last[2]
+        if not v:
+            return "{}" if isinstance(v, dict) else "[]"
+        if id(v) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(v))
+        inner, deeper = "\n" + " " * (level + 1), level + 1
+        if isinstance(v, dict):
+            brackets = "{}"
+            items = [
+                (encode_basestring_ascii(k) if type(k) is str else _key_text(k)) + ": "
+                + (f(x) if (f := scalar(type(x))) else text(x, deeper))
+                for k, x in v.items()
+            ]
+        else:
+            brackets = "[]"
+            items = [f(x) if (f := scalar(type(x))) else text(x, deeper) for x in v]
+        open_ids.discard(id(v))
+        last = (v, level, brackets[0] + inner + ("," + inner).join(items)
+                + "\n" + " " * level + brackets[1])
+        return last[2]
+
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        fh.write(text(obj, 0))
+        return
+    open_ids.add(id(obj))
+    if isinstance(obj, dict):
+        brackets, entries = "{}", ((_key_text(k) + ": ", v) for k, v in obj.items())
+    else:
+        brackets, entries = "[]", (("", v) for v in obj)
+    sep = brackets[0] + "\n "
+    for key, v in entries:
+        fh.write(sep + key + text(v, 1))
+        sep = ",\n "
+    fh.write("\n" + brackets[1])
 
 
 @contextlib.contextmanager

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,16 @@ class TestVerify:
         assert _verify_doc(workdir, doc, "--mode", "approx") == 1
         assert _verify_doc(workdir, doc, "--mode", "approx", "--tol", tol) == 2
         assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
+    def test_far_away_placements_exit_1_in_approx_mode(self, workdir, capsys):
+        # the placed pieces' areas overflow to inf - inf = nan in doubles
+        doc = _tromino_hdj(workdir)
+        for m in doc["configurations"][0]["placements"]:
+            for key in ("tx", "ty"):
+                m[key] = str(Fraction(m[key]) + 10**160)
+        assert _verify_doc(workdir, doc, "--mode", "approx") == 1
+        assert "Containment" in capsys.readouterr().out
+        assert _verify_doc(workdir, doc) == 1
 
     def test_nan_tolerance_in_document_exits_2(self, workdir, capsys):
         doc = _tromino_hdj(workdir)

@@ -3,7 +3,7 @@ from importlib import resources
 
 from chainfold.dudeney import build_dissection
 from chainfold.exact_geom import polygon_area
-from chainfold.figures import hdj_to_json, load_hdj, verify_configuration
+from chainfold.figures import hdj_to_json, load_hdj, save_hdj, verify_configuration
 
 ANALYTIC_SIDE = math.sqrt(4.0 / math.sqrt(3.0))  # 1.519671371...
 
@@ -61,3 +61,7 @@ class TestShippedAsset:
         shipped = load_hdj(str(self._asset_path()))
         fresh = build_dissection()
         assert hdj_to_json(shipped) == hdj_to_json(fresh)
+
+    def test_asset_is_the_bytes_of_a_fresh_save(self, tmp_path):
+        save_hdj(tmp_path / "dudeney.hdj", build_dissection())
+        assert (tmp_path / "dudeney.hdj").read_bytes() == self._asset_path().read_bytes()

@@ -397,6 +397,13 @@ class TestVerifyChart:
         chart.target_motions[0] = NumericMotion(m.angle_rad, m.tx + 1e-3, m.ty)
         assert not verify_chart(chart, 1e-9).accepted
 
+    def test_nan_motion_rejected(self):
+        tri = polygon([(0, 0), (4, 0), (0, 2)])
+        chart = polygon_to_canonical_chart(tri, 2)
+        m = chart.target_motions[0]
+        chart.target_motions[0] = NumericMotion(m.angle_rad, float("nan"), m.ty)
+        assert not verify_chart(chart, 1e-9).accepted
+
     def test_empty_pieces_rejected(self):
         chart = DissectionChart([], [], UNIT_SQUARE, UNIT_SQUARE)
         report = verify_chart(chart, 1e-9)
@@ -623,6 +630,21 @@ class TestChartReadBack:
     def test_non_finite_coordinate_raises(self, bad):
         encoded = chart_to_json(_overlay_chart())
         encoded["pieces"][0][1][0] = bad
+        with pytest.raises(DissectionError):
+            chart_from_json(encoded)
+
+    @pytest.mark.parametrize("key, bad", [
+        ("tx", float("nan")), ("tx", "nan"), ("tx", float("inf")), ("tx", "1e400"),
+        ("tx", 10**400), ("tx", True), ("angle_rad", float("nan")), ("angle_rad", float("inf")),
+    ], ids=["nan", "nan-text", "inf", "1e400-text", "int-10**400", "true", "angle-nan", "angle-inf"])
+    def test_non_finite_motion_raises(self, key, bad):
+        mutual = overlay_charts(
+            polygon_to_canonical_chart(polygon([(0, 0), (2, 0), (0, 2)]), 1),
+            polygon_to_canonical_chart(polygon([(0, 0), (2, 0), (2, 1), (0, 1)]), 1),
+        )
+        encoded = chart_to_json(mutual)
+        assert len(encoded["pieces"]) == 37
+        encoded["target_motions"][0][key] = bad
         with pytest.raises(DissectionError):
             chart_from_json(encoded)
 

@@ -1,8 +1,11 @@
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chainfold.chain import dissect_pair, fold_chain
 from chainfold.exact_geom import RigidMotion, point, polygon
@@ -141,6 +144,21 @@ class TestVerifyConfiguration:
         assert verify_configuration(fr.figure, noisy, UNIT_SQUARE).accepted
         strict = Configuration(tuple(placements), "exact")
         assert not verify_configuration(fr.figure, strict, UNIT_SQUARE).accepted
+
+    @pytest.mark.parametrize("shift", [1e300, 1e307, 1.7e308])
+    def test_approx_mode_rejects_far_away_placements(self, shift):
+        # the placed pieces' areas overflow to inf - inf = nan, which no
+        # bound holds; exact mode rejects the same placements
+        L = parse_grid("#.\n##")
+        fr = fold_chain(L)
+        far = point(Fraction(shift), Fraction(shift))
+        placements = tuple(
+            RigidMotion(m.rot_cos, m.rot_sin, m.translate + far) for m in fr.config.placements
+        )
+        report = verify_configuration(fr.figure, Configuration(placements, "approx"), L)
+        assert not report.accepted
+        assert {"Containment", "AreaCoverage"} <= report.failed_checks()
+        assert math.isnan(report.computed_area)
 
     def test_area_coverage_failure(self):
         # two stacked copies of the same half: hinges fine, area wrong
@@ -289,6 +307,32 @@ def _written(obj) -> str:
     return fh.getvalue()
 
 
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
+_KEYS = st.one_of(st.text(max_size=3), st.integers(), st.floats(), st.booleans(), st.none())
+
+
+@st.composite
+def _shared_containers(draw):
+    """A list, tuple or dict built from a pool of containers, each holding
+    scalars and earlier containers of the pool, so one container can come
+    again at once, after others, and at several levels."""
+    pool = []
+    for _ in range(draw(st.integers(1, 8))):
+        item = st.one_of(_SCALARS, st.sampled_from(pool)) if pool else _SCALARS
+        items = [
+            value
+            for value, repeats in draw(st.lists(st.tuples(item, st.integers(1, 3)), max_size=4))
+            for _ in range(repeats)
+        ]
+        kind = draw(st.sampled_from((list, tuple, dict)))
+        pool.append({draw(_KEYS): v for v in items} if kind is dict else kind(items))
+    return draw(st.sampled_from(pool))
+
+
+_S = {"p": [1, 2]}
+_T = [_S, (0.5, "t")]
+
+
 class TestWriteJson:
     """write_json writes exactly the text of json.dumps(obj, indent=1)."""
 
@@ -352,6 +396,16 @@ class TestWriteJson:
     def test_shared_containers_at_two_levels(self):
         shared = {"p": [1, 2]}
         obj = [shared, [shared, {"k": shared}], shared]
+        assert _written(obj) == json.dumps(obj, indent=1)
+
+    @given(_shared_containers())
+    @example([_T, _T, _T])
+    @example([_S, _T, _S])
+    @example([_S, [_S]])
+    @example([[_S], _S])
+    @example({1: [], 2.5: {}, None: _S, False: (_S, _S), "k": ()})
+    @example([[1], [True], [1.0]])  # equal containers, different texts
+    def test_shared_containers_match_json_dumps(self, obj):
         assert _written(obj) == json.dumps(obj, indent=1)
 
     def test_circular_and_unserializable_values_raise_as_in_json(self):
