@@ -82,11 +82,13 @@ def cmd_fold(args) -> int:
     try:
         p = _load_polyomino(args.infile, args.cells)
         doc = _fold_document(p)
+        # rendered first: a render that fails leaves no file behind
+        svg = args.svg and render_config(doc.figure, doc.configurations[0].configuration)
         save_hdj(args.out, doc)
         if args.svg:
             with atomic_output(args.svg) as fh:
-                fh.write(render_config(doc.figure, doc.configurations[0].configuration))
-    except (ValueError, OSError) as exc:
+                fh.write(svg)
+    except (ValueError, OSError, OverflowError) as exc:  # cells beyond the double range
         return _fail(str(exc))
     print(f"wrote {args.out}: {len(doc.figure.pieces)} pieces, verified exactly")
     return EXIT_OK
@@ -114,10 +116,11 @@ def cmd_dissect(args) -> int:
                 NamedTarget("b", "polyomino", hd.target_b),
             ],
         )
+        svg = args.svg and render_config(doc.figure, hd.config_a)
         save_hdj(args.out, doc)
         if args.svg:
             with atomic_output(args.svg) as fh:
-                fh.write(render_config(doc.figure, hd.config_a))
+                fh.write(svg)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
     print(f"wrote {args.out}: {len(doc.figure.pieces)} pieces, both foldings verified")

@@ -28,7 +28,7 @@ from .exact_geom import (
     rational_to_json,
 )
 from .exact_geom import _bboxes_interiors_overlap, _convex_clip  # noqa: F401 - looked up by perfbench/tracing.py
-from .overlap import partition_residuals
+from .overlap import exact_partition_residuals, partition_residuals
 from .polyomino import BadSize, Cell, Polyomino, cells_from_json, cells_to_json, int_from_json
 
 DEFAULT_APPROX_TOLERANCE = 1e-9
@@ -232,8 +232,9 @@ def _verify(f: HingedFigure, c: Configuration, target: Target, num, tol) -> Veri
     else:
         region = [(num(v.x), num(v.y)) for v in target.vertices]
         area2 = 2 * polygon_area(target)
+    residuals = (exact_partition_residuals if exact else partition_residuals)(placed, region)
     partition, total = _partition_failures(
-        partition_residuals(placed, region), num(area2), tol, exact,
+        residuals, num(area2), tol, exact,
         ("PairwiseDisjoint", "Containment", "AreaCoverage"), "target",
     )
     failures += partition

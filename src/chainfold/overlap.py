@@ -33,12 +33,18 @@ float; callers compare doubled areas or halve a float.
   returns the list of fragments with their doubled areas, so area sums
   measure each raw clip once.  Each clip is a plain Sutherland-Hodgman
   pass, one half-plane per clipper edge.
+- Exact partitions: exact configuration verification first cancels the
+  pieces' directed edges against each other and the region's, and runs
+  the engine only on the pieces near the edges left; a chain fold's
+  edges all cancel, so its exact verify runs no sweep.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
+from itertools import chain
 
 from .exact_geom import _bbox, _clip_convex_raw, _ear_clip, _is_convex, _signed_area2
 
@@ -202,3 +208,50 @@ def partition_residuals(pieces, region):
         covered2 = [overlap_sum2(p, region_parts) for p in parts]
     outside2 = [area2 - cov2 for area2, cov2 in zip(areas2, covered2)]
     return areas2, overlaps2, outside2
+
+
+def exact_partition_residuals(pieces, region):
+    """partition_residuals for exact pieces that are simple and ccw
+    wherever their area is positive, as SimplePolygons moved by
+    [[c, -s], [s, c]] are: the same failures, from boundary cancellation.
+
+    Each directed piece edge counts +1, each directed region edge -1 (a
+    polyomino's are its cells' ccw edges), and p -> q cancels q -> p.
+    The edges left are the jumps of g = sum of the pieces' indicators
+    minus the region's, so g = 0 off their box.  With every area
+    positive and no edge left, the pieces partition the region: areas
+    only, no overlaps, nothing outside.  Otherwise every positive
+    overlap or outside area, where g >= 1, lies in that box, and the
+    engine runs on the pieces whose closed boxes meet it; the rest have
+    no residual.  A piece without positive area (a zero rotation) sends
+    the whole check to the engine.
+    """
+    areas2 = [_signed_area2(pts) for pts in pieces]
+    if not all(area2 > 0 for area2 in areas2):
+        return partition_residuals(pieces, region)
+    ends = chain.from_iterable([pts[1:] + pts[:1] for pts in pieces])
+    edges = Counter(zip(chain.from_iterable(pieces), ends))
+    # each region edge p -> q counts as q -> p
+    if isinstance(region, frozenset):  # the corners of each cell, ccw
+        c0 = list(region)
+        c1 = [(x + 1, y) for x, y in c0]
+        c2 = [(x + 1, y + 1) for x, y in c0]
+        c3 = [(x, y + 1) for x, y in c0]
+        edges.update(chain(zip(c1, c0), zip(c2, c1), zip(c3, c2), zip(c0, c3)))
+    else:
+        edges.update(zip(region[1:] + region[:1], region))
+    count = edges.get
+    left = [(p, q) for (p, q), n in edges.items() if count((q, p), 0) != n]
+    if not left:
+        return areas2, [], [0] * len(pieces)
+    x0, y0, x1, y1 = _bbox([p for e in left for p in e])
+    near = [  # the min and max of a piece's point tuples bound its x
+        k for k, pts in enumerate(pieces)
+        if min(pts)[0] <= x1 and x0 <= max(pts)[0]
+        and (box := _bbox(pts))[1] <= y1 and y0 <= box[3]
+    ]
+    _, overlaps2, near_outside2 = partition_residuals([pieces[k] for k in near], region)
+    outside2 = [0] * len(pieces)
+    for k, out2 in zip(near, near_outside2):
+        outside2[k] = out2
+    return areas2, [(near[i], near[j], area2) for i, j, area2 in overlaps2], outside2

@@ -73,6 +73,15 @@ class TestFold:
                      "--svg", str(svg)]) == 0
         assert svg.read_text().startswith("<?xml")
 
+    def test_svg_of_cells_beyond_the_float_range_exits_2_and_writes_nothing(self, workdir, capsys):
+        # the fold is exact, but its SVG needs floats; no HDJ is written either
+        cells = workdir / "huge.json"
+        cells.write_text(json.dumps({"cells": [[10**400, 0], [10**400 + 1, 0]]}))
+        out, svg = workdir / "h.hdj", workdir / "h.svg"
+        assert main(["fold", "--cells", str(cells), "--out", str(out), "--svg", str(svg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() and not svg.exists()
+
 
 class TestDissect:
     def test_pair(self, workdir):

@@ -16,14 +16,16 @@ a float, and equals the same computation on Fraction inputs.
 
 import math
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainfold import exact_geom, overlap
+from chainfold import exact_geom, figures, overlap
 from chainfold.chain import dissect_pair, fold_chain, load_sample_shape
 from chainfold.exact_geom import (
+    IDENTITY_MOTION,
     RigidMotion,
     SimplePolygon,
     _bbox,
@@ -36,7 +38,7 @@ from chainfold.exact_geom import (
     point,
     polygon_area,
 )
-from chainfold.figures import Configuration, Hinge, HingedFigure, verify_configuration
+from chainfold.figures import Configuration, Hinge, HingedFigure, load_hdj, verify_configuration
 from chainfold.numeric import float_polygon
 from chainfold.overlap import cell_bounds, convex_parts, covered_by_cells2, overlap_sum2
 from chainfold.polyomino import Polyomino, boundary_polygon, parse_grid, random_polyomino
@@ -330,6 +332,197 @@ class TestLatticeFoldPrune:
         for name, case in mutants.items():
             assert not verify_configuration(*case).accepted, name
         assert calls  # the moved pieces are clipped against their new neighbours
+
+
+# ---------------------------------------------------------------------------
+# exact partitions by boundary cancellation
+
+
+def _outcome(f, c, target, verify=verify_configuration):
+    """(accepted, failures, computed_area) of a verifier, or the type and
+    text of the ValueError it raised."""
+    try:
+        report = verify(f, c, target)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(report, tuple):
+        return report
+    return report.accepted, report.failures, report.computed_area
+
+
+def engine_verify_exact(f, c, target):
+    """verify_configuration with the residual engine in place of the
+    cancellation check: the exact verifier as it was before that check."""
+    cancel = figures.exact_partition_residuals
+    figures.exact_partition_residuals = overlap.partition_residuals
+    try:
+        return verify_configuration(f, c, target)
+    finally:
+        figures.exact_partition_residuals = cancel
+
+
+def _assert_same_outcome(case):
+    outcome = _outcome(*case)
+    assert outcome == _outcome(*case, verify=engine_verify_exact)
+    assert outcome == _outcome(*case, verify=reference_verify_exact)
+
+
+def _scaled(m):
+    # (6/5, 8/5) is off the unit circle: the piece grows to twice its size
+    return RigidMotion(Fraction(6, 5), Fraction(8, 5), m.translate)
+
+
+def _collapsed(m):
+    # the zero (cos, sin) puts every vertex on the translation
+    return RigidMotion(0, 0, m.translate)
+
+
+def _placed(f, c):
+    return figures._placed_points(f, c, figures._exact_value)[1]
+
+
+def _square_row_case():
+    """Three unit squares hinged in a row over a 1x3 polyomino, the last
+    turned by the zero (cos, sin) into a point far from the hole it
+    leaves: the residual engine cannot split that point into convex parts."""
+    square = SimplePolygon([point(0, 0), point(1, 0), point(1, 1), point(0, 1)])
+    f = HingedFigure((square,) * 3, (Hinge(0, 1, 1, 0), Hinge(1, 1, 2, 0)), "general")
+    motions = [RigidMotion(1, 0, point(x, 0)) for x in (0, 1)] + [_collapsed(IDENTITY_MOTION)]
+    c = Configuration(tuple(motions), "exact")
+    return f, c, parse_grid("###")
+
+
+def _even_cover_case():
+    """A 2x2 square covered by two scale-2 triangles whose edges cancel
+    the square's, with the other six pieces stacked in pairs: every edge
+    is met an even number of times, yet only the directed edges of a
+    stacked pair fail to cancel."""
+    f, c, _ = _fold(parse_grid("##\n##"))
+    big = [RigidMotion(2, 0, point(0, 0)), RigidMotion(-2, 0, point(2, 2))]
+    stacked = [RigidMotion(1, 0, point(v, v)) for v in (0, 0, 5, 5, 1, 1)]
+    square = SimplePolygon([point(0, 0), point(2, 0), point(2, 2), point(0, 2)])
+    return f, Configuration(tuple(big + stacked), "exact"), square
+
+
+def _dudeney_cases():
+    doc = load_hdj(str(resources.files("chainfold") / "assets" / "dudeney.hdj"))
+    return [
+        (doc.figure, Configuration(nc.configuration.placements, "exact"), nt.data)
+        for nc, nt in doc.pairs()
+    ]
+
+
+def _domino_vs_rectangle():
+    # the polygon's edges have length 2, the pieces' 1: nothing cancels
+    f, c, p = _fold(parse_grid("##"))
+    return f, c, boundary_polygon(p)
+
+
+CANCELLATION_CASES = [
+    ("square-row-zero-rotation", _square_row_case()),
+    ("even-cover", _even_cover_case()),
+    ("domino-vs-rectangle", _domino_vs_rectangle()),
+]
+
+
+@st.composite
+def lattice_mutants(draw):
+    """A lattice fold of random_polyomino(n, seed), n <= 64, intact or
+    with one placement translated, quarter-turned, copied from another
+    piece, scaled by (6/5, 8/5) or collapsed by (0, 0), or with two
+    hinges swapped."""
+    n, seed = draw(st.integers(1, 64)), draw(st.integers(0, 10**6))
+    f, c, p = _fold(random_polyomino(n, seed))
+    k, j = draw(st.integers(0, len(f.pieces) - 1)), draw(st.integers(0, len(f.pieces) - 1))
+    kind = draw(st.sampled_from(
+        ["intact", "translate", "quarter-turn", "duplicate", "scaled", "zero", "hinge-swap"]
+    ))
+    if kind == "translate":
+        d = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+        return f, _moved(c, k, _translated(*draw(st.sampled_from([(d, 0), (0, d), (d, d)])))), p
+    if kind == "quarter-turn":
+        return f, _moved(c, k, _quarter_turn), p
+    if kind == "duplicate":
+        return f, _moved(c, k, lambda m: c.placements[j]), p
+    if kind == "scaled":
+        return f, _moved(c, k, _scaled), p
+    if kind == "zero":
+        return f, _moved(c, k, _collapsed), p
+    if kind == "hinge-swap" and (j - k) % len(f.hinges) not in (0, 1, len(f.hinges) - 1):
+        return _hinge_swap(f, j, k), c, p  # hinges j and k join four distinct pieces
+    return f, c, p
+
+
+class TestEdgeCancellation:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_mutants())
+    def test_lattice_folds_and_mutants_equal_reference(self, case):
+        _assert_same_outcome(case)
+
+    @pytest.mark.parametrize(
+        "name,case", CANCELLATION_CASES, ids=[name for name, _ in CANCELLATION_CASES]
+    )
+    def test_cases_equal_reference(self, name, case):
+        _assert_same_outcome(case)
+
+    @pytest.mark.parametrize("case", _dudeney_cases())
+    def test_dudeney_asset_in_exact_mode(self, case):
+        # the reference prints long exact values in full, so it is held to
+        # the verdict, the checks and the area
+        accepted, failures, total = _outcome(*case)
+        assert (accepted, failures, total) == _outcome(*case, verify=engine_verify_exact)
+        ref_accepted, ref_failures, ref_total = reference_verify_exact(*case)
+        assert (accepted, total) == (ref_accepted, ref_total)
+        assert [check for check, _ in failures] == [check for check, _ in ref_failures]
+
+    def test_cases_reject_as_built(self):
+        outcomes = {name: _outcome(*case) for name, case in CANCELLATION_CASES}
+        assert outcomes["square-row-zero-rotation"][0] is exact_geom.InvalidPolygon
+        assert outcomes["domino-vs-rectangle"][0] is True
+        even = outcomes["even-cover"]
+        assert not even[0]
+        assert {"PairwiseDisjoint", "Containment"} <= {check for check, _ in even[1]}
+
+    def test_accepted_fold_runs_no_broad_or_narrow_phase(self, monkeypatch):
+        f, c, p = _fold(random_polyomino(256, 0))
+        calls = []
+
+        def counting(name, real):
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            return counted
+
+        for name in ("overlapping_pairs", "overlap_sum2"):
+            monkeypatch.setattr(overlap, name, counting(name, getattr(overlap, name)))
+        assert verify_configuration(f, c, p).accepted
+        assert calls == []
+
+    def test_translate_mutant_runs_the_engine_on_few_pieces(self, monkeypatch):
+        f, c, p = _fold(random_polyomino(256, 0))
+        sizes = []
+        real = overlap.partition_residuals
+
+        def counted(pieces, region):
+            sizes.append(len(pieces))
+            return real(pieces, region)
+
+        monkeypatch.setattr(overlap, "partition_residuals", counted)
+        k = len(f.pieces) // 3
+        assert not verify_configuration(f, _moved(c, k, _translated(1, 0)), p).accepted
+        assert len(sizes) == 1 and 0 < sizes[0] < 0.05 * len(f.pieces)
+
+    def test_residual_engine_prunes_the_half_squares_of_a_cell(self, monkeypatch):
+        # the diagonal prune, on the engine itself: the exact verify of an
+        # intact fold no longer reaches the broad phase
+        f, c, p = _fold(random_polyomino(256, 0))
+        calls = []
+        real = overlap.overlap_sum2
+        monkeypatch.setattr(overlap, "overlap_sum2", lambda a, b: calls.append(b) or real(a, b))
+        areas2, overlaps2, outside2 = overlap.partition_residuals(_placed(f, c), p.cells)
+        assert calls == []
+        assert all(area2 == 0 for _, _, area2 in overlaps2) and set(outside2) == {0}
+        assert sum(areas2) == 2 * p.cell_count
 
 
 # ---------------------------------------------------------------------------
