@@ -13,6 +13,7 @@ share one figure and therefore one hinged dissection.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -150,128 +151,56 @@ def splice_step(state: PartialFold, hinge_index: int, cell: Cell) -> PartialFold
     return PartialFold(tuple(tris), state.occupied | {cell})
 
 
-class _CycleOrder:
-    """A growing list of nodes whose relative order is one comparison of
-    labels: order maintenance after Dietz & Sleator, "Two algorithms for
-    maintaining order in a list" (1987), and Bender et al., "Two
-    simplified algorithms for maintaining order in a list" (2002).
+class _InsertionOrder:
+    """A list grown only by inserting after a node, ordered by its
+    insertion tree: a node's parent is the node it was inserted after.
+    The list is the tree's preorder with later children first, since an
+    insertion lands right after its parent, ahead of older siblings.
 
-    Nodes are numbered 0, 1, ... in creation order; node 0 stays first.
-    The list is cut into runs of consecutive nodes, and a node's label is
-    (its run's label, its label in the run).  A node inserted after
-    another joins that node's run, at the midpoint of its neighbours'
-    labels there.  When they leave no room, or the run holds RUN nodes,
-    the run is relabelled evenly, a full one split in two first.  That
-    costs O(RUN), and runs of RUN/2 nodes spread over 2**62 labels take
-    RUN/2 or more insertions before they need it again.  A split adds
-    a run to the list of runs, which is labelled by the simplified
-    algorithm: if the new run's neighbours leave no room, the smallest
-    aligned label range around it whose density is at most (2/3)**level is
-    relabelled evenly, O(log n) amortized per split.  With RUN at least
-    log n, every insertion costs O(1) amortized.
+    Nodes are numbered 0, 1, ... in creation order; node 0 is the root
+    and stays first.  Each node keeps a skew-binary jump pointer, after
+    Myers, "An applicative random-access stack" (1983): the depth it
+    reaches depends only on the node's depth, so two nodes at one depth
+    climb together, and an ancestor at any depth is O(log n) steps away.
     """
 
-    RUN = 64  # nodes per run at most; at least the log2 of any list size
-    INNER = 1 << 62  # labels inside a run lie in [0, INNER)
-    TOP_BITS = 62  # run labels lie in [0, 2**TOP_BITS), room for ~5e7 runs
-
     def __init__(self):
-        self.next = [-1]  # node -> next node, -1 at the end
-        self.run = [0]  # node -> its run
-        self.inner = [self.INNER // 2]  # node -> its label in its run
-        self.run_label = [0]
-        self.run_size = [1]
-        self.run_first = [0]
-        self.run_next = [-1]
-        self.run_prev = [-1]
-
-    def key(self, node: int) -> tuple[int, int]:
-        """Smaller keys come earlier in the list."""
-        return self.run_label[self.run[node]], self.inner[node]
+        self.next = [-1]  # node -> next node in the list, -1 at the end
+        self.parent = [0]
+        self.depth = [0]
+        self.jump = [0]
 
     def insert_after(self, node: int) -> int:
         """Add a node right after node; return its number."""
-        after = self.next[node]
-        room = self._room(node, after)
-        if room < 2 or self.run_size[self.run[node]] >= self.RUN:
-            self._relabel_run(self.run[node])
-            room = self._room(node, after)
         new = len(self.next)
-        r = self.run[node]
-        self.next.append(after)
+        self.next.append(self.next[node])
         self.next[node] = new
-        self.run.append(r)
-        self.run_size[r] += 1
-        self.inner.append(self.inner[node] + room // 2)
+        j = self.jump[node]
+        skip = self.depth[node] - self.depth[j] == self.depth[j] - self.depth[self.jump[j]]
+        self.parent.append(node)
+        self.depth.append(self.depth[node] + 1)
+        self.jump.append(self.jump[j] if skip else node)
         return new
 
-    def _room(self, node: int, after: int) -> int:
-        """The label gap after node inside its run."""
-        if after != -1 and self.run[after] == self.run[node]:
-            return self.inner[after] - self.inner[node]
-        return self.INNER - self.inner[node]
+    def first(self, nodes) -> int:
+        """The node of nodes that comes earliest in the list."""
+        return functools.reduce(self._earlier, nodes)
 
-    def _relabel_run(self, r: int) -> None:
-        nodes = []
-        node = self.run_first[r]
-        while node != -1 and self.run[node] == r:
-            nodes.append(node)
-            node = self.next[node]
-        if len(nodes) >= self.RUN:
-            half = len(nodes) // 2
-            new = self._insert_run_after(r)
-            self.run_first[new] = nodes[half]
-            for node in nodes[half:]:
-                self.run[node] = new
-            self.run_size[new] = len(nodes) - half
-            self.run_size[r] = half
-            self._spread(nodes[half:])
-            nodes = nodes[:half]
-        self._spread(nodes)
-
-    def _spread(self, nodes: list[int]) -> None:
-        step = self.INNER // (len(nodes) + 1)
-        for k, node in enumerate(nodes, 1):
-            self.inner[node] = k * step
-
-    def _insert_run_after(self, r: int) -> int:
-        after = self.run_next[r]
-        labels = self.run_label
-        if (labels[after] if after != -1 else 1 << self.TOP_BITS) - labels[r] < 2:
-            self._relabel_runs_around(r)
-        high = labels[after] if after != -1 else 1 << self.TOP_BITS
-        new = len(labels)
-        labels.append((labels[r] + high) // 2)
-        self.run_size.append(0)
-        self.run_first.append(-1)
-        self.run_next.append(after)
-        self.run_prev.append(r)
-        self.run_next[r] = new
-        if after != -1:
-            self.run_prev[after] = new
-        return new
-
-    def _relabel_runs_around(self, r: int) -> None:
-        """Spread the runs of the smallest aligned label range around run r
-        that holds at most (2/3)**level runs per label, one more run included."""
-        labels = self.run_label
-        for level in range(1, self.TOP_BITS + 1):
-            lo = labels[r] >> level << level
-            hi = lo + (1 << level)
-            first = r
-            while self.run_prev[first] != -1 and labels[self.run_prev[first]] >= lo:
-                first = self.run_prev[first]
-            runs = []
-            k = first
-            while k != -1 and labels[k] < hi:
-                runs.append(k)
-                k = self.run_next[k]
-            if len(runs) + 1 <= (4 / 3) ** level:
-                step = (hi - lo) // (len(runs) + 1)
-                for j, k in enumerate(runs):
-                    labels[k] = lo + j * step
-                return
-        raise ChainError("too many runs for the label space")
+    def _earlier(self, a: int, b: int) -> int:
+        x, y = a, b
+        depth, parent, jump = self.depth, self.parent, self.jump
+        while depth[x] > depth[y]:
+            x = jump[x] if depth[jump[x]] >= depth[y] else parent[x]
+        while depth[y] > depth[x]:
+            y = jump[y] if depth[jump[y]] >= depth[x] else parent[y]
+        if x == y:  # one is the other's ancestor, which comes first
+            return a if depth[a] < depth[b] else b
+        while parent[x] != parent[y]:
+            if jump[x] != jump[y]:
+                x, y = jump[x], jump[y]
+            else:
+                x, y = parent[x], parent[y]
+        return a if x > y else b  # the younger child of their common ancestor
 
 
 @dataclass(frozen=True)
@@ -297,15 +226,17 @@ def fold_chain(p: Polyomino) -> FoldResult:
     the splice hinge is chosen at the lexicographically smallest corner
     of the attachment edge carrying a hinge, lowest cycle index first.
 
-    The cycle is a linked list of triangles with order-maintenance
-    labels, and each lattice point maps to the list nodes of its hinges,
-    so a cell costs O(1) amortized and the fold O(n).  It makes the same
-    splices, with the same checks, as base_fold and splice_step.
+    The cycle is a linked list of triangles, and each lattice point maps
+    to the list nodes of its hinges.  Hinges tied at one point are
+    ordered at their common ancestor in the list's insertion tree, in
+    O(log n) steps, so a cell costs O(1) without a tie and O(log n) with
+    one, and the fold O(n log n) at worst.  It makes the same splices,
+    with the same checks, as base_fold and splice_step.
     """
     tree = dual_spanning_tree(p)
     triangles = list(base_fold(tree.root).triangles)
     cells = [tree.root, tree.root]
-    order = _CycleOrder()
+    order = _InsertionOrder()
     order.insert_after(0)  # node 1, the root's NE half
     hinges: dict[GridPoint, list[int]] = {}  # point -> nodes whose hinge is there
     for node, t in enumerate(triangles):
@@ -318,7 +249,7 @@ def fold_chain(p: Polyomino) -> FoldResult:
                 break
         else:
             raise BadSplice(f"no hinge at either endpoint of edge {edge}")
-        node = at[0] if len(at) == 1 else min(at, key=order.key)
+        node = order.first(at)
         _check_splice(occupied, cell, endpoint)
         occupied.add(cell)
         for piece in _halves(cell, endpoint):

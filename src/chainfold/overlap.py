@@ -51,9 +51,13 @@ from .exact_geom import _bbox, _clip_convex_raw, _ear_clip, _is_convex, _signed_
 
 def convex_parts(pts) -> list[tuple[list, tuple]]:
     """(part, bounding box) for each convex part of a ccw simple polygon:
-    the polygon itself when convex, else its ear-clip triangles."""
+    the polygon itself when convex, else its ear-clip triangles.  A
+    polygon collapsed to zero area, as a zero (cos, sin) leaves one, has
+    no parts."""
     if len(pts) == 3 or _is_convex(pts):
         parts = [list(pts)]
+    elif _signed_area2(pts) == 0:
+        parts = []
     else:
         parts = [list(t) for t in _ear_clip(list(pts))]
     return [(part, _bbox(part)) for part in parts]

@@ -9,7 +9,7 @@ from chainfold.chain import (
     BadSplice,
     PlacedTriangle,
     UnknownShape,
-    _CycleOrder,
+    _InsertionOrder,
     base_fold,
     dissect_pair,
     fold_chain,
@@ -218,6 +218,20 @@ class TestLinearFold:
         p = random_polyomino(4096, 11)
         assert fold_chain(p).placed == reference_fold(p)
 
+    # about 600 cells each, as reference_fold is quadratic
+    @pytest.mark.parametrize("grid", [
+        # a serpentine, whose insertion tree is about as deep as it has cells
+        "\n".join(("#" * 29, "#".rjust(29, "."), "#" * 29, "#".ljust(29, "."))[k % 4]
+                  for k in range(39)),
+        # a 2-wide strip: the walk climbs one column and descends the other
+        "\n".join(["##"] * 300),
+        # a comb: a spine whose every other cell carries a tooth
+        "\n".join(["#." * 40] * 12 + ["#" * 80]),
+    ], ids=["serpentine", "strip", "comb"])
+    def test_matches_reference_on_regular_shapes(self, grid):
+        p = parse_grid(grid)
+        assert fold_chain(p).placed == reference_fold(p)
+
     def test_lowest_cycle_index_among_tied_hinges(self):
         # one splice point holds two hinges whose lowest cycle index is
         # the later-created one, so creation order would pick wrong
@@ -243,47 +257,41 @@ class TestLinearFold:
         assert fr.cell_map == expected
 
 
-class _TinyOrder(_CycleOrder):
-    """Labels small enough that runs split and run labels run out; it
-    counts both kinds of relabelling."""
-
-    RUN = 4
-    INNER = 1 << 4
-    TOP_BITS = 24
-
-    def __init__(self):
-        super().__init__()
-        self.relabels = {"run": 0, "runs": 0}
-
-    def _relabel_run(self, r):
-        self.relabels["run"] += 1
-        super()._relabel_run(r)
-
-    def _relabel_runs_around(self, r):
-        self.relabels["runs"] += 1
-        super()._relabel_runs_around(r)
-
-
-class TestCycleOrder:
+class TestInsertionOrder:
     @pytest.mark.parametrize("seed", range(20))
-    def test_keys_follow_list_order_through_relabels(self, seed):
+    def test_walk_and_first_follow_list_order(self, seed):
         rng = random.Random(seed)
-        order, expected = _TinyOrder(), [0]
-        for _ in range(300):
-            # half the insertions go after the first three nodes, to
-            # exhaust the same label gaps over and over
-            after = expected[rng.randrange(min(3, len(expected)) if rng.random() < 0.5
-                                           else len(expected))]
-            expected.insert(expected.index(after) + 1, order.insert_after(after))
+        order, expected = _InsertionOrder(), [0]
+
+        def insert_after(node):
+            new = order.insert_after(node)
+            expected.insert(expected.index(node) + 1, new)
+            return new
+
+        tip = 0
+        for _ in range(6):
+            # a run continues after the node the last run made last, so
+            # the depth reaches the hundreds and the jumps skip
+            for _ in range(rng.randrange(50, 80)):
+                tip = insert_after(tip)
+            for _ in range(80):
+                # half the insertions go after the first three nodes, for
+                # many siblings whose common ancestor is near the root
+                if rng.random() < 0.5:
+                    insert_after(expected[rng.randrange(3)])
+                else:
+                    insert_after(rng.choice(expected))
         walk, node = [], 0
         while node != -1:
             walk.append(node)
             node = order.next[node]
         assert walk == expected
-        keys = [order.key(node) for node in expected]
-        assert all(a < b for a, b in zip(keys, keys[1:]))
-        assert order.relabels["run"] and order.relabels["runs"]
-        assert max(order.run_size) <= _TinyOrder.RUN
+        assert max(order.depth) >= 300
+        assert any(j != p for j, p in zip(order.jump[1:], order.parent[1:]))
+        position = {node: i for i, node in enumerate(expected)}
+        for _ in range(300):
+            nodes = rng.sample(expected, rng.randint(2, 4))
+            assert order.first(nodes) == min(nodes, key=position.__getitem__)
 
 
 class TestOracle:

@@ -125,6 +125,22 @@ class TestVerify:
         asset = resources.files("chainfold") / "assets" / "dudeney.hdj"
         assert main(["verify", str(asset), "--mode", "approx", "--tol", "1e-6"]) == 0
 
+    @pytest.mark.parametrize("mode", [(), ("--mode", "exact"), ("--mode", "approx")])
+    def test_collapsed_dudeney_piece_exits_1(self, workdir, capsys, mode):
+        # the zero (cos, sin) collapses a non-triangle piece to a point,
+        # which has no convex parts to clip
+        from importlib import resources
+
+        asset = resources.files("chainfold") / "assets" / "dudeney.hdj"
+        doc = json.loads(asset.read_text())
+        doc["configurations"][0]["placements"][0].update(cos=0, sin=0)
+        assert _verify_doc(workdir, doc, *mode) == 1
+        out, err = capsys.readouterr()
+        assert "internal error" not in err
+        assert {"ProperMotion", "AreaCoverage"} <= {
+            line.split(":")[0].strip() for line in out.splitlines()
+        }
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_exits_2(self, workdir, capsys, tol):
         # a moved placement passed at nan and inf, and -1 rejected an intact fold
