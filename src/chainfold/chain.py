@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from .exact_geom import Point2, RigidMotion
@@ -60,14 +59,12 @@ class PlacedTriangle:
         ys = (self.right_angle_corner[1], self.base_u[1], self.base_v[1])
         return Cell(min(xs), min(ys))
 
-    def placement(self, fraction=Fraction) -> RigidMotion:
-        """Quarter-turn motion carrying the canonical local piece here;
-        fraction turns each int coordinate into a Fraction."""
+    def placement(self) -> RigidMotion:
+        """Quarter-turn motion carrying the canonical local piece here, on
+        the lattice's ints."""
         cx, cy = self.right_angle_corner
         ux, uy = self.base_u
-        return RigidMotion(
-            fraction(ux - cx), fraction(uy - cy), Point2(fraction(cx), fraction(cy))
-        )
+        return RigidMotion(ux - cx, uy - cy, Point2(cx, cy))
 
 
 def _cross(o: GridPoint, a: GridPoint, b: GridPoint) -> int:
@@ -211,14 +208,6 @@ class FoldResult:
     placed: tuple[PlacedTriangle, ...] = ()
 
 
-class _Fractions(dict):
-    """int -> Fraction, each distinct int converted once."""
-
-    def __missing__(self, value: int) -> Fraction:
-        self[value] = f = Fraction(value)
-        return f
-
-
 def fold_chain(p: Polyomino) -> FoldResult:
     """Deterministic fold of the canonical 2n-cycle onto the polyomino.
 
@@ -267,8 +256,7 @@ def fold_chain(p: Polyomino) -> FoldResult:
         cell_map[cell] = (len(placed), len(placed)) if first is None else (first[0], len(placed))
         placed.append(triangles[node])
         node = order.next[node]
-    fractions = _Fractions()
-    placements = tuple(t.placement(fractions.__getitem__) for t in placed)
+    placements = tuple(t.placement() for t in placed)
     figure = canonical_chain_figure(p.cell_count)
     config = Configuration(placements, "exact")
     return FoldResult(figure, config, cell_map, tuple(placed))

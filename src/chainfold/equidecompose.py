@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .exact_geom import (
     IDENTITY_MOTION,
+    InvalidPolygon,
     Point2,
     RigidMotion,
     SimplePolygon,
@@ -55,7 +56,13 @@ from .numeric import (
     numeric_between_segments,
     numeric_from_rigid,
 )
-from .overlap import overlapping_pairs, part_clips, partition_residuals, parts_and_bounds
+from .overlap import (
+    convex_parts,
+    overlapping_pairs,
+    part_clips,
+    partition_residuals,
+    parts_and_bounds,
+)
 
 log = logging.getLogger(__name__)
 
@@ -135,7 +142,7 @@ class RectangleForm:
         rectangle, of q = corners[0] + alpha*u + beta*v; u and v are
         perpendicular, so each coordinate is a projection."""
         d = q - self.corners[0]
-        return d.dot(self.u) / self.width_sq, d.dot(self.v) / self.height_sq
+        return Fraction(d.dot(self.u), self.width_sq), Fraction(d.dot(self.v), self.height_sq)
 
 
 def triangle_to_rectangle(tri) -> tuple[list[SimplePolygon], RectangleForm, list[RigidMotion]]:
@@ -167,10 +174,9 @@ def triangle_to_rectangle(tri) -> tuple[list[SimplePolygon], RectangleForm, list
     b = verts[(base_i + 1) % 3]
     c = verts[(base_i + 2) % 3]
 
-    area = area2 / 2
-    half_alt = (b - a).rot90().scaled(area / side_sq[base_i])
-    m1 = Point2((a.x + c.x) / 2, (a.y + c.y) / 2)
-    m2 = Point2((b.x + c.x) / 2, (b.y + c.y) / 2)
+    half_alt = (b - a).rot90().scaled(Fraction(area2, 2 * side_sq[base_i]))
+    m1 = Point2(Fraction(a.x + c.x, 2), Fraction(a.y + c.y, 2))
+    m2 = Point2(Fraction(b.x + c.x, 2), Fraction(b.y + c.y, 2))
     foot = c - half_alt  # perpendicular foot of the apex on the midline
 
     pieces = [SimplePolygon((a, b, m2, m1))]
@@ -187,7 +193,7 @@ def triangle_to_rectangle(tri) -> tuple[list[SimplePolygon], RectangleForm, list
 
 
 def _half_turn_about(center: Point2) -> RigidMotion:
-    return RigidMotion(Fraction(-1), Fraction(0), center + center)
+    return RigidMotion(-1, 0, center + center)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +255,7 @@ def rectangle_to_width(r: RectangleForm, w) -> tuple[list[SimplePolygon], list[N
     doublings is a BadWidth.
     """
     w = _width(w)
-    h_out = r.area() / w
+    h_out = Fraction(r.area(), w)
     out_rect = RectangleForm.axis_aligned(w, h_out)
     to_source = _frame_to_source(r, IDENTITY_MOTION)
     pieces = []
@@ -359,12 +365,13 @@ def stack_rectangles(rects) -> tuple[list[NumericMotion], RectangleForm]:
     for r in rects[1:]:
         if r.width_sq != w_sq:
             raise WidthMismatch(f"widths differ: {r.width_sq} vs {w_sq}")
+    w = _exact_sqrt(w_sq)
     motions = []
-    offset = Fraction(0)
+    offset = 0
     for r in rects:
         motions.append(NumericMotion(0.0, 0.0, float(offset)))
-        offset += r.area() / _exact_sqrt(w_sq)
-    total = RectangleForm.axis_aligned(_exact_sqrt(w_sq), offset)
+        offset += Fraction(r.area(), w)
+    total = RectangleForm.axis_aligned(w, offset)
     return motions, total
 
 
@@ -428,7 +435,7 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
         _in_float_range(v.y, "a coordinate")
     area = polygon_area(p)
     _in_float_range(area, "the area")
-    h_total = area / w
+    h_total = Fraction(area, w)
     _in_float_range(h_total, "the target height")
     target = RectangleForm.axis_aligned(w, h_total).polygon()
 
@@ -438,7 +445,7 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
 
     stages = [triangle_to_rectangle(tri) for tri in triangulate_simple(p)]
     stack_shifts, _ = stack_rectangles(
-        RectangleForm.axis_aligned(w, rect.area() / w) for _, rect, _ in stages
+        RectangleForm.axis_aligned(w, Fraction(rect.area(), w)) for _, rect, _ in stages
     )
     pieces: list[SimplePolygon] = []
     target_motions: list[NumericMotion] = []
@@ -552,18 +559,44 @@ def verify_chart(c: DissectionChart, tolerance: float = 1e-9) -> VerifyReport:
     source, source_area2 = c.source.as_tuples(), 2 * polygon_area(c.source)
     if not exact:
         source, source_area2 = float_polygon(source), float(source_area2)
-    failures, computed = _partition_failures(
-        partition_residuals(_piece_points(c), source), source_area2,
-        0 if exact else tolerance, exact,
+    failures, computed = _side_failures(
+        _piece_points(c), source, source_area2, 0 if exact else tolerance, exact,
         ("SourceDisjoint", "SourceContainment", "SourceArea"), "source",
     )
-    target_failures, _ = _partition_failures(
-        partition_residuals(_placed(c), float_polygon(c.target.as_tuples())),
+    target_failures, _ = _side_failures(
+        _placed(c), float_polygon(c.target.as_tuples()),
         float(2 * polygon_area(c.target)), tolerance, False,
         ("TargetOverlap", "TargetContainment", "TargetArea"), "target",
     )
     failures += target_failures
     return VerifyReport(not failures, failures, computed)
+
+
+def _side_failures(pieces, region, region_area2, tol, exact: bool, checks, side: str):
+    """_partition_failures of one side of a chart.  A piece that cannot be
+    cut into convex parts, such as a float piece that is not simple,
+    fails the side's overlap check by name instead of raising.  Without
+    its parts the side's overlaps and containment are unknown, so the
+    side then checks only that its piece areas sum to the region's."""
+    try:
+        residuals, split = partition_residuals(pieces, region), []
+    except InvalidPolygon:
+        split = [(checks[0], f"piece {k} cannot be cut into convex parts: {error}")
+                 for k, pts in enumerate(pieces) if (error := _split_error(pts))]
+        if not split:  # the region's own split failed
+            raise
+        residuals = ([_signed_area2(pts) for pts in pieces], [], [0] * len(pieces))
+    failures, total = _partition_failures(residuals, region_area2, tol, exact, checks, side)
+    return split + failures, total
+
+
+def _split_error(pts):
+    """The text of the InvalidPolygon that convex_parts raises on pts, or None."""
+    try:
+        convex_parts(pts)
+    except InvalidPolygon as exc:
+        return str(exc)
+    return None
 
 
 def _piece_points(c: DissectionChart) -> list:

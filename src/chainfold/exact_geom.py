@@ -5,12 +5,17 @@ areas, convex clipping and ear-clipping triangulation, all over
 arbitrary-precision rationals.  Nothing in this module ever rounds:
 two runs on the same input are bit-identical.
 
+One rule picks the number type: every outside value enters through
+``rat``, which gives an int for an integral value and a Fraction for
+any other.  A chain fold's values are therefore ints from the reader or
+the fold to the verdict, and nothing converts them on the way.
+
 The low-level helpers prefixed with an underscore operate on plain
 ``(x, y)`` coordinate tuples and are deliberately agnostic about the
 number type, so the same clipping/triangulation code serves both the
 exact rational paths and the float paths used by tolerance-based
 verification elsewhere in the package.  On exact paths a coordinate may
-be an int or a Fraction: every division either stays a Fraction or is
+be an int or a Fraction: every division is a Fraction(a, b) or is
 avoided (doubled areas, a doubled midpoint), so ints never turn into
 floats.
 """
@@ -58,18 +63,19 @@ def _text_within_cap(text: str) -> bool:
     return len(exponent) <= len(str(RAT_MAX_DIGITS)) and int(exponent or 0) <= RAT_MAX_DIGITS
 
 
-def rat(value) -> Fraction:
-    """Coerce ints, 'p/q' strings, floats and Fractions to an exact Fraction.
+def rat(value) -> int | Fraction:
+    """The exact value of an int, a 'p/q' or decimal string, a float or a
+    Fraction: an int when it is integral, so 3, "6/2", 2.0 and
+    Fraction(4, 2) all give an int, and a Fraction otherwise.  This is
+    the one place that picks between the two.
 
     Floats keep their exact binary expansion, with no rounding.  A zero
     denominator or a non-finite float is a ValueError.  So is a string
     with more than RAT_MAX_DIGITS digits or an exponent beyond that in
     magnitude: the cap is read off the text before the number is built,
-    so "1e3000000" costs nothing.
+    so "1e3000000" costs nothing.  A bool is a TypeError.
     """
     if type(value) is int:  # the common case, before the slower ABC checks
-        return Fraction(value)
-    if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
@@ -80,20 +86,22 @@ def rat(value) -> Fraction:
         )
     if isinstance(value, (int, str, float)):
         try:
-            return Fraction(value)
+            value = Fraction(value)
         except (ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"cannot interpret {value!r} as a rational: {exc}") from None
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"cannot interpret {value!r} as a rational")
+    return value.numerator if value.denominator == 1 else value
 
 
-def rational_to_json(value: Fraction):
+def rational_to_json(value: int | Fraction):
     """Serialize a rational as a bare int (q=1) or a 'p/q' string."""
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"
 
 
-def rational_from_json(value) -> Fraction:
+def rational_from_json(value) -> int | Fraction:
     return rat(value)
 
 
@@ -105,8 +113,8 @@ def rational_from_json(value) -> Fraction:
 class Point2:
     """Exact point in the plane."""
 
-    x: Fraction
-    y: Fraction
+    x: int | Fraction
+    y: int | Fraction
 
     def __add__(self, other: "Point2") -> "Point2":
         return Point2(self.x + other.x, self.y + other.y)
@@ -159,15 +167,15 @@ class RigidMotion:
     flagged by the verifier's proper-motion check rather than here.
     """
 
-    rot_cos: Fraction
-    rot_sin: Fraction
+    rot_cos: int | Fraction
+    rot_sin: int | Fraction
     translate: Point2
 
     def is_unit(self) -> bool:
         return self.rot_cos * self.rot_cos + self.rot_sin * self.rot_sin == 1
 
 
-IDENTITY_MOTION = RigidMotion(Fraction(1), Fraction(0), Point2(Fraction(0), Fraction(0)))
+IDENTITY_MOTION = RigidMotion(1, 0, Point2(0, 0))
 
 
 def motion(cos, sin, tx, ty) -> RigidMotion:
@@ -201,7 +209,8 @@ def motion_between_segments(a1: Point2, a2: Point2, b1: Point2, b2: Point2) -> R
 
     Exists exactly when the squared lengths agree; the rotation entries are
     the dot and cross products of the direction vectors divided by the
-    common squared length, hence rational.
+    common squared length, hence rational.  Its values come in rat's
+    form: ints where they are integral.
     """
     da = a2 - a1
     db = b2 - b1
@@ -210,10 +219,9 @@ def motion_between_segments(a1: Point2, a2: Point2, b1: Point2, b2: Point2) -> R
         raise DegenerateSegment("a1 == a2")
     if len_sq != db.norm_sq():
         raise LengthMismatch(f"squared lengths differ: {len_sq} vs {db.norm_sq()}")
-    c = da.dot(db) / len_sq
-    s = da.cross(db) / len_sq
-    rotated_a1 = Point2(c * a1.x - s * a1.y, s * a1.x + c * a1.y)
-    return RigidMotion(c, s, b1 - rotated_a1)
+    c = Fraction(da.dot(db), len_sq)
+    s = Fraction(da.cross(db), len_sq)
+    return motion(c, s, b1.x - (c * a1.x - s * a1.y), b1.y - (s * a1.x + c * a1.y))
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +686,7 @@ def polygon(coords) -> SimplePolygon:
 
 def polygon_area(p: SimplePolygon) -> Fraction:
     """Exact signed shoelace area; positive for the stored ccw orientation."""
-    return _signed_area2(p.as_tuples()) / 2
+    return Fraction(_signed_area2(p.as_tuples()), 2)
 
 
 def apply_motion_polygon(m: RigidMotion, p: SimplePolygon) -> SimplePolygon:
@@ -712,11 +720,11 @@ def triangulate_simple(p: SimplePolygon) -> list[SimplePolygon]:
     ]
 
 
-def overlap_area(a: SimplePolygon, b: SimplePolygon) -> Fraction:
+def overlap_area(a: SimplePolygon, b: SimplePolygon) -> int | Fraction:
     """Exact area of the intersection of two simple polygons."""
     from .overlap import polygon_overlap  # the engine builds on the tuple core above
 
-    return Fraction(polygon_overlap(a.as_tuples(), b.as_tuples()))
+    return polygon_overlap(a.as_tuples(), b.as_tuples())
 
 
 def interiors_overlap(a: SimplePolygon, b: SimplePolygon) -> bool:

@@ -21,9 +21,9 @@ from .exact_geom import (
     Point2,
     RigidMotion,
     SimplePolygon,
+    _signed_area2,
     point,
     point_from_json,
-    polygon_area,
     rat,
     rational_to_json,
 )
@@ -185,20 +185,8 @@ def verify_configuration(f: HingedFigure, c: Configuration, target: Target) -> V
     return _verify_approx(f, c, target)
 
 
-def _exact_value(v):
-    """A Fraction whose denominator is 1 as its int; any other value as is.
-
-    Exact verification runs on these values, so a lattice configuration
-    (a chain fold: quarter turns, integer translations and cells) runs on
-    ints, and any other one mixes ints and Fractions per coordinate.
-    """
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return v.numerator
-    return v
-
-
 def _verify_exact(f: HingedFigure, c: Configuration, target: Target) -> VerifyReport:
-    return _verify(f, c, target, _exact_value, 0)
+    return _verify(f, c, target, None, 0)
 
 
 def _verify_approx(f: HingedFigure, c: Configuration, target: Target) -> VerifyReport:
@@ -206,11 +194,12 @@ def _verify_approx(f: HingedFigure, c: Configuration, target: Target) -> VerifyR
 
 
 def _verify(f: HingedFigure, c: Configuration, target: Target, num, tol) -> VerifyReport:
-    """The five checks on coordinates converted by num: exact mode runs on
-    ints and Fractions with tol 0, approx mode on doubles.  Only
-    HingeCoincidence tests by mode: equal points, or a gap of at most tol.
-    Each residual passes only when it is <= its bound, so a NaN fails."""
-    exact = num is _exact_value
+    """The five checks.  Exact mode (num None) runs on the stored ints and
+    Fractions with tol 0, so a chain fold runs on ints; approx mode on the
+    doubles num converts them to.  Only HingeCoincidence tests by mode:
+    equal points, or a gap of at most tol.  Each residual passes only
+    when it is <= its bound, so a NaN fails."""
+    exact = num is None
     motions, placed = _placed_points(f, c, num)
     failures: list[tuple[str, str]] = []
     for i, (cos, sin, _, _) in enumerate(motions):
@@ -230,11 +219,13 @@ def _verify(f: HingedFigure, c: Configuration, target: Target, num, tol) -> Veri
     if isinstance(target, Polyomino):
         region, area2 = target.cells, 2 * target.cell_count
     else:
-        region = [(num(v.x), num(v.y)) for v in target.vertices]
-        area2 = 2 * polygon_area(target)
+        region = target.as_tuples()
+        area2 = _signed_area2(region)
+        if not exact:
+            region = [(num(x), num(y)) for x, y in region]
     residuals = (exact_partition_residuals if exact else partition_residuals)(placed, region)
     partition, total = _partition_failures(
-        residuals, num(area2), tol, exact,
+        residuals, area2 if exact else num(area2), tol, exact,
         ("PairwiseDisjoint", "Containment", "AreaCoverage"), "target",
     )
     failures += partition
@@ -243,18 +234,17 @@ def _verify(f: HingedFigure, c: Configuration, target: Target, num, tol) -> Veri
 
 def _placed_points(f: HingedFigure, c: Configuration, num=float) -> tuple[list, list]:
     """(motions, placed): each placement's (cos, sin, tx, ty) and each
-    piece's vertices moved by it, on the numbers num converts to; each
-    distinct piece's vertices are converted once."""
+    piece's vertices moved by it, on the numbers num converts to, or on
+    the stored values when num is None; each distinct piece's vertices
+    are taken once."""
     if len(c.placements) != len(f.pieces):
         raise CountMismatch(f"{len(c.placements)} placements for {len(f.pieces)} pieces")
-    motions = [
-        (num(m.rot_cos), num(m.rot_sin), num(m.translate.x), num(m.translate.y))
-        for m in c.placements
-    ]
-    local = {}
-    for piece in f.pieces:
-        if id(piece) not in local:
-            local[id(piece)] = [(num(v.x), num(v.y)) for v in piece.vertices]
+    motions = [(m.rot_cos, m.rot_sin, m.translate.x, m.translate.y) for m in c.placements]
+    distinct = {id(piece): piece for piece in f.pieces}
+    local = {key: piece.as_tuples() for key, piece in distinct.items()}
+    if num is not None:
+        motions = [tuple(map(num, m)) for m in motions]
+        local = {key: [(num(x), num(y)) for x, y in pts] for key, pts in local.items()}
     return motions, [
         [(cos * x - sin * y + tx, sin * x + cos * y + ty) for x, y in local[id(piece)]]
         for (cos, sin, tx, ty), piece in zip(motions, f.pieces)
@@ -375,25 +365,19 @@ def figure_from_json(obj) -> HingedFigure:
     A piece is looked up first by the repr of its JSON values, which
     keeps true, 1, 1.0 and "1" apart as their JSON text does and costs a
     third of json.dumps, then by its parsed points, since true == 1 ==
-    1.0 there.  A points key holds each coordinate's numerator and
-    denominator, which hash much faster than the Fraction.  Both lookups
-    live for this call only.
+    1.0 there.  Both lookups live for this call only.
     """
     try:
         by_text: dict[str, SimplePolygon] = {}
-        by_points: dict[tuple, SimplePolygon] = {}
+        by_points: dict[tuple[Point2, ...], SimplePolygon] = {}
         pieces = []
         for piece in obj["pieces"]:
             text = repr(piece)
             polygon = by_text.get(text)
             if polygon is None:
-                pts = [point_from_json(v) for v in piece]
-                key = tuple(
-                    (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
-                    for p in pts
-                )
+                key = tuple(point_from_json(v) for v in piece)
                 if key not in by_points:
-                    by_points[key] = SimplePolygon(pts)
+                    by_points[key] = SimplePolygon(key)
                 polygon = by_text[text] = by_points[key]
             pieces.append(polygon)
         pieces = tuple(pieces)
@@ -436,7 +420,7 @@ def configuration_to_json(nc: NamedConfiguration) -> dict:
     return out
 
 
-def _rat_once(cache: dict, value) -> Fraction:
+def _rat_once(cache: dict, value) -> int | Fraction:
     """rat(value), converted once per distinct (type, value) in cache;
     the type keeps true, which rat rejects, apart from 1."""
     try:
@@ -462,10 +446,14 @@ def configuration_from_json(obj) -> NamedConfiguration:
             )
             for m in obj["placements"]
         )
+        # a JSON int or float, not a bool, finite as a double: float()
+        # overflows beyond that range, and Configuration rejects a NaN
         tol = obj.get("tolerance")
+        if tol is not None and type(tol) not in (int, float):
+            raise HdjError(f"tolerance must be a number, got {tol!r:.40}")
         config = Configuration(placements, mode, None if tol is None else float(tol))
         return NamedConfiguration(str(obj.get("name", "")), config)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise HdjError(f"bad configuration encoding: {exc}") from exc
 
 

@@ -10,7 +10,8 @@ Like the tuple core of ``exact_geom`` it works on ``(x, y)`` tuples and
 never looks at the number type: int and Fraction coordinates give exact
 areas, float coordinates give float areas.  The sums are doubled areas,
 as ``_signed_area2`` gives them, so an int sum is never halved into a
-float; callers compare doubled areas or halve a float.
+float; callers compare doubled areas, or halve an exact one as
+``Fraction(area2, 2)``.
 
 - Bounds: each piece is bounded once, by an octagon: its box and the
   ranges of x + y and of x - y over its vertices, held as
@@ -44,6 +45,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
+from fractions import Fraction
 from itertools import chain
 
 from .exact_geom import _bbox, _clip_convex_raw, _ear_clip, _is_convex, _signed_area2
@@ -149,14 +151,17 @@ def overlap_sum2(parts_a, parts_b):
 
 
 def polygon_overlap(pts_a, pts_b):
-    """Intersection area of two ccw simple polygons with Fraction or float
-    coordinates (the int 0 when they do not meet)."""
+    """Intersection area of two ccw simple polygons: a Fraction on int or
+    Fraction coordinates, a float on float ones, and the int 0 when they
+    do not meet."""
     ax0, ay0, ax1, ay1 = _bbox(pts_a)
     bx0, by0, bx1, by1 = _bbox(pts_b)
     if not (ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1):
         return 0
     area2 = overlap_sum2(convex_parts(pts_a), convex_parts(pts_b))
-    return area2 / 2 if area2 else area2
+    if not area2:
+        return area2
+    return area2 / 2 if isinstance(area2, float) else Fraction(area2, 2)
 
 
 def cell_bounds(cells):

@@ -18,7 +18,15 @@ from chainfold.chain import (
     splice_step,
 )
 from chainfold.exact_geom import apply_motion, point
-from chainfold.figures import canonical_chain_figure, figures_equal, verify_configuration
+from chainfold.figures import (
+    HdjFile,
+    NamedConfiguration,
+    canonical_chain_figure,
+    figures_equal,
+    load_hdj,
+    save_hdj,
+    verify_configuration,
+)
 from chainfold.polyomino import Cell, dual_spanning_tree, parse_grid, random_polyomino
 from conftest import TETROMINO_GRIDS, canonical_cycle, enumerate_half_square_cycles
 
@@ -103,6 +111,19 @@ class TestFoldBasics:
             )
             assert apply_motion(m, point(1, 0)).as_tuple() == tri.base_u
             assert apply_motion(m, point(0, 1)).as_tuple() == tri.base_v
+
+    def test_placements_hold_only_ints(self, tmp_path):
+        # as folded, and as read back from the fold's HDJ document
+        p = random_polyomino(40, 2)
+        fr = fold_chain(p)
+        path = tmp_path / "fold.hdj"
+        save_hdj(path, HdjFile(fr.figure, [NamedConfiguration("fold", fr.config)]))
+        for config in (fr.config, load_hdj(path).configurations[0].configuration):
+            values = [
+                v for m in config.placements
+                for v in (m.rot_cos, m.rot_sin, m.translate.x, m.translate.y)
+            ]
+            assert {type(v) for v in values} == {int}
 
     def test_quarter_turn_rotations_only(self):
         p = random_polyomino(9, 5)

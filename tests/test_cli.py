@@ -161,6 +161,22 @@ class TestVerify:
         assert "Containment" in capsys.readouterr().out
         assert _verify_doc(workdir, doc) == 1
 
+    @pytest.mark.parametrize("tol", [True, "0.5", 10**400], ids=["true", "string", "10**400"])
+    def test_tolerance_that_is_not_a_finite_json_number_exits_2(self, workdir, capsys, tol):
+        # true was read as 1.0 and "0.5" as 0.5, which accepted the moved
+        # piece; 10**400 failed in float() with an internal error
+        from importlib import resources
+
+        asset = resources.files("chainfold") / "assets" / "dudeney.hdj"
+        doc = json.loads(asset.read_text())
+        square = doc["configurations"][1]
+        square["placements"][0]["tx"] += 0.3
+        assert _verify_doc(workdir, doc) == 1
+        square["tolerance"] = tol
+        assert _verify_doc(workdir, doc) == 2
+        err = capsys.readouterr().err
+        assert "bad configuration encoding" in err and "internal error" not in err
+
     def test_nan_tolerance_in_document_exits_2(self, workdir, capsys):
         doc = _tromino_hdj(workdir)
         config = doc["configurations"][0]
@@ -215,9 +231,23 @@ class TestAnimate:
         capsys.readouterr()
         out = workdir / "x.svg"
         assert main(["animate", str(pair), "--out", str(out)]) == 2
-        assert "too large for a float" in capsys.readouterr().err
+        assert "int too large to convert to float" in capsys.readouterr().err
         assert not out.exists()
         assert main(["verify", "--mode", "approx", str(pair)]) == 2
+
+    def test_tolerance_beyond_the_float_range_exits_2(self, workdir, capsys):
+        pair = workdir / "pair.hdj"
+        assert main(["dissect", "--a", str(workdir / "L.txt"), "--b", str(workdir / "T.txt"),
+                     "--out", str(pair)]) == 0
+        doc = json.loads(pair.read_text())
+        doc["configurations"][0]["tolerance"] = 10**400
+        pair.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = workdir / "x.svg"
+        assert main(["animate", str(pair), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "int too large to convert to float" in err and "internal error" not in err
+        assert not out.exists()
 
     def test_rejected_end_exits_1_and_writes_nothing(self, workdir, capsys):
         # a finite but far-off root placement samples without overflow;

@@ -418,6 +418,28 @@ class TestVerifyChart:
         assert not verify_chart(chart, 1e-9).accepted
 
 
+    def test_piece_without_convex_parts_is_a_failed_check(self):
+        # a real overlay fragment with a repeated and a near-collinear
+        # vertex, which is not convex and whose ear clip finds no diagonal
+        a = polygon([(0, 0), (2, 0), (0, 2)])
+        b = polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
+        mutual = overlay_charts(polygon_to_canonical_chart(a, 1), polygon_to_canonical_chart(b, 1))
+        doc = json.loads(json.dumps(chart_to_json(mutual)))
+        doc["pieces"][0] = [
+            [14.853721676955601, 2.233511419525946], [14.853721676955601, 2.233511419525946],
+            [14.853721676955598, 2.2335114195259593], [14.843227578762855, 2.318130653947557],
+            [14.838406400604622, 2.3178649197183634],
+        ]
+        report = verify_chart(chart_from_json(doc), 1e-9)
+        assert not report.accepted
+        split = "piece 0 cannot be cut into convex parts"
+        assert ("SourceDisjoint", f"{split}: no diagonal found; polygon is not simple") in report.failures
+        assert {check for check, text in report.failures if text.startswith(split)} == {
+            "SourceDisjoint", "TargetOverlap"
+        }
+        assert {"SourceArea", "TargetArea"} <= report.failed_checks()
+
+
 class TestChartJson:
     def test_round_trip_exact(self):
         tri = polygon([(0, 0), (4, 0), (0, 2)])

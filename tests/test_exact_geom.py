@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from chainfold.exact_geom import (
+    RAT_MAX_DIGITS,
     DegenerateSegment,
     InvalidPolygon,
     LengthMismatch,
@@ -277,3 +278,38 @@ class TestRationalJson:
 
     def test_float_is_exact(self):
         assert rat(0.5) == Fraction(1, 2)
+
+
+class TestRatRule:
+    """rat is the one place that picks the number type: an int for an
+    integral value, a Fraction for any other."""
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [(3, 3), ("6/2", 3), ("-4/1", -4), (2.0, 2), (Fraction(4, 2), 2), ("2.50e1", 25)],
+    )
+    def test_integral_values_are_ints(self, value, expected):
+        assert type(rat(value)) is int and rat(value) == expected
+
+    @pytest.mark.parametrize("value", ["1/2", 0.5, Fraction(-3, 7), "0.1"])
+    def test_other_values_are_fractions(self, value):
+        assert type(rat(value)) is Fraction and rat(value) == Fraction(value)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bools_are_rejected(self, value):
+        with pytest.raises(TypeError):
+            rat(value)
+
+    @pytest.mark.parametrize(
+        "text", ["1" * (RAT_MAX_DIGITS + 1), "1e3000000", f"1/{'1' * RAT_MAX_DIGITS}0"]
+    )
+    def test_over_cap_texts_are_rejected(self, text):
+        with pytest.raises(ValueError, match="digits or an exponent"):
+            rat(text)
+
+    def test_motion_between_segments_in_the_same_form(self):
+        m = motion_between_segments(point(0, 0), point(5, 0), point(1, 2), point(4, 6))
+        assert type(m.rot_cos) is Fraction and type(m.rot_sin) is Fraction
+        quarter = motion_between_segments(point(0, 0), point(1, 0), point(2, 3), point(2, 4))
+        values = (quarter.rot_cos, quarter.rot_sin, *quarter.translate.as_tuple())
+        assert values == (0, 1, 2, 3) and {type(v) for v in values} == {int}

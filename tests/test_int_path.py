@@ -1,11 +1,12 @@
 """Exact verification on ints: a differential test and int-safety properties.
 
 The reference verifier is the Fraction-only form of ``_verify_exact``: it
-places every vertex with ``apply_motion`` in Fractions and halves each
-area.  The verifier under test turns integer-valued Fractions into ints
-first, so a chain fold runs on ints; its report must be exactly the
-reference's, on folds, on lattice and non-lattice mutants, and on polygon
-targets whose vertices are not integers.  Approx mode is held the same
+turns every input value into a Fraction, places every vertex with
+``apply_motion`` in Fractions and halves each area.  The verifier under
+test runs on the stored values, which ``rat`` and the fold keep as ints
+where they are integral, so a chain fold runs on ints; its report must
+be exactly the reference's, on folds, on lattice and non-lattice
+mutants, and on polygon targets whose vertices are not integers.  Approx mode is held the same
 way, to a frozen form of the approx verifier that halves each area as it
 is made: verdict, failure texts and the float bits of the total.
 
@@ -14,6 +15,7 @@ coordinates exact: every value they return is an int or a Fraction, never
 a float, and equals the same computation on Fraction inputs.
 """
 
+import json
 import math
 from fractions import Fraction
 from importlib import resources
@@ -24,8 +26,17 @@ from hypothesis import strategies as st
 
 from chainfold import exact_geom, figures, overlap
 from chainfold.chain import dissect_pair, fold_chain, load_sample_shape
+from chainfold.equidecompose import (
+    DissectionChart,
+    RectangleForm,
+    polygon_to_canonical_chart,
+    rectangle_to_width,
+    stack_rectangles,
+    triangle_to_rectangle,
+)
 from chainfold.exact_geom import (
     IDENTITY_MOTION,
+    Point2,
     RigidMotion,
     SimplePolygon,
     _bbox,
@@ -37,9 +48,10 @@ from chainfold.exact_geom import (
     apply_motion,
     point,
     polygon_area,
+    triangulate_simple,
 )
 from chainfold.figures import Configuration, Hinge, HingedFigure, load_hdj, verify_configuration
-from chainfold.numeric import float_polygon
+from chainfold.numeric import NumericMotion, float_polygon
 from chainfold.overlap import cell_bounds, convex_parts, covered_by_cells2, overlap_sum2
 from chainfold.polyomino import Polyomino, boundary_polygon, parse_grid, random_polyomino
 
@@ -59,9 +71,14 @@ def _box_pairs(boxes):
     ]
 
 
+def _fraction_parts(parts):
+    return [(_as_fractions(part), tuple(map(Fraction, box))) for part, box in parts]
+
+
 def _reference_overlap(parts_a, parts_b):
     total = 0
-    for part_a, box_a in parts_a:
+    parts_b = _fraction_parts(parts_b)
+    for part_a, box_a in _fraction_parts(parts_a):
         for part_b, box_b in parts_b:
             if _bboxes_interiors_overlap(box_a, box_b):
                 frag = _convex_clip(part_a, part_b)
@@ -71,6 +88,7 @@ def _reference_overlap(parts_a, parts_b):
 
 
 def _reference_covered_by_cells(parts, box, cells):
+    parts = _fraction_parts(parts)
     x0, y0, x1, y1 = box
     cx0, cy0, cx1, cy1 = math.floor(x0), math.floor(y0), math.ceil(x1), math.ceil(y1)
     if cx1 - cx0 == 1 and cy1 - cy0 == 1 and (cx0, cy0) in cells:
@@ -88,11 +106,15 @@ def _reference_covered_by_cells(parts, box, cells):
 def reference_verify_exact(f, c, target):
     """(accepted, failures, computed_area) of the Fraction-only verifier."""
     failures = []
-    for i, m in enumerate(c.placements):
+    placements = [
+        RigidMotion(Fraction(m.rot_cos), Fraction(m.rot_sin), _fraction_point(m.translate))
+        for m in c.placements
+    ]
+    for i, m in enumerate(placements):
         if not m.is_unit():
             failures.append(("ProperMotion", f"placement {i}: rot_cos^2+rot_sin^2 != 1"))
     placed = [
-        [apply_motion(c.placements[i], v).as_tuple() for v in piece.vertices]
+        [apply_motion(placements[i], _fraction_point(v)).as_tuple() for v in piece.vertices]
         for i, piece in enumerate(f.pieces)
     ]
     for idx, h in enumerate(f.hinges):
@@ -109,7 +131,7 @@ def reference_verify_exact(f, c, target):
         covered = [_reference_covered_by_cells(p, b, target.cells) for p, b in zip(parts, boxes)]
         target_area = Fraction(target.cell_count)
     else:
-        target_parts = convex_parts(target.as_tuples())
+        target_parts = convex_parts(_as_fractions(target.as_tuples()))
         covered = [_reference_overlap(p, target_parts) for p in parts]
         target_area = polygon_area(target)
     for i, cov in enumerate(covered):
@@ -119,6 +141,10 @@ def reference_verify_exact(f, c, target):
     if total != target_area:
         failures.append(("AreaCoverage", f"piece areas sum to {total}, target {target_area}"))
     return not failures, failures, total
+
+
+def _fraction_point(p):
+    return Point2(Fraction(p.x), Fraction(p.y))
 
 
 def _float_covered2(parts, box, cells):
@@ -378,7 +404,7 @@ def _collapsed(m):
 
 
 def _placed(f, c):
-    return figures._placed_points(f, c, figures._exact_value)[1]
+    return figures._placed_points(f, c, None)[1]
 
 
 def _square_row_case():
@@ -643,3 +669,105 @@ class TestIntSafety:
         _assert_exact([v for t in tris for p in t for v in p])
         assert sum(_signed_area2(t) for t in tris) == _signed_area2(pts)
         assert tris == _split_by_diagonals(_as_fractions(pts))
+
+
+# ---------------------------------------------------------------------------
+# one number rule: exact producers give ints and Fractions on int inputs
+
+
+def _exact_leaves(obj):
+    """Every number an exact producer returns, through tuples, lists,
+    polygons, points, motions, rectangles, charts and reports; the
+    numeric motions of charts and stacks are floats by design."""
+    if isinstance(obj, (list, tuple)):
+        return [v for item in obj for v in _exact_leaves(item)]
+    if isinstance(obj, NumericMotion):
+        return []
+    if isinstance(obj, SimplePolygon):
+        return _exact_leaves(obj.vertices)
+    if isinstance(obj, Point2):
+        return [obj.x, obj.y]
+    if isinstance(obj, RigidMotion):
+        return [obj.rot_cos, obj.rot_sin, obj.translate.x, obj.translate.y]
+    if isinstance(obj, RectangleForm):
+        return _exact_leaves((obj.corners, obj.width_sq, obj.height_sq))
+    if isinstance(obj, DissectionChart):
+        return _exact_leaves((obj.pieces, obj.source, obj.target))
+    return [obj]
+
+
+_INT_POLYGONS = {
+    "odd-triangle": [(0, 0), (3, 0), (1, 2)],  # an odd doubled area
+    "L-hexagon": [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],
+}
+
+
+class TestOneNumberRule:
+    @pytest.mark.parametrize("coords", _INT_POLYGONS.values(), ids=_INT_POLYGONS.keys())
+    def test_exact_producers_on_int_inputs(self, coords):
+        p = exact_geom.polygon(coords)
+        shifted = [(x + 1, y) for x, y in coords]
+        pieces, rect, motions = triangle_to_rectangle(triangulate_simple(p)[0])
+        width_pieces, _, width_rect = rectangle_to_width(rect, 1)
+        outputs = {
+            "polygon_area": polygon_area(p),
+            "overlap_area": exact_geom.overlap_area(p, exact_geom.polygon(shifted)),
+            # against itself no clip cuts a part, so the doubled sum stays an int
+            "polygon_overlap": [overlap.polygon_overlap(coords, pts) for pts in (coords, shifted)],
+            "motion_between_segments": exact_geom.motion_between_segments(
+                point(0, 0), point(3, 4), point(1, 1), point(6, 1)
+            ),
+            "triangle_to_rectangle": (pieces, rect, motions),
+            "rectangle_to_width": (width_pieces, width_rect),
+            "stack_rectangles": stack_rectangles([width_rect, RectangleForm.axis_aligned(1, 3)]),
+            "polygon_to_canonical_chart": polygon_to_canonical_chart(p, 1),
+        }
+        for name, value in outputs.items():
+            for v in _exact_leaves(value):
+                assert type(v) in (int, Fraction), f"{name} gave {v!r}"
+
+    def test_square_of_side_2_30_plus_1_overlaps_itself_exactly(self):
+        # the doubled area is an int beyond 2**53, which a float halving rounds
+        n = 2**30 + 1
+        coords = [(0, 0), (n, 0), (n, n), (0, n)]
+        assert overlap.polygon_overlap(coords, coords) == n * n
+        square = exact_geom.polygon(coords)
+        assert exact_geom.overlap_area(square, square) == n * n
+
+    def test_boundary_polygon_and_computed_area(self):
+        p = random_polyomino(30, 4)
+        outline = boundary_polygon(p)
+        _assert_exact(_exact_leaves(outline))
+        f, c, _ = _fold(p)
+        for target in (p, outline):
+            _assert_exact([verify_configuration(f, c, target).computed_area])
+
+
+def _rewritten_n_over_1(doc_json):
+    """A copy of an HDJ document with every placement value written as
+    the string "n/1"."""
+    doc = json.loads(json.dumps(doc_json))
+    for config in doc["configurations"]:
+        for m in config["placements"]:
+            for key in ("cos", "sin", "tx", "ty"):
+                m[key] = f"{m[key]}/1"
+    return doc
+
+
+class TestNOver1Documents:
+    @pytest.mark.parametrize("mutant", [False, True])
+    def test_same_exact_report_as_the_int_document(self, mutant):
+        f, c, p = _fold(random_polyomino(64, 5))
+        if mutant:
+            c = _moved(c, 20, _translated(1, 0))
+        doc = figures.HdjFile(f, [figures.NamedConfiguration("fold", c)],
+                              [figures.NamedTarget("target", "polyomino", p)])
+        as_ints = figures.hdj_from_json(figures.hdj_to_json(doc))
+        as_text = figures.hdj_from_json(_rewritten_n_over_1(figures.hdj_to_json(doc)))
+        reports = [
+            verify_configuration(d.figure, d.configurations[0].configuration, d.targets[0].data)
+            for d in (as_ints, as_text)
+        ]
+        assert reports[0] == reports[1]
+        assert reports[0].accepted is not mutant
+        assert as_text.configurations[0].configuration == as_ints.configurations[0].configuration
