@@ -30,7 +30,6 @@ from .figures import (
     HingedFigure,
     VerifyReport,
     canonical_chain_figure,
-    figures_equal,
     verify_configuration,
 )
 from .chain import (

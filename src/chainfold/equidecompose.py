@@ -160,7 +160,7 @@ def triangle_to_rectangle(tri) -> tuple[list[SimplePolygon], RectangleForm, list
         verts = tuple(v if isinstance(v, Point2) else point(*v) for v in tri)
     if len(verts) != 3:
         raise DegenerateTriangle(f"expected 3 vertices, got {len(verts)}")
-    area2 = _signed_area2([v.as_tuple() for v in verts])
+    area2 = _signed_area2(verts)
     if area2 == 0:
         raise DegenerateTriangle("triangle has zero area")
     if area2 < 0:
@@ -291,7 +291,7 @@ def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[_FramePiece]:
     a = math.sqrt(_in_float_range(len_u_sq, "a rectangle side squared"))
     b = math.sqrt(_in_float_range(r.height_sq, "a rectangle side squared"))
     c0, c1 = (
-        tuple(_in_float_range(v, "a rectangle corner coordinate") for v in r.corners[i].as_tuple())
+        tuple(_in_float_range(v, "a rectangle corner coordinate") for v in r.corners[i])
         for i in (0, 1)
     )
     k = _choose_halvings(len_u_sq, w, a)
@@ -473,7 +473,7 @@ def _frame_to_source(r: RectangleForm, m: RigidMotion) -> tuple:
     c, s = back.rot_cos, back.rot_sin
     u, v = r.u, r.v
     return _int_affine(
-        apply_motion(back, r.corners[0]).as_tuple(),
+        apply_motion(back, r.corners[0]),
         (c * u.x - s * u.y, s * u.x + c * u.y),
         (c * v.x - s * v.y, s * v.x + c * v.y),
     )
@@ -556,7 +556,7 @@ def verify_chart(c: DissectionChart, tolerance: float = 1e-9) -> VerifyReport:
     """
     check_tolerance(tolerance)
     exact = c.source_exact
-    source, source_area2 = c.source.as_tuples(), 2 * polygon_area(c.source)
+    source, source_area2 = c.source.vertices, 2 * polygon_area(c.source)
     if not exact:
         source, source_area2 = float_polygon(source), float(source_area2)
     failures, computed = _side_failures(
@@ -564,7 +564,7 @@ def verify_chart(c: DissectionChart, tolerance: float = 1e-9) -> VerifyReport:
         ("SourceDisjoint", "SourceContainment", "SourceArea"), "source",
     )
     target_failures, _ = _side_failures(
-        _placed(c), float_polygon(c.target.as_tuples()),
+        _placed(c), float_polygon(c.target.vertices),
         float(2 * polygon_area(c.target)), tolerance, False,
         ("TargetOverlap", "TargetContainment", "TargetArea"), "target",
     )
@@ -603,7 +603,7 @@ def _piece_points(c: DissectionChart) -> list:
     """Each piece's vertices as (x, y) pairs: rationals from an exact
     chart's SimplePolygons, the stored float tuples of an approximate one."""
     if c.source_exact:
-        return [p.as_tuples() for p in c.pieces]
+        return [p.vertices for p in c.pieces]
     return c.pieces
 
 

@@ -10,22 +10,22 @@ One rule picks the number type: every outside value enters through
 any other.  A chain fold's values are therefore ints from the reader or
 the fold to the verdict, and nothing converts them on the way.
 
-The low-level helpers prefixed with an underscore operate on plain
-``(x, y)`` coordinate tuples and are deliberately agnostic about the
-number type, so the same clipping/triangulation code serves both the
-exact rational paths and the float paths used by tolerance-based
-verification elsewhere in the package.  On exact paths a coordinate may
-be an int or a Fraction: every division is a Fraction(a, b) or is
-avoided (doubled areas, a doubled midpoint), so ints never turn into
-floats.
+Points and motions are NamedTuples.  The low-level helpers prefixed
+with an underscore operate on ``(x, y)`` coordinate tuples, which a
+Point2 is, so they read a polygon's vertices as they are.  They are
+deliberately agnostic about the number type, so the same
+clipping/triangulation code serves both the exact rational paths and
+the float paths used by tolerance-based verification elsewhere in the
+package.  On exact paths a coordinate may be an int or a Fraction:
+every division is a Fraction(a, b) or is avoided (doubled areas, a
+doubled midpoint), so ints never turn into floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Rational = Fraction
 
@@ -101,17 +101,14 @@ def rational_to_json(value: int | Fraction):
     return f"{value.numerator}/{value.denominator}"
 
 
-def rational_from_json(value) -> int | Fraction:
-    return rat(value)
-
-
 # ---------------------------------------------------------------------------
 # points and motions
 
 
-@dataclass(frozen=True)
-class Point2:
-    """Exact point in the plane."""
+class Point2(NamedTuple):
+    """Exact point in the plane: the tuple (x, y), equal to the plain pair
+    and hashed like it, so the tuple core reads it as it is.  + and - are
+    vector operations, not tuple concatenation."""
 
     x: int | Fraction
     y: int | Fraction
@@ -138,9 +135,6 @@ class Point2:
     def norm_sq(self) -> Fraction:
         return self.x * self.x + self.y * self.y
 
-    def as_tuple(self) -> tuple[Fraction, Fraction]:
-        return (self.x, self.y)
-
 
 def point(x, y) -> Point2:
     return Point2(rat(x), rat(y))
@@ -156,9 +150,9 @@ def point_from_json(obj) -> Point2:
     return Point2(rat(obj[0]), rat(obj[1]))
 
 
-@dataclass(frozen=True)
-class RigidMotion:
-    """Proper planar isometry: rotate by the (cos, sin) pair, then translate.
+class RigidMotion(NamedTuple):
+    """Proper planar isometry: rotate by the (cos, sin) pair, then translate;
+    the tuple (rot_cos, rot_sin, translate).
 
     The linear part is applied as [[c, -s], [s, c]], whose determinant is
     c**2 + s**2 >= 0, so reflections are unrepresentable by construction.
@@ -639,13 +633,12 @@ class SimplePolygon:
     def __init__(self, vertices: Iterable[Point2], _validated: bool = False):
         pts = [v if isinstance(v, Point2) else point(v[0], v[1]) for v in vertices]
         if not _validated:
-            tuples = _dedupe_collinear([p.as_tuple() for p in pts])
-            if len(tuples) < 3:
+            pts = _dedupe_collinear(pts)
+            if len(pts) < 3:
                 raise InvalidPolygon("fewer than 3 vertices after normalization")
-            if _signed_area2(tuples) <= 0:
+            if _signed_area2(pts) <= 0:
                 raise InvalidPolygon("vertices are not in counterclockwise order")
-            _check_simple(tuples)
-            pts = [Point2(x, y) for x, y in tuples]
+            _check_simple(pts)
         object.__setattr__(self, "vertices", tuple(pts))
 
     def __setattr__(self, name, value):
@@ -664,13 +657,10 @@ class SimplePolygon:
     def __len__(self):
         return len(self.vertices)
 
-    def as_tuples(self):
-        return [v.as_tuple() for v in self.vertices]
 
-
-def _check_simple(tuples):
-    n = len(tuples)
-    edges = [(tuples[i], tuples[(i + 1) % n]) for i in range(n)]
+def _check_simple(pts):
+    n = len(pts)
+    edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if j == i + 1 or (i == 0 and j == n - 1):
@@ -686,7 +676,7 @@ def polygon(coords) -> SimplePolygon:
 
 def polygon_area(p: SimplePolygon) -> Fraction:
     """Exact signed shoelace area; positive for the stored ccw orientation."""
-    return Fraction(_signed_area2(p.as_tuples()), 2)
+    return Fraction(_signed_area2(p.vertices), 2)
 
 
 def apply_motion_polygon(m: RigidMotion, p: SimplePolygon) -> SimplePolygon:
@@ -695,13 +685,11 @@ def apply_motion_polygon(m: RigidMotion, p: SimplePolygon) -> SimplePolygon:
 
 def convex_clip(a: SimplePolygon, b: SimplePolygon):
     """Exact intersection of two convex polygons; None when it has no area."""
-    ta = a.as_tuples()
-    tb = b.as_tuples()
-    if not _is_convex(ta):
+    if not _is_convex(a.vertices):
         raise NotConvex("first polygon is not convex")
-    if not _is_convex(tb):
+    if not _is_convex(b.vertices):
         raise NotConvex("second polygon is not convex")
-    out = _convex_clip(ta, tb)
+    out = _convex_clip(a.vertices, b.vertices)
     if not out:
         return None
     return SimplePolygon([Point2(x, y) for x, y in out], _validated=True)
@@ -713,18 +701,14 @@ def triangulate_simple(p: SimplePolygon) -> list[SimplePolygon]:
     Triangle vertices are drawn from the polygon's own vertices and the
     triangles partition the polygon exactly.
     """
-    tris = _ear_clip(p.as_tuples())
-    return [
-        SimplePolygon([Point2(*a), Point2(*b), Point2(*c)], _validated=True)
-        for a, b, c in tris
-    ]
+    return [SimplePolygon(tri, _validated=True) for tri in _ear_clip(p.vertices)]
 
 
 def overlap_area(a: SimplePolygon, b: SimplePolygon) -> int | Fraction:
     """Exact area of the intersection of two simple polygons."""
     from .overlap import polygon_overlap  # the engine builds on the tuple core above
 
-    return polygon_overlap(a.as_tuples(), b.as_tuples())
+    return polygon_overlap(a.vertices, b.vertices)
 
 
 def interiors_overlap(a: SimplePolygon, b: SimplePolygon) -> bool:
@@ -740,4 +724,4 @@ def polygon_contains(outer: SimplePolygon, inner: SimplePolygon) -> bool:
     """
     from .overlap import partition_residuals
 
-    return partition_residuals([inner.as_tuples()], outer.as_tuples())[2] == [0]
+    return partition_residuals([inner.vertices], outer.vertices)[2] == [0]

@@ -159,15 +159,6 @@ def canonical_chain_figure(n: int) -> HingedFigure:
     return HingedFigure(pieces, tuple(map(Hinge._make, _cycle_layout(k))), "cycle")
 
 
-def figures_equal(f1: HingedFigure, f2: HingedFigure) -> bool:
-    """Structural equality: identical vertex lists and hinge tuples."""
-    return (
-        f1.pieces == f2.pieces
-        and f1.hinges == f2.hinges
-        and f1.topology_tag == f2.topology_tag
-    )
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -219,7 +210,7 @@ def _verify(f: HingedFigure, c: Configuration, target: Target, num, tol) -> Veri
     if isinstance(target, Polyomino):
         region, area2 = target.cells, 2 * target.cell_count
     else:
-        region = target.as_tuples()
+        region = target.vertices
         area2 = _signed_area2(region)
         if not exact:
             region = [(num(x), num(y)) for x, y in region]
@@ -236,12 +227,11 @@ def _placed_points(f: HingedFigure, c: Configuration, num=float) -> tuple[list, 
     """(motions, placed): each placement's (cos, sin, tx, ty) and each
     piece's vertices moved by it, on the numbers num converts to, or on
     the stored values when num is None; each distinct piece's vertices
-    are taken once."""
+    are converted once."""
     if len(c.placements) != len(f.pieces):
         raise CountMismatch(f"{len(c.placements)} placements for {len(f.pieces)} pieces")
     motions = [(m.rot_cos, m.rot_sin, m.translate.x, m.translate.y) for m in c.placements]
-    distinct = {id(piece): piece for piece in f.pieces}
-    local = {key: piece.as_tuples() for key, piece in distinct.items()}
+    local = {id(piece): piece.vertices for piece in f.pieces}
     if num is not None:
         motions = [tuple(map(num, m)) for m in motions]
         local = {key: [(num(x), num(y)) for x, y in pts] for key, pts in local.items()}

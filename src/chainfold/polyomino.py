@@ -55,13 +55,14 @@ class Polyomino:
     """Non-empty, edge-connected set of unit cells.
 
     Cells enclosing empty space are legal here; only the outer-boundary
-    construction rejects holes.
+    construction rejects holes.  Each coordinate must be an int, not a
+    bool, float or string, by int_from_json's rule.
     """
 
     __slots__ = ("cells",)
 
     def __init__(self, cells: Iterable[Cell]):
-        cell_set = frozenset(Cell(int(x), int(y)) for x, y in cells)
+        cell_set = frozenset(Cell(int_from_json(x), int_from_json(y)) for x, y in cells)
         if not cell_set:
             raise EmptyShape("polyomino has no cells")
         _check_connected(cell_set)
@@ -143,7 +144,8 @@ def cells_to_json(p: Polyomino) -> dict:
 
 
 def int_from_json(value) -> int:
-    """A JSON integer as an int; bools, floats and strings are errors."""
+    """An int, such as a JSON integer, as it is; a bool, float, string or
+    any other value is an error."""
     if type(value) is not int:
         raise PolyominoError(f"expected an integer, got {value!r}")
     return value

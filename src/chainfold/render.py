@@ -97,7 +97,7 @@ def render_animation(samples: list[MotionSample], *, figure: HingedFigure) -> st
     """
     if len(samples) < 2:
         raise TooFewFrames(f"need at least 2 samples, got {len(samples)}")
-    local_points = [float_polygon(p.as_tuples()) for p in figure.pieces]
+    local_points = [float_polygon(p.vertices) for p in figure.pieces]
     piece_count = len(samples[0].placements)
     boxes = []
     paths = []  # per frame, each piece's outline formatted once
@@ -132,13 +132,13 @@ def render_chart(chart: DissectionChart) -> str:
     source_pts = [float_polygon(pts) for pts in _piece_points(chart)]
     placed_pts = _placed(chart)
     src_min_x, src_min_y, src_max_x, src_max_y = _bounds(
-        source_pts + [float_polygon(chart.source.as_tuples())]
+        source_pts + [float_polygon(chart.source.vertices)]
     )
     gap = max(src_max_x - src_min_x, 1e-9) * 0.15
     shift = src_max_x - src_min_x + gap
     shifted = [[(x + shift, y) for x, y in pts] for pts in placed_pts]
     everything = source_pts + shifted + [
-        [(x + shift, y) for x, y in float_polygon(chart.target.as_tuples())]
+        [(x + shift, y) for x, y in float_polygon(chart.target.vertices)]
     ]
     lines = _svg_open(*_bounds(everything))
     lines.append('<g id="source">')

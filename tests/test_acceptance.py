@@ -23,7 +23,7 @@ from chainfold.equidecompose import (
     verify_chart,
 )
 from chainfold.exact_geom import polygon_area
-from chainfold.figures import figures_equal, load_hdj, verify_configuration
+from chainfold.figures import load_hdj, verify_configuration
 from chainfold.kinematics import sample_motion
 from chainfold.numeric import apply_numeric, numeric_from_rigid
 from chainfold.polyomino import parse_grid, random_polyomino
@@ -78,7 +78,7 @@ def test_criterion_2_universality(fold_corpus):
     for n, group in by_n.items():
         _, reference = group[0]
         for label, figure in group[1:]:
-            assert figures_equal(reference, figure), (n, label)
+            assert reference == figure, (n, label)
             pairs += 1
     print(f"\nACCEPTANCE 2 (universality, {pairs} same-n comparisons): PASS")
 
@@ -122,7 +122,7 @@ def _placed_geometry(doc_json):
     config = doc.configurations[0].configuration
     out = []
     for piece, m in zip(doc.figure.pieces, config.placements):
-        out.append(tuple(apply_motion(m, v).as_tuple() for v in piece.vertices))
+        out.append(tuple(apply_motion(m, v) for v in piece.vertices))
     return tuple(out)
 
 
@@ -198,8 +198,8 @@ def test_criterion_7_kinematics_fidelity():
             for piece, m, ref in zip(hd.figure.pieces, endpoint.placements, config.placements):
                 ref_m = numeric_from_rigid(ref)
                 for v in piece.vertices:
-                    x1, y1 = apply_numeric(m, v.as_tuple())
-                    x2, y2 = apply_numeric(ref_m, v.as_tuple())
+                    x1, y1 = apply_numeric(m, v)
+                    x2, y2 = apply_numeric(ref_m, v)
                     worst = max(worst, math.hypot(x1 - x2, y1 - y2))
             assert worst <= KINEMATIC_TOLERANCE, (name_a, name_b, worst)
         for s in samples:
@@ -208,11 +208,11 @@ def test_criterion_7_kinematics_fidelity():
                     continue
                 ax, ay = apply_numeric(
                     s.placements[h.piece_a],
-                    hd.figure.pieces[h.piece_a].vertices[h.vertex_a].as_tuple(),
+                    hd.figure.pieces[h.piece_a].vertices[h.vertex_a],
                 )
                 bx, by = apply_numeric(
                     s.placements[h.piece_b],
-                    hd.figure.pieces[h.piece_b].vertices[h.vertex_b].as_tuple(),
+                    hd.figure.pieces[h.piece_b].vertices[h.vertex_b],
                 )
                 assert math.hypot(ax - bx, ay - by) <= KINEMATIC_TOLERANCE
     print("\nACCEPTANCE 7 (60-frame kinematics endpoint+hinge fidelity <= 1e-9): PASS")

@@ -96,7 +96,7 @@ def convex_polygons(draw, coords=_coords):
     """A rational strictly convex polygon as (x, y) tuples."""
     points = draw(st.lists(st.tuples(coords, coords), min_size=3, max_size=8))
     try:
-        return rational_convex_hull(points).as_tuples()
+        return list(rational_convex_hull(points).vertices)
     except ValueError:  # collinear points
         assume(False)
 
@@ -363,7 +363,7 @@ def exact_clip_pairs(draw, coords=_EXACT_COORDS):
         extra = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=4))
         keep = [a, b] if relation == "shared-edge" else [a]
         try:
-            clipper = rational_convex_hull(keep + extra).as_tuples()
+            clipper = list(rational_convex_hull(keep + extra).vertices)
         except ValueError:
             assume(False)
     elif relation in ("inside", "contains"):

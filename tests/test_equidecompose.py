@@ -117,9 +117,7 @@ class TestTriangleToRectangle:
             pa, pb, pc = [(a, b, c), (b, c, a), (c, a, b)][base]
             t = (pc - pa).dot(pb - pa) / side_sq[base]
             assert 0 <= t <= 1
-            pieces, rect, motions = triangle_to_rectangle(polygon(
-                [v.as_tuple() for v in (a, b, c)]
-            ))
+            pieces, rect, motions = triangle_to_rectangle(polygon([a, b, c]))
             assert_exact_partition(pieces, motions, rect.polygon())
 
 
@@ -330,7 +328,7 @@ class TestCanonicalChartProperties:
         assert verify_chart(chart, 1e-9).accepted
         assert sum((polygon_area(q) for q in chart.pieces), Fraction(0)) == polygon_area(p)
         for piece in chart.pieces:
-            pts = piece.as_tuples()
+            pts = list(piece.vertices)
             n = len(pts)
             assert n >= 3 and len(set(pts)) == n
             # every turn strictly left: ccw, convex, no collinear vertex
@@ -579,7 +577,7 @@ class TestOverlayDrops:
 
 def _quarter_turned(p, turns, shift):
     """p turned by (x, y) -> (-y, x) `turns` times, then shifted."""
-    pts = p.as_tuples()
+    pts = list(p.vertices)
     for _ in range(turns):
         pts = [(-y, x) for x, y in pts]
     return polygon([(x + shift[0], y + shift[1]) for x, y in pts])

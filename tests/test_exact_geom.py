@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from chainfold import overlap
 from chainfold.exact_geom import (
     RAT_MAX_DIGITS,
     DegenerateSegment,
     InvalidPolygon,
     LengthMismatch,
     NotConvex,
+    Point2,
     RigidMotion,
     apply_motion,
     compose_motions,
@@ -23,7 +25,6 @@ from chainfold.exact_geom import (
     polygon_area,
     polygon_contains,
     rat,
-    rational_from_json,
     rational_to_json,
     triangulate_simple,
 )
@@ -270,11 +271,11 @@ class TestSimplePolygon:
 class TestRationalJson:
     def test_integer_round_trip(self):
         assert rational_to_json(Fraction(4)) == 4
-        assert rational_from_json(4) == Fraction(4)
+        assert rat(4) == Fraction(4)
 
     def test_fraction_round_trip(self):
         assert rational_to_json(Fraction(-3, 7)) == "-3/7"
-        assert rational_from_json("-3/7") == Fraction(-3, 7)
+        assert rat("-3/7") == Fraction(-3, 7)
 
     def test_float_is_exact(self):
         assert rat(0.5) == Fraction(1, 2)
@@ -311,5 +312,42 @@ class TestRatRule:
         m = motion_between_segments(point(0, 0), point(5, 0), point(1, 2), point(4, 6))
         assert type(m.rot_cos) is Fraction and type(m.rot_sin) is Fraction
         quarter = motion_between_segments(point(0, 0), point(1, 0), point(2, 3), point(2, 4))
-        values = (quarter.rot_cos, quarter.rot_sin, *quarter.translate.as_tuple())
+        values = (quarter.rot_cos, quarter.rot_sin, *quarter.translate)
         assert values == (0, 1, 2, 3) and {type(v) for v in values} == {int}
+
+
+class TestTupleSemantics:
+    """Points and motions are NamedTuples, which the tuple core and the
+    overlap engine read as they are."""
+
+    def test_points_and_motions_are_tuples(self):
+        assert issubclass(Point2, tuple) and issubclass(RigidMotion, tuple)
+
+    def test_plus_and_minus_are_vector_operations(self):
+        total, difference = point(1, 2) + point(3, 4), point(1, 2) - point(3, 5)
+        assert total == point(4, 6) and type(total) is Point2
+        assert difference == point(-2, -3) and type(difference) is Point2
+
+    def test_a_point_equals_and_hashes_like_its_pair(self):
+        p = point("1/2", 3)
+        assert p == (Fraction(1, 2), 3) and hash(p) == hash((Fraction(1, 2), 3))
+        assert {(Fraction(1, 2), 3): "pair"}[p] == "pair"
+        assert (p.x, p.y) == (Fraction(1, 2), 3)
+
+    def test_a_motion_unpacks_as_cos_sin_translation(self):
+        cos, sin, (tx, ty) = motion("3/5", "4/5", 1, -2)
+        assert (cos, sin, tx, ty) == (Fraction(3, 5), Fraction(4, 5), 1, -2)
+
+    def test_point_region_cancels_plain_tuple_piece_edges(self, monkeypatch):
+        calls = []
+        engine = overlap.partition_residuals
+        monkeypatch.setattr(
+            overlap, "partition_residuals", lambda *args: calls.append(args) or engine(*args)
+        )
+        halves = [[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]]
+        residuals = overlap.exact_partition_residuals(halves, UNIT_SQUARE.vertices)
+        assert residuals == ([1, 1], [], [0, 0]) and calls == []
+        # a half moved up by 1 leaves edges, so the engine runs and finds it outside
+        moved = [halves[0], [(0, 1), (1, 2), (0, 2)]]
+        _, _, outside2 = overlap.exact_partition_residuals(moved, UNIT_SQUARE.vertices)
+        assert outside2 == [0, 1] and len(calls) == 1

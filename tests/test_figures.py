@@ -25,7 +25,6 @@ from chainfold.figures import (
     configuration_to_json,
     figure_from_json,
     figure_to_json,
-    figures_equal,
     hdj_from_json,
     hdj_to_json,
     save_hdj,
@@ -82,14 +81,14 @@ class TestFiguresEqual:
     def test_same_n_folds_share_figure(self):
         f1 = fold_chain(parse_grid("#.\n##")).figure
         f2 = fold_chain(parse_grid("###")).figure
-        assert figures_equal(f1, f2)
+        assert f1 == f2
 
     def test_different_n(self):
-        assert not figures_equal(canonical_chain_figure(3), canonical_chain_figure(4))
+        assert canonical_chain_figure(3) != canonical_chain_figure(4)
 
     def test_reflexive(self):
         f = canonical_chain_figure(3)
-        assert figures_equal(f, f)
+        assert f == f
 
 
 class TestVerifyConfiguration:
@@ -224,7 +223,7 @@ class TestHdj:
         fr = fold_chain(parse_grid("##\n.#"))
         encoded = figure_to_json(fr.figure)
         decoded = figure_from_json(encoded)
-        assert figures_equal(decoded, fr.figure)
+        assert decoded == fr.figure
 
     def test_configuration_round_trip_exact(self):
         fr = fold_chain(parse_grid("##"))
@@ -247,7 +246,7 @@ class TestHdj:
             dict(fr.cell_map),
         )
         decoded = hdj_from_json(hdj_to_json(doc))
-        assert figures_equal(decoded.figure, doc.figure)
+        assert decoded.figure == doc.figure
         assert decoded.configurations[0].configuration == fr.config
         assert decoded.targets[0].data == p
         assert decoded.cell_map == doc.cell_map

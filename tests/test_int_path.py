@@ -114,7 +114,7 @@ def reference_verify_exact(f, c, target):
         if not m.is_unit():
             failures.append(("ProperMotion", f"placement {i}: rot_cos^2+rot_sin^2 != 1"))
     placed = [
-        [apply_motion(placements[i], _fraction_point(v)).as_tuple() for v in piece.vertices]
+        [apply_motion(placements[i], _fraction_point(v)) for v in piece.vertices]
         for i, piece in enumerate(f.pieces)
     ]
     for idx, h in enumerate(f.hinges):
@@ -131,7 +131,7 @@ def reference_verify_exact(f, c, target):
         covered = [_reference_covered_by_cells(p, b, target.cells) for p, b in zip(parts, boxes)]
         target_area = Fraction(target.cell_count)
     else:
-        target_parts = convex_parts(_as_fractions(target.as_tuples()))
+        target_parts = convex_parts(_as_fractions(list(target.vertices)))
         covered = [_reference_overlap(p, target_parts) for p in parts]
         target_area = polygon_area(target)
     for i, cov in enumerate(covered):
@@ -193,7 +193,7 @@ def reference_verify_approx(f, c, target):
         covered2 = [_float_covered2(p, b, target.cells) for p, b in zip(parts, boxes)]
     else:
         target_area = float(polygon_area(target))
-        target_parts = convex_parts(float_polygon(target.as_tuples()))
+        target_parts = convex_parts(float_polygon(list(target.vertices)))
         covered2 = [overlap_sum2(p, target_parts) for p in parts]
     for i, j in _box_pairs(boxes):
         area = overlap_sum2(parts[i], parts[j]) / 2
@@ -581,7 +581,7 @@ _ints = st.integers(-8, 8)
 def int_convex_polygons(draw):
     points = draw(st.lists(st.tuples(_ints, _ints), min_size=3, max_size=8))
     try:
-        hull = rational_convex_hull(points).as_tuples()
+        hull = list(rational_convex_hull(points).vertices)
     except ValueError:  # collinear points
         assume(False)
     return _ints_of(hull)
@@ -599,7 +599,7 @@ def int_simple_polygons(draw):
     pts = [(x0, y0), (x0 + k, y0)]
     for i in reversed(range(k)):
         pts += [(x0 + i + 1, y0 + heights[i]), (x0 + i, y0 + heights[i])]
-    return _ints_of(SimplePolygon([point(*p) for p in pts]).as_tuples())
+    return _ints_of(list(SimplePolygon([point(*p) for p in pts]).vertices))
 
 
 class TestIntSafety:

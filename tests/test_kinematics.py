@@ -24,8 +24,8 @@ def placement_deviation(f, placements, config):
     for piece, m, ref in zip(f.pieces, placements, config.placements):
         ref_m = numeric_from_rigid(ref)
         for v in piece.vertices:
-            x1, y1 = apply_numeric(m, v.as_tuple())
-            x2, y2 = apply_numeric(ref_m, v.as_tuple())
+            x1, y1 = apply_numeric(m, v)
+            x2, y2 = apply_numeric(ref_m, v)
             worst = max(worst, math.hypot(x1 - x2, y1 - y2))
     return worst
 
@@ -36,8 +36,8 @@ def hinge_gaps(f, placements, cut):
     for idx, h in enumerate(f.hinges):
         if idx == cut:
             continue
-        ax, ay = apply_numeric(placements[h.piece_a], f.pieces[h.piece_a].vertices[h.vertex_a].as_tuple())
-        bx, by = apply_numeric(placements[h.piece_b], f.pieces[h.piece_b].vertices[h.vertex_b].as_tuple())
+        ax, ay = apply_numeric(placements[h.piece_a], f.pieces[h.piece_a].vertices[h.vertex_a])
+        bx, by = apply_numeric(placements[h.piece_b], f.pieces[h.piece_b].vertices[h.vertex_b])
         gaps.append(math.hypot(ax - bx, ay - by))
     return gaps
 

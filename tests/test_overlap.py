@@ -227,7 +227,7 @@ def _float_hull(points):
         hull = rational_convex_hull([(Fraction(float(x)), Fraction(float(y))) for x, y in points])
     except ValueError:  # rounding made the points collinear
         assume(False)
-    return [(float(x), float(y)) for x, y in hull.as_tuples()]
+    return [(float(x), float(y)) for x, y in hull.vertices]
 
 
 @st.composite

@@ -14,6 +14,7 @@ from chainfold.polyomino import (
     EmptyShape,
     HolePresent,
     Polyomino,
+    PolyominoError,
     boundary_polygon,
     cells_from_json,
     cells_to_json,
@@ -194,6 +195,21 @@ class TestPolyomino:
     def test_empty_rejected(self):
         with pytest.raises(EmptyShape):
             Polyomino([])
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [(0.5, 0), (1, 0)],
+            [(Fraction(3, 2), 0), (0, 0)],
+            [(1.0, 0), (0, 0)],
+            [(True, 0), (0, 0)],
+            [("1", "0"), (0, 0)],
+            [("1", 0), (0, 0)],
+        ],
+    )
+    def test_non_int_coordinates_rejected(self, cells):
+        with pytest.raises(PolyominoError, match="expected an integer"):
+            Polyomino(cells)
 
 
 def _sorted_every_step(n: int, seed: int) -> Polyomino:
