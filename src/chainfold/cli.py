@@ -32,6 +32,7 @@ from .figures import (
     atomic_output,
     check_tolerance,
     load_hdj,
+    read_json,
     save_hdj,
     verify_configuration,
     write_json,
@@ -61,8 +62,7 @@ def _load_polyomino(grid_path: str | None, cells_path: str | None) -> Polyomino:
     if grid_path is not None:
         with open(grid_path, "r", encoding="utf-8") as fh:
             return parse_grid(fh.read())
-    with open(cells_path, "r", encoding="utf-8") as fh:
-        return cells_from_json(json.load(fh))
+    return cells_from_json(read_json(cells_path))
 
 
 def _fold_document(p: Polyomino) -> HdjFile:
@@ -210,8 +210,7 @@ def cmd_animate(args) -> int:
 def _load_polygon_json(path: str) -> SimplePolygon:
     """Read [[x, y], ...]; decimals are read exactly, so 0.1 is 1/10, and
     capped like every other rational value."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh, parse_float=rat)
+    obj = read_json(path, parse_float=rat)
     if not isinstance(obj, list):
         raise ValueError(f"{path}: expected a JSON array of [x, y] points")
     try:

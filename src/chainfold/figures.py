@@ -14,7 +14,9 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import NamedTuple, Optional, Union
 
 from .exact_geom import (
@@ -30,6 +32,7 @@ from .exact_geom import (
 from .exact_geom import _bboxes_interiors_overlap, _convex_clip  # noqa: F401 - looked up by perfbench/tracing.py
 from .overlap import exact_partition_residuals, partition_residuals
 from .polyomino import BadSize, Cell, Polyomino, cells_from_json, cells_to_json, int_from_json
+from .polyomino import is_table
 
 DEFAULT_APPROX_TOLERANCE = 1e-9
 
@@ -350,28 +353,14 @@ def figure_to_json(f: HingedFigure, approx: bool = False) -> dict:
 
 
 def figure_from_json(obj) -> HingedFigure:
-    """Parse a figure; identical pieces share one validated SimplePolygon.
-
-    A piece is looked up first by the repr of its JSON values, which
-    keeps true, 1, 1.0 and "1" apart as their JSON text does and costs a
-    third of json.dumps, then by its parsed points, since true == 1 ==
-    1.0 there.  Both lookups live for this call only.
-    """
+    """Parse a figure; identical pieces share one validated SimplePolygon."""
     try:
-        by_text: dict[str, SimplePolygon] = {}
-        by_points: dict[tuple[Point2, ...], SimplePolygon] = {}
-        pieces = []
-        for piece in obj["pieces"]:
-            text = repr(piece)
-            polygon = by_text.get(text)
-            if polygon is None:
-                key = tuple(point_from_json(v) for v in piece)
-                if key not in by_points:
-                    by_points[key] = SimplePolygon(key)
-                polygon = by_text[text] = by_points[key]
-            pieces.append(polygon)
-        pieces = tuple(pieces)
-        hinges = tuple(map(_hinge_from_json, obj["hinges"]))
+        pieces = _pieces_from_json(obj["pieces"])
+        hinges = obj["hinges"]
+        if is_table(hinges, 4):
+            hinges = tuple(map(tuple.__new__, repeat(Hinge), hinges))
+        else:  # int_from_json names the first value that is not an int
+            hinges = tuple(Hinge(*map(int_from_json, h)) for h in hinges)
         return HingedFigure(pieces, hinges, obj.get("topology", "general"))
     except HdjError:
         raise
@@ -379,14 +368,27 @@ def figure_from_json(obj) -> HingedFigure:
         raise HdjError(f"bad figure encoding: {exc}") from exc
 
 
-def _hinge_from_json(h) -> Hinge:
-    """A hinge from a list of four JSON integers; int_from_json's errors
-    for anything else."""
-    if type(h) is list and len(h) == 4:
-        a, b, c, d = h
-        if type(a) is type(b) is type(c) is type(d) is int:
-            return Hinge(a, b, c, d)
-    return Hinge(*[int_from_json(x) for x in h])
+def _pieces_from_json(pieces) -> tuple[SimplePolygon, ...]:
+    """The pieces, each distinct list of points validated once: a piece
+    whose JSON equals the previous one's takes its polygon when every
+    point is a pair of ints, floats or strings (true == 1), and any other
+    is looked up by its points, read by point_from_json unless all ints."""
+    points = list(chain.from_iterable(pieces)) if set(map(type, pieces)) <= {list} else None
+    ints = is_table(points, 2)
+    reuse = ints or is_table(points, 2, (int, float, str))
+    to_point = Point2._make if ints else point_from_json
+    by_points: dict[tuple[Point2, ...], SimplePolygon] = {}
+    out = []
+    last_json, polygon = object(), None  # at first, no piece equals last_json
+    for piece in pieces:
+        if not (reuse and piece == last_json):
+            key = tuple(map(to_point, piece))
+            polygon = by_points.get(key)
+            if polygon is None:
+                polygon = by_points[key] = SimplePolygon(key)
+            last_json = piece
+        out.append(polygon)
+    return tuple(out)
 
 
 def configuration_to_json(nc: NamedConfiguration) -> dict:
@@ -410,16 +412,24 @@ def configuration_to_json(nc: NamedConfiguration) -> dict:
     return out
 
 
-def _rat_once(cache: dict, value) -> int | Fraction:
-    """rat(value), converted once per distinct (type, value) in cache;
-    the type keeps true, which rat rejects, apart from 1."""
+_MOTION_KEYS = ("cos", "sin", "tx", "ty")
+
+
+def _placements_from_json(placements) -> tuple[RigidMotion, ...]:
+    """One motion per {"cos", "sin", "tx", "ty"} object: ints as they are,
+    any other value through rat once per distinct (type, value), and
+    when that fails, rat value by value, which names the first bad one."""
     try:
-        return cache[type(value), value]
-    except KeyError:
-        cache[type(value), value] = r = rat(value)
-        return r
-    except TypeError:  # an unhashable value: rat names it in its error
-        return rat(value)
+        values = list(chain.from_iterable(map(itemgetter(*_MOTION_KEYS), placements)))
+        if not set(map(type, values)) <= {int}:
+            typed = list(zip(map(type, values), values))  # keeps true apart from 1
+            rats = {key: rat(key[1]) for key in set(typed)}
+            values = list(map(rats.__getitem__, typed))
+    except (KeyError, TypeError, ValueError):
+        values = [rat(m[key]) for m in placements for key in _MOTION_KEYS]
+    translations = map(tuple.__new__, repeat(Point2), zip(values[2::4], values[3::4]))
+    motions = zip(values[::4], values[1::4], translations)
+    return tuple(map(tuple.__new__, repeat(RigidMotion), motions))
 
 
 def configuration_from_json(obj) -> NamedConfiguration:
@@ -427,15 +437,7 @@ def configuration_from_json(obj) -> NamedConfiguration:
         raise HdjError(f"bad configuration encoding: expected an object, got {obj!r}")
     try:
         mode = obj.get("mode", "exact")
-        cache: dict = {}
-        placements = tuple(
-            RigidMotion(
-                _rat_once(cache, m["cos"]),
-                _rat_once(cache, m["sin"]),
-                Point2(_rat_once(cache, m["tx"]), _rat_once(cache, m["ty"])),
-            )
-            for m in obj["placements"]
-        )
+        placements = _placements_from_json(obj["placements"])
         # a JSON int or float, not a bool, finite as a double: float()
         # overflows beyond that range, and Configuration rejects a NaN
         tol = obj.get("tolerance")
@@ -509,12 +511,18 @@ def hdj_from_json(obj) -> HdjFile:
     targets = [target_from_json(t) for t in _json_list(obj, "targets")]
     cell_map = None
     if "cell_map" in obj:
+        entries = obj["cell_map"]
         try:
-            cell_map = {
-                Cell(int_from_json(c[0]), int_from_json(c[1])):
-                    (int_from_json(p[0]), int_from_json(p[1]))
-                for c, p in obj["cell_map"]
-            }
+            pairs = list(chain.from_iterable(entries)) if is_table(entries, 2, (list,)) else None
+            if is_table(pairs, 2):  # [[x, y], [i, j]] entries of ints, taken as they are
+                cells = map(tuple.__new__, repeat(Cell), pairs[::2])
+                cell_map = dict(zip(cells, map(tuple, pairs[1::2])))
+            else:  # int_from_json names the first value that is not an int
+                cell_map = {
+                    Cell(int_from_json(c[0]), int_from_json(c[1])):
+                        (int_from_json(p[0]), int_from_json(p[1]))
+                    for c, p in entries
+                }
         except (TypeError, ValueError, IndexError, KeyError) as exc:
             raise HdjError(f"bad cell_map encoding: {exc}") from exc
     return HdjFile(figure, configurations, targets, cell_map)
@@ -645,10 +653,18 @@ def save_hdj(path, doc: HdjFile):
         fh.write("\n")
 
 
+def read_json(path, **kwargs):
+    """json.load of the file at path; JSON nested too deeply for it is a ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, **kwargs)
+        except RecursionError:  # json.load recurses once per level of nesting
+            raise ValueError(f"{path}: JSON nested deeper than the recursion limit") from None
+
+
 def load_hdj(path) -> HdjFile:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = read_json(path)
     except json.JSONDecodeError as exc:
         raise HdjError(f"not valid JSON: {exc}") from exc
     return hdj_from_json(obj)

@@ -6,6 +6,7 @@ import bisect
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, count, repeat
 from typing import Iterable, NamedTuple
 
 from .exact_geom import SimplePolygon, point
@@ -55,14 +56,20 @@ class Polyomino:
     """Non-empty, edge-connected set of unit cells.
 
     Cells enclosing empty space are legal here; only the outer-boundary
-    construction rejects holes.  Each coordinate must be an int, not a
-    bool, float or string, by int_from_json's rule.
+    construction rejects holes.  Each cell is an (x, y) list or tuple of
+    ints, not bools, floats or strings, by int_from_json's rule.
     """
 
     __slots__ = ("cells",)
 
     def __init__(self, cells: Iterable[Cell]):
-        cell_set = frozenset(Cell(int_from_json(x), int_from_json(y)) for x, y in cells)
+        cells = list(cells)
+        if not is_table(cells, 2):
+            for c in cells:  # name the first bad cell
+                if not isinstance(c, (list, tuple)) or len(c) != 2:
+                    raise BadCharacter(f"bad cell {c!r}: expected [x, y]")
+                Cell(*map(int_from_json, c))
+        cell_set = frozenset(map(tuple.__new__, repeat(Cell), cells))
         if not cell_set:
             raise EmptyShape("polyomino has no cells")
         _check_connected(cell_set)
@@ -85,24 +92,29 @@ class Polyomino:
         return f"Polyomino({sorted(self.cells)})"
 
     def translated_to_origin(self) -> "Polyomino":
-        min_x = min(c.x for c in self.cells)
-        min_y = min(c.y for c in self.cells)
-        return Polyomino(Cell(c.x - min_x, c.y - min_y) for c in self.cells)
+        return Polyomino(_at_origin(self.cells))
+
+
+def _at_origin(cells) -> list:
+    """The (x, y) cells shifted so that their least x and least y are 0."""
+    min_x = min(x for x, _ in cells)
+    min_y = min(y for _, y in cells)
+    return [(x - min_x, y - min_y) for x, y in cells]
 
 
 def _check_connected(cells: frozenset[Cell]):
     start = next(iter(cells))
-    seen = {start}
+    unseen = set(cells)
+    unseen.remove(start)
     stack = [start]
     while stack:
         cx, cy = stack.pop()
-        for dx, dy in NEIGHBOR_STEPS:
-            nb = Cell(cx + dx, cy + dy)
-            if nb in cells and nb not in seen:
-                seen.add(nb)
+        for nb in ((cx + 1, cy), (cx, cy + 1), (cx - 1, cy), (cx, cy - 1)):
+            if nb in unseen:
+                unseen.remove(nb)
                 stack.append(nb)
-    if len(seen) != len(cells):
-        raise Disconnected(f"{len(cells) - len(seen)} cells unreachable")
+    if unseen:
+        raise Disconnected(f"{len(unseen)} cells unreachable")
 
 
 def parse_grid(text: str) -> Polyomino:
@@ -113,16 +125,15 @@ def parse_grid(text: str) -> Polyomino:
     while rows and not rows[0].strip():
         rows.pop(0)
     cells = []
-    height = len(rows)
     for r, row in enumerate(rows):
-        for col, ch in enumerate(row):
-            if ch == "#":
-                cells.append(Cell(col, height - 1 - r))
-            elif ch != ".":
-                raise BadCharacter(f"unexpected character {ch!r} in row {r}")
+        # what strip leaves starts at the row's first character other than '#' and '.'
+        if bad := row.strip("#."):
+            raise BadCharacter(f"unexpected character {bad[0]!r} in row {r}")
+        # (column, -row) of each '#'
+        cells += zip(compress(count(), map("#".__eq__, row)), repeat(-r))
     if not cells:
         raise EmptyShape("grid contains no '#' cells")
-    return Polyomino(cells).translated_to_origin()
+    return Polyomino(_at_origin(cells))
 
 
 def to_grid(p: Polyomino) -> str:
@@ -151,16 +162,23 @@ def int_from_json(value) -> int:
     return value
 
 
+def is_table(rows, width: int, types: tuple = (int,)) -> bool:
+    """Whether rows is a list of lists or tuples of width values each, of
+    exactly these types (a bool is no int): one C-level pass apiece over
+    the rows' types, their lengths and their values' types."""
+    return (
+        type(rows) is list
+        and all(issubclass(t, (list, tuple)) for t in set(map(type, rows)))
+        and set(map(len, rows)) <= {width}
+        and set(map(type, chain.from_iterable(rows))) <= set(types)
+    )
+
+
 def cells_from_json(obj) -> Polyomino:
     """Read {"cells": [[x, y], ...]}; each coordinate must be an integer."""
     if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
         raise BadCharacter("expected an object with a 'cells' array")
-    cells = []
-    for c in obj["cells"]:
-        if not isinstance(c, list) or len(c) != 2:
-            raise BadCharacter(f"bad cell {c!r}: expected [x, y]")
-        cells.append(Cell(int_from_json(c[0]), int_from_json(c[1])))
-    return Polyomino(cells)
+    return Polyomino(obj["cells"])
 
 
 def boundary_polygon(p: Polyomino) -> SimplePolygon:
@@ -275,4 +293,4 @@ def random_polyomino(n: int, seed: int) -> Polyomino:
                 at = bisect.bisect_left(frontier, nb)
                 if at == len(frontier) or frontier[at] != nb:
                     frontier.insert(at, nb)
-    return Polyomino(cells).translated_to_origin()
+    return Polyomino(_at_origin(cells))

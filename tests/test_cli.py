@@ -562,6 +562,20 @@ class TestParseErrors:
         assert _verify_doc(workdir, doc) == 1
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize("command", [
+        ["verify", "{deep}"],
+        ["animate", "{deep}", "--out", "{work}/a.svg"],
+        ["fold", "--cells", "{deep}", "--out", "{work}/f.hdj"],
+        ["bg", "--a", "{deep}", "--b", "{work}/tri.json", "--out", "{work}/c.json"],
+    ], ids=["verify", "animate", "fold", "bg"])
+    def test_deeply_nested_json_exits_2(self, workdir, capsys, command):
+        # json.load recurses once per level; 5,000 levels pass any default limit
+        deep = workdir / "deep.json"
+        deep.write_text("[" * 5000)
+        argv = [arg.format(deep=deep, work=workdir) for arg in command]
+        assert main(argv) == 2
+        assert "JSON nested deeper than the recursion limit" in capsys.readouterr().err
+
     def test_huge_exponent_exits_2_quickly(self, workdir, capsys):
         # the cap is read off the text: 10**3000000 is never built
         doc = _tromino_hdj(workdir)

@@ -211,6 +211,29 @@ class TestPolyomino:
         with pytest.raises(PolyominoError, match="expected an integer"):
             Polyomino(cells)
 
+    @pytest.mark.parametrize("cells", [[5], [None], [(1, 2, 3)], [(0, 0), "ab"], [(0, 0), (1,)]])
+    def test_cell_that_is_not_a_pair_rejected(self, cells):
+        with pytest.raises(PolyominoError, match="bad cell .*: expected"):
+            Polyomino(cells)
+
+    def test_first_bad_cell_is_named(self):
+        with pytest.raises(PolyominoError, match="got True"):
+            Polyomino([(0, 0), (True, 0), (5,), (0.5, 0)])
+
+    def test_tuples_lists_and_cells_build_alike(self):
+        p = Polyomino([Cell(0, 0), (1, 0), [1, 1]])
+        assert p.cells == {(0, 0), (1, 0), (1, 1)}
+        assert all(type(c) is Cell for c in p.cells)
+
+    def test_parse_grid_checks_connectivity_once(self, monkeypatch):
+        from chainfold import polyomino
+
+        calls = []
+        check = polyomino._check_connected
+        monkeypatch.setattr(polyomino, "_check_connected", lambda cells: calls.append(1) or check(cells))
+        assert parse_grid("..\n.#\n##\n..").cells == {(0, 0), (1, 0), (1, 1)}
+        assert len(calls) == 1
+
 
 def _sorted_every_step(n: int, seed: int) -> Polyomino:
     """random_polyomino's growth as first written: the frontier is a set,
