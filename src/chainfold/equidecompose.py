@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from .exact_geom import (
     IDENTITY_MOTION,
-    InvalidPolygon,
     Point2,
     RigidMotion,
     SimplePolygon,
@@ -51,18 +50,11 @@ from .numeric import (
     NumericMotion,
     apply_numeric_points,
     compose_numeric,
-    float_polygon,
     invert_numeric,
     numeric_between_segments,
     numeric_from_rigid,
 )
-from .overlap import (
-    convex_parts,
-    overlapping_pairs,
-    part_clips,
-    partition_residuals,
-    parts_and_bounds,
-)
+from .overlap import overlapping_pairs, part_clips, parts_and_bounds
 
 log = logging.getLogger(__name__)
 
@@ -556,47 +548,16 @@ def verify_chart(c: DissectionChart, tolerance: float = 1e-9) -> VerifyReport:
     """
     check_tolerance(tolerance)
     exact = c.source_exact
-    source, source_area2 = c.source.vertices, 2 * polygon_area(c.source)
-    if not exact:
-        source, source_area2 = float_polygon(source), float(source_area2)
-    failures, computed = _side_failures(
-        _piece_points(c), source, source_area2, 0 if exact else tolerance, exact,
+    failures, computed = _partition_failures(
+        _piece_points(c), c.source.vertices, 0 if exact else tolerance, exact,
         ("SourceDisjoint", "SourceContainment", "SourceArea"), "source",
     )
-    target_failures, _ = _side_failures(
-        _placed(c), float_polygon(c.target.vertices),
-        float(2 * polygon_area(c.target)), tolerance, False,
+    target_failures, _ = _partition_failures(
+        _placed(c), c.target.vertices, tolerance, False,
         ("TargetOverlap", "TargetContainment", "TargetArea"), "target",
     )
     failures += target_failures
     return VerifyReport(not failures, failures, computed)
-
-
-def _side_failures(pieces, region, region_area2, tol, exact: bool, checks, side: str):
-    """_partition_failures of one side of a chart.  A piece that cannot be
-    cut into convex parts, such as a float piece that is not simple,
-    fails the side's overlap check by name instead of raising.  Without
-    its parts the side's overlaps and containment are unknown, so the
-    side then checks only that its piece areas sum to the region's."""
-    try:
-        residuals, split = partition_residuals(pieces, region), []
-    except InvalidPolygon:
-        split = [(checks[0], f"piece {k} cannot be cut into convex parts: {error}")
-                 for k, pts in enumerate(pieces) if (error := _split_error(pts))]
-        if not split:  # the region's own split failed
-            raise
-        residuals = ([_signed_area2(pts) for pts in pieces], [], [0] * len(pieces))
-    failures, total = _partition_failures(residuals, region_area2, tol, exact, checks, side)
-    return split + failures, total
-
-
-def _split_error(pts):
-    """The text of the InvalidPolygon that convex_parts raises on pts, or None."""
-    try:
-        convex_parts(pts)
-    except InvalidPolygon as exc:
-        return str(exc)
-    return None
 
 
 def _piece_points(c: DissectionChart) -> list:

@@ -14,12 +14,13 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple, Optional, Union
 
 from .exact_geom import (
+    InvalidPolygon,
     Point2,
     RigidMotion,
     SimplePolygon,
@@ -30,7 +31,7 @@ from .exact_geom import (
     rational_to_json,
 )
 from .exact_geom import _bboxes_interiors_overlap, _convex_clip  # noqa: F401 - looked up by perfbench/tracing.py
-from .overlap import exact_partition_residuals, partition_residuals
+from .overlap import convex_parts, exact_partition_residuals, partition_residuals
 from .polyomino import BadSize, Cell, Polyomino, cells_from_json, cells_to_json, int_from_json
 from .polyomino import is_table
 
@@ -74,30 +75,31 @@ class HingedFigure:
     topology_tag: str = "general"
 
     def __post_init__(self):
-        if self.topology_tag not in ("cycle", "general"):
-            raise FigureError(f"unknown topology tag {self.topology_tag!r}")
         k = len(self.pieces)
-        if (
-            self.topology_tag == "cycle" and k >= 2 and k % 2 == 0
-            and self.hinges == _cycle_layout(k)
-            and all(len(p.vertices) > 2 for p in self.pieces)
-        ):
-            return  # vertices 1 and 2 of pieces i != i+1 mod k: every check below passes
-        for h in self.hinges:
-            if not (0 <= h.piece_a < k and 0 <= h.piece_b < k):
-                raise FigureError(f"hinge piece index out of range: {h}")
-            if h.piece_a == h.piece_b:
-                raise FigureError(f"hinge joins a piece to itself: {h}")
-            if not (0 <= h.vertex_a < len(self.pieces[h.piece_a].vertices)):
-                raise FigureError(f"hinge vertex_a out of range: {h}")
-            if not (0 <= h.vertex_b < len(self.pieces[h.piece_b].vertices)):
-                raise FigureError(f"hinge vertex_b out of range: {h}")
         if self.topology_tag == "cycle":
             if k < 2 or k % 2 != 0 or len(self.hinges) != k:
                 raise FigureError("cycle figures need 2k pieces and 2k hinges")
-            for i, (h, canonical) in enumerate(zip(self.hinges, _cycle_layout(k))):
-                if h != canonical:
-                    raise FigureError(f"hinge {i} breaks the canonical cycle layout")
+            layout = _cycle_layout(k)
+            if self.hinges != layout:
+                i = next(i for i, (h, canonical) in enumerate(zip(self.hinges, layout))
+                         if h != canonical)
+                raise FigureError(f"hinge {i} breaks the canonical cycle layout")
+            # the hinges pin vertices 1 and 2 of pieces i != i+1 mod k; a
+            # run of one shared polygon, as in a chain fold, is looked at once
+            if min(len(piece.vertices) for piece, _ in groupby(self.pieces)) < 3:
+                raise FigureError("a cycle piece needs 3 or more vertices")
+        elif self.topology_tag == "general":
+            for h in self.hinges:
+                if not (0 <= h.piece_a < k and 0 <= h.piece_b < k):
+                    raise FigureError(f"hinge piece index out of range: {h}")
+                if h.piece_a == h.piece_b:
+                    raise FigureError(f"hinge joins a piece to itself: {h}")
+                if not (0 <= h.vertex_a < len(self.pieces[h.piece_a].vertices)):
+                    raise FigureError(f"hinge vertex_a out of range: {h}")
+                if not (0 <= h.vertex_b < len(self.pieces[h.piece_b].vertices)):
+                    raise FigureError(f"hinge vertex_b out of range: {h}")
+        else:
+            raise FigureError(f"unknown topology tag {self.topology_tag!r}")
 
 
 def _cycle_layout(k: int) -> tuple:
@@ -210,16 +212,8 @@ def _verify(f: HingedFigure, c: Configuration, target: Target, num, tol) -> Veri
         elif not exact and not (gap := math.hypot(ax - bx, ay - by)) <= tol:
             failures.append(("HingeCoincidence", f"hinge {idx}: gap {_value_text(gap)}"))
 
-    if isinstance(target, Polyomino):
-        region, area2 = target.cells, 2 * target.cell_count
-    else:
-        region = target.vertices
-        area2 = _signed_area2(region)
-        if not exact:
-            region = [(num(x), num(y)) for x, y in region]
-    residuals = (exact_partition_residuals if exact else partition_residuals)(placed, region)
     partition, total = _partition_failures(
-        residuals, area2 if exact else num(area2), tol, exact,
+        placed, target.cells if isinstance(target, Polyomino) else target.vertices, tol, exact,
         ("PairwiseDisjoint", "Containment", "AreaCoverage"), "target",
     )
     failures += partition
@@ -244,32 +238,61 @@ def _placed_points(f: HingedFigure, c: Configuration, num=float) -> tuple[list, 
     ]
 
 
-def _partition_failures(residuals, region_area2, tol, exact: bool, checks, region: str):
-    """(failures, total area) from partition_residuals and twice the region's
-    area.  Each doubled residual is held to a doubled bound, 0 when exact,
-    and halved only to be shown, and passes only when it is <= the bound,
-    so a NaN fails; checks names the overlap, containment and area checks,
-    region the region in their texts."""
+def _partition_failures(pieces, region, tol, exact: bool, checks, name: str):
+    """(failures, total area) of the check that pieces, lists of (x, y)
+    points, partition a region: a ccw simple polygon's points or a
+    polyomino's frozenset of cells.  Exact pieces go to the cancellation
+    certificate, float ones to the engine against the region in floats.
+    Each doubled residual is held to a doubled bound, 0 when exact, and
+    halved only to be shown, and passes only when it is <= the bound, so
+    a NaN fails; checks names the overlap, containment and area checks,
+    name the region in their texts.  A piece that cannot be cut into
+    convex parts, such as a float piece that is not simple, fails the
+    overlap check by name instead of raising; without its parts, only
+    the areas are checked."""
+    cells = isinstance(region, frozenset)
+    region_area2 = 2 * len(region) if cells else _signed_area2(region)
+    if not exact:
+        region_area2 = float(region_area2)
+        region = region if cells else [(float(x), float(y)) for x, y in region]
+    failures = []
+    try:
+        residuals = (exact_partition_residuals if exact else partition_residuals)(pieces, region)
+    except InvalidPolygon:
+        failures = [(checks[0], f"piece {k} cannot be cut into convex parts: {error}")
+                    for k, pts in enumerate(pieces) if (error := _split_error(pts))]
+        if not failures:  # the region's own split failed
+            raise
+        residuals = ([_signed_area2(pts) for pts in pieces], [], [0] * len(pieces))
     areas2, overlaps2, outside2 = residuals
     bound2 = tol * region_area2 if tol else 0
 
     def half_text(v):
         return _value_text(Fraction(v, 2) if exact else v / 2)
 
-    failures = [
+    failures += [
         (checks[0], f"pieces {i} and {j} overlap" + ("" if exact else f" by {half_text(area2)}"))
         for i, j, area2 in overlaps2 if not area2 <= bound2
     ]
-    where = "of its area is outside" if exact else f"outside {region}"
+    where = "of its area is outside" if exact else f"outside {name}"
     failures += [
         (checks[1], f"piece {i}: {half_text(area2)} {where}")
         for i, area2 in enumerate(outside2) if not area2 <= bound2
     ]
     total2 = sum(areas2)
     if not abs(total2 - region_area2) <= bound2:
-        text = f"piece areas sum to {half_text(total2)}, {region} {half_text(region_area2)}"
+        text = f"piece areas sum to {half_text(total2)}, {name} {half_text(region_area2)}"
         failures.append((checks[2], text))
     return failures, Fraction(total2, 2) if exact else total2 / 2
+
+
+def _split_error(pts):
+    """The text of the InvalidPolygon that convex_parts raises on pts, or None."""
+    try:
+        convex_parts(pts)
+    except InvalidPolygon as exc:
+        return str(exc)
+    return None
 
 
 _SHORT_BITS = 200  # longer exact numerators or denominators are shown approximately
@@ -663,8 +686,11 @@ def read_json(path, **kwargs):
 
 
 def load_hdj(path) -> HdjFile:
+    """The HDJ document at path; a file that holds none raises HdjError."""
     try:
         obj = read_json(path)
     except json.JSONDecodeError as exc:
         raise HdjError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, nested too deeply, or an int too long
+        raise HdjError(str(exc)) from exc
     return hdj_from_json(obj)

@@ -103,7 +103,9 @@ def _at_origin(cells) -> list:
 
 
 def _check_connected(cells: frozenset[Cell]):
-    start = next(iter(cells))
+    """Raise Disconnected unless every cell is reachable from the least
+    one, naming how many are not, so the text depends on the shape only."""
+    start = min(cells)
     unseen = set(cells)
     unseen.remove(start)
     stack = [start]
@@ -114,7 +116,8 @@ def _check_connected(cells: frozenset[Cell]):
                 unseen.remove(nb)
                 stack.append(nb)
     if unseen:
-        raise Disconnected(f"{len(unseen)} cells unreachable")
+        n = len(unseen)
+        raise Disconnected(f"{n} cell{'' if n == 1 else 's'} unreachable")
 
 
 def parse_grid(text: str) -> Polyomino:

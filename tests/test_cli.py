@@ -185,6 +185,32 @@ class TestVerify:
         assert _verify_doc(workdir, doc) == 2
         assert "tolerance must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, placement, extra", [
+        ("exact", {"cos": "-23/265", "sin": "264/265", "tx": 7, "ty": 0}, ("--mode", "approx")),
+        ("approx", dict(zip(("cos", "sin", "tx", "ty"), (
+            0.32312834542402913, -0.9463551512955003, -69.27954711239138, 0.8099981110470935,
+        ))), ()),
+    ], ids=["exact-motion-in-approx-mode", "approx-document"])
+    def test_placed_piece_that_is_not_simple_exits_1(self, workdir, capsys, mode, placement, extra):
+        # exactly simple, but its top chain lies within 1e-15 of a line, so
+        # the piece placed in floats cannot be cut into convex parts
+        piece = [["1/2", -1], ["3/4", "-1/100000000000000000"], ["1/2", 0],
+                 ["1/4", "3/10000000000000000"], [0, 0]]
+        doc = {
+            "figure": {"pieces": [piece], "hinges": [], "topology": "general"},
+            "configurations": [{"name": "c", "mode": mode, "placements": [placement]}],
+            "targets": [{"name": "t", "kind": "polygon", "data": [[0, 0], [1, 0], [0, 1]]}],
+        }
+        assert _verify_doc(workdir, doc, *extra) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines() == [
+            "configuration 'c' vs target 't': REJECTED",
+            "  PairwiseDisjoint: piece 0 cannot be cut into convex parts:"
+            " no diagonal found; polygon is not simple",
+            "  AreaCoverage: piece areas sum to 0.375, target 0.5",
+        ]
+
 
 class TestAnimate:
     def test_pair_animation(self, workdir):

@@ -4,11 +4,19 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chainfold.chain import dissect_pair, fold_chain
-from chainfold.exact_geom import RigidMotion, point, polygon
+from chainfold.exact_geom import (
+    InvalidPolygon,
+    RigidMotion,
+    SimplePolygon,
+    point,
+    point_from_json,
+    polygon,
+    rat,
+)
 from chainfold.figures import (
     Configuration,
     CountMismatch,
@@ -19,6 +27,7 @@ from chainfold.figures import (
     HingedFigure,
     NamedConfiguration,
     NamedTarget,
+    VerifyReport,
     _value_text,
     canonical_chain_figure,
     configuration_from_json,
@@ -27,6 +36,7 @@ from chainfold.figures import (
     figure_to_json,
     hdj_from_json,
     hdj_to_json,
+    load_hdj,
     save_hdj,
     verify_configuration,
     write_json,
@@ -167,6 +177,62 @@ class TestVerifyConfiguration:
         assert not report.accepted
 
 
+# an exactly simple 5-gon whose top chain lies within 1e-15 of y = 0: in
+# floats, turned and moved, it is no longer simple
+_NEAR_COLLINEAR = SimplePolygon(map(point_from_json, [
+    ["1/2", -1], ["3/4", "-1/100000000000000000"], ["1/2", 0], ["1/4", "3/10000000000000000"],
+    [0, 0],
+]))
+_FLOAT_MOTIONS = [
+    RigidMotion(Fraction(-23, 265), Fraction(264, 265), point(7, 0)),
+    RigidMotion(*map(rat, (0.32312834542402913, -0.9463551512955003)),
+                point(rat(-69.27954711239138), rat(0.8099981110470935))),
+]
+_TRIANGLE = polygon([(0, 0), (1, 0), (0, 1)])
+
+
+@st.composite
+def _near_collinear_pieces(draw):
+    """An exact simple polygon: an apex at y = -1 under a chain of 3 to 30
+    vertices, right to left, at distinct x in 0, 1/64, ..., 1 and each
+    within 1e-16 of y = 0, below what a float placement resolves."""
+    xs = sorted(draw(st.sets(st.integers(0, 64), min_size=3, max_size=30)), reverse=True)
+    tiny = st.integers(-10, 10).map(lambda k: Fraction(k, 10**17))
+    apex = point(Fraction(draw(st.integers(0, 64)), 64), -1)
+    try:
+        return SimplePolygon([apex] + [point(Fraction(x, 64), draw(tiny)) for x in xs])
+    except InvalidPolygon:
+        assume(False)
+
+
+class TestNonSimplePlacedPiece:
+    """A placed float piece that cannot be cut into convex parts fails the
+    overlap check by name, and the areas are still checked."""
+
+    @pytest.mark.parametrize("m", _FLOAT_MOTIONS, ids=["exact-motion", "float-motion"])
+    def test_approx_verify_rejects(self, m):
+        f = HingedFigure((_NEAR_COLLINEAR,), (), "general")
+        report = verify_configuration(f, Configuration((m,), "approx"), _TRIANGLE)
+        assert not report.accepted
+        assert report.failures == [
+            ("PairwiseDisjoint", "piece 0 cannot be cut into convex parts: "
+                                 "no diagonal found; polygon is not simple"),
+            ("AreaCoverage", "piece areas sum to 0.375, target 0.5"),
+        ]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_near_collinear_pieces(), st.randoms(use_true_random=False))
+    def test_approx_verify_always_reports(self, piece, rng):
+        # ten float motions of each piece: a turn, and a shift of up to 8
+        f = HingedFigure((piece,), (), "general")
+        for _ in range(10):
+            angle = rng.uniform(-math.pi, math.pi)
+            cos, sin, x, y = map(rat, (math.cos(angle), math.sin(angle),
+                                       rng.uniform(-8, 8), rng.uniform(-8, 8)))
+            c = Configuration((RigidMotion(cos, sin, point(x, y)),), "approx")
+            assert isinstance(verify_configuration(f, c, _TRIANGLE), VerifyReport)
+
+
 class TestValueText:
     def test_short_values_print_exactly(self):
         big = 10**60 - 1  # 199 bits, the longest numerator still shown in full
@@ -262,6 +328,23 @@ class TestHdj:
             HingedFigure((UNIT_SQUARE,), (Hinge(0, 0, 0, 1),), "general")
         with pytest.raises(FigureError):
             HingedFigure((UNIT_SQUARE, UNIT_SQUARE), (Hinge(0, 9, 1, 0),), "general")
+
+    def test_cycle_pieces_need_three_vertices(self):
+        f = canonical_chain_figure(2)
+        segment = SimplePolygon([point(0, 0), point(1, 0)], _validated=True)
+        with pytest.raises(FigureError, match="3 or more vertices"):
+            HingedFigure(f.pieces[:3] + (segment,), f.hinges, "cycle")
+
+    @pytest.mark.parametrize("data", [
+        b"[" * 5000,  # deeper than the recursion limit
+        b'{"figure": ' + b"1" * 5000 + b"}",  # more digits than json reads into an int
+        b'{"figure": "\xff"}',  # not UTF-8
+    ], ids=["deep", "long-int", "not-utf-8"])
+    def test_unreadable_file_is_an_hdj_error(self, tmp_path, data):
+        path = tmp_path / "bad.hdj"
+        path.write_bytes(data)
+        with pytest.raises(HdjError):
+            load_hdj(path)
 
 
 class TestPieceSharing:

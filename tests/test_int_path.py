@@ -33,6 +33,7 @@ from chainfold.equidecompose import (
     rectangle_to_width,
     stack_rectangles,
     triangle_to_rectangle,
+    verify_chart,
 )
 from chainfold.exact_geom import (
     IDENTITY_MOTION,
@@ -55,7 +56,7 @@ from chainfold.numeric import NumericMotion, float_polygon
 from chainfold.overlap import cell_bounds, convex_parts, covered_by_cells2, overlap_sum2
 from chainfold.polyomino import Polyomino, boundary_polygon, parse_grid, random_polyomino
 
-from conftest import PENTOMINO_GRIDS, rational_convex_hull
+from conftest import PENTOMINO_GRIDS, criterion_8_cases, rational_convex_hull
 
 # ---------------------------------------------------------------------------
 # the Fraction-only reference verifier
@@ -551,6 +552,42 @@ class TestEdgeCancellation:
         assert calls == []
         assert all(area2 == 0 for _, _, area2 in overlaps2) and set(outside2) == {0}
         assert sum(areas2) == 2 * p.cell_count
+
+
+def _chart_mutants(chart):
+    """An exact chart intact, and with its middle piece dropped, duplicated
+    and moved by 1/7 along x."""
+    k = len(chart.pieces) // 2
+    pieces, motions = list(chart.pieces), list(chart.target_motions)
+    moved = SimplePolygon([v + point(Fraction(1, 7), 0) for v in pieces[k].vertices])
+
+    def mutant(pieces, motions):
+        return DissectionChart(pieces, motions, chart.source, chart.target)
+
+    return [
+        chart,
+        mutant(pieces[:k] + pieces[k + 1:], motions[:k] + motions[k + 1:]),
+        mutant(pieces + pieces[k:k + 1], motions + motions[k:k + 1]),
+        mutant(pieces[:k] + [moved] + pieces[k + 1:], motions),
+    ]
+
+
+def _report(chart):
+    report = verify_chart(chart, 1e-9)
+    return report.accepted, report.failures, report.computed_area
+
+
+@pytest.mark.parametrize("label", ["square2-vs-triangle", "random-5", "random-7", "random-19"])
+def test_exact_chart_source_reports_as_on_the_engine(label, monkeypatch):
+    # an exact chart's source side takes the cancellation certificate, whose
+    # contract is the engine's failures; the pairs with the smallest charts
+    _, pa, pb, width = next(case for case in criterion_8_cases() if case[0] == label)
+    charts = [mutant for p in (pa, pb)
+              for mutant in _chart_mutants(polygon_to_canonical_chart(p, width))]
+    reports = [_report(chart) for chart in charts]
+    assert [accepted for accepted, _, _ in reports] == [True, False, False, False] * 2
+    monkeypatch.setattr(figures, "exact_partition_residuals", overlap.partition_residuals)
+    assert reports == [_report(chart) for chart in charts]
 
 
 # ---------------------------------------------------------------------------

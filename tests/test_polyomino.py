@@ -192,6 +192,16 @@ class TestPolyomino:
         with pytest.raises(Disconnected):
             Polyomino([Cell(0, 0), Cell(2, 2)])
 
+    def test_disconnected_text_is_a_property_of_the_shape(self):
+        # counted from the least cell, whatever set order a shift gives
+        for dx in range(-40, 40):
+            cells = [(x + dx, y) for x, y in [(0, 0), (1, 0), (2, 0), (5, 5)]]
+            for order in (cells, cells[::-1]):
+                with pytest.raises(Disconnected, match=r"^1 cell unreachable$"):
+                    Polyomino(order)
+        with pytest.raises(Disconnected, match=r"^2 cells unreachable$"):
+            Polyomino([(0, 0), (2, 0), (3, 0)])
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyShape):
             Polyomino([])
