@@ -17,8 +17,8 @@ deliberately agnostic about the number type, so the same
 clipping/triangulation code serves both the exact rational paths and
 the float paths used by tolerance-based verification elsewhere in the
 package.  On exact paths a coordinate may be an int or a Fraction:
-every division is a Fraction(a, b) or is avoided (doubled areas, a
-doubled midpoint), so ints never turn into floats.
+every division is a Fraction(a, b) or is avoided (doubled areas), so
+ints never turn into floats.
 """
 
 from __future__ import annotations
@@ -283,34 +283,6 @@ def _segments_intersect(a1, a2, b1, b2) -> bool:
     return False
 
 
-def _point_in_polygon(pts, p) -> str:
-    """Classify p against the polygon: 'inside', 'boundary' or 'outside'.
-
-    Exact crossing-number walk; each edge is treated half-open in y so a
-    ray through a vertex is counted once.
-    """
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        if _on_segment(p, a, b):
-            return "boundary"
-    inside = False
-    px, py = p
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        ay, by = a[1], b[1]
-        if (ay > py) != (by > py):
-            # exact x coordinate of the edge at height py, compared via cross product
-            side = _orient(a, b, p)
-            if by > ay:
-                if side > 0:
-                    inside = not inside
-            else:
-                if side < 0:
-                    inside = not inside
-    return "inside" if inside else "outside"
-
-
 def _is_convex(pts) -> bool:
     n = len(pts)
     for i in range(n):
@@ -529,11 +501,18 @@ def _dedupe_collinear(pts):
 def _ear_clip(pts):
     """Triangulate a ccw simple polygon into exactly n-2 triangles.
 
-    Ear clipping on the fast path; clips introduce straight (collinear)
-    vertices, which are skipped rather than removed so every input
-    vertex ends up in some positive-area triangle.  When the ear scan
-    stalls on such a degenerate case, the remainder is finished by exact
-    diagonal splitting, which always succeeds on simple polygons.
+    The scan clips the first strictly convex vertex whose closed triangle
+    holds no other vertex.  Straight (collinear) vertices, which clips
+    leave, are never clipped themselves, so every vertex ends up in some
+    positive-area triangle.  On a simple polygon the scan cannot stall
+    (the two-ears theorem, Meisters 1975): every simple polygon, straight
+    vertices allowed, has a diagonal, so one with n >= 4 vertices has a
+    triangulation, and its dual tree has at least two leaves.  A leaf is
+    three consecutive vertices around a strictly convex middle one whose
+    closed triangle holds no other vertex, so the scan accepts it, and
+    clipping any accepted ear leaves a simple polygon.  On exact input a
+    stall therefore means the polygon is not simple, and raises
+    InvalidPolygon; on float input rounding can also cause one.
     """
     verts = list(pts)
     triangles = []
@@ -563,52 +542,9 @@ def _ear_clip(pts):
             clipped = True
             break
         if not clipped:
-            triangles.extend(_split_by_diagonals(verts))
-            return triangles
+            raise InvalidPolygon("no diagonal found; polygon is not simple")
     triangles.append(tuple(verts))
     return triangles
-
-
-def _split_by_diagonals(verts):
-    """Exact recursive triangulation by any valid diagonal.
-
-    A diagonal must touch no vertex in its open interior, meet no
-    non-incident edge, and run through the polygon's interior.  Every
-    simple polygon of positive area has one.
-    """
-    n = len(verts)
-    if n == 3:
-        if _orient(*verts) <= 0:
-            raise InvalidPolygon("degenerate triangle in triangulation")
-        return [tuple(verts)]
-    for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue
-            if _is_diagonal(verts, i, j):
-                left = verts[i : j + 1]
-                right = verts[j:] + verts[: i + 1]
-                return _split_by_diagonals(left) + _split_by_diagonals(right)
-    raise InvalidPolygon("no diagonal found; polygon is not simple")
-
-
-def _is_diagonal(verts, i, j) -> bool:
-    n = len(verts)
-    a, b = verts[i], verts[j]
-    for k, v in enumerate(verts):
-        if k in (i, j):
-            continue
-        if _on_segment(v, a, b):
-            return False
-    for k in range(n):
-        k2 = (k + 1) % n
-        if k in (i, j) or k2 in (i, j):
-            continue
-        if _segments_intersect(a, b, verts[k], verts[k2]):
-            return False
-    # the midpoint against the polygon scaled by 2, so nothing is halved
-    doubled = [(x + x, y + y) for x, y in verts]
-    return _point_in_polygon(doubled, (a[0] + b[0], a[1] + b[1])) == "inside"
 
 
 def _point_in_triangle_closed(tri, p) -> bool:
@@ -699,7 +635,8 @@ def triangulate_simple(p: SimplePolygon) -> list[SimplePolygon]:
     """Ear-clipping triangulation into exactly len(p)-2 triangles.
 
     Triangle vertices are drawn from the polygon's own vertices and the
-    triangles partition the polygon exactly.
+    triangles partition the polygon exactly.  A SimplePolygon is strictly
+    simple, so the ear scan never stalls on it (see _ear_clip).
     """
     return [SimplePolygon(tri, _validated=True) for tri in _ear_clip(p.vertices)]
 

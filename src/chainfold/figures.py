@@ -347,6 +347,8 @@ class HdjFile:
 
     def pairs(self) -> list[tuple[NamedConfiguration, NamedTarget]]:
         """Pair configurations with targets by index (single target fans out)."""
+        if not self.configurations:
+            raise HdjError("document has no configurations")
         if not self.targets:
             raise HdjError("document has no targets")
         if len(self.targets) == 1:

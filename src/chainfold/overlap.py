@@ -55,7 +55,9 @@ def convex_parts(pts) -> list[tuple[list, tuple]]:
     """(part, bounding box) for each convex part of a ccw simple polygon:
     the polygon itself when convex, else its ear-clip triangles.  A
     polygon collapsed to zero area, as a zero (cos, sin) leaves one, has
-    no parts."""
+    no parts.  When the ear scan finds no ear, InvalidPolygon is raised:
+    an exact polygon is then not simple, and a float one may have lost
+    its simplicity to rounding."""
     if len(pts) == 3 or _is_convex(pts):
         parts = [list(pts)]
     elif _signed_area2(pts) == 0:

@@ -541,6 +541,22 @@ def _tromino_hdj(workdir):
     return json.loads(out.read_text())
 
 
+_DOMINO_TARGET = {"name": "t", "kind": "polygon", "data": [[0, 0], [2, 0], [2, 1], [0, 1]]}
+
+
+def _domino_doc():
+    """Two unit squares hinged at (1, 0), a general figure, laid side by
+    side over a 2x1 rectangle."""
+    square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    return {
+        "figure": {"pieces": [square, square], "hinges": [[0, 1, 1, 0]], "topology": "general"},
+        "configurations": [{"name": "c", "mode": "exact", "placements": [
+            {"cos": 1, "sin": 0, "tx": 0, "ty": 0}, {"cos": 1, "sin": 0, "tx": 1, "ty": 0},
+        ]}],
+        "targets": [_DOMINO_TARGET],
+    }
+
+
 def _verify_doc(workdir, doc, *extra):
     path = workdir / "doc.hdj"
     path.write_text(json.dumps(doc))
@@ -569,6 +585,28 @@ class TestParseErrors:
         doc = _tromino_hdj(workdir)
         del doc["configurations"][0]["placements"][-1]
         assert _verify_doc(workdir, doc) == 2
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("configurations", [], "document has no configurations"),
+        ("configurations", None, "document has no configurations"),
+        ("hinges", [[0, 1, 2, 0]], "hinge piece index out of range"),
+        ("hinges", [[0, 1, 1, 4]], "hinge vertex_b out of range"),
+        ("targets", [], "document has no targets"),
+        ("targets", [_DOMINO_TARGET] * 2, "1 configurations vs 2 targets"),
+    ], ids=["no-configurations", "configurations-missing", "hinge-piece", "hinge-vertex-b",
+            "no-targets", "target-count"])
+    def test_invalid_document_exits_2(self, workdir, capsys, key, value, message):
+        # a document with no configuration would verify nothing
+        doc = _domino_doc()
+        assert _verify_doc(workdir, doc) == 0
+        capsys.readouterr()
+        holder = doc["figure"] if key == "hinges" else doc
+        if value is None:
+            del holder[key]
+        else:
+            holder[key] = value
+        assert _verify_doc(workdir, doc) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", [[1.5, 0], [True, 0], ["1", 0], [1], [1, 0, 0], None])
     def test_cells_must_be_integer_pairs(self, workdir, cell):

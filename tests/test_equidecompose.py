@@ -674,6 +674,12 @@ class TestChartReadBack:
         with pytest.raises(DissectionError, match="3 or more"):
             chart_from_json(encoded)
 
+    def test_piece_and_motion_counts_must_agree(self):
+        encoded = chart_to_json(_overlay_chart())
+        del encoded["target_motions"][-1]
+        with pytest.raises(DissectionError, match="piece and motion counts differ"):
+            chart_from_json(encoded)
+
 
 def test_chart_json_written_as_json_dumps(criterion_8_pairs):
     """The bg chart JSON of every criterion-8 pair, written by write_json,

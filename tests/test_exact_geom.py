@@ -258,6 +258,26 @@ class TestSimplePolygon:
         with pytest.raises(InvalidPolygon):
             polygon([(0, 0), (2, 2), (2, 0), (0, 2)])
 
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            # a figure-8 with unequal lobes, so its signed area is positive
+            [(0, 0), (0, 2), (4, 0), (4, 4)],
+            # the tip (2, 4) of a notch touches the top edge
+            [(0, 0), (1, 0), (2, 4), (3, 0), (4, 0), (4, 4), (0, 4)],
+            # a hook whose bottom edge lies on the lower arm's top edge
+            [(3, 1), (5, 1), (5, 3), (0, 3), (0, 0), (6, 0), (6, 1), (1, 1), (1, 2), (3, 2)],
+            # two triangles that share the vertex (1, 1)
+            [(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)],
+        ],
+        ids=["figure-8", "vertex-on-edge", "collinear-overlap", "repeated-vertex"],
+    )
+    def test_not_simple_with_positive_area_rejected(self, coords):
+        # each passes the orientation check, so only the simplicity check
+        # can reject it
+        with pytest.raises(InvalidPolygon, match="intersect"):
+            polygon(coords)
+
     def test_too_few_vertices(self):
         with pytest.raises(InvalidPolygon):
             polygon([(0, 0), (1, 1)])

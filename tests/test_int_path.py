@@ -44,8 +44,9 @@ from chainfold.exact_geom import (
     _bboxes_interiors_overlap,
     _clip_halfplane,
     _convex_clip,
+    _ear_clip,
+    _orient,
     _signed_area2,
-    _split_by_diagonals,
     apply_motion,
     point,
     polygon_area,
@@ -54,7 +55,13 @@ from chainfold.exact_geom import (
 from chainfold.figures import Configuration, Hinge, HingedFigure, load_hdj, verify_configuration
 from chainfold.numeric import NumericMotion, float_polygon
 from chainfold.overlap import cell_bounds, convex_parts, covered_by_cells2, overlap_sum2
-from chainfold.polyomino import Polyomino, boundary_polygon, parse_grid, random_polyomino
+from chainfold.polyomino import (
+    HolePresent,
+    Polyomino,
+    boundary_polygon,
+    parse_grid,
+    random_polyomino,
+)
 
 from conftest import PENTOMINO_GRIDS, criterion_8_cases, rational_convex_hull
 
@@ -686,26 +693,59 @@ class TestIntSafety:
             assert type(covered2) is int and covered2 == area2
             assert covered_by_cells2(parts, _bbox(pts), area2, {(3, 5)}, (3, 5, 4, 6)) == 0
 
-    @settings(max_examples=100)
-    @given(int_simple_polygons())
-    def test_diagonal_split(self, pts):
-        # the ear scan of _ear_clip almost never stalls on a simple polygon,
-        # so the diagonal split it falls back on is called directly; the
-        # point its midpoint test classifies must stay exact
-        classify = exact_geom._point_in_polygon
 
-        def exact_point(poly, p):
-            _assert_exact(p)
-            return classify(poly, p)
+# ---------------------------------------------------------------------------
+# the ear scan never stalls on a simple polygon, straight vertices included
 
-        exact_geom._point_in_polygon = exact_point
-        try:
-            tris = _split_by_diagonals(pts)
-        finally:
-            exact_geom._point_in_polygon = classify
-        _assert_exact([v for t in tris for p in t for v in p])
+
+@st.composite
+def straight_vertex_polygons(draw):
+    """An int_simple_polygons polygon, scaled by 6, with 1-3 lattice points
+    inserted on random edges; in ints, or divided by 1-7 in Fractions."""
+    pts = [(6 * x, 6 * y) for x, y in draw(int_simple_polygons())]
+    for _ in range(draw(st.integers(1, 3))):
+        n = len(pts)
+        steps = [math.gcd(pts[(i + 1) % n][0] - x, pts[(i + 1) % n][1] - y)
+                 for i, (x, y) in enumerate(pts)]
+        i = draw(st.sampled_from([i for i in range(n) if steps[i] > 1]))
+        (ax, ay), (bx, by) = pts[i], pts[(i + 1) % n]
+        k = draw(st.integers(1, steps[i] - 1))
+        pts.insert(i + 1, (ax + (bx - ax) // steps[i] * k, ay + (by - ay) // steps[i] * k))
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 7))
+        pts = [(Fraction(x, q), Fraction(y, q)) for x, y in pts]
+    return pts
+
+
+@st.composite
+def unit_edge_outlines(draw):
+    """The outline of a random hole-free polyomino with every unit vertex
+    kept, so each straight run of the boundary is a run of straight
+    vertices."""
+    try:
+        corners = boundary_polygon(
+            random_polyomino(draw(st.integers(1, 24)), draw(st.integers(0, 10**6)))
+        ).vertices
+    except HolePresent:
+        assume(False)
+    loop = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        steps = abs(b.x - a.x) + abs(b.y - a.y)
+        dx, dy = (b.x - a.x) // steps, (b.y - a.y) // steps
+        loop += [(a.x + dx * k, a.y + dy * k) for k in range(steps)]
+    return loop
+
+
+class TestEarClip:
+    @settings(max_examples=300)
+    @given(st.one_of(straight_vertex_polygons(), unit_edge_outlines()))
+    def test_no_stall_on_straight_vertices(self, pts):
+        # the no-stall argument of _ear_clip's docstring, where straight
+        # vertices could break it
+        tris = _ear_clip(pts)
+        assert len(tris) == len(pts) - 2
+        assert all(_orient(*t) > 0 for t in tris)
         assert sum(_signed_area2(t) for t in tris) == _signed_area2(pts)
-        assert tris == _split_by_diagonals(_as_fractions(pts))
 
 
 # ---------------------------------------------------------------------------
