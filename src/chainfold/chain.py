@@ -14,8 +14,7 @@ share one figure and therefore one hinged dissection.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from importlib import resources
+from typing import NamedTuple
 
 from .exact_geom import Point2, RigidMotion
 from .figures import Configuration, HingedFigure, canonical_chain_figure
@@ -40,8 +39,7 @@ class UnknownShape(ChainError):
     pass
 
 
-@dataclass(frozen=True)
-class PlacedTriangle:
+class PlacedTriangle(NamedTuple):
     """Half-square triangle on the lattice.
 
     base_u and base_v are the 45-degree (hypotenuse) corners realizing
@@ -102,8 +100,7 @@ def _halves(cell: Cell, u: GridPoint) -> tuple[PlacedTriangle, PlacedTriangle]:
     return PlacedTriangle(x_corner, u_star, u), PlacedTriangle(y_corner, u, u_star)
 
 
-@dataclass(frozen=True)
-class PartialFold:
+class PartialFold(NamedTuple):
     """Cyclic sequence of placed triangles built so far.
 
     Hinge i sits between triangles i and i+1 (mod length) at the point
@@ -200,8 +197,7 @@ class _InsertionOrder:
         return a if x > y else b  # the younger child of their common ancestor
 
 
-@dataclass(frozen=True)
-class FoldResult:
+class FoldResult(NamedTuple):
     figure: HingedFigure
     config: Configuration
     cell_map: dict  # Cell -> (piece index, piece index), cycle order
@@ -262,8 +258,7 @@ def fold_chain(p: Polyomino) -> FoldResult:
     return FoldResult(figure, config, cell_map, tuple(placed))
 
 
-@dataclass(frozen=True)
-class HingedDissection:
+class HingedDissection(NamedTuple):
     """One figure with verified configurations folding to two targets."""
 
     figure: HingedFigure
@@ -283,6 +278,8 @@ def dissect_pair(a: Polyomino, b: Polyomino) -> HingedDissection:
 
 
 def _glyph_dir():
+    from importlib import resources  # only the glyph commands need it
+
     return resources.files("chainfold") / "assets" / "glyphs"
 
 

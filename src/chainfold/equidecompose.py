@@ -16,10 +16,9 @@ around 1e-12 relative, far below the 1e-9 verification tolerance.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from .exact_geom import (
     IDENTITY_MOTION,
@@ -56,8 +55,6 @@ from .numeric import (
 )
 from .overlap import overlapping_pairs, part_clips, parts_and_bounds
 
-log = logging.getLogger(__name__)
-
 SLIVER_FRACTION = 1e-12  # fragments below this share of the total area are dropped
 SNAP_DENOMINATOR = 10**12
 MAX_HALVINGS = 10  # width normalization cuts a rectangle into at most 2**10 strips
@@ -83,8 +80,7 @@ class TargetMismatch(DissectionError):
     pass
 
 
-@dataclass(frozen=True)
-class RectangleForm:
+class RectangleForm(NamedTuple):
     """Rectangle with rational corners, possibly oblique.
 
     Corners run counterclockwise; sides corners[0]->corners[1] and
@@ -192,8 +188,7 @@ def _half_turn_about(center: Point2) -> RigidMotion:
 # width normalization
 
 
-@dataclass(frozen=True)
-class _FramePiece:
+class _FramePiece(NamedTuple):
     """A convex piece of a rectangle in intrinsic-frame coordinates, as
     homogeneous int points (see exact_geom._homogeneous), with its numeric
     motion into the normalized axis-aligned rectangle."""
@@ -380,8 +375,7 @@ def _exact_sqrt(value: Fraction) -> Fraction:
 # charts
 
 
-@dataclass
-class DissectionChart:
+class DissectionChart(NamedTuple):
     """Unhinged dissection: pieces with their target assembly motions.
 
     Pieces live in source coordinates, so the source assembly is the
@@ -397,7 +391,7 @@ class DissectionChart:
     source: SimplePolygon
     target: SimplePolygon
     source_exact: bool = True
-    sliver_report: list = field(default_factory=list)
+    sliver_report: Sequence[tuple[int, int, float]] = ()
 
 
 def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
@@ -496,7 +490,7 @@ def overlay_charts(ca: DissectionChart, cb: DissectionChart) -> DissectionChart:
     float piece of the source-of-ca to source-of-cb chart.  Duplicate and
     collinear vertices are dropped in floats before the sliver test and
     again after the map back.  Fragments below the sliver threshold are
-    dropped and logged.
+    dropped and listed in the chart's sliver_report.
     """
     if ca.target != cb.target:
         raise TargetMismatch("charts do not share a target rectangle")
@@ -526,8 +520,6 @@ def overlay_charts(ca: DissectionChart, cb: DissectionChart) -> DissectionChart:
                 continue
             pieces.append(tuple(_dedupe_collinear(apply_numeric_points(back_a, frag))))
             target_motions.append(relative)
-    if slivers:
-        log.info("overlay dropped %d sliver fragments", len(slivers))
     return DissectionChart(
         pieces, target_motions, ca.source, cb.source, source_exact=False, sliver_report=slivers
     )

@@ -12,12 +12,11 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .exact_geom import (
     InvalidPolygon,
@@ -62,44 +61,51 @@ class Hinge(NamedTuple):
     vertex_b: int
 
 
-@dataclass(frozen=True)
-class HingedFigure:
+class _FigureFields(NamedTuple):
+    pieces: tuple[SimplePolygon, ...]
+    hinges: tuple[Hinge, ...]
+    topology_tag: str
+
+
+class HingedFigure(_FigureFields):
     """Pieces in local frames plus hinge incidences.
 
     topology_tag is "cycle" for the canonical chain layout (hinge i joins
-    piece i vertex 1 to piece i+1 vertex 2) and "general" otherwise.
+    piece i vertex 1 to piece i+1 vertex 2) and "general" otherwise.  A
+    figure is checked when it is built, by _replace too.
     """
 
-    pieces: tuple[SimplePolygon, ...]
-    hinges: tuple[Hinge, ...]
-    topology_tag: str = "general"
+    __slots__ = ()
 
-    def __post_init__(self):
-        k = len(self.pieces)
-        if self.topology_tag == "cycle":
-            if k < 2 or k % 2 != 0 or len(self.hinges) != k:
+    def __new__(cls, pieces, hinges, topology_tag="general"):
+        k = len(pieces)
+        if topology_tag == "cycle":
+            if k < 2 or k % 2 != 0 or len(hinges) != k:
                 raise FigureError("cycle figures need 2k pieces and 2k hinges")
             layout = _cycle_layout(k)
-            if self.hinges != layout:
-                i = next(i for i, (h, canonical) in enumerate(zip(self.hinges, layout))
+            if hinges != layout:
+                i = next(i for i, (h, canonical) in enumerate(zip(hinges, layout))
                          if h != canonical)
                 raise FigureError(f"hinge {i} breaks the canonical cycle layout")
             # the hinges pin vertices 1 and 2 of pieces i != i+1 mod k; a
             # run of one shared polygon, as in a chain fold, is looked at once
-            if min(len(piece.vertices) for piece, _ in groupby(self.pieces)) < 3:
+            if min(len(piece.vertices) for piece, _ in groupby(pieces)) < 3:
                 raise FigureError("a cycle piece needs 3 or more vertices")
-        elif self.topology_tag == "general":
-            for h in self.hinges:
+        elif topology_tag == "general":
+            for h in hinges:
                 if not (0 <= h.piece_a < k and 0 <= h.piece_b < k):
                     raise FigureError(f"hinge piece index out of range: {h}")
                 if h.piece_a == h.piece_b:
                     raise FigureError(f"hinge joins a piece to itself: {h}")
-                if not (0 <= h.vertex_a < len(self.pieces[h.piece_a].vertices)):
+                if not (0 <= h.vertex_a < len(pieces[h.piece_a].vertices)):
                     raise FigureError(f"hinge vertex_a out of range: {h}")
-                if not (0 <= h.vertex_b < len(self.pieces[h.piece_b].vertices)):
+                if not (0 <= h.vertex_b < len(pieces[h.piece_b].vertices)):
                     raise FigureError(f"hinge vertex_b out of range: {h}")
         else:
-            raise FigureError(f"unknown topology tag {self.topology_tag!r}")
+            raise FigureError(f"unknown topology tag {topology_tag!r}")
+        return super().__new__(cls, pieces, hinges, topology_tag)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make
 
 
 def _cycle_layout(k: int) -> tuple:
@@ -116,19 +122,26 @@ def check_tolerance(tol) -> None:
         raise FigureError(f"tolerance must be finite and >= 0, got {tol!r}")
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """One motion per piece; exact configurations tolerate nothing."""
-
+class _ConfigurationFields(NamedTuple):
     placements: tuple[RigidMotion, ...]
-    mode: str = "exact"
-    tolerance: Optional[float] = None
+    mode: str
+    tolerance: Optional[float]
 
-    def __post_init__(self):
-        if self.mode not in ("exact", "approx"):
-            raise FigureError(f"unknown mode {self.mode!r}")
-        if self.tolerance is not None:
-            check_tolerance(self.tolerance)
+
+class Configuration(_ConfigurationFields):
+    """One motion per piece; exact configurations tolerate nothing.
+    Checked when built, by _replace too."""
+
+    __slots__ = ()
+
+    def __new__(cls, placements, mode="exact", tolerance=None):
+        if mode not in ("exact", "approx"):
+            raise FigureError(f"unknown mode {mode!r}")
+        if tolerance is not None:
+            check_tolerance(tolerance)
+        return super().__new__(cls, placements, mode, tolerance)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make
 
     @property
     def effective_tolerance(self) -> float:
@@ -137,8 +150,7 @@ class Configuration:
         return DEFAULT_APPROX_TOLERANCE if self.tolerance is None else self.tolerance
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     accepted: bool
     failures: list[tuple[str, str]]
     computed_area: object  # Fraction in exact mode, float in approx mode
@@ -325,24 +337,21 @@ def _digits(n: int) -> int:
 # HDJ ("hinged dissection JSON") files
 
 
-@dataclass
-class NamedConfiguration:
+class NamedConfiguration(NamedTuple):
     name: str
     configuration: Configuration
 
 
-@dataclass
-class NamedTarget:
+class NamedTarget(NamedTuple):
     name: str
     kind: str  # "polygon" | "polyomino"
     data: Target
 
 
-@dataclass
-class HdjFile:
+class HdjFile(NamedTuple):
     figure: HingedFigure
-    configurations: list[NamedConfiguration] = field(default_factory=list)
-    targets: list[NamedTarget] = field(default_factory=list)
+    configurations: Sequence[NamedConfiguration] = ()
+    targets: Sequence[NamedTarget] = ()
     cell_map: Optional[dict] = None
 
     def pairs(self) -> list[tuple[NamedConfiguration, NamedTarget]]:

@@ -10,7 +10,7 @@ are measured and reported per frame rather than avoided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .figures import Configuration, CountMismatch, HingedFigure
 from .numeric import NumericMotion, float_polygon, numeric_from_rigid, wrap_angle
@@ -36,8 +36,7 @@ class TooFewFrames(KinematicsError):
     pass
 
 
-@dataclass(frozen=True)
-class AnglePose:
+class AnglePose(NamedTuple):
     """Chain state: root placement plus relative hinge angles in cycle order.
 
     The hinge at cut_hinge is opened; the root is the piece just after
@@ -92,16 +91,16 @@ def _walk(pose: AnglePose, local_pts):
     rotations: list[tuple[float, float] | None] = [None] * k
     current = pose.root_index
     m = pose.root_placement
-    angle = m.angle_rad
+    angle, tx, ty = m
     c, s = math.cos(angle), math.sin(angle)
-    tx, ty = m.tx, m.ty
     placements[current] = m
     rotations[current] = c, s
+    relative = pose.relative_angles
     for step in range(k - 1):
         nxt = (current + 1) % k
         x, y = local_pts[current][1]
         pin_x, pin_y = c * x - s * y + tx, s * x + c * y + ty
-        angle = angle + pose.relative_angles[step]
+        angle = angle + relative[step]
         # translation chosen so the successor's vertex 2 lands on the pin
         c, s = math.cos(angle), math.sin(angle)
         x, y = local_pts[nxt][2]
@@ -131,8 +130,7 @@ def interpolate(pose_a: AnglePose, pose_b: AnglePose, t: float) -> AnglePose:
     return AnglePose(pose_a.root_index, root, angles, pose_a.cut_hinge)
 
 
-@dataclass(frozen=True)
-class MotionSample:
+class MotionSample(NamedTuple):
     """One animation frame: parameter, placements, and overlap report."""
 
     t: float
@@ -167,8 +165,8 @@ def sample_motion(
         t = frame / (frames - 1)
         placements, rotations = _walk(interpolate(pose_a, pose_b, t), local_pts)
         placed = [
-            [(c * x - s * y + m.tx, s * x + c * y + m.ty) for x, y in pts]
-            for m, (c, s), pts in zip(placements, rotations, local_pts)
+            [(c * x - s * y + tx, s * x + c * y + ty) for x, y in pts]
+            for (_, tx, ty), (c, s), pts in zip(placements, rotations, local_pts)
         ]
         parts, bounds = parts_and_bounds(placed)
         overlaps = []

@@ -8,7 +8,7 @@ interpolation, overlay refinement) runs here in doubles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact_geom import RigidMotion
 
@@ -18,8 +18,7 @@ from .exact_geom import _convex_clip  # noqa: F401
 from .overlap import polygon_overlap as float_overlap_area  # noqa: F401
 
 
-@dataclass(frozen=True)
-class NumericMotion:
+class NumericMotion(NamedTuple):
     """Rotation by angle_rad about the origin followed by a translation."""
 
     angle_rad: float
@@ -38,12 +37,13 @@ def apply_numeric(m: NumericMotion, p) -> tuple[float, float]:
 
 
 def apply_numeric_points(m: NumericMotion, pts) -> list[tuple[float, float]]:
-    c = math.cos(m.angle_rad)
-    s = math.sin(m.angle_rad)
+    angle, tx, ty = m
+    c = math.cos(angle)
+    s = math.sin(angle)
     out = []
     for p in pts:
         x, y = float(p[0]), float(p[1])
-        out.append((c * x - s * y + m.tx, s * x + c * y + m.ty))
+        out.append((c * x - s * y + tx, s * x + c * y + ty))
     return out
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import bisect
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from typing import Iterable, NamedTuple
 
@@ -229,8 +228,7 @@ class TreeEntry(NamedTuple):
     edge: tuple[tuple[int, int], tuple[int, int]]  # shared unit edge, endpoints sorted
 
 
-@dataclass(frozen=True)
-class DualSpanningTree:
+class DualSpanningTree(NamedTuple):
     """Depth-first spanning tree of the cell adjacency graph, in preorder."""
 
     root: Cell

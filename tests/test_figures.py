@@ -1,10 +1,12 @@
 import io
+import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chainfold.chain import dissect_pair, fold_chain
@@ -79,12 +81,35 @@ class TestCanonicalChain:
 
     def test_cycle_layout_enforced(self):
         f = canonical_chain_figure(2)
-        bad_hinges = list(f.hinges)
-        bad_hinges[0], bad_hinges[1] = bad_hinges[1], bad_hinges[0]
-        with pytest.raises(FigureError):
-            HingedFigure(f.pieces, tuple(bad_hinges), "cycle")
-        # the same hinges are storable under the general tag
-        HingedFigure(f.pieces, tuple(bad_hinges), "general")
+        for i, j in ((0, 1), (1, 3), (2, 3)):
+            bad_hinges = list(f.hinges)
+            bad_hinges[i], bad_hinges[j] = bad_hinges[j], bad_hinges[i]
+            # the text names the first hinge that differs
+            with pytest.raises(FigureError, match=f"^hinge {i} breaks the canonical cycle layout$"):
+                HingedFigure(f.pieces, tuple(bad_hinges), "cycle")
+            # the same hinges are storable under the general tag
+            HingedFigure(f.pieces, tuple(bad_hinges), "general")
+
+    def test_replace_is_checked(self):
+        f = canonical_chain_figure(2)
+        with pytest.raises(FigureError, match="^hinge 0 breaks the canonical cycle layout$"):
+            f._replace(hinges=f.hinges[::-1])
+        c = fold_chain(parse_grid("#")).config
+        with pytest.raises(FigureError, match="^unknown mode 'fuzzy'$"):
+            c._replace(mode="fuzzy")
+        with pytest.raises(FigureError, match="tolerance"):
+            c._replace(tolerance=-1.0)
+        assert c._replace(mode="approx") == (c.placements, "approx", None)
+
+    def test_records_are_tuples_with_fixed_fields(self):
+        f = canonical_chain_figure(1)
+        c = fold_chain(parse_grid("#")).config
+        assert f == (f.pieces, f.hinges, "cycle")
+        assert NamedConfiguration("fold", c) == ("fold", c)
+        with pytest.raises(AttributeError):
+            c.mode = "approx"
+        with pytest.raises(AttributeError):
+            f.extra = 1
 
 
 class TestFiguresEqual:
@@ -191,18 +216,18 @@ _FLOAT_MOTIONS = [
 _TRIANGLE = polygon([(0, 0), (1, 0), (0, 1)])
 
 
-@st.composite
-def _near_collinear_pieces(draw):
-    """An exact simple polygon: an apex at y = -1 under a chain of 3 to 30
-    vertices, right to left, at distinct x in 0, 1/64, ..., 1 and each
-    within 1e-16 of y = 0, below what a float placement resolves."""
-    xs = sorted(draw(st.sets(st.integers(0, 64), min_size=3, max_size=30)), reverse=True)
-    tiny = st.integers(-10, 10).map(lambda k: Fraction(k, 10**17))
-    apex = point(Fraction(draw(st.integers(0, 64)), 64), -1)
+def _near_collinear_piece(rng):
+    """An exact simple polygon, or None when the draw is not one: an apex
+    at y = -1 under a chain of 3 to 30 vertices, right to left, at
+    distinct x in 0, 1/64, ..., 1 and each within 1e-16 of y = 0, below
+    what a float placement resolves."""
+    xs = sorted(rng.sample(range(65), rng.randint(3, 30)), reverse=True)
+    apex = point(Fraction(rng.randint(0, 64), 64), -1)
+    chain = [point(Fraction(x, 64), Fraction(rng.randint(-10, 10), 10**17)) for x in xs]
     try:
-        return SimplePolygon([apex] + [point(Fraction(x, 64), draw(tiny)) for x in xs])
+        return SimplePolygon([apex] + chain)
     except InvalidPolygon:
-        assume(False)
+        return None
 
 
 class TestNonSimplePlacedPiece:
@@ -220,24 +245,36 @@ class TestNonSimplePlacedPiece:
             ("AreaCoverage", "piece areas sum to 0.375, target 0.5"),
         ]
 
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(_near_collinear_pieces(), st.randoms(use_true_random=False))
-    def test_approx_verify_always_reports(self, piece, rng):
-        # ten float motions of each piece: a turn, and a shift of up to 8
-        f = HingedFigure((piece,), (), "general")
-        for _ in range(10):
-            angle = rng.uniform(-math.pi, math.pi)
-            cos, sin, x, y = map(rat, (math.cos(angle), math.sin(angle),
-                                       rng.uniform(-8, 8), rng.uniform(-8, 8)))
-            c = Configuration((RigidMotion(cos, sin, point(x, y)),), "approx")
-            assert isinstance(verify_configuration(f, c, _TRIANGLE), VerifyReport)
+    def test_approx_verify_always_reports(self):
+        # 200 pieces, ten float motions of each: a turn, and a shift of up
+        # to 8.  A seeded random.Random draws them, not hypothesis: with
+        # a small probability, hypothesis draws an int or float from the
+        # constants in the source of every module loaded, so its examples
+        # change with the test files collected beside this one
+        rng = random.Random(1924)
+        pieces = filter(None, map(_near_collinear_piece, itertools.repeat(rng)))
+        for piece in itertools.islice(pieces, 200):
+            f = HingedFigure((piece,), (), "general")
+            for _ in range(10):
+                angle = rng.uniform(-math.pi, math.pi)
+                cos, sin, x, y = map(rat, (math.cos(angle), math.sin(angle),
+                                           rng.uniform(-8, 8), rng.uniform(-8, 8)))
+                c = Configuration((RigidMotion(cos, sin, point(x, y)),), "approx")
+                report = verify_configuration(f, c, _TRIANGLE)
+                assert isinstance(report, VerifyReport), (piece, c)
 
 
 class TestValueText:
     def test_short_values_print_exactly(self):
-        big = 10**60 - 1  # 199 bits, the longest numerator still shown in full
-        for v in (0, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(big, 7), 1.5, 1e-300):
+        for v in (0, -3, Fraction(1, 2), Fraction(-7, 3), 1.5, 1e-300):
             assert _value_text(v) == (f"{v:g}" if isinstance(v, float) else str(v))
+        # a numerator or denominator of up to 200 bits is shown in full, and
+        # one of 201 bits as "~" and an approximation
+        for bits, exactly in ((200, True), (201, False)):
+            for v in (-(2**bits - 1), Fraction(2**bits - 1, 2), Fraction(-3, 2 ** (bits - 1))):
+                assert max(v.numerator.bit_length(), v.denominator.bit_length()) == bits
+                assert (_value_text(v) == str(v)) is exactly
+                assert _value_text(v).startswith("~") is not exactly
 
     @pytest.mark.parametrize("n,d", [
         (1, 10**998 + 7),
@@ -328,6 +365,26 @@ class TestHdj:
             HingedFigure((UNIT_SQUARE,), (Hinge(0, 0, 0, 1),), "general")
         with pytest.raises(FigureError):
             HingedFigure((UNIT_SQUARE, UNIT_SQUARE), (Hinge(0, 9, 1, 0),), "general")
+
+    @pytest.mark.parametrize("hinge, text", [
+        (Hinge(2, 0, 1, 0), "hinge piece index out of range"),  # piece_a == k
+        (Hinge(0, 0, 2, 0), "hinge piece index out of range"),  # piece_b == k
+        (Hinge(-1, 0, 1, 0), "hinge piece index out of range"),
+        (Hinge(1, 0, 1, 2), "hinge joins a piece to itself"),
+        (Hinge(0, 4, 1, 0), "hinge vertex_a out of range"),  # vertex_a == len(piece)
+        (Hinge(0, -1, 1, 0), "hinge vertex_a out of range"),
+        (Hinge(0, 0, 1, 4), "hinge vertex_b out of range"),
+        (Hinge(0, 0, 1, -1), "hinge vertex_b out of range"),
+    ])
+    def test_general_hinge_out_of_range(self, hinge, text):
+        with pytest.raises(FigureError) as excinfo:
+            HingedFigure((UNIT_SQUARE, UNIT_SQUARE), (hinge,), "general")
+        assert str(excinfo.value) == f"{text}: {hinge}"
+
+    @pytest.mark.parametrize("hinge", [Hinge(0, 0, 1, 3), Hinge(0, 3, 1, 0), Hinge(1, 0, 0, 0)])
+    def test_general_hinge_at_vertex_0_is_accepted(self, hinge):
+        f = HingedFigure((UNIT_SQUARE, UNIT_SQUARE), (hinge,), "general")
+        assert figure_from_json(figure_to_json(f)) == f
 
     def test_cycle_pieces_need_three_vertices(self):
         f = canonical_chain_figure(2)

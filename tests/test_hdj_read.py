@@ -231,9 +231,9 @@ def _approx(doc: dict) -> dict:
     """doc with its configurations in approx mode, as chainfold writes it:
     every coordinate and motion value a float."""
     out = hdj_from_json(doc)
-    for nc in out.configurations:
-        c = nc.configuration
-        nc.configuration = Configuration(c.placements, "approx", 1e-9)
+    for i, (name, c) in enumerate(out.configurations):
+        approx = Configuration(c.placements, "approx", 1e-9)
+        out.configurations[i] = NamedConfiguration(name, approx)
     return json.loads(json.dumps(hdj_to_json(out)))
 
 

@@ -1,4 +1,4 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and the CLI imports little.
 
 A stdlib-only stand-in for a linter's unused-import rule, run over the
 package, the bench and the tests.  A name counts as used when it appears
@@ -9,6 +9,9 @@ looks up in a module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,14 @@ def test_the_check_finds_an_unused_import():
         "print(sys.argv)\n"
     )
     assert unused_imports(source) == ["8: os"]
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    # every chainfold command pays for this import first; -S keeps .pth
+    # files in site-packages from importing some of these modules anyway
+    code = "import sys, chainfold.cli; print(*sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "chainfold.cli" in loaded
+    assert {"dataclasses", "inspect", "logging", "importlib.resources"}.isdisjoint(loaded)

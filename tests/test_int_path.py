@@ -755,9 +755,8 @@ class TestEarClip:
 def _exact_leaves(obj):
     """Every number an exact producer returns, through tuples, lists,
     polygons, points, motions, rectangles, charts and reports; the
-    numeric motions of charts and stacks are floats by design."""
-    if isinstance(obj, (list, tuple)):
-        return [v for item in obj for v in _exact_leaves(item)]
+    numeric motions of charts and stacks are floats by design.  Records
+    are tuples, so they are matched before the plain tuples."""
     if isinstance(obj, NumericMotion):
         return []
     if isinstance(obj, SimplePolygon):
@@ -770,6 +769,8 @@ def _exact_leaves(obj):
         return _exact_leaves((obj.corners, obj.width_sq, obj.height_sq))
     if isinstance(obj, DissectionChart):
         return _exact_leaves((obj.pieces, obj.source, obj.target))
+    if isinstance(obj, (list, tuple)):
+        return [v for item in obj for v in _exact_leaves(item)]
     return [obj]
 
 
