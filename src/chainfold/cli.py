@@ -161,23 +161,18 @@ def cmd_verify(args) -> int:
 
 def cmd_animate(args) -> int:
     try:
-        if args.frames < 2:
-            raise ValueError(f"need at least 2 frames, got {args.frames}")
         if args.frames > MAX_FRAMES:
             raise ValueError(f"at most {MAX_FRAMES} frames, got {args.frames}")
         doc = load_hdj(args.file)
         if len(doc.configurations) < 2:
             raise ValueError("animation needs a document with two configurations")
-        cut = args.cut
-        if cut is not None and not (0 <= cut < len(doc.figure.pieces)):
-            raise ValueError(f"cut hinge {cut} out of range")
         try:
             samples = sample_motion(
                 doc.figure,
                 doc.configurations[0].configuration,
                 doc.configurations[1].configuration,
                 args.frames,
-                cut,
+                args.cut,
             )
             # both ends, in their stored modes, as verify checks them
             ends = [(nc, nt, verify_configuration(doc.figure, nc.configuration, nt.data))

@@ -142,10 +142,7 @@ def triangle_to_rectangle(tri) -> tuple[list[SimplePolygon], RectangleForm, list
     rotate a half turn about the midline endpoints into the corners.
     All cuts and motions are exact rational.
     """
-    if isinstance(tri, SimplePolygon):
-        verts = tri.vertices
-    else:
-        verts = tuple(v if isinstance(v, Point2) else point(*v) for v in tri)
+    verts = tuple(v if isinstance(v, Point2) else point(*v) for v in tri)
     if len(verts) != 3:
         raise DegenerateTriangle(f"expected 3 vertices, got {len(verts)}")
     area2 = _signed_area2(verts)
@@ -222,9 +219,8 @@ def _rational_polygon(pts) -> SimplePolygon:
     """Homogeneous int points as a SimplePolygon of Fractions, one per
     coordinate, built without re-validation (the callers' clips are
     strictly convex and ccw)."""
-    return SimplePolygon(
-        [Point2(Fraction(x, w), Fraction(y, w)) for x, y, w in pts], _validated=True
-    )
+    points = [Point2(Fraction(x, w), Fraction(y, w)) for x, y, w in pts]
+    return tuple.__new__(SimplePolygon, points)
 
 
 def rectangle_to_width(r: RectangleForm, w) -> tuple[list[SimplePolygon], list[NumericMotion], RectangleForm]:
@@ -416,7 +412,7 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     0) is a DissectionError, as are the cases rectangle_to_width rejects.
     """
     w = _width(w)
-    for v in p.vertices:
+    for v in p:
         _in_float_range(v.x, "a coordinate")
         _in_float_range(v.y, "a coordinate")
     area = polygon_area(p)
@@ -438,7 +434,7 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     for (tri_pieces, rect, tri_motions), stack_shift in zip(stages, stack_shifts):
         clippers = []
         for piece, m in zip(tri_pieces, tri_motions):
-            pts = [_homogeneous(*rect.frame_coords(apply_motion(m, q))) for q in piece.vertices]
+            pts = [_homogeneous(*rect.frame_coords(apply_motion(m, q))) for q in piece]
             clippers.append((_lines(pts), _frame_to_source(rect, m), numeric_from_rigid(m)))
         for fp in _normalize_frame_pieces(rect, w):
             for lines, to_source, rigid in clippers:
@@ -467,14 +463,14 @@ def _frame_to_source(r: RectangleForm, m: RigidMotion) -> tuple:
 
 def _axis_aligned_width_w(p: SimplePolygon, w: Fraction):
     """Translation when p already is an axis-aligned rectangle of width w."""
-    if len(p.vertices) != 4:
+    if len(p) != 4:
         return None
     for i in range(4):
-        d = p.vertices[(i + 1) % 4] - p.vertices[i]
+        d = p[(i + 1) % 4] - p[i]
         if d.x != 0 and d.y != 0:
             return None
-    xs = [v.x for v in p.vertices]
-    ys = [v.y for v in p.vertices]
+    xs = [v.x for v in p]
+    ys = [v.y for v in p]
     if max(xs) - min(xs) != w:
         return None
     return NumericMotion(0.0, -float(min(xs)), -float(min(ys)))
@@ -541,36 +537,28 @@ def verify_chart(c: DissectionChart, tolerance: float = 1e-9) -> VerifyReport:
     check_tolerance(tolerance)
     exact = c.source_exact
     failures, computed = _partition_failures(
-        _piece_points(c), c.source.vertices, 0 if exact else tolerance, exact,
+        c.pieces, c.source, 0 if exact else tolerance, exact,
         ("SourceDisjoint", "SourceContainment", "SourceArea"), "source",
     )
     target_failures, _ = _partition_failures(
-        _placed(c), c.target.vertices, tolerance, False,
+        _placed(c), c.target, tolerance, False,
         ("TargetOverlap", "TargetContainment", "TargetArea"), "target",
     )
     failures += target_failures
     return VerifyReport(not failures, failures, computed)
 
 
-def _piece_points(c: DissectionChart) -> list:
-    """Each piece's vertices as (x, y) pairs: rationals from an exact
-    chart's SimplePolygons, the stored float tuples of an approximate one."""
-    if c.source_exact:
-        return [p.vertices for p in c.pieces]
-    return c.pieces
-
-
 def _placed(c: DissectionChart) -> list:
     """Float vertices of each piece moved by its target motion."""
-    return [apply_numeric_points(m, pts) for pts, m in zip(_piece_points(c), c.target_motions)]
+    return [apply_numeric_points(m, pts) for pts, m in zip(c.pieces, c.target_motions)]
 
 
 def chart_to_json(c: DissectionChart) -> dict:
     encode = rational_to_json if c.source_exact else float
     return {
-        "source": [point_to_json(v) for v in c.source.vertices],
-        "target": [point_to_json(v) for v in c.target.vertices],
-        "pieces": [[[encode(x), encode(y)] for x, y in pts] for pts in _piece_points(c)],
+        "source": [point_to_json(v) for v in c.source],
+        "target": [point_to_json(v) for v in c.target],
+        "pieces": [[[encode(x), encode(y)] for x, y in pts] for pts in c.pieces],
         "target_motions": [
             {"angle_rad": m.angle_rad, "tx": m.tx, "ty": m.ty} for m in c.target_motions
         ],

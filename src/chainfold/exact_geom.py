@@ -10,13 +10,13 @@ One rule picks the number type: every outside value enters through
 any other.  A chain fold's values are therefore ints from the reader or
 the fold to the verdict, and nothing converts them on the way.
 
-Points and motions are NamedTuples.  The low-level helpers prefixed
-with an underscore operate on ``(x, y)`` coordinate tuples, which a
-Point2 is, so they read a polygon's vertices as they are.  They are
-deliberately agnostic about the number type, so the same
-clipping/triangulation code serves both the exact rational paths and
-the float paths used by tolerance-based verification elsewhere in the
-package.  On exact paths a coordinate may be an int or a Fraction:
+Points and motions are NamedTuples, and a polygon is the tuple of its
+points.  The low-level helpers prefixed with an underscore operate on
+sequences of ``(x, y)`` coordinate tuples, which a Point2 is, so they
+read a polygon as it is.  They are deliberately agnostic about the
+number type, so the same clipping/triangulation code serves both the
+exact rational paths and the float paths used by tolerance-based
+verification elsewhere in the package.  On exact paths a coordinate may be an int or a Fraction:
 every division is a Fraction(a, b) or is avoided (doubled areas), so
 ints never turn into floats.
 """
@@ -556,42 +556,38 @@ def _point_in_triangle_closed(tri, p) -> bool:
 # simple polygons
 
 
-class SimplePolygon:
-    """Counterclockwise simple polygon with exact rational vertices.
+class SimplePolygon(tuple):
+    """Counterclockwise simple polygon with exact rational vertices: the
+    tuple of its Point2 vertices, equal to that tuple and hashed like it.
 
     Collinear and repeated input vertices are removed during construction;
     the cleaned vertex list must have positive signed area and strictly
-    simple edges (non-adjacent edges share no point).
+    simple edges (non-adjacent edges share no point).  Code that already
+    holds such a list builds the polygon unchecked with
+    tuple.__new__(SimplePolygon, vertices).  A copy or an unpickled
+    polygon is built through the checks.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ()
 
-    def __init__(self, vertices: Iterable[Point2], _validated: bool = False):
+    def __new__(cls, vertices: Iterable[Point2]):
         pts = [v if isinstance(v, Point2) else point(v[0], v[1]) for v in vertices]
-        if not _validated:
-            pts = _dedupe_collinear(pts)
-            if len(pts) < 3:
-                raise InvalidPolygon("fewer than 3 vertices after normalization")
-            if _signed_area2(pts) <= 0:
-                raise InvalidPolygon("vertices are not in counterclockwise order")
-            _check_simple(pts)
-        object.__setattr__(self, "vertices", tuple(pts))
+        pts = _dedupe_collinear(pts)
+        if len(pts) < 3:
+            raise InvalidPolygon("fewer than 3 vertices after normalization")
+        if _signed_area2(pts) <= 0:
+            raise InvalidPolygon("vertices are not in counterclockwise order")
+        _check_simple(pts)
+        return super().__new__(cls, pts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplePolygon is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, SimplePolygon) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
+    @property
+    def vertices(self) -> "SimplePolygon":
+        """The polygon itself, the tuple of its vertices."""
+        return self
 
     def __repr__(self):
-        coords = ", ".join(f"({v.x},{v.y})" for v in self.vertices)
+        coords = ", ".join(f"({v.x},{v.y})" for v in self)
         return f"SimplePolygon[{coords}]"
-
-    def __len__(self):
-        return len(self.vertices)
 
 
 def _check_simple(pts):
@@ -612,23 +608,23 @@ def polygon(coords) -> SimplePolygon:
 
 def polygon_area(p: SimplePolygon) -> Fraction:
     """Exact signed shoelace area; positive for the stored ccw orientation."""
-    return Fraction(_signed_area2(p.vertices), 2)
+    return Fraction(_signed_area2(p), 2)
 
 
 def apply_motion_polygon(m: RigidMotion, p: SimplePolygon) -> SimplePolygon:
-    return SimplePolygon([apply_motion(m, v) for v in p.vertices], _validated=True)
+    return tuple.__new__(SimplePolygon, [apply_motion(m, v) for v in p])
 
 
 def convex_clip(a: SimplePolygon, b: SimplePolygon):
     """Exact intersection of two convex polygons; None when it has no area."""
-    if not _is_convex(a.vertices):
+    if not _is_convex(a):
         raise NotConvex("first polygon is not convex")
-    if not _is_convex(b.vertices):
+    if not _is_convex(b):
         raise NotConvex("second polygon is not convex")
-    out = _convex_clip(a.vertices, b.vertices)
+    out = _convex_clip(a, b)
     if not out:
         return None
-    return SimplePolygon([Point2(x, y) for x, y in out], _validated=True)
+    return tuple.__new__(SimplePolygon, [Point2(x, y) for x, y in out])
 
 
 def triangulate_simple(p: SimplePolygon) -> list[SimplePolygon]:
@@ -638,14 +634,14 @@ def triangulate_simple(p: SimplePolygon) -> list[SimplePolygon]:
     triangles partition the polygon exactly.  A SimplePolygon is strictly
     simple, so the ear scan never stalls on it (see _ear_clip).
     """
-    return [SimplePolygon(tri, _validated=True) for tri in _ear_clip(p.vertices)]
+    return [tuple.__new__(SimplePolygon, tri) for tri in _ear_clip(p)]
 
 
 def overlap_area(a: SimplePolygon, b: SimplePolygon) -> int | Fraction:
     """Exact area of the intersection of two simple polygons."""
     from .overlap import polygon_overlap  # the engine builds on the tuple core above
 
-    return polygon_overlap(a.vertices, b.vertices)
+    return polygon_overlap(a, b)
 
 
 def interiors_overlap(a: SimplePolygon, b: SimplePolygon) -> bool:
@@ -661,4 +657,4 @@ def polygon_contains(outer: SimplePolygon, inner: SimplePolygon) -> bool:
     """
     from .overlap import partition_residuals
 
-    return partition_residuals([inner.vertices], outer.vertices)[2] == [0]
+    return partition_residuals([inner], outer)[2] == [0]

@@ -89,7 +89,7 @@ class HingedFigure(_FigureFields):
                 raise FigureError(f"hinge {i} breaks the canonical cycle layout")
             # the hinges pin vertices 1 and 2 of pieces i != i+1 mod k; a
             # run of one shared polygon, as in a chain fold, is looked at once
-            if min(len(piece.vertices) for piece, _ in groupby(pieces)) < 3:
+            if min(len(piece) for piece, _ in groupby(pieces)) < 3:
                 raise FigureError("a cycle piece needs 3 or more vertices")
         elif topology_tag == "general":
             for h in hinges:
@@ -97,9 +97,9 @@ class HingedFigure(_FigureFields):
                     raise FigureError(f"hinge piece index out of range: {h}")
                 if h.piece_a == h.piece_b:
                     raise FigureError(f"hinge joins a piece to itself: {h}")
-                if not (0 <= h.vertex_a < len(pieces[h.piece_a].vertices)):
+                if not (0 <= h.vertex_a < len(pieces[h.piece_a])):
                     raise FigureError(f"hinge vertex_a out of range: {h}")
-                if not (0 <= h.vertex_b < len(pieces[h.piece_b].vertices)):
+                if not (0 <= h.vertex_b < len(pieces[h.piece_b])):
                     raise FigureError(f"hinge vertex_b out of range: {h}")
         else:
             raise FigureError(f"unknown topology tag {topology_tag!r}")
@@ -225,8 +225,7 @@ def _verify(f: HingedFigure, c: Configuration, target: Target, num, tol) -> Veri
             failures.append(("HingeCoincidence", f"hinge {idx}: gap {_value_text(gap)}"))
 
     partition, total = _partition_failures(
-        placed, target.cells if isinstance(target, Polyomino) else target.vertices, tol, exact,
-        ("PairwiseDisjoint", "Containment", "AreaCoverage"), "target",
+        placed, target, tol, exact, ("PairwiseDisjoint", "Containment", "AreaCoverage"), "target",
     )
     failures += partition
     return VerifyReport(not failures, failures, total)
@@ -240,7 +239,7 @@ def _placed_points(f: HingedFigure, c: Configuration, num=float) -> tuple[list, 
     if len(c.placements) != len(f.pieces):
         raise CountMismatch(f"{len(c.placements)} placements for {len(f.pieces)} pieces")
     motions = [(m.rot_cos, m.rot_sin, m.translate.x, m.translate.y) for m in c.placements]
-    local = {id(piece): piece.vertices for piece in f.pieces}
+    local = {id(piece): piece for piece in f.pieces}
     if num is not None:
         motions = [tuple(map(num, m)) for m in motions]
         local = {key: [(num(x), num(y)) for x, y in pts] for key, pts in local.items()}
@@ -378,7 +377,7 @@ def figure_to_json(f: HingedFigure, approx: bool = False) -> dict:
     encoded = {}
     for piece in f.pieces:
         if id(piece) not in encoded:
-            encoded[id(piece)] = [[encode(v.x), encode(v.y)] for v in piece.vertices]
+            encoded[id(piece)] = [[encode(x), encode(y)] for x, y in piece]
     return {
         "pieces": [encoded[id(piece)] for piece in f.pieces],
         "hinges": [list(h) for h in f.hinges],
@@ -486,7 +485,7 @@ def configuration_from_json(obj) -> NamedConfiguration:
 def target_to_json(nt: NamedTarget, approx: bool = False) -> dict:
     if nt.kind == "polygon":
         encode = float if approx else rational_to_json
-        data = [[encode(v.x), encode(v.y)] for v in nt.data.vertices]
+        data = [[encode(x), encode(y)] for x, y in nt.data]
     elif nt.kind == "polyomino":
         data = cells_to_json(nt.data)
     else:

@@ -80,7 +80,7 @@ def pose_placements(f: HingedFigure, pose: AnglePose) -> list[NumericMotion]:
     local vertex 2 onto the predecessor's placed vertex 1.
     """
     _require_cycle(f)
-    return _walk(pose, [float_polygon(p.vertices) for p in f.pieces])[0]
+    return _walk(pose, [float_polygon(p) for p in f.pieces])[0]
 
 
 def _walk(pose: AnglePose, local_pts):
@@ -159,7 +159,7 @@ def sample_motion(
         cut = k - 1
     pose_a = extract_pose(f, config_a, cut)
     pose_b = extract_pose(f, config_b, cut)
-    local_pts = [float_polygon(p.vertices) for p in f.pieces]
+    local_pts = [float_polygon(p) for p in f.pieces]
     samples = []
     for frame in range(frames):
         t = frame / (frames - 1)

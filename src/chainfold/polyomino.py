@@ -51,47 +51,45 @@ class Cell(NamedTuple):
 NEIGHBOR_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-class Polyomino:
-    """Non-empty, edge-connected set of unit cells.
+class Polyomino(frozenset):
+    """Non-empty, edge-connected set of unit cells: the frozenset of its
+    Cells, equal to that set and hashed like it.
 
     Cells enclosing empty space are legal here; only the outer-boundary
     construction rejects holes.  Each cell is an (x, y) list or tuple of
-    ints, not bools, floats or strings, by int_from_json's rule.
+    ints, not bools, floats or strings, by int_from_json's rule.  A copy
+    or an unpickled polyomino is built through the checks.
     """
 
-    __slots__ = ("cells",)
+    __slots__ = ()
 
-    def __init__(self, cells: Iterable[Cell]):
+    def __new__(cls, cells: Iterable[Cell]):
         cells = list(cells)
         if not is_table(cells, 2):
             for c in cells:  # name the first bad cell
                 if not isinstance(c, (list, tuple)) or len(c) != 2:
                     raise BadCharacter(f"bad cell {c!r}: expected [x, y]")
                 Cell(*map(int_from_json, c))
-        cell_set = frozenset(map(tuple.__new__, repeat(Cell), cells))
+        cell_set = super().__new__(cls, map(tuple.__new__, repeat(Cell), cells))
         if not cell_set:
             raise EmptyShape("polyomino has no cells")
         _check_connected(cell_set)
-        object.__setattr__(self, "cells", cell_set)
+        return cell_set
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polyomino is immutable")
+    @property
+    def cells(self) -> "Polyomino":
+        """The polyomino itself, the frozenset of its cells."""
+        return self
 
     @property
     def cell_count(self) -> int:
-        return len(self.cells)
-
-    def __eq__(self, other):
-        return isinstance(other, Polyomino) and self.cells == other.cells
-
-    def __hash__(self):
-        return hash(self.cells)
+        return len(self)
 
     def __repr__(self):
-        return f"Polyomino({sorted(self.cells)})"
+        return f"Polyomino({sorted(self)})"
 
     def translated_to_origin(self) -> "Polyomino":
-        return Polyomino(_at_origin(self.cells))
+        return Polyomino(_at_origin(self))
 
 
 def _at_origin(cells) -> list:
@@ -140,20 +138,20 @@ def parse_grid(text: str) -> Polyomino:
 
 def to_grid(p: Polyomino) -> str:
     """Inverse of parse_grid: ASCII rows, top row first."""
-    min_x = min(c.x for c in p.cells)
-    max_x = max(c.x for c in p.cells)
-    min_y = min(c.y for c in p.cells)
-    max_y = max(c.y for c in p.cells)
+    min_x = min(c.x for c in p)
+    max_x = max(c.x for c in p)
+    min_y = min(c.y for c in p)
+    max_y = max(c.y for c in p)
     lines = []
     for y in range(max_y, min_y - 1, -1):
         lines.append(
-            "".join("#" if Cell(x, y) in p.cells else "." for x in range(min_x, max_x + 1))
+            "".join("#" if Cell(x, y) in p else "." for x in range(min_x, max_x + 1))
         )
     return "\n".join(lines)
 
 
 def cells_to_json(p: Polyomino) -> dict:
-    return {"cells": [[c.x, c.y] for c in sorted(p.cells)]}
+    return {"cells": [[c.x, c.y] for c in sorted(p)]}
 
 
 def int_from_json(value) -> int:
@@ -192,16 +190,15 @@ def boundary_polygon(p: Polyomino) -> SimplePolygon:
     would leave one vertex along two edges.
     """
     # directed boundary edges with the owning cell on the left
-    cells = p.cells
     pairs = []
-    for cx, cy in cells:
-        if Cell(cx, cy - 1) not in cells:
+    for cx, cy in p:
+        if Cell(cx, cy - 1) not in p:
             pairs.append(((cx, cy), (cx + 1, cy)))
-        if Cell(cx + 1, cy) not in cells:
+        if Cell(cx + 1, cy) not in p:
             pairs.append(((cx + 1, cy), (cx + 1, cy + 1)))
-        if Cell(cx, cy + 1) not in cells:
+        if Cell(cx, cy + 1) not in p:
             pairs.append(((cx + 1, cy + 1), (cx, cy + 1)))
-        if Cell(cx - 1, cy) not in cells:
+        if Cell(cx - 1, cy) not in p:
             pairs.append(((cx, cy + 1), (cx, cy)))
     edges = dict(pairs)
     if len(edges) < len(pairs):
@@ -253,7 +250,7 @@ def shared_edge(a: Cell, b: Cell) -> tuple[tuple[int, int], tuple[int, int]]:
 
 def dual_spanning_tree(p: Polyomino) -> DualSpanningTree:
     """Deterministic DFS tree: lexicographically smallest root, E/N/W/S visits."""
-    root = min(p.cells)
+    root = min(p)
     seen = {root}
     entries = []
     # iterative depth-first search with recursive semantics: a child's whole
@@ -263,7 +260,7 @@ def dual_spanning_tree(p: Polyomino) -> DualSpanningTree:
         cell, steps = stack[-1]
         for dx, dy in steps:
             nb = Cell(cell.x + dx, cell.y + dy)
-            if nb in p.cells and nb not in seen:
+            if nb in p and nb not in seen:
                 seen.add(nb)
                 entries.append(TreeEntry(nb, cell, shared_edge(nb, cell)))
                 stack.append((nb, iter(NEIGHBOR_STEPS)))

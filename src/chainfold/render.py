@@ -7,7 +7,7 @@ inputs produce byte-identical documents.  Animations are declarative
 
 from __future__ import annotations
 
-from .equidecompose import DissectionChart, _piece_points, _placed
+from .equidecompose import DissectionChart, _placed
 from .figures import Configuration, CountMismatch, HingedFigure, _placed_points
 from .kinematics import MotionSample, TooFewFrames
 from .numeric import apply_numeric_points, float_polygon
@@ -97,7 +97,7 @@ def render_animation(samples: list[MotionSample], *, figure: HingedFigure) -> st
     """
     if len(samples) < 2:
         raise TooFewFrames(f"need at least 2 samples, got {len(samples)}")
-    local_points = [float_polygon(p.vertices) for p in figure.pieces]
+    local_points = [float_polygon(p) for p in figure.pieces]
     piece_count = len(samples[0].placements)
     boxes = []
     paths = []  # per frame, each piece's outline formatted once
@@ -129,16 +129,16 @@ def render_animation(samples: list[MotionSample], *, figure: HingedFigure) -> st
 
 def render_chart(chart: DissectionChart) -> str:
     """Source and target assemblies side by side with matching piece colors."""
-    source_pts = [float_polygon(pts) for pts in _piece_points(chart)]
+    source_pts = [float_polygon(pts) for pts in chart.pieces]
     placed_pts = _placed(chart)
     src_min_x, src_min_y, src_max_x, src_max_y = _bounds(
-        source_pts + [float_polygon(chart.source.vertices)]
+        source_pts + [float_polygon(chart.source)]
     )
     gap = max(src_max_x - src_min_x, 1e-9) * 0.15
     shift = src_max_x - src_min_x + gap
     shifted = [[(x + shift, y) for x, y in pts] for pts in placed_pts]
     everything = source_pts + shifted + [
-        [(x + shift, y) for x, y in float_polygon(chart.target.vertices)]
+        [(x + shift, y) for x, y in float_polygon(chart.target)]
     ]
     lines = _svg_open(*_bounds(everything))
     lines.append('<g id="source">')

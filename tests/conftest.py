@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
+import pkgutil
 import random
 from fractions import Fraction
 
 from hypothesis import settings
 
+import chainfold
 from chainfold.chain import PlacedTriangle
 from chainfold.exact_geom import Point2, SimplePolygon, polygon, polygon_area
 from chainfold.polyomino import Polyomino, boundary_polygon, random_polyomino
@@ -16,6 +19,14 @@ from chainfold.polyomino import Polyomino, boundary_polygon, random_polyomino
 # database off), and wall-clock jitter cannot fail a property test.
 settings.register_profile("chainfold", derandomize=True, deadline=None)
 settings.load_profile("chainfold")
+
+# Hypothesis also draws constants found in the source of every local
+# module loaded at the time of a draw; test files do not count, and
+# chainfold is the only other local package the tests load.  Loading all
+# of it here, before the first draw, gives every run the same pool, so a
+# test draws the same examples alone as in the whole suite.
+for _module in pkgutil.iter_modules(chainfold.__path__):
+    importlib.import_module(f"chainfold.{_module.name}")
 
 # the 5 free tetrominoes and 12 free pentominoes as ASCII grids
 TETROMINO_GRIDS = {

@@ -232,6 +232,25 @@ class TestAnimate:
         assert main(["animate", str(pair), "--frames", "1",
                      "--out", str(workdir / "x.svg")]) == 2
 
+    @pytest.mark.parametrize("option,value,text", [
+        ("--frames", "1", "need at least 2 frames, got 1"),
+        ("--cut", "99", "cut hinge 99 out of range"),
+    ], ids=["one-frame", "cut-out-of-range"])
+    def test_sampler_rejects_frames_and_cut(self, workdir, capsys, option, value, text):
+        # the 8-piece L-T pair; the texts are those the sampler raises
+        out = workdir / "x.svg"
+        assert main(["animate", str(_pair_hdj(workdir)), option, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
+        assert not out.exists()
+
+    def test_one_frame_of_a_general_figure_names_the_topology(self, workdir, capsys):
+        from importlib import resources
+
+        asset = resources.files("chainfold") / "assets" / "dudeney.hdj"
+        assert main(["animate", str(asset), "--frames", "1",
+                     "--out", str(workdir / "x.svg")]) == 2
+        assert capsys.readouterr().err == "error: figure is not a hinged cycle\n"
+
     def test_frames_above_cap_exit_2_before_any_work(self, workdir, capsys):
         # the HDJ file does not exist: the cap is checked before it is read
         out = workdir / "x.svg"

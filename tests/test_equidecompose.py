@@ -18,7 +18,6 @@ from chainfold.equidecompose import (
     RectangleForm,
     TargetMismatch,
     WidthMismatch,
-    _piece_points,
     chart_from_json,
     chart_to_json,
     overlay_charts,
@@ -501,7 +500,7 @@ class TestChartMutationRejection:
 
     def test_swapped_motions_of_non_congruent_pieces(self, make_chart):
         chart = make_chart()
-        areas = [float_area(pts) for pts in _piece_points(chart)]
+        areas = [float_area(pts) for pts in chart.pieces]
         i = 0
         j = next(k for k in range(len(areas)) if abs(areas[k] - areas[i]) > 0.01)
         motions = list(chart.target_motions)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from chainfold.exact_geom import (
     NotConvex,
     Point2,
     RigidMotion,
+    SimplePolygon,
     apply_motion,
     compose_motions,
     convex_clip,
@@ -337,8 +340,25 @@ class TestRatRule:
 
 
 class TestTupleSemantics:
-    """Points and motions are NamedTuples, which the tuple core and the
-    overlap engine read as they are."""
+    """Points and motions are NamedTuples and a polygon is the tuple of its
+    points, which the tuple core and the overlap engine read as they are."""
+
+    def test_a_polygon_equals_and_hashes_like_its_vertex_tuple(self):
+        p = polygon([(0, 0), ("1/2", 0), (0, 1)])
+        vertices = (point(0, 0), point("1/2", 0), point(0, 1))
+        assert isinstance(p, tuple) and p.vertices is p and len(p) == 3
+        assert p == vertices and hash(p) == hash(vertices)
+        assert p == ((0, 0), (Fraction(1, 2), 0), (0, 1))
+        assert {vertices: "tuple"}[p] == "tuple"
+
+    @pytest.mark.parametrize("protocol", [None, 2, 3, 4, 5], ids=lambda p: f"protocol-{p}")
+    def test_an_unchecked_clockwise_polygon_is_checked_when_copied(self, protocol):
+        clockwise = tuple.__new__(SimplePolygon, [point(0, 0), point(0, 1), point(1, 0)])
+        with pytest.raises(InvalidPolygon, match="^vertices are not in counterclockwise order$"):
+            if protocol is None:
+                copy.deepcopy(clockwise)
+            else:
+                pickle.loads(pickle.dumps(clockwise, protocol))
 
     def test_points_and_motions_are_tuples(self):
         assert issubclass(Point2, tuple) and issubclass(RigidMotion, tuple)

@@ -1,7 +1,9 @@
+import copy
 import io
 import itertools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chainfold.chain import dissect_pair, fold_chain
+from chainfold.equidecompose import overlay_charts, polygon_to_canonical_chart
 from chainfold.exact_geom import (
     InvalidPolygon,
     RigidMotion,
@@ -388,7 +391,7 @@ class TestHdj:
 
     def test_cycle_pieces_need_three_vertices(self):
         f = canonical_chain_figure(2)
-        segment = SimplePolygon([point(0, 0), point(1, 0)], _validated=True)
+        segment = tuple.__new__(SimplePolygon, [point(0, 0), point(1, 0)])
         with pytest.raises(FigureError, match="3 or more vertices"):
             HingedFigure(f.pieces[:3] + (segment,), f.hinges, "cycle")
 
@@ -402,6 +405,50 @@ class TestHdj:
         path.write_bytes(data)
         with pytest.raises(HdjError):
             load_hdj(path)
+
+
+def _fold_document(tmp_path):
+    p = parse_grid(TETROMINO_GRIDS["T4"])
+    result = fold_chain(p)
+    path = tmp_path / "fold.hdj"
+    save_hdj(path, HdjFile(result.figure, [NamedConfiguration("fold", result.config)],
+                           [NamedTarget("target", "polyomino", p)], dict(result.cell_map)))
+    return load_hdj(path)
+
+
+def _dudeney_document(tmp_path):
+    from importlib import resources
+
+    return load_hdj(resources.files("chainfold") / "assets" / "dudeney.hdj")
+
+
+_COPIED = {
+    "chain-figure": lambda tmp_path: canonical_chain_figure(2),
+    "canonical-chart": lambda tmp_path: polygon_to_canonical_chart(
+        polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]), 1),
+    "overlay-chart": lambda tmp_path: overlay_charts(
+        polygon_to_canonical_chart(polygon([(0, 0), (2, 0), (2, 2), (0, 2)]), 2),
+        polygon_to_canonical_chart(polygon([(0, 0), (4, 0), (0, 2)]), 2)),
+    "polyomino": lambda tmp_path: parse_grid(TETROMINO_GRIDS["L4"]),
+    "fold-document": _fold_document,
+    "dudeney-document": _dudeney_document,
+}
+
+
+class TestCopyAndPickle:
+    """Figures, charts, polyominoes and documents copy and pickle, and the
+    copy is rebuilt through the checks into an equal object."""
+
+    @pytest.mark.parametrize("name", _COPIED)
+    @pytest.mark.parametrize("protocol", [None, 2, 3, 4, 5], ids=lambda p: f"protocol-{p}")
+    def test_round_trip_is_equal(self, tmp_path, name, protocol):
+        original = _COPIED[name](tmp_path)
+        if protocol is None:
+            copied = copy.deepcopy(original)
+        else:
+            copied = pickle.loads(pickle.dumps(original, protocol))
+        assert copied == original and copied is not original
+        assert repr(copied) == repr(original)  # the same types all the way down
 
 
 class TestPieceSharing:

@@ -759,8 +759,6 @@ def _exact_leaves(obj):
     are tuples, so they are matched before the plain tuples."""
     if isinstance(obj, NumericMotion):
         return []
-    if isinstance(obj, SimplePolygon):
-        return _exact_leaves(obj.vertices)
     if isinstance(obj, Point2):
         return [obj.x, obj.y]
     if isinstance(obj, RigidMotion):

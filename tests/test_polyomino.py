@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -229,6 +231,23 @@ class TestPolyomino:
     def test_first_bad_cell_is_named(self):
         with pytest.raises(PolyominoError, match="got True"):
             Polyomino([(0, 0), (True, 0), (5,), (0.5, 0)])
+
+    def test_equals_and_hashes_like_its_cell_set(self):
+        p = parse_grid("##\n#.")
+        cells = frozenset({Cell(0, 0), Cell(0, 1), Cell(1, 1)})
+        assert isinstance(p, frozenset) and p.cells is p and p.cell_count == len(p) == 3
+        assert p == cells and hash(p) == hash(cells)
+        assert p == {(0, 0), (0, 1), (1, 1)}
+        assert {cells: "set"}[p] == "set"
+
+    @pytest.mark.parametrize("protocol", [None, 0, 1, 2, 3, 4, 5], ids=lambda p: f"protocol-{p}")
+    def test_an_unchecked_disconnected_set_is_checked_when_copied(self, protocol):
+        apart = frozenset.__new__(Polyomino, [Cell(0, 0), Cell(2, 0)])
+        with pytest.raises(Disconnected, match="^1 cell unreachable$"):
+            if protocol is None:
+                copy.deepcopy(apart)
+            else:
+                pickle.loads(pickle.dumps(apart, protocol))
 
     def test_tuples_lists_and_cells_build_alike(self):
         p = Polyomino([Cell(0, 0), (1, 0), [1, 1]])
