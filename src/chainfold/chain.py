@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .exact_geom import Point2, RigidMotion
+from .exact_geom import Point2, RigidMotion, _orient
 from .figures import Configuration, HingedFigure, canonical_chain_figure
 from .polyomino import NEIGHBOR_STEPS, Cell, Polyomino, dual_spanning_tree, parse_grid
 
@@ -65,10 +65,6 @@ class PlacedTriangle(NamedTuple):
         return RigidMotion(ux - cx, uy - cy, Point2(cx, cy))
 
 
-def _cross(o: GridPoint, a: GridPoint, b: GridPoint) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _is_corner(cell, pt: GridPoint) -> bool:
     return 0 <= pt[0] - cell[0] <= 1 and 0 <= pt[1] - cell[1] <= 1
 
@@ -95,7 +91,7 @@ def _halves(cell: Cell, u: GridPoint) -> tuple[PlacedTriangle, PlacedTriangle]:
     triple counterclockwise."""
     u_star = (2 * cell.x + 1 - u[0], 2 * cell.y + 1 - u[1])
     x_corner, y_corner = (u[0], u_star[1]), (u_star[0], u[1])
-    if _cross(x_corner, u_star, u) < 0:
+    if _orient(x_corner, u_star, u) < 0:
         x_corner, y_corner = y_corner, x_corner
     return PlacedTriangle(x_corner, u_star, u), PlacedTriangle(y_corner, u, u_star)
 
@@ -277,21 +273,11 @@ def dissect_pair(a: Polyomino, b: Polyomino) -> HingedDissection:
     return HingedDissection(fold_a.figure, fold_a.config, fold_b.config, a, b)
 
 
-def _glyph_dir():
-    from importlib import resources  # only the glyph commands need it
-
-    return resources.files("chainfold") / "assets" / "glyphs"
-
-
-def list_sample_shapes() -> list[str]:
-    return sorted(
-        entry.name[:-4] for entry in _glyph_dir().iterdir() if entry.name.endswith(".txt")
-    )
-
-
 def load_sample_shape(name: str) -> Polyomino:
     """64-cell glyph polyomino from the shipped corpus."""
-    path = _glyph_dir() / f"{name}.txt"
+    from importlib import resources  # loaded on first use, not with the package
+
+    path = resources.files("chainfold") / "assets" / "glyphs" / f"{name}.txt"
     try:
         text = path.read_text(encoding="utf-8")
     except (FileNotFoundError, ValueError) as exc:

@@ -78,16 +78,21 @@ def _fold_document(p: Polyomino) -> HdjFile:
     )
 
 
+def _save(args, doc: HdjFile) -> None:
+    """Write the document to --out and, given --svg, its first configuration
+    rendered; rendered first, so a render that fails leaves no file behind."""
+    svg = args.svg and render_config(doc.figure, doc.configurations[0].configuration)
+    save_hdj(args.out, doc)
+    if args.svg:
+        with atomic_output(args.svg) as fh:
+            fh.write(svg)
+
+
 def cmd_fold(args) -> int:
     try:
         p = _load_polyomino(args.infile, args.cells)
         doc = _fold_document(p)
-        # rendered first: a render that fails leaves no file behind
-        svg = args.svg and render_config(doc.figure, doc.configurations[0].configuration)
-        save_hdj(args.out, doc)
-        if args.svg:
-            with atomic_output(args.svg) as fh:
-                fh.write(svg)
+        _save(args, doc)
     except (ValueError, OSError, OverflowError) as exc:  # cells beyond the double range
         return _fail(str(exc))
     print(f"wrote {args.out}: {len(doc.figure.pieces)} pieces, verified exactly")
@@ -96,10 +101,8 @@ def cmd_fold(args) -> int:
 
 def cmd_dissect(args) -> int:
     try:
-        with open(args.a, "r", encoding="utf-8") as fh:
-            a = parse_grid(fh.read())
-        with open(args.b, "r", encoding="utf-8") as fh:
-            b = parse_grid(fh.read())
+        a = _load_polyomino(args.a, None)
+        b = _load_polyomino(args.b, None)
         hd = dissect_pair(a, b)
         for config, target in ((hd.config_a, a), (hd.config_b, b)):
             report = verify_configuration(hd.figure, config, target)
@@ -116,11 +119,7 @@ def cmd_dissect(args) -> int:
                 NamedTarget("b", "polyomino", hd.target_b),
             ],
         )
-        svg = args.svg and render_config(doc.figure, hd.config_a)
-        save_hdj(args.out, doc)
-        if args.svg:
-            with atomic_output(args.svg) as fh:
-                fh.write(svg)
+        _save(args, doc)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
     print(f"wrote {args.out}: {len(doc.figure.pieces)} pieces, both foldings verified")

@@ -157,7 +157,7 @@ class RigidMotion(NamedTuple):
     The linear part is applied as [[c, -s], [s, c]], whose determinant is
     c**2 + s**2 >= 0, so reflections are unrepresentable by construction.
     A valid motion has c**2 + s**2 == 1 exactly; pairs off the unit circle
-    can be stored (tolerance-mode files carry float rotations) and are
+    can be stored (approx-mode files carry decimal cos and sin) and are
     flagged by the verifier's proper-motion check rather than here.
     """
 
@@ -180,15 +180,6 @@ def apply_motion(m: RigidMotion, p: Point2) -> Point2:
     return Point2(
         m.rot_cos * p.x - m.rot_sin * p.y + m.translate.x,
         m.rot_sin * p.x + m.rot_cos * p.y + m.translate.y,
-    )
-
-
-def compose_motions(outer: RigidMotion, inner: RigidMotion) -> RigidMotion:
-    """Motion equal to applying ``inner`` first, then ``outer``."""
-    return RigidMotion(
-        outer.rot_cos * inner.rot_cos - outer.rot_sin * inner.rot_sin,
-        outer.rot_sin * inner.rot_cos + outer.rot_cos * inner.rot_sin,
-        apply_motion(outer, inner.translate),
     )
 
 
@@ -609,10 +600,6 @@ def polygon(coords) -> SimplePolygon:
 def polygon_area(p: SimplePolygon) -> Fraction:
     """Exact signed shoelace area; positive for the stored ccw orientation."""
     return Fraction(_signed_area2(p), 2)
-
-
-def apply_motion_polygon(m: RigidMotion, p: SimplePolygon) -> SimplePolygon:
-    return tuple.__new__(SimplePolygon, [apply_motion(m, v) for v in p])
 
 
 def convex_clip(a: SimplePolygon, b: SimplePolygon):

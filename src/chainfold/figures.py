@@ -465,6 +465,13 @@ def _placements_from_json(placements) -> tuple[RigidMotion, ...]:
     return tuple(map(tuple.__new__, repeat(RigidMotion), motions))
 
 
+def _name_from_json(obj) -> str:
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise TypeError(f"name must be a string, got {name!r:.40}")
+    return name
+
+
 def configuration_from_json(obj) -> NamedConfiguration:
     if not isinstance(obj, dict):
         raise HdjError(f"bad configuration encoding: expected an object, got {obj!r}")
@@ -477,7 +484,7 @@ def configuration_from_json(obj) -> NamedConfiguration:
         if tol is not None and type(tol) not in (int, float):
             raise HdjError(f"tolerance must be a number, got {tol!r:.40}")
         config = Configuration(placements, mode, None if tol is None else float(tol))
-        return NamedConfiguration(str(obj.get("name", "")), config)
+        return NamedConfiguration(_name_from_json(obj), config)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise HdjError(f"bad configuration encoding: {exc}") from exc
 
@@ -504,7 +511,7 @@ def target_from_json(obj) -> NamedTarget:
             data = cells_from_json(obj["data"])
         else:
             raise HdjError(f"unknown target kind {kind!r}")
-        return NamedTarget(str(obj.get("name", "")), kind, data)
+        return NamedTarget(_name_from_json(obj), kind, data)
     except HdjError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -13,7 +13,8 @@ import math
 from typing import NamedTuple
 
 from .figures import Configuration, CountMismatch, HingedFigure
-from .numeric import NumericMotion, float_polygon, numeric_from_rigid, wrap_angle
+from .numeric import NumericMotion, apply_numeric_points, float_polygon, numeric_from_rigid
+from .numeric import wrap_angle
 from .numeric import float_overlap_area  # noqa: F401 - looked up by perfbench/tracing.py
 from .overlap import overlap_sum2, overlapping_pairs, parts_and_bounds
 
@@ -80,21 +81,18 @@ def pose_placements(f: HingedFigure, pose: AnglePose) -> list[NumericMotion]:
     local vertex 2 onto the predecessor's placed vertex 1.
     """
     _require_cycle(f)
-    return _walk(pose, [float_polygon(p) for p in f.pieces])[0]
+    return _walk(pose, [float_polygon(p) for p in f.pieces])
 
 
-def _walk(pose: AnglePose, local_pts):
-    """pose_placements on float local outlines, with each placement's
-    (cos, sin) alongside, so no rotation is evaluated twice."""
+def _walk(pose: AnglePose, local_pts) -> list[NumericMotion]:
+    """pose_placements on float local outlines."""
     k = len(local_pts)
     placements: list[NumericMotion | None] = [None] * k
-    rotations: list[tuple[float, float] | None] = [None] * k
     current = pose.root_index
     m = pose.root_placement
     angle, tx, ty = m
     c, s = math.cos(angle), math.sin(angle)
     placements[current] = m
-    rotations[current] = c, s
     relative = pose.relative_angles
     for step in range(k - 1):
         nxt = (current + 1) % k
@@ -106,9 +104,8 @@ def _walk(pose: AnglePose, local_pts):
         x, y = local_pts[nxt][2]
         tx, ty = pin_x - (c * x - s * y), pin_y - (s * x + c * y)
         placements[nxt] = NumericMotion(angle, tx, ty)
-        rotations[nxt] = c, s
         current = nxt
-    return placements, rotations
+    return placements
 
 
 def interpolate(pose_a: AnglePose, pose_b: AnglePose, t: float) -> AnglePose:
@@ -163,11 +160,8 @@ def sample_motion(
     samples = []
     for frame in range(frames):
         t = frame / (frames - 1)
-        placements, rotations = _walk(interpolate(pose_a, pose_b, t), local_pts)
-        placed = [
-            [(c * x - s * y + tx, s * x + c * y + ty) for x, y in pts]
-            for (_, tx, ty), (c, s), pts in zip(placements, rotations, local_pts)
-        ]
+        placements = _walk(interpolate(pose_a, pose_b, t), local_pts)
+        placed = [apply_numeric_points(m, pts) for m, pts in zip(placements, local_pts)]
         parts, bounds = parts_and_bounds(placed)
         overlaps = []
         for i, j in overlapping_pairs(bounds):

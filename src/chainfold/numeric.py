@@ -30,10 +30,7 @@ NUMERIC_IDENTITY = NumericMotion(0.0, 0.0, 0.0)
 
 
 def apply_numeric(m: NumericMotion, p) -> tuple[float, float]:
-    c = math.cos(m.angle_rad)
-    s = math.sin(m.angle_rad)
-    x, y = float(p[0]), float(p[1])
-    return (c * x - s * y + m.tx, s * x + c * y + m.ty)
+    return apply_numeric_points(m, (p,))[0]
 
 
 def apply_numeric_points(m: NumericMotion, pts) -> list[tuple[float, float]]:

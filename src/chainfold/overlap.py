@@ -48,7 +48,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
-from .exact_geom import _bbox, _clip_convex_raw, _ear_clip, _is_convex, _signed_area2
+from .exact_geom import _bbox, _bboxes_interiors_overlap, _clip_convex_raw, _ear_clip, _is_convex
+from .exact_geom import _signed_area2
 
 
 def convex_parts(pts) -> list[tuple[list, tuple]]:
@@ -156,9 +157,7 @@ def polygon_overlap(pts_a, pts_b):
     """Intersection area of two ccw simple polygons: a Fraction on int or
     Fraction coordinates, a float on float ones, and the int 0 when they
     do not meet."""
-    ax0, ay0, ax1, ay1 = _bbox(pts_a)
-    bx0, by0, bx1, by1 = _bbox(pts_b)
-    if not (ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1):
+    if not _bboxes_interiors_overlap(_bbox(pts_a), _bbox(pts_b)):
         return 0
     area2 = overlap_sum2(convex_parts(pts_a), convex_parts(pts_b))
     if not area2:

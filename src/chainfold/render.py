@@ -41,6 +41,14 @@ def _path_d(points) -> str:
     return "M " + " L ".join(coords) + " Z"
 
 
+def _piece_path(index: int, points) -> str:
+    """A static piece: one filled, stroked path."""
+    return (
+        f'<path d="{_path_d(points)}" fill="{_color(index)}" '
+        f'stroke="#222222" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
+    )
+
+
 def _bounds(point_lists):
     xs = [x for pts in point_lists for x, _ in pts]
     ys = [y for pts in point_lists for _, y in pts]
@@ -74,11 +82,7 @@ def render_config(f: HingedFigure, c: Configuration) -> str:
     with a marker on each hinge."""
     _, placed = _placed_points(f, c)
     lines = _svg_open(*_bounds(placed))
-    for i, pts in enumerate(placed):
-        lines.append(
-            f'<path d="{_path_d(pts)}" fill="{_color(i)}" '
-            f'stroke="#222222" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
-        )
+    lines.extend(_piece_path(i, pts) for i, pts in enumerate(placed))
     for h in f.hinges:
         x, y = placed[h.piece_a][h.vertex_a]
         lines.append(
@@ -142,18 +146,10 @@ def render_chart(chart: DissectionChart) -> str:
     ]
     lines = _svg_open(*_bounds(everything))
     lines.append('<g id="source">')
-    for i, pts in enumerate(source_pts):
-        lines.append(
-            f'<path d="{_path_d(pts)}" fill="{_color(i)}" '
-            f'stroke="#222222" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
-        )
+    lines.extend(_piece_path(i, pts) for i, pts in enumerate(source_pts))
     lines.append("</g>")
     lines.append(f'<g id="target" transform="translate({_fmt(shift)},0)">')
-    for i, pts in enumerate(placed_pts):
-        lines.append(
-            f'<path d="{_path_d(pts)}" fill="{_color(i)}" '
-            f'stroke="#222222" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
-        )
+    lines.extend(_piece_path(i, pts) for i, pts in enumerate(placed_pts))
     lines.append("</g>")
     lines.extend(_SVG_CLOSE)
     return "\n".join(lines) + "\n"

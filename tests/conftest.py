@@ -7,6 +7,7 @@ import itertools
 import pkgutil
 import random
 from fractions import Fraction
+from importlib import resources
 
 from hypothesis import settings
 
@@ -27,6 +28,12 @@ settings.load_profile("chainfold")
 # test draws the same examples alone as in the whole suite.
 for _module in pkgutil.iter_modules(chainfold.__path__):
     importlib.import_module(f"chainfold.{_module.name}")
+
+def glyph_names() -> list[str]:
+    """The names of the shipped 64-cell glyphs, one per assets/glyphs/*.txt."""
+    glyphs = resources.files("chainfold") / "assets" / "glyphs"
+    return sorted(entry.name[:-4] for entry in glyphs.iterdir() if entry.name.endswith(".txt"))
+
 
 # the 5 free tetrominoes and 12 free pentominoes as ASCII grids
 TETROMINO_GRIDS = {

@@ -12,14 +12,20 @@ Cutting along EF, DH and GJ yields four pieces hinged at D, E and G.
 |DH| and |GJ| both equal q/2 and |HE| + |EJ| = |HF| + |FJ| = q, so the
 images of H and J become the four corners of the square.  At unit area
 q = 1 and the square is the unit square.
+
+The package ships only the output, ``assets/dudeney.hdj``; the tests
+hold it to a fresh build byte for byte.  Regenerate it from the repo
+root with
+
+    PYTHONPATH=src python tests/dudeney_asset.py src/chainfold/assets/dudeney.hdj
 """
 
 from __future__ import annotations
 
 import math
 
-from .exact_geom import SimplePolygon, point, rat
-from .figures import (
+from chainfold.exact_geom import SimplePolygon, point, rat
+from chainfold.figures import (
     Configuration,
     HdjFile,
     Hinge,
@@ -29,7 +35,7 @@ from .figures import (
     RigidMotion,
     save_hdj,
 )
-from .numeric import NumericMotion, numeric_between_segments
+from chainfold.numeric import NumericMotion, numeric_between_segments
 
 APPROX_TOLERANCE = 1e-6
 
@@ -112,11 +118,7 @@ def build_dissection() -> HdjFile:
     )
 
 
-def write_asset(path):
-    save_hdj(path, build_dissection())
-
-
-if __name__ == "__main__":  # regenerate the shipped asset
+if __name__ == "__main__":
     import sys
 
-    write_asset(sys.argv[1] if len(sys.argv) > 1 else "dudeney.hdj")
+    save_hdj(sys.argv[1], build_dissection())

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from chainfold.chain import dissect_pair, fold_chain, list_sample_shapes, load_sample_shape
+from chainfold.chain import dissect_pair, fold_chain, load_sample_shape
 from chainfold.cli import main
 from chainfold.equidecompose import (
     overlay_charts,
@@ -33,6 +33,7 @@ from conftest import (
     canonical_cycle,
     criterion_8_cases,
     enumerate_half_square_cycles,
+    glyph_names,
 )
 
 FOLD_TIME_LIMIT = 1.0
@@ -99,7 +100,7 @@ def test_criterion_3_pairwise_tetromino_dissections():
 
 def test_criterion_4_128_piece_demonstration():
     shapes = [(f"rand64-{seed}", random_polyomino(64, seed)) for seed in range(20)]
-    shapes += [(f"glyph-{name}", load_sample_shape(name)) for name in list_sample_shapes()]
+    shapes += [(f"glyph-{name}", load_sample_shape(name)) for name in glyph_names()]
     for label, p in shapes:
         assert p.cell_count == 64, label
         start = time.perf_counter()

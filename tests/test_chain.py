@@ -13,7 +13,6 @@ from chainfold.chain import (
     base_fold,
     dissect_pair,
     fold_chain,
-    list_sample_shapes,
     load_sample_shape,
     splice_step,
 )
@@ -27,7 +26,7 @@ from chainfold.figures import (
     verify_configuration,
 )
 from chainfold.polyomino import Cell, dual_spanning_tree, parse_grid, random_polyomino
-from conftest import TETROMINO_GRIDS, canonical_cycle, enumerate_half_square_cycles
+from conftest import TETROMINO_GRIDS, canonical_cycle, enumerate_half_square_cycles, glyph_names
 
 
 def hinge_occurrences(state, pt) -> list[int]:
@@ -352,11 +351,11 @@ class TestDissectPair:
 
 class TestSampleShapes:
     def test_required_glyphs_present(self):
-        names = list_sample_shapes()
+        names = glyph_names()
         assert {"I", "L", "O"} <= set(names)
 
     def test_glyphs_are_64_cells(self):
-        for name in list_sample_shapes():
+        for name in glyph_names():
             assert load_sample_shape(name).cell_count == 64
 
     def test_i_glyph_folds_to_128_pieces(self):

@@ -185,6 +185,20 @@ class TestVerify:
         assert _verify_doc(workdir, doc) == 2
         assert "tolerance must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record", ["configurations", "targets"])
+    @pytest.mark.parametrize("name", [None, 5, ["x"]], ids=["null", "5", "list"])
+    def test_name_that_is_not_a_json_string_exits_2(self, workdir, capsys, record, name):
+        # null was read as the text "None" and ["x"] as "['x']"; verify
+        # accepted the document and a re-save wrote that text
+        doc = _tromino_hdj(workdir)
+        doc[record][0]["name"] = name
+        assert _verify_doc(workdir, doc) == 2
+        err = capsys.readouterr().err
+        assert f"name must be a string, got {name!r}" in err and "internal error" not in err
+        del doc[record][0]["name"]  # a missing name reads as ""
+        assert _verify_doc(workdir, doc) == 0
+        assert "''" in capsys.readouterr().out
+
     @pytest.mark.parametrize("mode, placement, extra", [
         ("exact", {"cos": "-23/265", "sin": "264/265", "tx": 7, "ty": 0}, ("--mode", "approx")),
         ("approx", dict(zip(("cos", "sin", "tx", "ty"), (

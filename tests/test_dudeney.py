@@ -1,9 +1,10 @@
 import math
 from importlib import resources
 
-from chainfold.dudeney import build_dissection
 from chainfold.exact_geom import polygon_area
 from chainfold.figures import hdj_to_json, load_hdj, save_hdj, verify_configuration
+
+from dudeney_asset import build_dissection
 
 ANALYTIC_SIDE = math.sqrt(4.0 / math.sqrt(3.0))  # 1.519671371...
 

@@ -32,7 +32,7 @@ from chainfold.exact_geom import (
     SimplePolygon,
     _orient,
     _signed_area2,
-    apply_motion_polygon,
+    apply_motion,
     interiors_overlap,
     overlap_area,
     point,
@@ -56,7 +56,7 @@ def assert_exact_partition(pieces, motions, region):
     """Pieces are disjoint, and their motion images partition the region."""
     total = sum((polygon_area(p) for p in pieces), Fraction(0))
     assert total == polygon_area(region)
-    placed = [apply_motion_polygon(m, p) for p, m in zip(pieces, motions)]
+    placed = [[apply_motion(m, v) for v in p] for p, m in zip(pieces, motions)]
     for i in range(len(placed)):
         for j in range(i + 1, len(placed)):
             assert not interiors_overlap(placed[i], placed[j])

@@ -15,8 +15,8 @@ from chainfold.exact_geom import (
     Point2,
     RigidMotion,
     SimplePolygon,
+    _segments_intersect,
     apply_motion,
-    compose_motions,
     convex_clip,
     interiors_overlap,
     invert_motion,
@@ -88,11 +88,9 @@ class TestApplyMotion:
             after = (apply_motion(m, p) - apply_motion(m, q)).norm_sq()
             assert before == after
 
-    def test_compose_and_invert(self):
+    def test_invert(self):
         m1 = pythagorean_motion(Fraction(1, 3), 2, -1)
-        m2 = pythagorean_motion(Fraction(-2, 5), Fraction(1, 2), 4)
         p = point(Fraction(7, 3), -2)
-        assert apply_motion(compose_motions(m2, m1), p) == apply_motion(m2, apply_motion(m1, p))
         assert apply_motion(invert_motion(m1), apply_motion(m1, p)) == p
 
 
@@ -289,6 +287,30 @@ class TestSimplePolygon:
         a = triangulate_simple(L_HEXAGON)
         b = triangulate_simple(polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]))
         assert a == b
+
+
+class TestSegmentsIntersect:
+    # (a1, a2, b1, b2, closed segments share a point); each touching case
+    # puts one endpoint on the other segment and the rest off its line, so
+    # the return named for that endpoint is the one that answers
+    CASES = {
+        "disjoint boxes": ((0, 0), (1, 1), (2, 3), (3, 2), False),
+        "proper crossing": ((0, 0), (2, 2), (0, 2), (2, 0), True),
+        "a1 on b": ((1, 0), (1, 2), (0, 0), (2, 0), True),
+        "a2 on b": ((1, 2), (1, 0), (0, 0), (2, 0), True),
+        "b1 on a": ((0, 0), (2, 0), (1, 0), (1, 2), True),
+        "b2 on a": ((0, 0), (2, 0), (1, 2), (1, 0), True),
+        "collinear overlap": ((0, 0), (2, 2), (1, 1), (3, 3), True),
+        "collinear, boxes touch at a corner": ((0, 0), (1, 1), (1, 1), (2, 2), True),
+        "collinear, disjoint": ((0, 0), (1, 1), (2, 2), (3, 3), False),
+        "endpoint on the other's line, beyond its end": ((3, 3), (1, 0), (0, 0), (2, 2), False),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_case(self, case):
+        a1, a2, b1, b2, expected = self.CASES[case]
+        for args in ((a1, a2, b1, b2), (b1, b2, a1, a2), (a2, a1, b2, b1)):
+            assert _segments_intersect(*args) is expected, args
 
 
 class TestRationalJson:

@@ -85,6 +85,13 @@ def _rat_once(cache: dict, value):
         return rat(value)
 
 
+def _reference_name(obj) -> str:
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise TypeError(f"name must be a string, got {name!r:.40}")
+    return name
+
+
 def reference_configuration_from_json(obj) -> NamedConfiguration:
     if not isinstance(obj, dict):
         raise HdjError(f"bad configuration encoding: expected an object, got {obj!r}")
@@ -103,7 +110,7 @@ def reference_configuration_from_json(obj) -> NamedConfiguration:
         if tol is not None and type(tol) not in (int, float):
             raise HdjError(f"tolerance must be a number, got {tol!r:.40}")
         config = Configuration(placements, mode, None if tol is None else float(tol))
-        return NamedConfiguration(str(obj.get("name", "")), config)
+        return NamedConfiguration(_reference_name(obj), config)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise HdjError(f"bad configuration encoding: {exc}") from exc
 
@@ -130,7 +137,7 @@ def reference_target_from_json(obj) -> NamedTarget:
             data = reference_cells_from_json(obj["data"])
         else:
             raise HdjError(f"unknown target kind {kind!r}")
-        return NamedTarget(str(obj.get("name", "")), kind, data)
+        return NamedTarget(_reference_name(obj), kind, data)
     except HdjError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

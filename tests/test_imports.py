@@ -1,4 +1,5 @@
-"""No module imports a name it never uses, and the CLI imports little.
+"""No module imports a name it never uses, the package holds no code
+that only the tests reach, and the CLI imports little.
 
 A stdlib-only stand-in for a linter's unused-import rule, run over the
 package, the bench and the tests.  A name counts as used when it appears
@@ -6,6 +7,12 @@ as a name anywhere in the module or as a string in ``__all__``.  Package
 ``__init__.py`` files, which re-export, are exempt, and so is an import
 on a line marked ``# noqa: F401``, such as the names the bench's tracer
 looks up in a module.
+
+The reach rule, also by ``ast``: every package module is imported,
+directly or through other modules, by ``__init__.py`` or ``cli.py``, and
+every top-level function and class is referenced from the package (as a
+name, an attribute or an imported name, which covers what
+``__init__.py`` exports) or looked up by the bench's tracer.
 """
 
 import ast
@@ -17,6 +24,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "chainfold"
 MODULES = sorted(
     path
     for folder in ("src/chainfold", "perfbench", "tests")
@@ -66,6 +74,85 @@ def test_the_check_finds_an_unused_import():
         "print(sys.argv)\n"
     )
     assert unused_imports(source) == ["8: os"]
+
+
+# public API that only the tests call today, each kept for a reason
+REACH_ALLOWED = {
+    ("equidecompose", "chart_from_json"): "the chart reader; the roadmap gives it a CLI caller",
+    ("kinematics", "pose_placements"): "forward kinematics, which tests hold sample_motion to",
+    ("kinematics", "motion_report_json"): "the report value, which tests hold the CLI's file to",
+}
+
+
+def _package_trees() -> dict:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+
+
+def unreached_modules(trees: dict) -> list[str]:
+    """Package modules that neither __init__ nor cli imports, even indirectly
+    (the package imports its own modules as ``from .module import ...``)."""
+    imports = {
+        name: {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1}
+        for name, tree in trees.items()
+    }
+    reached, todo = set(), ["__init__", "cli"]
+    while todo:
+        name = todo.pop()
+        if name in trees and name not in reached:
+            reached.add(name)
+            todo += imports[name]
+    return sorted(set(trees) - reached)
+
+
+def tracer_lookups() -> set[tuple[str, str]]:
+    """(module, name) of each package function perfbench/tracing.py wraps."""
+    from test_bench_hooks import _hooks
+
+    return {(module, function) for _, module, function in _hooks()}
+
+
+def unreferenced_definitions(trees: dict) -> list[str]:
+    """'module.name' for each top-level function and class that nothing in
+    the package refers to and the tracer does not look up."""
+    refs = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name)
+    kept = tracer_lookups() | set(REACH_ALLOWED)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in refs and (module, node.name) not in kept
+    )
+
+
+def test_every_module_is_reached_from_the_package_or_the_cli():
+    assert unreached_modules(_package_trees()) == []
+
+
+def test_every_definition_has_a_package_caller():
+    assert unreferenced_definitions(_package_trees()) == []
+
+
+def test_the_reach_rule_finds_test_only_code():
+    trees = {
+        "__init__": ast.parse("from .a import f\n"),
+        "cli": ast.parse("from .b import g\n"),
+        "a": ast.parse("from .c import h\ndef f(): return h()\ndef unused(): pass\n"),
+        "b": ast.parse("def g(): pass\nclass Unused: pass\n"),
+        "c": ast.parse("def h(): pass\n"),
+        "island": ast.parse("from .a import f\ndef i(): return f()\n"),
+    }
+    assert unreached_modules(trees) == ["island"]
+    assert unreferenced_definitions(trees) == ["a.unused", "b.Unused", "island.i"]
 
 
 def test_cli_import_loads_no_heavy_stdlib_modules():

@@ -59,7 +59,7 @@ class TestExtractPose:
                 assert placement_deviation(fr.figure, rebuilt, fr.config) <= 1e-12
 
     def test_not_cycle(self):
-        from chainfold.dudeney import build_dissection
+        from dudeney_asset import build_dissection
 
         doc = build_dissection()
         with pytest.raises(NotCycle):
