@@ -51,12 +51,6 @@ class PlacedTriangle(NamedTuple):
     base_u: GridPoint
     base_v: GridPoint
 
-    def cell(self) -> Cell:
-        """The unit cell this triangle is half of."""
-        xs = (self.right_angle_corner[0], self.base_u[0], self.base_v[0])
-        ys = (self.right_angle_corner[1], self.base_u[1], self.base_v[1])
-        return Cell(min(xs), min(ys))
-
     def placement(self) -> RigidMotion:
         """Quarter-turn motion carrying the canonical local piece here, on
         the lattice's ints."""

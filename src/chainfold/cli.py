@@ -16,6 +16,7 @@ import sys
 
 from .chain import dissect_pair, fold_chain
 from .equidecompose import (
+    CHART_TOLERANCE,
     MAX_HALVINGS,
     chart_to_json,
     overlay_charts,
@@ -25,7 +26,6 @@ from .equidecompose import (
 from .exact_geom import SimplePolygon, point_from_json, polygon_area, rat
 from .figures import (
     Configuration,
-    HdjError,
     HdjFile,
     NamedConfiguration,
     NamedTarget,
@@ -46,7 +46,6 @@ EXIT_REJECTED = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
-CHART_TOLERANCE = 1e-9
 MAX_FRAMES = 1000  # animate holds every frame and the whole SVG in memory
 MAX_GEN_CELLS = 16384  # bounds the grid, and the fold and exact verify of it
 
@@ -73,7 +72,7 @@ def _fold_document(p: Polyomino) -> HdjFile:
     return HdjFile(
         result.figure,
         [NamedConfiguration("fold", result.config)],
-        [NamedTarget("target", "polyomino", p)],
+        [NamedTarget("target", p)],
         dict(result.cell_map),
     )
 
@@ -114,10 +113,7 @@ def cmd_dissect(args) -> int:
                 NamedConfiguration("fold_a", hd.config_a),
                 NamedConfiguration("fold_b", hd.config_b),
             ],
-            [
-                NamedTarget("a", "polyomino", hd.target_a),
-                NamedTarget("b", "polyomino", hd.target_b),
-            ],
+            [NamedTarget("a", hd.target_a), NamedTarget("b", hd.target_b)],
         )
         _save(args, doc)
     except (ValueError, OSError) as exc:
@@ -139,7 +135,7 @@ def cmd_verify(args) -> int:
             check_tolerance(args.tol)
         doc = load_hdj(args.file)
         pairs = doc.pairs()
-    except (HdjError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     all_ok = True
     for nc, nt in pairs:
@@ -194,7 +190,7 @@ def cmd_animate(args) -> int:
                     fh.write(sep + json.dumps(motion_frame_json(s)))
                     sep = ",\n"
                 fh.write("\n]}\n")
-    except (HdjError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     worst = max((o[2] for s in samples for o in s.overlaps), default=0.0)
     print(f"wrote {args.out}: {args.frames} frames, worst mid-motion overlap {worst:g}")

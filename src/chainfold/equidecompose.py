@@ -58,6 +58,7 @@ from .overlap import overlapping_pairs, part_clips, parts_and_bounds
 SLIVER_FRACTION = 1e-12  # fragments below this share of the total area are dropped
 SNAP_DENOMINATOR = 10**12
 MAX_HALVINGS = 10  # width normalization cuts a rectangle into at most 2**10 strips
+CHART_TOLERANCE = 1e-9  # verify_chart's default, relative to the target area
 
 
 class DissectionError(ValueError):
@@ -386,8 +387,14 @@ class DissectionChart(NamedTuple):
     target_motions: list[NumericMotion]
     source: SimplePolygon
     target: SimplePolygon
-    source_exact: bool = True
     sliver_report: Sequence[tuple[int, int, float]] = ()
+
+    @property
+    def source_exact(self) -> bool:
+        """Exact when the source and every piece are SimplePolygons."""
+        return isinstance(self.source, SimplePolygon) and all(
+            isinstance(piece, SimplePolygon) for piece in self.pieces
+        )
 
 
 def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
@@ -516,16 +523,14 @@ def overlay_charts(ca: DissectionChart, cb: DissectionChart) -> DissectionChart:
                 continue
             pieces.append(tuple(_dedupe_collinear(apply_numeric_points(back_a, frag))))
             target_motions.append(relative)
-    return DissectionChart(
-        pieces, target_motions, ca.source, cb.source, source_exact=False, sliver_report=slivers
-    )
+    return DissectionChart(pieces, target_motions, ca.source, cb.source, slivers)
 
 
 # ---------------------------------------------------------------------------
 # chart verification and serialization
 
 
-def verify_chart(c: DissectionChart, tolerance: float = 1e-9) -> VerifyReport:
+def verify_chart(c: DissectionChart, tolerance: float = CHART_TOLERANCE) -> VerifyReport:
     """Check the source-side partition and the target-side assembly.
 
     The source side is exact (disjointness, containment, and areas
@@ -545,7 +550,7 @@ def verify_chart(c: DissectionChart, tolerance: float = 1e-9) -> VerifyReport:
         ("TargetOverlap", "TargetContainment", "TargetArea"), "target",
     )
     failures += target_failures
-    return VerifyReport(not failures, failures, computed)
+    return VerifyReport(failures, computed)
 
 
 def _placed(c: DissectionChart) -> list:
@@ -615,7 +620,7 @@ def chart_from_json(obj) -> DissectionChart:
         ]
         if len(motions) != len(pieces):
             raise DissectionError("piece and motion counts differ")
-        return DissectionChart(pieces, motions, source, target, exact)
+        return DissectionChart(pieces, motions, source, target)
     except DissectionError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -165,9 +165,6 @@ class RigidMotion(NamedTuple):
     rot_sin: int | Fraction
     translate: Point2
 
-    def is_unit(self) -> bool:
-        return self.rot_cos * self.rot_cos + self.rot_sin * self.rot_sin == 1
-
 
 IDENTITY_MOTION = RigidMotion(1, 0, Point2(0, 0))
 
@@ -240,9 +237,9 @@ def _bboxes_interiors_overlap(b1, b2) -> bool:
 
 
 def _on_segment(p, a, b) -> bool:
-    """Point p lies on the closed segment ab (collinearity assumed checked by caller)."""
-    if _orient(a, b, p) != 0:
-        return False
+    """Point p lies on the closed segment ab, given that p is on the line
+    ab (_orient(a, b, p) == 0, which the caller has tested): p lies in
+    the segment's closed bounding box."""
     return (
         min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
         and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])

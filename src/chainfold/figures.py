@@ -72,12 +72,16 @@ class HingedFigure(_FigureFields):
 
     topology_tag is "cycle" for the canonical chain layout (hinge i joins
     piece i vertex 1 to piece i+1 vertex 2) and "general" otherwise.  A
-    figure is checked when it is built, by _replace too.
+    figure is checked when it is built, by _replace too.  Each piece is a
+    SimplePolygon, so simple and ccw, as the exact verifier's proof needs.
     """
 
     __slots__ = ()
 
     def __new__(cls, pieces, hinges, topology_tag="general"):
+        for i, piece in enumerate(pieces):
+            if not isinstance(piece, SimplePolygon):
+                raise FigureError(f"piece {i} is not a SimplePolygon")
         k = len(pieces)
         if topology_tag == "cycle":
             if k < 2 or k % 2 != 0 or len(hinges) != k:
@@ -151,12 +155,12 @@ class Configuration(_ConfigurationFields):
 
 
 class VerifyReport(NamedTuple):
-    accepted: bool
     failures: list[tuple[str, str]]
     computed_area: object  # Fraction in exact mode, float in approx mode
 
-    def failed_checks(self) -> set[str]:
-        return {name for name, _ in self.failures}
+    @property
+    def accepted(self) -> bool:
+        return not self.failures
 
 
 _CANONICAL_TRIANGLE = SimplePolygon([point(0, 0), point(1, 0), point(0, 1)])
@@ -186,8 +190,11 @@ def verify_configuration(f: HingedFigure, c: Configuration, target: Target) -> V
     ProperMotion, HingeCoincidence, PairwiseDisjoint, Containment,
     AreaCoverage.  Exact configurations use rational arithmetic with no
     tolerance anywhere; approx configurations run in doubles against the
-    configuration's tolerance.
+    configuration's tolerance.  The target is a SimplePolygon or a
+    Polyomino, else a FigureError.
     """
+    if not isinstance(target, (SimplePolygon, Polyomino)):
+        raise FigureError(f"target is not a SimplePolygon or a Polyomino: {type(target).__name__}")
     if c.mode == "exact":
         return _verify_exact(f, c, target)
     return _verify_approx(f, c, target)
@@ -228,7 +235,7 @@ def _verify(f: HingedFigure, c: Configuration, target: Target, num, tol) -> Veri
         placed, target, tol, exact, ("PairwiseDisjoint", "Containment", "AreaCoverage"), "target",
     )
     failures += partition
-    return VerifyReport(not failures, failures, total)
+    return VerifyReport(failures, total)
 
 
 def _placed_points(f: HingedFigure, c: Configuration, num=float) -> tuple[list, list]:
@@ -343,8 +350,11 @@ class NamedConfiguration(NamedTuple):
 
 class NamedTarget(NamedTuple):
     name: str
-    kind: str  # "polygon" | "polyomino"
     data: Target
+
+    @property
+    def kind(self) -> str:
+        return "polyomino" if isinstance(self.data, Polyomino) else "polygon"
 
 
 class HdjFile(NamedTuple):
@@ -490,13 +500,11 @@ def configuration_from_json(obj) -> NamedConfiguration:
 
 
 def target_to_json(nt: NamedTarget, approx: bool = False) -> dict:
-    if nt.kind == "polygon":
-        encode = float if approx else rational_to_json
-        data = [[encode(x), encode(y)] for x, y in nt.data]
-    elif nt.kind == "polyomino":
+    if nt.kind == "polyomino":
         data = cells_to_json(nt.data)
     else:
-        raise HdjError(f"unknown target kind {nt.kind!r}")
+        encode = float if approx else rational_to_json
+        data = [[encode(x), encode(y)] for x, y in nt.data]
     return {"name": nt.name, "kind": nt.kind, "data": data}
 
 
@@ -511,7 +519,7 @@ def target_from_json(obj) -> NamedTarget:
             data = cells_from_json(obj["data"])
         else:
             raise HdjError(f"unknown target kind {kind!r}")
-        return NamedTarget(_name_from_json(obj), kind, data)
+        return NamedTarget(_name_from_json(obj), data)
     except HdjError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -44,10 +44,13 @@ class AnglePose(NamedTuple):
     it, and angle i belongs to hinge (cut_hinge + 1 + i) mod 2n.
     """
 
-    root_index: int
     root_placement: NumericMotion
     relative_angles: tuple[float, ...]
     cut_hinge: int
+
+    @property
+    def root_index(self) -> int:
+        return (self.cut_hinge + 1) % (len(self.relative_angles) + 1)
 
 
 def _require_cycle(f: HingedFigure):
@@ -71,7 +74,7 @@ def extract_pose(f: HingedFigure, c: Configuration, cut: int) -> AnglePose:
     for step in range(k - 1):
         h = (cut + 1 + step) % k  # hinge h joins piece h to piece h+1
         relative.append(wrap_angle(angles[(h + 1) % k] - angles[h]))
-    return AnglePose(root, numeric_from_rigid(c.placements[root]), tuple(relative), cut)
+    return AnglePose(numeric_from_rigid(c.placements[root]), tuple(relative), cut)
 
 
 def pose_placements(f: HingedFigure, pose: AnglePose) -> list[NumericMotion]:
@@ -110,7 +113,7 @@ def _walk(pose: AnglePose, local_pts) -> list[NumericMotion]:
 
 def interpolate(pose_a: AnglePose, pose_b: AnglePose, t: float) -> AnglePose:
     """Blend two poses: linear in translation, shortest arc in every angle."""
-    if pose_a.cut_hinge != pose_b.cut_hinge or pose_a.root_index != pose_b.root_index:
+    if pose_a.cut_hinge != pose_b.cut_hinge:
         raise CutMismatch("poses cut different hinges")
     if len(pose_a.relative_angles) != len(pose_b.relative_angles):
         raise CutMismatch("poses have different chain lengths")
@@ -124,7 +127,7 @@ def interpolate(pose_a: AnglePose, pose_b: AnglePose, t: float) -> AnglePose:
         a + t * wrap_angle(b - a)
         for a, b in zip(pose_a.relative_angles, pose_b.relative_angles)
     )
-    return AnglePose(pose_a.root_index, root, angles, pose_a.cut_hinge)
+    return AnglePose(root, angles, pose_a.cut_hinge)
 
 
 class MotionSample(NamedTuple):

@@ -88,9 +88,6 @@ class Polyomino(frozenset):
     def __repr__(self):
         return f"Polyomino({sorted(self)})"
 
-    def translated_to_origin(self) -> "Polyomino":
-        return Polyomino(_at_origin(self))
-
 
 def _at_origin(cells) -> list:
     """The (x, y) cells shifted so that their least x and least y are 0."""

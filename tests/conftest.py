@@ -29,6 +29,12 @@ settings.load_profile("chainfold")
 for _module in pkgutil.iter_modules(chainfold.__path__):
     importlib.import_module(f"chainfold.{_module.name}")
 
+
+def failed_checks(report) -> set[str]:
+    """The names of the checks a VerifyReport failed."""
+    return {name for name, _ in report.failures}
+
+
 def glyph_names() -> list[str]:
     """The names of the shipped 64-cell glyphs, one per assets/glyphs/*.txt."""
     glyphs = resources.files("chainfold") / "assets" / "glyphs"

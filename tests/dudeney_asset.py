@@ -112,8 +112,8 @@ def build_dissection() -> HdjFile:
             NamedConfiguration("square", square_config),
         ],
         [
-            NamedTarget("triangle", "polygon", triangle_target),
-            NamedTarget("square", "polygon", square_target),
+            NamedTarget("triangle", triangle_target),
+            NamedTarget("square", square_target),
         ],
     )
 

@@ -50,6 +50,16 @@ class TestFold:
         assert len(doc["figure"]["pieces"]) == 6
         assert "cell_map" in doc
 
+    @pytest.mark.parametrize("inputs", [["--in", "L.txt", "--cells", "cells.json"], []],
+                             ids=["both", "neither"])
+    def test_both_or_neither_input_exits_2(self, workdir, capsys, inputs):
+        (workdir / "cells.json").write_text(json.dumps({"cells": [[0, 0]]}))
+        args = [str(workdir / a) if "." in a else a for a in inputs]
+        out = workdir / "x.hdj"
+        assert main(["fold", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: give exactly one of --in/--cells\n"
+        assert not out.exists()
+
     def test_disconnected_grid_exits_2(self, workdir):
         bad = workdir / "bad.txt"
         bad.write_text("#.#\n")
@@ -239,6 +249,17 @@ class TestAnimate:
         frames = json.loads(report.read_text())["frames"]
         assert len(frames) == 12
 
+    def test_one_configuration_exits_2(self, workdir, capsys):
+        fold = workdir / "L.hdj"
+        assert main(["fold", "--in", str(workdir / "L.txt"), "--out", str(fold)]) == 0
+        capsys.readouterr()
+        out = workdir / "x.svg"
+        assert main(["animate", str(fold), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: animation needs a document with two configurations\n"
+        )
+        assert not out.exists()
+
     def test_one_frame_exits_2(self, workdir):
         pair = workdir / "pair.hdj"
         main(["dissect", "--a", str(workdir / "L.txt"), "--b", str(workdir / "T.txt"),
@@ -389,6 +410,15 @@ class TestBg:
                      "--width", "2", "--out", str(out), "--svg", str(svg)]) == 0
         doc = json.loads(out.read_text())
         assert len(doc["pieces"]) == len(doc["target_motions"])
+
+    def test_json_object_polygon_exits_2(self, workdir, capsys):
+        obj = workdir / "obj.json"
+        obj.write_text('{"points": [[0,0],[2,0],[2,2],[0,2]]}')
+        out = workdir / "x.json"
+        assert main(["bg", "--a", str(obj), "--b", str(workdir / "sq.json"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {obj}: expected a JSON array of [x, y] points\n"
+        assert not out.exists()
 
     def test_unequal_areas_exit_2(self, workdir):
         small = workdir / "small.json"

@@ -42,7 +42,7 @@ from chainfold.exact_geom import (
 from chainfold.figures import write_json
 from chainfold.numeric import NumericMotion
 
-from conftest import criterion_8_cases, rational_convex_hull
+from conftest import criterion_8_cases, failed_checks, rational_convex_hull
 
 UNIT_SQUARE = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -405,7 +405,7 @@ class TestVerifyChart:
         chart = DissectionChart([], [], UNIT_SQUARE, UNIT_SQUARE)
         report = verify_chart(chart, 1e-9)
         assert not report.accepted
-        assert "SourceArea" in report.failed_checks()
+        assert "SourceArea" in failed_checks(report)
 
     def test_missing_piece_rejected(self):
         tri = polygon([(0, 0), (4, 0), (0, 2)])
@@ -434,7 +434,7 @@ class TestVerifyChart:
         assert {check for check, text in report.failures if text.startswith(split)} == {
             "SourceDisjoint", "TargetOverlap"
         }
-        assert {"SourceArea", "TargetArea"} <= report.failed_checks()
+        assert {"SourceArea", "TargetArea"} <= failed_checks(report)
 
 
 class TestChartJson:
@@ -457,6 +457,25 @@ class TestChartJson:
         assert not decoded.source_exact
         assert verify_chart(decoded, 1e-9).accepted
 
+    def test_exactness_is_read_from_the_pieces(self):
+        assert DissectionChart._fields == (
+            "pieces", "target_motions", "source", "target", "sliver_report"
+        )
+        assert _exact_chart().source_exact
+        m = _overlay_chart()
+        rebuilt = DissectionChart(m.pieces, m.target_motions, m.source, m.target)
+        assert not rebuilt.source_exact
+        assert verify_chart(rebuilt, 1e-9).accepted
+        encoded = chart_to_json(rebuilt)
+        assert encoded == chart_to_json(m)
+        assert {type(x) for piece in encoded["pieces"] for v in piece for x in v} == {float}
+        # exact pieces that are not SimplePolygons are checked in doubles
+        c = _exact_chart()
+        as_tuples = DissectionChart([tuple(p) for p in c.pieces], c.target_motions,
+                                    c.source, c.target)
+        assert not as_tuples.source_exact
+        assert verify_chart(as_tuples, 1e-9).accepted
+
 
 def _exact_chart():
     pentagon = polygon([(0, 0), (3, 0), (4, 2), (2, 4), (0, 3)])
@@ -472,10 +491,7 @@ def _overlay_chart():
 
 
 def _mutated(chart, pieces, motions):
-    return DissectionChart(
-        pieces, motions, chart.source, chart.target,
-        chart.source_exact,
-    )
+    return DissectionChart(pieces, motions, chart.source, chart.target)
 
 
 @pytest.mark.parametrize("make_chart", [_exact_chart, _overlay_chart], ids=["exact", "overlay"])
@@ -496,7 +512,7 @@ class TestChartMutationRejection:
         motions[k] = NumericMotion(m.angle_rad + 1e-3, m.tx, m.ty - 1e-3)
         report = verify_chart(_mutated(chart, list(chart.pieces), motions), 1e-9)
         assert not report.accepted
-        assert report.failed_checks() & {"TargetOverlap", "TargetContainment"}
+        assert failed_checks(report) & {"TargetOverlap", "TargetContainment"}
 
     def test_swapped_motions_of_non_congruent_pieces(self, make_chart):
         chart = make_chart()
@@ -507,7 +523,7 @@ class TestChartMutationRejection:
         motions[i], motions[j] = motions[j], motions[i]
         report = verify_chart(_mutated(chart, list(chart.pieces), motions), 1e-9)
         assert not report.accepted
-        assert report.failed_checks() & {"TargetOverlap", "TargetContainment"}
+        assert failed_checks(report) & {"TargetOverlap", "TargetContainment"}
 
     def test_dropped_piece(self, make_chart):
         chart = make_chart()
@@ -516,7 +532,7 @@ class TestChartMutationRejection:
             _mutated(chart, chart.pieces[:k], chart.target_motions[:k]), 1e-9
         )
         assert not report.accepted
-        assert {"SourceArea", "TargetArea"} <= report.failed_checks()
+        assert {"SourceArea", "TargetArea"} <= failed_checks(report)
 
     def test_duplicated_piece(self, make_chart):
         chart = make_chart()
@@ -526,10 +542,10 @@ class TestChartMutationRejection:
         report = verify_chart(_mutated(chart, pieces, motions), 1e-9)
         assert not report.accepted
         # two identical boxes tie in the sweep; the pair must still be found
-        assert ("SourceDisjoint" in report.failed_checks()
+        assert ("SourceDisjoint" in failed_checks(report)
                 and any(f"pieces {k} and {len(pieces) - 1} overlap" in d
                         for _, d in report.failures))
-        assert "TargetOverlap" in report.failed_checks()
+        assert "TargetOverlap" in failed_checks(report)
 
 
 class TestOverlayDrops:

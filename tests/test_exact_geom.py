@@ -81,7 +81,7 @@ class TestApplyMotion:
                 Fraction(rng.randrange(-5, 6)),
                 Fraction(rng.randrange(-5, 6)),
             )
-            assert m.is_unit()
+            assert m.rot_cos * m.rot_cos + m.rot_sin * m.rot_sin == 1
             p = point(Fraction(rng.randrange(-20, 20), 3), rng.randrange(-20, 20))
             q = point(rng.randrange(-20, 20), Fraction(rng.randrange(-20, 20), 7))
             before = (p - q).norm_sq()
@@ -122,7 +122,7 @@ class TestMotionBetweenSegments:
             m = motion_between_segments(a1, a2, b1, b2)
             assert apply_motion(m, a1) == b1
             assert apply_motion(m, a2) == b2
-            assert m.is_unit()
+            assert m.rot_cos * m.rot_cos + m.rot_sin * m.rot_sin == 1
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -47,7 +47,7 @@ from chainfold.figures import (
     write_json,
 )
 from chainfold.polyomino import BadSize, parse_grid
-from conftest import TETROMINO_GRIDS
+from conftest import TETROMINO_GRIDS, failed_checks
 
 UNIT_SQUARE = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -144,7 +144,7 @@ class TestVerifyConfiguration:
         bad = Configuration(tuple(placements), "exact")
         report = verify_configuration(fr.figure, bad, UNIT_SQUARE)
         assert not report.accepted
-        assert report.failed_checks() & {"HingeCoincidence", "Containment"}
+        assert failed_checks(report) & {"HingeCoincidence", "Containment"}
 
     def test_non_unit_rotation_flagged(self):
         fr = fold_chain(parse_grid("#"))
@@ -152,7 +152,7 @@ class TestVerifyConfiguration:
         placements[0] = RigidMotion(Fraction(1, 2), Fraction(1, 2), placements[0].translate)
         bad = Configuration(tuple(placements), "exact")
         report = verify_configuration(fr.figure, bad, UNIT_SQUARE)
-        assert "ProperMotion" in report.failed_checks()
+        assert "ProperMotion" in failed_checks(report)
 
     def test_count_mismatch(self):
         fr = fold_chain(parse_grid("#"))
@@ -194,7 +194,7 @@ class TestVerifyConfiguration:
         )
         report = verify_configuration(fr.figure, Configuration(placements, "approx"), L)
         assert not report.accepted
-        assert {"Containment", "AreaCoverage"} <= report.failed_checks()
+        assert {"Containment", "AreaCoverage"} <= failed_checks(report)
         assert math.isnan(report.computed_area)
 
     def test_area_coverage_failure(self):
@@ -203,6 +203,31 @@ class TestVerifyConfiguration:
         m = RigidMotion(Fraction(1), Fraction(0), point(0, 0))
         report = verify_configuration(f, Configuration((m, m), "exact"), UNIT_SQUARE)
         assert not report.accepted
+
+    def test_accepted_is_read_from_the_failures(self):
+        assert VerifyReport._fields == ("failures", "computed_area")
+        assert VerifyReport([], 1).accepted
+        assert not VerifyReport([("AreaCoverage", "text")], 1).accepted
+
+    def test_piece_that_is_not_a_simple_polygon_raises(self):
+        # a ccw 2x2 square and a cw unit square joined at (2, 0), and a unit
+        # square wholly outside the 2x2 target: the exact certificate,
+        # which needs simple ccw pieces, would accept them with area 4
+        pinched = ((2, 0), (2, 2), (0, 2), (0, 0), (2, 0), (2, 1), (3, 1), (3, 0))
+        outside = ((2, 0), (3, 0), (3, 1), (2, 1))
+        with pytest.raises(FigureError, match="^piece 0 is not a SimplePolygon$"):
+            HingedFigure((pinched, outside), (), "general")
+        with pytest.raises(FigureError, match="^piece 1 is not a SimplePolygon$"):
+            HingedFigure((UNIT_SQUARE, outside), (), "general")
+
+    def test_target_that_is_not_a_polygon_or_polyomino_raises(self):
+        # two copies of the unit square against the square walked twice
+        f = HingedFigure((UNIT_SQUARE, UNIT_SQUARE), (), "general")
+        identity = RigidMotion(1, 0, point(0, 0))
+        for mode in ("exact", "approx"):
+            with pytest.raises(FigureError, match="target is not a SimplePolygon or a Polyomino"):
+                verify_configuration(f, Configuration((identity, identity), mode),
+                                     tuple(UNIT_SQUARE) * 2)
 
 
 # an exactly simple 5-gon whose top chain lies within 1e-15 of y = 0: in
@@ -348,7 +373,7 @@ class TestHdj:
         doc = HdjFile(
             fr.figure,
             [NamedConfiguration("fold", fr.config)],
-            [NamedTarget("target", "polyomino", p)],
+            [NamedTarget("target", p)],
             dict(fr.cell_map),
         )
         decoded = hdj_from_json(hdj_to_json(doc))
@@ -356,6 +381,16 @@ class TestHdj:
         assert decoded.configurations[0].configuration == fr.config
         assert decoded.targets[0].data == p
         assert decoded.cell_map == doc.cell_map
+
+    @pytest.mark.parametrize("data, kind", [(parse_grid("##"), "polyomino"),
+                                            (UNIT_SQUARE, "polygon")], ids=["polyomino", "polygon"])
+    def test_target_kind_is_read_from_its_data(self, tmp_path, data, kind):
+        assert NamedTarget._fields == ("name", "data")
+        target = NamedTarget("t", data)
+        assert target.kind == kind
+        doc = HdjFile(HingedFigure((UNIT_SQUARE,), ()), [], [target])
+        save_hdj(tmp_path / "t.hdj", doc)
+        assert load_hdj(tmp_path / "t.hdj") == doc
 
     def test_malformed_document(self):
         with pytest.raises(HdjError):
@@ -412,7 +447,7 @@ def _fold_document(tmp_path):
     result = fold_chain(p)
     path = tmp_path / "fold.hdj"
     save_hdj(path, HdjFile(result.figure, [NamedConfiguration("fold", result.config)],
-                           [NamedTarget("target", "polyomino", p)], dict(result.cell_map)))
+                           [NamedTarget("target", p)], dict(result.cell_map)))
     return load_hdj(path)
 
 
@@ -530,7 +565,7 @@ class TestWriteJson:
         placements = (self.TURNED,) + fr.config.placements[1:]
         config = Configuration(placements, mode, tolerance)
         return HdjFile(fr.figure, [NamedConfiguration(name, config)],
-                       [NamedTarget("target", "polyomino", self.FOLD)], dict(fr.cell_map))
+                       [NamedTarget("target", self.FOLD)], dict(fr.cell_map))
 
     @pytest.mark.parametrize("mode", ["exact", "approx"])
     def test_fold_documents(self, mode):
@@ -543,7 +578,7 @@ class TestWriteJson:
         doc = HdjFile(hd.figure,
                       [NamedConfiguration("fold_a", hd.config_a),
                        NamedConfiguration("fold_b", hd.config_b)],
-                      [NamedTarget("a", "polyomino", a), NamedTarget("b", "polyomino", b)])
+                      [NamedTarget("a", a), NamedTarget("b", b)])
         obj = hdj_to_json(doc)
         assert _written(obj) == json.dumps(obj, indent=1)
 
@@ -551,13 +586,13 @@ class TestWriteJson:
     def test_polygon_target(self, mode):
         f = HingedFigure((UNIT_SQUARE,), ())
         doc = HdjFile(f, [NamedConfiguration("id", Configuration((self.TURNED,), mode))],
-                      [NamedTarget("square", "polygon", UNIT_SQUARE)])
+                      [NamedTarget("square", UNIT_SQUARE)])
         obj = hdj_to_json(doc)
         assert _written(obj) == json.dumps(obj, indent=1)
 
     def test_no_configurations(self):
         obj = hdj_to_json(HdjFile(canonical_chain_figure(2), [],
-                                  [NamedTarget("t", "polyomino", parse_grid("##"))]))
+                                  [NamedTarget("t", parse_grid("##"))]))
         assert obj["configurations"] == []
         assert _written(obj) == json.dumps(obj, indent=1)
 

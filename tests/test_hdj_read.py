@@ -137,7 +137,7 @@ def reference_target_from_json(obj) -> NamedTarget:
             data = reference_cells_from_json(obj["data"])
         else:
             raise HdjError(f"unknown target kind {kind!r}")
-        return NamedTarget(_reference_name(obj), kind, data)
+        return NamedTarget(_reference_name(obj), data)
     except HdjError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -224,7 +224,7 @@ def _document(p: Polyomino) -> dict:
     doc = HdjFile(
         result.figure,
         [NamedConfiguration("fold", result.config)],
-        [NamedTarget("target", "polyomino", p)],
+        [NamedTarget("target", p)],
         dict(result.cell_map),
     )
     return json.loads(json.dumps(hdj_to_json(doc)))
@@ -249,7 +249,7 @@ def _dissected() -> dict:
     doc = HdjFile(
         hd.figure,
         [NamedConfiguration("fold_a", hd.config_a), NamedConfiguration("fold_b", hd.config_b)],
-        [NamedTarget("a", "polyomino", hd.target_a), NamedTarget("b", "polyomino", hd.target_b)],
+        [NamedTarget("a", hd.target_a), NamedTarget("b", hd.target_b)],
     )
     return json.loads(json.dumps(hdj_to_json(doc)))
 

@@ -9,10 +9,13 @@ on a line marked ``# noqa: F401``, such as the names the bench's tracer
 looks up in a module.
 
 The reach rule, also by ``ast``: every package module is imported,
-directly or through other modules, by ``__init__.py`` or ``cli.py``, and
+directly or through other modules, by ``__init__.py`` or ``cli.py``;
 every top-level function and class is referenced from the package (as a
 name, an attribute or an imported name, which covers what
-``__init__.py`` exports) or looked up by the bench's tracer.
+``__init__.py`` exports) or looked up by the bench's tracer; and every
+method and property of a package class, other than a dunder, is
+referenced from the package as an attribute or an imported name, or
+read as an attribute by the tracer.
 """
 
 import ast
@@ -84,6 +87,10 @@ REACH_ALLOWED = {
 }
 
 
+# methods and properties that only the tests use, each kept for a reason
+MEMBER_ALLOWED: dict[tuple[str, str, str], str] = {}
+
+
 def _package_trees() -> dict:
     return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
 
@@ -112,18 +119,31 @@ def tracer_lookups() -> set[tuple[str, str]]:
     return {(module, function) for _, module, function in _hooks()}
 
 
-def unreferenced_definitions(trees: dict) -> list[str]:
-    """'module.name' for each top-level function and class that nothing in
-    the package refers to and the tracer does not look up."""
-    refs = set()
+def tracer_attributes() -> set[str]:
+    """The attribute names perfbench/tracing.py reads, such as piece.vertices."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _references(trees: dict) -> tuple[set[str], set[str]]:
+    """(names, attributes and imported names) that the package refers to."""
+    names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                refs.add(node.name)
+                attributes.add(node.name)
+    return names, attributes
+
+
+def unreferenced_definitions(trees: dict) -> list[str]:
+    """'module.name' for each top-level function and class that nothing in
+    the package refers to and the tracer does not look up."""
+    names, attributes = _references(trees)
+    refs = names | attributes
     kept = tracer_lookups() | set(REACH_ALLOWED)
     return sorted(
         f"{module}.{node.name}"
@@ -134,12 +154,33 @@ def unreferenced_definitions(trees: dict) -> list[str]:
     )
 
 
+def unreferenced_members(trees: dict, traced: set[str]) -> list[str]:
+    """'module.Class.name' for each method and property of a top-level
+    class, other than a dunder, that the package refers to neither as an
+    attribute nor as an imported name, whose name is not in traced and
+    that MEMBER_ALLOWED does not hold."""
+    _, refs = _references(trees)
+    return sorted(
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in refs | traced
+        and (module, cls.name, node.name) not in MEMBER_ALLOWED
+    )
+
+
 def test_every_module_is_reached_from_the_package_or_the_cli():
     assert unreached_modules(_package_trees()) == []
 
 
 def test_every_definition_has_a_package_caller():
     assert unreferenced_definitions(_package_trees()) == []
+
+
+def test_every_method_and_property_has_a_package_reader():
+    assert unreferenced_members(_package_trees(), tracer_attributes()) == []
 
 
 def test_the_reach_rule_finds_test_only_code():
@@ -153,6 +194,28 @@ def test_the_reach_rule_finds_test_only_code():
     }
     assert unreached_modules(trees) == ["island"]
     assert unreferenced_definitions(trees) == ["a.unused", "b.Unused", "island.i"]
+
+
+def test_the_reach_rule_finds_test_only_members():
+    trees = {
+        "a": ast.parse("from .b import K\nK().read\nK.call()\n"),
+        "b": ast.parse(
+            "class K:\n"
+            "    def __init__(self): pass\n"
+            "    @property\n"
+            "    def read(self): return self._helper()\n"
+            "    @classmethod\n"
+            "    def call(cls): pass\n"
+            "    def _helper(self): pass\n"
+            "    def traced(self): pass\n"
+            "    def unused(self): pass\n"
+            "    @property\n"
+            "    def unread(self): pass\n"
+            "def unused(): pass\n"  # a name, not an attribute: K.unused is still unread
+            "unused()\n"
+        ),
+    }
+    assert unreferenced_members(trees, {"traced"}) == ["b.K.unread", "b.K.unused"]
 
 
 def test_cli_import_loads_no_heavy_stdlib_modules():

@@ -119,7 +119,7 @@ def reference_verify_exact(f, c, target):
         for m in c.placements
     ]
     for i, m in enumerate(placements):
-        if not m.is_unit():
+        if m.rot_cos * m.rot_cos + m.rot_sin * m.rot_sin != 1:
             failures.append(("ProperMotion", f"placement {i}: rot_cos^2+rot_sin^2 != 1"))
     placed = [
         [apply_motion(placements[i], _fraction_point(v)) for v in piece.vertices]
@@ -379,9 +379,9 @@ def _outcome(f, c, target, verify=verify_configuration):
         report = verify(f, c, target)
     except ValueError as exc:
         return type(exc), str(exc)
-    if isinstance(report, tuple):
-        return report
-    return report.accepted, report.failures, report.computed_area
+    if isinstance(report, figures.VerifyReport):
+        return report.accepted, report.failures, report.computed_area
+    return report
 
 
 def engine_verify_exact(f, c, target):
@@ -837,7 +837,7 @@ class TestNOver1Documents:
         if mutant:
             c = _moved(c, 20, _translated(1, 0))
         doc = figures.HdjFile(f, [figures.NamedConfiguration("fold", c)],
-                              [figures.NamedTarget("target", "polyomino", p)])
+                              [figures.NamedTarget("target", p)])
         as_ints = figures.hdj_from_json(figures.hdj_to_json(doc))
         as_text = figures.hdj_from_json(_rewritten_n_over_1(figures.hdj_to_json(doc)))
         reports = [

@@ -3,7 +3,9 @@ import math
 import pytest
 
 from chainfold.chain import dissect_pair, fold_chain
+from chainfold.figures import Configuration, CountMismatch
 from chainfold.kinematics import (
+    AnglePose,
     CutMismatch,
     NotCycle,
     TooFewFrames,
@@ -57,6 +59,21 @@ class TestExtractPose:
                 pose = extract_pose(fr.figure, fr.config, cut)
                 rebuilt = pose_placements(fr.figure, pose)
                 assert placement_deviation(fr.figure, rebuilt, fr.config) <= 1e-12
+
+    def test_root_is_the_piece_after_the_cut(self):
+        assert AnglePose._fields == ("root_placement", "relative_angles", "cut_hinge")
+        fr = fold_chain(parse_grid(TETROMINO_GRIDS["S4"]))
+        k = len(fr.figure.pieces)
+        for cut in range(k):
+            pose = extract_pose(fr.figure, fr.config, cut)
+            assert pose.root_index == (cut + 1) % k
+            assert pose.root_placement == numeric_from_rigid(fr.config.placements[pose.root_index])
+
+    def test_placement_count_mismatch(self):
+        fr = fold_chain(parse_grid("##"))
+        short = Configuration(fr.config.placements[:3])
+        with pytest.raises(CountMismatch, match="^3 placements for 4 pieces$"):
+            extract_pose(fr.figure, short, 0)
 
     def test_not_cycle(self):
         from dudeney_asset import build_dissection

@@ -24,6 +24,7 @@ from chainfold.polyomino import (
     parse_grid,
     random_polyomino,
     to_grid,
+    _at_origin,
 )
 from conftest import PENTOMINO_GRIDS, TETROMINO_GRIDS
 
@@ -50,6 +51,10 @@ class TestParseGrid:
     def test_bad_character(self):
         with pytest.raises(BadCharacter):
             parse_grid("#x#")
+
+    def test_blank_rows_above_and_below_are_dropped(self):
+        # rows of whitespace alone would otherwise be rows of bad characters
+        assert parse_grid(" \n\n#.\n##\n\t\n  \n") == parse_grid("#.\n##")
 
     def test_translated_to_origin(self):
         p = parse_grid("...\n..#\n..#")
@@ -98,7 +103,7 @@ class TestBoundaryPolygon:
             "..###.###.\n..#.#.###.\n.######...\n.#####.###\n.#.#####..\n"
             "####.##...\n#####.#...\n..####....\n...###....\n....#....."
         )
-        assert shape == random_polyomino(64, 1000).translated_to_origin()
+        assert shape == Polyomino(_at_origin(random_polyomino(64, 1000)))
         with pytest.raises(CornerContact):
             boundary_polygon(shape)
 
@@ -278,7 +283,7 @@ def _sorted_every_step(n: int, seed: int) -> Polyomino:
             nb = Cell(pick.x + dx, pick.y + dy)
             if nb not in cells:
                 frontier.add(nb)
-    return Polyomino(cells).translated_to_origin()
+    return Polyomino(_at_origin(cells))
 
 
 @pytest.mark.parametrize("n, seed", [(1, 0), (2, 5), (9, 1), (64, 1000), (300, 7), (1024, 0), (2000, 42)])

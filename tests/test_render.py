@@ -83,6 +83,12 @@ class TestRenderAnimation:
         with pytest.raises(TooFewFrames):
             render_animation(samples[:1], figure=figure)
 
+    def test_samples_that_disagree_on_piece_count(self):
+        figure, samples = self._samples(3)
+        short = samples[1]._replace(placements=samples[1].placements[:-1])
+        with pytest.raises(CountMismatch, match="^samples disagree on piece count$"):
+            render_animation([samples[0], short, samples[2]], figure=figure)
+
     def test_deterministic(self):
         figure, samples = self._samples(5)
         assert render_animation(samples, figure=figure) == render_animation(
