@@ -24,7 +24,9 @@ ints never turn into floats.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterable, NamedTuple
 
 Rational = Fraction
@@ -486,53 +488,105 @@ def _dedupe_collinear(pts):
     return pts
 
 
-def _ear_clip(pts):
+def _ear_clip(pts, fattest=False):
     """Triangulate a ccw simple polygon into exactly n-2 triangles.
 
-    The scan clips the first strictly convex vertex whose closed triangle
-    holds no other vertex.  Straight (collinear) vertices, which clips
-    leave, are never clipped themselves, so every vertex ends up in some
-    positive-area triangle.  On a simple polygon the scan cannot stall
-    (the two-ears theorem, Meisters 1975): every simple polygon, straight
-    vertices allowed, has a diagonal, so one with n >= 4 vertices has a
-    triangulation, and its dual tree has at least two leaves.  A leaf is
-    three consecutive vertices around a strictly convex middle one whose
-    closed triangle holds no other vertex, so the scan accepts it, and
-    clipping any accepted ear leaves a simple polygon.  On exact input a
-    stall therefore means the polygon is not simple, and raises
-    InvalidPolygon; on float input rounding can also cause one.
+    An ear is a strictly convex live vertex whose closed triangle with its
+    two live neighbours holds no other live vertex; a vertex equal to a
+    corner does not count.  Each step clips one ear, and the last three
+    vertices, in input order, make the last triangle.  Straight
+    (collinear) vertices, which clips leave, are never clipped themselves,
+    so every vertex ends up in some positive-area triangle.
+
+    The ear clipped is the first in one of two orders.  By default it is
+    the ear of least input position, which is the first ear a scan from
+    vertex 0 meets.  With fattest, it is the ear of largest doubled area
+    over squared longest side, compared exactly, so coordinates must be
+    exact; ties go to the least input position.
+
+    On a simple polygon neither order can stall (the two-ears theorem,
+    Meisters 1975): every simple polygon, straight vertices allowed, has a
+    diagonal, so one with n >= 4 vertices has a triangulation, and its
+    dual tree has at least two leaves.  A leaf is three consecutive
+    vertices around a strictly convex middle one whose closed triangle
+    holds no other vertex, so it is an ear, and clipping any ear leaves a
+    simple polygon.  On exact input a stall therefore means the polygon is
+    not simple, and raises InvalidPolygon; on float input rounding can
+    also cause one.
+
+    Each vertex's status is computed once, and again only when it can
+    change.  A clip changes the triangles of the ear's two neighbours, and
+    removes one point, its tip, from the others' tests; that can only
+    unblock a vertex whose triangle holds the tip.  So a blocked vertex
+    records the one vertex found in its triangle, and is computed again
+    when that vertex is clipped.  On exact coordinates the search visits
+    only the live vertices in the triangle's closed box, taken from a list
+    sorted by x.  On floats it tests every live vertex: rounding can pass
+    the three orientation tests for a point outside the box.
     """
     verts = list(pts)
+    n = len(verts)
+    if n <= 3:
+        return [tuple(verts)]
+    prv = [n - 1, *range(n - 1)]
+    nxt = [*range(1, n), 0]
+    exact = not any(isinstance(c, float) for v in verts for c in v)
+    # the live vertices: (x, y, index) sorted on exact coordinates, else indices
+    live = sorted((x, y, i) for i, (x, y) in enumerate(verts)) if exact else list(range(n))
+    stamp = [0] * n  # bumped at each new status and at the clip; heap entries carry it
+    blocks = {}  # vertex index -> (index, stamp) of the vertices it was found to block
+    heap = []  # (order key, stamp, index) of each ear
+
+    def status(i):
+        stamp[i] += 1
+        tri = a, b, c = verts[prv[i]], verts[i], verts[nxt[i]]
+        area2 = _orient(a, b, c)
+        if area2 <= 0:
+            return
+        if exact:
+            x0, x1 = min(a[0], b[0], c[0]), max(a[0], b[0], c[0])
+            y0, y1 = min(a[1], b[1], c[1]), max(a[1], b[1], c[1])
+            near = live[bisect_left(live, (x0, y0, -1)):bisect_right(live, (x1, y1, n))]
+            candidates = (j for _, y, j in near if y0 <= y <= y1)
+        else:
+            candidates = live
+        for j in candidates:
+            v = verts[j]
+            if v != a and v != b and v != c and _point_in_triangle_closed(tri, v):
+                blocks.setdefault(j, []).append((i, stamp[i]))
+                return
+        key = i
+        if fattest:
+            key = -Fraction(area2, max(_dist2(a, b), _dist2(b, c), _dist2(c, a))), i
+        heappush(heap, (key, stamp[i], i))
+
+    for i in range(n):
+        status(i)
     triangles = []
-    while len(verts) > 3:
-        n = len(verts)
-        clipped = False
-        for i in range(n):
-            prv = verts[(i - 1) % n]
-            cur = verts[i]
-            nxt = verts[(i + 1) % n]
-            if _orient(prv, cur, nxt) <= 0:
-                continue
-            ear = (prv, cur, nxt)
-            blocked = False
-            for v in verts:
-                if v is prv or v is cur or v is nxt:
-                    continue
-                if v == prv or v == cur or v == nxt:
-                    continue
-                if _point_in_triangle_closed(ear, v):
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            triangles.append(ear)
-            del verts[i]
-            clipped = True
-            break
-        if not clipped:
+    for _ in range(n - 3):
+        while heap and heap[0][1] != stamp[heap[0][2]]:
+            heappop(heap)  # stale: the vertex was clipped or has a newer status
+        if not heap:
             raise InvalidPolygon("no diagonal found; polygon is not simple")
-    triangles.append(tuple(verts))
+        i = heappop(heap)[2]
+        p, q = prv[i], nxt[i]
+        triangles.append((verts[p], verts[i], verts[q]))
+        nxt[p], prv[q] = q, p
+        stamp[i] += 1
+        del live[bisect_left(live, (*verts[i], i) if exact else i)]
+        status(p)
+        status(q)
+        for j, s in blocks.pop(i, ()):
+            if s == stamp[j]:
+                status(j)
+    triangles.append(tuple(verts[k] for k in sorted((p, q, nxt[q]))))
     return triangles
+
+
+def _dist2(p, q):
+    dx = p[0] - q[0]
+    dy = p[1] - q[1]
+    return dx * dx + dy * dy
 
 
 def _point_in_triangle_closed(tri, p) -> bool:
@@ -612,13 +666,17 @@ def convex_clip(a: SimplePolygon, b: SimplePolygon):
 
 
 def triangulate_simple(p: SimplePolygon) -> list[SimplePolygon]:
-    """Ear-clipping triangulation into exactly len(p)-2 triangles.
+    """Ear-clipping triangulation into exactly len(p)-2 triangles, the
+    fattest ear first: the largest doubled area over squared longest
+    side, the least vertex position on a tie.  A triangle's rectangle is
+    cut into strips along its longest side, so fat ears make fewer chart
+    pieces.
 
     Triangle vertices are drawn from the polygon's own vertices and the
     triangles partition the polygon exactly.  A SimplePolygon is strictly
-    simple, so the ear scan never stalls on it (see _ear_clip).
+    simple, so the ear clip never stalls on it (see _ear_clip).
     """
-    return [tuple.__new__(SimplePolygon, tri) for tri in _ear_clip(p)]
+    return [tuple.__new__(SimplePolygon, tri) for tri in _ear_clip(p, True)]
 
 
 def overlap_area(a: SimplePolygon, b: SimplePolygon) -> int | Fraction:

@@ -500,8 +500,14 @@ def configuration_from_json(obj) -> NamedConfiguration:
 
 
 def target_to_json(nt: NamedTarget, approx: bool = False) -> dict:
+    """A target's JSON object.  Data that is neither a Polyomino nor a
+    SimplePolygon is a FigureError: target_from_json could not read it."""
     if nt.kind == "polyomino":
         data = cells_to_json(nt.data)
+    elif not isinstance(nt.data, SimplePolygon):
+        raise FigureError(
+            f"target {nt.name!r} is not a SimplePolygon or a Polyomino: {type(nt.data).__name__}"
+        )
     else:
         encode = float if approx else rational_to_json
         data = [[encode(x), encode(y)] for x, y in nt.data]

@@ -27,9 +27,10 @@ float; callers compare doubled areas, or halve an exact one as
   that their extents share.  The pairs come in lexicographic order.
   The cross form sweeps two lists as one and keeps the pairs that join
   them.
-- Convex parts: a polygon is split once per call, into itself when it
-  is convex and into its ear-clip triangles otherwise.  Parts live in
-  the caller's lists, so nothing is cached across calls.
+- Convex parts: a polygon is split once per call, after each point
+  equal to the one before it is dropped, into itself when it is convex
+  and into its ear-clip triangles otherwise.  Parts live in the
+  caller's lists, so nothing is cached across calls.
 - Narrow phase: one loop clips every part pair whose boxes overlap and
   returns the list of fragments with their doubled areas, so area sums
   measure each raw clip once.  Each clip is a plain Sutherland-Hodgman
@@ -56,15 +57,23 @@ def convex_parts(pts) -> list[tuple[list, tuple]]:
     """(part, bounding box) for each convex part of a ccw simple polygon:
     the polygon itself when convex, else its ear-clip triangles.  A
     polygon collapsed to zero area, as a zero (cos, sin) leaves one, has
-    no parts.  When the ear scan finds no ear, InvalidPolygon is raised:
+    no parts.  When the ear clip finds no ear, InvalidPolygon is raised:
     an exact polygon is then not simple, and a float one may have lost
-    its simplicity to rounding."""
-    if len(pts) == 3 or _is_convex(pts):
-        parts = [list(pts)]
+    its simplicity to rounding.
+
+    A point equal to the one before it, as rounding leaves in placed
+    float pieces, is dropped first: it adds a zero-length edge, whose
+    shoelace term is exactly 0, and a straight vertex that could stall
+    the ear clip."""
+    pts = [p for k, p in enumerate(pts) if p != pts[k - 1]]
+    if len(pts) < 3:
+        parts = []  # a point or a segment is left
+    elif len(pts) == 3 or _is_convex(pts):
+        parts = [pts]
     elif _signed_area2(pts) == 0:
         parts = []
     else:
-        parts = [list(t) for t in _ear_clip(list(pts))]
+        parts = [list(t) for t in _ear_clip(pts)]
     return [(part, _bbox(part)) for part in parts]
 
 

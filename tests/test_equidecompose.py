@@ -281,26 +281,26 @@ def _rational_simple_polygons(draw):
 # out, since libm may differ across platforms
 CHART_DIGESTS = {
     "square2-vs-triangle": "ac0bb39ab804eb74",
-    "random-0": "a9d46f3ba58d0785",
-    "random-1": "db4a44682e961d0d",
-    "random-2": "b133b5b6cd40e513",
-    "random-3": "0696e775c3d9b455",
-    "random-4": "c6509b45fa2e894f",
-    "random-5": "94e7cfe07062319a",
-    "random-6": "6915eee6bf1a1a11",
-    "random-7": "4b697c91f76797f4",
-    "random-8": "a0602237d3179ec5",
-    "random-9": "2893470729b67b4e",
-    "random-10": "9935f24837be0f55",
-    "random-11": "5dc7a41bb63a6030",
-    "random-12": "3de59b16d3c3d759",
-    "random-13": "208b879527c29e56",
-    "random-14": "5e6409d2393c7e79",
-    "random-15": "8e1a5cf842e8006d",
-    "random-16": "9f5a54b27e678587",
-    "random-17": "bdf512409cdc8260",
-    "random-18": "2352c35c0522f251",
-    "random-19": "50d22b6e4d553b81",
+    "random-0": "7c7b3b791e51d18d",
+    "random-1": "f5ad0612baf65f5e",
+    "random-2": "d320d0c62a227155",
+    "random-3": "3451e4b6f27570fa",
+    "random-4": "6e3b4637989e1da4",
+    "random-5": "6405a9128dc54f05",
+    "random-6": "aab599cf5ae260f6",
+    "random-7": "cf9c643c39c0e3df",
+    "random-8": "18c186bd48495bd1",
+    "random-9": "2f8cba66ceed618a",
+    "random-10": "6417b8fb212b52ea",
+    "random-11": "1e88cf153335644b",
+    "random-12": "c266dc6adee76271",
+    "random-13": "e7d65a3d3928fb8a",
+    "random-14": "ef2fb80aa508af43",
+    "random-15": "f090a90ef7ae6990",
+    "random-16": "c5019379859f81f1",
+    "random-17": "9f3f394e8f5b046c",
+    "random-18": "b277bf7eee1ad0e8",
+    "random-19": "02ed8473a64c6d39",
 }
 
 
@@ -415,18 +415,18 @@ class TestVerifyChart:
         assert not verify_chart(chart, 1e-9).accepted
 
 
-    def test_piece_without_convex_parts_is_a_failed_check(self):
-        # a real overlay fragment with a repeated and a near-collinear
-        # vertex, which is not convex and whose ear clip finds no diagonal
+    @staticmethod
+    def _mutual_doc():
         a = polygon([(0, 0), (2, 0), (0, 2)])
         b = polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
         mutual = overlay_charts(polygon_to_canonical_chart(a, 1), polygon_to_canonical_chart(b, 1))
-        doc = json.loads(json.dumps(chart_to_json(mutual)))
-        doc["pieces"][0] = [
-            [14.853721676955601, 2.233511419525946], [14.853721676955601, 2.233511419525946],
-            [14.853721676955598, 2.2335114195259593], [14.843227578762855, 2.318130653947557],
-            [14.838406400604622, 2.3178649197183634],
-        ]
+        return json.loads(json.dumps(chart_to_json(mutual)))
+
+    def test_piece_without_convex_parts_is_a_failed_check(self):
+        # a triangle with a spike that runs up x = 1 and back down through
+        # it: not simple, so its ear clip finds no ear in either frame
+        doc = self._mutual_doc()
+        doc["pieces"][0] = [[2.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 0.0], [0.0, 0.0]]
         report = verify_chart(chart_from_json(doc), 1e-9)
         assert not report.accepted
         split = "piece 0 cannot be cut into convex parts"
@@ -435,6 +435,21 @@ class TestVerifyChart:
             "SourceDisjoint", "TargetOverlap"
         }
         assert {"SourceArea", "TargetArea"} <= failed_checks(report)
+
+    def test_repeated_point_is_dropped_before_the_split(self):
+        # a real overlay fragment with a repeated and a near-collinear
+        # vertex: with the repeat its ear clip finds no ear, and without
+        # it the piece is cut into parts and fails as a foreign piece
+        doc = self._mutual_doc()
+        doc["pieces"][0] = [
+            [14.853721676955601, 2.233511419525946], [14.853721676955601, 2.233511419525946],
+            [14.853721676955598, 2.2335114195259593], [14.843227578762855, 2.318130653947557],
+            [14.838406400604622, 2.3178649197183634],
+        ]
+        report = verify_chart(chart_from_json(doc), 1e-9)
+        assert not report.accepted
+        assert not any("cannot be cut" in text for _, text in report.failures)
+        assert {"SourceContainment", "SourceArea", "TargetArea"} <= failed_checks(report)
 
 
 class TestChartJson:

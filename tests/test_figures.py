@@ -392,6 +392,16 @@ class TestHdj:
         save_hdj(tmp_path / "t.hdj", doc)
         assert load_hdj(tmp_path / "t.hdj") == doc
 
+    def test_target_that_is_not_a_polygon_or_polyomino_is_not_written(self, tmp_path):
+        # a plain frozenset of cells was written as a "polygon" that
+        # load_hdj then rejected
+        target = NamedTarget("t", frozenset({(0, 0), (1, 0)}))
+        doc = HdjFile(HingedFigure((UNIT_SQUARE,), ()), [], [target])
+        with pytest.raises(FigureError, match="^target 't' is not a SimplePolygon or a Polyomino: "
+                                              "frozenset$"):
+            save_hdj(tmp_path / "t.hdj", doc)
+        assert not (tmp_path / "t.hdj").exists()
+
     def test_malformed_document(self):
         with pytest.raises(HdjError):
             hdj_from_json({"not": "hdj"})

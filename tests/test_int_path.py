@@ -10,6 +10,9 @@ mutants, and on polygon targets whose vertices are not integers.  Approx mode is
 way, to a frozen form of the approx verifier that halves each area as it
 is made: verdict, failure texts and the float bits of the total.
 
+The ear clip is held to two slow references: a verbatim copy of the scan
+that its default order replaced, and a rescan for its fattest order.
+
 The properties check that the tuple core and the overlap engine keep int
 coordinates exact: every value they return is an int or a Fraction, never
 a float, and equals the same computation on Fraction inputs.
@@ -37,6 +40,7 @@ from chainfold.equidecompose import (
 )
 from chainfold.exact_geom import (
     IDENTITY_MOTION,
+    InvalidPolygon,
     Point2,
     RigidMotion,
     SimplePolygon,
@@ -46,6 +50,7 @@ from chainfold.exact_geom import (
     _convex_clip,
     _ear_clip,
     _orient,
+    _point_in_triangle_closed,
     _signed_area2,
     apply_motion,
     point,
@@ -736,16 +741,153 @@ def unit_edge_outlines(draw):
     return loop
 
 
+def _scan_ear_clip(pts):
+    """The ear clip before incremental ear status, verbatim: the reference
+    for _ear_clip's default order.  It restarts its scan from vertex 0
+    after each ear, so its worst case is cubic."""
+    verts = list(pts)
+    triangles = []
+    while len(verts) > 3:
+        n = len(verts)
+        clipped = False
+        for i in range(n):
+            prv = verts[(i - 1) % n]
+            cur = verts[i]
+            nxt = verts[(i + 1) % n]
+            if _orient(prv, cur, nxt) <= 0:
+                continue
+            ear = (prv, cur, nxt)
+            blocked = False
+            for v in verts:
+                if v is prv or v is cur or v is nxt:
+                    continue
+                if v == prv or v == cur or v == nxt:
+                    continue
+                if _point_in_triangle_closed(ear, v):
+                    blocked = True
+                    break
+            if blocked:
+                continue
+            triangles.append(ear)
+            del verts[i]
+            clipped = True
+            break
+        if not clipped:
+            raise InvalidPolygon("no diagonal found; polygon is not simple")
+    triangles.append(tuple(verts))
+    return triangles
+
+
+def _rescan_fattest(pts):
+    """The reference for _ear_clip's fattest order: after each clip, test
+    every vertex against all the others, and clip the ear of largest
+    doubled area over squared longest side, the first of equal ones."""
+    verts = list(pts)
+    triangles = []
+    while len(verts) > 3:
+        n = len(verts)
+        best = None
+        for i in range(n):
+            ear = verts[i - 1], verts[i], verts[(i + 1) % n]
+            area2 = _orient(*ear)
+            if area2 <= 0 or any(
+                v not in ear and _point_in_triangle_closed(ear, v) for v in verts
+            ):
+                continue
+            side2 = max((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+                        for p, q in zip(ear, ear[1:] + ear[:1]))
+            if best is None or Fraction(area2, side2) > best[0]:
+                best = Fraction(area2, side2), i, ear
+        if best is None:
+            raise InvalidPolygon("no diagonal found; polygon is not simple")
+        triangles.append(best[2])
+        del verts[best[1]]
+    triangles.append(tuple(verts))
+    return triangles
+
+
+def _clip_outcome(clip, *args):
+    """The triangles of clip(*args), or the text of its stall."""
+    try:
+        return clip(*args)
+    except InvalidPolygon as exc:
+        return str(exc)
+
+
+def _turned(pts, angle, dx, dy):
+    """The points turned by angle and shifted by (dx, dy), in floats."""
+    c, s = math.cos(angle), math.sin(angle)
+    return [(c * float(x) - s * float(y) + dx, s * float(x) + c * float(y) + dy)
+            for x, y in pts]
+
+
+def comb(teeth):
+    """A comb of 4 * teeth + 2 int vertices, built unchecked: the base
+    [0, 2 * teeth] x [0, 1] with a unit tooth on every other unit of its
+    top edge.  A scan that restarts after each ear takes cubic time on
+    it."""
+    pts = [(0, 0)]
+    for k in reversed(range(teeth)):
+        pts += [(2 * k + 2, 1), (2 * k + 2, 2), (2 * k + 1, 2), (2 * k + 1, 1)]
+    pts[1] = (2 * teeth, 0)  # the last tooth's right side runs down to the base
+    pts.append((0, 1))
+    return tuple.__new__(SimplePolygon, [Point2(x, y) for x, y in pts])
+
+
+_shifts = st.floats(-100, 100)
+_angles = st.floats(0, 2 * math.pi)
+# lattice points in any order: mostly not simple, often with repeats
+_lattice_lists = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=4, max_size=9)
+
+
 class TestEarClip:
     @settings(max_examples=300)
     @given(st.one_of(straight_vertex_polygons(), unit_edge_outlines()))
     def test_no_stall_on_straight_vertices(self, pts):
         # the no-stall argument of _ear_clip's docstring, where straight
-        # vertices could break it
-        tris = _ear_clip(pts)
-        assert len(tris) == len(pts) - 2
-        assert all(_orient(*t) > 0 for t in tris)
-        assert sum(_signed_area2(t) for t in tris) == _signed_area2(pts)
+        # vertices could break it; it holds for either order
+        for fattest in (False, True):
+            tris = _ear_clip(pts, fattest)
+            assert len(tris) == len(pts) - 2
+            assert all(_orient(*t) > 0 for t in tris)
+            assert sum(_signed_area2(t) for t in tris) == _signed_area2(pts)
+
+    @settings(max_examples=500)
+    @given(st.one_of(straight_vertex_polygons(), unit_edge_outlines()), _angles, _shifts, _shifts)
+    def test_default_order_is_the_scan(self, pts, angle, dx, dy):
+        # exact, and turned in floats, where rounding can stall both
+        assert _ear_clip(pts) == _scan_ear_clip(pts)
+        turned = _turned(pts, angle, dx, dy)
+        assert _clip_outcome(_ear_clip, turned) == _clip_outcome(_scan_ear_clip, turned)
+
+    @settings(max_examples=500)
+    @given(_lattice_lists, _angles, _shifts, _shifts)
+    def test_default_order_stalls_as_the_scan(self, pts, angle, dx, dy):
+        for poly in (pts, _turned(pts, angle, dx, dy)):
+            assert _clip_outcome(_ear_clip, poly) == _clip_outcome(_scan_ear_clip, poly)
+
+    @settings(max_examples=300)
+    @given(st.one_of(straight_vertex_polygons(), unit_edge_outlines(), _lattice_lists))
+    def test_fattest_order_is_the_rescan(self, pts):
+        assert _clip_outcome(_ear_clip, pts, True) == _clip_outcome(_rescan_fattest, pts)
+
+    @pytest.mark.parametrize("fattest", [False, True], ids=["default", "fattest"])
+    def test_comb_work_is_bounded(self, monkeypatch, fattest):
+        # the scan made 2,002,496 triangle tests on this comb
+        calls = 0
+        test = exact_geom._point_in_triangle_closed
+
+        def counted(tri, p):
+            nonlocal calls
+            calls += 1
+            return test(tri, p)
+
+        p = comb(500)
+        monkeypatch.setattr(exact_geom, "_point_in_triangle_closed", counted)
+        tris = _ear_clip(p, fattest)
+        assert len(p) == 2002 and len(tris) == 2000
+        assert sum(_signed_area2(t) for t in tris) == _signed_area2(p)
+        assert calls <= 100_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,16 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainfold.exact_geom import _bboxes_interiors_overlap, _signed_area2
+from chainfold.exact_geom import (
+    InvalidPolygon,
+    _bbox,
+    _bboxes_interiors_overlap,
+    _ear_clip,
+    _signed_area2,
+)
 from chainfold.overlap import (
     cell_bounds,
     convex_parts,
@@ -155,6 +162,18 @@ class TestPartsAndNarrowPhase:
         parts = convex_parts(L_HEXAGON)
         assert len(parts) == 4
         assert all(len(part) == 3 for part, _ in parts)
+
+    def test_repeated_points_are_dropped(self):
+        # a fragment of the random-18 chart as placed, its first and its
+        # last point each given twice; as given, the ear clip finds no ear
+        a = (44.00000000000001, 1.999999999999992)
+        b = (44.00000000000001, 1.5)
+        c = (44.022680412371145, 1.5010309278350515)
+        with pytest.raises(InvalidPolygon):
+            _ear_clip([a, a, b, c, c])
+        assert convex_parts([a, a, b, c, c]) == [([a, b, c], _bbox([a, b, c]))]
+        assert _signed_area2([a, a, b, c, c]) == _signed_area2([a, b, c])
+        assert convex_parts([a] * 4) == []  # a piece collapsed to one point
 
     def test_exact_overlap_stays_rational(self):
         shifted = [(x + Fraction(1, 3), y + 1) for x, y in L_HEXAGON]
