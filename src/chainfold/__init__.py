@@ -3,23 +3,17 @@ classical polygon equidecomposition, exact verification, and SVG output."""
 
 from .exact_geom import (
     Point2,
-    Rational,
     RigidMotion,
     SimplePolygon,
     apply_motion,
-    convex_clip,
-    interiors_overlap,
-    motion_between_segments,
     point,
     polygon,
     polygon_area,
-    polygon_contains,
     triangulate_simple,
 )
 from .polyomino import (
     Cell,
     Polyomino,
-    boundary_polygon,
     dual_spanning_tree,
     parse_grid,
     random_polyomino,
@@ -39,7 +33,6 @@ from .chain import (
     dissect_pair,
     fold_chain,
     load_sample_shape,
-    splice_step,
 )
 from .equidecompose import (
     DissectionChart,

@@ -90,51 +90,6 @@ def _halves(cell: Cell, u: GridPoint) -> tuple[PlacedTriangle, PlacedTriangle]:
     return PlacedTriangle(x_corner, u_star, u), PlacedTriangle(y_corner, u, u_star)
 
 
-class PartialFold(NamedTuple):
-    """Cyclic sequence of placed triangles built so far.
-
-    Hinge i sits between triangles i and i+1 (mod length) at the point
-    triangles[i].base_u, which always equals triangles[i+1].base_v.
-    """
-
-    triangles: tuple[PlacedTriangle, ...]
-    occupied: frozenset[Cell]
-
-    def hinge_point(self, index: int) -> GridPoint:
-        return self.triangles[index].base_u
-
-
-def base_fold(root: Cell) -> PartialFold:
-    """Two complementary triangles across the root cell's anti-diagonal.
-
-    Hinges end up at the lattice points (x+1, y) and (x, y+1).
-    """
-    x, y = root
-    sw = PlacedTriangle((x, y), (x + 1, y), (x, y + 1))
-    ne = PlacedTriangle((x + 1, y + 1), (x, y + 1), (x + 1, y))
-    return PartialFold((sw, ne), frozenset([root]))
-
-
-def splice_step(state: PartialFold, hinge_index: int, cell: Cell) -> PartialFold:
-    """Insert the two halves of a new cell at an existing hinge.
-
-    The hinge at point u is replaced by two hinges at u with the new
-    pieces X (base u* -> u) and Y (base u -> u*) between them, where u*
-    is the corner of the cell diagonally opposite u.  The cycle grows by
-    two and every previously existing hinge point survives.
-
-    This is the reference form of one step of fold_chain, which makes
-    the same splices on a linked cycle.
-    """
-    if not (0 <= hinge_index < len(state.triangles)):
-        raise BadSplice(f"hinge index {hinge_index} out of range")
-    u = state.hinge_point(hinge_index)
-    _check_splice(state.occupied, cell, u)
-    tris = list(state.triangles)
-    tris[hinge_index + 1 : hinge_index + 1] = _halves(cell, u)
-    return PartialFold(tuple(tris), state.occupied | {cell})
-
-
 class _InsertionOrder:
     """A list grown only by inserting after a node, ordered by its
     insertion tree: a node's parent is the node it was inserted after.
@@ -205,18 +160,20 @@ def fold_chain(p: Polyomino) -> FoldResult:
     to the list nodes of its hinges.  Hinges tied at one point are
     ordered at their common ancestor in the list's insertion tree, in
     O(log n) steps, so a cell costs O(1) without a tie and O(log n) with
-    one, and the fold O(n log n) at worst.  It makes the same splices,
-    with the same checks, as base_fold and splice_step.
+    one, and the fold O(n log n) at worst.  The cycle starts as the root
+    cell's two halves across its anti-diagonal, spliced at its corner
+    (x, y + 1), with hinges at (x + 1, y) and (x, y + 1).
     """
     tree = dual_spanning_tree(p)
-    triangles = list(base_fold(tree.root).triangles)
-    cells = [tree.root, tree.root]
+    root = tree.root
+    triangles = list(_halves(root, (root.x, root.y + 1)))
+    cells = [root, root]
     order = _InsertionOrder()
     order.insert_after(0)  # node 1, the root's NE half
     hinges: dict[GridPoint, list[int]] = {}  # point -> nodes whose hinge is there
     for node, t in enumerate(triangles):
         hinges.setdefault(t.base_u, []).append(node)
-    occupied = {tree.root}
+    occupied = {root}
     for cell, _, edge in tree.entries:
         for endpoint in edge:  # edge endpoints arrive lexicographically sorted
             at = hinges.get(endpoint)
@@ -268,12 +225,12 @@ def dissect_pair(a: Polyomino, b: Polyomino) -> HingedDissection:
 
 
 def load_sample_shape(name: str) -> Polyomino:
-    """64-cell glyph polyomino from the shipped corpus."""
+    """64-cell glyph polyomino from the shipped corpus, named by the stem
+    of its assets/glyphs/*.txt file; any other name is an UnknownShape."""
     from importlib import resources  # loaded on first use, not with the package
 
-    path = resources.files("chainfold") / "assets" / "glyphs" / f"{name}.txt"
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (FileNotFoundError, ValueError) as exc:
-        raise UnknownShape(f"no shipped glyph named {name!r}") from exc
-    return parse_grid(text)
+    glyphs = resources.files("chainfold") / "assets" / "glyphs"
+    file = f"{name}.txt"
+    if file not in {entry.name for entry in glyphs.iterdir()}:
+        raise UnknownShape(f"no shipped glyph named {name!r}")
+    return parse_grid((glyphs / file).read_text(encoding="utf-8"))

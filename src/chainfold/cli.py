@@ -4,7 +4,9 @@ Exit codes: 0 success/accepted, 1 verification rejected, 2 invalid
 input or an unwritable output, 3 internal error.  Failure detail goes
 to stderr; reports go to stdout.  Every artifact written here is
 verified before it is written, and is written through a temporary file,
-so a failed run leaves no partial file behind.
+so a failed run leaves no partial file behind.  A command with two
+outputs opens both temporary files before it replaces either, so a run
+that cannot open the second leaves the first as it found it.
 """
 
 from __future__ import annotations
@@ -79,12 +81,14 @@ def _fold_document(p: Polyomino) -> HdjFile:
 
 def _save(args, doc: HdjFile) -> None:
     """Write the document to --out and, given --svg, its first configuration
-    rendered; rendered first, so a render that fails leaves no file behind."""
-    svg = args.svg and render_config(doc.figure, doc.configurations[0].configuration)
-    save_hdj(args.out, doc)
-    if args.svg:
-        with atomic_output(args.svg) as fh:
-            fh.write(svg)
+    rendered; the SVG's file is opened first, since save_hdj opens its own."""
+    if not args.svg:
+        save_hdj(args.out, doc)
+        return
+    svg = render_config(doc.figure, doc.configurations[0].configuration)
+    with atomic_output(args.svg) as fh:
+        fh.write(svg)
+        save_hdj(args.out, doc)
 
 
 def cmd_fold(args) -> int:
@@ -181,15 +185,15 @@ def cmd_animate(args) -> int:
             return EXIT_REJECTED
         with atomic_output(args.out) as fh:
             fh.write(render_animation(samples, figure=doc.figure))
-        if args.report_overlaps:
-            # motion_report_json(samples), one frame per line: json.dumps of
-            # a frame runs the C encoder, json.dump with indent the Python one
-            with atomic_output(args.report_overlaps) as fh:
-                sep = '{"frames": [\n'
-                for s in samples:
-                    fh.write(sep + json.dumps(motion_frame_json(s)))
-                    sep = ",\n"
-                fh.write("\n]}\n")
+            if args.report_overlaps:
+                # motion_report_json(samples), one frame per line: json.dumps of
+                # a frame runs the C encoder, json.dump with indent the Python one
+                with atomic_output(args.report_overlaps) as report:
+                    sep = '{"frames": [\n'
+                    for s in samples:
+                        report.write(sep + json.dumps(motion_frame_json(s)))
+                        sep = ",\n"
+                    report.write("\n]}\n")
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     worst = max((o[2] for s in samples for o in s.overlaps), default=0.0)
@@ -233,9 +237,9 @@ def cmd_bg(args) -> int:
         with atomic_output(args.out) as fh:
             write_json(chart_to_json(mutual), fh)
             fh.write("\n")
-        if args.svg:
-            with atomic_output(args.svg) as fh:
-                fh.write(render_chart(mutual))
+            if args.svg:
+                with atomic_output(args.svg) as svg:
+                    svg.write(render_chart(mutual))
     except OSError as exc:
         return _fail(str(exc))
     print(f"wrote {args.out}: {len(mutual.pieces)} pieces, verified at {CHART_TOLERANCE:g}")

@@ -29,23 +29,9 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, NamedTuple
 
-Rational = Fraction
-
 
 class GeometryError(ValueError):
     """Base class for geometry kernel errors."""
-
-
-class LengthMismatch(GeometryError):
-    """Segments of different squared length cannot be matched by an isometry."""
-
-
-class DegenerateSegment(GeometryError):
-    """A zero-length segment does not determine a motion."""
-
-
-class NotConvex(GeometryError):
-    """Operation requires convex input."""
 
 
 class InvalidPolygon(GeometryError):
@@ -171,10 +157,6 @@ class RigidMotion(NamedTuple):
 IDENTITY_MOTION = RigidMotion(1, 0, Point2(0, 0))
 
 
-def motion(cos, sin, tx, ty) -> RigidMotion:
-    return RigidMotion(rat(cos), rat(sin), point(tx, ty))
-
-
 def apply_motion(m: RigidMotion, p: Point2) -> Point2:
     return Point2(
         m.rot_cos * p.x - m.rot_sin * p.y + m.translate.x,
@@ -186,26 +168,6 @@ def invert_motion(m: RigidMotion) -> RigidMotion:
     c, s = m.rot_cos, m.rot_sin
     t = m.translate
     return RigidMotion(c, -s, Point2(-(c * t.x + s * t.y), -(-s * t.x + c * t.y)))
-
-
-def motion_between_segments(a1: Point2, a2: Point2, b1: Point2, b2: Point2) -> RigidMotion:
-    """Unique proper motion sending a1 to b1 and a2 to b2.
-
-    Exists exactly when the squared lengths agree; the rotation entries are
-    the dot and cross products of the direction vectors divided by the
-    common squared length, hence rational.  Its values come in rat's
-    form: ints where they are integral.
-    """
-    da = a2 - a1
-    db = b2 - b1
-    len_sq = da.norm_sq()
-    if len_sq == 0:
-        raise DegenerateSegment("a1 == a2")
-    if len_sq != db.norm_sq():
-        raise LengthMismatch(f"squared lengths differ: {len_sq} vs {db.norm_sq()}")
-    c = Fraction(da.dot(db), len_sq)
-    s = Fraction(da.cross(db), len_sq)
-    return motion(c, s, b1.x - (c * a1.x - s * a1.y), b1.y - (s * a1.x + c * a1.y))
 
 
 # ---------------------------------------------------------------------------
@@ -653,18 +615,6 @@ def polygon_area(p: SimplePolygon) -> Fraction:
     return Fraction(_signed_area2(p), 2)
 
 
-def convex_clip(a: SimplePolygon, b: SimplePolygon):
-    """Exact intersection of two convex polygons; None when it has no area."""
-    if not _is_convex(a):
-        raise NotConvex("first polygon is not convex")
-    if not _is_convex(b):
-        raise NotConvex("second polygon is not convex")
-    out = _convex_clip(a, b)
-    if not out:
-        return None
-    return tuple.__new__(SimplePolygon, [Point2(x, y) for x, y in out])
-
-
 def triangulate_simple(p: SimplePolygon) -> list[SimplePolygon]:
     """Ear-clipping triangulation into exactly len(p)-2 triangles, the
     fattest ear first: the largest doubled area over squared longest
@@ -677,26 +627,3 @@ def triangulate_simple(p: SimplePolygon) -> list[SimplePolygon]:
     simple, so the ear clip never stalls on it (see _ear_clip).
     """
     return [tuple.__new__(SimplePolygon, tri) for tri in _ear_clip(p, True)]
-
-
-def overlap_area(a: SimplePolygon, b: SimplePolygon) -> int | Fraction:
-    """Exact area of the intersection of two simple polygons."""
-    from .overlap import polygon_overlap  # the engine builds on the tuple core above
-
-    return polygon_overlap(a, b)
-
-
-def interiors_overlap(a: SimplePolygon, b: SimplePolygon) -> bool:
-    """True iff the open interiors intersect; touching along edges is not overlap."""
-    return overlap_area(a, b) > 0
-
-
-def polygon_contains(outer: SimplePolygon, inner: SimplePolygon) -> bool:
-    """True iff inner lies in the closure of outer.
-
-    Both are closed regions, so this holds exactly when the part of inner
-    covered by outer has all of inner's area.
-    """
-    from .overlap import partition_residuals
-
-    return partition_residuals([inner], outer)[2] == [0]

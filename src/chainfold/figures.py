@@ -686,7 +686,8 @@ def atomic_output(path):
 
     Writes go to a temporary file in the same directory, which replaces
     path when the block ends.  If the block raises, the temporary file is
-    removed and any earlier file at path is left untouched.
+    removed and any earlier file at path is left untouched.  An OSError
+    is raised again naming path, unless a nested block has named its own.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
@@ -696,7 +697,7 @@ def atomic_output(path):
     except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
-        if isinstance(exc, OSError):
+        if isinstance(exc, OSError) and exc.__cause__ is None:
             raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from exc
         raise
 

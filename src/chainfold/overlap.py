@@ -2,9 +2,8 @@
 
 Every overlap computation of the package runs through here: the
 partition check that exact and approximate configuration verification
-and both sides of chart verification share, the chart overlay, the
-animation sampler's per-frame overlap report, and the public
-``overlap_area``, ``interiors_overlap`` and ``polygon_contains``.
+and both sides of chart verification share, the chart overlay and the
+animation sampler's per-frame overlap report.
 
 Like the tuple core of ``exact_geom`` it works on ``(x, y)`` tuples and
 never looks at the number type: int and Fraction coordinates give exact

@@ -1,14 +1,11 @@
-"""Polyominoes: grid parsing, validation, dual spanning tree, boundary, random growth."""
+"""Polyominoes: grid parsing, validation, dual spanning tree, random growth."""
 
 from __future__ import annotations
 
 import bisect
 import random
-from collections import Counter
 from itertools import chain, compress, count, repeat
 from typing import Iterable, NamedTuple
-
-from .exact_geom import SimplePolygon, point
 
 
 class PolyominoError(ValueError):
@@ -25,15 +22,6 @@ class Disconnected(PolyominoError):
 
 class BadCharacter(PolyominoError):
     pass
-
-
-class HolePresent(PolyominoError):
-    pass
-
-
-class CornerContact(HolePresent):
-    """Two cells meet only at a corner.  The empty space they pinch off
-    is a hole whose boundary touches the outline at that vertex."""
 
 
 class BadSize(PolyominoError):
@@ -55,8 +43,7 @@ class Polyomino(frozenset):
     """Non-empty, edge-connected set of unit cells: the frozenset of its
     Cells, equal to that set and hashed like it.
 
-    Cells enclosing empty space are legal here; only the outer-boundary
-    construction rejects holes.  Each cell is an (x, y) list or tuple of
+    Cells enclosing empty space are legal.  Each cell is an (x, y) list or tuple of
     ints, not bools, floats or strings, by int_from_json's rule.  A copy
     or an unpickled polyomino is built through the checks.
     """
@@ -176,44 +163,6 @@ def cells_from_json(obj) -> Polyomino:
     if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
         raise BadCharacter("expected an object with a 'cells' array")
     return Polyomino(obj["cells"])
-
-
-def boundary_polygon(p: Polyomino) -> SimplePolygon:
-    """Counterclockwise outer boundary with integer vertices.
-
-    Raises HolePresent when the cells enclose empty space: an enclosed
-    region produces a second boundary cycle.  Its subclass CornerContact
-    is raised when two cells meet only at a corner, where the outline
-    would leave one vertex along two edges.
-    """
-    # directed boundary edges with the owning cell on the left
-    pairs = []
-    for cx, cy in p:
-        if Cell(cx, cy - 1) not in p:
-            pairs.append(((cx, cy), (cx + 1, cy)))
-        if Cell(cx + 1, cy) not in p:
-            pairs.append(((cx + 1, cy), (cx + 1, cy + 1)))
-        if Cell(cx, cy + 1) not in p:
-            pairs.append(((cx + 1, cy + 1), (cx, cy + 1)))
-        if Cell(cx - 1, cy) not in p:
-            pairs.append(((cx, cy + 1), (cx, cy)))
-    edges = dict(pairs)
-    if len(edges) < len(pairs):
-        starts = Counter(v for v, _ in pairs)
-        x, y = min(v for v, k in starts.items() if k > 1)
-        raise CornerContact(f"cells meet only at the corner ({x}, {y}); the outline is not simple")
-    start = min(edges)
-    loop = [start]
-    cur = edges.pop(start)
-    while cur != start:
-        loop.append(cur)
-        cur = edges.pop(cur)
-    if edges:
-        raise HolePresent("cell set encloses empty space")
-    # rotate so the lexicographically smallest vertex comes first
-    k = loop.index(min(loop))
-    loop = loop[k:] + loop[:k]
-    return SimplePolygon([point(x, y) for x, y in loop])
 
 
 class TreeEntry(NamedTuple):

@@ -6,6 +6,7 @@ import importlib
 import itertools
 import pkgutil
 import random
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
@@ -14,7 +15,7 @@ from hypothesis import settings
 import chainfold
 from chainfold.chain import PlacedTriangle
 from chainfold.exact_geom import Point2, SimplePolygon, polygon, polygon_area
-from chainfold.polyomino import Polyomino, boundary_polygon, random_polyomino
+from chainfold.polyomino import Cell, Polyomino, PolyominoError, random_polyomino
 
 # Every run draws the same examples (derandomize also turns the example
 # database off), and wall-clock jitter cannot fail a property test.
@@ -111,6 +112,52 @@ def enumerate_half_square_cycles(p: Polyomino) -> set:
             if ok:
                 found.add(canonical_cycle(list(cycle)))
     return found
+
+
+class HolePresent(PolyominoError):
+    pass
+
+
+class CornerContact(HolePresent):
+    """Two cells meet only at a corner.  The empty space they pinch off
+    is a hole whose boundary touches the outline at that vertex."""
+
+
+def boundary_polygon(p: Polyomino) -> SimplePolygon:
+    """Counterclockwise outer boundary with integer vertices.
+
+    Raises HolePresent when the cells enclose empty space: an enclosed
+    region produces a second boundary cycle.  Its subclass CornerContact
+    is raised when two cells meet only at a corner, where the outline
+    would leave one vertex along two edges.
+    """
+    # directed boundary edges with the owning cell on the left
+    pairs = []
+    for cx, cy in p:
+        if Cell(cx, cy - 1) not in p:
+            pairs.append(((cx, cy), (cx + 1, cy)))
+        if Cell(cx + 1, cy) not in p:
+            pairs.append(((cx + 1, cy), (cx + 1, cy + 1)))
+        if Cell(cx, cy + 1) not in p:
+            pairs.append(((cx + 1, cy + 1), (cx, cy + 1)))
+        if Cell(cx - 1, cy) not in p:
+            pairs.append(((cx, cy + 1), (cx, cy)))
+    edges = dict(pairs)
+    if len(edges) < len(pairs):
+        starts = Counter(v for v, _ in pairs)
+        x, y = min(v for v, k in starts.items() if k > 1)
+        raise CornerContact(f"cells meet only at the corner ({x}, {y}); the outline is not simple")
+    start = min(edges)
+    loop = [start]
+    cur = edges.pop(start)
+    while cur != start:
+        loop.append(cur)
+        cur = edges.pop(cur)
+    if edges:
+        raise HolePresent("cell set encloses empty space")
+    # rotate so the lexicographically smallest vertex comes first
+    k = loop.index(min(loop))
+    return polygon(loop[k:] + loop[:k])
 
 
 def rational_convex_hull(points) -> SimplePolygon:

@@ -1,4 +1,5 @@
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
@@ -9,12 +10,12 @@ from chainfold.chain import (
     BadSplice,
     PlacedTriangle,
     UnknownShape,
+    _check_splice,
+    _halves,
     _InsertionOrder,
-    base_fold,
     dissect_pair,
     fold_chain,
     load_sample_shape,
-    splice_step,
 )
 from chainfold.exact_geom import apply_motion, point
 from chainfold.figures import (
@@ -26,7 +27,36 @@ from chainfold.figures import (
     verify_configuration,
 )
 from chainfold.polyomino import Cell, dual_spanning_tree, parse_grid, random_polyomino
-from conftest import TETROMINO_GRIDS, canonical_cycle, enumerate_half_square_cycles, glyph_names
+from conftest import TETROMINO_GRIDS, HolePresent, boundary_polygon, canonical_cycle
+from conftest import cell_split_triangles, enumerate_half_square_cycles, glyph_names
+
+
+class PartialFold(NamedTuple):
+    """Cyclic sequence of placed triangles built so far.  Hinge i sits
+    between triangles i and i+1 (mod length) at triangles[i].base_u."""
+
+    triangles: tuple[PlacedTriangle, ...]
+    occupied: frozenset[Cell]
+
+
+def base_fold(root: Cell) -> PartialFold:
+    """The root cell's two halves across its anti-diagonal, with hinges
+    at (x+1, y) and (x, y+1): the cycle fold_chain starts from."""
+    return PartialFold(cell_split_triangles(root, 0), frozenset([root]))
+
+
+def splice_step(state: PartialFold, hinge_index: int, cell: Cell) -> PartialFold:
+    """Insert the two halves of a new cell at an existing hinge, as one
+    step of fold_chain does on its linked cycle: the reference the fold
+    is held to.  The hinge at u becomes two hinges at u with the halves
+    between them; the cycle grows by two and no hinge point is lost."""
+    if not (0 <= hinge_index < len(state.triangles)):
+        raise BadSplice(f"hinge index {hinge_index} out of range")
+    u = state.triangles[hinge_index].base_u
+    _check_splice(state.occupied, cell, u)
+    tris = list(state.triangles)
+    tris[hinge_index + 1 : hinge_index + 1] = _halves(cell, u)
+    return PartialFold(tuple(tris), state.occupied | {cell})
 
 
 def hinge_occurrences(state, pt) -> list[int]:
@@ -54,7 +84,7 @@ def reference_fold(p, ties=None):
     for step, entry in enumerate(tree.entries, 1):
         hinge = pick_hinge(state, entry.edge)
         if ties is not None:
-            at = hinge_occurrences(state, state.hinge_point(hinge))
+            at = hinge_occurrences(state, state.triangles[hinge].base_u)
             if len(at) > 1:
                 first = min(at, key=lambda i: born[state.triangles[i]])
                 ties.append((len(at), first != hinge))
@@ -363,8 +393,6 @@ class TestSampleShapes:
         assert len(fr.figure.pieces) == 128
 
     def test_o_glyph_has_hole_and_still_folds(self):
-        from chainfold.polyomino import HolePresent, boundary_polygon
-
         o = load_sample_shape("O")
         with pytest.raises(HolePresent):
             boundary_polygon(o)
@@ -372,5 +400,7 @@ class TestSampleShapes:
         assert verify_configuration(fr.figure, fr.config, o).accepted
 
     def test_unknown_shape(self):
-        with pytest.raises(UnknownShape):
-            load_sample_shape("?")
+        # only the stem of a shipped assets/glyphs/*.txt file names a glyph
+        for name in ("?", "../glyphs/I", "I.txt", "", "I\0"):
+            with pytest.raises(UnknownShape):
+                load_sample_shape(name)

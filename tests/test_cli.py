@@ -595,6 +595,21 @@ class TestUnwritableOutput:
         assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, option", [
+    ("fold", "--svg"), ("dissect", "--svg"), ("bg", "--svg"), ("animate", "--report-overlaps"),
+])
+def test_a_second_output_that_cannot_be_written_leaves_the_first_as_it_was(
+        workdir, capsys, command, option):
+    out, second = workdir / "first", workdir / "missing" / "second"
+    out.write_bytes(b"earlier\n")
+    argv = _UNWRITABLE_COMMANDS[command](workdir, str(out))
+    before = set(workdir.iterdir())
+    assert main([*argv, option, str(second)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] cannot write {second}: No such file or directory\n"
+    assert out.read_bytes() == b"earlier\n"
+    assert set(workdir.iterdir()) == before
+
+
 def _tromino_hdj(workdir):
     """A verified 3-cell fold as a JSON document."""
     grid = workdir / "tromino.txt"

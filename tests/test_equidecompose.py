@@ -33,14 +33,13 @@ from chainfold.exact_geom import (
     _orient,
     _signed_area2,
     apply_motion,
-    interiors_overlap,
-    overlap_area,
     point,
     polygon,
     polygon_area,
 )
 from chainfold.figures import write_json
 from chainfold.numeric import NumericMotion
+from chainfold.overlap import polygon_overlap
 
 from conftest import criterion_8_cases, failed_checks, rational_convex_hull
 
@@ -59,9 +58,9 @@ def assert_exact_partition(pieces, motions, region):
     placed = [[apply_motion(m, v) for v in p] for p, m in zip(pieces, motions)]
     for i in range(len(placed)):
         for j in range(i + 1, len(placed)):
-            assert not interiors_overlap(placed[i], placed[j])
+            assert polygon_overlap(placed[i], placed[j]) == 0
     for q in placed:
-        assert overlap_area(q, region) == polygon_area(q)
+        assert polygon_overlap(q, region) == polygon_area(q)
 
 
 class TestTriangleToRectangle:

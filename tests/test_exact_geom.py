@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -8,30 +9,26 @@ import pytest
 from chainfold import overlap
 from chainfold.exact_geom import (
     RAT_MAX_DIGITS,
-    DegenerateSegment,
     InvalidPolygon,
-    LengthMismatch,
-    NotConvex,
     Point2,
     RigidMotion,
     SimplePolygon,
+    _convex_clip,
     _segments_intersect,
+    _signed_area2,
     apply_motion,
-    convex_clip,
-    interiors_overlap,
     invert_motion,
-    motion,
-    motion_between_segments,
-    overlap_area,
     point,
     polygon,
     polygon_area,
-    polygon_contains,
     rat,
     rational_to_json,
     triangulate_simple,
 )
-from chainfold.polyomino import boundary_polygon, parse_grid
+from chainfold.numeric import apply_numeric, numeric_between_segments
+from chainfold.overlap import partition_residuals, polygon_overlap
+from chainfold.polyomino import parse_grid
+from conftest import boundary_polygon
 
 UNIT_SQUARE = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 L_HEXAGON = polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
@@ -61,16 +58,16 @@ class TestPolygonArea:
 
 class TestApplyMotion:
     def test_identity(self):
-        m = motion(1, 0, 0, 0)
+        m = RigidMotion(1, 0, point(0, 0))
         assert apply_motion(m, point(5, 7)) == point(5, 7)
 
     def test_quarter_turn(self):
-        m = motion(0, 1, 0, 0)
+        m = RigidMotion(0, 1, point(0, 0))
         assert apply_motion(m, point(1, 0)) == point(0, 1)
 
     def test_three_four_five_rotation(self):
         # direct matrix arithmetic: (3/5*5 - 4/5*0 + 1, 4/5*5 + 3/5*0 + 0)
-        m = motion(Fraction(3, 5), Fraction(4, 5), 1, 0)
+        m = RigidMotion(Fraction(3, 5), Fraction(4, 5), point(1, 0))
         assert apply_motion(m, point(5, 0)) == point(4, 4)
 
     def test_preserves_squared_distance(self):
@@ -95,20 +92,21 @@ class TestApplyMotion:
 
 
 class TestMotionBetweenSegments:
+    """numeric_between_segments, the float motion the chart pipeline aligns by."""
+
     def test_quarter_turn(self):
-        m = motion_between_segments(point(0, 0), point(1, 0), point(0, 0), point(0, 1))
-        assert (m.rot_cos, m.rot_sin) == (0, 1)
-        assert m.translate == point(0, 0)
+        m = numeric_between_segments((0, 0), (1, 0), (0, 0), (0, 1))
+        assert m.angle_rad == pytest.approx(math.pi / 2)
+        assert (m.tx, m.ty) == (0, 0)
 
     def test_pure_translation(self):
-        m = motion_between_segments(point(0, 0), point(1, 0), point(2, 3), point(3, 3))
-        assert (m.rot_cos, m.rot_sin) == (1, 0)
-        assert m.translate == point(2, 3)
+        m = numeric_between_segments((0, 0), (1, 0), (2, 3), (3, 3))
+        assert (m.angle_rad, m.tx, m.ty) == (0, 2, 3)
 
     def test_dot_cross_formula(self):
         # cos = a.b/|a|^2 = 15/25, sin = a x b/|a|^2 = 20/25
-        m = motion_between_segments(point(0, 0), point(5, 0), point(0, 0), point(3, 4))
-        assert (m.rot_cos, m.rot_sin) == (Fraction(3, 5), Fraction(4, 5))
+        m = numeric_between_segments((0, 0), (5, 0), (0, 0), (3, 4))
+        assert (math.cos(m.angle_rad), math.sin(m.angle_rad)) == pytest.approx((0.6, 0.8))
 
     def test_round_trip_on_random_segments(self):
         rng = random.Random(40)
@@ -119,43 +117,29 @@ class TestMotionBetweenSegments:
                 continue
             carry = pythagorean_motion(Fraction(rng.randrange(-7, 8), 5), 1, -3)
             b1, b2 = apply_motion(carry, a1), apply_motion(carry, a2)
-            m = motion_between_segments(a1, a2, b1, b2)
-            assert apply_motion(m, a1) == b1
-            assert apply_motion(m, a2) == b2
-            assert m.rot_cos * m.rot_cos + m.rot_sin * m.rot_sin == 1
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            motion_between_segments(point(0, 0), point(1, 0), point(0, 0), point(2, 0))
-
-    def test_degenerate_segment(self):
-        with pytest.raises(DegenerateSegment):
-            motion_between_segments(point(1, 1), point(1, 1), point(0, 0), point(0, 0))
+            m = numeric_between_segments(a1, a2, b1, b2)
+            assert apply_numeric(m, a1) == pytest.approx(b1)
+            assert apply_numeric(m, a2) == pytest.approx(b2)
 
 
 class TestConvexClip:
     def test_identical_squares(self):
-        out = convex_clip(UNIT_SQUARE, UNIT_SQUARE)
-        assert out is not None
-        assert polygon_area(out) == 1
+        out = _convex_clip(UNIT_SQUARE, UNIT_SQUARE)
+        assert _signed_area2(out) == 2
 
     def test_disjoint_squares(self):
         other = polygon([(5, 0), (6, 0), (6, 1), (5, 1)])
-        assert convex_clip(UNIT_SQUARE, other) is None
+        assert _convex_clip(UNIT_SQUARE, other) == []
 
     def test_half_shifted_square(self):
         shifted = polygon([(Fraction(1, 2), 0), (Fraction(3, 2), 0),
                            (Fraction(3, 2), 1), (Fraction(1, 2), 1)])
-        out = convex_clip(UNIT_SQUARE, shifted)
-        assert polygon_area(out) == Fraction(1, 2)
+        out = _convex_clip(UNIT_SQUARE, shifted)
+        assert _signed_area2(out) == 1
 
     def test_touching_edge_is_empty(self):
         neighbor = polygon([(1, 0), (2, 0), (2, 1), (1, 1)])
-        assert convex_clip(UNIT_SQUARE, neighbor) is None
-
-    def test_not_convex_rejected(self):
-        with pytest.raises(NotConvex):
-            convex_clip(L_HEXAGON, UNIT_SQUARE)
+        assert _convex_clip(UNIT_SQUARE, neighbor) == []
 
     def test_area_bound_and_commutativity(self):
         rng = random.Random(3)
@@ -167,47 +151,45 @@ class TestConvexClip:
                 return polygon([(x, y), (x + s, y), (x + s, y + s), (x, y + s)])
 
             a, b = rand_square(), rand_square()
-            ab = convex_clip(a, b)
-            ba = convex_clip(b, a)
-            area_ab = polygon_area(ab) if ab else Fraction(0)
-            area_ba = polygon_area(ba) if ba else Fraction(0)
-            assert area_ab == area_ba
-            assert area_ab <= min(polygon_area(a), polygon_area(b))
+            area_ab = _signed_area2(_convex_clip(a, b))
+            assert area_ab == _signed_area2(_convex_clip(b, a))
+            assert area_ab <= 2 * min(polygon_area(a), polygon_area(b))
 
 
 class TestInteriorsOverlap:
     def test_shared_edge_only(self):
         t1 = polygon([(0, 0), (1, 0), (0, 1)])
         t2 = polygon([(1, 1), (0, 1), (1, 0)])
-        assert not interiors_overlap(t1, t2)
+        assert polygon_overlap(t1, t2) == 0
 
     def test_identical(self):
-        assert interiors_overlap(UNIT_SQUARE, UNIT_SQUARE)
+        assert polygon_overlap(UNIT_SQUARE, UNIT_SQUARE) > 0
 
     def test_diagonal_shift_overlap(self):
         shifted = polygon([(Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 2)),
                            (Fraction(3, 2), Fraction(3, 2)), (Fraction(1, 2), Fraction(3, 2))])
-        assert overlap_area(UNIT_SQUARE, shifted) == Fraction(1, 4)
-        assert interiors_overlap(UNIT_SQUARE, shifted)
+        assert polygon_overlap(UNIT_SQUARE, shifted) == Fraction(1, 4)
 
     def test_nonconvex_inputs(self):
-        assert interiors_overlap(L_HEXAGON, UNIT_SQUARE)
+        assert polygon_overlap(L_HEXAGON, UNIT_SQUARE) > 0
         far = polygon([(10, 10), (11, 10), (10, 11)])
-        assert not interiors_overlap(L_HEXAGON, far)
+        assert polygon_overlap(L_HEXAGON, far) == 0
 
 
 class TestPolygonContains:
+    """Containment as the partition check's residual: no area outside."""
+
     def test_half_triangle_inside_square(self):
         tri = polygon([(0, 0), (1, 0), (0, 1)])
-        assert polygon_contains(UNIT_SQUARE, tri)
+        assert partition_residuals([tri], UNIT_SQUARE)[2] == [0]
 
     def test_poking_triangle(self):
         tri = polygon([(0, 0), (2, 0), (0, 1)])
-        assert not polygon_contains(UNIT_SQUARE, tri)
+        assert partition_residuals([tri], UNIT_SQUARE)[2] != [0]
 
     def test_contains_itself(self):
-        assert polygon_contains(UNIT_SQUARE, UNIT_SQUARE)
-        assert polygon_contains(L_HEXAGON, L_HEXAGON)
+        assert partition_residuals([UNIT_SQUARE], UNIT_SQUARE)[2] == [0]
+        assert partition_residuals([L_HEXAGON], L_HEXAGON)[2] == [0]
 
 
 class TestTriangulate:
@@ -226,7 +208,7 @@ class TestTriangulate:
         assert sum((polygon_area(t) for t in tris), Fraction(0)) == 3
         for i in range(len(tris)):
             for j in range(i + 1, len(tris)):
-                assert not interiors_overlap(tris[i], tris[j])
+                assert polygon_overlap(tris[i], tris[j]) == 0
 
     def test_on_random_polyomino_boundaries(self):
         from chainfold.polyomino import random_polyomino
@@ -243,7 +225,7 @@ class TestTriangulate:
             assert total == polygon_area(outline)
             for i in range(len(tris)):
                 for j in range(i + 1, len(tris)):
-                    assert not interiors_overlap(tris[i], tris[j])
+                    assert polygon_overlap(tris[i], tris[j]) == 0
 
 
 class TestSimplePolygon:
@@ -353,13 +335,6 @@ class TestRatRule:
         with pytest.raises(ValueError, match="digits or an exponent"):
             rat(text)
 
-    def test_motion_between_segments_in_the_same_form(self):
-        m = motion_between_segments(point(0, 0), point(5, 0), point(1, 2), point(4, 6))
-        assert type(m.rot_cos) is Fraction and type(m.rot_sin) is Fraction
-        quarter = motion_between_segments(point(0, 0), point(1, 0), point(2, 3), point(2, 4))
-        values = (quarter.rot_cos, quarter.rot_sin, *quarter.translate)
-        assert values == (0, 1, 2, 3) and {type(v) for v in values} == {int}
-
 
 class TestTupleSemantics:
     """Points and motions are NamedTuples and a polygon is the tuple of its
@@ -397,7 +372,7 @@ class TestTupleSemantics:
         assert (p.x, p.y) == (Fraction(1, 2), 3)
 
     def test_a_motion_unpacks_as_cos_sin_translation(self):
-        cos, sin, (tx, ty) = motion("3/5", "4/5", 1, -2)
+        cos, sin, (tx, ty) = RigidMotion(Fraction(3, 5), Fraction(4, 5), point(1, -2))
         assert (cos, sin, tx, ty) == (Fraction(3, 5), Fraction(4, 5), 1, -2)
 
     def test_point_region_cancels_plain_tuple_piece_edges(self, monkeypatch):

@@ -11,11 +11,15 @@ looks up in a module.
 The reach rule, also by ``ast``: every package module is imported,
 directly or through other modules, by ``__init__.py`` or ``cli.py``;
 every top-level function and class is referenced from the package (as a
-name, an attribute or an imported name, which covers what
-``__init__.py`` exports) or looked up by the bench's tracer; and every
-method and property of a package class, other than a dunder, is
-referenced from the package as an attribute or an imported name, or
-read as an attribute by the tracer.
+name, an attribute or an imported name) or looked up by the bench's
+tracer; every name ``__init__.py`` exports is referenced from a package
+module other than ``__init__``, looked up by the tracer or given a
+reason in REACH_ALLOWED; and every method and property of a package
+class, other than a dunder, is referenced from the package as an
+attribute or an imported name, or read as an attribute by the tracer.
+
+The layering rule: no package import is made inside a function, and
+the module import graph has no cycle.
 """
 
 import ast
@@ -84,6 +88,7 @@ REACH_ALLOWED = {
     ("equidecompose", "chart_from_json"): "the chart reader; the roadmap gives it a CLI caller",
     ("kinematics", "pose_placements"): "forward kinematics, which tests hold sample_motion to",
     ("kinematics", "motion_report_json"): "the report value, which tests hold the CLI's file to",
+    ("chain", "load_sample_shape"): "the library's one reader of the shipped glyph corpus",
 }
 
 
@@ -95,14 +100,19 @@ def _package_trees() -> dict:
     return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
 
 
-def unreached_modules(trees: dict) -> list[str]:
-    """Package modules that neither __init__ nor cli imports, even indirectly
+def import_graph(trees: dict) -> dict[str, set[str]]:
+    """The package modules each package module imports, anywhere in it
     (the package imports its own modules as ``from .module import ...``)."""
-    imports = {
+    return {
         name: {node.module for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.level == 1}
         for name, tree in trees.items()
     }
+
+
+def unreached_modules(trees: dict) -> list[str]:
+    """Package modules that neither __init__ nor cli imports, even indirectly."""
+    imports = import_graph(trees)
     reached, todo = set(), ["__init__", "cli"]
     while todo:
         name = todo.pop()
@@ -126,11 +136,11 @@ def tracer_attributes() -> set[str]:
 
 
 def _references(trees: dict) -> tuple[set[str], set[str]]:
-    """(names, attributes and imported names) that the package refers to."""
+    """(names read, attributes and imported names) that the package refers to."""
     names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
@@ -151,6 +161,22 @@ def unreferenced_definitions(trees: dict) -> list[str]:
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name not in refs and (module, node.name) not in kept
+    )
+
+
+def unreached_exports(trees: dict) -> list[str]:
+    """'module.name' for each name __init__ imports from a package module
+    that no other package module refers to, that the tracer does not look
+    up and that REACH_ALLOWED does not hold."""
+    names, attributes = _references({m: t for m, t in trees.items() if m != "__init__"})
+    refs = names | attributes
+    kept = tracer_lookups() | set(REACH_ALLOWED)
+    return sorted(
+        f"{node.module}.{alias.name}"
+        for node in trees["__init__"].body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in refs and (node.module, alias.name) not in kept
     )
 
 
@@ -179,21 +205,29 @@ def test_every_definition_has_a_package_caller():
     assert unreferenced_definitions(_package_trees()) == []
 
 
+def test_every_export_has_a_package_caller_or_a_reason():
+    assert unreached_exports(_package_trees()) == []
+
+
 def test_every_method_and_property_has_a_package_reader():
     assert unreferenced_members(_package_trees(), tracer_attributes()) == []
 
 
 def test_the_reach_rule_finds_test_only_code():
     trees = {
-        "__init__": ast.parse("from .a import f\n"),
+        "__init__": ast.parse("from .a import exported, f\n"),
         "cli": ast.parse("from .b import g\n"),
-        "a": ast.parse("from .c import h\ndef f(): return h()\ndef unused(): pass\n"),
+        "a": ast.parse(
+            "from .c import h\ndef f(): return h()\ndef unused(): pass\ndef exported(): pass\n"
+        ),
         "b": ast.parse("def g(): pass\nclass Unused: pass\n"),
         "c": ast.parse("def h(): pass\n"),
         "island": ast.parse("from .a import f\ndef i(): return f()\n"),
     }
     assert unreached_modules(trees) == ["island"]
     assert unreferenced_definitions(trees) == ["a.unused", "b.Unused", "island.i"]
+    # __init__'s import alone does not reach a name; island's call reaches f
+    assert unreached_exports(trees) == ["a.exported"]
 
 
 def test_the_reach_rule_finds_test_only_members():
@@ -216,6 +250,46 @@ def test_the_reach_rule_finds_test_only_members():
         ),
     }
     assert unreferenced_members(trees, {"traced"}) == ["b.K.unread", "b.K.unused"]
+
+
+def function_level_imports(trees: dict) -> list[str]:
+    """'module: line' of each package import made inside a function."""
+    return sorted({
+        f"{module}: {node.lineno}"
+        for module, tree in trees.items()
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if isinstance(node, ast.ImportFrom) and node.level > 0
+    })
+
+
+def modules_on_import_cycles(trees: dict) -> list[str]:
+    """The modules left when those that import no module left are peeled
+    off in turn: the modules on an import cycle or importing one."""
+    left = import_graph(trees)
+    while ready := [name for name, imported in left.items() if not imported & left.keys()]:
+        for name in ready:
+            del left[name]
+    return sorted(left)
+
+
+def test_the_package_is_layered():
+    trees = _package_trees()
+    assert function_level_imports(trees) == []
+    assert modules_on_import_cycles(trees) == []
+    # the kernels at the bottom import nothing from the package
+    assert import_graph(trees)["exact_geom"] == import_graph(trees)["polyomino"] == set()
+
+
+def test_the_layering_rule_finds_upward_imports():
+    trees = {
+        "a": ast.parse("from .b import g\ndef f():\n    from .c import h\n    return h()\n"),
+        "b": ast.parse("def g(): pass\n"),
+        "c": ast.parse("from .a import f\n"),
+    }
+    assert function_level_imports(trees) == ["a: 3"]
+    assert modules_on_import_cycles(trees) == ["a", "c"]
+    del trees["c"]
+    assert modules_on_import_cycles(trees) == []
 
 
 def test_cli_import_loads_no_heavy_stdlib_modules():

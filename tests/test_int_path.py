@@ -60,15 +60,10 @@ from chainfold.exact_geom import (
 from chainfold.figures import Configuration, Hinge, HingedFigure, load_hdj, verify_configuration
 from chainfold.numeric import NumericMotion, float_polygon
 from chainfold.overlap import cell_bounds, convex_parts, covered_by_cells2, overlap_sum2
-from chainfold.polyomino import (
-    HolePresent,
-    Polyomino,
-    boundary_polygon,
-    parse_grid,
-    random_polyomino,
-)
+from chainfold.polyomino import Polyomino, parse_grid, random_polyomino
 
-from conftest import PENTOMINO_GRIDS, criterion_8_cases, rational_convex_hull
+from conftest import PENTOMINO_GRIDS, HolePresent, boundary_polygon, criterion_8_cases
+from conftest import rational_convex_hull
 
 # ---------------------------------------------------------------------------
 # the Fraction-only reference verifier
@@ -929,12 +924,8 @@ class TestOneNumberRule:
         width_pieces, _, width_rect = rectangle_to_width(rect, 1)
         outputs = {
             "polygon_area": polygon_area(p),
-            "overlap_area": exact_geom.overlap_area(p, exact_geom.polygon(shifted)),
             # against itself no clip cuts a part, so the doubled sum stays an int
             "polygon_overlap": [overlap.polygon_overlap(coords, pts) for pts in (coords, shifted)],
-            "motion_between_segments": exact_geom.motion_between_segments(
-                point(0, 0), point(3, 4), point(1, 1), point(6, 1)
-            ),
             "triangle_to_rectangle": (pieces, rect, motions),
             "rectangle_to_width": (width_pieces, width_rect),
             "stack_rectangles": stack_rectangles([width_rect, RectangleForm.axis_aligned(1, 3)]),
@@ -950,7 +941,7 @@ class TestOneNumberRule:
         coords = [(0, 0), (n, 0), (n, n), (0, n)]
         assert overlap.polygon_overlap(coords, coords) == n * n
         square = exact_geom.polygon(coords)
-        assert exact_geom.overlap_area(square, square) == n * n
+        assert overlap.polygon_overlap(square, square) == n * n
 
     def test_boundary_polygon_and_computed_area(self):
         p = random_polyomino(30, 4)

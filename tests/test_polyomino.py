@@ -11,13 +11,10 @@ from chainfold.polyomino import (
     BadSize,
     NEIGHBOR_STEPS,
     Cell,
-    CornerContact,
     Disconnected,
     EmptyShape,
-    HolePresent,
     Polyomino,
     PolyominoError,
-    boundary_polygon,
     cells_from_json,
     cells_to_json,
     dual_spanning_tree,
@@ -26,7 +23,8 @@ from chainfold.polyomino import (
     to_grid,
     _at_origin,
 )
-from conftest import PENTOMINO_GRIDS, TETROMINO_GRIDS
+from conftest import PENTOMINO_GRIDS, TETROMINO_GRIDS, CornerContact, HolePresent
+from conftest import boundary_polygon
 
 
 class TestParseGrid:
