@@ -259,65 +259,76 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each command: name, help, function, and its arguments as (flag, keywords)
+COMMANDS = (
+    ("fold", "fold the triangle chain onto a polyomino", cmd_fold, (
+        ("--in", dict(dest="infile", help="ASCII grid file ('#' and '.')")),
+        ("--cells", dict(help="JSON file {\"cells\": [[x,y],...]}")),
+        ("--out", dict(required=True, help="output HDJ file")),
+        ("--svg", dict(help="also render the folded configuration")),
+    )),
+    ("dissect", "hinged dissection between two polyominoes", cmd_dissect, (
+        ("--a", dict(required=True, help="first grid file")),
+        ("--b", dict(required=True, help="second grid file")),
+        ("--out", dict(required=True, help="output HDJ file")),
+        ("--svg", dict(help="also render the first folding")),
+    )),
+    ("verify", "verify every configuration in an HDJ file", cmd_verify, (
+        ("file", dict(help="HDJ file")),
+        ("--mode", dict(choices=("exact", "approx"), help="override stored modes")),
+        ("--tol", dict(type=float, help="override tolerance (approx mode; finite, >= 0)")),
+    )),
+    ("animate", "animate between two configurations", cmd_animate, (
+        ("file", dict(help="HDJ file with two configurations")),
+        ("--frames", dict(type=int, default=60,
+                          help=f"frames to sample, 2 to {MAX_FRAMES} (default: 60)")),
+        ("--cut", dict(type=int, help="hinge to open (default: last)")),
+        ("--out", dict(required=True, help="output SVG file")),
+        ("--report-overlaps", dict(help="write per-frame overlap JSON")),
+    )),
+    ("bg", "mutual dissection of two equal-area polygons", cmd_bg, (
+        ("--a", dict(required=True, help="first polygon JSON ([[x,y],...])")),
+        ("--b", dict(required=True, help="second polygon JSON")),
+        ("--width", dict(default="1",
+                         help="common rectangle width (rational); a width that cuts a rectangle "
+                         f"into more than 2**{MAX_HALVINGS} strips is rejected (default: 1)")),
+        ("--out", dict(required=True, help="output chart JSON")),
+        ("--svg", dict(help="also render the chart side by side")),
+    )),
+    ("gen", "generate a random polyomino grid", cmd_gen, (
+        ("--cells", dict(type=int, required=True, help=f"cell count, 1 to {MAX_GEN_CELLS}")),
+        ("--seed", dict(type=int, default=0)),
+        ("--out", dict(required=True, help="output grid file")),
+    )),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for argv.  When argv[0] names a command, only that
+    command's subparser is built: argparse hands it every later argument,
+    so no other could act on them.  Its metavar names every command, so
+    the usage line of an "unrecognized arguments" error does too.  Any
+    other argv, or none, gets all of them, for the top-level help and
+    errors."""
     parser = argparse.ArgumentParser(
         prog="chainfold",
         description="Hinged dissections of polyominoes and classical "
         "polygon equidecomposition, with exact verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fold = sub.add_parser("fold", help="fold the triangle chain onto a polyomino")
-    p_fold.add_argument("--in", dest="infile", help="ASCII grid file ('#' and '.')")
-    p_fold.add_argument("--cells", help="JSON file {\"cells\": [[x,y],...]}")
-    p_fold.add_argument("--out", required=True, help="output HDJ file")
-    p_fold.add_argument("--svg", help="also render the folded configuration")
-    p_fold.set_defaults(func=cmd_fold)
-
-    p_dis = sub.add_parser("dissect", help="hinged dissection between two polyominoes")
-    p_dis.add_argument("--a", required=True, help="first grid file")
-    p_dis.add_argument("--b", required=True, help="second grid file")
-    p_dis.add_argument("--out", required=True, help="output HDJ file")
-    p_dis.add_argument("--svg", help="also render the first folding")
-    p_dis.set_defaults(func=cmd_dissect)
-
-    p_ver = sub.add_parser("verify", help="verify every configuration in an HDJ file")
-    p_ver.add_argument("file", help="HDJ file")
-    p_ver.add_argument("--mode", choices=("exact", "approx"), help="override stored modes")
-    p_ver.add_argument("--tol", type=float, help="override tolerance (approx mode; finite, >= 0)")
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_anim = sub.add_parser("animate", help="animate between two configurations")
-    p_anim.add_argument("file", help="HDJ file with two configurations")
-    p_anim.add_argument("--frames", type=int, default=60,
-                        help=f"frames to sample, 2 to {MAX_FRAMES} (default: 60)")
-    p_anim.add_argument("--cut", type=int, help="hinge to open (default: last)")
-    p_anim.add_argument("--out", required=True, help="output SVG file")
-    p_anim.add_argument("--report-overlaps", help="write per-frame overlap JSON")
-    p_anim.set_defaults(func=cmd_animate)
-
-    p_bg = sub.add_parser("bg", help="mutual dissection of two equal-area polygons")
-    p_bg.add_argument("--a", required=True, help="first polygon JSON ([[x,y],...])")
-    p_bg.add_argument("--b", required=True, help="second polygon JSON")
-    p_bg.add_argument("--width", default="1",
-                      help="common rectangle width (rational); a width that cuts a rectangle "
-                      f"into more than 2**{MAX_HALVINGS} strips is rejected (default: 1)")
-    p_bg.add_argument("--out", required=True, help="output chart JSON")
-    p_bg.add_argument("--svg", help="also render the chart side by side")
-    p_bg.set_defaults(func=cmd_bg)
-
-    p_gen = sub.add_parser("gen", help="generate a random polyomino grid")
-    p_gen.add_argument("--cells", type=int, required=True,
-                       help=f"cell count, 1 to {MAX_GEN_CELLS}")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", required=True, help="output grid file")
-    p_gen.set_defaults(func=cmd_gen)
-
+    chosen = [c for c in COMMANDS if argv and c[0] == argv[0]]
+    names = "{" + ",".join(c[0] for c in COMMANDS) + "}" if chosen else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
+    for name, help_text, func, arguments in chosen or COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

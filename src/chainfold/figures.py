@@ -9,6 +9,7 @@ placed pieces realize a target polygon or polyomino.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
 import os
@@ -381,8 +382,7 @@ class HdjFile(NamedTuple):
 def figure_to_json(f: HingedFigure, approx: bool = False) -> dict:
     """The figure as JSON values, coordinates as floats when approx and
     as rational_to_json values otherwise.  Pieces that are one
-    SimplePolygon share one encoded list, which write_json formats once
-    for each run of consecutive references to it."""
+    SimplePolygon share one encoded list, so each is encoded once."""
     encode = float if approx else rational_to_json
     encoded = {}
     for piece in f.pieces:
@@ -627,13 +627,68 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
+_TABLE_LEAVES = frozenset(_SCALAR_TEXT)  # exact types: a subclass takes the item path
+_TABLE_DEPTH_CAP = 8  # a list that holds itself has no depth; the item path names the cycle
+_COMPACT = json.JSONEncoder()  # the C encoder, separators ", " and ": "
+
+
+def _table_shape(v):
+    """(depth, leaf count, brackets of the last level) of a list or tuple
+    whose subtree has one depth and scalar leaves, its last level lists,
+    tuples or dicts; None otherwise.  It is a table if it also holds no
+    empty container, which _table_text finds."""
+    rows = [v]
+    for depth in range(1, _TABLE_DEPTH_CAP + 1):
+        kinds = set(map(type, rows))
+        if kinds <= {list, tuple}:
+            leaves, brackets = list(chain.from_iterable(rows)), "[]"
+        elif kinds == {dict}:
+            leaves, brackets = list(chain.from_iterable(map(dict.values, rows))), "{}"
+        else:
+            return None
+        if set(map(type, leaves)) <= _TABLE_LEAVES:
+            return depth, len(leaves), brackets
+        if brackets == "{}":
+            return None
+        rows = leaves
+    return None
+
+
+def _table_text(v, level: int, depth: int, leaves: int, last_brackets: str):
+    """The indent=1 text of a table at level, from the C encoder's compact
+    text; None when that text cannot be re-indented safely."""
+    try:
+        text = _COMPACT.encode(v)
+    except (TypeError, ValueError):
+        return None
+    # each ", " separates two leaves, unless a string holds one or an
+    # empty container adds a separator without a leaf
+    if text.count(", ") != leaves - 1:
+        return None
+    brackets = ["[]"] * (depth - 1) + [last_brackets]  # outermost first
+    opens = [b[0] + "\n" + " " * (level + n + 1) for n, b in enumerate(brackets)]
+    closes = ["\n" + " " * (level + n) + b[1] for n, b in enumerate(brackets)][::-1]
+    body = text[depth:-depth]
+    # the separator of items at nesting n closes and reopens the levels
+    # below it, so it holds every deeper separator: replace outermost first
+    for n in range(1, depth + 1):
+        compact = "".join(b[1] for b in brackets[:n - 1:-1]) + ", " + "".join(
+            b[0] for b in brackets[n:])
+        indented = "".join(closes[:depth - n]) + ",\n" + " " * (level + n) + "".join(opens[n:])
+        body = body.replace(compact, indented)
+    return "".join(opens) + body + "".join(closes)
+
+
 def write_json(obj, fh) -> None:
     """Write exactly json.dumps(obj, indent=1) to fh, one top-level item at
-    a time.  json.dump with an indent always runs the pure-Python encoder;
-    this formats every scalar with the json module's own functions, in
-    one pass.  The text of the container formatted last is kept, so a
-    container that comes again next at the same level, such as the piece
-    list every position of a chain figure shares, is formatted once."""
+    a time.  json.dump with an indent always runs the pure-Python encoder.
+    Here a table (see _table_shape), such as a figure's pieces or a
+    configuration's placements, is encoded by the C encoder and re-indented;
+    when a string in it holds ", ", or the C encoder raises, it takes the
+    item path.  That path formats every other container, and each scalar
+    with the json module's own functions.  The text of the container
+    formatted last is kept, so a container that comes again next at the
+    same level is formatted once."""
     scalar = _SCALAR_TEXT.get
     open_ids = set()  # the containers being formatted, to find a cycle
     last = (None, 0, "")  # the container formatted last, its level and its text
@@ -648,6 +703,11 @@ def write_json(obj, fh) -> None:
             return "{}" if isinstance(v, dict) else "[]"
         if id(v) in open_ids:
             raise ValueError("Circular reference detected")
+        if not isinstance(v, dict) and (shape := _table_shape(v)):
+            table = _table_text(v, level, *shape)
+            if table is not None:
+                last = (v, level, table)
+                return table
         open_ids.add(id(v))
         inner, deeper = "\n" + " " * (level + 1), level + 1
         if isinstance(v, dict):
@@ -688,9 +748,13 @@ def atomic_output(path):
     path when the block ends.  If the block raises, the temporary file is
     removed and any earlier file at path is left untouched.  An OSError
     is raised again naming path, unless a nested block has named its own.
+    A path that is a directory raises before anything is opened, so a
+    block that writes another output never runs.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         with open(tmp, "x", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)

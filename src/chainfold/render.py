@@ -140,11 +140,12 @@ def render_chart(chart: DissectionChart) -> str:
     )
     gap = max(src_max_x - src_min_x, 1e-9) * 0.15
     shift = src_max_x - src_min_x + gap
-    shifted = [[(x + shift, y) for x, y in pts] for pts in placed_pts]
-    everything = source_pts + shifted + [
-        [(x + shift, y) for x, y in float_polygon(chart.target)]
-    ]
-    lines = _svg_open(*_bounds(everything))
+    # the target side's bounds, shifted: rounding is monotone, so the
+    # least x + shift is the least x, plus shift
+    min_x, min_y, max_x, max_y = _bounds(source_pts)
+    t_min_x, t_min_y, t_max_x, t_max_y = _bounds(placed_pts + [float_polygon(chart.target)])
+    lines = _svg_open(min(min_x, t_min_x + shift), min(min_y, t_min_y),
+                      max(max_x, t_max_x + shift), max(max_y, t_max_y))
     lines.append('<g id="source">')
     lines.extend(_piece_path(i, pts) for i, pts in enumerate(source_pts))
     lines.append("</g>")

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainfold.chain import load_sample_shape
-from chainfold.cli import MAX_FRAMES, MAX_GEN_CELLS, main
+from chainfold.cli import COMMANDS, MAX_FRAMES, MAX_GEN_CELLS, build_parser, main
 from chainfold.equidecompose import MAX_HALVINGS
 from chainfold.exact_geom import RAT_MAX_DIGITS
 from chainfold.figures import load_hdj
@@ -512,6 +514,51 @@ def test_caps_in_help(command, text, capsys):
     assert text in capsys.readouterr().out
 
 
+_PARSER_ARGVS = [
+    [], ["-h"], *([name, "-h"] for name, *_ in COMMANDS), ["nope"], ["verify", "x.hdj", "--bogus"],
+    ["fold", "--in", "L.txt"], ["verify", "x.hdj", "--mode", "bogus"],
+    ["gen", "--cells", "x", "--out", "g.txt"], ["gen", "--cells", "3", "--out", "g.txt"],
+    ["verify", "fold"], ["--", "fold"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+def test_the_parser_of_one_command_acts_as_the_parser_of_all(
+        tmp_path, monkeypatch, capsys, argv):
+    """build_parser(argv) builds only argv[0]'s subparser when it names a
+    command; exit code, output and parse are as with all of them built."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(build):
+        monkeypatch.setattr("chainfold.cli.build_parser", build)
+        results = []
+        for run in (main, lambda argv: build(argv).parse_args(argv)):
+            try:
+                results.append(run(list(argv)))
+            except SystemExit as exc:
+                results.append(exc.code)
+            results.extend(capsys.readouterr())
+        return results
+
+    subparsers = next(a for a in build_parser(argv)._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert len(subparsers.choices) == (1 if argv and argv[0] in subparsers.choices else 6)
+    assert outcome(build_parser) == outcome(lambda argv: build_parser())
+
+
+@pytest.mark.parametrize("argv, text", [
+    ([], "error: the following arguments are required: command\n"),
+    (["nope"], "error: argument command: invalid choice: "),
+    (["verify", "x.hdj", "--bogus"], "usage: chainfold [-h] {fold,dissect,verify,animate,bg,gen} "
+                                     "...\nchainfold: error: unrecognized arguments: --bogus\n"),
+], ids=["none", "nope", "bogus"])
+def test_argparse_errors_name_the_command_argument_and_every_command(capsys, argv, text):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert text in capsys.readouterr().err
+
+
 class TestConsoleEntry:
     def test_subprocess_smoke(self, workdir):
         result = subprocess.run(
@@ -608,6 +655,29 @@ def test_a_second_output_that_cannot_be_written_leaves_the_first_as_it_was(
     assert capsys.readouterr().err == f"error: [Errno 2] cannot write {second}: No such file or directory\n"
     assert out.read_bytes() == b"earlier\n"
     assert set(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("taken", ["first", "second"])
+@pytest.mark.parametrize("command, option", [
+    ("fold", "--svg"), ("dissect", "--svg"), ("bg", "--svg"), ("animate", "--report-overlaps"),
+])
+def test_an_output_that_is_a_directory_leaves_every_other_output_as_it_was(
+        workdir, capsys, command, option, taken):
+    first, second = workdir / "first", workdir / "second"
+    argv = _UNWRITABLE_COMMANDS[command](workdir, str(first))
+    for path in (first, second):
+        if path.name == taken:
+            path.mkdir()
+        else:
+            path.write_bytes(b"earlier\n")
+    before = {p: p.read_bytes() for p in workdir.iterdir() if p.is_file()}
+    assert main([*argv, option, str(second)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.EISDIR}] cannot write {workdir / taken}: "
+        f"{os.strerror(errno.EISDIR)}\n")
+    assert {p: p.read_bytes() for p in workdir.iterdir() if p.is_file()} == before
+    assert set(workdir.iterdir()) == {*before, workdir / taken}
+    assert list((workdir / taken).iterdir()) == []
 
 
 def _tromino_hdj(workdir):

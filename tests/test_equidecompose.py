@@ -40,6 +40,7 @@ from chainfold.exact_geom import (
 from chainfold.figures import write_json
 from chainfold.numeric import NumericMotion
 from chainfold.overlap import polygon_overlap
+from chainfold.render import render_chart
 
 from conftest import criterion_8_cases, failed_checks, rational_convex_hull
 
@@ -313,6 +314,43 @@ def test_canonical_chart_pieces_match_pinned_digests():
         )
         digests[label] = hashlib.sha256(text.encode()).hexdigest()[:16]
     assert digests == CHART_DIGESTS
+
+
+# sha256 prefixes of render_chart of each criterion-8 pair's mutual chart;
+# the SVG holds the float motions' output at 6 decimals, so these rest on
+# the platform's cos and sin too
+RENDERED_CHART_DIGESTS = {
+    "square2-vs-triangle": "7f81d43bb732b8b6",
+    "random-0": "f58f8deeafe45288",
+    "random-1": "e7b138ffa8e7d0d1",
+    "random-2": "0f22e679dd02c299",
+    "random-3": "58ab97025a6a26e1",
+    "random-4": "5950430088008112",
+    "random-5": "b1241ba60218a974",
+    "random-6": "b6bbfab2c24ca833",
+    "random-7": "b690704e68592645",
+    "random-8": "30132c3a67fc578b",
+    "random-9": "b24067bd0de93f44",
+    "random-10": "2d580b542c9f3ab5",
+    "random-11": "f1336e72c21f0a2b",
+    "random-12": "c665eae23048479a",
+    "random-13": "fefb052b0b248f13",
+    "random-14": "ca8b593b3ec6c41e",
+    "random-15": "8b16ed739634f683",
+    "random-16": "b6091721e0a82650",
+    "random-17": "6d974aa92ed8ec10",
+    "random-18": "6439f223aed04e98",
+    "random-19": "a8e0c7c73834f165",
+}
+
+
+def test_rendered_mutual_charts_match_pinned_digests():
+    digests = {}
+    for label, pa, pb, width in criterion_8_cases():
+        mutual = overlay_charts(polygon_to_canonical_chart(pa, width),
+                                polygon_to_canonical_chart(pb, width))
+        digests[label] = hashlib.sha256(render_chart(mutual).encode()).hexdigest()[:16]
+    assert digests == RENDERED_CHART_DIGESTS
 
 
 class TestCanonicalChartProperties:

@@ -564,6 +564,39 @@ _S = {"p": [1, 2]}
 _T = [_S, (0.5, "t")]
 
 
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+_TABLE_LEAVES = st.one_of(
+    _SCALARS,
+    st.sampled_from([", ", "], [", "}, {", "a, b", float("nan"), float("inf"), -float("inf")]),
+    st.integers().map(_Int),
+    st.floats().map(_Float),
+)
+
+
+@st.composite
+def _tables(draw):
+    """A table of depth 2 to 5: lists and tuples, mixed, down to scalar
+    leaves or to dict rows of scalars; rows may differ in length."""
+    depth, dict_rows = draw(st.integers(2, 5)), draw(st.booleans())
+
+    def rows(level):
+        if level == depth:
+            return draw(_TABLE_LEAVES)
+        if level == depth - 1 and dict_rows:
+            return draw(st.dictionaries(_KEYS, _TABLE_LEAVES, min_size=1, max_size=3))
+        kind = draw(st.sampled_from((list, tuple)))
+        return kind(rows(level + 1) for _ in range(draw(st.integers(1, 3))))
+
+    return rows(0)
+
+
 class TestWriteJson:
     """write_json writes exactly the text of json.dumps(obj, indent=1)."""
 
@@ -639,14 +672,29 @@ class TestWriteJson:
     def test_shared_containers_match_json_dumps(self, obj):
         assert _written(obj) == json.dumps(obj, indent=1)
 
+    @given(_tables())
+    @example([[1, 2], []])
+    @example(([1], ([], [2])))
+    @example([{"a": 1}, {}])
+    @example([[", "], [1]])
+    @example([[1, True], [None, _Float(0.5)]])
+    def test_tables_match_json_dumps(self, obj):
+        for outer in (obj, {"t": obj}, [[obj]]):
+            assert _written(outer) == json.dumps(outer, indent=1)
+
     def test_circular_and_unserializable_values_raise_as_in_json(self):
         loop = []
         loop.append([loop])
-        for bad, error in ((loop, ValueError), ([object()], TypeError), ({(1,): 2}, TypeError)):
-            with pytest.raises(error):
+        row = []
+        table = [row, (row,)]  # every level holds only containers, down without end
+        row.append(table)
+        for bad, error in ((loop, ValueError), (table, ValueError), ([object()], TypeError),
+                           ({(1,): 2}, TypeError), ([[1], [object()]], TypeError)):
+            with pytest.raises(error) as expected:
                 json.dumps(bad, indent=1)
-            with pytest.raises(error):
+            with pytest.raises(error) as raised:
                 _written(bad)
+            assert str(raised.value) == str(expected.value)
 
     def test_figure_to_json_encodes_each_distinct_piece_once(self):
         pieces = figure_to_json(fold_chain(self.FOLD).figure)["pieces"]
