@@ -243,57 +243,31 @@ def _is_convex(pts) -> bool:
     return True
 
 
-def _clip_halfplane(pts, e1, e2):
-    """Keep the part of the polygon on or left of the directed line e1->e2.
-
-    Each vertex's side is computed once, as _orient(e1, e2, p) with the
-    same operands in the same order, so float results match it bit for bit.
-    A crossing between int sides gets a Fraction parameter, so int
-    coordinates give exact crossings, never floats.
-
-    Two early-outs return what the loop would: the input itself when no
-    vertex is strictly outside, and [] when every vertex is.  A NaN side
-    is neither inside nor outside, so it always reaches the loop.
-    """
-    ax, ay = e1
-    dx = e2[0] - ax
-    dy = e2[1] - ay
-    sides = [dx * (y - ay) - dy * (x - ax) for x, y in pts]
-    for d in sides:
-        if not d >= 0:
-            break
-    else:
-        return pts
-    for d in sides:
-        if not d < 0:
-            break
-    else:
-        return []
+def _edges(pts) -> list[tuple]:
+    """(ax, ay, dx, dy), dx = bx - ax and dy = by - ay, for each edge a->b of the polygon."""
     out = []
     n = len(pts)
     for i in range(n):
-        cur = pts[i]
-        d_cur = sides[i]
-        j = i + 1 if i + 1 < n else 0
-        d_nxt = sides[j]
-        if d_cur >= 0:
-            out.append(cur)
-        if (d_cur > 0 and d_nxt < 0) or (d_cur < 0 and d_nxt > 0):
-            nxt = pts[j]
-            den = d_cur - d_nxt
-            t = Fraction(d_cur, den) if type(den) is int else d_cur / den
-            out.append(
-                (cur[0] + (nxt[0] - cur[0]) * t, cur[1] + (nxt[1] - cur[1]) * t)
-            )
+        ax, ay = pts[i]
+        bx, by = pts[(i + 1) % n]
+        out.append((ax, ay, bx - ax, by - ay))
     return out
 
 
-def _clip_convex_raw(subject, clipper):
-    """The Sutherland-Hodgman loop of _convex_clip, without its final test.
+def _clip_convex_raw(subject, edges):
+    """The Sutherland-Hodgman loop of _convex_clip, without its final test:
+    the subject cut, edge by edge, to the left of each line of _edges.
 
-    Returns the clipped vertex list, which may have fewer than three
-    vertices or zero area, and may be the subject itself when no clipper
-    edge cuts it (_clip_halfplane returns its input then).
+    A vertex's side, dx * (y - ay) - dy * (x - ax), is computed once per
+    edge, as _orient(a, b, p) with the same operands in the same order, so
+    float results match it bit for bit.  A vertex of side >= 0 is kept,
+    and a crossing follows each vertex whose successor lies strictly on
+    the other side; between int sides its parameter is a Fraction, so int
+    coordinates give exact crossings, never floats.  Two early-outs give
+    what the loop would: the polygon itself when no vertex is strictly
+    outside an edge, and [] when every vertex is; a NaN side is neither,
+    so it reaches the loop.  The result may have fewer than three vertices
+    or zero area, and may be the subject itself.
 
     On exact (int or Fraction) coordinates a strictly convex subject (no
     repeated vertex, no three collinear) gives a strictly convex result,
@@ -307,11 +281,39 @@ def _clip_convex_raw(subject, clipper):
     over the clipper's edges ends the proof; a clip with no area stays so.
     """
     out = subject
-    n = len(clipper)
-    for i in range(n):
-        out = _clip_halfplane(out, clipper[i], clipper[(i + 1) % n])
-        if not out:
+    for ax, ay, dx, dy in edges:
+        sides = [dx * (y - ay) - dy * (x - ax) for x, y in out]
+        for d in sides:
+            if not d >= 0:
+                break
+        else:
+            continue
+        for d in sides:
+            if not d < 0:
+                break
+        else:
             return []
+        clipped = []
+        sides.append(sides[0])  # the side of each vertex's successor
+        i = 0
+        for cur in out:
+            d_cur = sides[i]
+            i += 1
+            d_nxt = sides[i]
+            if d_cur > 0:
+                clipped.append(cur)
+                if not d_nxt < 0:
+                    continue
+            elif not (d_cur < 0 and d_nxt > 0):
+                if d_cur == 0:  # a NaN side keeps nothing
+                    clipped.append(cur)
+                continue
+            x, y = cur  # the ends lie strictly on opposite sides: a crossing
+            nx, ny = out[i] if i < len(out) else out[0]
+            den = d_cur - d_nxt
+            t = Fraction(d_cur, den) if type(den) is int else d_cur / den
+            clipped.append((x + (nx - x) * t, y + (ny - y) * t))
+        out = clipped
     return out
 
 
@@ -323,7 +325,7 @@ def _convex_clip(subject, clipper):
     collinear vertices; exact strictly convex ones give neither (see
     _clip_convex_raw).
     """
-    out = _clip_convex_raw(subject, clipper)
+    out = _clip_convex_raw(subject, _edges(clipper))
     if len(out) < 3 or _signed_area2(out) == 0:
         return []
     return list(out)
@@ -365,7 +367,7 @@ def _lines(pts) -> list[tuple[int, int, int]]:
 def _clip_homogeneous(subject, lines):
     """_convex_clip on homogeneous int points, the clipper given by _lines.
 
-    Each step is _clip_halfplane's: the same kept vertices and crossings,
+    Each step is _clip_convex_raw's: the same kept vertices and crossings,
     in the same order, since every side has the sign of the rational
     orientation.  The crossing on edge p->q, between sides s_p and s_q of
     opposite signs, is |s_p|*q + |s_q|*p, which lies on the line and has

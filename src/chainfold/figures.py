@@ -14,7 +14,7 @@ import json
 import math
 import os
 from fractions import Fraction
-from itertools import chain, groupby, repeat
+from itertools import chain, count, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence, Union
@@ -744,23 +744,29 @@ def write_json(obj, fh) -> None:
 def atomic_output(path):
     """Open a text file that appears at path complete or not at all.
 
-    Writes go to a temporary file in the same directory, which replaces
-    path when the block ends.  If the block raises, the temporary file is
-    removed and any earlier file at path is left untouched.  An OSError
-    is raised again naming path, unless a nested block has named its own.
-    A path that is a directory raises before anything is opened, so a
-    block that writes another output never runs.
+    Writes go to the first free name of path.<pid>.tmp, path.<pid>.1.tmp,
+    ..., which replaces path when the block ends.  If the block raises,
+    that file is removed and any earlier file at path is left untouched.
+    An OSError is raised again naming path, unless a nested block has
+    named its own.  A path that is a directory raises before anything is
+    opened, so a block that writes another output never runs.
     """
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = None
     try:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        with open(tmp, "x", encoding="utf-8") as fh:
+        base = f"{os.fspath(path)}.{os.getpid()}"
+        for k in count():  # a name that another file holds is passed over
+            with contextlib.suppress(FileExistsError):
+                fh = open(f"{base}.{k}.tmp" if k else f"{base}.tmp", "x", encoding="utf-8")
+                break
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        os.replace(fh.name, path)
     except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        if fh is not None:  # the file this call made, never another's
+            with contextlib.suppress(OSError):
+                os.unlink(fh.name)
         if isinstance(exc, OSError) and exc.__cause__ is None:
             raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from exc
         raise

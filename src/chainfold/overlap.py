@@ -28,12 +28,12 @@ float; callers compare doubled areas, or halve an exact one as
   them.
 - Convex parts: a polygon is split once per call, after each point
   equal to the one before it is dropped, into itself when it is convex
-  and into its ear-clip triangles otherwise.  Parts live in the
-  caller's lists, so nothing is cached across calls.
+  and into its ear-clip triangles otherwise, each with its box and edges.
+  Parts live in the caller's lists, so nothing is cached across calls.
 - Narrow phase: one loop clips every part pair whose boxes overlap and
   returns the list of fragments with their doubled areas, so area sums
   measure each raw clip once.  Each clip is a plain Sutherland-Hodgman
-  pass, one half-plane per clipper edge.
+  pass, one half-plane per stored edge of the clipper part.
 - Exact partitions: exact configuration verification first cancels the
   pieces' directed edges against each other and the region's, and runs
   the engine only on the pieces near the edges left; a chain fold's
@@ -48,13 +48,13 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
-from .exact_geom import _bbox, _bboxes_interiors_overlap, _clip_convex_raw, _ear_clip, _is_convex
-from .exact_geom import _signed_area2
+from .exact_geom import _bbox, _bboxes_interiors_overlap, _clip_convex_raw, _ear_clip, _edges
+from .exact_geom import _is_convex, _signed_area2
 
 
-def convex_parts(pts) -> list[tuple[list, tuple]]:
-    """(part, bounding box) for each convex part of a ccw simple polygon:
-    the polygon itself when convex, else its ear-clip triangles.  A
+def convex_parts(pts) -> list[tuple[list, tuple, list]]:
+    """(part, bounding box, _edges) for each convex part of a ccw simple
+    polygon: the polygon itself when convex, else its ear-clip triangles.  A
     polygon collapsed to zero area, as a zero (cos, sin) leaves one, has
     no parts.  When the ear clip finds no ear, InvalidPolygon is raised:
     an exact polygon is then not simple, and a float one may have lost
@@ -73,21 +73,33 @@ def convex_parts(pts) -> list[tuple[list, tuple]]:
         parts = []
     else:
         parts = [list(t) for t in _ear_clip(pts)]
-    return [(part, _bbox(part)) for part in parts]
+    return [(part, _bbox(part), _edges(part)) for part in parts]
 
 
 def parts_and_bounds(pieces):
     """Each piece's convex parts, and each piece's bound
-    (x0, y0, x1, y1, s0, s1, d0, d1): its box, and the min and max of
-    x + y and of x - y over its points.  A convex piece is its own single
-    part, whose box is the piece's."""
+    (x0, y0, x1, y1, s0, s1, d0, d1): its box, and the min and max of x + y
+    and of x - y over its points, in one pass that keeps the first of equal
+    values as min() and max() do.  A convex piece's box is its part's."""
     parts = [convex_parts(pts) for pts in pieces]
     bounds = []
     for p, pts in zip(parts, pieces):
-        sums = [x + y for x, y in pts]
-        diffs = [x - y for x, y in pts]
+        x, y = pts[0]
+        s0 = s1 = x + y
+        d0 = d1 = x - y
+        for x, y in pts:
+            s = x + y
+            if s < s0:
+                s0 = s
+            elif s > s1:
+                s1 = s
+            d = x - y
+            if d < d0:
+                d0 = d
+            elif d > d1:
+                d1 = d
         box = p[0][1] if len(p) == 1 else _bbox(pts)
-        bounds.append((*box, min(sums), max(sums), min(diffs), max(diffs)))
+        bounds.append((*box, s0, s1, d0, d1))
     return parts, bounds
 
 
@@ -145,10 +157,10 @@ def part_clips(parts_a, parts_b) -> list[tuple]:
     the part of a itself, when no edge of the part of b cuts it.
     """
     clips = []
-    for pa, (ax0, ay0, ax1, ay1) in parts_a:
-        for pb, (bx0, by0, bx1, by1) in parts_b:
+    for pa, (ax0, ay0, ax1, ay1), _ in parts_a:
+        for _, (bx0, by0, bx1, by1), edges in parts_b:
             if ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1:
-                frag = _clip_convex_raw(pa, pb)
+                frag = _clip_convex_raw(pa, edges)
                 if len(frag) > 2:
                     area2 = _signed_area2(frag)
                     if area2 != 0:
@@ -200,7 +212,7 @@ def covered_by_cells2(parts, box, area2, cells, bounds):
         for y in range(max(cy0, by0), min(cy1, by1)):
             if (x, y) in cells:
                 cell = [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
-                covered += overlap_sum2(parts, [(cell, (x, y, x + 1, y + 1))])
+                covered += overlap_sum2(parts, [(cell, (x, y, x + 1, y + 1), _edges(cell))])
     return covered
 
 

@@ -20,7 +20,7 @@ from chainfold.equidecompose import MAX_HALVINGS
 from chainfold.exact_geom import RAT_MAX_DIGITS
 from chainfold.figures import load_hdj
 from chainfold.kinematics import motion_report_json, sample_motion
-from chainfold.polyomino import to_grid
+from chainfold.polyomino import parse_grid, to_grid
 from chainfold.render import render_animation
 
 L_GRID = "#.\n#.\n##\n"
@@ -404,6 +404,32 @@ class TestGlyphAnimation:
         assert any(s.overlaps for s in samples)  # the report is not trivially empty
 
 
+# SHA-256 of the overlap report of animate --frames 12 for each pair of the
+# I, L, O and T glyphs; its areas come from the float clip kernel, so any
+# change to the kernel's arithmetic or its order fails the pin
+GLYPH_REPORT_SHA256 = {
+    "I-L": "020e0a7ded8479aec9a670adb5b8de51e0b1a15c230f4296eda8dcf01dacafc0",
+    "I-O": "4a462b308d6e41d4c919766ba5fea8c381072751c0ccfe332ad6f0c1c3c5afc7",
+    "I-T": "52b835454b2e5c3bb553bf5814aaced40f83a577293b9a7833b5d95eaa9fa82e",
+    "L-O": "ee497ed5731fcee55da9c1128fb813f9e47fcd0144edfd6e9f8d59c62559f6b5",
+    "L-T": "10dea91940fe3e2bc5a192a8680e34dac3172c49015e83d7671c8e22e76591fa",
+    "O-T": "7b2af97b0bc3ef1d37560b11c88c72d4293d862318b982eb02627535e1ebb346",
+}
+
+
+@pytest.mark.parametrize("pair", sorted(GLYPH_REPORT_SHA256))
+def test_overlap_report_matches_pinned_digest(tmp_path, pair):
+    a, b = pair.split("-")
+    for name in (a, b):
+        (tmp_path / f"{name}.txt").write_text(to_grid(load_sample_shape(name)) + "\n")
+    doc, svg, report = tmp_path / "pair.hdj", tmp_path / "pair.svg", tmp_path / "pair.json"
+    assert main(["dissect", "--a", str(tmp_path / f"{a}.txt"), "--b", str(tmp_path / f"{b}.txt"),
+                 "--out", str(doc)]) == 0
+    assert main(["animate", str(doc), "--frames", "12", "--out", str(svg),
+                 "--report-overlaps", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GLYPH_REPORT_SHA256[pair]
+
+
 class TestBg:
     def test_square_vs_triangle(self, workdir):
         out = workdir / "chart.json"
@@ -678,6 +704,19 @@ def test_an_output_that_is_a_directory_leaves_every_other_output_as_it_was(
     assert {p: p.read_bytes() for p in workdir.iterdir() if p.is_file()} == before
     assert set(workdir.iterdir()) == {*before, workdir / taken}
     assert list((workdir / taken).iterdir()) == []
+
+
+def test_a_temporary_name_another_file_holds_is_left_to_it(workdir, monkeypatch):
+    # a file already at gen's first temporary name, x.txt.<pid>.tmp, keeps its
+    # bytes; gen writes through the next fresh name and leaves no other file
+    monkeypatch.chdir(workdir)
+    other = workdir / f"x.txt.{os.getpid()}.tmp"
+    other.write_text("someone else")
+    before = set(workdir.iterdir())
+    assert main(["gen", "--cells", "3", "--out", "x.txt"]) == 0
+    assert other.read_text() == "someone else"
+    assert set(workdir.iterdir()) == {*before, workdir / "x.txt"}
+    assert parse_grid((workdir / "x.txt").read_text()).cell_count == 3
 
 
 def _tromino_hdj(workdir):

@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 from chainfold.exact_geom import (
     _bbox,
-    _clip_halfplane,
+    _clip_convex_raw,
     _clip_homogeneous,
     _convex_clip,
     _dedupe_collinear,
+    _edges,
     _homogeneous,
     _int_affine,
     _lines,
@@ -69,8 +70,8 @@ def reference_overlap_sum2(parts_a, parts_b):
     """Twice the shared area as sum() over the reference fragments, with the
     engine's box test in front of each clip."""
     def fragments():
-        for pa, (ax0, ay0, ax1, ay1) in parts_a:
-            for pb, (bx0, by0, bx1, by1) in parts_b:
+        for pa, (ax0, ay0, ax1, ay1), _ in parts_a:
+            for pb, (bx0, by0, bx1, by1), _ in parts_b:
                 if ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1:
                     frag = reference_convex_clip(pa, pb)
                     if frag:
@@ -196,7 +197,7 @@ class TestClipKernel:
         n = len(clipper)
         for i in range(n):
             e1, e2 = clipper[i], clipper[(i + 1) % n]
-            assert bits(_clip_halfplane(subject, e1, e2)) == bits(
+            assert bits(_clip_convex_raw(subject, _edges([e1, e2])[:1])) == bits(
                 reference_clip_halfplane(subject, e1, e2)
             )
 
@@ -240,7 +241,7 @@ class TestEarlyOuts:
     def test_placed_edges_match_reference(self, subject, kind, data):
         subject = as_number_type(subject, kind)
         relation, e1, e2, e3 = data.draw(placed_edges(subject))
-        out = _clip_halfplane(subject, e1, e2)
+        out = _clip_convex_raw(subject, _edges([e1, e2])[:1])
         assert bits(out) == bits(reference_clip_halfplane(subject, e1, e2))
         clipper = [e1, e2, e3]
         assert bits(_convex_clip(subject, clipper)) == bits(reference_convex_clip(subject, clipper))
@@ -261,12 +262,12 @@ class TestEarlyOuts:
             [(0.0, 1.0), (nan, nan), (0.0, -1.0), (1.0, 0.0)],
         ]
         for subject in cases:
-            out = _clip_halfplane(subject, e1, e2)
+            out = _clip_convex_raw(subject, _edges([e1, e2])[:1])
             assert out is not subject
             assert bits(out) == bits(reference_clip_halfplane(subject, e1, e2))
         # a NaN edge gives every vertex a NaN side
         subject = [(0.0, 0.0), (2.0, 0.0), (1.0, 2.0)]
-        assert _clip_halfplane(subject, (nan, 0.0), e2) == []
+        assert _clip_convex_raw(subject, _edges([(nan, 0.0), e2])[:1]) == []
         clipper = [(0.5, nan), (3.0, 0.5), (0.5, 3.0)]
         assert bits(_convex_clip(subject, clipper)) == bits(reference_convex_clip(subject, clipper))
 
@@ -276,7 +277,7 @@ def part_lists(draw, kind):
     polys = draw(st.lists(convex_polygons(), min_size=1, max_size=3))
     if draw(st.booleans()):  # rectangles and half-squares against the first part
         polys.append(draw(axis_clippers(polys[0])))
-    return [(pts, _bbox(pts)) for pts in (as_number_type(p, kind) for p in polys)]
+    return [(pts, _bbox(pts), _edges(pts)) for pts in (as_number_type(p, kind) for p in polys)]
 
 
 class TestOverlapSum:
@@ -294,8 +295,8 @@ class TestOverlapSum:
         for kind in ("int", "Fraction", "float"):
             a, b = (as_number_type([(x + dx, y) for x, y in square], kind) for dx in (0, 1))
             # the boxes are widened so that the clip runs
-            parts_a = [(a, (-1, -1, 3, 3))]
-            parts_b = [(b, (-1, -1, 3, 3))]
+            parts_a = [(a, (-1, -1, 3, 3), _edges(a))]
+            parts_b = [(b, (-1, -1, 3, 3), _edges(b))]
             assert number_bits(overlap_sum2(parts_a, parts_b)) == ("int", 0)
             assert number_bits(reference_overlap_sum2(parts_a, parts_b)) == ("int", 0)
 

@@ -46,9 +46,10 @@ from chainfold.exact_geom import (
     SimplePolygon,
     _bbox,
     _bboxes_interiors_overlap,
-    _clip_halfplane,
+    _clip_convex_raw,
     _convex_clip,
     _ear_clip,
+    _edges,
     _orient,
     _point_in_triangle_closed,
     _signed_area2,
@@ -80,7 +81,8 @@ def _box_pairs(boxes):
 
 
 def _fraction_parts(parts):
-    return [(_as_fractions(part), tuple(map(Fraction, box))) for part, box in parts]
+    """The engine's (part, box, edges) as (part, box) in Fractions."""
+    return [(_as_fractions(part), tuple(map(Fraction, box))) for part, box, _ in parts]
 
 
 def _reference_overlap(parts_a, parts_b):
@@ -96,18 +98,17 @@ def _reference_overlap(parts_a, parts_b):
 
 
 def _reference_covered_by_cells(parts, box, cells):
-    parts = _fraction_parts(parts)
     x0, y0, x1, y1 = box
     cx0, cy0, cx1, cy1 = math.floor(x0), math.floor(y0), math.ceil(x1), math.ceil(y1)
     if cx1 - cx0 == 1 and cy1 - cy0 == 1 and (cx0, cy0) in cells:
-        return sum(_signed_area2(part) for part, _ in parts) / 2
+        return sum(_signed_area2(part) for part, _ in _fraction_parts(parts)) / 2
     covered = 0
     for x in range(cx0, cx1):
         for y in range(cy0, cy1):
             if (x, y) in cells:
                 lo_x, lo_y, hi_x, hi_y = Fraction(x), Fraction(y), Fraction(x + 1), Fraction(y + 1)
                 cell = [(lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y)]
-                covered += _reference_overlap(parts, [(cell, (lo_x, lo_y, hi_x, hi_y))])
+                covered += _reference_overlap(parts, [(cell, (lo_x, lo_y, hi_x, hi_y), _edges(cell))])
     return covered
 
 
@@ -159,14 +160,14 @@ def _float_covered2(parts, box, cells):
     x0, y0, x1, y1 = box
     cx0, cy0, cx1, cy1 = math.floor(x0), math.floor(y0), math.ceil(x1), math.ceil(y1)
     if cx1 - cx0 == 1 and cy1 - cy0 == 1 and (cx0, cy0) in cells:
-        return sum(_signed_area2(part) for part, _ in parts)
+        return sum(_signed_area2(part) for part, _, _ in parts)
     covered = 0
     for x in range(cx0, cx1):
         for y in range(cy0, cy1):
             if (x, y) in cells:
                 lo_x, lo_y, hi_x, hi_y = float(x), float(y), float(x + 1), float(y + 1)
                 cell = [(lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y)]
-                covered += overlap_sum2(parts, [(cell, (lo_x, lo_y, hi_x, hi_y))])
+                covered += overlap_sum2(parts, [(cell, (lo_x, lo_y, hi_x, hi_y), _edges(cell))])
     return covered
 
 
@@ -653,9 +654,9 @@ class TestIntSafety:
         n = len(clipper)
         for i in range(n):
             e1, e2 = clipper[i], clipper[(i + 1) % n]
-            out = _clip_halfplane(subject, e1, e2)
+            out = _clip_convex_raw(subject, _edges([e1, e2])[:1])
             _assert_exact(_flat(out))
-            assert out == _clip_halfplane(_as_fractions(subject), *_as_fractions([e1, e2]))
+            assert out == _clip_convex_raw(_as_fractions(subject), _edges(_as_fractions([e1, e2]))[:1])
         out = _convex_clip(subject, clipper)
         _assert_exact(_flat(out))
         assert out == _convex_clip(_as_fractions(subject), _as_fractions(clipper))
@@ -664,8 +665,8 @@ class TestIntSafety:
     @given(int_simple_polygons(), int_simple_polygons())
     def test_parts_and_overlap_sums(self, a, b):
         parts_a, parts_b = convex_parts(a), convex_parts(b)
-        for part, box in parts_a + parts_b:
-            _assert_exact(_flat(part) + list(box))
+        for part, box, edges in parts_a + parts_b:
+            _assert_exact(_flat(part) + list(box) + [v for e in edges for v in e])
         area2 = overlap_sum2(parts_a, parts_b)
         _assert_exact([area2])
         assert area2 == overlap_sum2(convex_parts(_as_fractions(a)), convex_parts(_as_fractions(b)))

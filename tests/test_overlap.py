@@ -9,6 +9,7 @@ from chainfold.exact_geom import (
     _bbox,
     _bboxes_interiors_overlap,
     _ear_clip,
+    _edges,
     _signed_area2,
 )
 from chainfold.overlap import (
@@ -23,7 +24,7 @@ from chainfold.overlap import (
 )
 
 from conftest import rational_convex_hull
-from test_clip_kernel import convex_polygons, reference_convex_clip
+from test_clip_kernel import as_number_type, convex_polygons, number_bits, reference_convex_clip
 
 
 def _octagon(pts):
@@ -150,7 +151,7 @@ L_HEXAGON = [(Fraction(x), Fraction(y)) for x, y in
 class TestPartsAndNarrowPhase:
     def test_convex_polygon_is_its_own_part(self):
         parts = convex_parts(SQUARE)
-        assert parts == [(SQUARE, (0, 0, 2, 2))]
+        assert parts == [(SQUARE, (0, 0, 2, 2), _edges(SQUARE))]
 
     def test_bounds_are_boxes_and_diagonal_extents(self):
         parts, bounds = parts_and_bounds([SQUARE, L_HEXAGON])
@@ -161,7 +162,7 @@ class TestPartsAndNarrowPhase:
     def test_non_convex_polygon_splits_into_triangles(self):
         parts = convex_parts(L_HEXAGON)
         assert len(parts) == 4
-        assert all(len(part) == 3 for part, _ in parts)
+        assert all(len(part) == 3 for part, _, _ in parts)
 
     def test_repeated_points_are_dropped(self):
         # a fragment of the random-18 chart as placed, its first and its
@@ -171,7 +172,7 @@ class TestPartsAndNarrowPhase:
         c = (44.022680412371145, 1.5010309278350515)
         with pytest.raises(InvalidPolygon):
             _ear_clip([a, a, b, c, c])
-        assert convex_parts([a, a, b, c, c]) == [([a, b, c], _bbox([a, b, c]))]
+        assert convex_parts([a, a, b, c, c]) == [([a, b, c], _bbox([a, b, c]), _edges([a, b, c]))]
         assert _signed_area2([a, a, b, c, c]) == _signed_area2([a, b, c])
         assert convex_parts([a] * 4) == []  # a piece collapsed to one point
 
@@ -200,6 +201,76 @@ class TestPartsAndNarrowPhase:
         assert covered2 == 2 * (Fraction(1) + Fraction(1, 2))
         cells.add((1, 0))
         assert covered_by_cells2(parts, (0, 0, 2, 2), 4, cells, cell_bounds(cells)) == 4
+
+
+def _two_pass_bounds(pieces):
+    """parts_and_bounds' bounds by the plain form: the single part's box
+    or _bbox of the piece, then min() and max() of x + y and of x - y."""
+    bounds = []
+    for pts in pieces:
+        parts = convex_parts(pts)
+        sums = [x + y for x, y in pts]
+        diffs = [x - y for x, y in pts]
+        box = parts[0][1] if len(parts) == 1 else _bbox(pts)
+        bounds.append((*box, min(sums), max(sums), min(diffs), max(diffs)))
+    return bounds
+
+
+@st.composite
+def _bound_pieces(draw):
+    """A convex polygon or an L hexagon, moved so that a vertex may sit at
+    the origin, as ints, Fractions or floats.  A vertex may repeat, the
+    first one also at the end; a float zero may turn into -0.0, and one
+    float coordinate into NaN."""
+    pts = draw(st.one_of(convex_polygons(), st.just(L_HEXAGON)))
+    if draw(st.booleans()):
+        ox, oy = draw(st.sampled_from(pts))
+        pts = [(x - ox, y - oy) for x, y in pts]
+    kind = draw(st.sampled_from(["int", "Fraction", "float"]))
+    pts = as_number_type(pts, kind)
+    for k in draw(st.lists(st.integers(0, len(pts) - 1), max_size=3)):
+        pts.insert(k, pts[k])
+    if draw(st.booleans()):
+        pts.append(pts[0])
+    if kind == "float":
+        flips = draw(st.lists(st.booleans(), min_size=2 * len(pts), max_size=2 * len(pts)))
+        pts = [(-0.0 if x == 0 and fx else x, -0.0 if y == 0 and fy else y)
+               for (x, y), fx, fy in zip(pts, flips[::2], flips[1::2])]
+        if draw(st.booleans()):
+            k, axis = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, 1))
+            p = list(pts[k])
+            p[axis] = float("nan")
+            pts[k] = tuple(p)
+    return pts
+
+
+class TestOnePassBounds:
+    @settings(max_examples=500)
+    @given(st.lists(_bound_pieces(), min_size=1, max_size=4))
+    def test_matches_the_two_pass_form(self, pieces):
+        try:
+            expected = _two_pass_bounds(pieces)
+        except InvalidPolygon:  # a NaN can leave no ear
+            with pytest.raises(InvalidPolygon):
+                parts_and_bounds(pieces)
+            return
+        bounds = parts_and_bounds(pieces)[1]
+        assert [[number_bits(v) for v in b] for b in bounds] == [
+            [number_bits(v) for v in b] for b in expected]
+
+    def test_signed_zeros_and_nan_keep_the_first(self):
+        # the repeated first point is dropped from the part, so the part's
+        # box and the piece's own bounds disagree on the sign of a zero
+        z = [(-0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)]
+        (bound,) = parts_and_bounds([z])[1]
+        assert [number_bits(v) for v in bound] == [
+            number_bits(v) for v in _two_pass_bounds([z])[0]]
+        assert number_bits(bound[0]) == ("float", (0.0).hex())  # the part's box
+        assert number_bits(bound[6]) == ("float", (-0.0).hex())  # -0.0 - 0.0, the first of equals
+        nan = float("nan")
+        tri = [(nan, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        (bound,) = parts_and_bounds([tri])[1]
+        assert all(v != v for v in (bound[0], bound[2], bound[4], bound[5]))  # a first NaN stays
 
 
 def _half_squares(x, y, s):
