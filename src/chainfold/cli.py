@@ -12,7 +12,6 @@ that cannot open the second leaves the first as it found it.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -39,7 +38,7 @@ from .figures import (
     verify_configuration,
     write_json,
 )
-from .kinematics import motion_frame_json, sample_motion
+from .kinematics import sample_motion, write_motion_report
 from .polyomino import Polyomino, cells_from_json, parse_grid, random_polyomino, to_grid
 from .render import render_animation, render_chart, render_config
 
@@ -49,6 +48,7 @@ EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
 MAX_FRAMES = 1000  # animate holds every frame and the whole SVG in memory
+MAX_PIECE_FRAMES = 2**17  # pieces times frames: animate holds about 1.1 KB for each
 MAX_GEN_CELLS = 16384  # bounds the grid, and the fold and exact verify of it
 
 
@@ -163,6 +163,9 @@ def cmd_animate(args) -> int:
         if args.frames > MAX_FRAMES:
             raise ValueError(f"at most {MAX_FRAMES} frames, got {args.frames}")
         doc = load_hdj(args.file)
+        if len(doc.figure.pieces) * args.frames > MAX_PIECE_FRAMES:
+            raise ValueError(f"at most {MAX_PIECE_FRAMES} pieces times frames, got "
+                             f"{len(doc.figure.pieces)} pieces and {args.frames} frames")
         if len(doc.configurations) < 2:
             raise ValueError("animation needs a document with two configurations")
         try:
@@ -186,14 +189,8 @@ def cmd_animate(args) -> int:
         with atomic_output(args.out) as fh:
             fh.write(render_animation(samples, figure=doc.figure))
             if args.report_overlaps:
-                # motion_report_json(samples), one frame per line: json.dumps of
-                # a frame runs the C encoder, json.dump with indent the Python one
                 with atomic_output(args.report_overlaps) as report:
-                    sep = '{"frames": [\n'
-                    for s in samples:
-                        report.write(sep + json.dumps(motion_frame_json(s)))
-                        sep = ",\n"
-                    report.write("\n]}\n")
+                    write_motion_report(samples, report)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     worst = max((o[2] for s in samples for o in s.overlaps), default=0.0)

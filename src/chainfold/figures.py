@@ -15,7 +15,6 @@ import math
 import os
 from fractions import Fraction
 from itertools import chain, count, groupby, repeat
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -298,7 +297,9 @@ def _partition_failures(pieces, region, tol, exact: bool, checks, name: str):
         (checks[1], f"piece {i}: {half_text(area2)} {where}")
         for i, area2 in enumerate(outside2) if not area2 <= bound2
     ]
-    total2 = sum(areas2)
+    total2 = 0  # left to right, as overlap_sum2 adds, on every Python
+    for area2 in areas2:
+        total2 += area2
     if not abs(total2 - region_area2) <= bound2:
         text = f"piece areas sum to {half_text(total2)}, {name} {half_text(region_area2)}"
         failures.append((checks[2], text))
@@ -589,46 +590,8 @@ def _json_list(obj: dict, key: str) -> list:
     return value
 
 
-def _float_text(v: float) -> str:
-    if v != v:
-        return "NaN"
-    if v in (math.inf, -math.inf):
-        return "Infinity" if v > 0 else "-Infinity"
-    return float.__repr__(v)
-
-
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_text,
-    bool: lambda v: "true" if v else "false",
-    type(None): lambda v: "null",
-}
-
-
-def _scalar_text(v) -> str:
-    """The JSON text of a value that is not a list, tuple or dict;
-    subclasses of str, int and float are written as their base type, as
-    json does."""
-    text = _SCALAR_TEXT.get(type(v))
-    if text is not None:
-        return text(v)
-    for base in (str, int, float):
-        if isinstance(v, base):
-            return _SCALAR_TEXT[base](v)
-    raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (bool, int, float)) or key is None:
-        return encode_basestring_ascii(_scalar_text(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-_TABLE_LEAVES = frozenset(_SCALAR_TEXT)  # exact types: a subclass takes the item path
-_TABLE_DEPTH_CAP = 8  # a list that holds itself has no depth; the item path names the cycle
+_TABLE_LEAVES = frozenset({str, int, float, bool, type(None)})  # exact types, not subclasses
+_TABLE_DEPTH_CAP = 8  # a list that holds itself has no depth; the writer names the cycle
 _COMPACT = json.JSONEncoder()  # the C encoder, separators ", " and ": "
 
 
@@ -679,65 +642,42 @@ def _table_text(v, level: int, depth: int, leaves: int, last_brackets: str):
     return "".join(opens) + body + "".join(closes)
 
 
-def write_json(obj, fh) -> None:
-    """Write exactly json.dumps(obj, indent=1) to fh, one top-level item at
-    a time.  json.dump with an indent always runs the pure-Python encoder.
-    Here a table (see _table_shape), such as a figure's pieces or a
-    configuration's placements, is encoded by the C encoder and re-indented;
-    when a string in it holds ", ", or the C encoder raises, it takes the
-    item path.  That path formats every other container, and each scalar
-    with the json module's own functions.  The text of the container
-    formatted last is kept, so a container that comes again next at the
-    same level is formatted once."""
-    scalar = _SCALAR_TEXT.get
-    open_ids = set()  # the containers being formatted, to find a cycle
-    last = (None, 0, "")  # the container formatted last, its level and its text
-
-    def text(v, level: int) -> str:
-        nonlocal last
-        if not isinstance(v, (list, tuple, dict)):
-            return _scalar_text(v)
-        if v is last[0] and level == last[1]:
-            return last[2]
-        if not v:
-            return "{}" if isinstance(v, dict) else "[]"
-        if id(v) in open_ids:
-            raise ValueError("Circular reference detected")
-        if not isinstance(v, dict) and (shape := _table_shape(v)):
-            table = _table_text(v, level, *shape)
-            if table is not None:
-                last = (v, level, table)
-                return table
-        open_ids.add(id(v))
-        inner, deeper = "\n" + " " * (level + 1), level + 1
-        if isinstance(v, dict):
-            brackets = "{}"
-            items = [
-                (encode_basestring_ascii(k) if type(k) is str else _key_text(k)) + ": "
-                + (f(x) if (f := scalar(type(x))) else text(x, deeper))
-                for k, x in v.items()
-            ]
-        else:
-            brackets = "[]"
-            items = [f(x) if (f := scalar(type(x))) else text(x, deeper) for x in v]
-        open_ids.discard(id(v))
-        last = (v, level, brackets[0] + inner + ("," + inner).join(items)
-                + "\n" + " " * level + brackets[1])
-        return last[2]
-
-    if not isinstance(obj, (list, tuple, dict)) or not obj:
-        fh.write(text(obj, 0))
+def _json_chunks(v, level: int, open_ids: set):
+    """The text of json.dumps(v, indent=1) nested at level, in pieces: a
+    table in one piece, any other container item by item, and each
+    scalar, empty container and dict key as json itself writes it."""
+    if not isinstance(v, (list, tuple, dict)) or not v:
+        yield json.dumps(v)
         return
-    open_ids.add(id(obj))
-    if isinstance(obj, dict):
-        brackets, entries = "{}", ((_key_text(k) + ": ", v) for k, v in obj.items())
+    if id(v) in open_ids:
+        raise ValueError("Circular reference detected")
+    if not isinstance(v, dict) and (shape := _table_shape(v)):
+        table = _table_text(v, level, *shape)
+        if table is not None:
+            yield table
+            return
+    open_ids.add(id(v))
+    if isinstance(v, dict):  # a key and its ": " lie between the { and 0} of {key: 0}
+        brackets, items = "{}", ((json.dumps({k: 0})[1:-2], x) for k, x in v.items())
     else:
-        brackets, entries = "[]", (("", v) for v in obj)
-    sep = brackets[0] + "\n "
-    for key, v in entries:
-        fh.write(sep + key + text(v, 1))
-        sep = ",\n "
-    fh.write("\n" + brackets[1])
+        brackets, items = "[]", zip(repeat(""), v)
+    sep = brackets[0] + "\n" + " " * (level + 1)
+    for key, x in items:
+        yield sep + key
+        yield from _json_chunks(x, level + 1, open_ids)
+        sep = ",\n" + " " * (level + 1)
+    open_ids.discard(id(v))
+    yield "\n" + " " * level + brackets[1]
+
+
+def write_json(obj, fh) -> None:
+    """Write exactly json.dumps(obj, indent=1) to fh, streamed.  json.dump
+    with an indent always runs the pure-Python encoder.  Here a table (see
+    _table_shape), such as a figure's pieces or a configuration's
+    placements, is encoded by the C encoder and re-indented; when a string
+    in it holds ", ", or the C encoder raises, it is written item by item
+    like any other container."""
+    fh.writelines(_json_chunks(obj, 0, set()))
 
 
 @contextlib.contextmanager

@@ -9,6 +9,7 @@ are measured and reported per frame rather than avoided.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import NamedTuple
 
@@ -185,5 +186,13 @@ def motion_frame_json(s: MotionSample) -> dict:
     }
 
 
-def motion_report_json(samples: list[MotionSample]) -> dict:
-    return {"frames": [motion_frame_json(s) for s in samples]}
+def write_motion_report(samples: list[MotionSample], fh) -> None:
+    """Write {"frames": [motion_frame_json(s), ...]} to fh, one frame per
+    line: json.dumps of a frame runs the C encoder, where json.dump with
+    an indent runs the pure-Python one."""
+    fh.write('{"frames": [')
+    sep = "\n"
+    for s in samples:
+        fh.write(sep + json.dumps(motion_frame_json(s)))
+        sep = ",\n"
+    fh.write("\n]}\n")

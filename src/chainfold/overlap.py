@@ -169,8 +169,13 @@ def part_clips(parts_a, parts_b) -> list[tuple]:
 
 
 def overlap_sum2(parts_a, parts_b):
-    """Twice the area shared by two convex-part lists (0 when they do not meet)."""
-    return sum(area2 for _, area2 in part_clips(parts_a, parts_b))
+    """Twice the area shared by two convex-part lists (0 when they do not
+    meet), added left to right: sum() compensates float sums from Python
+    3.12 on, so its last bit would depend on the Python."""
+    total2 = 0
+    for _, area2 in part_clips(parts_a, parts_b):
+        total2 += area2
+    return total2
 
 
 def polygon_overlap(pts_a, pts_b):

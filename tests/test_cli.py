@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainfold.chain import load_sample_shape
-from chainfold.cli import COMMANDS, MAX_FRAMES, MAX_GEN_CELLS, build_parser, main
+from chainfold.cli import COMMANDS, MAX_FRAMES, MAX_GEN_CELLS, MAX_PIECE_FRAMES, build_parser, main
 from chainfold.equidecompose import MAX_HALVINGS
 from chainfold.exact_geom import RAT_MAX_DIGITS
 from chainfold.figures import load_hdj
-from chainfold.kinematics import motion_report_json, sample_motion
+from chainfold.kinematics import motion_frame_json, sample_motion
 from chainfold.polyomino import parse_grid, to_grid
 from chainfold.render import render_animation
 
@@ -296,6 +296,32 @@ class TestAnimate:
         assert f"at most {MAX_FRAMES} frames" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_pieces_times_frames_above_cap_exit_2_before_any_sampling(
+            self, workdir, capsys, monkeypatch):
+        # two 128-cell shapes dissect into 256 pieces: 512 frames reach the cap
+        for name, seed in (("a", "0"), ("b", "1")):
+            assert main(["gen", "--cells", "128", "--seed", seed,
+                         "--out", str(workdir / f"{name}.txt")]) == 0
+        pair = workdir / "big.hdj"
+        assert main(["dissect", "--a", str(workdir / "a.txt"), "--b", str(workdir / "b.txt"),
+                     "--out", str(pair)]) == 0
+        assert len(load_hdj(pair).figure.pieces) * 512 == MAX_PIECE_FRAMES
+        capsys.readouterr()
+
+        def refuse(*args):
+            raise ValueError("sample_motion was called")
+
+        monkeypatch.setattr("chainfold.cli.sample_motion", refuse)
+        out, report = workdir / "x.svg", workdir / "x.json"
+        animate = ["animate", str(pair), "--out", str(out), "--report-overlaps", str(report)]
+        assert main(animate + ["--frames", "513"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: at most {MAX_PIECE_FRAMES} pieces times frames, "
+            "got 256 pieces and 513 frames\n")
+        assert main(animate + ["--frames", "512"]) == 2  # at the cap, sampling starts
+        assert capsys.readouterr().err == "error: sample_motion was called\n"
+        assert not out.exists() and not report.exists()
+
     @pytest.mark.parametrize("where", ["placement", "vertex"])
     def test_value_outside_the_float_range_exits_2(self, workdir, capsys, where):
         # a 3-cell pair; verify --mode approx exits 2 on the same documents
@@ -398,9 +424,9 @@ class TestGlyphAnimation:
         assert len(frames) == 6
         for k, line in enumerate(frames):
             frame = json.loads(line.rstrip(","))
-            assert frame == motion_report_json(samples[k : k + 1])["frames"][0]
+            assert frame == motion_frame_json(samples[k])
         with open(report, encoding="utf-8") as fh:
-            assert json.load(fh) == motion_report_json(samples)
+            assert json.load(fh) == {"frames": [motion_frame_json(s) for s in samples]}
         assert any(s.overlaps for s in samples)  # the report is not trivially empty
 
 

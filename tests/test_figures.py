@@ -669,6 +669,11 @@ class TestWriteJson:
     @example([[_S], _S])
     @example({1: [], 2.5: {}, None: _S, False: (_S, _S), "k": ()})
     @example([[1], [True], [1.0]])  # equal containers, different texts
+    @example({_Int(3): [_Int(4)], _Float(2.5): _Float(0.5)})  # keys of int and float subclasses
+    @example({float("nan"): 1, float("inf"): [2], -float("inf"): {}})
+    @example({"a, b\n": [", ", "\n"], "k": 1})
+    @example([[1, 2.5], [None, "s, t"], [True, -0.0]])  # a top-level table
+    @example([1, [[2, 3], [4, 5]], "s", {"t": [[6], [7]]}])  # scalars beside tables
     def test_shared_containers_match_json_dumps(self, obj):
         assert _written(obj) == json.dumps(obj, indent=1)
 

@@ -87,7 +87,6 @@ def test_the_check_finds_an_unused_import():
 REACH_ALLOWED = {
     ("equidecompose", "chart_from_json"): "the chart reader; the roadmap gives it a CLI caller",
     ("kinematics", "pose_placements"): "forward kinematics, which tests hold sample_motion to",
-    ("kinematics", "motion_report_json"): "the report value, which tests hold the CLI's file to",
     ("chain", "load_sample_shape"): "the library's one reader of the shipped glyph corpus",
 }
 

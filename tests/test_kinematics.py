@@ -1,3 +1,5 @@
+import io
+import json
 import math
 
 import pytest
@@ -11,9 +13,10 @@ from chainfold.kinematics import (
     TooFewFrames,
     extract_pose,
     interpolate,
-    motion_report_json,
+    motion_frame_json,
     pose_placements,
     sample_motion,
+    write_motion_report,
 )
 from chainfold.numeric import apply_numeric, numeric_from_rigid
 from chainfold.polyomino import parse_grid
@@ -176,6 +179,9 @@ class TestSampleMotion:
         a = parse_grid("##")
         hd = dissect_pair(a, a)
         samples = sample_motion(hd.figure, hd.config_a, hd.config_b, 3)
-        report = motion_report_json(samples)
+        fh = io.StringIO()
+        write_motion_report(samples, fh)
+        report = json.loads(fh.getvalue())
+        assert report == {"frames": [motion_frame_json(s) for s in samples]}
         assert len(report["frames"]) == 3
         assert len(report["frames"][0]["placements"]) == 4

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from chainfold.exact_geom import (
     _edges,
     _signed_area2,
 )
+from chainfold.figures import _partition_failures
 from chainfold.overlap import (
     cell_bounds,
     convex_parts,
@@ -402,3 +405,48 @@ class TestDiagonalPrune:
         a, b = pair
         if _exact_overlap2(a, b) > 0:
             assert not _pruned(a, b)
+
+
+def _left_to_right(values):
+    """values added in order from the int 0, as sum() adds floats before Python 3.12."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+_L_HEXAGON = ((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
+
+
+def _placed_l_hexagons(rng, count):
+    """count float L hexagons, each turned and moved by a seeded amount."""
+    pieces = []
+    for _ in range(count):
+        angle, tx, ty = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2), rng.uniform(0, 2)
+        c, s = math.cos(angle), math.sin(angle)
+        pieces.append([(c * x - s * y + tx, s * x + c * y + ty) for x, y in _L_HEXAGON])
+    return pieces
+
+
+class TestFloatSumsInOneOrder:
+    """Float areas are added left to right, so a result has one last bit on
+    every Python: sum() compensates float sums from Python 3.12 on."""
+
+    def test_overlap_sum2_adds_its_fragments_left_to_right(self):
+        rng = random.Random(29)
+        several = 0
+        for _ in range(300):
+            a, b = (convex_parts(p) for p in _placed_l_hexagons(rng, 2))
+            areas2 = [area2 for _, area2 in part_clips(a, b)]
+            several += len(areas2) > 2
+            assert repr(overlap_sum2(a, b)) == repr(_left_to_right(areas2))
+        assert several > 100
+
+    def test_partition_total_adds_the_piece_areas_left_to_right(self):
+        rng = random.Random(30)
+        square = [(0, 0), (4, 0), (4, 4), (0, 4)]
+        for _ in range(40):
+            pieces = _placed_l_hexagons(rng, 10)
+            _, total = _partition_failures(pieces, square, 1e-9, False,
+                                           ("overlap", "inside", "area"), "the square")
+            assert repr(total) == repr(_left_to_right(map(_signed_area2, pieces)) / 2)
