@@ -40,7 +40,6 @@ from .equidecompose import (
     overlay_charts,
     polygon_to_canonical_chart,
     rectangle_to_width,
-    stack_rectangles,
     triangle_to_rectangle,
     verify_chart,
 )

@@ -227,8 +227,11 @@ def cmd_bg(args) -> int:
         return _fail(str(exc))
     report = verify_chart(mutual, CHART_TOLERANCE)
     if not report.accepted:
-        print(f"error: mutual chart failed verification: {report.failures[:5]}",
-              file=sys.stderr)
+        print("error: mutual chart failed verification:", file=sys.stderr)
+        for check, detail in report.failures[:5]:
+            print(f"  {check}: {detail}", file=sys.stderr)
+        if len(report.failures) > 5:
+            print(f"  … {len(report.failures) - 5} more", file=sys.stderr)
         return EXIT_REJECTED
     try:
         with atomic_output(args.out) as fh:

@@ -25,6 +25,7 @@ from .exact_geom import (
     Point2,
     RigidMotion,
     SimplePolygon,
+    _bbox,
     _clip_homogeneous,
     _convex_clip,  # noqa: F401 - looked up by perfbench/tracing.py
     _dedupe_collinear,
@@ -70,10 +71,6 @@ class DegenerateTriangle(DissectionError):
 
 
 class BadWidth(DissectionError):
-    pass
-
-
-class WidthMismatch(DissectionError):
     pass
 
 
@@ -186,15 +183,6 @@ def _half_turn_about(center: Point2) -> RigidMotion:
 # width normalization
 
 
-class _FramePiece(NamedTuple):
-    """A convex piece of a rectangle in intrinsic-frame coordinates, as
-    homogeneous int points (see exact_geom._homogeneous), with its numeric
-    motion into the normalized axis-aligned rectangle."""
-
-    frame_polygon: list
-    motion: NumericMotion
-
-
 def _width(w) -> Fraction:
     """A target width: a positive rational whose float is nonzero and finite."""
     w = rat(w)
@@ -242,12 +230,9 @@ def rectangle_to_width(r: RectangleForm, w) -> tuple[list[SimplePolygon], list[N
     h_out = Fraction(r.area(), w)
     out_rect = RectangleForm.axis_aligned(w, h_out)
     to_source = _frame_to_source(r, IDENTITY_MOTION)
-    pieces = []
-    motions = []
-    for fp in _normalize_frame_pieces(r, w):
-        pieces.append(_rational_polygon(_map_homogeneous(to_source, fp.frame_polygon)))
-        motions.append(fp.motion)
-    return pieces, motions, out_rect
+    frame_pieces = _normalize_frame_pieces(r, w)
+    pieces = [_rational_polygon(_map_homogeneous(to_source, fp)) for fp, _ in frame_pieces]
+    return pieces, [motion for _, motion in frame_pieces], out_rect
 
 
 def _choose_halvings(len_u_sq: Fraction, w: Fraction, a: float) -> int:
@@ -262,9 +247,12 @@ def _choose_halvings(len_u_sq: Fraction, w: Fraction, a: float) -> int:
     return k
 
 
-def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[_FramePiece]:
+def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[tuple[list, NumericMotion]]:
     """Width normalization in the rectangle's unit frame.
 
+    Returns (frame polygon, motion) pairs: each a convex piece in frame
+    coordinates, as homogeneous int points (see exact_geom._homogeneous),
+    with its numeric motion into the normalized axis-aligned rectangle.
     Each strip is cut out of the slide pieces in stacked-frame
     coordinates and mapped to frame coordinates by an integer affine
     map, all on homogeneous ints.  A rectangle whose side or corner does
@@ -289,28 +277,13 @@ def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[_FramePiece]:
     b_prime = b * (2.0**k)
     align = numeric_between_segments(c0, c1, (0.0, 0.0), (a, 0.0))
 
-    # stacked-frame bands, one per strip, each with its stacking translation
-    # and the int affine map from stacked-frame to frame coordinates
-    bands: list[tuple[list, NumericMotion, tuple]] = []
-    count = 2 ** abs(k)
-    for i in range(count):
-        if k >= 0:  # strip i of the base, stacked i heights up
-            band = [(0, i, count), (count, i, count), (count, i + 1, count), (0, i + 1, count)]
-            shift = NumericMotion(0.0, -i * a_prime, i * b)
-            to_frame = _int_affine((Fraction(i, count), -i), (Fraction(1, count), 0), (0, count))
-        else:  # strip i of the height, moved i base lengths along
-            band = [(i, 0, count), (i + 1, 0, count), (i + 1, count, count), (i, count, count)]
-            shift = NumericMotion(0.0, i * a, -i * (b / count))
-            to_frame = _int_affine((-i, Fraction(i, count)), (count, 0), (0, Fraction(1, count)))
-        bands.append((band, shift, to_frame))
-
-    exact_fit = len_u_sq == Fraction(4) ** k * (w * w)
+    # an exact fit needs no slide; it is tested exactly, since a float
+    # side whose square is subnormal can be far enough off to snap below 1
     omega = Fraction(1)
-    if not exact_fit:
+    if len_u_sq != Fraction(4) ** k * (w * w):
         omega = Fraction(float(w) / a_prime).limit_denominator(SNAP_DENOMINATOR)
         omega = min(max(omega, Fraction(1, 2)), Fraction(1))
-
-    if exact_fit or omega == 1:
+    if omega == 1:
         slide_pieces = [(((0, 0), (1, 0), (1, 1), (0, 1)), NUMERIC_IDENTITY)]
     else:
         lam = Fraction(1) / omega - 1  # in (0, 1], rational
@@ -328,44 +301,27 @@ def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[_FramePiece]:
         ]
     slides = [([_homogeneous(x, y) for x, y in piece], m) for piece, m in slide_pieces]
 
-    out: list[_FramePiece] = []
-    for band, shift, to_frame in bands:
+    # one stacked-frame band per strip, with its stacking translation and
+    # the int affine map from stacked-frame to frame coordinates
+    out = []
+    count = 2 ** abs(k)
+    for i in range(count):
+        if k >= 0:  # strip i of the base, stacked i heights up
+            band = [(0, i, count), (count, i, count), (count, i + 1, count), (0, i + 1, count)]
+            shift = NumericMotion(0.0, -i * a_prime, i * b)
+            to_frame = _int_affine((Fraction(i, count), -i), (Fraction(1, count), 0), (0, count))
+        else:  # strip i of the height, moved i base lengths along
+            band = [(i, 0, count), (i + 1, 0, count), (i + 1, count, count), (i, count, count)]
+            shift = NumericMotion(0.0, i * a, -i * (b / count))
+            to_frame = _int_affine((-i, Fraction(i, count)), (count, 0), (0, Fraction(1, count)))
         lines = _lines(band)
         for stacked_piece, slide_motion in slides:
             frag = _clip_homogeneous(stacked_piece, lines)
             if not frag:
                 continue
             piece_motion = compose_numeric(slide_motion, compose_numeric(shift, align))
-            out.append(_FramePiece(_map_homogeneous(to_frame, frag), piece_motion))
+            out.append((_map_homogeneous(to_frame, frag), piece_motion))
     return out
-
-
-def stack_rectangles(rects) -> tuple[list[NumericMotion], RectangleForm]:
-    """Stack equal-width axis-aligned rectangles upward from y = 0."""
-    rects = list(rects)
-    if not rects:
-        raise DissectionError("nothing to stack")
-    w_sq = rects[0].width_sq
-    for r in rects[1:]:
-        if r.width_sq != w_sq:
-            raise WidthMismatch(f"widths differ: {r.width_sq} vs {w_sq}")
-    w = _exact_sqrt(w_sq)
-    motions = []
-    offset = 0
-    for r in rects:
-        motions.append(NumericMotion(0.0, 0.0, float(offset)))
-        offset += Fraction(r.area(), w)
-    total = RectangleForm.axis_aligned(w, offset)
-    return motions, total
-
-
-def _exact_sqrt(value: Fraction) -> Fraction:
-    """Rational square root; stacking requires rationally-sized widths."""
-    num = math.isqrt(value.numerator)
-    den = math.isqrt(value.denominator)
-    if num * num != value.numerator or den * den != value.denominator:
-        raise WidthMismatch(f"width sqrt({value}) is irrational")
-    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +358,9 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
 
     Composition of triangulation, triangle-to-rectangle, width
     normalization and stacking; the pieces refine all stage cuts and
-    remain exact rational in source coordinates.
+    remain exact rational in source coordinates.  One pass over the
+    triangles stacks each rectangle on the earlier ones' areas over w.
+    A polygon that already is the target, moved, is its own one piece.
 
     Each rectangle's width-normalized pieces are cut against its
     triangle pieces in the rectangle's unit frame, and each fragment is
@@ -428,29 +386,30 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     _in_float_range(h_total, "the target height")
     target = RectangleForm.axis_aligned(w, h_total).polygon()
 
-    direct = _axis_aligned_width_w(p, w)
-    if direct is not None:
-        return DissectionChart([p], [direct], p, target)
+    # a simple quadrilateral fills its box exactly when it is that box
+    x0, y0, x1, y1 = _bbox(p)
+    if len(p) == 4 and x1 - x0 == w and _signed_area2(p) == 2 * w * (y1 - y0):
+        return DissectionChart([p], [NumericMotion(0.0, -float(x0), -float(y0))], p, target)
 
-    stages = [triangle_to_rectangle(tri) for tri in triangulate_simple(p)]
-    stack_shifts, _ = stack_rectangles(
-        RectangleForm.axis_aligned(w, Fraction(rect.area(), w)) for _, rect, _ in stages
-    )
     pieces: list[SimplePolygon] = []
     target_motions: list[NumericMotion] = []
-    for (tri_pieces, rect, tri_motions), stack_shift in zip(stages, stack_shifts):
+    height = 0
+    for tri in triangulate_simple(p):
+        tri_pieces, rect, tri_motions = triangle_to_rectangle(tri)
+        stack_shift = NumericMotion(0.0, 0.0, float(height))
+        height += Fraction(rect.area(), w)
         clippers = []
         for piece, m in zip(tri_pieces, tri_motions):
             pts = [_homogeneous(*rect.frame_coords(apply_motion(m, q))) for q in piece]
             clippers.append((_lines(pts), _frame_to_source(rect, m), numeric_from_rigid(m)))
-        for fp in _normalize_frame_pieces(rect, w):
+        for frame_polygon, motion in _normalize_frame_pieces(rect, w):
             for lines, to_source, rigid in clippers:
-                frag = _clip_homogeneous(fp.frame_polygon, lines)
+                frag = _clip_homogeneous(frame_polygon, lines)
                 if not frag:
                     continue
                 pieces.append(_rational_polygon(_map_homogeneous(to_source, frag)))
                 target_motions.append(
-                    compose_numeric(stack_shift, compose_numeric(fp.motion, rigid))
+                    compose_numeric(stack_shift, compose_numeric(motion, rigid))
                 )
     return DissectionChart(pieces, target_motions, p, target)
 
@@ -466,21 +425,6 @@ def _frame_to_source(r: RectangleForm, m: RigidMotion) -> tuple:
         (c * u.x - s * u.y, s * u.x + c * u.y),
         (c * v.x - s * v.y, s * v.x + c * v.y),
     )
-
-
-def _axis_aligned_width_w(p: SimplePolygon, w: Fraction):
-    """Translation when p already is an axis-aligned rectangle of width w."""
-    if len(p) != 4:
-        return None
-    for i in range(4):
-        d = p[(i + 1) % 4] - p[i]
-        if d.x != 0 and d.y != 0:
-            return None
-    xs = [v.x for v in p]
-    ys = [v.y for v in p]
-    if max(xs) - min(xs) != w:
-        return None
-    return NumericMotion(0.0, -float(min(xs)), -float(min(ys)))
 
 
 def overlay_charts(ca: DissectionChart, cb: DissectionChart) -> DissectionChart:

@@ -302,7 +302,8 @@ def _partition_failures(pieces, region, tol, exact: bool, checks, name: str):
         total2 += area2
     if not abs(total2 - region_area2) <= bound2:
         text = f"piece areas sum to {half_text(total2)}, {name} {half_text(region_area2)}"
-        failures.append((checks[2], text))
+        off = "" if exact else f", off by {half_text(abs(total2 - region_area2))}"
+        failures.append((checks[2], text + off))
     return failures, Fraction(total2, 2) if exact else total2 / 2
 
 

@@ -18,7 +18,7 @@ from chainfold.chain import load_sample_shape
 from chainfold.cli import COMMANDS, MAX_FRAMES, MAX_GEN_CELLS, MAX_PIECE_FRAMES, build_parser, main
 from chainfold.equidecompose import MAX_HALVINGS
 from chainfold.exact_geom import RAT_MAX_DIGITS
-from chainfold.figures import load_hdj
+from chainfold.figures import VerifyReport, load_hdj
 from chainfold.kinematics import motion_frame_json, sample_motion
 from chainfold.polyomino import parse_grid, to_grid
 from chainfold.render import render_animation
@@ -234,7 +234,7 @@ class TestVerify:
             "configuration 'c' vs target 't': REJECTED",
             "  PairwiseDisjoint: piece 0 cannot be cut into convex parts:"
             " no diagonal found; polygon is not simple",
-            "  AreaCoverage: piece areas sum to 0.375, target 0.5",
+            "  AreaCoverage: piece areas sum to 0.375, target 0.5, off by 0.125",
         ]
 
 
@@ -506,6 +506,23 @@ class TestBg:
                      "--width", width, "--out", str(workdir / "o.json")]) == 2
         assert time.perf_counter() - start < 2
         assert "outside the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [1, 5, 7])
+    def test_rejected_chart_lists_its_first_five_failures(self, workdir, capsys, monkeypatch, count):
+        failures = [("TargetOverlap", f"pieces 0 and {i} overlap by 0.5") for i in range(count)]
+        monkeypatch.setattr("chainfold.cli.verify_chart",
+                            lambda chart, tol: VerifyReport(failures, 4.0))
+        out, svg = workdir / "chart.json", workdir / "chart.svg"
+        assert main(["bg", "--a", str(workdir / "sq.json"), "--b", str(workdir / "tri.json"),
+                     "--width", "2", "--out", str(out), "--svg", str(svg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: mutual chart failed verification:",
+            *(f"  TargetOverlap: pieces 0 and {i} overlap by 0.5" for i in range(min(count, 5))),
+            *(["  … 2 more"] if count == 7 else []),
+        ]
+        assert not out.exists() and not svg.exists()
 
     def test_square_vs_itself(self, workdir):
         out = workdir / "self.json"

@@ -17,13 +17,11 @@ from chainfold.equidecompose import (
     MAX_HALVINGS,
     RectangleForm,
     TargetMismatch,
-    WidthMismatch,
     chart_from_json,
     chart_to_json,
     overlay_charts,
     polygon_to_canonical_chart,
     rectangle_to_width,
-    stack_rectangles,
     triangle_to_rectangle,
     verify_chart,
 )
@@ -137,6 +135,16 @@ class TestRectangleToWidth:
         assert len(pieces) == 1
         assert motions[0] == NumericMotion(0.0, 0.0, 0.0)
 
+    def test_exact_fit_with_a_subnormal_side_squared_is_one_piece(self):
+        # the side's square, 9e-314, is subnormal, and the float side is
+        # 9.4e-12 relative off: it would snap the width ratio below 1 and
+        # slide, had the fit not been tested exactly
+        side = Fraction(3, 10**157)
+        rect = RectangleForm.axis_aligned(side, 3 * side)
+        pieces, motions, _ = rectangle_to_width(rect, side)
+        assert pieces == [rect.polygon()]
+        assert motions == [NumericMotion(0.0, 0.0, 0.0)]
+
     def test_one_by_three_to_width_two(self):
         pieces, motions, out = rectangle_to_width(RectangleForm.axis_aligned(1, 3), 2)
         assert len(pieces) <= 4
@@ -200,25 +208,34 @@ class TestRectangleToWidth:
             rectangle_to_width(RectangleForm.axis_aligned(scale, scale), 1)
 
 
-class TestStackRectangles:
-    def test_two_rectangles(self):
-        motions, total = stack_rectangles(
-            [RectangleForm.axis_aligned(2, 1), RectangleForm.axis_aligned(2, 3)]
-        )
-        assert motions[0] == NumericMotion(0.0, 0.0, 0.0)
-        assert motions[1] == NumericMotion(0.0, 0.0, 1.0)
-        assert total.corners[2] == point(2, 4)
+class TestDirectChart:
+    """A polygon that already is the target rectangle, moved, is its own
+    one piece, moved to the origin; any other quadrilateral is cut."""
 
-    def test_single(self):
-        motions, total = stack_rectangles([RectangleForm.axis_aligned(2, 5)])
-        assert motions == [NumericMotion(0.0, 0.0, 0.0)]
-        assert total.corners[2] == point(2, 5)
+    @pytest.mark.parametrize("x, y", [
+        (0, 0), (3, 4), (Fraction(1, 3), Fraction(5, 7)), (-5, -2), (Fraction(-7, 2), Fraction(-1, 9)),
+    ])
+    def test_width_w_rectangle_is_moved_whole(self, x, y):
+        p = polygon([(x, y), (x + 2, y), (x + 2, y + 3), (x, y + 3)])
+        chart = polygon_to_canonical_chart(p, 2)
+        assert chart.pieces == [p]
+        assert chart.target_motions == [NumericMotion(0.0, -float(x), -float(y))]
+        assert verify_chart(chart).accepted
 
-    def test_mixed_widths(self):
-        with pytest.raises(WidthMismatch):
-            stack_rectangles(
-                [RectangleForm.axis_aligned(2, 1), RectangleForm.axis_aligned(3, 1)]
-            )
+    @pytest.mark.parametrize("coords", [
+        [(0, 0), (2, 0), (2, 1), (1, 1)],
+        [(0, 0), (1, 0), (2, 1), (1, 1)],
+        [(1, 0), (2, 1), (1, 2), (0, 1)],
+        [(0, 0), (1, 0), (1, 4), (0, 4)],
+        [(0, 0), (4, 0), (4, 1), (0, 1)],
+    ], ids=["trapezoid", "parallelogram", "45-degree-square", "narrower", "wider"])
+    def test_other_quadrilateral_is_cut(self, coords):
+        # each but the last two has a box 2 wide; only the area tells them
+        # from the rectangle that fills it
+        p = polygon(coords)
+        chart = polygon_to_canonical_chart(p, 2)
+        assert len(chart.pieces) > 1
+        assert verify_chart(chart).accepted
 
 
 class TestCanonicalChart:

@@ -270,7 +270,7 @@ class TestNonSimplePlacedPiece:
         assert report.failures == [
             ("PairwiseDisjoint", "piece 0 cannot be cut into convex parts: "
                                  "no diagonal found; polygon is not simple"),
-            ("AreaCoverage", "piece areas sum to 0.375, target 0.5"),
+            ("AreaCoverage", "piece areas sum to 0.375, target 0.5, off by 0.125"),
         ]
 
     def test_approx_verify_always_reports(self):
