@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from .chain import dissect_pair, fold_chain
 from .equidecompose import (
@@ -57,13 +58,27 @@ def _fail(message: str) -> int:
     return EXIT_INVALID
 
 
+def _distinct_outputs(out: str, second: str | None, flag: str) -> None:
+    """Raise ValueError when a second output is the file of --out, which
+    one of the two would otherwise overwrite."""
+    if second and os.path.realpath(out) == os.path.realpath(second):
+        raise ValueError(f"--out and {flag} name one file: {second}")
+
+
+def _read(path: str, load):
+    """load(path); a ValueError it raises names the file, as an OSError does."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_polyomino(grid_path: str | None, cells_path: str | None) -> Polyomino:
     if (grid_path is None) == (cells_path is None):
         raise ValueError("give exactly one of --in/--cells")
     if grid_path is not None:
-        with open(grid_path, "r", encoding="utf-8") as fh:
-            return parse_grid(fh.read())
-    return cells_from_json(read_json(cells_path))
+        return _read(grid_path, lambda path: parse_grid(Path(path).read_text(encoding="utf-8")))
+    return _read(cells_path, lambda path: cells_from_json(read_json(path)))
 
 
 def _fold_document(p: Polyomino) -> HdjFile:
@@ -93,6 +108,7 @@ def _save(args, doc: HdjFile) -> None:
 
 def cmd_fold(args) -> int:
     try:
+        _distinct_outputs(args.out, args.svg, "--svg")
         p = _load_polyomino(args.infile, args.cells)
         doc = _fold_document(p)
         _save(args, doc)
@@ -104,6 +120,7 @@ def cmd_fold(args) -> int:
 
 def cmd_dissect(args) -> int:
     try:
+        _distinct_outputs(args.out, args.svg, "--svg")
         a = _load_polyomino(args.a, None)
         b = _load_polyomino(args.b, None)
         hd = dissect_pair(a, b)
@@ -137,7 +154,7 @@ def cmd_verify(args) -> int:
     try:
         if args.tol is not None:
             check_tolerance(args.tol)
-        doc = load_hdj(args.file)
+        doc = _read(args.file, load_hdj)
         pairs = doc.pairs()
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
@@ -160,9 +177,10 @@ def cmd_verify(args) -> int:
 
 def cmd_animate(args) -> int:
     try:
+        _distinct_outputs(args.out, args.report_overlaps, "--report-overlaps")
         if args.frames > MAX_FRAMES:
             raise ValueError(f"at most {MAX_FRAMES} frames, got {args.frames}")
-        doc = load_hdj(args.file)
+        doc = _read(args.file, load_hdj)
         if len(doc.figure.pieces) * args.frames > MAX_PIECE_FRAMES:
             raise ValueError(f"at most {MAX_PIECE_FRAMES} pieces times frames, got "
                              f"{len(doc.figure.pieces)} pieces and {args.frames} frames")
@@ -203,18 +221,19 @@ def _load_polygon_json(path: str) -> SimplePolygon:
     capped like every other rational value."""
     obj = read_json(path, parse_float=rat)
     if not isinstance(obj, list):
-        raise ValueError(f"{path}: expected a JSON array of [x, y] points")
+        raise ValueError("expected a JSON array of [x, y] points")
     try:
         points = [point_from_json(v) for v in obj]
     except TypeError as exc:  # a coordinate that is not a number: null, a bool, a list
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(str(exc)) from None
     return SimplePolygon(points)
 
 
 def cmd_bg(args) -> int:
     try:
-        pa = _load_polygon_json(args.a)
-        pb = _load_polygon_json(args.b)
+        _distinct_outputs(args.out, args.svg, "--svg")
+        pa = _read(args.a, _load_polygon_json)
+        pb = _read(args.b, _load_polygon_json)
         if polygon_area(pa) != polygon_area(pb):
             raise ValueError(
                 f"areas differ: {polygon_area(pa)} vs {polygon_area(pb)}"

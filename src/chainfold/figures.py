@@ -259,8 +259,10 @@ def _placed_points(f: HingedFigure, c: Configuration, num=float) -> tuple[list, 
 def _partition_failures(pieces, region, tol, exact: bool, checks, name: str):
     """(failures, total area) of the check that pieces, lists of (x, y)
     points, partition a region: a ccw simple polygon's points or a
-    polyomino's frozenset of cells.  Exact pieces go to the cancellation
-    certificate, float ones to the engine against the region in floats.
+    polyomino's frozenset of cells.  Exact pieces on cells go to the
+    cancellation certificate.  Nothing cancels against a polygon, whose
+    maximal sides piece edges meet at T-junctions, so the rest go to the
+    engine, float pieces against the region in floats.
     Each doubled residual is held to a doubled bound, 0 when exact, and
     halved only to be shown, and passes only when it is <= the bound, so
     a NaN fails; checks names the overlap, containment and area checks,
@@ -273,9 +275,10 @@ def _partition_failures(pieces, region, tol, exact: bool, checks, name: str):
     if not exact:
         region_area2 = float(region_area2)
         region = region if cells else [(float(x), float(y)) for x, y in region]
+    residuals_of = exact_partition_residuals if exact and cells else partition_residuals
     failures = []
     try:
-        residuals = (exact_partition_residuals if exact else partition_residuals)(pieces, region)
+        residuals = residuals_of(pieces, region)
     except InvalidPolygon:
         failures = [(checks[0], f"piece {k} cannot be cut into convex parts: {error}")
                     for k, pts in enumerate(pieces) if (error := _split_error(pts))]
@@ -725,7 +728,7 @@ def read_json(path, **kwargs):
         try:
             return json.load(fh, **kwargs)
         except RecursionError:  # json.load recurses once per level of nesting
-            raise ValueError(f"{path}: JSON nested deeper than the recursion limit") from None
+            raise ValueError("JSON nested deeper than the recursion limit") from None
 
 
 def load_hdj(path) -> HdjFile:

@@ -34,10 +34,10 @@ float; callers compare doubled areas, or halve an exact one as
   returns the list of fragments with their doubled areas, so area sums
   measure each raw clip once.  Each clip is a plain Sutherland-Hodgman
   pass, one half-plane per stored edge of the clipper part.
-- Exact partitions: exact configuration verification first cancels the
-  pieces' directed edges against each other and the region's, and runs
-  the engine only on the pieces near the edges left; a chain fold's
-  edges all cancel, so its exact verify runs no sweep.
+- Exact partitions: exact verification against a polyomino first
+  cancels the pieces' directed edges against each other and the cells',
+  and runs the engine only on the pieces near the edges left; a chain
+  fold's edges all cancel, so its exact verify runs no sweep.
 """
 
 from __future__ import annotations
@@ -245,36 +245,32 @@ def partition_residuals(pieces, region):
     return areas2, overlaps2, outside2
 
 
-def exact_partition_residuals(pieces, region):
-    """partition_residuals for exact pieces that are simple and ccw
-    wherever their area is positive, as SimplePolygons moved by
-    [[c, -s], [s, c]] are: the same failures, from boundary cancellation.
+def exact_partition_residuals(pieces, cells):
+    """partition_residuals against a polyomino's frozenset of cells, for
+    exact pieces that are simple and ccw wherever their area is positive,
+    as SimplePolygons moved by [[c, -s], [s, c]] are: the same failures,
+    from boundary cancellation.
 
-    Each directed piece edge counts +1, each directed region edge -1 (a
-    polyomino's are its cells' ccw edges), and p -> q cancels q -> p.
-    The edges left are the jumps of g = sum of the pieces' indicators
-    minus the region's, so g = 0 off their box.  With every area
-    positive and no edge left, the pieces partition the region: areas
-    only, no overlaps, nothing outside.  Otherwise every positive
-    overlap or outside area, where g >= 1, lies in that box, and the
-    engine runs on the pieces whose closed boxes meet it; the rest have
-    no residual.  A piece without positive area (a zero rotation) sends
-    the whole check to the engine.
+    Each directed piece edge counts +1, each cell's ccw unit edge -1, and
+    p -> q cancels q -> p.  The edges left are the jumps of g = sum of the
+    pieces' indicators minus the polyomino's, so g = 0 off their box.  With
+    every area positive and no edge left, the pieces partition the cells:
+    no overlaps, nothing outside.  Otherwise every positive overlap or
+    outside area, where g >= 1, lies in that box, and the engine runs on
+    the pieces whose closed boxes meet it; the rest have no residual.  A
+    piece without positive area (a zero rotation) sends all to the engine.
     """
     areas2 = [_signed_area2(pts) for pts in pieces]
     if not all(area2 > 0 for area2 in areas2):
-        return partition_residuals(pieces, region)
+        return partition_residuals(pieces, cells)
     ends = chain.from_iterable([pts[1:] + pts[:1] for pts in pieces])
     edges = Counter(zip(chain.from_iterable(pieces), ends))
-    # each region edge p -> q counts as q -> p
-    if isinstance(region, frozenset):  # the corners of each cell, ccw
-        c0 = list(region)
-        c1 = [(x + 1, y) for x, y in c0]
-        c2 = [(x + 1, y + 1) for x, y in c0]
-        c3 = [(x, y + 1) for x, y in c0]
-        edges.update(chain(zip(c1, c0), zip(c2, c1), zip(c3, c2), zip(c0, c3)))
-    else:
-        edges.update(zip(region[1:] + region[:1], region))
+    # the corners of each cell, ccw; each cell edge p -> q counts as q -> p
+    c0 = list(cells)
+    c1 = [(x + 1, y) for x, y in c0]
+    c2 = [(x + 1, y + 1) for x, y in c0]
+    c3 = [(x, y + 1) for x, y in c0]
+    edges.update(chain(zip(c1, c0), zip(c2, c1), zip(c3, c2), zip(c0, c3)))
     count = edges.get
     left = [(p, q) for (p, q), n in edges.items() if count((q, p), 0) != n]
     if not left:
@@ -285,7 +281,7 @@ def exact_partition_residuals(pieces, region):
         if min(pts)[0] <= x1 and x0 <= max(pts)[0]
         and (box := _bbox(pts))[1] <= y1 and y0 <= box[3]
     ]
-    _, overlaps2, near_outside2 = partition_residuals([pieces[k] for k in near], region)
+    _, overlaps2, near_outside2 = partition_residuals([pieces[k] for k in near], cells)
     outside2 = [0] * len(pieces)
     for k, out2 in zip(near, near_outside2):
         outside2[k] = out2

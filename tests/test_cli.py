@@ -749,6 +749,22 @@ def test_an_output_that_is_a_directory_leaves_every_other_output_as_it_was(
     assert list((workdir / taken).iterdir()) == []
 
 
+@pytest.mark.parametrize("command, option", [
+    ("fold", "--svg"), ("dissect", "--svg"), ("bg", "--svg"), ("animate", "--report-overlaps"),
+])
+def test_two_outputs_that_name_one_file_exit_2_before_any_input_is_read(
+        workdir, capsys, monkeypatch, command, option):
+    # x and ./x are one file, so one output would overwrite the other; the
+    # inputs are removed first, so only a check before reading them passes
+    monkeypatch.chdir(workdir)
+    argv = [*_UNWRITABLE_COMMANDS[command](workdir, "x"), option, "./x"]
+    for path in workdir.iterdir():
+        path.unlink()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --out and {option} name one file: ./x\n"
+    assert list(workdir.iterdir()) == []
+
+
 def test_a_temporary_name_another_file_holds_is_left_to_it(workdir, monkeypatch):
     # a file already at gen's first temporary name, x.txt.<pid>.tmp, keeps its
     # bytes; gen writes through the next fresh name and leaves no other file
@@ -869,6 +885,27 @@ class TestParseErrors:
         argv = [arg.format(deep=deep, work=workdir) for arg in command]
         assert main(argv) == 2
         assert "JSON nested deeper than the recursion limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, text, message", [
+        (["fold", "--in", "{bad}", "--out", "{work}/f.hdj"], "bad.txt", "#x\n",
+         "unexpected character 'x' in row 0"),
+        (["fold", "--cells", "{bad}", "--out", "{work}/f.hdj"], "bad.json", '{"cells": 1}',
+         "expected an object with a 'cells' array"),
+        (["dissect", "--a", "{work}/L.txt", "--b", "{bad}", "--out", "{work}/d.hdj"], "bad.txt",
+         "#x\n", "unexpected character 'x' in row 0"),
+        (["bg", "--a", "{work}/sq.json", "--b", "{bad}", "--out", "{work}/c.json"], "bad.json",
+         '[[0,0],["a",0],[0,2]]', "Invalid literal for Fraction: 'a'"),
+        (["bg", "--a", "{bad}", "--b", "{work}/tri.json", "--out", "{work}/c.json"], "bad.json",
+         '{"points": []}', "expected a JSON array of [x, y] points"),
+        (["verify", "{bad}"], "bad.hdj", "{", "not valid JSON: Expecting property name"),
+        (["animate", "{bad}", "--out", "{work}/a.svg"], "bad.hdj", "{}", "document has no figure"),
+    ], ids=["fold-grid", "fold-cells", "dissect", "bg-coordinate", "bg-array", "verify",
+            "animate"])
+    def test_an_input_error_names_its_file(self, workdir, capsys, command, name, text, message):
+        bad = workdir / name
+        bad.write_text(text)
+        assert main([arg.format(bad=bad, work=workdir) for arg in command]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
 
     def test_huge_exponent_exits_2_quickly(self, workdir, capsys):
         # the cap is read off the text: 10**3000000 is never built

@@ -27,7 +27,7 @@ from chainfold.exact_geom import (
 )
 from chainfold.numeric import apply_numeric, numeric_between_segments
 from chainfold.overlap import partition_residuals, polygon_overlap
-from chainfold.polyomino import parse_grid
+from chainfold.polyomino import Cell, parse_grid
 from conftest import boundary_polygon
 
 UNIT_SQUARE = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -375,16 +375,17 @@ class TestTupleSemantics:
         cos, sin, (tx, ty) = RigidMotion(Fraction(3, 5), Fraction(4, 5), point(1, -2))
         assert (cos, sin, tx, ty) == (Fraction(3, 5), Fraction(4, 5), 1, -2)
 
-    def test_point_region_cancels_plain_tuple_piece_edges(self, monkeypatch):
+    def test_cell_region_cancels_plain_tuple_piece_edges(self, monkeypatch):
         calls = []
         engine = overlap.partition_residuals
         monkeypatch.setattr(
             overlap, "partition_residuals", lambda *args: calls.append(args) or engine(*args)
         )
+        cells = frozenset({Cell(0, 0)})
         halves = [[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]]
-        residuals = overlap.exact_partition_residuals(halves, UNIT_SQUARE.vertices)
-        assert residuals == ([1, 1], [], [0, 0]) and calls == []
+        assert overlap.exact_partition_residuals(halves, cells) == ([1, 1], [], [0, 0])
+        assert calls == []
         # a half moved up by 1 leaves edges, so the engine runs and finds it outside
         moved = [halves[0], [(0, 1), (1, 2), (0, 2)]]
-        _, _, outside2 = overlap.exact_partition_residuals(moved, UNIT_SQUARE.vertices)
+        _, _, outside2 = overlap.exact_partition_residuals(moved, cells)
         assert outside2 == [0, 1] and len(calls) == 1

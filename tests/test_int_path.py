@@ -586,16 +586,32 @@ def _report(chart):
 
 
 @pytest.mark.parametrize("label", ["square2-vs-triangle", "random-5", "random-7", "random-19"])
-def test_exact_chart_source_reports_as_on_the_engine(label, monkeypatch):
-    # an exact chart's source side takes the cancellation certificate, whose
-    # contract is the engine's failures; the pairs with the smallest charts
+def test_exact_chart_source_reports_as_on_the_engine(label):
+    # an exact chart's source side runs on the engine against the source
+    # polygon: each mutant is rejected; the pairs with the smallest charts
     _, pa, pb, width = next(case for case in criterion_8_cases() if case[0] == label)
     charts = [mutant for p in (pa, pb)
               for mutant in _chart_mutants(polygon_to_canonical_chart(p, width))]
     reports = [_report(chart) for chart in charts]
     assert [accepted for accepted, _, _ in reports] == [True, False, False, False] * 2
-    monkeypatch.setattr(figures, "exact_partition_residuals", overlap.partition_residuals)
-    assert reports == [_report(chart) for chart in charts]
+
+
+def test_only_exact_checks_on_cells_take_the_certificate(monkeypatch):
+    # a polygon's sides meet piece edges at T-junctions, where nothing
+    # cancels, so exact checks against a polygon go straight to the engine
+    calls = []
+    real = figures.exact_partition_residuals
+    monkeypatch.setattr(figures, "exact_partition_residuals",
+                        lambda pieces, cells: calls.append(cells) or real(pieces, cells))
+    f, c, p = _fold(random_polyomino(64, 0))
+    assert verify_configuration(f, c, p).accepted
+    assert calls == [p]
+    _, pa, _, width = next(case for case in criterion_8_cases() if case[0] == "random-5")
+    chart = polygon_to_canonical_chart(pa, width)
+    assert chart.source_exact and verify_chart(chart).accepted
+    for f, c, target in _dudeney_cases():
+        verify_configuration(f, c, target)
+    assert calls == [p]
 
 
 # ---------------------------------------------------------------------------
