@@ -81,6 +81,20 @@ def _load_polyomino(grid_path: str | None, cells_path: str | None) -> Polyomino:
     return _read(cells_path, lambda path: cells_from_json(read_json(path)))
 
 
+def _load_pairs(path: str):
+    """The HDJ document at path and its (configuration, target) pairs."""
+    doc = load_hdj(path)
+    return doc, doc.pairs()
+
+
+def _load_ends(path: str):
+    """The HDJ document at path and the pairs of its first two configurations."""
+    doc = load_hdj(path)
+    if len(doc.configurations) < 2:
+        raise ValueError("animation needs a document with two configurations")
+    return doc, doc.pairs()[:2]
+
+
 def _fold_document(p: Polyomino) -> HdjFile:
     result = fold_chain(p)
     report = verify_configuration(result.figure, result.config, p)
@@ -154,8 +168,7 @@ def cmd_verify(args) -> int:
     try:
         if args.tol is not None:
             check_tolerance(args.tol)
-        doc = _read(args.file, load_hdj)
-        pairs = doc.pairs()
+        doc, pairs = _read(args.file, _load_pairs)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     all_ok = True
@@ -180,23 +193,16 @@ def cmd_animate(args) -> int:
         _distinct_outputs(args.out, args.report_overlaps, "--report-overlaps")
         if args.frames > MAX_FRAMES:
             raise ValueError(f"at most {MAX_FRAMES} frames, got {args.frames}")
-        doc = _read(args.file, load_hdj)
+        doc, pairs = _read(args.file, _load_ends)
         if len(doc.figure.pieces) * args.frames > MAX_PIECE_FRAMES:
             raise ValueError(f"at most {MAX_PIECE_FRAMES} pieces times frames, got "
                              f"{len(doc.figure.pieces)} pieces and {args.frames} frames")
-        if len(doc.configurations) < 2:
-            raise ValueError("animation needs a document with two configurations")
         try:
-            samples = sample_motion(
-                doc.figure,
-                doc.configurations[0].configuration,
-                doc.configurations[1].configuration,
-                args.frames,
-                args.cut,
-            )
+            first, second = (nc.configuration for nc, _ in pairs)
+            samples = sample_motion(doc.figure, first, second, args.frames, args.cut)
             # both ends, in their stored modes, as verify checks them
             ends = [(nc, nt, verify_configuration(doc.figure, nc.configuration, nt.data))
-                    for nc, nt in doc.pairs()[:2]]
+                    for nc, nt in pairs]
         except OverflowError as exc:  # a value beyond the double range
             return _fail(str(exc))
         rejected = [(nc, nt, report) for nc, nt, report in ends if not report.accepted]
@@ -238,7 +244,10 @@ def cmd_bg(args) -> int:
             raise ValueError(
                 f"areas differ: {polygon_area(pa)} vs {polygon_area(pb)}"
             )
-        width = rat(args.width)
+        try:
+            width = rat(args.width)
+        except ValueError as exc:
+            raise ValueError(f"--width: {exc}") from None
         chart_a = polygon_to_canonical_chart(pa, width)
         chart_b = polygon_to_canonical_chart(pb, width)
         mutual = overlay_charts(chart_a, chart_b)
@@ -255,7 +264,6 @@ def cmd_bg(args) -> int:
     try:
         with atomic_output(args.out) as fh:
             write_json(chart_to_json(mutual), fh)
-            fh.write("\n")
             if args.svg:
                 with atomic_output(args.svg) as svg:
                     svg.write(render_chart(mutual))

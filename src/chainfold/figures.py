@@ -594,94 +594,10 @@ def _json_list(obj: dict, key: str) -> list:
     return value
 
 
-_TABLE_LEAVES = frozenset({str, int, float, bool, type(None)})  # exact types, not subclasses
-_TABLE_DEPTH_CAP = 8  # a list that holds itself has no depth; the writer names the cycle
-_COMPACT = json.JSONEncoder()  # the C encoder, separators ", " and ": "
-
-
-def _table_shape(v):
-    """(depth, leaf count, brackets of the last level) of a list or tuple
-    whose subtree has one depth and scalar leaves, its last level lists,
-    tuples or dicts; None otherwise.  It is a table if it also holds no
-    empty container, which _table_text finds."""
-    rows = [v]
-    for depth in range(1, _TABLE_DEPTH_CAP + 1):
-        kinds = set(map(type, rows))
-        if kinds <= {list, tuple}:
-            leaves, brackets = list(chain.from_iterable(rows)), "[]"
-        elif kinds == {dict}:
-            leaves, brackets = list(chain.from_iterable(map(dict.values, rows))), "{}"
-        else:
-            return None
-        if set(map(type, leaves)) <= _TABLE_LEAVES:
-            return depth, len(leaves), brackets
-        if brackets == "{}":
-            return None
-        rows = leaves
-    return None
-
-
-def _table_text(v, level: int, depth: int, leaves: int, last_brackets: str):
-    """The indent=1 text of a table at level, from the C encoder's compact
-    text; None when that text cannot be re-indented safely."""
-    try:
-        text = _COMPACT.encode(v)
-    except (TypeError, ValueError):
-        return None
-    # each ", " separates two leaves, unless a string holds one or an
-    # empty container adds a separator without a leaf
-    if text.count(", ") != leaves - 1:
-        return None
-    brackets = ["[]"] * (depth - 1) + [last_brackets]  # outermost first
-    opens = [b[0] + "\n" + " " * (level + n + 1) for n, b in enumerate(brackets)]
-    closes = ["\n" + " " * (level + n) + b[1] for n, b in enumerate(brackets)][::-1]
-    body = text[depth:-depth]
-    # the separator of items at nesting n closes and reopens the levels
-    # below it, so it holds every deeper separator: replace outermost first
-    for n in range(1, depth + 1):
-        compact = "".join(b[1] for b in brackets[:n - 1:-1]) + ", " + "".join(
-            b[0] for b in brackets[n:])
-        indented = "".join(closes[:depth - n]) + ",\n" + " " * (level + n) + "".join(opens[n:])
-        body = body.replace(compact, indented)
-    return "".join(opens) + body + "".join(closes)
-
-
-def _json_chunks(v, level: int, open_ids: set):
-    """The text of json.dumps(v, indent=1) nested at level, in pieces: a
-    table in one piece, any other container item by item, and each
-    scalar, empty container and dict key as json itself writes it."""
-    if not isinstance(v, (list, tuple, dict)) or not v:
-        yield json.dumps(v)
-        return
-    if id(v) in open_ids:
-        raise ValueError("Circular reference detected")
-    if not isinstance(v, dict) and (shape := _table_shape(v)):
-        table = _table_text(v, level, *shape)
-        if table is not None:
-            yield table
-            return
-    open_ids.add(id(v))
-    if isinstance(v, dict):  # a key and its ": " lie between the { and 0} of {key: 0}
-        brackets, items = "{}", ((json.dumps({k: 0})[1:-2], x) for k, x in v.items())
-    else:
-        brackets, items = "[]", zip(repeat(""), v)
-    sep = brackets[0] + "\n" + " " * (level + 1)
-    for key, x in items:
-        yield sep + key
-        yield from _json_chunks(x, level + 1, open_ids)
-        sep = ",\n" + " " * (level + 1)
-    open_ids.discard(id(v))
-    yield "\n" + " " * level + brackets[1]
-
-
 def write_json(obj, fh) -> None:
-    """Write exactly json.dumps(obj, indent=1) to fh, streamed.  json.dump
-    with an indent always runs the pure-Python encoder.  Here a table (see
-    _table_shape), such as a figure's pieces or a configuration's
-    placements, is encoded by the C encoder and re-indented; when a string
-    in it holds ", ", or the C encoder raises, it is written item by item
-    like any other container."""
-    fh.writelines(_json_chunks(obj, 0, set()))
+    """Write obj to fh as json.dumps writes it, on one line ended by a
+    newline: the layout of every HDJ document and chart."""
+    fh.write(json.dumps(obj) + "\n")
 
 
 @contextlib.contextmanager
@@ -719,7 +635,6 @@ def atomic_output(path):
 def save_hdj(path, doc: HdjFile):
     with atomic_output(path) as fh:
         write_json(hdj_to_json(doc), fh)
-        fh.write("\n")
 
 
 def read_json(path, **kwargs):

@@ -258,7 +258,7 @@ class TestAnimate:
         out = workdir / "x.svg"
         assert main(["animate", str(fold), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: animation needs a document with two configurations\n"
+            f"error: {fold}: animation needs a document with two configurations\n"
         )
         assert not out.exists()
 
@@ -491,6 +491,15 @@ class TestBg:
                      "--width", width, "--out", str(out)]) == 2
         assert time.perf_counter() - start < 2
         assert f"at most 2**{MAX_HALVINGS}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("width", ["abc", "1/0", "nan"])
+    def test_a_width_that_is_no_rational_names_the_option(self, workdir, capsys, width):
+        out = workdir / "o.json"
+        assert main(["bg", "--a", str(workdir / "sq.json"), "--b", str(workdir / "tri.json"),
+                     "--width", width, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --width: ") and repr(width) in err
         assert not out.exists()
 
     @pytest.mark.parametrize("scale, width", [
@@ -899,8 +908,16 @@ class TestParseErrors:
          '{"points": []}', "expected a JSON array of [x, y] points"),
         (["verify", "{bad}"], "bad.hdj", "{", "not valid JSON: Expecting property name"),
         (["animate", "{bad}", "--out", "{work}/a.svg"], "bad.hdj", "{}", "document has no figure"),
+        # errors in a document that reads as JSON and as an HDJ file
+        (["verify", "{bad}"], "nt.hdj", json.dumps({**_domino_doc(), "targets": []}),
+         "document has no targets"),
+        (["verify", "{bad}"], "nt.hdj",
+         json.dumps({**_domino_doc(), "targets": [_DOMINO_TARGET] * 2}),
+         "1 configurations vs 2 targets"),
+        (["animate", "{bad}", "--out", "{work}/a.svg"], "nt.hdj", json.dumps(_domino_doc()),
+         "animation needs a document with two configurations"),
     ], ids=["fold-grid", "fold-cells", "dissect", "bg-coordinate", "bg-array", "verify",
-            "animate"])
+            "animate", "verify-no-targets", "verify-target-count", "animate-one-configuration"])
     def test_an_input_error_names_its_file(self, workdir, capsys, command, name, text, message):
         bad = workdir / name
         bad.write_text(text)

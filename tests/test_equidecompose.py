@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 import random
 import time
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chainfold.cli import main
 from chainfold.equidecompose import (
     BadWidth,
     DegenerateTriangle,
@@ -32,10 +32,10 @@ from chainfold.exact_geom import (
     _signed_area2,
     apply_motion,
     point,
+    point_to_json,
     polygon,
     polygon_area,
 )
-from chainfold.figures import write_json
 from chainfold.numeric import NumericMotion
 from chainfold.overlap import polygon_overlap
 from chainfold.render import render_chart
@@ -765,13 +765,17 @@ class TestChartReadBack:
             chart_from_json(encoded)
 
 
-def test_chart_json_written_as_json_dumps(criterion_8_pairs):
-    """The bg chart JSON of every criterion-8 pair, written by write_json,
-    is exactly json.dumps(chart, indent=1)."""
+def test_chart_json_written_as_json_dumps(criterion_8_pairs, tmp_path):
+    """The chart file bg writes for every criterion-8 pair is exactly
+    json.dumps(chart_to_json(mutual)) + "\\n"."""
+    out = tmp_path / "chart.json"
     for label, (pa, pb, width) in criterion_8_pairs.items():
+        paths = []
+        for name, p in (("a", pa), ("b", pb)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps([point_to_json(v) for v in p.vertices]))
+        assert main(["bg", "--a", str(paths[0]), "--b", str(paths[1]),
+                     "--width", str(width), "--out", str(out)]) == 0, label
         mutual = overlay_charts(polygon_to_canonical_chart(pa, width),
                                 polygon_to_canonical_chart(pb, width))
-        obj = chart_to_json(mutual)
-        fh = io.StringIO()
-        write_json(obj, fh)
-        assert fh.getvalue() == json.dumps(obj, indent=1), label
+        assert out.read_text(encoding="utf-8") == json.dumps(chart_to_json(mutual)) + "\n", label

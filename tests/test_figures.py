@@ -8,11 +8,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
-
 from chainfold.chain import dissect_pair, fold_chain
-from chainfold.equidecompose import overlay_charts, polygon_to_canonical_chart
+from chainfold.equidecompose import (
+    chart_from_json,
+    chart_to_json,
+    overlay_charts,
+    polygon_to_canonical_chart,
+    verify_chart,
+)
 from chainfold.exact_geom import (
     InvalidPolygon,
     RigidMotion,
@@ -42,6 +45,7 @@ from chainfold.figures import (
     hdj_from_json,
     hdj_to_json,
     load_hdj,
+    read_json,
     save_hdj,
     verify_configuration,
     write_json,
@@ -532,73 +536,13 @@ class TestPieceSharing:
                 figure_from_json(encoded)
 
 
-def _written(obj) -> str:
-    fh = io.StringIO()
-    write_json(obj, fh)
-    return fh.getvalue()
-
-
-_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
-_KEYS = st.one_of(st.text(max_size=3), st.integers(), st.floats(), st.booleans(), st.none())
-
-
-@st.composite
-def _shared_containers(draw):
-    """A list, tuple or dict built from a pool of containers, each holding
-    scalars and earlier containers of the pool, so one container can come
-    again at once, after others, and at several levels."""
-    pool = []
-    for _ in range(draw(st.integers(1, 8))):
-        item = st.one_of(_SCALARS, st.sampled_from(pool)) if pool else _SCALARS
-        items = [
-            value
-            for value, repeats in draw(st.lists(st.tuples(item, st.integers(1, 3)), max_size=4))
-            for _ in range(repeats)
-        ]
-        kind = draw(st.sampled_from((list, tuple, dict)))
-        pool.append({draw(_KEYS): v for v in items} if kind is dict else kind(items))
-    return draw(st.sampled_from(pool))
-
-
-_S = {"p": [1, 2]}
-_T = [_S, (0.5, "t")]
-
-
-class _Int(int):
-    pass
-
-
-class _Float(float):
-    pass
-
-
-_TABLE_LEAVES = st.one_of(
-    _SCALARS,
-    st.sampled_from([", ", "], [", "}, {", "a, b", float("nan"), float("inf"), -float("inf")]),
-    st.integers().map(_Int),
-    st.floats().map(_Float),
-)
-
-
-@st.composite
-def _tables(draw):
-    """A table of depth 2 to 5: lists and tuples, mixed, down to scalar
-    leaves or to dict rows of scalars; rows may differ in length."""
-    depth, dict_rows = draw(st.integers(2, 5)), draw(st.booleans())
-
-    def rows(level):
-        if level == depth:
-            return draw(_TABLE_LEAVES)
-        if level == depth - 1 and dict_rows:
-            return draw(st.dictionaries(_KEYS, _TABLE_LEAVES, min_size=1, max_size=3))
-        kind = draw(st.sampled_from((list, tuple)))
-        return kind(rows(level + 1) for _ in range(draw(st.integers(1, 3))))
-
-    return rows(0)
+def _saved(tmp_path, doc) -> str:
+    save_hdj(tmp_path / "doc.hdj", doc)
+    return (tmp_path / "doc.hdj").read_text(encoding="utf-8")
 
 
 class TestWriteJson:
-    """write_json writes exactly the text of json.dumps(obj, indent=1)."""
+    """save_hdj writes exactly json.dumps(hdj_to_json(doc)) + "\\n"."""
 
     FOLD = parse_grid("###\n#.#")
     TURNED = RigidMotion(Fraction(3, 5), Fraction(4, 5), point("1/3", 0))
@@ -611,81 +555,39 @@ class TestWriteJson:
                        [NamedTarget("target", self.FOLD)], dict(fr.cell_map))
 
     @pytest.mark.parametrize("mode", ["exact", "approx"])
-    def test_fold_documents(self, mode):
-        obj = hdj_to_json(self._fold_document(mode))
-        assert _written(obj) == json.dumps(obj, indent=1)
+    def test_fold_documents(self, tmp_path, mode):
+        doc = self._fold_document(mode)
+        assert _saved(tmp_path, doc) == json.dumps(hdj_to_json(doc)) + "\n"
 
-    def test_dissect_document(self):
+    def test_dissect_document(self, tmp_path):
         a, b = parse_grid(TETROMINO_GRIDS["L4"]), parse_grid(TETROMINO_GRIDS["T4"])
         hd = dissect_pair(a, b)
         doc = HdjFile(hd.figure,
                       [NamedConfiguration("fold_a", hd.config_a),
                        NamedConfiguration("fold_b", hd.config_b)],
                       [NamedTarget("a", a), NamedTarget("b", b)])
-        obj = hdj_to_json(doc)
-        assert _written(obj) == json.dumps(obj, indent=1)
+        assert _saved(tmp_path, doc) == json.dumps(hdj_to_json(doc)) + "\n"
 
     @pytest.mark.parametrize("mode", ["exact", "approx"])
-    def test_polygon_target(self, mode):
+    def test_polygon_target(self, tmp_path, mode):
         f = HingedFigure((UNIT_SQUARE,), ())
         doc = HdjFile(f, [NamedConfiguration("id", Configuration((self.TURNED,), mode))],
                       [NamedTarget("square", UNIT_SQUARE)])
-        obj = hdj_to_json(doc)
-        assert _written(obj) == json.dumps(obj, indent=1)
+        assert _saved(tmp_path, doc) == json.dumps(hdj_to_json(doc)) + "\n"
 
-    def test_no_configurations(self):
-        obj = hdj_to_json(HdjFile(canonical_chain_figure(2), [],
-                                  [NamedTarget("t", parse_grid("##"))]))
-        assert obj["configurations"] == []
-        assert _written(obj) == json.dumps(obj, indent=1)
+    def test_no_configurations(self, tmp_path):
+        doc = HdjFile(canonical_chain_figure(2), [], [NamedTarget("t", parse_grid("##"))])
+        assert hdj_to_json(doc)["configurations"] == []
+        assert _saved(tmp_path, doc) == json.dumps(hdj_to_json(doc)) + "\n"
 
-    def test_names_that_need_escapes(self):
-        name = 'q"b\\s]c\u00e9\U0001F600\n'
-        obj = hdj_to_json(self._fold_document("exact", name=name))
-        assert _written(obj) == json.dumps(obj, indent=1)
-        assert _written({name: [name]}) == json.dumps({name: [name]}, indent=1)
-
-    def test_floats(self):
-        floats = [-0.0, 1e-300, 0.1, 1e300, float("nan"), float("inf"), -float("inf")]
-        assert _written(floats) == json.dumps(floats, indent=1)
-        obj = hdj_to_json(self._fold_document("approx", tolerance=-0.0))
-        assert obj["configurations"][0]["tolerance"] == 0
-        assert _written(obj) == json.dumps(obj, indent=1)
-
-    def test_scalars_keys_and_empty_containers(self):
-        for obj in (None, True, 7, "s", 0.5, [], {}, [[], {}], {"a": {}, "b": [[]]},
-                    {1: "int", 2.5: "float", False: "bool", None: "none"}, (1, (2,))):
-            assert _written(obj) == json.dumps(obj, indent=1)
-
-    def test_shared_containers_at_two_levels(self):
-        shared = {"p": [1, 2]}
-        obj = [shared, [shared, {"k": shared}], shared]
-        assert _written(obj) == json.dumps(obj, indent=1)
-
-    @given(_shared_containers())
-    @example([_T, _T, _T])
-    @example([_S, _T, _S])
-    @example([_S, [_S]])
-    @example([[_S], _S])
-    @example({1: [], 2.5: {}, None: _S, False: (_S, _S), "k": ()})
-    @example([[1], [True], [1.0]])  # equal containers, different texts
-    @example({_Int(3): [_Int(4)], _Float(2.5): _Float(0.5)})  # keys of int and float subclasses
-    @example({float("nan"): 1, float("inf"): [2], -float("inf"): {}})
-    @example({"a, b\n": [", ", "\n"], "k": 1})
-    @example([[1, 2.5], [None, "s, t"], [True, -0.0]])  # a top-level table
-    @example([1, [[2, 3], [4, 5]], "s", {"t": [[6], [7]]}])  # scalars beside tables
-    def test_shared_containers_match_json_dumps(self, obj):
-        assert _written(obj) == json.dumps(obj, indent=1)
-
-    @given(_tables())
-    @example([[1, 2], []])
-    @example(([1], ([], [2])))
-    @example([{"a": 1}, {}])
-    @example([[", "], [1]])
-    @example([[1, True], [None, _Float(0.5)]])
-    def test_tables_match_json_dumps(self, obj):
-        for outer in (obj, {"t": obj}, [[obj]]):
-            assert _written(outer) == json.dumps(outer, indent=1)
+    def test_save_hdj_writes_the_json_text(self, tmp_path):
+        doc = self._fold_document("exact")
+        (tmp_path / "f.hdj").write_text("stale\n" * 3, encoding="utf-8")
+        save_hdj(tmp_path / "f.hdj", doc)
+        text = (tmp_path / "f.hdj").read_text(encoding="utf-8")
+        assert text == json.dumps(hdj_to_json(doc)) + "\n"
+        assert text.count("\n") == 1
+        assert hdj_to_json(load_hdj(tmp_path / "f.hdj")) == hdj_to_json(doc)
 
     def test_circular_and_unserializable_values_raise_as_in_json(self):
         loop = []
@@ -696,17 +598,47 @@ class TestWriteJson:
         for bad, error in ((loop, ValueError), (table, ValueError), ([object()], TypeError),
                            ({(1,): 2}, TypeError), ([[1], [object()]], TypeError)):
             with pytest.raises(error) as expected:
-                json.dumps(bad, indent=1)
+                json.dumps(bad)
             with pytest.raises(error) as raised:
-                _written(bad)
+                write_json(bad, io.StringIO())
             assert str(raised.value) == str(expected.value)
 
     def test_figure_to_json_encodes_each_distinct_piece_once(self):
         pieces = figure_to_json(fold_chain(self.FOLD).figure)["pieces"]
         assert all(piece is pieces[0] for piece in pieces)
 
-    def test_save_hdj_writes_the_json_text(self, tmp_path):
-        doc = self._fold_document("exact")
-        save_hdj(tmp_path / "f.hdj", doc)
-        text = (tmp_path / "f.hdj").read_text(encoding="utf-8")
-        assert text == json.dumps(hdj_to_json(doc), indent=1) + "\n"
+
+class TestIndentedLayout:
+    """Files written as json.dumps(obj, indent=1) + "\\n", the layout of
+    earlier versions, read to the same values as the compact files,
+    verify alike and save again as the compact text."""
+
+    def test_fold_document_and_dudeney_asset(self, tmp_path):
+        from importlib import resources
+
+        _fold_document(tmp_path)  # saved as fold.hdj
+        asset = resources.files("chainfold") / "assets" / "dudeney.hdj"
+        for path in (tmp_path / "fold.hdj", asset):
+            text = path.read_text(encoding="utf-8")
+            indented = tmp_path / "indented.hdj"
+            indented.write_text(json.dumps(json.loads(text), indent=1) + "\n", encoding="utf-8")
+            old, new = load_hdj(indented), load_hdj(path)
+            assert old == new
+            reports = [[verify_configuration(doc.figure, nc.configuration, nt.data)
+                        for nc, nt in doc.pairs()] for doc in (old, new)]
+            assert reports[0] == reports[1]
+            assert _saved(tmp_path, old) == text
+
+    def test_chart(self, tmp_path):
+        mutual = overlay_charts(
+            polygon_to_canonical_chart(polygon([(0, 0), (2, 0), (2, 2), (0, 2)]), 2),
+            polygon_to_canonical_chart(polygon([(0, 0), (4, 0), (0, 2)]), 2))
+        text = json.dumps(chart_to_json(mutual)) + "\n"
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(json.loads(text), indent=1) + "\n", encoding="utf-8")
+        old, new = chart_from_json(read_json(indented)), chart_from_json(json.loads(text))
+        assert old == new
+        assert verify_chart(old) == verify_chart(new)
+        fh = io.StringIO()
+        write_json(chart_to_json(old), fh)
+        assert fh.getvalue() == text
