@@ -31,6 +31,7 @@ from .figures import (
     HdjFile,
     NamedConfiguration,
     NamedTarget,
+    _value_text,
     atomic_output,
     check_tolerance,
     load_hdj,
@@ -240,10 +241,9 @@ def cmd_bg(args) -> int:
         _distinct_outputs(args.out, args.svg, "--svg")
         pa = _read(args.a, _load_polygon_json)
         pb = _read(args.b, _load_polygon_json)
-        if polygon_area(pa) != polygon_area(pb):
-            raise ValueError(
-                f"areas differ: {polygon_area(pa)} vs {polygon_area(pb)}"
-            )
+        area_a, area_b = polygon_area(pa), polygon_area(pb)
+        if area_a != area_b:
+            raise ValueError(f"areas differ: {_value_text(area_a)} vs {_value_text(area_b)}")
         try:
             width = rat(args.width)
         except ValueError as exc:

@@ -76,9 +76,14 @@ def rat(value) -> int | Fraction:
         try:
             value = Fraction(value)
         except (ZeroDivisionError, OverflowError) as exc:
-            raise ValueError(f"cannot interpret {value!r} as a rational: {exc}") from None
+            raise ValueError(f"cannot interpret {value!r:.40} as a rational: {exc}") from None
+        except ValueError:
+            if not isinstance(value, str):
+                raise  # a float NaN
+            # Fraction's own text, with the string cut as every quoted value is
+            raise ValueError(f"Invalid literal for Fraction: {value!r:.40}") from None
     elif not isinstance(value, Fraction):
-        raise TypeError(f"cannot interpret {value!r} as a rational")
+        raise TypeError(f"cannot interpret {value!r:.40} as a rational")
     return value.numerator if value.denominator == 1 else value
 
 
@@ -134,7 +139,7 @@ def point_to_json(p: Point2) -> list:
 
 def point_from_json(obj) -> Point2:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise GeometryError(f"bad point encoding: {obj!r}")
+        raise GeometryError(f"bad point encoding: {obj!r:.40}")
     return Point2(rat(obj[0]), rat(obj[1]))
 
 

@@ -30,7 +30,7 @@ from .exact_geom import (
     rational_to_json,
 )
 from .exact_geom import _bboxes_interiors_overlap, _convex_clip  # noqa: F401 - looked up by perfbench/tracing.py
-from .overlap import convex_parts, exact_partition_residuals, partition_residuals
+from .overlap import cell_partition_residuals, convex_parts, partition_residuals
 from .polyomino import BadSize, Cell, Polyomino, cells_from_json, cells_to_json, int_from_json
 from .polyomino import is_table
 
@@ -106,7 +106,7 @@ class HingedFigure(_FigureFields):
                 if not (0 <= h.vertex_b < len(pieces[h.piece_b])):
                     raise FigureError(f"hinge vertex_b out of range: {h}")
         else:
-            raise FigureError(f"unknown topology tag {topology_tag!r}")
+            raise FigureError(f"unknown topology tag {topology_tag!r:.40}")
         return super().__new__(cls, pieces, hinges, topology_tag)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make
@@ -140,7 +140,7 @@ class Configuration(_ConfigurationFields):
 
     def __new__(cls, placements, mode="exact", tolerance=None):
         if mode not in ("exact", "approx"):
-            raise FigureError(f"unknown mode {mode!r}")
+            raise FigureError(f"unknown mode {mode!r:.40}")
         if tolerance is not None:
             check_tolerance(tolerance)
         return super().__new__(cls, placements, mode, tolerance)
@@ -259,10 +259,11 @@ def _placed_points(f: HingedFigure, c: Configuration, num=float) -> tuple[list, 
 def _partition_failures(pieces, region, tol, exact: bool, checks, name: str):
     """(failures, total area) of the check that pieces, lists of (x, y)
     points, partition a region: a ccw simple polygon's points or a
-    polyomino's frozenset of cells.  Exact pieces on cells go to the
-    cancellation certificate.  Nothing cancels against a polygon, whose
-    maximal sides piece edges meet at T-junctions, so the rest go to the
-    engine, float pieces against the region in floats.
+    polyomino's frozenset of cells.  The region's kind alone picks the
+    path: pieces on cells, exact or float, go to the cancellation
+    certificate; nothing cancels against a polygon, whose maximal sides
+    piece edges meet at T-junctions, so pieces on a polygon go to the
+    engine, float pieces against the polygon in floats.
     Each doubled residual is held to a doubled bound, 0 when exact, and
     halved only to be shown, and passes only when it is <= the bound, so
     a NaN fails; checks names the overlap, containment and area checks,
@@ -275,7 +276,7 @@ def _partition_failures(pieces, region, tol, exact: bool, checks, name: str):
     if not exact:
         region_area2 = float(region_area2)
         region = region if cells else [(float(x), float(y)) for x, y in region]
-    residuals_of = exact_partition_residuals if exact and cells else partition_residuals
+    residuals_of = cell_partition_residuals if cells else partition_residuals
     failures = []
     try:
         residuals = residuals_of(pieces, region)
@@ -489,7 +490,7 @@ def _name_from_json(obj) -> str:
 
 def configuration_from_json(obj) -> NamedConfiguration:
     if not isinstance(obj, dict):
-        raise HdjError(f"bad configuration encoding: expected an object, got {obj!r}")
+        raise HdjError(f"bad configuration encoding: expected an object, got {obj!r:.40}")
     try:
         mode = obj.get("mode", "exact")
         placements = _placements_from_json(obj["placements"])
@@ -521,7 +522,7 @@ def target_to_json(nt: NamedTarget, approx: bool = False) -> dict:
 
 def target_from_json(obj) -> NamedTarget:
     if not isinstance(obj, dict):
-        raise HdjError(f"bad target encoding: expected an object, got {obj!r}")
+        raise HdjError(f"bad target encoding: expected an object, got {obj!r:.40}")
     try:
         kind = obj["kind"]
         if kind == "polygon":
@@ -529,7 +530,7 @@ def target_from_json(obj) -> NamedTarget:
         elif kind == "polyomino":
             data = cells_from_json(obj["data"])
         else:
-            raise HdjError(f"unknown target kind {kind!r}")
+            raise HdjError(f"unknown target kind {kind!r:.40}")
         return NamedTarget(_name_from_json(obj), data)
     except HdjError:
         raise
@@ -564,7 +565,7 @@ def hdj_from_json(obj) -> HdjFile:
     for nc in configurations:
         if len(nc.configuration.placements) != len(figure.pieces):
             raise HdjError(
-                f"configuration {nc.name!r}: {len(nc.configuration.placements)} placements"
+                f"configuration {nc.name!r:.40}: {len(nc.configuration.placements)} placements"
                 f" for {len(figure.pieces)} pieces"
             )
     targets = [target_from_json(t) for t in _json_list(obj, "targets")]
@@ -590,7 +591,7 @@ def hdj_from_json(obj) -> HdjFile:
 def _json_list(obj: dict, key: str) -> list:
     value = obj.get(key, [])
     if not isinstance(value, list):
-        raise HdjError(f"{key} must be a list, got {value!r}")
+        raise HdjError(f"{key} must be a list, got {value!r:.40}")
     return value
 
 

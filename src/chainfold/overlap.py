@@ -34,10 +34,11 @@ float; callers compare doubled areas, or halve an exact one as
   returns the list of fragments with their doubled areas, so area sums
   measure each raw clip once.  Each clip is a plain Sutherland-Hodgman
   pass, one half-plane per stored edge of the clipper part.
-- Exact partitions: exact verification against a polyomino first
-  cancels the pieces' directed edges against each other and the cells',
-  and runs the engine only on the pieces near the edges left; a chain
-  fold's edges all cancel, so its exact verify runs no sweep.
+- Cell partitions: verification against a polyomino, on int, Fraction
+  or float pieces alike, first cancels the pieces' directed edges
+  against each other and the cells', and runs the engine only on the
+  pieces near the edges left; a chain fold's edges all cancel, so its
+  verify runs no sweep in either mode.
 """
 
 from __future__ import annotations
@@ -245,20 +246,26 @@ def partition_residuals(pieces, region):
     return areas2, overlaps2, outside2
 
 
-def exact_partition_residuals(pieces, cells):
-    """partition_residuals against a polyomino's frozenset of cells, for
-    exact pieces that are simple and ccw wherever their area is positive,
-    as SimplePolygons moved by [[c, -s], [s, c]] are: the same failures,
-    from boundary cancellation.
+def cell_partition_residuals(pieces, cells):
+    """partition_residuals against a polyomino's frozenset of cells, from
+    boundary cancellation: the same failures, for pieces placed from
+    SimplePolygons by [[c, -s], [s, c]], in ints, Fractions or floats.
 
     Each directed piece edge counts +1, each cell's ccw unit edge -1, and
-    p -> q cancels q -> p.  The edges left are the jumps of g = sum of the
-    pieces' indicators minus the polyomino's, so g = 0 off their box.  With
+    p -> q cancels q -> p; points compare exactly, float ones too, and an
+    int corner equals the float of its value.  The edges left are the
+    jumps of g = sum of the pieces' indicators minus the polyomino's, so
+    g = 0 off their box.  A placed exact piece of positive area is simple
+    and ccw, as the map's determinant c^2 + s^2 is positive; a float one
+    is a rounded image of such a piece, which rounding can leave not
+    simple only by moving a vertex across a non-adjacent edge, at ulp
+    scale, where the engine's float clips are not reliable either.  With
     every area positive and no edge left, the pieces partition the cells:
     no overlaps, nothing outside.  Otherwise every positive overlap or
     outside area, where g >= 1, lies in that box, and the engine runs on
-    the pieces whose closed boxes meet it; the rest have no residual.  A
-    piece without positive area (a zero rotation) sends all to the engine.
+    the pieces whose closed boxes meet it, in their own number type; the
+    rest have no residual.  A piece without positive area (a zero
+    rotation) sends all to the engine.
     """
     areas2 = [_signed_area2(pts) for pts in pieces]
     if not all(area2 > 0 for area2 in areas2):

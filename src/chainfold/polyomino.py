@@ -55,7 +55,7 @@ class Polyomino(frozenset):
         if not is_table(cells, 2):
             for c in cells:  # name the first bad cell
                 if not isinstance(c, (list, tuple)) or len(c) != 2:
-                    raise BadCharacter(f"bad cell {c!r}: expected [x, y]")
+                    raise BadCharacter(f"bad cell {c!r:.40}: expected [x, y]")
                 Cell(*map(int_from_json, c))
         cell_set = super().__new__(cls, map(tuple.__new__, repeat(Cell), cells))
         if not cell_set:
@@ -142,7 +142,7 @@ def int_from_json(value) -> int:
     """An int, such as a JSON integer, as it is; a bool, float, string or
     any other value is an error."""
     if type(value) is not int:
-        raise PolyominoError(f"expected an integer, got {value!r}")
+        raise PolyominoError(f"expected an integer, got {value!r:.40}")
     return value
 
 

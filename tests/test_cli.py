@@ -502,6 +502,22 @@ class TestBg:
         assert err.startswith("error: --width: ") and repr(width) in err
         assert not out.exists()
 
+    def test_areas_with_thousands_of_digits_differ_by_their_digit_counts(self, workdir, capsys):
+        # a convex 9-gon whose vertices have 998-digit denominators: its
+        # area's has about 9,000 digits, beyond what str() of an int allows
+        corners = [(39, 20), (35, 32), (23, 39), (11, 36), (2, 26), (2, 14), (10, 4), (23, 1),
+                   (35, 8)]
+        dens = [10**997 + k for k in range(1, 10)]
+        (workdir / "tiny.json").write_text(
+            json.dumps([[f"{x}/{d}", f"{y}/{d}"] for (x, y), d in zip(corners, dens)])
+        )
+        (workdir / "unit.json").write_text("[[0,0],[1,0],[1,1],[0,1]]")
+        assert main(["bg", "--a", str(workdir / "tiny.json"), "--b", str(workdir / "unit.json"),
+                     "--out", str(workdir / "c.json")]) == 2
+        err = capsys.readouterr().err
+        assert "areas differ: ~" in err and " digits) vs 1\n" in err
+        assert len(err) < 300
+
     @pytest.mark.parametrize("scale, width", [
         ("e400", "1"), ("", "1e400"), ("e-400", "1"), ("", "1e-400"),
     ])
@@ -812,6 +828,30 @@ def _domino_doc():
     }
 
 
+# ways to put a junk value into _domino_doc, each invalid input
+_JUNK_EDITS = {
+    "placement": lambda doc, junk: doc["configurations"][0]["placements"][1].update(tx=junk),
+    "placement-1/0": lambda doc, junk: doc["configurations"][0]["placements"][1].update(
+        tx="1/0" + " " * len(junk)),
+    "placement-list": lambda doc, junk: doc["configurations"][0]["placements"][1].update(
+        tx=[junk]),
+    "hinge": lambda doc, junk: doc["figure"]["hinges"][0].__setitem__(1, junk),
+    "point": lambda doc, junk: doc["figure"]["pieces"][1].__setitem__(2, junk),
+    "coordinate": lambda doc, junk: doc["figure"]["pieces"][1].__setitem__(2, [junk, 1]),
+    "cell": lambda doc, junk: doc["targets"].__setitem__(
+        0, {"kind": "polyomino", "data": {"cells": [[0, 0], junk]}}),
+    "mode": lambda doc, junk: doc["configurations"][0].update(mode=junk),
+    "topology": lambda doc, junk: doc["figure"].update(topology=junk),
+    "kind": lambda doc, junk: doc["targets"][0].update(kind=junk),
+    "targets": lambda doc, junk: doc.update(targets=junk),
+    "configurations": lambda doc, junk: doc.update(configurations=junk),
+    "configuration": lambda doc, junk: doc.update(configurations=[junk]),
+    "target": lambda doc, junk: doc.update(targets=[junk]),
+    "name": lambda doc, junk: doc["configurations"][0].update(name=[junk]),
+    "tolerance": lambda doc, junk: doc["configurations"][0].update(tolerance=junk),
+}
+
+
 def _verify_doc(workdir, doc, *extra):
     path = workdir / "doc.hdj"
     path.write_text(json.dumps(doc))
@@ -923,6 +963,15 @@ class TestParseErrors:
         bad.write_text(text)
         assert main([arg.format(bad=bad, work=workdir) for arg in command]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+    @pytest.mark.parametrize("field", list(_JUNK_EDITS))
+    def test_a_megabyte_value_is_quoted_short(self, workdir, capsys, field):
+        # an error text quotes at most 40 characters of a document value
+        doc = _domino_doc()
+        _JUNK_EDITS[field](doc, "x" * 2**20)
+        assert _verify_doc(workdir, doc) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.encode()) < 300
 
     def test_huge_exponent_exits_2_quickly(self, workdir, capsys):
         # the cap is read off the text: 10**3000000 is never built

@@ -383,9 +383,9 @@ class TestTupleSemantics:
         )
         cells = frozenset({Cell(0, 0)})
         halves = [[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]]
-        assert overlap.exact_partition_residuals(halves, cells) == ([1, 1], [], [0, 0])
+        assert overlap.cell_partition_residuals(halves, cells) == ([1, 1], [], [0, 0])
         assert calls == []
         # a half moved up by 1 leaves edges, so the engine runs and finds it outside
         moved = [halves[0], [(0, 1), (1, 2), (0, 2)]]
-        _, _, outside2 = overlap.exact_partition_residuals(moved, cells)
+        _, _, outside2 = overlap.cell_partition_residuals(moved, cells)
         assert outside2 == [0, 1] and len(calls) == 1

@@ -94,7 +94,7 @@ def _reference_name(obj) -> str:
 
 def reference_configuration_from_json(obj) -> NamedConfiguration:
     if not isinstance(obj, dict):
-        raise HdjError(f"bad configuration encoding: expected an object, got {obj!r}")
+        raise HdjError(f"bad configuration encoding: expected an object, got {obj!r:.40}")
     try:
         mode = obj.get("mode", "exact")
         cache: dict = {}
@@ -121,14 +121,14 @@ def reference_cells_from_json(obj) -> Polyomino:
     cells = []
     for c in obj["cells"]:
         if not isinstance(c, list) or len(c) != 2:
-            raise BadCharacter(f"bad cell {c!r}: expected [x, y]")
+            raise BadCharacter(f"bad cell {c!r:.40}: expected [x, y]")
         cells.append(Cell(int_from_json(c[0]), int_from_json(c[1])))
     return Polyomino(cells)
 
 
 def reference_target_from_json(obj) -> NamedTarget:
     if not isinstance(obj, dict):
-        raise HdjError(f"bad target encoding: expected an object, got {obj!r}")
+        raise HdjError(f"bad target encoding: expected an object, got {obj!r:.40}")
     try:
         kind = obj["kind"]
         if kind == "polygon":
@@ -136,7 +136,7 @@ def reference_target_from_json(obj) -> NamedTarget:
         elif kind == "polyomino":
             data = reference_cells_from_json(obj["data"])
         else:
-            raise HdjError(f"unknown target kind {kind!r}")
+            raise HdjError(f"unknown target kind {kind!r:.40}")
         return NamedTarget(_reference_name(obj), data)
     except HdjError:
         raise
@@ -147,7 +147,7 @@ def reference_target_from_json(obj) -> NamedTarget:
 def _reference_json_list(obj: dict, key: str) -> list:
     value = obj.get(key, [])
     if not isinstance(value, list):
-        raise HdjError(f"{key} must be a list, got {value!r}")
+        raise HdjError(f"{key} must be a list, got {value!r:.40}")
     return value
 
 
@@ -161,7 +161,7 @@ def reference_hdj_from_json(obj) -> HdjFile:
     for nc in configurations:
         if len(nc.configuration.placements) != len(figure.pieces):
             raise HdjError(
-                f"configuration {nc.name!r}: {len(nc.configuration.placements)} placements"
+                f"configuration {nc.name!r:.40}: {len(nc.configuration.placements)} placements"
                 f" for {len(figure.pieces)} pieces"
             )
     targets = [reference_target_from_json(t) for t in _reference_json_list(obj, "targets")]

@@ -385,26 +385,44 @@ def _outcome(f, c, target, verify=verify_configuration):
     return report
 
 
-def engine_verify_exact(f, c, target):
+def engine_verify(f, c, target):
     """verify_configuration with the residual engine in place of the
-    cancellation check: the exact verifier as it was before that check."""
-    cancel = figures.exact_partition_residuals
-    figures.exact_partition_residuals = overlap.partition_residuals
+    cancellation certificate, in either mode: the verifier as it was
+    before that certificate."""
+    cancel = figures.cell_partition_residuals
+    figures.cell_partition_residuals = overlap.partition_residuals
     try:
         return verify_configuration(f, c, target)
     finally:
-        figures.exact_partition_residuals = cancel
+        figures.cell_partition_residuals = cancel
 
 
 def _assert_same_outcome(case):
     outcome = _outcome(*case)
-    assert outcome == _outcome(*case, verify=engine_verify_exact)
+    assert outcome == _outcome(*case, verify=engine_verify)
     assert outcome == _outcome(*case, verify=reference_verify_exact)
+
+
+APPROX_TOLERANCES = [None, 0.0, 1e-6]
+
+
+def _assert_same_approx_outcome(case, tol):
+    """The approx verify of a case at tol, by the certificate and by the
+    engine alike; repr tells every float apart, NaN and -0.0 too."""
+    f, c, target = case
+    case = f, Configuration(c.placements, "approx", tol), target
+    assert repr(_outcome(*case)) == repr(_outcome(*case, verify=engine_verify))
 
 
 def _scaled(m):
     # (6/5, 8/5) is off the unit circle: the piece grows to twice its size
     return RigidMotion(Fraction(6, 5), Fraction(8, 5), m.translate)
+
+
+def _swapped(config, k, j):
+    placements = list(config.placements)
+    placements[k], placements[j] = placements[j], placements[k]
+    return Configuration(tuple(placements), config.mode)
 
 
 def _collapsed(m):
@@ -460,21 +478,55 @@ CANCELLATION_CASES = [
 ]
 
 
+_FAR = [2**53, 2**60, 10**300]
+
+
+def _far_cases():
+    """The L glyph's fold with one placement moved far, or with every
+    placement and the target moved far together, and with two
+    placements swapped."""
+    f, c, p = _fold(load_sample_shape("L"))
+    k = len(f.pieces) // 3
+    cases = [("placement-swap", (f, _swapped(c, k, 2 * k), p))]
+    for label, d in zip(("2^53", "2^60", "10^300"), _FAR):
+        together = Configuration(tuple(map(_translated(d, -d), c.placements)), c.mode)
+        cases += [
+            (f"translate-{label}", (f, _moved(c, k, _translated(d, 0)), p)),
+            (f"together-{label}", (f, together, Polyomino([(x + d, y - d) for x, y in p]))),
+        ]
+    return cases
+
+
+APPROX_CASES = CANCELLATION_CASES + CASES + _far_cases()
+
+
 @st.composite
-def lattice_mutants(draw):
+def lattice_mutants(draw, far=False):
     """A lattice fold of random_polyomino(n, seed), n <= 64, intact or
-    with one placement translated, quarter-turned, copied from another
-    piece, scaled by (6/5, 8/5) or collapsed by (0, 0), or with two
-    hinges swapped."""
+    with one placement translated, turned by a quarter or by (3/5, 4/5),
+    copied from another piece, scaled by (6/5, 8/5) or collapsed by
+    (0, 0), or with two placements or two hinges swapped.  Given far,
+    a placement may also move by 2**53, 2**60 or 10**300, and the fold
+    and its target together by one of those, whose exact values the
+    reference would print in full."""
     n, seed = draw(st.integers(1, 64)), draw(st.integers(0, 10**6))
     f, c, p = _fold(random_polyomino(n, seed))
     k, j = draw(st.integers(0, len(f.pieces) - 1)), draw(st.integers(0, len(f.pieces) - 1))
     kind = draw(st.sampled_from(
-        ["intact", "translate", "quarter-turn", "duplicate", "scaled", "zero", "hinge-swap"]
+        ["intact", "translate", "quarter-turn", "3-4-5-turn", "duplicate", "scaled", "zero",
+         "swap", "hinge-swap"] + ["far-together"] * far
     ))
     if kind == "translate":
-        d = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+        d = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-1, 3)] + _FAR * far))
         return f, _moved(c, k, _translated(*draw(st.sampled_from([(d, 0), (0, d), (d, d)])))), p
+    if kind == "far-together":
+        d = draw(st.sampled_from(_FAR)) * draw(st.sampled_from([1, -1]))
+        moved = Configuration(tuple(map(_translated(d, d), c.placements)), c.mode)
+        return f, moved, Polyomino([(x + d, y + d) for x, y in p])
+    if kind == "3-4-5-turn":
+        return f, _moved(c, k, _rotation_3_4_5), p
+    if kind == "swap":
+        return f, _swapped(c, k, j), p
     if kind == "quarter-turn":
         return f, _moved(c, k, _quarter_turn), p
     if kind == "duplicate":
@@ -494,18 +546,28 @@ class TestEdgeCancellation:
     def test_lattice_folds_and_mutants_equal_reference(self, case):
         _assert_same_outcome(case)
 
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_mutants(far=True), st.sampled_from(APPROX_TOLERANCES))
+    def test_approx_lattice_folds_and_mutants_equal_engine(self, case, tol):
+        _assert_same_approx_outcome(case, tol)
+
     @pytest.mark.parametrize(
         "name,case", CANCELLATION_CASES, ids=[name for name, _ in CANCELLATION_CASES]
     )
     def test_cases_equal_reference(self, name, case):
         _assert_same_outcome(case)
 
+    @pytest.mark.parametrize("tol", APPROX_TOLERANCES)
+    @pytest.mark.parametrize("name,case", APPROX_CASES, ids=[name for name, _ in APPROX_CASES])
+    def test_approx_cases_equal_engine(self, name, case, tol):
+        _assert_same_approx_outcome(case, tol)
+
     @pytest.mark.parametrize("case", _dudeney_cases())
     def test_dudeney_asset_in_exact_mode(self, case):
         # the reference prints long exact values in full, so it is held to
         # the verdict, the checks and the area
         accepted, failures, total = _outcome(*case)
-        assert (accepted, failures, total) == _outcome(*case, verify=engine_verify_exact)
+        assert (accepted, failures, total) == _outcome(*case, verify=engine_verify)
         ref_accepted, ref_failures, ref_total = reference_verify_exact(*case)
         assert (accepted, total) == (ref_accepted, ref_total)
         assert [check for check, _ in failures] == [check for check, _ in ref_failures]
@@ -521,6 +583,8 @@ class TestEdgeCancellation:
         assert {"PairwiseDisjoint", "Containment"} <= {check for check, _ in even[1]}
 
     def test_accepted_fold_runs_no_broad_or_narrow_phase(self, monkeypatch):
+        # in either mode: a lattice fold's placed vertices are small ints,
+        # which doubles hold exactly, so its float edges cancel too
         f, c, p = _fold(random_polyomino(256, 0))
         calls = []
 
@@ -530,9 +594,10 @@ class TestEdgeCancellation:
                 return real(*args)
             return counted
 
-        for name in ("overlapping_pairs", "overlap_sum2"):
+        for name in ("overlapping_pairs", "overlap_sum2", "covered_by_cells2"):
             monkeypatch.setattr(overlap, name, counting(name, getattr(overlap, name)))
-        assert verify_configuration(f, c, p).accepted
+        for mode in ("exact", "approx"):
+            assert verify_configuration(f, Configuration(c.placements, mode), p).accepted
         assert calls == []
 
     def test_translate_mutant_runs_the_engine_on_few_pieces(self, monkeypatch):
@@ -596,22 +661,25 @@ def test_exact_chart_source_reports_as_on_the_engine(label):
     assert [accepted for accepted, _, _ in reports] == [True, False, False, False] * 2
 
 
-def test_only_exact_checks_on_cells_take_the_certificate(monkeypatch):
-    # a polygon's sides meet piece edges at T-junctions, where nothing
-    # cancels, so exact checks against a polygon go straight to the engine
+def test_every_check_on_cells_and_none_on_a_polygon_takes_the_certificate(monkeypatch):
+    # the certificate serves exact and float pieces alike; a polygon's
+    # sides meet piece edges at T-junctions, where nothing cancels, so
+    # checks against a polygon go straight to the engine in either mode
     calls = []
-    real = figures.exact_partition_residuals
-    monkeypatch.setattr(figures, "exact_partition_residuals",
+    real = figures.cell_partition_residuals
+    monkeypatch.setattr(figures, "cell_partition_residuals",
                         lambda pieces, cells: calls.append(cells) or real(pieces, cells))
     f, c, p = _fold(random_polyomino(64, 0))
-    assert verify_configuration(f, c, p).accepted
-    assert calls == [p]
+    for mode in ("exact", "approx"):
+        assert verify_configuration(f, Configuration(c.placements, mode), p).accepted
+    assert calls == [p, p]
     _, pa, _, width = next(case for case in criterion_8_cases() if case[0] == "random-5")
     chart = polygon_to_canonical_chart(pa, width)
     assert chart.source_exact and verify_chart(chart).accepted
     for f, c, target in _dudeney_cases():
-        verify_configuration(f, c, target)
-    assert calls == [p]
+        for mode in ("exact", "approx"):
+            verify_configuration(f, Configuration(c.placements, mode), target)
+    assert calls == [p, p]
 
 
 # ---------------------------------------------------------------------------
