@@ -1,7 +1,8 @@
 """Classical equidecomposition between equal-area polygons.
 
-Pipeline: triangulate the polygon, dissect each triangle to a rectangle,
-convert every rectangle to a common width, stack the results into one
+Pipeline: cut the polygon into rectangles (axis-aligned ones when its
+sides are all horizontal or vertical, else one per triangle), convert
+every rectangle to a common width, stack the results into one
 rectangle, and overlay two such stacks to obtain a mutual dissection.
 
 Arithmetic is hybrid.  Every cut is exact rational in source
@@ -25,7 +26,6 @@ from .exact_geom import (
     Point2,
     RigidMotion,
     SimplePolygon,
-    _bbox,
     _clip_homogeneous,
     _convex_clip,  # noqa: F401 - looked up by perfbench/tracing.py
     _dedupe_collinear,
@@ -356,21 +356,22 @@ class DissectionChart(NamedTuple):
 def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     """Dissect a polygon to the canonical w x (area/w) rectangle.
 
-    Composition of triangulation, triangle-to-rectangle, width
-    normalization and stacking; the pieces refine all stage cuts and
-    remain exact rational in source coordinates.  One pass over the
-    triangles stacks each rectangle on the earlier ones' areas over w.
-    A polygon that already is the target, moved, is its own one piece.
+    A polygon whose every side is horizontal or vertical is cut into
+    axis-aligned rectangles (see _slab_rectangles), and each rectangle is
+    width-normalized by rectangle_to_width.  Any other polygon goes
+    through triangulation, triangle-to-rectangle and width normalization.
+    Either way the pieces remain exact rational in source coordinates,
+    and one pass stacks each rectangle on the earlier ones' areas over w.
 
-    Each rectangle's width-normalized pieces are cut against its
-    triangle pieces in the rectangle's unit frame, and each fragment is
-    mapped to the source once.  Positive-determinant affine maps commute
-    exactly with clipping, so the fragments equal those cut in the source
-    plane.  Both clips and both maps run on homogeneous ints, and each
-    output coordinate becomes one Fraction.  A fragment is an exact clip
-    of a strictly convex piece by a convex one, which repeats no vertex
-    and has no three collinear (see _clip_convex_raw), so it is built
-    without re-validation.
+    On the triangle path, each rectangle's width-normalized pieces are
+    cut against its triangle pieces in the rectangle's unit frame, and
+    each fragment is mapped to the source once.  Positive-determinant
+    affine maps commute exactly with clipping, so the fragments equal
+    those cut in the source plane.  Both clips and both maps run on
+    homogeneous ints, and each output coordinate becomes one Fraction.
+    A fragment is an exact clip of a strictly convex piece by a convex
+    one, which repeats no vertex and has no three collinear (see
+    _clip_convex_raw), so it is built without re-validation.
 
     The motions are floats, so a coordinate, the area or the width that
     does not fit a float (beyond its range, or nonzero and rounding to
@@ -386,14 +387,18 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     _in_float_range(h_total, "the target height")
     target = RectangleForm.axis_aligned(w, h_total).polygon()
 
-    # a simple quadrilateral fills its box exactly when it is that box
-    x0, y0, x1, y1 = _bbox(p)
-    if len(p) == 4 and x1 - x0 == w and _signed_area2(p) == 2 * w * (y1 - y0):
-        return DissectionChart([p], [NumericMotion(0.0, -float(x0), -float(y0))], p, target)
-
     pieces: list[SimplePolygon] = []
     target_motions: list[NumericMotion] = []
     height = 0
+    if all(a.x == b.x or a.y == b.y for a, b in zip(p, p[1:] + p[:1])):
+        for rect in _slab_rectangles(p, w):
+            stack_shift = NumericMotion(0.0, 0.0, float(height))
+            height += Fraction(rect.area(), w)
+            rect_pieces, motions, _ = rectangle_to_width(rect, w)
+            pieces += rect_pieces
+            target_motions += [compose_numeric(stack_shift, m) for m in motions]
+        return DissectionChart(pieces, target_motions, p, target)
+
     for tri in triangulate_simple(p):
         tri_pieces, rect, tri_motions = triangle_to_rectangle(tri)
         stack_shift = NumericMotion(0.0, 0.0, float(height))
@@ -412,6 +417,35 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
                     compose_numeric(stack_shift, compose_numeric(motion, rigid))
                 )
     return DissectionChart(pieces, target_motions, p, target)
+
+
+def _slab_rectangles(p: SimplePolygon, w: Fraction) -> list[RectangleForm]:
+    """Axis-aligned rectangles partitioning p, whose sides are all
+    horizontal or vertical, by a vertical sweep: in each slab between
+    consecutive vertex x values, the horizontal sides spanning it, sorted
+    by y, pair up into the y-intervals inside p, and a rectangle grows
+    while its interval continues into the next slab.  Each is based on
+    the side whose ratio to w is nearer 1, the horizontal one on a tie,
+    so that width normalization cuts it into the fewest strips."""
+    sides = [(min(a.x, b.x), max(a.x, b.x), a.y) for a, b in zip(p, p[1:] + p[:1]) if a.y == b.y]
+    xs = sorted({v.x for v in p})
+    boxes = []
+    start: dict[tuple, Fraction] = {}  # open y-interval -> its rectangle's left x
+    for x0, x1 in zip(xs, xs[1:] + [xs[-1] + 1]):  # the last slab, past p, closes all
+        ys = sorted(y for lo, hi, y in sides if lo <= x0 and x1 <= hi)
+        spans = list(zip(ys[::2], ys[1::2]))
+        for span in set(start) - set(spans):
+            boxes.append((start.pop(span), span[0], x0, span[1]))
+        for span in spans:
+            start.setdefault(span, x0)
+    rects = []
+    for x0, y0, x1, y1 in sorted(boxes):
+        dx, dy = x1 - x0, y1 - y0
+        corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        if max(dy / w, w / dy) < max(dx / w, w / dx):
+            corners = corners[1:] + corners[:1]  # based on the right side
+        rects.append(RectangleForm.from_corners(Point2(x, y) for x, y in corners))
+    return rects
 
 
 def _frame_to_source(r: RectangleForm, m: RigidMotion) -> tuple:

@@ -61,6 +61,11 @@ class Hinge(NamedTuple):
     vertex_b: int
 
 
+def _hinge_text(h: Hinge) -> str:
+    """A hinge as its repr, each value quoted to at most 40 characters."""
+    return "Hinge(" + ", ".join(f"{name}={v!r:.40}" for name, v in zip(h._fields, h)) + ")"
+
+
 class _FigureFields(NamedTuple):
     pieces: tuple[SimplePolygon, ...]
     hinges: tuple[Hinge, ...]
@@ -98,13 +103,13 @@ class HingedFigure(_FigureFields):
         elif topology_tag == "general":
             for h in hinges:
                 if not (0 <= h.piece_a < k and 0 <= h.piece_b < k):
-                    raise FigureError(f"hinge piece index out of range: {h}")
+                    raise FigureError(f"hinge piece index out of range: {_hinge_text(h)}")
                 if h.piece_a == h.piece_b:
-                    raise FigureError(f"hinge joins a piece to itself: {h}")
+                    raise FigureError(f"hinge joins a piece to itself: {_hinge_text(h)}")
                 if not (0 <= h.vertex_a < len(pieces[h.piece_a])):
-                    raise FigureError(f"hinge vertex_a out of range: {h}")
+                    raise FigureError(f"hinge vertex_a out of range: {_hinge_text(h)}")
                 if not (0 <= h.vertex_b < len(pieces[h.piece_b])):
-                    raise FigureError(f"hinge vertex_b out of range: {h}")
+                    raise FigureError(f"hinge vertex_b out of range: {_hinge_text(h)}")
         else:
             raise FigureError(f"unknown topology tag {topology_tag!r:.40}")
         return super().__new__(cls, pieces, hinges, topology_tag)

@@ -973,6 +973,15 @@ class TestParseErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.encode()) < 300
 
+    def test_a_huge_hinge_index_is_quoted_short(self, workdir, capsys):
+        # json reads an int of 4,201 digits; the range error quotes 40 of them
+        doc = _domino_doc()
+        doc["figure"]["hinges"][0][2] = 10**4200
+        assert _verify_doc(workdir, doc) == 2
+        err = capsys.readouterr().err
+        assert "hinge piece index out of range: Hinge(piece_a=0, vertex_a=1, piece_b=1000" in err
+        assert len(err.encode()) < 300
+
     def test_huge_exponent_exits_2_quickly(self, workdir, capsys):
         # the cap is read off the text: 10**3000000 is never built
         doc = _tromino_hdj(workdir)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chainfold import equidecompose
 from chainfold.cli import main
 from chainfold.equidecompose import (
     BadWidth,
@@ -38,11 +39,15 @@ from chainfold.exact_geom import (
 )
 from chainfold.numeric import NumericMotion
 from chainfold.overlap import polygon_overlap
+from chainfold.polyomino import random_polyomino
 from chainfold.render import render_chart
 
-from conftest import criterion_8_cases, failed_checks, rational_convex_hull
+from conftest import (
+    HolePresent, boundary_polygon, criterion_8_cases, failed_checks, rational_convex_hull, scale_x,
+)
 
 UNIT_SQUARE = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+L_HEXAGON = polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
 
 
 def float_area(pts) -> float:
@@ -60,6 +65,21 @@ def assert_exact_partition(pieces, motions, region):
             assert polygon_overlap(placed[i], placed[j]) == 0
     for q in placed:
         assert polygon_overlap(q, region) == polygon_area(q)
+
+
+def assert_exact_chart(chart, p):
+    """verify_chart accepts a canonical chart of p, its pieces sum to p's
+    area exactly, and each piece is what SimplePolygon validation, which
+    the chart's pieces skip, would accept."""
+    assert verify_chart(chart, 1e-9).accepted
+    assert sum((polygon_area(q) for q in chart.pieces), Fraction(0)) == polygon_area(p)
+    for piece in chart.pieces:
+        pts = list(piece.vertices)
+        n = len(pts)
+        assert n >= 3 and len(set(pts)) == n
+        # every turn strictly left: ccw, convex, no collinear vertex
+        assert all(_orient(pts[i - 1], pts[i], pts[(i + 1) % n]) > 0 for i in range(n))
+        assert SimplePolygon(piece.vertices).vertices == piece.vertices
 
 
 class TestTriangleToRectangle:
@@ -209,8 +229,9 @@ class TestRectangleToWidth:
 
 
 class TestDirectChart:
-    """A polygon that already is the target rectangle, moved, is its own
-    one piece, moved to the origin; any other quadrilateral is cut."""
+    """A polygon that already is the target rectangle, moved, is one
+    rectangle of the rectilinear path, so its own one piece, moved to the
+    origin; any other quadrilateral is cut."""
 
     @pytest.mark.parametrize("x, y", [
         (0, 0), (3, 4), (Fraction(1, 3), Fraction(5, 7)), (-5, -2), (Fraction(-7, 2), Fraction(-1, 9)),
@@ -238,6 +259,54 @@ class TestDirectChart:
         assert verify_chart(chart).accepted
 
 
+@pytest.fixture
+def triangle_calls(monkeypatch):
+    """The triangles polygon_to_canonical_chart hands to triangle_to_rectangle."""
+    calls = []
+
+    def counted(tri):
+        calls.append(tri)
+        return triangle_to_rectangle(tri)
+
+    monkeypatch.setattr(equidecompose, "triangle_to_rectangle", counted)
+    return calls
+
+
+class TestRectilinearChart:
+    """A polygon whose sides are all horizontal or vertical is cut into
+    axis-aligned rectangles, each width-normalized on its own; any other
+    polygon is triangulated."""
+
+    def test_rectangle_grows_past_the_end_of_another_arm(self, triangle_calls):
+        # a C whose lower arm ends at x = 3: the upper arm's rectangle
+        # continues from the slab [1, 3] into [3, 4]
+        c = polygon([(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (4, 2), (4, 3), (0, 3)])
+        chart = polygon_to_canonical_chart(c, 1)
+        assert sorted(polygon_area(piece) for piece in chart.pieces) == [2, 3, 3]
+        assert triangle_calls == []
+        assert_exact_chart(chart, c)
+
+    def test_nudged_vertex_takes_the_triangle_path(self, triangle_calls):
+        nudged = polygon([(0, 0), (2, 0), (2, 1), (1, 1), (Fraction(11, 10), 2), (0, 2)])
+        chart = polygon_to_canonical_chart(nudged, 1)
+        assert len(triangle_calls) == 4
+        assert_exact_chart(chart, nudged)
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(2, 12), st.integers(0, 10**6),
+        st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+        st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)),
+    )
+    def test_scaled_polyomino_outlines(self, n, seed, k, w):
+        try:
+            outline = boundary_polygon(random_polyomino(n, seed))
+        except HolePresent:
+            assume(False)
+        p = scale_x(outline, k)
+        assert_exact_chart(polygon_to_canonical_chart(p, w), p)
+
+
 class TestCanonicalChart:
     def test_unit_square_identity_like(self):
         chart = polygon_to_canonical_chart(UNIT_SQUARE, 1)
@@ -252,10 +321,12 @@ class TestCanonicalChart:
         total = sum((polygon_area(p) for p in chart.pieces), Fraction(0))
         assert total == 4  # source side is exact
 
-    def test_l_hexagon(self):
-        hexagon = polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
-        chart = polygon_to_canonical_chart(hexagon, 1)
+    def test_l_hexagon(self, triangle_calls):
+        # two rectangles, each already 1 wide
+        chart = polygon_to_canonical_chart(L_HEXAGON, 1)
+        assert len(chart.pieces) == 2
         assert verify_chart(chart, 1e-9).accepted
+        assert triangle_calls == []
 
     @pytest.mark.parametrize("scale", [Fraction(1, 10**400), Fraction(10**400)])
     def test_coordinates_outside_float_range(self, scale):
@@ -298,26 +369,26 @@ def _rational_simple_polygons(draw):
 # out, since libm may differ across platforms
 CHART_DIGESTS = {
     "square2-vs-triangle": "ac0bb39ab804eb74",
-    "random-0": "7c7b3b791e51d18d",
-    "random-1": "f5ad0612baf65f5e",
-    "random-2": "d320d0c62a227155",
-    "random-3": "3451e4b6f27570fa",
-    "random-4": "6e3b4637989e1da4",
-    "random-5": "6405a9128dc54f05",
-    "random-6": "aab599cf5ae260f6",
-    "random-7": "cf9c643c39c0e3df",
-    "random-8": "18c186bd48495bd1",
-    "random-9": "2f8cba66ceed618a",
-    "random-10": "6417b8fb212b52ea",
-    "random-11": "1e88cf153335644b",
-    "random-12": "c266dc6adee76271",
-    "random-13": "e7d65a3d3928fb8a",
-    "random-14": "ef2fb80aa508af43",
-    "random-15": "f090a90ef7ae6990",
-    "random-16": "c5019379859f81f1",
-    "random-17": "9f3f394e8f5b046c",
-    "random-18": "b277bf7eee1ad0e8",
-    "random-19": "02ed8473a64c6d39",
+    "random-0": "70f2162d549da391",
+    "random-1": "e54ac7b4c19362d8",
+    "random-2": "3df183e5db152d7a",
+    "random-3": "9cfa4cbb14f79014",
+    "random-4": "11542895ae141f62",
+    "random-5": "5bba21f1fadd2289",
+    "random-6": "2904456aedb08e4e",
+    "random-7": "df928718d24ff84a",
+    "random-8": "b485266f3d655267",
+    "random-9": "1693c2dfb24d0900",
+    "random-10": "92aab5ef65a18a1f",
+    "random-11": "1c96c462925a8f29",
+    "random-12": "fd76b56870fd3218",
+    "random-13": "8d1bd72e5f8f00a7",
+    "random-14": "02db877c4dbf47c9",
+    "random-15": "9111ae7399ea1f6c",
+    "random-16": "71af299245df1f9b",
+    "random-17": "e89d9ea22a5e5b3a",
+    "random-18": "3e762d4275690ae5",
+    "random-19": "89f2fa2cdc7f2ade",
 }
 
 
@@ -338,26 +409,26 @@ def test_canonical_chart_pieces_match_pinned_digests():
 # the platform's cos and sin too
 RENDERED_CHART_DIGESTS = {
     "square2-vs-triangle": "7f81d43bb732b8b6",
-    "random-0": "f58f8deeafe45288",
-    "random-1": "e7b138ffa8e7d0d1",
-    "random-2": "0f22e679dd02c299",
-    "random-3": "58ab97025a6a26e1",
-    "random-4": "5950430088008112",
-    "random-5": "b1241ba60218a974",
-    "random-6": "b6bbfab2c24ca833",
-    "random-7": "b690704e68592645",
-    "random-8": "30132c3a67fc578b",
-    "random-9": "b24067bd0de93f44",
-    "random-10": "2d580b542c9f3ab5",
-    "random-11": "f1336e72c21f0a2b",
-    "random-12": "c665eae23048479a",
-    "random-13": "fefb052b0b248f13",
-    "random-14": "ca8b593b3ec6c41e",
-    "random-15": "8b16ed739634f683",
-    "random-16": "b6091721e0a82650",
-    "random-17": "6d974aa92ed8ec10",
-    "random-18": "6439f223aed04e98",
-    "random-19": "a8e0c7c73834f165",
+    "random-0": "a020b35769f8492f",
+    "random-1": "39cf20d111c64fbc",
+    "random-2": "bd118e9c84bd3c24",
+    "random-3": "eef0a2f3f788d905",
+    "random-4": "b9cd19ab1b581363",
+    "random-5": "4acd7b9d64fbf68a",
+    "random-6": "8576c275da5c25dc",
+    "random-7": "a8af09b0d1354249",
+    "random-8": "76e39fac9ac97561",
+    "random-9": "179dd71a0713321b",
+    "random-10": "aec2d653eeb2f027",
+    "random-11": "7426d41c5ba58d33",
+    "random-12": "caf20c4568a9c06d",
+    "random-13": "ce09fa66bc00a79b",
+    "random-14": "3ae25ef007651451",
+    "random-15": "ad81d6c6ad3f0e09",
+    "random-16": "2d849874a893c20a",
+    "random-17": "116eec8a640bd6c8",
+    "random-18": "7e39a441c676801a",
+    "random-19": "01145cc53f2d180a",
 }
 
 
@@ -377,16 +448,7 @@ class TestCanonicalChartProperties:
     @settings(max_examples=40)
     @given(_rational_simple_polygons(), st.builds(Fraction, st.integers(1, 9), st.integers(1, 3)))
     def test_pieces_are_strictly_convex_and_partition_the_source(self, p, w):
-        chart = polygon_to_canonical_chart(p, w)
-        assert verify_chart(chart, 1e-9).accepted
-        assert sum((polygon_area(q) for q in chart.pieces), Fraction(0)) == polygon_area(p)
-        for piece in chart.pieces:
-            pts = list(piece.vertices)
-            n = len(pts)
-            assert n >= 3 and len(set(pts)) == n
-            # every turn strictly left: ccw, convex, no collinear vertex
-            assert all(_orient(pts[i - 1], pts[i], pts[(i + 1) % n]) > 0 for i in range(n))
-            assert SimplePolygon(piece.vertices).vertices == piece.vertices
+        assert_exact_chart(polygon_to_canonical_chart(p, w), p)
 
 
 class TestOverlay:
@@ -471,8 +533,10 @@ class TestVerifyChart:
 
     @staticmethod
     def _mutual_doc():
+        # two triangles: piece 0's motion turns the spike below by an angle
+        # at which its ear clip still finds no ear in floats
         a = polygon([(0, 0), (2, 0), (0, 2)])
-        b = polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
+        b = polygon([(0, 0), (4, 1), (0, 1)])
         mutual = overlay_charts(polygon_to_canonical_chart(a, 1), polygon_to_canonical_chart(b, 1))
         return json.loads(json.dumps(chart_to_json(mutual)))
 
@@ -552,10 +616,13 @@ def _exact_chart():
 
 
 def _overlay_chart():
+    # at width 2/3 both rectilinear charts are cut into strips and slid,
+    # so the overlay has 12 pieces of several areas and drops a sliver
     square = polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
     l_hexagon = polygon([(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (0, 2)])
+    w = Fraction(2, 3)
     return overlay_charts(
-        polygon_to_canonical_chart(square, 1), polygon_to_canonical_chart(l_hexagon, 1)
+        polygon_to_canonical_chart(square, w), polygon_to_canonical_chart(l_hexagon, w)
     )
 
 
@@ -747,7 +814,7 @@ class TestChartReadBack:
             polygon_to_canonical_chart(polygon([(0, 0), (2, 0), (2, 1), (0, 1)]), 1),
         )
         encoded = chart_to_json(mutual)
-        assert len(encoded["pieces"]) == 37
+        assert len(encoded["pieces"]) == 8
         encoded["target_motions"][0][key] = bad
         with pytest.raises(DissectionError):
             chart_from_json(encoded)
