@@ -13,7 +13,6 @@ share one figure and therefore one hinged dissection.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 from .exact_geom import Point2, RigidMotion, _orient
@@ -90,58 +89,6 @@ def _halves(cell: Cell, u: GridPoint) -> tuple[PlacedTriangle, PlacedTriangle]:
     return PlacedTriangle(x_corner, u_star, u), PlacedTriangle(y_corner, u, u_star)
 
 
-class _InsertionOrder:
-    """A list grown only by inserting after a node, ordered by its
-    insertion tree: a node's parent is the node it was inserted after.
-    The list is the tree's preorder with later children first, since an
-    insertion lands right after its parent, ahead of older siblings.
-
-    Nodes are numbered 0, 1, ... in creation order; node 0 is the root
-    and stays first.  Each node keeps a skew-binary jump pointer, after
-    Myers, "An applicative random-access stack" (1983): the depth it
-    reaches depends only on the node's depth, so two nodes at one depth
-    climb together, and an ancestor at any depth is O(log n) steps away.
-    """
-
-    def __init__(self):
-        self.next = [-1]  # node -> next node in the list, -1 at the end
-        self.parent = [0]
-        self.depth = [0]
-        self.jump = [0]
-
-    def insert_after(self, node: int) -> int:
-        """Add a node right after node; return its number."""
-        new = len(self.next)
-        self.next.append(self.next[node])
-        self.next[node] = new
-        j = self.jump[node]
-        skip = self.depth[node] - self.depth[j] == self.depth[j] - self.depth[self.jump[j]]
-        self.parent.append(node)
-        self.depth.append(self.depth[node] + 1)
-        self.jump.append(self.jump[j] if skip else node)
-        return new
-
-    def first(self, nodes) -> int:
-        """The node of nodes that comes earliest in the list."""
-        return functools.reduce(self._earlier, nodes)
-
-    def _earlier(self, a: int, b: int) -> int:
-        x, y = a, b
-        depth, parent, jump = self.depth, self.parent, self.jump
-        while depth[x] > depth[y]:
-            x = jump[x] if depth[jump[x]] >= depth[y] else parent[x]
-        while depth[y] > depth[x]:
-            y = jump[y] if depth[jump[y]] >= depth[x] else parent[y]
-        if x == y:  # one is the other's ancestor, which comes first
-            return a if depth[a] < depth[b] else b
-        while parent[x] != parent[y]:
-            if jump[x] != jump[y]:
-                x, y = jump[x], jump[y]
-            else:
-                x, y = parent[x], parent[y]
-        return a if x > y else b  # the younger child of their common ancestor
-
-
 class FoldResult(NamedTuple):
     figure: HingedFigure
     config: Configuration
@@ -152,43 +99,41 @@ class FoldResult(NamedTuple):
 def fold_chain(p: Polyomino) -> FoldResult:
     """Deterministic fold of the canonical 2n-cycle onto the polyomino.
 
-    Cells are visited in dual-spanning-tree preorder.  For each new cell
-    the splice hinge is chosen at the lexicographically smallest corner
-    of the attachment edge carrying a hinge, lowest cycle index first.
+    Cells are visited in dual-spanning-tree preorder.  Each is spliced in
+    at the lexicographically smaller corner u of its attachment edge that
+    holds a hinge, after the first triangle whose hinge was placed at u.
+    Any hinge at u would do: the splice turns it into hinges at u, u* and
+    u, so the hinge points are the same whichever is chosen.
 
-    The cycle is a linked list of triangles, and each lattice point maps
-    to the list nodes of its hinges.  Hinges tied at one point are
-    ordered at their common ancestor in the list's insertion tree, in
-    O(log n) steps, so a cell costs O(1) without a tie and O(log n) with
-    one, and the fold O(n log n) at worst.  The cycle starts as the root
-    cell's two halves across its anti-diagonal, spliced at its corner
+    Triangles are numbered in creation order; next_node links the cycle,
+    so a splice is two assignments, and first_at keeps the first triangle
+    whose hinge landed at each point (a hinge never moves): O(n) in all.
+    The cycle starts as the root cell's two halves, spliced at its corner
     (x, y + 1), with hinges at (x + 1, y) and (x, y + 1).
     """
     tree = dual_spanning_tree(p)
     root = tree.root
     triangles = list(_halves(root, (root.x, root.y + 1)))
     cells = [root, root]
-    order = _InsertionOrder()
-    order.insert_after(0)  # node 1, the root's NE half
-    hinges: dict[GridPoint, list[int]] = {}  # point -> nodes whose hinge is there
-    for node, t in enumerate(triangles):
-        hinges.setdefault(t.base_u, []).append(node)
+    next_node = [1, -1]  # node -> next node in the cycle, -1 at the end
+    first_at = {t.base_u: node for node, t in enumerate(triangles)}  # point -> first node there
     occupied = {root}
     for cell, _, edge in tree.entries:
         for endpoint in edge:  # edge endpoints arrive lexicographically sorted
-            at = hinges.get(endpoint)
-            if at:
+            node = first_at.get(endpoint)
+            if node is not None:
                 break
         else:
             raise BadSplice(f"no hinge at either endpoint of edge {edge}")
-        node = order.first(at)
         _check_splice(occupied, cell, endpoint)
         occupied.add(cell)
         for piece in _halves(cell, endpoint):
-            node = order.insert_after(node)
+            next_node.append(next_node[node])  # the new node, len(triangles), goes after node
+            next_node[node] = len(triangles)
+            node = len(triangles)
             triangles.append(piece)
             cells.append(cell)
-            hinges.setdefault(piece.base_u, []).append(node)
+            first_at.setdefault(piece.base_u, node)
 
     placed = []
     cell_map: dict[Cell, tuple[int, int]] = {}
@@ -198,7 +143,7 @@ def fold_chain(p: Polyomino) -> FoldResult:
         first = cell_map.get(cell)
         cell_map[cell] = (len(placed), len(placed)) if first is None else (first[0], len(placed))
         placed.append(triangles[node])
-        node = order.next[node]
+        node = next_node[node]
     placements = tuple(t.placement() for t in placed)
     figure = canonical_chain_figure(p.cell_count)
     config = Configuration(placements, "exact")

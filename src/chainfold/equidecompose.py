@@ -358,7 +358,8 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
 
     A polygon whose every side is horizontal or vertical is cut into
     axis-aligned rectangles (see _slab_rectangles), and each rectangle is
-    width-normalized by rectangle_to_width.  Any other polygon goes
+    width-normalized by rectangle_to_width.  Any other polygon, or one of
+    those whose rectangle would need over 2**MAX_HALVINGS strips, goes
     through triangulation, triangle-to-rectangle and width normalization.
     Either way the pieces remain exact rational in source coordinates,
     and one pass stacks each rectangle on the earlier ones' areas over w.
@@ -375,7 +376,8 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
 
     The motions are floats, so a coordinate, the area or the width that
     does not fit a float (beyond its range, or nonzero and rounding to
-    0) is a DissectionError, as are the cases rectangle_to_width rejects.
+    0) is a DissectionError, as are the cases rectangle_to_width rejects
+    (where both paths fail, the rectangles' BadWidth is raised).
     """
     w = _width(w)
     for v in p:
@@ -387,18 +389,27 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     _in_float_range(h_total, "the target height")
     target = RectangleForm.axis_aligned(w, h_total).polygon()
 
-    pieces: list[SimplePolygon] = []
-    target_motions: list[NumericMotion] = []
-    height = 0
     if all(a.x == b.x or a.y == b.y for a, b in zip(p, p[1:] + p[:1])):
-        for rect in _slab_rectangles(p, w):
-            stack_shift = NumericMotion(0.0, 0.0, float(height))
-            height += Fraction(rect.area(), w)
-            rect_pieces, motions, _ = rectangle_to_width(rect, w)
-            pieces += rect_pieces
-            target_motions += [compose_numeric(stack_shift, m) for m in motions]
-        return DissectionChart(pieces, target_motions, p, target)
+        pieces, target_motions, height = [], [], 0
+        try:
+            for rect in _slab_rectangles(p, w):
+                stack_shift = NumericMotion(0.0, 0.0, float(height))
+                height += Fraction(rect.area(), w)
+                rect_pieces, motions, _ = rectangle_to_width(rect, w)
+                pieces += rect_pieces
+                target_motions += [compose_numeric(stack_shift, m) for m in motions]
+            return DissectionChart(pieces, target_motions, p, target)
+        except BadWidth as slab_error:
+            try:
+                return DissectionChart(*_triangle_pieces(p, w), p, target)
+            except BadWidth:
+                raise slab_error from None
+    return DissectionChart(*_triangle_pieces(p, w), p, target)
 
+
+def _triangle_pieces(p: SimplePolygon, w: Fraction) -> tuple[list, list]:
+    """The triangle path's pieces and target motions."""
+    pieces, target_motions, height = [], [], 0
     for tri in triangulate_simple(p):
         tri_pieces, rect, tri_motions = triangle_to_rectangle(tri)
         stack_shift = NumericMotion(0.0, 0.0, float(height))
@@ -416,7 +427,7 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
                 target_motions.append(
                     compose_numeric(stack_shift, compose_numeric(motion, rigid))
                 )
-    return DissectionChart(pieces, target_motions, p, target)
+    return pieces, target_motions
 
 
 def _slab_rectangles(p: SimplePolygon, w: Fraction) -> list[RectangleForm]:

@@ -1,4 +1,3 @@
-import random
 from typing import NamedTuple
 
 import pytest
@@ -12,13 +11,13 @@ from chainfold.chain import (
     UnknownShape,
     _check_splice,
     _halves,
-    _InsertionOrder,
     dissect_pair,
     fold_chain,
     load_sample_shape,
 )
 from chainfold.exact_geom import apply_motion, point
 from chainfold.figures import (
+    Configuration,
     HdjFile,
     NamedConfiguration,
     canonical_chain_figure,
@@ -33,16 +32,19 @@ from conftest import cell_split_triangles, enumerate_half_square_cycles, glyph_n
 
 class PartialFold(NamedTuple):
     """Cyclic sequence of placed triangles built so far.  Hinge i sits
-    between triangles i and i+1 (mod length) at triangles[i].base_u."""
+    between triangles i and i+1 (mod length) at triangles[i].base_u.
+    created[i] numbers triangle i in creation order, as fold_chain
+    numbers its nodes."""
 
     triangles: tuple[PlacedTriangle, ...]
     occupied: frozenset[Cell]
+    created: tuple[int, ...]
 
 
 def base_fold(root: Cell) -> PartialFold:
     """The root cell's two halves across its anti-diagonal, with hinges
     at (x+1, y) and (x, y+1): the cycle fold_chain starts from."""
-    return PartialFold(cell_split_triangles(root, 0), frozenset([root]))
+    return PartialFold(cell_split_triangles(root, 0), frozenset([root]), (0, 1))
 
 
 def splice_step(state: PartialFold, hinge_index: int, cell: Cell) -> PartialFold:
@@ -54,9 +56,10 @@ def splice_step(state: PartialFold, hinge_index: int, cell: Cell) -> PartialFold
         raise BadSplice(f"hinge index {hinge_index} out of range")
     u = state.triangles[hinge_index].base_u
     _check_splice(state.occupied, cell, u)
-    tris = list(state.triangles)
+    tris, created = list(state.triangles), list(state.created)
     tris[hinge_index + 1 : hinge_index + 1] = _halves(cell, u)
-    return PartialFold(tuple(tris), state.occupied | {cell})
+    created[hinge_index + 1 : hinge_index + 1] = (len(created), len(created) + 1)
+    return PartialFold(tuple(tris), state.occupied | {cell}, tuple(created))
 
 
 def hinge_occurrences(state, pt) -> list[int]:
@@ -64,34 +67,33 @@ def hinge_occurrences(state, pt) -> list[int]:
     return [i for i, t in enumerate(state.triangles) if t.base_u == pt]
 
 
-def pick_hinge(state, edge) -> int:
-    """Lowest cycle index at the smallest attachment-edge endpoint with a hinge."""
+def pick_hinge(state, edge, rng=None) -> int:
+    """The first-placed hinge at the smallest attachment-edge endpoint
+    with a hinge, or, given rng, a random one of the hinges there."""
     for endpoint in edge:  # edge endpoints arrive lexicographically sorted
         occurrences = hinge_occurrences(state, endpoint)
         if occurrences:
-            return occurrences[0]
+            if rng is not None:
+                return rng.choice(occurrences)
+            return min(occurrences, key=state.created.__getitem__)
     raise BadSplice(f"no hinge at either endpoint of edge {edge}")
 
 
-def reference_fold(p, ties=None):
+def reference_fold(p, ties=None, rng=None):
     """fold_chain's triangles by base_fold and splice_step, scanning the
-    whole cycle for every cell.  ties, if given, receives one entry per
-    splice whose point holds two or more hinges: (their count, whether
-    the lowest cycle index is not the one created first)."""
+    whole cycle for every cell; given rng, each splice takes a random
+    one of the hinges at its point.  ties, if given, receives one entry
+    per splice whose point holds two or more hinges: (their count,
+    whether the chosen hinge is not the lowest in cycle order)."""
     tree = dual_spanning_tree(p)
     state = base_fold(tree.root)
-    born = {t: 0 for t in state.triangles}
-    for step, entry in enumerate(tree.entries, 1):
-        hinge = pick_hinge(state, entry.edge)
+    for entry in tree.entries:
+        hinge = pick_hinge(state, entry.edge, rng)
         if ties is not None:
             at = hinge_occurrences(state, state.triangles[hinge].base_u)
             if len(at) > 1:
-                first = min(at, key=lambda i: born[state.triangles[i]])
-                ties.append((len(at), first != hinge))
+                ties.append((len(at), hinge != at[0]))
         state = splice_step(state, hinge, entry.cell)
-        if ties is not None:
-            for t in state.triangles:
-                born.setdefault(t, step)
     return state.triangles
 
 
@@ -222,14 +224,15 @@ class TestSpliceStep:
         out = splice_step(state, 0, Cell(1, 0))
         assert out.triangles == fold_chain(parse_grid("##")).placed
 
-    def test_lowest_cycle_index_tie_break(self):
+    def test_first_placed_tie_break(self):
         # cells (0,1),(1,1),(1,0): after the first splice the point (1,1)
-        # hosts hinge occurrences at cycle indices 0 and 2; attaching
-        # (1,0) must use index 0, inserting its SE half at position 1
+        # hosts the root's hinge, at cycle index 0, and the one the splice
+        # placed, at index 2; attaching (1,0) must use the root's, placed
+        # first, inserting its SE half at position 1
         p = parse_grid("##\n.#")
         fr = fold_chain(p)
         assert fr.placed[1] == PlacedTriangle((1, 0), (2, 0), (1, 1))
-        # had the higher occurrence been used, position 1 would still
+        # had the later-placed hinge been used, position 1 would still
         # hold the east cell's half (2,1),(2,2),(1,1)
         assert fr.placed[3] == PlacedTriangle((2, 1), (2, 2), (1, 1))
 
@@ -269,7 +272,7 @@ class TestLinearFold:
 
     # about 600 cells each, as reference_fold is quadratic
     @pytest.mark.parametrize("grid", [
-        # a serpentine, whose insertion tree is about as deep as it has cells
+        # a serpentine: a path of cells, each attached to the one before
         "\n".join(("#" * 29, "#".rjust(29, "."), "#" * 29, "#".ljust(29, "."))[k % 4]
                   for k in range(39)),
         # a 2-wide strip: the walk climbs one column and descends the other
@@ -281,13 +284,13 @@ class TestLinearFold:
         p = parse_grid(grid)
         assert fold_chain(p).placed == reference_fold(p)
 
-    def test_lowest_cycle_index_among_tied_hinges(self):
-        # one splice point holds two hinges whose lowest cycle index is
-        # the later-created one, so creation order would pick wrong
+    def test_first_placed_among_tied_hinges(self):
+        # one splice point holds two hinges, and the first placed is not
+        # the lowest in cycle order, so cycle order would pick wrong
         p = parse_grid(".##\n###\n##.")
         ties = []
         expected = reference_fold(p, ties)
-        assert any(count >= 2 and later for count, later in ties)
+        assert any(count >= 2 and not_lowest for count, not_lowest in ties)
         assert fold_chain(p).placed == expected
 
     def test_ties_of_three_or_more_hinges(self):
@@ -297,6 +300,15 @@ class TestLinearFold:
             assert fold_chain(p).placed == reference_fold(p, ties)
         assert any(count >= 3 for count, _ in ties)
 
+    @given(st.integers(1, 256), st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+    def test_any_tied_hinge_gives_a_verified_fold(self, n, seed, rng):
+        # a splice is valid at every hinge at its point, so a random one
+        # of the tied hinges still folds the shape exactly
+        p = random_polyomino(n, seed)
+        triangles = reference_fold(p, rng=rng)
+        config = Configuration(tuple(t.placement() for t in triangles), "exact")
+        assert verify_configuration(canonical_chain_figure(n), config, p).accepted
+
     def test_cell_map_pairs_each_cells_halves(self):
         fr = fold_chain(random_polyomino(300, 2))
         expected = {}
@@ -304,43 +316,6 @@ class TestLinearFold:
             cell = Cell(*map(min, zip(*t)))  # the cell the triangle is half of
             expected[cell] = (expected[cell][0], i) if cell in expected else (i, i)
         assert fr.cell_map == expected
-
-
-class TestInsertionOrder:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_walk_and_first_follow_list_order(self, seed):
-        rng = random.Random(seed)
-        order, expected = _InsertionOrder(), [0]
-
-        def insert_after(node):
-            new = order.insert_after(node)
-            expected.insert(expected.index(node) + 1, new)
-            return new
-
-        tip = 0
-        for _ in range(6):
-            # a run continues after the node the last run made last, so
-            # the depth reaches the hundreds and the jumps skip
-            for _ in range(rng.randrange(50, 80)):
-                tip = insert_after(tip)
-            for _ in range(80):
-                # half the insertions go after the first three nodes, for
-                # many siblings whose common ancestor is near the root
-                if rng.random() < 0.5:
-                    insert_after(expected[rng.randrange(3)])
-                else:
-                    insert_after(rng.choice(expected))
-        walk, node = [], 0
-        while node != -1:
-            walk.append(node)
-            node = order.next[node]
-        assert walk == expected
-        assert max(order.depth) >= 300
-        assert any(j != p for j, p in zip(order.jump[1:], order.parent[1:]))
-        position = {node: i for i, node in enumerate(expected)}
-        for _ in range(300):
-            nodes = rng.sample(expected, rng.randint(2, 4))
-            assert order.first(nodes) == min(nodes, key=position.__getitem__)
 
 
 class TestOracle:

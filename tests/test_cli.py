@@ -391,7 +391,7 @@ class TestAnimate:
 
 # SHA-256 of render_animation for the 128-piece L-T glyph pair at 6 frames;
 # any change to the animation's bytes fails the pin
-GLYPH_ANIMATION_SHA256 = "f9dcd2c5c41f60f86ee7eadfcdaf667bd24722735b6f9fcd3f0056db49b094d5"
+GLYPH_ANIMATION_SHA256 = "c01e2bec2504f360d54f290a584eb2b46290a37c44a0ea4ac289b9df5e752c76"
 
 
 class TestGlyphAnimation:
@@ -434,12 +434,12 @@ class TestGlyphAnimation:
 # I, L, O and T glyphs; its areas come from the float clip kernel, so any
 # change to the kernel's arithmetic or its order fails the pin
 GLYPH_REPORT_SHA256 = {
-    "I-L": "020e0a7ded8479aec9a670adb5b8de51e0b1a15c230f4296eda8dcf01dacafc0",
-    "I-O": "4a462b308d6e41d4c919766ba5fea8c381072751c0ccfe332ad6f0c1c3c5afc7",
-    "I-T": "52b835454b2e5c3bb553bf5814aaced40f83a577293b9a7833b5d95eaa9fa82e",
-    "L-O": "ee497ed5731fcee55da9c1128fb813f9e47fcd0144edfd6e9f8d59c62559f6b5",
-    "L-T": "10dea91940fe3e2bc5a192a8680e34dac3172c49015e83d7671c8e22e76591fa",
-    "O-T": "7b2af97b0bc3ef1d37560b11c88c72d4293d862318b982eb02627535e1ebb346",
+    "I-L": "efcbc9f39d6ec963c371d04df6f8bb6a6eb51b7470f87c33d86eca12b65deaaf",
+    "I-O": "99d673fbb3f643482aecec3fdbdfad034cb14460105e689cbbf816fc327648cd",
+    "I-T": "18d5cdff58a3fa8c6a0592fad38d2b41b92d5ec4080d345ebe4c6213ef3be384",
+    "L-O": "3968fd91a43758102e34a3a5913fbeb77b2874ab7ae86c6f9a22f1777f30b3b2",
+    "L-T": "eb8b6b922ed76997ad92df2e00c212668414fa76b17e076efcad9b4fa3ba2774",
+    "O-T": "d3ee83f0369f247a99a0a0fe12e1a58ac19d23ee8844360494fa062e3c5b3933",
 }
 
 

@@ -50,6 +50,12 @@ UNIT_SQUARE = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 L_HEXAGON = polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
 
 
+def toothed_square(e):
+    """The unit square with an e x e square tooth halfway up its right side."""
+    lo, hi = Fraction(1, 2), Fraction(1, 2) + e
+    return polygon([(0, 0), (1, 0), (1, lo), (1 + e, lo), (1 + e, hi), (1, hi), (1, 1), (0, 1)])
+
+
 def float_area(pts) -> float:
     """Shoelace area of a piece's points, in doubles."""
     return _signed_area2([(float(x), float(y)) for x, y in pts]) / 2
@@ -305,6 +311,25 @@ class TestRectilinearChart:
             assume(False)
         p = scale_x(outline, k)
         assert_exact_chart(polygon_to_canonical_chart(p, w), p)
+
+    def test_tooth_past_the_strip_cap_takes_the_triangle_path(self, triangle_calls):
+        # at width 1 the tooth's 1/1200 square needs 2**11 strips, one
+        # over the cap, but the ears over it, whose longest side is
+        # sqrt(2)/1200, need 2**10
+        p = toothed_square(Fraction(1, 1200))
+        chart = polygon_to_canonical_chart(p, 1)
+        assert triangle_calls and len(chart.pieces) == 11263
+        assert sum((polygon_area(q) for q in chart.pieces), Fraction(0)) == polygon_area(p)
+        # the exact source side takes minutes here, as the tooth's oblique
+        # strips all share one box, so the pieces are checked as floats
+        floats = [tuple((float(x), float(y)) for x, y in q) for q in chart.pieces]
+        assert verify_chart(chart._replace(pieces=floats), 1e-9).accepted
+
+    def test_both_paths_past_the_cap_raise_the_rectangles_error(self):
+        # a 1/2000 tooth needs 2**11 strips as a square, and as ears
+        # (side 0.000707107)
+        with pytest.raises(BadWidth, match=r"2\*\*11 strips of a rectangle of side 0\.0005;"):
+            polygon_to_canonical_chart(toothed_square(Fraction(1, 2000)), 1)
 
 
 class TestCanonicalChart:
