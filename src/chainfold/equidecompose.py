@@ -1,18 +1,18 @@
 """Classical equidecomposition between equal-area polygons.
 
-Pipeline: cut the polygon into rectangles (axis-aligned ones when its
-sides are all horizontal or vertical, else one per triangle), convert
-every rectangle to a common width, stack the results into one
-rectangle, and overlay two such stacks to obtain a mutual dissection.
+Pipeline: turn the polygon by one rational rotation, cut it into
+trapezoids with vertical parallel sides, turn each into an axis-aligned
+rectangle by a half turn and vertical translations, convert every
+rectangle to a common width, stack the results into one rectangle, and
+overlay two such stacks to obtain a mutual dissection.
 
 Arithmetic is hybrid.  Every cut is exact rational in source
 coordinates, so the source side of a chart partitions the input polygon
-exactly.  Aligning an oblique rectangle with the axes needs an
-irrational rotation, so assembly motions are carried numerically and
-the target side of a chart is verified against a tolerance.  The one
-place a cut position is irrational by nature (the slide that fixes the
-width) is snapped to a nearby rational fraction; the snap error is
-around 1e-12 relative, far below the 1e-9 verification tolerance.
+exactly.  The assembly motions are carried numerically, and the target
+side of a chart is verified against a tolerance.  The one place a cut
+position is irrational by nature (the slide that fixes the width) is
+snapped to a nearby rational fraction; the snap error is around 1e-12
+relative, far below the 1e-9 verification tolerance.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from .exact_geom import (
     Point2,
     RigidMotion,
     SimplePolygon,
+    _clip_convex_raw,
     _clip_homogeneous,
     _convex_clip,  # noqa: F401 - looked up by perfbench/tracing.py
-    _dedupe_collinear,
     _homogeneous,
     _int_affine,
     _lines,
+    _orient,
     _map_homogeneous,
     _signed_area2,
     apply_motion,
@@ -42,7 +43,6 @@ from .exact_geom import (
     polygon_area,
     rat,
     rational_to_json,
-    triangulate_simple,
 )
 from .figures import VerifyReport, _partition_failures, _value_text, check_tolerance
 from .numeric import (
@@ -235,18 +235,6 @@ def rectangle_to_width(r: RectangleForm, w) -> tuple[list[SimplePolygon], list[N
     return pieces, [motion for _, motion in frame_pieces], out_rect
 
 
-def _choose_halvings(len_u_sq: Fraction, w: Fraction, a: float) -> int:
-    """Exact k with 4**k * w**2 <= |u|**2 < 4**(k+1) * w**2, where a is
-    the float |u|; a and w are positive floats."""
-    k = math.floor(math.log2(a) - math.log2(float(w)))
-    w_sq = w * w
-    while len_u_sq < Fraction(4) ** k * w_sq:
-        k -= 1
-    while len_u_sq >= Fraction(4) ** (k + 1) * w_sq:
-        k += 1
-    return k
-
-
 def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[tuple[list, NumericMotion]]:
     """Width normalization in the rectangle's unit frame.
 
@@ -266,7 +254,7 @@ def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[tuple[list, N
         tuple(_in_float_range(v, "a rectangle corner coordinate") for v in r.corners[i])
         for i in (0, 1)
     )
-    k = _choose_halvings(len_u_sq, w, a)
+    k = _halvings(Fraction(len_u_sq, w * w)) // 2  # 4**k * w**2 <= |u|**2 < 4**(k + 1) * w**2
     if abs(k) > MAX_HALVINGS:
         raise BadWidth(
             f"width {_value_text(w)} needs 2**{abs(k)} strips of a rectangle of side "
@@ -356,28 +344,28 @@ class DissectionChart(NamedTuple):
 def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     """Dissect a polygon to the canonical w x (area/w) rectangle.
 
-    A polygon whose every side is horizontal or vertical is cut into
-    axis-aligned rectangles (see _slab_rectangles), and each rectangle is
-    width-normalized by rectangle_to_width.  Any other polygon, or one of
-    those whose rectangle would need over 2**MAX_HALVINGS strips, goes
-    through triangulation, triangle-to-rectangle and width normalization.
-    Either way the pieces remain exact rational in source coordinates,
-    and one pass stacks each rectangle on the earlier ones' areas over w.
+    One rational rotation R is chosen first (see _chosen_rotation).  A
+    vertical sweep cuts R(p) into trapezoids whose parallel sides are
+    vertical (see _trapezoids), and _trapezoid_clippers turns each into an
+    axis-aligned rectangle by a half turn and vertical translations.  Each
+    rectangle is width-normalized, and one pass stacks it on the earlier
+    ones' areas over w.  Every cut is exact rational in source coordinates.
 
-    On the triangle path, each rectangle's width-normalized pieces are
-    cut against its triangle pieces in the rectangle's unit frame, and
-    each fragment is mapped to the source once.  Positive-determinant
-    affine maps commute exactly with clipping, so the fragments equal
-    those cut in the source plane.  Both clips and both maps run on
-    homogeneous ints, and each output coordinate becomes one Fraction.
-    A fragment is an exact clip of a strictly convex piece by a convex
-    one, which repeats no vertex and has no three collinear (see
-    _clip_convex_raw), so it is built without re-validation.
+    Each rectangle's width-normalized pieces are cut against its
+    trapezoid's pieces in the rectangle's unit frame, and each fragment is
+    mapped to the source once.  Positive-determinant affine maps commute
+    exactly with clipping, so the fragments equal those cut in the source
+    plane.  Both clips and both maps run on homogeneous ints, and each
+    output coordinate becomes one Fraction.  A fragment is an exact clip
+    of a strictly convex piece by a convex one, which repeats no vertex
+    and has no three collinear (see _clip_convex_raw), so it is built
+    without re-validation.
 
     The motions are floats, so a coordinate, the area or the width that
     does not fit a float (beyond its range, or nonzero and rounding to
-    0) is a DissectionError, as are the cases rectangle_to_width rejects
-    (where both paths fail, the rectangles' BadWidth is raised).
+    0) is a DissectionError, as are the cases rectangle_to_width rejects:
+    when every rotation needs a rectangle of over 2**MAX_HALVINGS strips,
+    the first such rectangle's BadWidth is raised.
     """
     w = _width(w)
     for v in p:
@@ -389,35 +377,15 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     _in_float_range(h_total, "the target height")
     target = RectangleForm.axis_aligned(w, h_total).polygon()
 
-    if all(a.x == b.x or a.y == b.y for a, b in zip(p, p[1:] + p[:1])):
-        pieces, target_motions, height = [], [], 0
-        try:
-            for rect in _slab_rectangles(p, w):
-                stack_shift = NumericMotion(0.0, 0.0, float(height))
-                height += Fraction(rect.area(), w)
-                rect_pieces, motions, _ = rectangle_to_width(rect, w)
-                pieces += rect_pieces
-                target_motions += [compose_numeric(stack_shift, m) for m in motions]
-            return DissectionChart(pieces, target_motions, p, target)
-        except BadWidth as slab_error:
-            try:
-                return DissectionChart(*_triangle_pieces(p, w), p, target)
-            except BadWidth:
-                raise slab_error from None
-    return DissectionChart(*_triangle_pieces(p, w), p, target)
-
-
-def _triangle_pieces(p: SimplePolygon, w: Fraction) -> tuple[list, list]:
-    """The triangle path's pieces and target motions."""
+    rotation, trapezoids = _chosen_rotation(p, w)
     pieces, target_motions, height = [], [], 0
-    for tri in triangulate_simple(p):
-        tri_pieces, rect, tri_motions = triangle_to_rectangle(tri)
+    for trapezoid in trapezoids:
+        rect, clippers = _trapezoid_clippers(trapezoid, rotation, w)
         stack_shift = NumericMotion(0.0, 0.0, float(height))
         height += Fraction(rect.area(), w)
-        clippers = []
-        for piece, m in zip(tri_pieces, tri_motions):
-            pts = [_homogeneous(*rect.frame_coords(apply_motion(m, q))) for q in piece]
-            clippers.append((_lines(pts), _frame_to_source(rect, m), numeric_from_rigid(m)))
+        clippers = [
+            (_lines(pts), _frame_to_source(rect, m), numeric_from_rigid(m)) for pts, m in clippers
+        ]
         for frame_polygon, motion in _normalize_frame_pieces(rect, w):
             for lines, to_source, rigid in clippers:
                 frag = _clip_homogeneous(frame_polygon, lines)
@@ -427,36 +395,195 @@ def _triangle_pieces(p: SimplePolygon, w: Fraction) -> tuple[list, list]:
                 target_motions.append(
                     compose_numeric(stack_shift, compose_numeric(motion, rigid))
                 )
-    return pieces, target_motions
+    return DissectionChart(pieces, target_motions, p, target)
 
 
-def _slab_rectangles(p: SimplePolygon, w: Fraction) -> list[RectangleForm]:
-    """Axis-aligned rectangles partitioning p, whose sides are all
-    horizontal or vertical, by a vertical sweep: in each slab between
-    consecutive vertex x values, the horizontal sides spanning it, sorted
-    by y, pair up into the y-intervals inside p, and a rectangle grows
-    while its interval continues into the next slab.  Each is based on
-    the side whose ratio to w is nearer 1, the horizontal one on a tie,
-    so that width normalization cuts it into the fewest strips."""
-    sides = [(min(a.x, b.x), max(a.x, b.x), a.y) for a, b in zip(p, p[1:] + p[:1]) if a.y == b.y]
-    xs = sorted({v.x for v in p})
-    boxes = []
-    start: dict[tuple, Fraction] = {}  # open y-interval -> its rectangle's left x
-    for x0, x1 in zip(xs, xs[1:] + [xs[-1] + 1]):  # the last slab, past p, closes all
-        ys = sorted(y for lo, hi, y in sides if lo <= x0 and x1 <= hi)
-        spans = list(zip(ys[::2], ys[1::2]))
-        for span in set(start) - set(spans):
-            boxes.append((start.pop(span), span[0], x0, span[1]))
-        for span in spans:
-            start.setdefault(span, x0)
-    rects = []
-    for x0, y0, x1, y1 in sorted(boxes):
-        dx, dy = x1 - x0, y1 - y0
-        corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-        if max(dy / w, w / dy) < max(dx / w, w / dx):
-            corners = corners[1:] + corners[:1]  # based on the right side
-        rects.append(RectangleForm.from_corners(Point2(x, y) for x, y in corners))
-    return rects
+def _chosen_rotation(p: SimplePolygon, w: Fraction) -> tuple[RigidMotion, list[tuple]]:
+    """A rational rotation R about the origin, and the trapezoids of R(p).
+
+    The candidates are the identity and, for each side, the rotation by
+    (cos, sin) = ((1 - t**2)/(1 + t**2), 2t/(1 + t**2)) whose t is near
+    tan(-phi/2), phi the side's direction (see _rotation_candidates): it
+    turns that side nearly horizontal.  Each candidate's trapezoids are
+    swept on ints, p scaled by its least common denominator d and R by
+    1 + t**2, which changes no ratio; the one of fewest predicted pieces
+    wins, the earlier on a tie.  Only ints and Fractions are used, so the
+    choice is the same on every platform, and it is unchanged by a
+    translation or a positive rational scaling of p and w.
+    """
+    d = math.lcm(*(c.denominator for v in p for c in v))
+    pts = [(int(v.x * d), int(v.y * d)) for v in p]
+    best = None
+    for t in _rotation_candidates(pts):
+        a, b = t.numerator, t.denominator
+        c, s, n = b * b - a * a, 2 * a * b, a * a + b * b
+        trapezoids = _trapezoids([(c * x - s * y, s * x + c * y) for x, y in pts])
+        count = _predicted_pieces(trapezoids, Fraction(w * d * n))
+        if best is None or count < best[0]:
+            best = count, RigidMotion(Fraction(c, n), Fraction(s, n), Point2(0, 0)), d * n, trapezoids
+    _, rotation, scale, trapezoids = best
+    return rotation, [tuple(Fraction(v, scale) for v in z) for z in trapezoids]
+
+
+def _rotation_candidates(pts) -> list[Fraction]:
+    """t = 0, then for each side of the int polygon, in order, the nearest
+    fraction of denominator at most 16 to tan(-phi/2) = -dy / (|d| + dx),
+    with the side's direction d = (dx, dy) taken with dx > 0, or dy > 0
+    when dx = 0, so that t lies in [-1, 1].  |d| is an integer square
+    root of d's squared length scaled by a power of 4 to 64 or more bits;
+    repeats are left out."""
+    ts = [Fraction(0)]
+    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+        dx, dy = bx - ax, by - ay
+        if dx < 0 or (dx == 0 and dy < 0):
+            dx, dy = -dx, -dy
+        n = dx * dx + dy * dy
+        e = max(0, 64 - n.bit_length() // 2)
+        t = Fraction(-dy << e, math.isqrt(n << 2 * e) + (dx << e)).limit_denominator(16)
+        if t not in ts:
+            ts.append(t)
+    return ts
+
+
+def _trapezoids(pts) -> list[tuple]:
+    """Trapezoids partitioning the polygon of int points pts, each with
+    vertical parallel sides, by a vertical sweep: in each slab between
+    consecutive vertex x values, the non-vertical sides spanning it,
+    sorted by their y in the slab, pair up into the pieces of the slab
+    inside the polygon, and a trapezoid grows while its pair of sides
+    continues into the next slab.  Each is (x0, x1, lower y at x0, lower
+    y at x1, upper y at x0, upper y at x1), exact; the order is the
+    sweep's, so it depends on the polygon alone."""
+    edges = [
+        (a, b) if a[0] < b[0] else (b, a) for a, b in zip(pts, pts[1:] + pts[:1]) if a[0] != b[0]
+    ]
+    xs = sorted({x for x, _ in pts})
+    rank = {x: i for i, x in enumerate(xs)}
+    slabs = [[] for _ in xs]  # the last slab, past the polygon, closes all
+    for e in edges:
+        for i in range(rank[e[0][0]], rank[e[1][0]]):
+            slabs[i].append(e)
+    out = []
+    start: dict[tuple, int] = {}  # open pair of sides -> its trapezoid's left x
+    for i, slab in enumerate(slabs):
+        x = xs[i]
+        if slab:
+            mid = Fraction(x + xs[i + 1], 2)
+            slab.sort(key=lambda e: _y_at(e, mid))
+        pairs = list(zip(slab[::2], slab[1::2]))
+        for pair in [q for q in start if q not in pairs]:
+            x0 = start.pop(pair)
+            lo, hi = pair
+            out.append((x0, x, _y_at(lo, x0), _y_at(lo, x), _y_at(hi, x0), _y_at(hi, x)))
+        for pair in pairs:
+            start.setdefault(pair, x)
+    return out
+
+
+def _y_at(edge, x) -> Fraction:
+    """The y of the non-vertical int segment edge, left end first, at x."""
+    (ax, ay), (bx, by) = edge
+    return ay + Fraction((x - ax) * (by - ay), bx - ax)
+
+
+def _halvings(q: Fraction) -> int:
+    """The k with 2**k <= q < 2**(k + 1), for a positive rational q."""
+    num, den = q.numerator, q.denominator
+    k = num.bit_length() - den.bit_length()
+    if num << max(0, -k) < den << max(0, k):
+        k -= 1
+    return k
+
+
+def _base_side(width: Fraction, height: Fraction, w: Fraction) -> tuple[Fraction, bool]:
+    """The side of a width x height rectangle that width normalization to w
+    bases on, the one whose ratio to w is nearer 1, the horizontal one on
+    a tie; and whether that is the vertical side."""
+    vertical = max(height / w, w / height) < max(width / w, w / width)
+    return (height if vertical else width), vertical
+
+
+def _measures(trapezoid) -> tuple:
+    """(width, mean height h, rise of the lower side, rise of the upper
+    side, bands): the bands are those of height h that the trapezoid's
+    parallelogram meets, when stacked from its lowest point; it rises
+    by the flatter side's rise over its width (see _trapezoid_clippers)."""
+    x0, x1, yl0, yl1, yu0, yu1 = trapezoid
+    height = (yu0 - yl0 + yu1 - yl1) / 2
+    dl, du = yl1 - yl0, yu1 - yu0
+    return x1 - x0, height, dl, du, math.ceil(min(abs(dl), abs(du)) / height) + 1
+
+
+def _predicted_pieces(trapezoids, w: Fraction) -> float:
+    """The piece count predicted for a chart from its trapezoids, before
+    any cut: per trapezoid, the width-normalized pieces of its rectangle
+    (strips, times 3 when they slide) times its bands, plus one when it
+    is cut in two; infinite when a rectangle passes the strip cap."""
+    total = 0
+    for trapezoid in trapezoids:
+        width, height, dl, du, bands = _measures(trapezoid)
+        base, _ = _base_side(width, height, w)
+        k = _halvings(base / w)
+        if abs(k) > MAX_HALVINGS:
+            return math.inf
+        slides = 1 if base == w * Fraction(2) ** k else 3
+        total += 2 ** abs(k) * slides * (bands + (dl != du))
+    return total
+
+
+def _trapezoid_clippers(trapezoid, rotation: RigidMotion, w: Fraction) -> tuple[RectangleForm, list]:
+    """An axis-aligned rectangle of the trapezoid's area, in the plane
+    rotation maps the source to, and the pieces that form it: for each,
+    its points in the rectangle's unit frame, as homogeneous ints, and
+    its exact motion from the source into the rectangle's plane.
+
+    A trapezoid whose sides are not parallel is cut through the midpoint
+    M of its steeper side (the upper one on a tie), parallel to the
+    flatter one, and the part cut off turns a half turn about M: the
+    cut and the steeper side both pass through M, so it fills the gap
+    on M's other side, and the two make a parallelogram with vertical
+    sides of height h, the trapezoid's mean height.  Cut into horizontal
+    bands of height h, each moved down by a multiple of h, the
+    parallelogram is the rectangle: each vertical line meets it in one
+    segment of length h, which the bands wrap onto the rectangle's.  The
+    band of a piece is not cut here: a frame polygon lies in the
+    rectangle, so clipping it by the piece moved down a band is clipping
+    it by that band of the piece.
+    """
+    x0, x1, yl0, yl1, yu0, yu1 = trapezoid
+    width, height, dl, du, bands = _measures(trapezoid)
+    corners = [(x0, yl0), (x1, yl1), (x1, yu1), (x0, yu0)]
+    trapezoid_pts = [q for k, q in enumerate(corners) if q != corners[k - 1]]
+    if dl == du:
+        parts = [(trapezoid_pts, 1, (0, 0))]
+        bottom, rise = yl0, dl
+    else:
+        xm = (x0 + x1) / 2
+        if abs(du) >= abs(dl):  # keep what is below the cut, parallel to the lower side
+            ym, rise = (yu0 + yu1) / 2, dl
+            bottom = yl0
+            keep, turn = (xm, ym, -width, -rise), (xm, ym, width, rise)
+        else:
+            ym, rise = (yl0 + yl1) / 2, du
+            bottom = ym - rise / 2
+            keep, turn = (xm, ym, width, rise), (xm, ym, -width, -rise)
+        turned = [(2 * xm - x, 2 * ym - y) for x, y in _clip_convex_raw(trapezoid_pts, [turn])]
+        parts = [(_clip_convex_raw(trapezoid_pts, [keep]), 1, (0, 0)), (turned, -1, (2 * xm, 2 * ym))]
+    base = min(bottom, bottom + rise)
+    corners = [(x0, base), (x1, base), (x1, base + height), (x0, base + height)]
+    if _base_side(width, height, w)[1]:
+        corners = corners[1:] + corners[:1]  # based on the right side
+    rect = RectangleForm.from_corners(Point2(x, y) for x, y in corners)
+    c, s = rotation.rot_cos, rotation.rot_sin
+    clippers = []
+    for pts, sign, (tx, ty) in parts:
+        ys = [y for _, y in pts]
+        for k in range(bands):
+            drop = k * height
+            if base + drop < max(ys) and min(ys) < base + drop + height:
+                frame = [_homogeneous(*rect.frame_coords(Point2(x, y - drop))) for x, y in pts]
+                clippers.append((frame, RigidMotion(sign * c, sign * s, Point2(tx, ty - drop))))
+    return rect, clippers
 
 
 def _frame_to_source(r: RectangleForm, m: RigidMotion) -> tuple:
@@ -479,9 +606,8 @@ def overlay_charts(ca: DissectionChart, cb: DissectionChart) -> DissectionChart:
     shared rectangle (numerically, at convex-part granularity: convex
     pieces clip whole, non-convex ones via their triangulations); each
     fragment, mapped back by the inverse of its ca motion, becomes a
-    float piece of the source-of-ca to source-of-cb chart.  Duplicate and
-    collinear vertices are dropped in floats before the sliver test and
-    again after the map back.  Fragments below the sliver threshold are
+    float piece of the source-of-ca to source-of-cb chart, less the
+    vertices _left_turns drops.  Fragments below the sliver threshold are
     dropped and listed in the chart's sliver_report.
     """
     if ca.target != cb.target:
@@ -501,18 +627,41 @@ def overlay_charts(ca: DissectionChart, cb: DissectionChart) -> DissectionChart:
         ma, mb = ca.target_motions[ia], cb.target_motions[ib]
         back_a = invert_numeric(ma)
         relative = compose_numeric(invert_numeric(mb), ma)
-        for frag, _ in part_clips(parts_a[ia], parts_b[ib]):
-            frag = _dedupe_collinear(frag)  # a copy: frag may be a part itself
-            if len(frag) < 3:
-                continue
-            frag_area = _signed_area2(frag) / 2.0
+        for frag, area2 in part_clips(parts_a[ia], parts_b[ib]):
+            frag_area = area2 / 2.0
             if frag_area < threshold:
                 if frag_area > 0.0:
                     slivers.append((ia, ib, frag_area))
                 continue
-            pieces.append(tuple(_dedupe_collinear(apply_numeric_points(back_a, frag))))
-            target_motions.append(relative)
+            piece = _left_turns(apply_numeric_points(back_a, frag), relative)
+            if len(piece) >= 3:
+                pieces.append(piece)
+                target_motions.append(relative)
     return DissectionChart(pieces, target_motions, ca.source, cb.source, slivers)
+
+
+def _left_turns(pts, m: NumericMotion) -> tuple:
+    """The float points pts, less each vertex at which they, or their
+    images under m, do not turn strictly left, one vertex at a time.
+
+    A fragment of two convex parts is convex, so such a vertex is
+    rounding's: a repeated point, a straight one, or a 1-ulp notch that,
+    mapped back and forward again, becomes a spike no ear clip can cut.
+    No tolerance enters; the test is the sign of a float orientation in
+    the two planes verify_chart sees the piece in.
+    """
+    pts = list(pts)
+    placed = apply_numeric_points(m, pts)
+    changed = True
+    while changed and len(pts) >= 3:
+        changed = False
+        for i in range(len(pts)):
+            j = (i + 1) % len(pts)
+            if _orient(pts[i - 1], pts[i], pts[j]) <= 0 or _orient(placed[i - 1], placed[i], placed[j]) <= 0:
+                del pts[i], placed[i]
+                changed = True
+                break
+    return tuple(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib
 import itertools
 import pkgutil
@@ -224,3 +225,37 @@ def criterion_8_cases() -> list[tuple[str, SimplePolygon, SimplePolygon, Fractio
         pb = scale_x(pb, polygon_area(pa) / polygon_area(pb))
         cases.append((f"random-{k}", pa, pb, Fraction(1)))
     return cases
+
+
+def _angle_order(a, b) -> int:
+    """-1, 0 or 1 as the nonzero int vector a turns less, as much or more
+    than b counterclockwise from the positive x axis: a half plane first,
+    then the sign of a cross product."""
+    half_a, half_b = (0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1 for d in (a, b))
+    cross = a[0] * b[1] - a[1] * b[0]
+    return (half_a > half_b) - (half_a < half_b) or (cross < 0) - (cross > 0)
+
+
+def star_pair(rng) -> tuple[SimplePolygon, SimplePolygon]:
+    """A star-shaped rational polygon of at most 10 vertices, and a rectangle
+    of equal area with a rational width and corner.
+
+    The vertices are int directions drawn from [-5, 5]**2, sorted exactly
+    by angle around the origin, one kept of those that point the same
+    way, each scaled by a rational radius; a draw whose angular gaps are
+    not all below a half turn is drawn again.  Only ints and Fractions
+    are used, so a seed gives the same pairs on every platform."""
+    while True:
+        dirs = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(3, 10))]
+        dirs = sorted((d for d in dirs if d != (0, 0)), key=functools.cmp_to_key(_angle_order))
+        dirs = [d for k, d in enumerate(dirs) if k == 0 or _angle_order(dirs[k - 1], d)]
+        if len(dirs) < 3 or any(
+            a[0] * b[1] - a[1] * b[0] <= 0 for a, b in zip(dirs, dirs[1:] + dirs[:1])
+        ):
+            continue
+        radii = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in dirs]
+        star = polygon([(x * r, y * r) for (x, y), r in zip(dirs, radii)])
+        width = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        x0, y0 = Fraction(rng.randint(-9, 9), 2), Fraction(rng.randint(-9, 9), 3)
+        y1 = y0 + polygon_area(star) / width
+        return star, polygon([(x0, y0), (x0 + width, y0), (x0 + width, y1), (x0, y1)])

@@ -88,6 +88,8 @@ REACH_ALLOWED = {
     ("equidecompose", "chart_from_json"): "the chart reader; the roadmap gives it a CLI caller",
     ("kinematics", "pose_placements"): "forward kinematics, which tests hold sample_motion to",
     ("chain", "load_sample_shape"): "the library's one reader of the shipped glyph corpus",
+    ("exact_geom", "triangulate_simple"): "the public triangulation; charts no longer triangulate, "
+    "and the roadmap retires it with _ear_clip's fattest-ear mode",
 }
 
 
