@@ -318,7 +318,8 @@ COMMANDS = (
         ("--b", dict(required=True, help="second polygon JSON")),
         ("--width", dict(default="1",
                          help="common rectangle width (rational); a width that cuts a rectangle "
-                         f"into more than 2**{MAX_HALVINGS} strips is rejected (default: 1)")),
+                         f"into more than 2**{MAX_HALVINGS} strips, or a trapezoid into more "
+                         f"than 9 * 2**{MAX_HALVINGS} pieces, is rejected (default: 1)")),
         ("--out", dict(required=True, help="output chart JSON")),
         ("--svg", dict(help="also render the chart side by side")),
     )),

@@ -1,8 +1,9 @@
 """Classical equidecomposition between equal-area polygons.
 
 Pipeline: turn the polygon by one rational rotation, cut it into
-trapezoids with vertical parallel sides, turn each into an axis-aligned
-rectangle by a half turn and vertical translations, convert every
+trapezoids with vertical parallel sides, turn each into a rectangle by
+a half turn and translations (vertical ones, which make it
+axis-aligned, unless its sides are too steep for them), convert every
 rectangle to a common width, stack the results into one rectangle, and
 overlay two such stacks to obtain a mutual dissection.
 
@@ -51,7 +52,6 @@ from .numeric import (
     apply_numeric_points,
     compose_numeric,
     invert_numeric,
-    numeric_between_segments,
     numeric_from_rigid,
 )
 from .overlap import overlapping_pairs, part_clips, parts_and_bounds
@@ -59,6 +59,7 @@ from .overlap import overlapping_pairs, part_clips, parts_and_bounds
 SLIVER_FRACTION = 1e-12  # fragments below this share of the total area are dropped
 SNAP_DENOMINATOR = 10**12
 MAX_HALVINGS = 10  # width normalization cuts a rectangle into at most 2**10 strips
+MAX_TRAPEZOID_PIECES = 9 * 2**MAX_HALVINGS  # 2**10 strips of 3 slide pieces, each cut in 3
 CHART_TOLERANCE = 1e-9  # verify_chart's default, relative to the target area
 
 
@@ -250,7 +251,7 @@ def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[tuple[list, N
     len_u_sq = r.width_sq
     a = math.sqrt(_in_float_range(len_u_sq, "a rectangle side squared"))
     b = math.sqrt(_in_float_range(r.height_sq, "a rectangle side squared"))
-    c0, c1 = (
+    c0, _ = (
         tuple(_in_float_range(v, "a rectangle corner coordinate") for v in r.corners[i])
         for i in (0, 1)
     )
@@ -263,7 +264,7 @@ def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[tuple[list, N
 
     a_prime = a / (2.0**k)
     b_prime = b * (2.0**k)
-    align = numeric_between_segments(c0, c1, (0.0, 0.0), (a, 0.0))
+    align = _aligning(c0, r.u)
 
     # an exact fit needs no slide; it is tested exactly, since a float
     # side whose square is subnormal can be far enough off to snap below 1
@@ -312,6 +313,17 @@ def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[tuple[list, N
     return out
 
 
+def _aligning(c0: tuple[float, float], u: Point2) -> NumericMotion:
+    """The float motion that takes c0 to the origin and the exact side u
+    onto the positive x axis.  Its angle is read from u, not from two
+    float corners: a short side far from the origin would lose its
+    direction to their rounding."""
+    m = max(abs(u.x), abs(u.y))
+    angle = 0.0 - math.atan2(float(u.y / m), float(u.x / m))
+    c, s = math.cos(angle), math.sin(angle)
+    return NumericMotion(angle, 0.0 - (c * c0[0] - s * c0[1]), 0.0 - (s * c0[0] + c * c0[1]))
+
+
 # ---------------------------------------------------------------------------
 # charts
 
@@ -346,10 +358,12 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
 
     One rational rotation R is chosen first (see _chosen_rotation).  A
     vertical sweep cuts R(p) into trapezoids whose parallel sides are
-    vertical (see _trapezoids), and _trapezoid_clippers turns each into an
-    axis-aligned rectangle by a half turn and vertical translations.  Each
-    rectangle is width-normalized, and one pass stacks it on the earlier
-    ones' areas over w.  Every cut is exact rational in source coordinates.
+    vertical (see _trapezoids), and _trapezoid_clippers turns each into a
+    rectangle by a half turn and translations, as _plan says: vertical
+    ones, which make it axis-aligned, or ones along its flatter side.
+    Each rectangle is width-normalized, and one pass stacks it on the
+    earlier ones' areas over w.  Every cut is exact rational in source
+    coordinates.
 
     Each rectangle's width-normalized pieces are cut against its
     trapezoid's pieces in the rectangle's unit frame, and each fragment is
@@ -363,9 +377,10 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
 
     The motions are floats, so a coordinate, the area or the width that
     does not fit a float (beyond its range, or nonzero and rounding to
-    0) is a DissectionError, as are the cases rectangle_to_width rejects:
-    when every rotation needs a rectangle of over 2**MAX_HALVINGS strips,
-    the first such rectangle's BadWidth is raised.
+    0) is a DissectionError.  When every rotation has a trapezoid that
+    passes a cap, a rectangle of over 2**MAX_HALVINGS strips or over
+    MAX_TRAPEZOID_PIECES pieces, the first such trapezoid's BadWidth is
+    raised before any cut.
     """
     w = _width(w)
     for v in p:
@@ -378,9 +393,12 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     target = RectangleForm.axis_aligned(w, h_total).polygon()
 
     rotation, trapezoids = _chosen_rotation(p, w)
+    plans = [_plan(trapezoid, w) for trapezoid in trapezoids]
+    for plan in plans:
+        _check_plan(plan, w)
     pieces, target_motions, height = [], [], 0
-    for trapezoid in trapezoids:
-        rect, clippers = _trapezoid_clippers(trapezoid, rotation, w)
+    for trapezoid, plan in zip(trapezoids, plans):
+        rect, clippers = _trapezoid_clippers(trapezoid, plan, rotation)
         stack_shift = NumericMotion(0.0, 0.0, float(height))
         height += Fraction(rect.area(), w)
         clippers = [
@@ -495,63 +513,111 @@ def _halvings(q: Fraction) -> int:
     return k
 
 
-def _base_side(width: Fraction, height: Fraction, w: Fraction) -> tuple[Fraction, bool]:
-    """The side of a width x height rectangle that width normalization to w
-    bases on, the one whose ratio to w is nearer 1, the horizontal one on
-    a tie; and whether that is the vertical side."""
-    vertical = max(height / w, w / height) < max(width / w, w / width)
-    return (height if vertical else width), vertical
+def _plan(trapezoid, w: Fraction) -> tuple:
+    """How _trapezoid_clippers cuts the trapezoid's parallelogram into a
+    rectangle: (pieces, slanted, on_v, halvings).
 
-
-def _measures(trapezoid) -> tuple:
-    """(width, mean height h, rise of the lower side, rise of the upper
-    side, bands): the bands are those of height h that the trapezoid's
-    parallelogram meets, when stacked from its lowest point; it rises
-    by the flatter side's rise over its width (see _trapezoid_clippers)."""
+    The parallelogram has a vertical side b of the trapezoid's mean
+    height h and a side a along the flatter of its other two.  Its
+    rectangle keeps one of them, the band side, and its bands are cut
+    across that side at steps of its length: b gives an axis-aligned
+    rectangle and ceil(|rise| / h) + 1 bands; a (slanted) gives an
+    oblique one and ceil(|rise| h / |a|**2) + 1 bands.  The two ratios
+    multiply to rise**2 / |a|**2 < 1, so when b meets more than 2
+    bands, a meets at most 2, and a is taken if it gives fewer pieces.
+    Pieces are predicted as the rectangle's strips (2**|k|, for the
+    halvings k of its base side, the one of ratio to w nearer 1, the
+    first on a tie: on_v when it is the second side), times 3 when they
+    slide, times its bands plus one when the trapezoid is cut in two; a
+    rectangle of more than 2**MAX_HALVINGS strips counts infinitely
+    many.  So the pieces are at most MAX_TRAPEZOID_PIECES unless the
+    rectangle of at most 2 bands passes the strip cap.  Only ints and
+    Fractions are used.
+    """
     x0, x1, yl0, yl1, yu0, yu1 = trapezoid
-    height = (yu0 - yl0 + yu1 - yl1) / 2
+    width, height = x1 - x0, (yu0 - yl0 + yu1 - yl1) / 2
     dl, du = yl1 - yl0, yu1 - yu0
-    return x1 - x0, height, dl, du, math.ceil(min(abs(dl), abs(du)) / height) + 1
+    rise = dl if abs(du) >= abs(dl) else du
+    cut = dl != du
+    bands = math.ceil(abs(rise) / height) + 1
+    plan = (*_strips(width, height, w, bands + cut), False)
+    if bands > 2:
+        length_sq = width * width + rise * rise
+        bands = math.ceil(abs(rise) * height / length_sq) + 1
+        side_sq = (width * height) ** 2 / length_sq
+        plan = min(plan, (*_strips(length_sq, side_sq, w * w, bands + cut, 4), True))
+    pieces, on_v, k, slanted = plan
+    return pieces, slanted, on_v, k
+
+
+def _strips(u: Fraction, v: Fraction, w: Fraction, parts: int, step: int = 2) -> tuple:
+    """(pieces, on_v, halvings) of a rectangle of sides u and v, each of
+    whose strips is cut into parts (see _plan); u, v and w are lengths,
+    or, with step 4, their squares."""
+    on_v = max(v / w, w / v) < max(u / w, w / u)
+    base = v if on_v else u
+    k = _halvings(base / w) // (step // 2)  # step**k * w <= base < step**(k + 1) * w
+    if abs(k) > MAX_HALVINGS:
+        return math.inf, on_v, k
+    slides = 1 if base == Fraction(step) ** k * w else 3
+    return 2 ** abs(k) * slides * parts, on_v, k
 
 
 def _predicted_pieces(trapezoids, w: Fraction) -> float:
     """The piece count predicted for a chart from its trapezoids, before
-    any cut: per trapezoid, the width-normalized pieces of its rectangle
-    (strips, times 3 when they slide) times its bands, plus one when it
-    is cut in two; infinite when a rectangle passes the strip cap."""
+    any cut (see _plan); infinite when a trapezoid passes the strip cap
+    or MAX_TRAPEZOID_PIECES."""
     total = 0
     for trapezoid in trapezoids:
-        width, height, dl, du, bands = _measures(trapezoid)
-        base, _ = _base_side(width, height, w)
-        k = _halvings(base / w)
-        if abs(k) > MAX_HALVINGS:
+        pieces = _plan(trapezoid, w)[0]
+        if pieces > MAX_TRAPEZOID_PIECES:
             return math.inf
-        slides = 1 if base == w * Fraction(2) ** k else 3
-        total += 2 ** abs(k) * slides * (bands + (dl != du))
+        total += pieces
     return total
 
 
-def _trapezoid_clippers(trapezoid, rotation: RigidMotion, w: Fraction) -> tuple[RectangleForm, list]:
-    """An axis-aligned rectangle of the trapezoid's area, in the plane
-    rotation maps the source to, and the pieces that form it: for each,
-    its points in the rectangle's unit frame, as homogeneous ints, and
-    its exact motion from the source into the rectangle's plane.
+def _check_plan(plan, w: Fraction) -> None:
+    """A BadWidth when a trapezoid's plan passes a cap (see _plan)."""
+    pieces, _, _, k = plan
+    if abs(k) > MAX_HALVINGS:
+        raise BadWidth(
+            f"width {_value_text(w)} needs 2**{abs(k)} strips of a trapezoid's rectangle; "
+            f"at most 2**{MAX_HALVINGS}"
+        )
+    if pieces > MAX_TRAPEZOID_PIECES:
+        raise BadWidth(
+            f"width {_value_text(w)} cuts a trapezoid into {pieces} pieces; "
+            f"at most 9 * 2**{MAX_HALVINGS}"
+        )
+
+
+def _trapezoid_clippers(trapezoid, plan, rotation: RigidMotion) -> tuple[RectangleForm, list]:
+    """A rectangle of the trapezoid's area, in the plane rotation maps the
+    source to, and the pieces that form it, as plan says (see _plan): for
+    each, its points in the rectangle's unit frame, as homogeneous ints,
+    and its exact motion from the source into the rectangle's plane.
 
     A trapezoid whose sides are not parallel is cut through the midpoint
     M of its steeper side (the upper one on a tie), parallel to the
     flatter one, and the part cut off turns a half turn about M: the
     cut and the steeper side both pass through M, so it fills the gap
-    on M's other side, and the two make a parallelogram with vertical
-    sides of height h, the trapezoid's mean height.  Cut into horizontal
-    bands of height h, each moved down by a multiple of h, the
-    parallelogram is the rectangle: each vertical line meets it in one
-    segment of length h, which the bands wrap onto the rectangle's.  The
-    band of a piece is not cut here: a frame polygon lies in the
-    rectangle, so clipping it by the piece moved down a band is clipping
-    it by that band of the piece.
+    on M's other side, and the two make a parallelogram spanned by a
+    vertical side b of height h, the trapezoid's mean height, and a side
+    a along the flatter side.  Of b and a, the band side e is kept and
+    the other, f, is replaced by its part f - mu e perpendicular to e.
+    Cut into bands across e at steps of e's length, each moved back by
+    a multiple of e, the parallelogram is that rectangle: each line
+    along e meets it in one segment of e's length, which the bands wrap
+    onto the rectangle's.  With e = b the rectangle is axis-aligned and
+    the bands horizontal, each moved down by a multiple of h.  The band
+    of a piece is not cut here: a frame polygon lies in the rectangle,
+    so clipping it by the piece moved back a band is clipping it by
+    that band of the piece.
     """
     x0, x1, yl0, yl1, yu0, yu1 = trapezoid
-    width, height, dl, du, bands = _measures(trapezoid)
+    _, slanted, on_v, _ = plan
+    width = x1 - x0
+    dl, du = yl1 - yl0, yu1 - yu0
     corners = [(x0, yl0), (x1, yl1), (x1, yu1), (x0, yu0)]
     trapezoid_pts = [q for k, q in enumerate(corners) if q != corners[k - 1]]
     if dl == du:
@@ -569,20 +635,27 @@ def _trapezoid_clippers(trapezoid, rotation: RigidMotion, w: Fraction) -> tuple[
             keep, turn = (xm, ym, width, rise), (xm, ym, -width, -rise)
         turned = [(2 * xm - x, 2 * ym - y) for x, y in _clip_convex_raw(trapezoid_pts, [turn])]
         parts = [(_clip_convex_raw(trapezoid_pts, [keep]), 1, (0, 0)), (turned, -1, (2 * xm, 2 * ym))]
-    base = min(bottom, bottom + rise)
-    corners = [(x0, base), (x1, base), (x1, base + height), (x0, base + height)]
-    if _base_side(width, height, w)[1]:
-        corners = corners[1:] + corners[:1]  # based on the right side
-    rect = RectangleForm.from_corners(Point2(x, y) for x, y in corners)
+    a, b = Point2(width, rise), Point2(0, (yu0 - yl0 + yu1 - yl1) / 2)
+    e, f = (a, b) if slanted else (b, a)
+    e_sq = e.norm_sq()
+    mu = f.dot(e) / e_sq
+    f_perp = f - e.scaled(mu)
+    u, v = (e, f_perp) if slanted else (f_perp, e)
+    c0 = Point2(x0, bottom) + e.scaled(min(mu, 0))  # the parallelogram's least point along e
+    corners = [c0, c0 + u, c0 + u + v, c0 + v]
+    if on_v:
+        corners = corners[1:] + corners[:1]  # based on the side v
+    rect = RectangleForm.from_corners(corners)
     c, s = rotation.rot_cos, rotation.rot_sin
     clippers = []
+    ex, ey = e
     for pts, sign, (tx, ty) in parts:
-        ys = [y for _, y in pts]
-        for k in range(bands):
-            drop = k * height
-            if base + drop < max(ys) and min(ys) < base + drop + height:
-                frame = [_homogeneous(*rect.frame_coords(Point2(x, y - drop))) for x, y in pts]
-                clippers.append((frame, RigidMotion(sign * c, sign * s, Point2(tx, ty - drop))))
+        along = [(x - c0.x) * ex + (y - c0.y) * ey for x, y in pts]  # e_sq times the bands
+        for k in range(math.floor(min(along) / e_sq), math.ceil(max(along) / e_sq)):
+            dx, dy = k * ex, k * ey
+            moved = [Point2(x - dx, y - dy) for x, y in pts] if k else map(Point2._make, pts)
+            frame = [_homogeneous(*rect.frame_coords(q)) for q in moved]
+            clippers.append((frame, RigidMotion(sign * c, sign * s, Point2(tx - dx, ty - dy))))
     return rect, clippers
 
 

@@ -1,8 +1,8 @@
 """Float-precision motions and polygon helpers for the tolerance-based paths.
 
 Exact arithmetic is reserved for verification of end states; everything
-that is irrational by nature (oblique rectangle alignment, hinge-angle
-interpolation, overlay refinement) runs here in doubles.
+that is irrational by nature (hinge-angle interpolation, overlay
+refinement) runs here in doubles.
 """
 
 from __future__ import annotations
@@ -61,17 +61,6 @@ def numeric_from_rigid(m: RigidMotion) -> NumericMotion:
         float(m.translate.x),
         float(m.translate.y),
     )
-
-
-def numeric_between_segments(a1, a2, b1, b2) -> NumericMotion:
-    """Float motion mapping segment a1a2 onto b1b2 (lengths assumed equal)."""
-    ang_a = math.atan2(a2[1] - a1[1], a2[0] - a1[0])
-    ang_b = math.atan2(b2[1] - b1[1], b2[0] - b1[0])
-    angle = ang_b - ang_a
-    c, s = math.cos(angle), math.sin(angle)
-    tx = b1[0] - (c * a1[0] - s * a1[1])
-    ty = b1[1] - (s * a1[0] + c * a1[1])
-    return NumericMotion(angle, tx, ty)
 
 
 def wrap_angle(delta: float) -> float:

@@ -35,9 +35,20 @@ from chainfold.figures import (
     RigidMotion,
     save_hdj,
 )
-from chainfold.numeric import NumericMotion, numeric_between_segments
+from chainfold.numeric import NumericMotion
 
 APPROX_TOLERANCE = 1e-6
+
+
+def numeric_between_segments(a1, a2, b1, b2) -> NumericMotion:
+    """Float motion mapping segment a1a2 onto b1b2 (lengths assumed equal)."""
+    ang_a = math.atan2(a2[1] - a1[1], a2[0] - a1[0])
+    ang_b = math.atan2(b2[1] - b1[1], b2[0] - b1[0])
+    angle = ang_b - ang_a
+    c, s = math.cos(angle), math.sin(angle)
+    tx = b1[0] - (c * a1[0] - s * a1[1])
+    ty = b1[1] - (s * a1[0] + c * a1[1])
+    return NumericMotion(angle, tx, ty)
 
 
 def _rigid_from_numeric(m: NumericMotion) -> RigidMotion:

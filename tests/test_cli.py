@@ -493,6 +493,32 @@ class TestBg:
         assert f"at most 2**{MAX_HALVINGS}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sliver_charts_in_bounded_pieces(self, workdir):
+        # no candidate rotation lays the sliver's long sides flat; its
+        # trapezoid is cut into 2 bands across its flatter side, not
+        # 31,001 horizontal ones
+        (workdir / "sliver.json").write_text('[[0,0],[1000,31],[1000,"31002/1000"]]')
+        (workdir / "unit.json").write_text("[[0,0],[1,0],[1,1],[0,1]]")
+        out = workdir / "o.json"
+        start = time.perf_counter()
+        assert main(["bg", "--a", str(workdir / "sliver.json"), "--b", str(workdir / "unit.json"),
+                     "--width", "1", "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 10
+        assert len(json.loads(out.read_text())["pieces"]) <= 2258
+
+    def test_trapezoid_past_the_piece_cap_exits_2_quickly(self, workdir, capsys):
+        # a sliver 4096 long: every way to cut it needs 4,096,001 bands or
+        # over 2**10 strips
+        (workdir / "sliver.json").write_text('[[0,0],[1,4096],[1,"4096002/1000"]]')
+        (workdir / "strip.json").write_text('[[0,0],[1,0],[1,"1/1000"],[0,"1/1000"]]')
+        out = workdir / "o.json"
+        start = time.perf_counter()
+        assert main(["bg", "--a", str(workdir / "sliver.json"), "--b", str(workdir / "strip.json"),
+                     "--width", "1", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 2
+        assert f"at most 9 * 2**{MAX_HALVINGS}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("width", ["abc", "1/0", "nan"])
     def test_a_width_that_is_no_rational_names_the_option(self, workdir, capsys, width):
         out = workdir / "o.json"

@@ -355,6 +355,9 @@ class TestRotationChoice:
 
 
 SKINNY_TRIANGLE = polygon([(0, 0), (1000, 1000), (1000, 1001)])
+# its long sides' tan(phi/2), about 0.0155, lies between the fractions 0
+# and 1/16 of denominator 16, so no candidate rotation lays them flat
+SLIVER = polygon([(0, 0), (1000, 31), (1000, 31 + Fraction(1, 500))])
 
 
 class TestRobustnessSweep:
@@ -391,6 +394,42 @@ class TestRobustnessSweep:
         mutual = overlay_charts(chart, polygon_to_canonical_chart(rect, 1))
         assert len(mutual.pieces) <= 237
         assert verify_chart(mutual).accepted
+
+
+class TestBandSide:
+    """A trapezoid's parallelogram is cut into bands across its vertical
+    side or across its flatter side, whichever gives fewer pieces; one of
+    the two always meets at most 2 bands, so no rotation can leave a
+    trapezoid with unbounded bands."""
+
+    def test_sliver_is_cut_across_its_flatter_side(self):
+        # unturned, its one trapezoid is 1/1000 high and rises 31: 31,001
+        # horizontal bands, and a quarter turn is no better
+        rotation, trapezoids = equidecompose._chosen_rotation(SLIVER, 1)
+        assert rotation == IDENTITY_MOTION and len(trapezoids) == 1
+        assert equidecompose._plan(trapezoids[0], 1) == (4608, True, False, 9)
+        chart = polygon_to_canonical_chart(SLIVER, 1)
+        assert len(chart.pieces) <= 2259
+        assert sum((polygon_area(q) for q in chart.pieces), Fraction(0)) == 1
+        mutual = overlay_charts(chart, polygon_to_canonical_chart(UNIT_SQUARE, 1))
+        assert len(mutual.pieces) <= 2258
+        assert verify_chart(mutual).accepted
+
+    def test_oblique_rectangle_is_exact(self):
+        # at width 1/512 the oblique rectangle is based on its short side
+        chart = polygon_to_canonical_chart(SLIVER, Fraction(1, 512))
+        assert len(chart.pieces) == 8
+        assert_exact_chart(chart, SLIVER)
+
+    def test_trapezoid_past_the_piece_cap_raises_quickly(self):
+        # a sliver 4096 long at width 1: its vertical band side needs
+        # 4,096,001 bands, and every rectangle across a longer side needs
+        # over 2**10 strips
+        sliver = polygon([(0, 0), (1, 4096), (1, 4096 + Fraction(1, 500))])
+        start = time.perf_counter()
+        with pytest.raises(BadWidth, match=rf"at most 9 \* 2\*\*{MAX_HALVINGS}"):
+            polygon_to_canonical_chart(sliver, 1)
+        assert time.perf_counter() - start < 2
 
 
 class TestCanonicalChart:
@@ -577,20 +616,20 @@ class TestOverlay:
 
     def test_vertex_that_rounding_bends_is_dropped(self, monkeypatch):
         # found by a seeded search of hulls against rectangles: the
-        # triangle is charted turned by (20/29, 21/29), and one fragment
-        # of the overlay keeps a 1-ulp notch on the line x = 8/3, from
-        # (8/3, 1.07e-14) to (8/3, 4.05e-15); mapped back and forward
-        # again it is a spike that the ear clip cannot cut
-        tri = polygon([(-12, 9), (12, -16), (Fraction(18, 5), Fraction(-3, 2))])
-        rect = polygon([(0, 0), (4, 0), (4, Fraction(69, 4)), (0, Fraction(69, 4))])
-        w = Fraction(4, 3)
-        assert equidecompose._chosen_rotation(tri, w)[0].rot_sin == Fraction(21, 29)
+        # triangle is charted unturned, and one fragment of the overlay
+        # keeps a vertex 1 ulp left of (3/2, 0), at y = 6.9e-16, which the
+        # triangle's chart maps onto a straight line; the ear clip cannot
+        # cut the piece
+        tri = polygon([(-8, Fraction(11, 3)), (-5, Fraction(-9, 5)), (Fraction(2, 5), Fraction(-1, 3))])
+        rect = polygon([(0, 0), (2, 0), (2, Fraction(212, 25)), (0, Fraction(212, 25))])
+        w = Fraction(3, 2)
+        assert equidecompose._chosen_rotation(tri, w)[0] == IDENTITY_MOTION
         charts = polygon_to_canonical_chart(rect, w), polygon_to_canonical_chart(tri, w)
         assert verify_chart(overlay_charts(*charts)).accepted
         monkeypatch.setattr(equidecompose, "_left_turns",
                             lambda pts, m: tuple(_dedupe_collinear(pts)))
         report = verify_chart(overlay_charts(*charts))
-        assert ("TargetOverlap", "piece 19 cannot be cut into convex parts: "
+        assert ("TargetOverlap", "piece 0 cannot be cut into convex parts: "
                 "no diagonal found; polygon is not simple") in report.failures
 
     def test_target_mismatch(self):

@@ -25,10 +25,11 @@ from chainfold.exact_geom import (
     rational_to_json,
     triangulate_simple,
 )
-from chainfold.numeric import apply_numeric, numeric_between_segments
+from chainfold.numeric import apply_numeric
 from chainfold.overlap import partition_residuals, polygon_overlap
 from chainfold.polyomino import Cell, parse_grid
 from conftest import boundary_polygon
+from dudeney_asset import numeric_between_segments
 
 UNIT_SQUARE = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 L_HEXAGON = polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
@@ -92,7 +93,7 @@ class TestApplyMotion:
 
 
 class TestMotionBetweenSegments:
-    """numeric_between_segments, the float motion the chart pipeline aligns by."""
+    """numeric_between_segments, the float motion that maps one segment onto another."""
 
     def test_quarter_turn(self):
         m = numeric_between_segments((0, 0), (1, 0), (0, 0), (0, 1))
