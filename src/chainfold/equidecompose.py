@@ -540,14 +540,16 @@ def _plan(trapezoid, w: Fraction) -> tuple:
     rise = dl if abs(du) >= abs(dl) else du
     cut = dl != du
     bands = math.ceil(abs(rise) / height) + 1
-    plan = (*_strips(width, height, w, bands + cut), False)
+    pieces, on_v, k = _strips(width, height, w, bands + cut)
+    plan = pieces, False, on_v, k
     if bands > 2:
         length_sq = width * width + rise * rise
         bands = math.ceil(abs(rise) * height / length_sq) + 1
         side_sq = (width * height) ** 2 / length_sq
-        plan = min(plan, (*_strips(length_sq, side_sq, w * w, bands + cut, 4), True))
-    pieces, on_v, k, slanted = plan
-    return pieces, slanted, on_v, k
+        pieces, on_v, k = _strips(length_sq, side_sq, w * w, bands + cut, 4)
+        if pieces < plan[0]:
+            plan = pieces, True, on_v, k
+    return plan
 
 
 def _strips(u: Fraction, v: Fraction, w: Fraction, parts: int, step: int = 2) -> tuple:
