@@ -565,6 +565,45 @@ def test_rendered_mutual_charts_match_pinned_digests():
     assert digests == RENDERED_CHART_DIGESTS
 
 
+# sha256 prefixes of the JSON text bg writes (json.dumps of chart_to_json)
+# of each criterion-8 pair's mutual chart: every float motion and piece
+# coordinate to the last bit, so these rest on the platform's cos and sin
+# too
+CHART_JSON_DIGESTS = {
+    "square2-vs-triangle": "005df8b2d728b177",
+    "random-0": "39a8617209679ed2",
+    "random-1": "58f016907946375b",
+    "random-2": "d4714cc5923a05c8",
+    "random-3": "e00e436d0d1dfb50",
+    "random-4": "d116d1d090e86339",
+    "random-5": "f1dd18bb5e38c9e4",
+    "random-6": "7dc931c0dadeace2",
+    "random-7": "47805313e0f2d73d",
+    "random-8": "e8f4b67003835496",
+    "random-9": "75b160dd3948e4d3",
+    "random-10": "c8e02a6de599f8fc",
+    "random-11": "29f734f8ac8dcaf9",
+    "random-12": "4e87c0efbb542d57",
+    "random-13": "03bea04b4c0ef3bb",
+    "random-14": "06af731c53c3af19",
+    "random-15": "049fa878c753f310",
+    "random-16": "b27ce935cb54bb0e",
+    "random-17": "7c1255a5f7f15ad5",
+    "random-18": "e0b0d9acbb446078",
+    "random-19": "aca26dc523e096b6",
+}
+
+
+def test_mutual_chart_json_matches_pinned_digests():
+    digests = {}
+    for label, pa, pb, width in criterion_8_cases():
+        mutual = overlay_charts(polygon_to_canonical_chart(pa, width),
+                                polygon_to_canonical_chart(pb, width))
+        text = json.dumps(chart_to_json(mutual))
+        digests[label] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digests == CHART_JSON_DIGESTS
+
+
 class TestCanonicalChartProperties:
     """Canonical-chart pieces skip SimplePolygon validation; they must be
     exactly what validation would accept."""
