@@ -20,6 +20,7 @@ from .chain import dissect_pair, fold_chain
 from .equidecompose import (
     CHART_TOLERANCE,
     MAX_HALVINGS,
+    _width,
     chart_to_json,
     overlay_charts,
     polygon_to_canonical_chart,
@@ -245,11 +246,11 @@ def cmd_bg(args) -> int:
         if area_a != area_b:
             raise ValueError(f"areas differ: {_value_text(area_a)} vs {_value_text(area_b)}")
         try:
-            width = rat(args.width)
+            width = _width(rat(args.width))
         except ValueError as exc:
             raise ValueError(f"--width: {exc}") from None
-        chart_a = polygon_to_canonical_chart(pa, width)
-        chart_b = polygon_to_canonical_chart(pb, width)
+        chart_a = _read(args.a, lambda _: polygon_to_canonical_chart(pa, width))
+        chart_b = _read(args.b, lambda _: polygon_to_canonical_chart(pb, width))
         mutual = overlay_charts(chart_a, chart_b)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))

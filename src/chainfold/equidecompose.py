@@ -1,19 +1,22 @@
 """Classical equidecomposition between equal-area polygons.
 
 Pipeline: turn the polygon by one rational rotation, cut it into
-trapezoids with vertical parallel sides, turn each into a rectangle by
-a half turn and translations (vertical ones, which make it
-axis-aligned, unless its sides are too steep for them), convert every
-rectangle to a common width, stack the results into one rectangle, and
-overlay two such stacks to obtain a mutual dissection.
+trapezoids with vertical parallel sides by one vertical sweep, turn
+each into a rectangle by a half turn and translations (vertical ones,
+which make it axis-aligned, unless its sides are too steep for them),
+convert every rectangle to a common width, stack the results into one
+rectangle, and overlay two such stacks to obtain a mutual dissection.
 
 Arithmetic is hybrid.  Every cut is exact rational in source
 coordinates, so the source side of a chart partitions the input polygon
-exactly.  The assembly motions are carried numerically, and the target
-side of a chart is verified against a tolerance.  The one place a cut
-position is irrational by nature (the slide that fixes the width) is
-snapped to a nearby rational fraction; the snap error is around 1e-12
-relative, far below the 1e-9 verification tolerance.
+exactly.  The rotation choice, the cuts and the maps between planes run
+on ints (a side's y held over its dx, homogeneous points, int
+matrices), and each output coordinate becomes one Fraction.  The
+assembly motions are carried numerically, and the target side of a
+chart is verified against a tolerance.  The one place a cut position is
+irrational by nature (the slide that fixes the width) is snapped to a
+nearby rational fraction; the snap error is around 1e-12 relative, far
+below the 1e-9 verification tolerance.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .exact_geom import (
     Point2,
     RigidMotion,
     SimplePolygon,
-    _clip_convex_raw,
     _clip_homogeneous,
     _convex_clip,  # noqa: F401 - looked up by perfbench/tracing.py
     _homogeneous,
@@ -36,8 +38,6 @@ from .exact_geom import (
     _orient,
     _map_homogeneous,
     _signed_area2,
-    apply_motion,
-    invert_motion,
     point,
     point_from_json,
     point_to_json,
@@ -52,14 +52,13 @@ from .numeric import (
     apply_numeric_points,
     compose_numeric,
     invert_numeric,
-    numeric_from_rigid,
 )
 from .overlap import overlapping_pairs, part_clips, parts_and_bounds
 
 SLIVER_FRACTION = 1e-12  # fragments below this share of the total area are dropped
 SNAP_DENOMINATOR = 10**12
 MAX_HALVINGS = 10  # width normalization cuts a rectangle into at most 2**10 strips
-MAX_TRAPEZOID_PIECES = 9 * 2**MAX_HALVINGS  # 2**10 strips of 3 slide pieces, each cut in 3
+MAX_TRAPEZOID_PIECES = 9 * 2**MAX_HALVINGS  # caps a trapezoid's predicted pieces (see _scaled_plan)
 CHART_TOLERANCE = 1e-9  # verify_chart's default, relative to the target area
 
 
@@ -124,13 +123,6 @@ class RectangleForm(NamedTuple):
     def polygon(self) -> SimplePolygon:
         return SimplePolygon(self.corners)
 
-    def frame_coords(self, q: Point2) -> tuple[Fraction, Fraction]:
-        """Intrinsic-frame coordinates (alpha, beta), in [0,1]^2 inside the
-        rectangle, of q = corners[0] + alpha*u + beta*v; u and v are
-        perpendicular, so each coordinate is a projection."""
-        d = q - self.corners[0]
-        return Fraction(d.dot(self.u), self.width_sq), Fraction(d.dot(self.v), self.height_sq)
-
 
 def triangle_to_rectangle(tri) -> tuple[list[SimplePolygon], RectangleForm, list[RigidMotion]]:
     """Dissect a triangle into at most 3 pieces forming a rectangle.
@@ -193,15 +185,18 @@ def _width(w) -> Fraction:
     return w
 
 
-def _in_float_range(value, what: str) -> float:
-    """value as a float for the numeric motions.  A DissectionError when it
-    is beyond the float range, or is nonzero and rounds to 0."""
+def _in_float_range(value, what: str, den: int = 1) -> float:
+    """value / den as a float for the numeric motions, value an int or
+    Fraction and den a positive int: the quotient of two ints, rounded
+    once, as float() of a Fraction is.  A DissectionError when it is
+    beyond the float range, or is nonzero and rounds to 0."""
+    num, den = value.numerator, value.denominator * den
     try:
-        f = float(value)
+        f = num / den
     except OverflowError:
         f = math.inf
-    if math.isinf(f) or (f == 0.0 and value != 0):
-        raise DissectionError(f"{what} {_value_text(value)} is outside the float range")
+    if math.isinf(f) or (f == 0.0 and num != 0):
+        raise DissectionError(f"{what} {_value_text(Fraction(num, den))} is outside the float range")
     return f
 
 
@@ -230,32 +225,40 @@ def rectangle_to_width(r: RectangleForm, w) -> tuple[list[SimplePolygon], list[N
     w = _width(w)
     h_out = Fraction(r.area(), w)
     out_rect = RectangleForm.axis_aligned(w, h_out)
-    to_source = _frame_to_source(r, IDENTITY_MOTION)
-    frame_pieces = _normalize_frame_pieces(r, w)
-    pieces = [_rational_polygon(_map_homogeneous(to_source, fp)) for fp, _ in frame_pieces]
+    frame = _int_affine(r.corners[0], r.u, r.v)
+    frame_pieces = _normalize_frame_pieces(frame, w)
+    pieces = [_rational_polygon(_map_homogeneous(frame, fp)) for fp, _ in frame_pieces]
     return pieces, [motion for _, motion in frame_pieces], out_rect
 
 
-def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[tuple[list, NumericMotion]]:
-    """Width normalization in the rectangle's unit frame.
+def _normalize_frame_pieces(frame, w: Fraction) -> list[tuple[list, NumericMotion]]:
+    """Width normalization in a rectangle's unit frame.
 
-    Returns (frame polygon, motion) pairs: each a convex piece in frame
-    coordinates, as homogeneous int points (see exact_geom._homogeneous),
-    with its numeric motion into the normalized axis-aligned rectangle.
-    Each strip is cut out of the slide pieces in stacked-frame
-    coordinates and mapped to frame coordinates by an integer affine
-    map, all on homogeneous ints.  A rectangle whose side or corner does
-    not fit a float, or which needs more than MAX_HALVINGS halvings or
-    doublings, is rejected before any strip is built.
+    The rectangle is given as the _int_affine map of its frame,
+    (a, b) -> c + a*u + b*v for its corner c and its perpendicular sides
+    u and v, counterclockwise.  Returns (frame polygon, motion) pairs:
+    each a convex piece in frame coordinates, as homogeneous int points
+    (see exact_geom._homogeneous), with its numeric motion into the
+    normalized axis-aligned rectangle.  Each strip is cut out of the
+    slide pieces in stacked-frame coordinates and mapped to frame
+    coordinates by an integer affine map, all on homogeneous ints.  A
+    rectangle whose side or corner does not fit a float, or which needs
+    more than MAX_HALVINGS halvings or doublings, is rejected before any
+    strip is built.
     """
-    len_u_sq = r.width_sq
-    a = math.sqrt(_in_float_range(len_u_sq, "a rectangle side squared"))
-    b = math.sqrt(_in_float_range(r.height_sq, "a rectangle side squared"))
+    (ux, vx, cx), (uy, vy, cy), den = frame
+    den_sq = den * den
+    len_u_sq = ux * ux + uy * uy  # over den_sq
+    a = math.sqrt(_in_float_range(len_u_sq, "a rectangle side squared", den_sq))
+    b = math.sqrt(_in_float_range(vx * vx + vy * vy, "a rectangle side squared", den_sq))
     c0, _ = (
-        tuple(_in_float_range(v, "a rectangle corner coordinate") for v in r.corners[i])
-        for i in (0, 1)
+        tuple(_in_float_range(v, "a rectangle corner coordinate", den) for v in corner)
+        for corner in ((cx, cy), (cx + ux, cy + uy))
     )
-    k = _halvings(Fraction(len_u_sq, w * w)) // 2  # 4**k * w**2 <= |u|**2 < 4**(k + 1) * w**2
+    wn, wd = w.numerator, w.denominator
+    w_sq = den_sq * wn * wn  # w**2, over den_sq and wd**2 like len_u_sq
+    len_u_sq *= wd * wd
+    k = _halvings(len_u_sq, w_sq) // 2  # 4**k * w**2 <= |u|**2 < 4**(k + 1) * w**2
     if abs(k) > MAX_HALVINGS:
         raise BadWidth(
             f"width {_value_text(w)} needs 2**{abs(k)} strips of a rectangle of side "
@@ -264,45 +267,42 @@ def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[tuple[list, N
 
     a_prime = a / (2.0**k)
     b_prime = b * (2.0**k)
-    align = _aligning(c0, r.u)
+    align = _aligning(c0, (ux, uy))
 
     # an exact fit needs no slide; it is tested exactly, since a float
     # side whose square is subnormal can be far enough off to snap below 1
     omega = Fraction(1)
-    if len_u_sq != Fraction(4) ** k * (w * w):
+    if len_u_sq << max(0, -2 * k) != w_sq << max(0, 2 * k):
         omega = Fraction(float(w) / a_prime).limit_denominator(SNAP_DENOMINATOR)
         omega = min(max(omega, Fraction(1, 2)), Fraction(1))
     if omega == 1:
-        slide_pieces = [(((0, 0), (1, 0), (1, 1), (0, 1)), NUMERIC_IDENTITY)]
+        slides = [([(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)], NUMERIC_IDENTITY)]
     else:
-        lam = Fraction(1) / omega - 1  # in (0, 1], rational
-        lam_f = float(lam)
-        one = Fraction(1)
-        zero = Fraction(0)
-        t1 = ((zero, zero), (omega, zero), (zero, one))
-        t2 = ((zero, one), (one - omega, one - lam), (one - omega, one))
-        t3 = ((one - omega, one - lam), (omega, zero), (one, zero), (one, one), (one - omega, one))
-        w_eff = float(omega) * a_prime
-        slide_pieces = [
-            (t1, NUMERIC_IDENTITY),
-            (t2, NumericMotion(0.0, 2.0 * w_eff - a_prime, b_prime * (lam_f - 1.0))),
-            (t3, NumericMotion(0.0, w_eff - a_prime, b_prime * lam_f)),
+        # omega = p/q in [1/2, 1), lam = 1/omega - 1 = (q - p)/p in (0, 1];
+        # the cut points (omega, 0), (1 - omega, 1 - lam) and (1 - omega, 1)
+        p, q = omega.numerator, omega.denominator
+        foot, mid, top = (p, 0, q), ((q - p) * p, (2 * p - q) * q, p * q), (q - p, q, q)
+        lam_f = (q - p) / p
+        w_eff = p / q * a_prime
+        slides = [
+            ([(0, 0, 1), foot, (0, 1, 1)], NUMERIC_IDENTITY),
+            ([(0, 1, 1), mid, top], NumericMotion(0.0, 2.0 * w_eff - a_prime, b_prime * (lam_f - 1.0))),
+            ([mid, foot, (1, 0, 1), (1, 1, 1), top], NumericMotion(0.0, w_eff - a_prime, b_prime * lam_f)),
         ]
-    slides = [([_homogeneous(x, y) for x, y in piece], m) for piece, m in slide_pieces]
 
     # one stacked-frame band per strip, with its stacking translation and
     # the int affine map from stacked-frame to frame coordinates
     out = []
     count = 2 ** abs(k)
     for i in range(count):
-        if k >= 0:  # strip i of the base, stacked i heights up
+        if k >= 0:  # strip i of the base, stacked i heights up: (a, b) -> ((a + i)/count, count*b - i)
             band = [(0, i, count), (count, i, count), (count, i + 1, count), (0, i + 1, count)]
             shift = NumericMotion(0.0, -i * a_prime, i * b)
-            to_frame = _int_affine((Fraction(i, count), -i), (Fraction(1, count), 0), (0, count))
-        else:  # strip i of the height, moved i base lengths along
+            to_frame = (1, 0, i), (0, count * count, -i * count), count
+        else:  # strip i of the height, moved i base lengths along: (a, b) -> (count*a - i, (b + i)/count)
             band = [(i, 0, count), (i + 1, 0, count), (i + 1, count, count), (i, count, count)]
             shift = NumericMotion(0.0, i * a, -i * (b / count))
-            to_frame = _int_affine((-i, Fraction(i, count)), (count, 0), (0, Fraction(1, count)))
+            to_frame = (count * count, 0, -i * count), (0, 1, i), count
         lines = _lines(band)
         for stacked_piece, slide_motion in slides:
             frag = _clip_homogeneous(stacked_piece, lines)
@@ -313,13 +313,13 @@ def _normalize_frame_pieces(r: RectangleForm, w: Fraction) -> list[tuple[list, N
     return out
 
 
-def _aligning(c0: tuple[float, float], u: Point2) -> NumericMotion:
-    """The float motion that takes c0 to the origin and the exact side u
-    onto the positive x axis.  Its angle is read from u, not from two
-    float corners: a short side far from the origin would lose its
-    direction to their rounding."""
-    m = max(abs(u.x), abs(u.y))
-    angle = 0.0 - math.atan2(float(u.y / m), float(u.x / m))
+def _aligning(c0: tuple[float, float], u: tuple[int, int]) -> NumericMotion:
+    """The float motion that takes c0 to the origin and the side u, an int
+    vector over any positive denominator, onto the positive x axis.  Its
+    angle is read from u, not from two float corners: a short side far
+    from the origin would lose its direction to their rounding."""
+    m = max(abs(u[0]), abs(u[1]))
+    angle = 0.0 - math.atan2(u[1] / m, u[0] / m)
     c, s = math.cos(angle), math.sin(angle)
     return NumericMotion(angle, 0.0 - (c * c0[0] - s * c0[1]), 0.0 - (s * c0[0] + c * c0[1]))
 
@@ -369,18 +369,19 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     trapezoid's pieces in the rectangle's unit frame, and each fragment is
     mapped to the source once.  Positive-determinant affine maps commute
     exactly with clipping, so the fragments equal those cut in the source
-    plane.  Both clips and both maps run on homogeneous ints, and each
-    output coordinate becomes one Fraction.  A fragment is an exact clip
-    of a strictly convex piece by a convex one, which repeats no vertex
-    and has no three collinear (see _clip_convex_raw), so it is built
-    without re-validation.
+    plane.  The clips and the maps run on homogeneous ints, and each
+    output coordinate becomes one Fraction; the only Fractions built
+    before them are the chosen rotation and its trapezoids' corners.  A
+    fragment is an exact clip of a strictly convex piece by a convex one,
+    which repeats no vertex and has no three collinear (see
+    _clip_convex_raw), so it is built without re-validation.
 
     The motions are floats, so a coordinate, the area or the width that
     does not fit a float (beyond its range, or nonzero and rounding to
     0) is a DissectionError.  When every rotation has a trapezoid that
     passes a cap, a rectangle of over 2**MAX_HALVINGS strips or over
-    MAX_TRAPEZOID_PIECES pieces, the first such trapezoid's BadWidth is
-    raised before any cut.
+    MAX_TRAPEZOID_PIECES predicted pieces, the first such trapezoid's
+    BadWidth is raised before any cut.
     """
     w = _width(w)
     for v in p:
@@ -398,13 +399,11 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
         _check_plan(plan, w)
     pieces, target_motions, height = [], [], 0
     for trapezoid, plan in zip(trapezoids, plans):
-        rect, clippers = _trapezoid_clippers(trapezoid, plan, rotation)
+        frame, clippers = _trapezoid_clippers(trapezoid, plan, rotation)
         stack_shift = NumericMotion(0.0, 0.0, float(height))
-        height += Fraction(rect.area(), w)
-        clippers = [
-            (_lines(pts), _frame_to_source(rect, m), numeric_from_rigid(m)) for pts, m in clippers
-        ]
-        for frame_polygon, motion in _normalize_frame_pieces(rect, w):
+        (ux, vx, _), (uy, vy, _), den = frame
+        height += Fraction((ux * vy - uy * vx) * w.denominator, den * den * w.numerator)
+        for frame_polygon, motion in _normalize_frame_pieces(frame, w):
             for lines, to_source, rigid in clippers:
                 frag = _clip_homogeneous(frame_polygon, lines)
                 if not frag:
@@ -417,7 +416,9 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
 
 
 def _chosen_rotation(p: SimplePolygon, w: Fraction) -> tuple[RigidMotion, list[tuple]]:
-    """A rational rotation R about the origin, and the trapezoids of R(p).
+    """A rational rotation R about the origin, and the trapezoids of R(p),
+    each (x0, x1, lower y at x0, lower y at x1, upper y at x0, upper y at
+    x1), in the sweep's order.
 
     The candidates are the identity and, for each side, the rotation by
     (cos, sin) = ((1 - t**2)/(1 + t**2), 2t/(1 + t**2)) whose t is near
@@ -425,9 +426,11 @@ def _chosen_rotation(p: SimplePolygon, w: Fraction) -> tuple[RigidMotion, list[t
     turns that side nearly horizontal.  Each candidate's trapezoids are
     swept on ints, p scaled by its least common denominator d and R by
     1 + t**2, which changes no ratio; the one of fewest predicted pieces
-    wins, the earlier on a tie.  Only ints and Fractions are used, so the
-    choice is the same on every platform, and it is unchanged by a
-    translation or a positive rational scaling of p and w.
+    wins, the earlier on a tie, so a sweep stops once its count reaches
+    the best so far.  Only ints are used until the winner's trapezoids
+    become Fractions, so the choice is the same on every platform, and it
+    is unchanged by a translation or a positive rational scaling of p and
+    w.
     """
     d = math.lcm(*(c.denominator for v in p for c in v))
     pts = [(int(v.x * d), int(v.y * d)) for v in p]
@@ -435,12 +438,24 @@ def _chosen_rotation(p: SimplePolygon, w: Fraction) -> tuple[RigidMotion, list[t
     for t in _rotation_candidates(pts):
         a, b = t.numerator, t.denominator
         c, s, n = b * b - a * a, 2 * a * b, a * a + b * b
-        trapezoids = _trapezoids([(c * x - s * y, s * x + c * y) for x, y in pts])
-        count = _predicted_pieces(trapezoids, Fraction(w * d * n))
-        if best is None or count < best[0]:
-            best = count, RigidMotion(Fraction(c, n), Fraction(s, n), Point2(0, 0)), d * n, trapezoids
-    _, rotation, scale, trapezoids = best
-    return rotation, [tuple(Fraction(v, scale) for v in z) for z in trapezoids]
+        w_num = w.numerator * d * n  # w is w_num / w.denominator in the sweep's units
+        total, trapezoids = 0, []
+        for trapezoid in _trapezoids([(c * x - s * y, s * x + c * y) for x, y in pts]):
+            trapezoids.append(trapezoid)
+            total += _predicted_pieces(trapezoid, w_num, w.denominator)
+            if best is not None and total >= best[0]:
+                break
+        if best is None or total < best[0]:
+            best = total, c, s, n, trapezoids
+    _, c, s, n, trapezoids = best
+    scale = d * n
+    return RigidMotion(Fraction(c, n), Fraction(s, n), Point2(0, 0)), [
+        (Fraction(x0, scale), Fraction(x1, scale), *(
+            Fraction(ay * (bx - x) + by * (x - ax), (bx - ax) * scale)
+            for ax, ay, bx, by in sides for x in (x0, x1)
+        ))
+        for x0, x1, *sides in trapezoids
+    ]
 
 
 def _rotation_candidates(pts) -> list[Fraction]:
@@ -463,50 +478,72 @@ def _rotation_candidates(pts) -> list[Fraction]:
     return ts
 
 
-def _trapezoids(pts) -> list[tuple]:
+def _trapezoids(pts):
     """Trapezoids partitioning the polygon of int points pts, each with
-    vertical parallel sides, by a vertical sweep: in each slab between
-    consecutive vertex x values, the non-vertical sides spanning it,
-    sorted by their y in the slab, pair up into the pieces of the slab
+    vertical parallel sides, yielded by a vertical sweep as they close:
+    (x0, x1, lower side, upper side), a side (ax, ay, bx, by) with
+    ax < bx.
+
+    The sweep keeps the non-vertical sides that cross the sweep line in
+    one list, bottom to top.  Sides never cross, so their order changes
+    only at vertices: at each vertex x, the sides that end there leave
+    the list, and each that begins there is placed by a binary search on
+    ints, by the side of each listed one its left end lies on, or, at a
+    shared end, by slope.  Consecutive pairs of the list bound the pieces
     inside the polygon, and a trapezoid grows while its pair of sides
-    continues into the next slab.  Each is (x0, x1, lower y at x0, lower
-    y at x1, upper y at x0, upper y at x1), exact; the order is the
-    sweep's, so it depends on the polygon alone."""
-    edges = [
-        (a, b) if a[0] < b[0] else (b, a) for a, b in zip(pts, pts[1:] + pts[:1]) if a[0] != b[0]
+    stays a pair.  The list changes between its first and last changed
+    positions, rounded out to whole pairs, so only the pairs there can
+    close or open: those that close are yielded in the order they were
+    opened, and those that open are opened bottom to top.  The order is
+    the sweep's, so it depends on the polygon alone."""
+    sides = [
+        (ax, ay, bx, by) if ax < bx else (bx, by, ax, ay)
+        for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]) if ax != bx
     ]
-    xs = sorted({x for x, _ in pts})
-    rank = {x: i for i, x in enumerate(xs)}
-    slabs = [[] for _ in xs]  # the last slab, past the polygon, closes all
-    for e in edges:
-        for i in range(rank[e[0][0]], rank[e[1][0]]):
-            slabs[i].append(e)
-    out = []
-    start: dict[tuple, int] = {}  # open pair of sides -> its trapezoid's left x
-    for i, slab in enumerate(slabs):
-        x = xs[i]
-        if slab:
-            mid = Fraction(x + xs[i + 1], 2)
-            slab.sort(key=lambda e: _y_at(e, mid))
-        pairs = list(zip(slab[::2], slab[1::2]))
-        for pair in [q for q in start if q not in pairs]:
-            x0 = start.pop(pair)
-            lo, hi = pair
-            out.append((x0, x, _y_at(lo, x0), _y_at(lo, x), _y_at(hi, x0), _y_at(hi, x)))
-        for pair in pairs:
-            start.setdefault(pair, x)
-    return out
+    events: dict[int, tuple[list, list]] = {}  # x -> (sides ending there, sides beginning there)
+    for i, (ax, _, bx, _) in enumerate(sides):
+        events.setdefault(bx, ([], []))[0].append(i)
+        events.setdefault(ax, ([], []))[1].append(i)
+    active: list[int] = []
+    opened: dict[tuple, tuple] = {}  # pair of sides -> (serial, its trapezoid's left x)
+    serial = 0
+    for x in sorted(events):
+        ending, beginning = events[x]
+        before = active[:]
+        for i in ending:
+            active.remove(i)
+        for i in beginning:
+            _, y, ex, ey = sides[i]
+            lo, hi = 0, len(active)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                ax, ay, bx, by = sides[active[mid]]
+                above = (bx - ax) * (y - ay) - (by - ay) * (x - ax) or (ey - y) * (bx - ax) - (by - ay) * (ex - x)
+                if above > 0:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            active.insert(lo, i)
+        gone = [before.index(i) for i in ending]
+        new = [active.index(i) for i in beginning]
+        first = min(gone + new)
+        kept = min(len(before) - 1 - max(gone, default=-1), len(active) - 1 - max(new, default=-1))
+        first -= first & 1  # whole pairs: both lists have an even length
+        kept -= kept & 1
+        old_span, new_span = before[first:len(before) - kept], active[first:len(active) - kept]
+        old_pairs = set(zip(old_span[::2], old_span[1::2]))
+        new_pairs = list(zip(new_span[::2], new_span[1::2]))
+        for pair in sorted(old_pairs.difference(new_pairs), key=opened.get):
+            x0 = opened.pop(pair)[1]
+            yield x0, x, sides[pair[0]], sides[pair[1]]
+        for pair in new_pairs:
+            if pair not in old_pairs:
+                opened[pair] = serial, x
+                serial += 1
 
 
-def _y_at(edge, x) -> Fraction:
-    """The y of the non-vertical int segment edge, left end first, at x."""
-    (ax, ay), (bx, by) = edge
-    return ay + Fraction((x - ax) * (by - ay), bx - ax)
-
-
-def _halvings(q: Fraction) -> int:
-    """The k with 2**k <= q < 2**(k + 1), for a positive rational q."""
-    num, den = q.numerator, q.denominator
+def _halvings(num: int, den: int) -> int:
+    """The k with 2**k <= num/den < 2**(k + 1), for positive ints."""
     k = num.bit_length() - den.bit_length()
     if num << max(0, -k) < den << max(0, k):
         k -= 1
@@ -515,7 +552,18 @@ def _halvings(q: Fraction) -> int:
 
 def _plan(trapezoid, w: Fraction) -> tuple:
     """How _trapezoid_clippers cuts the trapezoid's parallelogram into a
-    rectangle: (pieces, slanted, on_v, halvings).
+    rectangle: (pieces, slanted, on_v, halvings), for a trapezoid
+    (x0, x1, lower y at x0, lower y at x1, upper y at x0, upper y at x1)
+    of ints and Fractions; _scaled_plan makes the plan on their ints
+    over a common denominator."""
+    x0, x1, yl0, yl1, yu0, yu1, w, _ = _homogeneous(*trapezoid, w)
+    return _scaled_plan(2 * (x1 - x0), yu0 - yl0 + yu1 - yl1, 2 * (yl1 - yl0), 2 * (yu1 - yu0), 2 * w)
+
+
+def _scaled_plan(width: int, height: int, dl: int, du: int, w: int) -> tuple:
+    """_plan of a trapezoid of the given width, mean height and rises of
+    its lower and upper sides, for the target width w: positive ints but
+    for the rises, all in one unit, so only their ratios count.
 
     The parallelogram has a vertical side b of the trapezoid's mean
     height h and a side a along the flatter of its other two.  Its
@@ -530,52 +578,58 @@ def _plan(trapezoid, w: Fraction) -> tuple:
     first on a tie: on_v when it is the second side), times 3 when they
     slide, times its bands plus one when the trapezoid is cut in two; a
     rectangle of more than 2**MAX_HALVINGS strips counts infinitely
-    many.  So the pieces are at most MAX_TRAPEZOID_PIECES unless the
-    rectangle of at most 2 bands passes the strip cap.  Only ints and
-    Fractions are used.
+    many.  The prediction bounds the pieces of one part; a cut
+    trapezoid's two parts can each span all of its bands (see
+    MAX_TRAPEZOID_PIECES).
     """
-    x0, x1, yl0, yl1, yu0, yu1 = trapezoid
-    width, height = x1 - x0, (yu0 - yl0 + yu1 - yl1) / 2
-    dl, du = yl1 - yl0, yu1 - yu0
     rise = dl if abs(du) >= abs(dl) else du
     cut = dl != du
-    bands = math.ceil(abs(rise) / height) + 1
+    bands = -(-abs(rise) // height) + 1
     pieces, on_v, k = _strips(width, height, w, bands + cut)
     plan = pieces, False, on_v, k
     if bands > 2:
         length_sq = width * width + rise * rise
-        bands = math.ceil(abs(rise) * height / length_sq) + 1
-        side_sq = (width * height) ** 2 / length_sq
-        pieces, on_v, k = _strips(length_sq, side_sq, w * w, bands + cut, 4)
+        bands = -(-abs(rise) * height // length_sq) + 1
+        # the sides' squares length_sq and (width * height)**2 / length_sq,
+        # and w**2, all times length_sq
+        side_sq = (width * height) ** 2
+        pieces, on_v, k = _strips(length_sq * length_sq, side_sq, w * w * length_sq, bands + cut, 4)
         if pieces < plan[0]:
             plan = pieces, True, on_v, k
     return plan
 
 
-def _strips(u: Fraction, v: Fraction, w: Fraction, parts: int, step: int = 2) -> tuple:
+def _strips(u: int, v: int, w: int, parts: int, step: int = 2) -> tuple:
     """(pieces, on_v, halvings) of a rectangle of sides u and v, each of
-    whose strips is cut into parts (see _plan); u, v and w are lengths,
-    or, with step 4, their squares."""
-    on_v = max(v / w, w / v) < max(u / w, w / u)
+    whose strips is cut into parts (see _scaled_plan); u, v and w are
+    lengths, or, with step 4, their squares, all positive ints in one
+    unit."""
+    on_v = max(v, w) * min(u, w) < max(u, w) * min(v, w)  # v/w nearer 1 than u/w
     base = v if on_v else u
-    k = _halvings(base / w) // (step // 2)  # step**k * w <= base < step**(k + 1) * w
+    k = _halvings(base, w) // (step // 2)  # step**k * w <= base < step**(k + 1) * w
     if abs(k) > MAX_HALVINGS:
         return math.inf, on_v, k
-    slides = 1 if base == Fraction(step) ** k * w else 3
-    return 2 ** abs(k) * slides * parts, on_v, k
+    fits = base == step**k * w if k >= 0 else base * step**-k == w
+    return 2 ** abs(k) * (1 if fits else 3) * parts, on_v, k
 
 
-def _predicted_pieces(trapezoids, w: Fraction) -> float:
-    """The piece count predicted for a chart from its trapezoids, before
-    any cut (see _plan); infinite when a trapezoid passes the strip cap
-    or MAX_TRAPEZOID_PIECES."""
-    total = 0
-    for trapezoid in trapezoids:
-        pieces = _plan(trapezoid, w)[0]
-        if pieces > MAX_TRAPEZOID_PIECES:
-            return math.inf
-        total += pieces
-    return total
+def _predicted_pieces(trapezoid, w_num: int, w_den: int) -> float:
+    """The pieces _scaled_plan predicts for a trapezoid of _trapezoids, at
+    the width w_num / w_den in the sweep's units; infinitely many past
+    MAX_TRAPEZOID_PIECES or the strip cap.  Each side's y is held over
+    the side's dx, so the plan's lengths are ints in units of 1 over
+    twice the two dx and w_den."""
+    x0, x1, (lx, ly, lbx, lby), (ux, uy, ubx, uby) = trapezoid
+    ldx, ldy, udx, udy = lbx - lx, lby - ly, ubx - ux, uby - uy
+    mid = x0 + x1
+    lower = ly * (2 * lbx - mid) + lby * (mid - 2 * lx)  # (y at x0 + y at x1) * ldx
+    upper = uy * (2 * ubx - mid) + uby * (mid - 2 * ux)
+    run = 2 * (x1 - x0) * w_den
+    pieces = _scaled_plan(
+        run * ldx * udx, (upper * ldx - lower * udx) * w_den, run * ldy * udx, run * udy * ldx,
+        2 * ldx * udx * w_num,
+    )[0]
+    return pieces if pieces <= MAX_TRAPEZOID_PIECES else math.inf
 
 
 def _check_plan(plan, w: Fraction) -> None:
@@ -593,11 +647,13 @@ def _check_plan(plan, w: Fraction) -> None:
         )
 
 
-def _trapezoid_clippers(trapezoid, plan, rotation: RigidMotion) -> tuple[RectangleForm, list]:
+def _trapezoid_clippers(trapezoid, plan, rotation: RigidMotion) -> tuple[tuple, list]:
     """A rectangle of the trapezoid's area, in the plane rotation maps the
-    source to, and the pieces that form it, as plan says (see _plan): for
-    each, its points in the rectangle's unit frame, as homogeneous ints,
-    and its exact motion from the source into the rectangle's plane.
+    source to, as the _int_affine map from its unit frame, and the pieces
+    that form it, as plan says (see _plan): for each, the _lines of its
+    points in the frame, the _int_affine map that takes a frame point to
+    the source point its motion places there, and that motion, from the
+    source into the rectangle's plane, as a NumericMotion.
 
     A trapezoid whose sides are not parallel is cut through the midpoint
     M of its steeper side (the upper one on a tie), parallel to the
@@ -615,63 +671,95 @@ def _trapezoid_clippers(trapezoid, plan, rotation: RigidMotion) -> tuple[Rectang
     of a piece is not cut here: a frame polygon lies in the rectangle,
     so clipping it by the piece moved back a band is clipping it by
     that band of the piece.
+
+    All of it runs on ints.  The trapezoid's coordinates are taken over
+    twice their common denominator, so its corners and M are int points;
+    the cut is a clip of homogeneous points, and the half turn about M
+    maps them to ints again.  One int affine map takes each part into
+    the frame.  e lies along a frame axis, and moving a point back by k
+    bands moves that frame coordinate by k, so a band's lines, its map
+    to the source and its motion's translation are band 0's with an int
+    translation added.  Each float of a motion is the quotient of two
+    ints, rounded once, as float() of the rational is.
     """
-    x0, x1, yl0, yl1, yu0, yu1 = trapezoid
+    x0, x1, yl0, yl1, yu0, yu1, lcd = _homogeneous(*trapezoid)
+    x0, x1, yl0, yl1, yu0, yu1 = (2 * v for v in (x0, x1, yl0, yl1, yu0, yu1))
+    scale = 2 * lcd  # every plane coordinate below is an int over scale
     _, slanted, on_v, _ = plan
     width = x1 - x0
     dl, du = yl1 - yl0, yu1 - yu0
     corners = [(x0, yl0), (x1, yl1), (x1, yu1), (x0, yu0)]
-    trapezoid_pts = [q for k, q in enumerate(corners) if q != corners[k - 1]]
+    trapezoid_pts = [(x, y, 1) for k, (x, y) in enumerate(corners) if (x, y) != corners[k - 1]]
     if dl == du:
         parts = [(trapezoid_pts, 1, (0, 0))]
         bottom, rise = yl0, dl
     else:
-        xm = (x0 + x1) / 2
+        xm = (x0 + x1) // 2
         if abs(du) >= abs(dl):  # keep what is below the cut, parallel to the lower side
-            ym, rise = (yu0 + yu1) / 2, dl
-            bottom = yl0
-            keep, turn = (xm, ym, -width, -rise), (xm, ym, width, rise)
+            ym, rise = (yu0 + yu1) // 2, dl
+            bottom, sense = yl0, -1
         else:
-            ym, rise = (yl0 + yl1) / 2, du
-            bottom = ym - rise / 2
-            keep, turn = (xm, ym, width, rise), (xm, ym, -width, -rise)
-        turned = [(2 * xm - x, 2 * ym - y) for x, y in _clip_convex_raw(trapezoid_pts, [turn])]
-        parts = [(_clip_convex_raw(trapezoid_pts, [keep]), 1, (0, 0)), (turned, -1, (2 * xm, 2 * ym))]
-    a, b = Point2(width, rise), Point2(0, (yu0 - yl0 + yu1 - yl1) / 2)
-    e, f = (a, b) if slanted else (b, a)
-    e_sq = e.norm_sq()
-    mu = f.dot(e) / e_sq
-    f_perp = f - e.scaled(mu)
-    u, v = (e, f_perp) if slanted else (f_perp, e)
-    c0 = Point2(x0, bottom) + e.scaled(min(mu, 0))  # the parallelogram's least point along e
-    corners = [c0, c0 + u, c0 + u + v, c0 + v]
-    if on_v:
-        corners = corners[1:] + corners[:1]  # based on the side v
-    rect = RectangleForm.from_corners(corners)
-    c, s = rotation.rot_cos, rotation.rot_sin
-    clippers = []
-    ex, ey = e
-    for pts, sign, (tx, ty) in parts:
-        along = [(x - c0.x) * ex + (y - c0.y) * ey for x, y in pts]  # e_sq times the bands
-        for k in range(math.floor(min(along) / e_sq), math.ceil(max(along) / e_sq)):
-            dx, dy = k * ex, k * ey
-            moved = [Point2(x - dx, y - dy) for x, y in pts] if k else map(Point2._make, pts)
-            frame = [_homogeneous(*rect.frame_coords(q)) for q in moved]
-            clippers.append((frame, RigidMotion(sign * c, sign * s, Point2(tx - dx, ty - dy))))
-    return rect, clippers
+            ym, rise = (yl0 + yl1) // 2, du
+            bottom, sense = ym - rise // 2, 1
+        # the cut through M along sense * (width, rise): what lies left of it is kept
+        keep = (-sense * rise, sense * width, sense * (rise * xm - width * ym))
+        turned = [
+            (2 * xm * wp - x, 2 * ym * wp - y, wp)
+            for x, y, wp in _clip_homogeneous(trapezoid_pts, [tuple(-v for v in keep)])
+        ]
+        parts = [(_clip_homogeneous(trapezoid_pts, [keep]), 1, (0, 0)), (turned, -1, (2 * xm, 2 * ym))]
+    a, b = (width, rise), (0, (yu0 - yl0 + yu1 - yl1) // 2)
+    (ex, ey), (fx, fy) = (a, b) if slanted else (b, a)
+    e_sq = ex * ex + ey * ey
+    area = ex * fy - ey * fx  # e x f, so that f - mu e = area * e.rot90() / e_sq
+    lead = min(fx * ex + fy * ey, 0)  # e_sq times the parallelogram's least point along e
+    # the rectangle's corner and sides, times e_sq
+    along, across = (e_sq * ex, e_sq * ey), (-area * ey, area * ex)
+    u, v = (along, across) if slanted else (across, along)
+    c0 = (e_sq * x0 + lead * ex, e_sq * bottom + lead * ey)
+    if on_v:  # based on the side v
+        c0, u, v = (c0[0] + u[0], c0[1] + u[1]), v, (-u[0], -u[1])
+    frame = (u[0], v[0], c0[0]), (u[1], v[1], c0[1]), e_sq * scale
 
-
-def _frame_to_source(r: RectangleForm, m: RigidMotion) -> tuple:
-    """The _int_affine map that sends frame coordinates (a, b) to the source
-    point which m places at corners[0] + a*u + b*v."""
-    back = invert_motion(m)
-    c, s = back.rot_cos, back.rot_sin
-    u, v = r.u, r.v
-    return _int_affine(
-        apply_motion(back, r.corners[0]),
-        (c * u.x - s * u.y, s * u.x + c * u.y),
-        (c * v.x - s * v.y, s * v.x + c * v.y),
+    uu, vv = u[0] * u[0] + u[1] * u[1], v[0] * v[0] + v[1] * v[1]
+    cu, cv = c0[0] * u[0] + c0[1] * u[1], c0[0] * v[0] + c0[1] * v[1]
+    to_frame = (  # the plane to the frame: ((e_sq q - c0).u / uu, (e_sq q - c0).v / vv)
+        (e_sq * vv * u[0], e_sq * vv * u[1], -vv * cu),
+        (e_sq * uu * v[0], e_sq * uu * v[1], -uu * cv),
+        uu * vv,
     )
+    axis = 0 if u[0] * ey == u[1] * ex else 1  # the frame axis along e
+    sign = 1 if (u if axis == 0 else v)[0] * ex + (u if axis == 0 else v)[1] * ey > 0 else -1
+
+    # a frame point (a, b) is the source point turn * R**-1 (c0 + a u + b v
+    # - e_sq (tx, ty) + k e_sq e) / (e_sq scale) of band k of a part, with
+    # R**-1 = (c, s; -s, c) / n, and its motion turns by R and turn
+    c, s, n = _homogeneous(rotation.rot_cos, rotation.rot_sin)
+    sin, cos = s / n, c / n
+    angles = {1: math.atan2(sin, cos), -1: math.atan2(0.0 - sin, 0.0 - cos)}
+    (ux, uy), (vx, vy) = u, v
+    clippers = []
+    for pts, turn, (tx, ty) in parts:
+        frame_pts = _map_homogeneous(to_frame, pts)
+        lines = _lines(frame_pts)
+        # the band coordinate (q - c0).e / e_sq of each point: its frame
+        # coordinate on the axis along e, or 1 less that when e points back
+        bands = [(q[axis] if sign > 0 else q[2] - q[axis], q[2]) for q in frame_pts]
+        k0, k1 = min(g // wq for g, wq in bands), max(-(-g // wq) for g, wq in bands)
+        ox, oy = c0[0] - e_sq * tx, c0[1] - e_sq * ty
+        (m00, m01, m02), (m10, m11, m12) = (
+            (turn * (c * ux + s * uy), turn * (c * vx + s * vy), turn * (c * ox + s * oy)),
+            (turn * (c * uy - s * ux), turn * (c * vy - s * vx), turn * (c * oy - s * ox)),
+        )
+        step_x, step_y = turn * e_sq * (c * ex + s * ey), turn * e_sq * (c * ey - s * ex)
+        for k in range(k0, k1):
+            shift = k * sign  # the band's frame points are band 0's less shift on the axis
+            clippers.append((
+                [(la, lb, lc + shift * (la, lb)[axis]) for la, lb, lc in lines],
+                ((m00, m01, m02 + k * step_x), (m10, m11, m12 + k * step_y), e_sq * scale * n),
+                NumericMotion(angles[turn], (tx - k * ex) / scale, (ty - k * ey) / scale),
+            ))
+    return frame, clippers
 
 
 def overlay_charts(ca: DissectionChart, cb: DissectionChart) -> DissectionChart:

@@ -169,12 +169,6 @@ def apply_motion(m: RigidMotion, p: Point2) -> Point2:
     )
 
 
-def invert_motion(m: RigidMotion) -> RigidMotion:
-    c, s = m.rot_cos, m.rot_sin
-    t = m.translate
-    return RigidMotion(c, -s, Point2(-(c * t.x + s * t.y), -(-s * t.x + c * t.y)))
-
-
 # ---------------------------------------------------------------------------
 # tuple-level core (number-type agnostic)
 
@@ -346,12 +340,12 @@ def _convex_clip(subject, clipper):
 # Fraction per output coordinate at the end.
 
 
-def _homogeneous(x, y) -> tuple[int, int, int]:
-    """The int or Fraction point (x, y) as (X, Y, W), with W > 0 the least
-    common denominator, so the three share no factor."""
-    xd, yd = x.denominator, y.denominator
-    w = math.lcm(xd, yd)
-    return x.numerator * (w // xd), y.numerator * (w // yd), w
+def _homogeneous(*values) -> tuple[int, ...]:
+    """The int or Fraction values as ints over W > 0, their least common
+    denominator, then W: a point (x, y) becomes (X, Y, W), the three
+    sharing no factor."""
+    w = math.lcm(*(v.denominator for v in values))
+    return (*(v.numerator * (w // v.denominator) for v in values), w)
 
 
 def _lines(pts) -> list[tuple[int, int, int]]:

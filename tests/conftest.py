@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import importlib
 import itertools
+import math
 import pkgutil
 import random
 from collections import Counter
@@ -234,6 +235,27 @@ def _angle_order(a, b) -> int:
     half_a, half_b = (0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1 for d in (a, b))
     cross = a[0] * b[1] - a[1] * b[0]
     return (half_a > half_b) - (half_a < half_b) or (cross < 0) - (cross > 0)
+
+
+def big_star(rng, n: int) -> SimplePolygon:
+    """A star-shaped rational polygon of n vertices around the origin.
+
+    The vertices are int directions drawn from [-4n, 4n]**2, one kept per
+    angle, until n are left, sorted exactly by angle, each scaled by a
+    rational radius; a draw whose angular gaps are not all below a half
+    turn is drawn again.  Only ints and Fractions are used, so a seed
+    gives the same polygon on every platform."""
+    while True:
+        dirs = {}
+        while len(dirs) < n:
+            x, y = rng.randint(-4 * n, 4 * n), rng.randint(-4 * n, 4 * n)
+            g = math.gcd(x, y)
+            if g:
+                dirs.setdefault((x // g, y // g), (x, y))
+        dirs = sorted(dirs.values(), key=functools.cmp_to_key(_angle_order))
+        if all(a[0] * b[1] - a[1] * b[0] > 0 for a, b in zip(dirs, dirs[1:] + dirs[:1])):
+            radii = [Fraction(rng.randint(2, 5), rng.randint(1, 3)) for _ in dirs]
+            return polygon([(x * r, y * r) for (x, y), r in zip(dirs, radii)])
 
 
 def star_pair(rng) -> tuple[SimplePolygon, SimplePolygon]:

@@ -528,6 +528,26 @@ class TestBg:
         assert err.startswith("error: --width: ") and repr(width) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("width", ["0", "-1/2"])
+    def test_a_width_that_is_not_positive_names_the_option(self, workdir, capsys, width):
+        out = workdir / "o.json"
+        assert main(["bg", "--a", str(workdir / "sq.json"), "--b", str(workdir / "tri.json"),
+                     f"--width={width}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --width: target width must be positive, got {width}\n"
+        )
+        assert not out.exists()
+
+    def test_a_polygon_that_cannot_be_charted_names_its_file(self, workdir, capsys):
+        # at width 1/100000 the square's 2 x 2 rectangle needs 2**17 strips
+        out = workdir / "o.json"
+        assert main(["bg", "--a", str(workdir / "sq.json"), "--b", str(workdir / "tri.json"),
+                     "--width", "1/100000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {workdir / 'sq.json'}: width 1/100000 needs 2**17 strips"
+        )
+        assert not out.exists()
+
     def test_areas_with_thousands_of_digits_differ_by_their_digit_counts(self, workdir, capsys):
         # a convex 9-gon whose vertices have 998-digit denominators: its
         # area's has about 9,000 digits, beyond what str() of an int allows
@@ -556,7 +576,10 @@ class TestBg:
         assert main(["bg", "--a", str(workdir / "t2.json"), "--b", str(workdir / "r2.json"),
                      "--width", width, "--out", str(workdir / "o.json")]) == 2
         assert time.perf_counter() - start < 2
-        assert "outside the float range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the option, or the file of the polygon that cannot be charted
+        assert err.startswith(f"error: {workdir / 't2.json' if scale else '--width'}: ")
+        assert "outside the float range" in err
 
     @pytest.mark.parametrize("count", [1, 5, 7])
     def test_rejected_chart_lists_its_first_five_failures(self, workdir, capsys, monkeypatch, count):

@@ -17,6 +17,7 @@ from chainfold.equidecompose import (
     DissectionChart,
     DissectionError,
     MAX_HALVINGS,
+    MAX_TRAPEZOID_PIECES,
     RectangleForm,
     TargetMismatch,
     chart_from_json,
@@ -31,6 +32,7 @@ from chainfold.exact_geom import (
     IDENTITY_MOTION,
     RigidMotion,
     SimplePolygon,
+    _clip_homogeneous,
     _dedupe_collinear,
     _orient,
     _signed_area2,
@@ -46,8 +48,8 @@ from chainfold.polyomino import random_polyomino
 from chainfold.render import render_chart
 
 from conftest import (
-    HolePresent, boundary_polygon, criterion_8_cases, failed_checks, rational_convex_hull, scale_x,
-    star_pair,
+    HolePresent, big_star, boundary_polygon, criterion_8_cases, failed_checks, rational_convex_hull,
+    scale_x, star_pair,
 )
 
 UNIT_SQUARE = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -383,6 +385,16 @@ class TestRobustnessSweep:
             largest = max(largest, len(chart.pieces))
         assert canonical <= 1363 and mutual <= 1784 and largest <= 178
 
+    def test_many_vertex_star_charts_quickly(self):
+        # about 150 candidate rotations, each swept over 256 vertices: the
+        # incremental int sweep chooses among them in about 0.3 s, where
+        # sorting every slab on Fraction keys took about 7 s
+        star = big_star(random.Random(0), 256)
+        start = time.perf_counter()
+        chart = polygon_to_canonical_chart(star, 64)
+        assert time.perf_counter() - start < 2
+        assert sum((polygon_area(q) for q in chart.pieces), Fraction(0)) == polygon_area(star)
+
     def test_skinny_triangle(self):
         # the identity would cut it into 3,003 pieces, and the triangle
         # path cut it into 3,855; a rotation that lays its long sides
@@ -430,6 +442,39 @@ class TestBandSide:
         with pytest.raises(BadWidth, match=rf"at most 9 \* 2\*\*{MAX_HALVINGS}"):
             polygon_to_canonical_chart(sliver, 1)
         assert time.perf_counter() - start < 2
+
+
+class TestTrapezoidPieceBound:
+    """A trapezoid is cut into at most strips x slides x the bands its
+    parts span: each width-normalized piece meets each band of each part
+    in at most one piece.  Each part lies in the parallelogram, so it
+    spans at most the parallelogram's bands, and the bound is under twice
+    _plan's prediction, so under 2 * MAX_TRAPEZOID_PIECES.  A cut
+    trapezoid's two parts can each span all of its bands, so its pieces
+    can pass the prediction, which counts one band more, not twice as
+    many."""
+
+    def test_every_trapezoid_keeps_the_bound(self):
+        rng = random.Random(11)
+        polygons = [(p, w) for _, pa, pb, w in criterion_8_cases() for p in (pa, pb)]
+        polygons += [(p, 1) for _ in range(20) for p in star_pair(rng)]
+        polygons += [(SLIVER, 1), (SKINNY_TRIANGLE, 1)]
+        for p, w in polygons:
+            rotation, trapezoids = equidecompose._chosen_rotation(p, w)
+            total = 0
+            for trapezoid in trapezoids:
+                plan = equidecompose._plan(trapezoid, w)
+                frame, clippers = equidecompose._trapezoid_clippers(trapezoid, plan, rotation)
+                normalized = equidecompose._normalize_frame_pieces(frame, w)
+                pieces = sum(
+                    1 for frame_polygon, _ in normalized for lines, _, _ in clippers
+                    if _clip_homogeneous(frame_polygon, lines)
+                )
+                assert len(normalized) <= 3 * 2 ** abs(plan[3])  # strips x slides
+                assert pieces <= len(normalized) * len(clippers) < 2 * plan[0]
+                assert plan[0] <= MAX_TRAPEZOID_PIECES
+                total += pieces
+            assert total == len(polygon_to_canonical_chart(p, w).pieces)
 
 
 class TestCanonicalChart:

@@ -17,7 +17,6 @@ from chainfold.exact_geom import (
     _segments_intersect,
     _signed_area2,
     apply_motion,
-    invert_motion,
     point,
     polygon,
     polygon_area,
@@ -85,11 +84,6 @@ class TestApplyMotion:
             before = (p - q).norm_sq()
             after = (apply_motion(m, p) - apply_motion(m, q)).norm_sq()
             assert before == after
-
-    def test_invert(self):
-        m1 = pythagorean_motion(Fraction(1, 3), 2, -1)
-        p = point(Fraction(7, 3), -2)
-        assert apply_motion(invert_motion(m1), apply_motion(m1, p)) == p
 
 
 class TestMotionBetweenSegments:
