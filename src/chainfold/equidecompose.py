@@ -518,7 +518,9 @@ def _trapezoids(pts):
             while lo < hi:
                 mid = (lo + hi) // 2
                 ax, ay, bx, by = sides[active[mid]]
-                above = (bx - ax) * (y - ay) - (by - ay) * (x - ax) or (ey - y) * (bx - ax) - (by - ay) * (ex - x)
+                above = (bx - ax) * (y - ay) - (by - ay) * (x - ax)  # the new side's left end
+                if above == 0:  # a shared left end: the slopes
+                    above = (ey - y) * (bx - ax) - (by - ay) * (ex - x)
                 if above > 0:
                     lo = mid + 1
                 else:
@@ -711,52 +713,48 @@ def _trapezoid_clippers(trapezoid, plan, rotation: RigidMotion) -> tuple[tuple, 
     a, b = (width, rise), (0, (yu0 - yl0 + yu1 - yl1) // 2)
     (ex, ey), (fx, fy) = (a, b) if slanted else (b, a)
     e_sq = ex * ex + ey * ey
-    area = ex * fy - ey * fx  # e x f, so that f - mu e = area * e.rot90() / e_sq
+    cross = ex * fy - ey * fx  # f - mu e = cross * e.rot90() / e_sq
     lead = min(fx * ex + fy * ey, 0)  # e_sq times the parallelogram's least point along e
     # the rectangle's corner and sides, times e_sq
-    along, across = (e_sq * ex, e_sq * ey), (-area * ey, area * ex)
-    u, v = (along, across) if slanted else (across, along)
-    c0 = (e_sq * x0 + lead * ex, e_sq * bottom + lead * ey)
+    along, across = (e_sq * ex, e_sq * ey), (-cross * ey, cross * ex)
+    (ux, uy), (vx, vy) = (along, across) if slanted else (across, along)
+    cx, cy = e_sq * x0 + lead * ex, e_sq * bottom + lead * ey
     if on_v:  # based on the side v
-        c0, u, v = (c0[0] + u[0], c0[1] + u[1]), v, (-u[0], -u[1])
-    frame = (u[0], v[0], c0[0]), (u[1], v[1], c0[1]), e_sq * scale
-
-    uu, vv = u[0] * u[0] + u[1] * u[1], v[0] * v[0] + v[1] * v[1]
-    cu, cv = c0[0] * u[0] + c0[1] * u[1], c0[0] * v[0] + c0[1] * v[1]
-    to_frame = (  # the plane to the frame: ((e_sq q - c0).u / uu, (e_sq q - c0).v / vv)
-        (e_sq * vv * u[0], e_sq * vv * u[1], -vv * cu),
-        (e_sq * uu * v[0], e_sq * uu * v[1], -uu * cv),
+        cx, cy, ux, uy, vx, vy = cx + ux, cy + uy, vx, vy, -ux, -uy
+    frame = (ux, vx, cx), (uy, vy, cy), e_sq * scale
+    uu, vv = ux * ux + uy * uy, vx * vx + vy * vy
+    to_frame = (  # the plane to the frame: ((e_sq q - c).u / uu, (e_sq q - c).v / vv)
+        (e_sq * vv * ux, e_sq * vv * uy, -vv * (cx * ux + cy * uy)),
+        (e_sq * uu * vx, e_sq * uu * vy, -uu * (cx * vx + cy * vy)),
         uu * vv,
     )
-    axis = 0 if u[0] * ey == u[1] * ex else 1  # the frame axis along e
-    sign = 1 if (u if axis == 0 else v)[0] * ex + (u if axis == 0 else v)[1] * ey > 0 else -1
+    axis = 0 if ux * ey == uy * ex else 1  # the frame axis along e
+    sign = 1 if (ux * ex + uy * ey if axis == 0 else vx * ex + vy * ey) > 0 else -1
 
-    # a frame point (a, b) is the source point turn * R**-1 (c0 + a u + b v
-    # - e_sq (tx, ty) + k e_sq e) / (e_sq scale) of band k of a part, with
-    # R**-1 = (c, s; -s, c) / n, and its motion turns by R and turn
+    # frame point (a, b) of band k of a part is the source point
+    # turn * R**-1 (c + a u + b v - e_sq (tx, ty) + k e_sq e) / (e_sq scale),
+    # with R**-1 = (c, s; -s, c) / n, and its motion turns by R and turn
     c, s, n = _homogeneous(rotation.rot_cos, rotation.rot_sin)
     sin, cos = s / n, c / n
     angles = {1: math.atan2(sin, cos), -1: math.atan2(0.0 - sin, 0.0 - cos)}
-    (ux, uy), (vx, vy) = u, v
     clippers = []
     for pts, turn, (tx, ty) in parts:
         frame_pts = _map_homogeneous(to_frame, pts)
         lines = _lines(frame_pts)
-        # the band coordinate (q - c0).e / e_sq of each point: its frame
-        # coordinate on the axis along e, or 1 less that when e points back
-        bands = [(q[axis] if sign > 0 else q[2] - q[axis], q[2]) for q in frame_pts]
-        k0, k1 = min(g // wq for g, wq in bands), max(-(-g // wq) for g, wq in bands)
-        ox, oy = c0[0] - e_sq * tx, c0[1] - e_sq * ty
-        (m00, m01, m02), (m10, m11, m12) = (
-            (turn * (c * ux + s * uy), turn * (c * vx + s * vy), turn * (c * ox + s * oy)),
-            (turn * (c * uy - s * ux), turn * (c * vy - s * vx), turn * (c * oy - s * ox)),
-        )
-        step_x, step_y = turn * e_sq * (c * ex + s * ey), turn * e_sq * (c * ey - s * ex)
+        # each point's band coordinate (q - c0).e / e_sq, c0 the least point
+        # along e: its frame coordinate on the axis, or 1 less it when e
+        # points back along the axis
+        offsets = [(q[axis] if sign > 0 else q[2] - q[axis], q[2]) for q in frame_pts]
+        k0, k1 = min(g // wq for g, wq in offsets), max(-(-g // wq) for g, wq in offsets)
+        ox, oy = cx - e_sq * tx, cy - e_sq * ty
+        m0 = turn * (c * ux + s * uy), turn * (c * vx + s * vy), turn * (c * ox + s * oy)
+        m1 = turn * (c * uy - s * ux), turn * (c * vy - s * vx), turn * (c * oy - s * ox)
+        step0, step1 = turn * e_sq * (c * ex + s * ey), turn * e_sq * (c * ey - s * ex)
         for k in range(k0, k1):
             shift = k * sign  # the band's frame points are band 0's less shift on the axis
             clippers.append((
                 [(la, lb, lc + shift * (la, lb)[axis]) for la, lb, lc in lines],
-                ((m00, m01, m02 + k * step_x), (m10, m11, m12 + k * step_y), e_sq * scale * n),
+                ((*m0[:2], m0[2] + k * step0), (*m1[:2], m1[2] + k * step1), e_sq * scale * n),
                 NumericMotion(angles[turn], (tx - k * ex) / scale, (ty - k * ey) / scale),
             ))
     return frame, clippers

@@ -386,7 +386,7 @@ class TestRobustnessSweep:
         assert canonical <= 1363 and mutual <= 1784 and largest <= 178
 
     def test_many_vertex_star_charts_quickly(self):
-        # about 150 candidate rotations, each swept over 256 vertices: the
+        # 111 candidate rotations, each swept over 256 vertices: the
         # incremental int sweep chooses among them in about 0.3 s, where
         # sorting every slab on Fraction keys took about 7 s
         star = big_star(random.Random(0), 256)
