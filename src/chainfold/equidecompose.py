@@ -371,8 +371,9 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     exactly with clipping, so the fragments equal those cut in the source
     plane.  The clips and the maps run on homogeneous ints, and each
     output coordinate becomes one Fraction; the only Fractions built
-    before them are the chosen rotation and its trapezoids' corners.  A
-    fragment is an exact clip of a strictly convex piece by a convex one,
+    before them are the candidate rotations' t, the chosen rotation and
+    its trapezoids' corners, each rectangle's width snap and the
+    stacking heights.  A fragment is an exact clip of a strictly convex piece by a convex one,
     which repeats no vertex and has no three collinear (see
     _clip_convex_raw), so it is built without re-validation.
 
@@ -427,9 +428,10 @@ def _chosen_rotation(p: SimplePolygon, w: Fraction) -> tuple[RigidMotion, list[t
     swept on ints, p scaled by its least common denominator d and R by
     1 + t**2, which changes no ratio; the one of fewest predicted pieces
     wins, the earlier on a tie, so a sweep stops once its count reaches
-    the best so far.  Only ints are used until the winner's trapezoids
-    become Fractions, so the choice is the same on every platform, and it
-    is unchanged by a translation or a positive rational scaling of p and
+    the best so far.  The sweeps and counts run on ints, only the
+    candidates' t and the winner's trapezoids are Fractions, and no float
+    is used, so the choice is the same on every platform, and it is
+    unchanged by a translation or a positive rational scaling of p and
     w.
     """
     d = math.lcm(*(c.denominator for v in p for c in v))
