@@ -649,6 +649,81 @@ def test_mutual_chart_json_matches_pinned_digests():
     assert digests == CHART_JSON_DIGESTS
 
 
+# sha256 prefixes of the JSON text (json.dumps of chart_to_json) of the
+# canonical charts whose rotations and band sides criterion 8 does not
+# reach: turns such as t = -1/7, -5/11, 1/5 and 2/3, and trapezoids cut
+# into slanted bands; the float motions rest on the platform's cos and
+# sin too
+CANONICAL_CHART_JSON_DIGESTS = {
+    "star-0": "81525adc2a1dc151",
+    "star-0-rectangle": "18aeaae94a3c55df",
+    "star-1": "2fd99dcdf0d4cc9f",
+    "star-1-rectangle": "32c614c3dd71d501",
+    "star-2": "0683e5ea17f6018b",
+    "star-2-rectangle": "8da09ae38f7a7a9a",
+    "star-3": "310cba504b61faae",
+    "star-3-rectangle": "76e7c50ac457b2e0",
+    "star-4": "fabc60192dc42f12",
+    "star-4-rectangle": "71d23548789b5ef5",
+    "star-5": "4376462b232f1eb6",
+    "star-5-rectangle": "4ce6ee73f0dcb64d",
+    "star-6": "4b559e589f473f11",
+    "star-6-rectangle": "d06ec89bdb9d87d9",
+    "star-7": "abed781e65d729af",
+    "star-7-rectangle": "649f3bcac7c06734",
+    "star-8": "ccfe6e9edbdd968d",
+    "star-8-rectangle": "b8614d261be3bbc7",
+    "star-9": "00294ec08a7c812b",
+    "star-9-rectangle": "66b6fa0f04a86ff9",
+    "star-10": "9cc53635c4288392",
+    "star-10-rectangle": "624d0be3cabdcfab",
+    "star-11": "f620e50f12663288",
+    "star-11-rectangle": "347ed04f7c99a461",
+    "star-12": "c6ffecd2dc2f0fd8",
+    "star-12-rectangle": "807554254f5e1dca",
+    "star-13": "187a871794876d5d",
+    "star-13-rectangle": "520ec30203d7c7cf",
+    "star-14": "29d08935e9c72235",
+    "star-14-rectangle": "0bff34ae9f3396d1",
+    "star-15": "9ca030fb31fe31d2",
+    "star-15-rectangle": "797650424610f966",
+    "star-16": "f586bd6e02627d8b",
+    "star-16-rectangle": "b2d6558f93c67330",
+    "star-17": "c0cb1c42974f7091",
+    "star-17-rectangle": "bc16ce0649d8c91a",
+    "star-18": "2e2d3cef4ec96c8d",
+    "star-18-rectangle": "d8a3eadf8ee707f6",
+    "star-19": "b7a1d5ceddbb902f",
+    "star-19-rectangle": "761c9e87cbe9ec16",
+    "sliver": "03d979cea35fd999",
+    "sliver-1/512": "1a9cfc042c1bbe3e",
+    "skinny-triangle": "76e3fecc8bff3c4d",
+    "big-star-64": "5691f28e70d8112d",
+    "triangle-1/128": "ff5e436cabaf7315",
+}
+
+
+def _canonical_chart_cases():
+    rng = random.Random(11)
+    for k in range(20):
+        star, rect = star_pair(rng)
+        yield f"star-{k}", star, 1
+        yield f"star-{k}-rectangle", rect, 1
+    yield "sliver", SLIVER, 1
+    yield "sliver-1/512", SLIVER, Fraction(1, 512)
+    yield "skinny-triangle", SKINNY_TRIANGLE, 1
+    yield "big-star-64", big_star(random.Random(0), 64), 64
+    yield "triangle-1/128", polygon([(0, 0), (2, 0), (0, 2)]), Fraction(1, 128)
+
+
+def test_canonical_chart_json_matches_pinned_digests():
+    digests = {}
+    for label, p, width in _canonical_chart_cases():
+        text = json.dumps(chart_to_json(polygon_to_canonical_chart(p, width)))
+        digests[label] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digests == CANONICAL_CHART_JSON_DIGESTS
+
+
 class TestCanonicalChartProperties:
     """Canonical-chart pieces skip SimplePolygon validation; they must be
     exactly what validation would accept."""
