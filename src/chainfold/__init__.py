@@ -9,7 +9,6 @@ from .exact_geom import (
     point,
     polygon,
     polygon_area,
-    triangulate_simple,
 )
 from .polyomino import (
     Cell,

@@ -32,7 +32,6 @@ from .exact_geom import (
     SimplePolygon,
     _clip_homogeneous,
     _convex_clip,  # noqa: F401 - looked up by perfbench/tracing.py
-    _homogeneous,
     _int_affine,
     _lines,
     _orient,
@@ -238,7 +237,7 @@ def _normalize_frame_pieces(frame, w: Fraction) -> list[tuple[list, NumericMotio
     (a, b) -> c + a*u + b*v for its corner c and its perpendicular sides
     u and v, counterclockwise.  Returns (frame polygon, motion) pairs:
     each a convex piece in frame coordinates, as homogeneous int points
-    (see exact_geom._homogeneous), with its numeric motion into the
+    (as exact_geom holds them), with its numeric motion into the
     normalized axis-aligned rectangle.  Each strip is cut out of the
     slide pieces in stacked-frame coordinates and mapped to frame
     coordinates by an integer affine map, all on homogeneous ints.  A
@@ -356,14 +355,14 @@ class DissectionChart(NamedTuple):
 def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     """Dissect a polygon to the canonical w x (area/w) rectangle.
 
-    One rational rotation R is chosen first (see _chosen_rotation).  A
-    vertical sweep cuts R(p) into trapezoids whose parallel sides are
-    vertical (see _trapezoids), and _trapezoid_clippers turns each into a
-    rectangle by a half turn and translations, as _plan says: vertical
-    ones, which make it axis-aligned, or ones along its flatter side.
-    Each rectangle is width-normalized, and one pass stacks it on the
-    earlier ones' areas over w.  Every cut is exact rational in source
-    coordinates.
+    One rational rotation R is chosen first, with the vertical sweep that
+    cuts R(p) into trapezoids whose parallel sides are vertical and a
+    plan for each (see _chosen_rotation).  _trapezoid_clippers turns each
+    trapezoid into a rectangle by a half turn and translations, as its
+    plan says: vertical ones, which make it axis-aligned, or ones along
+    its flatter side.  Each rectangle is width-normalized, and one pass
+    stacks it on the earlier ones' areas over w.  Every cut is exact
+    rational in source coordinates.
 
     Each rectangle's width-normalized pieces are cut against its
     trapezoid's pieces in the rectangle's unit frame, and each fragment is
@@ -371,10 +370,11 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     exactly with clipping, so the fragments equal those cut in the source
     plane.  The clips and the maps run on homogeneous ints, and each
     output coordinate becomes one Fraction; the only Fractions built
-    before them are the candidate rotations' t, the chosen rotation and
-    its trapezoids' corners, each rectangle's width snap and the
-    stacking heights.  A fragment is an exact clip of a strictly convex piece by a convex one,
-    which repeats no vertex and has no three collinear (see
+    before them are the candidate rotations' t, each rectangle's width
+    snap and the stacking heights.  The sweep's int trapezoids and their
+    int plans go from the rotation choice to the cut as they are.  A
+    fragment is an exact clip of a strictly convex piece by a convex
+    one, which repeats no vertex and has no three collinear (see
     _clip_convex_raw), so it is built without re-validation.
 
     The motions are floats, so a coordinate, the area or the width that
@@ -394,13 +394,12 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     _in_float_range(h_total, "the target height")
     target = RectangleForm.axis_aligned(w, h_total).polygon()
 
-    rotation, trapezoids = _chosen_rotation(p, w)
-    plans = [_plan(trapezoid, w) for trapezoid in trapezoids]
-    for plan in plans:
+    t, scale, planned = _chosen_rotation(p, w)
+    for _, plan in planned:
         _check_plan(plan, w)
     pieces, target_motions, height = [], [], 0
-    for trapezoid, plan in zip(trapezoids, plans):
-        frame, clippers = _trapezoid_clippers(trapezoid, plan, rotation)
+    for trapezoid, plan in planned:
+        frame, clippers = _trapezoid_clippers(trapezoid, plan, t, scale)
         stack_shift = NumericMotion(0.0, 0.0, float(height))
         (ux, vx, _), (uy, vy, _), den = frame
         height += Fraction((ux * vy - uy * vx) * w.denominator, den * den * w.numerator)
@@ -416,48 +415,42 @@ def polygon_to_canonical_chart(p: SimplePolygon, w) -> DissectionChart:
     return DissectionChart(pieces, target_motions, p, target)
 
 
-def _chosen_rotation(p: SimplePolygon, w: Fraction) -> tuple[RigidMotion, list[tuple]]:
-    """A rational rotation R about the origin, and the trapezoids of R(p),
-    each (x0, x1, lower y at x0, lower y at x1, upper y at x0, upper y at
-    x1), in the sweep's order.
+def _chosen_rotation(p: SimplePolygon, w: Fraction) -> tuple[Fraction, int, list[tuple]]:
+    """(t, scale, [(trapezoid, plan), ...]): the t of a rational rotation
+    R about the origin, and the trapezoids of R(p) in the sweep's order,
+    each as _trapezoids yields it, in units of 1/scale, with its _plan.
 
     The candidates are the identity and, for each side, the rotation by
     (cos, sin) = ((1 - t**2)/(1 + t**2), 2t/(1 + t**2)) whose t is near
     tan(-phi/2), phi the side's direction (see _rotation_candidates): it
     turns that side nearly horizontal.  Each candidate's trapezoids are
     swept on ints, p scaled by its least common denominator d and R by
-    1 + t**2, which changes no ratio; the one of fewest predicted pieces
-    wins, the earlier on a tie, so a sweep stops once its count reaches
-    the best so far.  The sweeps and counts run on ints, only the
-    candidates' t and the winner's trapezoids are Fractions, and no float
-    is used, so the choice is the same on every platform, and it is
-    unchanged by a translation or a positive rational scaling of p and
-    w.
+    n = b**2 (1 + t**2), for t = a/b, so scale is d n; the one of fewest
+    predicted pieces wins, the earlier on a tie, so a sweep stops once
+    its count reaches the best so far.  A trapezoid whose plan passes
+    MAX_TRAPEZOID_PIECES or the strip cap counts infinitely many.  The
+    sweeps and plans run on ints, only the candidates' t are Fractions,
+    and no float is used, so the choice is the same on every platform,
+    and it is unchanged by a translation or a positive rational scaling
+    of p and w.
     """
     d = math.lcm(*(c.denominator for v in p for c in v))
-    pts = [(int(v.x * d), int(v.y * d)) for v in p]
+    pts = [tuple(c.numerator * (d // c.denominator) for c in v) for v in p]
     best = None
     for t in _rotation_candidates(pts):
         a, b = t.numerator, t.denominator
         c, s, n = b * b - a * a, 2 * a * b, a * a + b * b
         w_num = w.numerator * d * n  # w is w_num / w.denominator in the sweep's units
-        total, trapezoids = 0, []
+        total, planned = 0, []
         for trapezoid in _trapezoids([(c * x - s * y, s * x + c * y) for x, y in pts]):
-            trapezoids.append(trapezoid)
-            total += _predicted_pieces(trapezoid, w_num, w.denominator)
+            plan = _plan(trapezoid, w_num, w.denominator)
+            planned.append((trapezoid, plan))
+            total += plan[0] if plan[0] <= MAX_TRAPEZOID_PIECES else math.inf
             if best is not None and total >= best[0]:
                 break
         if best is None or total < best[0]:
-            best = total, c, s, n, trapezoids
-    _, c, s, n, trapezoids = best
-    scale = d * n
-    return RigidMotion(Fraction(c, n), Fraction(s, n), Point2(0, 0)), [
-        (Fraction(x0, scale), Fraction(x1, scale), *(
-            Fraction(ay * (bx - x) + by * (x - ax), (bx - ax) * scale)
-            for ax, ay, bx, by in sides for x in (x0, x1)
-        ))
-        for x0, x1, *sides in trapezoids
-    ]
+            best = total, t, d * n, planned
+    return best[1:]
 
 
 def _rotation_candidates(pts) -> list[Fraction]:
@@ -554,20 +547,28 @@ def _halvings(num: int, den: int) -> int:
     return k
 
 
-def _plan(trapezoid, w: Fraction) -> tuple:
-    """How _trapezoid_clippers cuts the trapezoid's parallelogram into a
-    rectangle: (pieces, slanted, on_v, halvings), for a trapezoid
-    (x0, x1, lower y at x0, lower y at x1, upper y at x0, upper y at x1)
-    of ints and Fractions; _scaled_plan makes the plan on their ints
-    over a common denominator."""
-    x0, x1, yl0, yl1, yu0, yu1, w, _ = _homogeneous(*trapezoid, w)
-    return _scaled_plan(2 * (x1 - x0), yu0 - yl0 + yu1 - yl1, 2 * (yl1 - yl0), 2 * (yu1 - yu0), 2 * w)
+def _plan(trapezoid, w_num: int, w_den: int) -> tuple:
+    """How _trapezoid_clippers cuts the parallelogram of a trapezoid of
+    _trapezoids into a rectangle, at the width w_num / w_den in the
+    sweep's units: (pieces, slanted, on_v, halvings), made by _scaled_plan.
+    Each side's y is held over the side's dx, so the plan's lengths are
+    ints in units of 1 over twice the two dx and w_den."""
+    x0, x1, (lx, ly, lbx, lby), (ux, uy, ubx, uby) = trapezoid
+    ldx, ldy, udx, udy = lbx - lx, lby - ly, ubx - ux, uby - uy
+    mid = x0 + x1
+    lower = ly * (2 * lbx - mid) + lby * (mid - 2 * lx)  # (y at x0 + y at x1) * ldx
+    upper = uy * (2 * ubx - mid) + uby * (mid - 2 * ux)
+    run = 2 * (x1 - x0) * w_den
+    return _scaled_plan(
+        run * ldx * udx, (upper * ldx - lower * udx) * w_den, run * ldy * udx, run * udy * ldx,
+        2 * ldx * udx * w_num,
+    )
 
 
 def _scaled_plan(width: int, height: int, dl: int, du: int, w: int) -> tuple:
-    """_plan of a trapezoid of the given width, mean height and rises of
-    its lower and upper sides, for the target width w: positive ints but
-    for the rises, all in one unit, so only their ratios count.
+    """The plan of a trapezoid of the given width, mean height and rises
+    of its lower and upper sides, for the target width w: positive ints
+    but for the rises, all in one unit, so only their ratios count.
 
     The parallelogram has a vertical side b of the trapezoid's mean
     height h and a side a along the flatter of its other two.  Its
@@ -617,25 +618,6 @@ def _strips(u: int, v: int, w: int, parts: int, step: int = 2) -> tuple:
     return 2 ** abs(k) * (1 if fits else 3) * parts, on_v, k
 
 
-def _predicted_pieces(trapezoid, w_num: int, w_den: int) -> float:
-    """The pieces _scaled_plan predicts for a trapezoid of _trapezoids, at
-    the width w_num / w_den in the sweep's units; infinitely many past
-    MAX_TRAPEZOID_PIECES or the strip cap.  Each side's y is held over
-    the side's dx, so the plan's lengths are ints in units of 1 over
-    twice the two dx and w_den."""
-    x0, x1, (lx, ly, lbx, lby), (ux, uy, ubx, uby) = trapezoid
-    ldx, ldy, udx, udy = lbx - lx, lby - ly, ubx - ux, uby - uy
-    mid = x0 + x1
-    lower = ly * (2 * lbx - mid) + lby * (mid - 2 * lx)  # (y at x0 + y at x1) * ldx
-    upper = uy * (2 * ubx - mid) + uby * (mid - 2 * ux)
-    run = 2 * (x1 - x0) * w_den
-    pieces = _scaled_plan(
-        run * ldx * udx, (upper * ldx - lower * udx) * w_den, run * ldy * udx, run * udy * ldx,
-        2 * ldx * udx * w_num,
-    )[0]
-    return pieces if pieces <= MAX_TRAPEZOID_PIECES else math.inf
-
-
 def _check_plan(plan, w: Fraction) -> None:
     """A BadWidth when a trapezoid's plan passes a cap (see _plan)."""
     pieces, _, _, k = plan
@@ -651,12 +633,13 @@ def _check_plan(plan, w: Fraction) -> None:
         )
 
 
-def _trapezoid_clippers(trapezoid, plan, rotation: RigidMotion) -> tuple[tuple, list]:
-    """A rectangle of the trapezoid's area, in the plane rotation maps the
-    source to, as the _int_affine map from its unit frame, and the pieces
-    that form it, as plan says (see _plan): for each, the _lines of its
-    points in the frame, the _int_affine map that takes a frame point to
-    the source point its motion places there, and that motion, from the
+def _trapezoid_clippers(trapezoid, plan, t: Fraction, scale: int) -> tuple[tuple, list]:
+    """A rectangle of the area of a trapezoid of _chosen_rotation, given in
+    units of 1/scale, in the plane the rotation R of t maps the source
+    to, as the _int_affine map from its unit frame, and the pieces that
+    form it, as plan says (see _plan): for each, the _lines of its points
+    in the frame, the _int_affine map that takes a frame point to the
+    source point its motion places there, and that motion, from the
     source into the rectangle's plane, as a NumericMotion.
 
     A trapezoid whose sides are not parallel is cut through the midpoint
@@ -676,19 +659,27 @@ def _trapezoid_clippers(trapezoid, plan, rotation: RigidMotion) -> tuple[tuple, 
     so clipping it by the piece moved back a band is clipping it by
     that band of the piece.
 
-    All of it runs on ints.  The trapezoid's coordinates are taken over
-    twice their common denominator, so its corners and M are int points;
-    the cut is a clip of homogeneous points, and the half turn about M
-    maps them to ints again.  One int affine map takes each part into
-    the frame.  e lies along a frame axis, and moving a point back by k
+    All of it runs on ints.  The trapezoid's corners are taken over
+    2 ldx udx scale, ldx and udx its sides' runs, less the gcd of their
+    ints and ldx udx scale: over twice their least common denominator,
+    so they and M are int points.  R is (c, s) / n, less their gcd.  The
+    cut is a clip of homogeneous points, and the half turn about M maps
+    them to ints again.  One int affine map takes each part into the
+    frame.  e lies along a frame axis, and moving a point back by k
     bands moves that frame coordinate by k, so a band's lines, its map
     to the source and its motion's translation are band 0's with an int
     translation added.  Each float of a motion is the quotient of two
     ints, rounded once, as float() of the rational is.
     """
-    x0, x1, yl0, yl1, yu0, yu1, lcd = _homogeneous(*trapezoid)
-    x0, x1, yl0, yl1, yu0, yu1 = (2 * v for v in (x0, x1, yl0, yl1, yu0, yu1))
-    scale = 2 * lcd  # every plane coordinate below is an int over scale
+    x0, x1, lower, upper = trapezoid
+    ldx, udx = lower[2] - lower[0], upper[2] - upper[0]
+    ints = [x0 * ldx * udx, x1 * ldx * udx, *(
+        (ay * (bx - x) + by * (x - ax)) * dx  # the side's y at x, over ldx udx scale
+        for (ax, ay, bx, by), dx in ((lower, udx), (upper, ldx)) for x in (x0, x1)
+    ), ldx * udx * scale]
+    g = math.gcd(*ints)
+    # every plane coordinate below is an int over scale
+    x0, x1, yl0, yl1, yu0, yu1, scale = (2 * v // g for v in ints)
     _, slanted, on_v, _ = plan
     width = x1 - x0
     dl, du = yl1 - yl0, yu1 - yu0
@@ -736,7 +727,10 @@ def _trapezoid_clippers(trapezoid, plan, rotation: RigidMotion) -> tuple[tuple, 
     # frame point (a, b) of band k of a part is the source point
     # turn * R**-1 (c + a u + b v - e_sq (tx, ty) + k e_sq e) / (e_sq scale),
     # with R**-1 = (c, s; -s, c) / n, and its motion turns by R and turn
-    c, s, n = _homogeneous(rotation.rot_cos, rotation.rot_sin)
+    tn, td = t.numerator, t.denominator
+    c, s, n = td * td - tn * tn, 2 * tn * td, tn * tn + td * td
+    g = math.gcd(c, s, n)
+    c, s, n = c // g, s // g, n // g
     sin, cos = s / n, c / n
     angles = {1: math.atan2(sin, cos), -1: math.atan2(0.0 - sin, 0.0 - cos)}
     clippers = []

@@ -340,14 +340,6 @@ def _convex_clip(subject, clipper):
 # Fraction per output coordinate at the end.
 
 
-def _homogeneous(*values) -> tuple[int, ...]:
-    """The int or Fraction values as ints over W > 0, their least common
-    denominator, then W: a point (x, y) becomes (X, Y, W), the three
-    sharing no factor."""
-    w = math.lcm(*(v.denominator for v in values))
-    return (*(v.numerator * (w // v.denominator) for v in values), w)
-
-
 def _lines(pts) -> list[tuple[int, int, int]]:
     """The directed edge lines of a homogeneous polygon, each the cross
     product (a, b, c) of its end points p and q.  A point r's side,
@@ -451,7 +443,7 @@ def _dedupe_collinear(pts):
     return pts
 
 
-def _ear_clip(pts, fattest=False):
+def _ear_clip(pts):
     """Triangulate a ccw simple polygon into exactly n-2 triangles.
 
     An ear is a strictly convex live vertex whose closed triangle with its
@@ -461,13 +453,10 @@ def _ear_clip(pts, fattest=False):
     (collinear) vertices, which clips leave, are never clipped themselves,
     so every vertex ends up in some positive-area triangle.
 
-    The ear clipped is the first in one of two orders.  By default it is
-    the ear of least input position, which is the first ear a scan from
-    vertex 0 meets.  With fattest, it is the ear of largest doubled area
-    over squared longest side, compared exactly, so coordinates must be
-    exact; ties go to the least input position.
+    The ear clipped is the one of least input position, which is the
+    first ear a scan from vertex 0 meets.
 
-    On a simple polygon neither order can stall (the two-ears theorem,
+    On a simple polygon the clip cannot stall (the two-ears theorem,
     Meisters 1975): every simple polygon, straight vertices allowed, has a
     diagonal, so one with n >= 4 vertices has a triangulation, and its
     dual tree has at least two leaves.  A leaf is three consecutive
@@ -498,13 +487,12 @@ def _ear_clip(pts, fattest=False):
     live = sorted((x, y, i) for i, (x, y) in enumerate(verts)) if exact else list(range(n))
     stamp = [0] * n  # bumped at each new status and at the clip; heap entries carry it
     blocks = {}  # vertex index -> (index, stamp) of the vertices it was found to block
-    heap = []  # (order key, stamp, index) of each ear
+    heap = []  # (index, stamp) of each ear
 
     def status(i):
         stamp[i] += 1
         tri = a, b, c = verts[prv[i]], verts[i], verts[nxt[i]]
-        area2 = _orient(a, b, c)
-        if area2 <= 0:
+        if _orient(a, b, c) <= 0:
             return
         if exact:
             x0, x1 = min(a[0], b[0], c[0]), max(a[0], b[0], c[0])
@@ -518,20 +506,17 @@ def _ear_clip(pts, fattest=False):
             if v != a and v != b and v != c and _point_in_triangle_closed(tri, v):
                 blocks.setdefault(j, []).append((i, stamp[i]))
                 return
-        key = i
-        if fattest:
-            key = -Fraction(area2, max(_dist2(a, b), _dist2(b, c), _dist2(c, a))), i
-        heappush(heap, (key, stamp[i], i))
+        heappush(heap, (i, stamp[i]))
 
     for i in range(n):
         status(i)
     triangles = []
     for _ in range(n - 3):
-        while heap and heap[0][1] != stamp[heap[0][2]]:
+        while heap and heap[0][1] != stamp[heap[0][0]]:
             heappop(heap)  # stale: the vertex was clipped or has a newer status
         if not heap:
             raise InvalidPolygon("no diagonal found; polygon is not simple")
-        i = heappop(heap)[2]
+        i = heappop(heap)[0]
         p, q = prv[i], nxt[i]
         triangles.append((verts[p], verts[i], verts[q]))
         nxt[p], prv[q] = q, p
@@ -544,12 +529,6 @@ def _ear_clip(pts, fattest=False):
                 status(j)
     triangles.append(tuple(verts[k] for k in sorted((p, q, nxt[q]))))
     return triangles
-
-
-def _dist2(p, q):
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    return dx * dx + dy * dy
 
 
 def _point_in_triangle_closed(tri, p) -> bool:
@@ -615,16 +594,3 @@ def polygon_area(p: SimplePolygon) -> Fraction:
     """Exact signed shoelace area; positive for the stored ccw orientation."""
     return Fraction(_signed_area2(p), 2)
 
-
-def triangulate_simple(p: SimplePolygon) -> list[SimplePolygon]:
-    """Ear-clipping triangulation into exactly len(p)-2 triangles, the
-    fattest ear first: the largest doubled area over squared longest
-    side, the least vertex position on a tie.  A triangle's rectangle is
-    cut into strips along its longest side, so fat ears make fewer chart
-    pieces.
-
-    Triangle vertices are drawn from the polygon's own vertices and the
-    triangles partition the polygon exactly.  A SimplePolygon is strictly
-    simple, so the ear clip never stalls on it (see _ear_clip).
-    """
-    return [tuple.__new__(SimplePolygon, tri) for tri in _ear_clip(p, True)]

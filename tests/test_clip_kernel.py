@@ -23,7 +23,6 @@ from chainfold.exact_geom import (
     _convex_clip,
     _dedupe_collinear,
     _edges,
-    _homogeneous,
     _int_affine,
     _lines,
     _map_homogeneous,
@@ -386,6 +385,13 @@ def exact_clip_pairs(draw, coords=_EXACT_COORDS):
 
 def _rational(pts):
     return [(Fraction(x, w), Fraction(y, w)) for x, y, w in pts]
+
+
+def _homogeneous(x, y) -> tuple[int, int, int]:
+    """The rational point (x, y) as ints (X, Y, W) over W > 0, the least
+    common denominator of x and y."""
+    w = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w
 
 
 class TestHomogeneousKernel:

@@ -30,7 +30,6 @@ from chainfold.equidecompose import (
 )
 from chainfold.exact_geom import (
     IDENTITY_MOTION,
-    RigidMotion,
     SimplePolygon,
     _clip_homogeneous,
     _dedupe_collinear,
@@ -271,6 +270,16 @@ class TestDirectChart:
         assert verify_chart(chart).accepted
 
 
+def _corners(trapezoid, scale) -> tuple:
+    """A trapezoid of _chosen_rotation as (x0, x1, lower y at x0, lower y
+    at x1, upper y at x0, upper y at x1), in units of 1."""
+    x0, x1, *sides = trapezoid
+    return Fraction(x0, scale), Fraction(x1, scale), *(
+        Fraction(ay * (bx - x) + by * (x - ax), (bx - ax) * scale)
+        for ax, ay, bx, by in sides for x in (x0, x1)
+    )
+
+
 class TestRectilinearChart:
     """Every polygon is turned by one rational rotation and swept into
     trapezoids with vertical parallel sides; a polygon whose sides are
@@ -281,7 +290,7 @@ class TestRectilinearChart:
         # a C whose lower arm ends at x = 3: the upper arm's rectangle
         # continues from the slab [1, 3] into [3, 4]
         c = polygon([(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (4, 2), (4, 3), (0, 3)])
-        assert equidecompose._chosen_rotation(c, 1)[0] == IDENTITY_MOTION
+        assert equidecompose._chosen_rotation(c, 1)[0] == 0
         chart = polygon_to_canonical_chart(c, 1)
         assert sorted(polygon_area(piece) for piece in chart.pieces) == [2, 3, 3]
         assert_exact_chart(chart, c)
@@ -291,9 +300,11 @@ class TestRectilinearChart:
         # trapezoid over [1, 2], beside the 1 x 2 rectangle over [0, 1];
         # the identity would cut three trapezoids into 5 pieces, not 3
         nudged = polygon([(0, 0), (2, 0), (2, 1), (1, 1), (Fraction(11, 10), 2), (0, 2)])
-        rotation, trapezoids = equidecompose._chosen_rotation(nudged, 1)
-        assert rotation == RigidMotion(0, -1, point(0, 0))
-        assert trapezoids == [(0, 1, -2, -2, 0, 0), (1, 2, -1, Fraction(-11, 10), 0, 0)]
+        t, scale, planned = equidecompose._chosen_rotation(nudged, 1)
+        assert t == -1
+        assert [_corners(trapezoid, scale) for trapezoid, _ in planned] == [
+            (0, 1, -2, -2, 0, 0), (1, 2, -1, Fraction(-11, 10), 0, 0),
+        ]
         chart = polygon_to_canonical_chart(nudged, 1)
         assert len(chart.pieces) == 3
         assert_exact_chart(chart, nudged)
@@ -318,7 +329,7 @@ class TestRectilinearChart:
         # the cap; a quarter turn makes the tooth a slab of width e and
         # height 1 + e, which needs none
         p = toothed_square(e)
-        assert equidecompose._chosen_rotation(p, 1)[0] == RigidMotion(0, -1, point(0, 0))
+        assert equidecompose._chosen_rotation(p, 1)[0] == -1
         chart = polygon_to_canonical_chart(p, 1)
         assert len(chart.pieces) == 5
         assert chart.source_exact
@@ -417,9 +428,9 @@ class TestBandSide:
     def test_sliver_is_cut_across_its_flatter_side(self):
         # unturned, its one trapezoid is 1/1000 high and rises 31: 31,001
         # horizontal bands, and a quarter turn is no better
-        rotation, trapezoids = equidecompose._chosen_rotation(SLIVER, 1)
-        assert rotation == IDENTITY_MOTION and len(trapezoids) == 1
-        assert equidecompose._plan(trapezoids[0], 1) == (4608, True, False, 9)
+        t, _, planned = equidecompose._chosen_rotation(SLIVER, 1)
+        assert t == 0 and len(planned) == 1
+        assert planned[0][1] == (4608, True, False, 9)
         chart = polygon_to_canonical_chart(SLIVER, 1)
         assert len(chart.pieces) <= 2259
         assert sum((polygon_area(q) for q in chart.pieces), Fraction(0)) == 1
@@ -439,7 +450,8 @@ class TestBandSide:
         # over 2**10 strips
         sliver = polygon([(0, 0), (1, 4096), (1, 4096 + Fraction(1, 500))])
         start = time.perf_counter()
-        with pytest.raises(BadWidth, match=rf"at most 9 \* 2\*\*{MAX_HALVINGS}"):
+        text = rf"^width 1 cuts a trapezoid into 4096002 pieces; at most 9 \* 2\*\*{MAX_HALVINGS}$"
+        with pytest.raises(BadWidth, match=text):
             polygon_to_canonical_chart(sliver, 1)
         assert time.perf_counter() - start < 2
 
@@ -460,11 +472,10 @@ class TestTrapezoidPieceBound:
         polygons += [(p, 1) for _ in range(20) for p in star_pair(rng)]
         polygons += [(SLIVER, 1), (SKINNY_TRIANGLE, 1)]
         for p, w in polygons:
-            rotation, trapezoids = equidecompose._chosen_rotation(p, w)
+            t, scale, planned = equidecompose._chosen_rotation(p, w)
             total = 0
-            for trapezoid in trapezoids:
-                plan = equidecompose._plan(trapezoid, w)
-                frame, clippers = equidecompose._trapezoid_clippers(trapezoid, plan, rotation)
+            for trapezoid, plan in planned:
+                frame, clippers = equidecompose._trapezoid_clippers(trapezoid, plan, t, scale)
                 normalized = equidecompose._normalize_frame_pieces(frame, w)
                 pieces = sum(
                     1 for frame_polygon, _ in normalized for lines, _, _ in clippers
@@ -782,7 +793,7 @@ class TestOverlay:
         tri = polygon([(-8, Fraction(11, 3)), (-5, Fraction(-9, 5)), (Fraction(2, 5), Fraction(-1, 3))])
         rect = polygon([(0, 0), (2, 0), (2, Fraction(212, 25)), (0, Fraction(212, 25))])
         w = Fraction(3, 2)
-        assert equidecompose._chosen_rotation(tri, w)[0] == IDENTITY_MOTION
+        assert equidecompose._chosen_rotation(tri, w)[0] == 0
         charts = polygon_to_canonical_chart(rect, w), polygon_to_canonical_chart(tri, w)
         assert verify_chart(overlay_charts(*charts)).accepted
         monkeypatch.setattr(equidecompose, "_left_turns",

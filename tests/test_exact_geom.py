@@ -14,6 +14,7 @@ from chainfold.exact_geom import (
     RigidMotion,
     SimplePolygon,
     _convex_clip,
+    _ear_clip,
     _segments_intersect,
     _signed_area2,
     apply_motion,
@@ -22,7 +23,6 @@ from chainfold.exact_geom import (
     polygon_area,
     rat,
     rational_to_json,
-    triangulate_simple,
 )
 from chainfold.numeric import apply_numeric
 from chainfold.overlap import partition_residuals, polygon_overlap
@@ -190,15 +190,15 @@ class TestPolygonContains:
 class TestTriangulate:
     def test_triangle_is_itself(self):
         tri = polygon([(0, 0), (4, 0), (0, 3)])
-        out = triangulate_simple(tri)
+        out = _ear_clip(tri)
         assert len(out) == 1
         assert polygon_area(out[0]) == 6
 
     def test_convex_quad(self):
-        assert len(triangulate_simple(UNIT_SQUARE)) == 2
+        assert len(_ear_clip(UNIT_SQUARE)) == 2
 
     def test_l_hexagon(self):
-        tris = triangulate_simple(L_HEXAGON)
+        tris = _ear_clip(L_HEXAGON)
         assert len(tris) == 4
         assert sum((polygon_area(t) for t in tris), Fraction(0)) == 3
         for i in range(len(tris)):
@@ -214,7 +214,7 @@ class TestTriangulate:
                 outline = boundary_polygon(shape)
             except Exception:
                 continue  # holes are legal in shapes, just not in outlines
-            tris = triangulate_simple(outline)
+            tris = _ear_clip(outline)
             assert len(tris) == len(outline.vertices) - 2
             total = sum((polygon_area(t) for t in tris), Fraction(0))
             assert total == polygon_area(outline)
@@ -261,8 +261,8 @@ class TestSimplePolygon:
             polygon([(0, 0), (1, 1)])
 
     def test_determinism(self):
-        a = triangulate_simple(L_HEXAGON)
-        b = triangulate_simple(polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]))
+        a = _ear_clip(L_HEXAGON)
+        b = _ear_clip(polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]))
         assert a == b
 
 

@@ -90,8 +90,6 @@ REACH_ALLOWED = {
     ("chain", "load_sample_shape"): "the library's one reader of the shipped glyph corpus",
     ("exact_geom", "apply_motion"): "the public exact motion map; charts map pieces by int matrices, "
     "and the verifiers move pieces in the tuple core",
-    ("exact_geom", "triangulate_simple"): "the public triangulation; charts no longer triangulate, "
-    "and the roadmap retires it with _ear_clip's fattest-ear mode",
 }
 
 

@@ -10,8 +10,8 @@ mutants, and on polygon targets whose vertices are not integers.  Approx mode is
 way, to a frozen form of the approx verifier that halves each area as it
 is made: verdict, failure texts and the float bits of the total.
 
-The ear clip is held to two slow references: a verbatim copy of the scan
-that its default order replaced, and a rescan for its fattest order.
+The ear clip is held to a slow reference: a verbatim copy of the scan
+that its order replaced.
 
 The properties check that the tuple core and the overlap engine keep int
 coordinates exact: every value they return is an int or a Fraction, never
@@ -55,7 +55,6 @@ from chainfold.exact_geom import (
     apply_motion,
     point,
     polygon_area,
-    triangulate_simple,
 )
 from chainfold.figures import Configuration, Hinge, HingedFigure, load_hdj, verify_configuration
 from chainfold.numeric import NumericMotion, float_polygon
@@ -823,7 +822,7 @@ def unit_edge_outlines(draw):
 
 def _scan_ear_clip(pts):
     """The ear clip before incremental ear status, verbatim: the reference
-    for _ear_clip's default order.  It restarts its scan from vertex 0
+    for _ear_clip's order.  It restarts its scan from vertex 0
     after each ear, so its worst case is cubic."""
     verts = list(pts)
     triangles = []
@@ -854,34 +853,6 @@ def _scan_ear_clip(pts):
             break
         if not clipped:
             raise InvalidPolygon("no diagonal found; polygon is not simple")
-    triangles.append(tuple(verts))
-    return triangles
-
-
-def _rescan_fattest(pts):
-    """The reference for _ear_clip's fattest order: after each clip, test
-    every vertex against all the others, and clip the ear of largest
-    doubled area over squared longest side, the first of equal ones."""
-    verts = list(pts)
-    triangles = []
-    while len(verts) > 3:
-        n = len(verts)
-        best = None
-        for i in range(n):
-            ear = verts[i - 1], verts[i], verts[(i + 1) % n]
-            area2 = _orient(*ear)
-            if area2 <= 0 or any(
-                v not in ear and _point_in_triangle_closed(ear, v) for v in verts
-            ):
-                continue
-            side2 = max((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-                        for p, q in zip(ear, ear[1:] + ear[:1]))
-            if best is None or Fraction(area2, side2) > best[0]:
-                best = Fraction(area2, side2), i, ear
-        if best is None:
-            raise InvalidPolygon("no diagonal found; polygon is not simple")
-        triangles.append(best[2])
-        del verts[best[1]]
     triangles.append(tuple(verts))
     return triangles
 
@@ -925,12 +896,11 @@ class TestEarClip:
     @given(st.one_of(straight_vertex_polygons(), unit_edge_outlines()))
     def test_no_stall_on_straight_vertices(self, pts):
         # the no-stall argument of _ear_clip's docstring, where straight
-        # vertices could break it; it holds for either order
-        for fattest in (False, True):
-            tris = _ear_clip(pts, fattest)
-            assert len(tris) == len(pts) - 2
-            assert all(_orient(*t) > 0 for t in tris)
-            assert sum(_signed_area2(t) for t in tris) == _signed_area2(pts)
+        # vertices could break it
+        tris = _ear_clip(pts)
+        assert len(tris) == len(pts) - 2
+        assert all(_orient(*t) > 0 for t in tris)
+        assert sum(_signed_area2(t) for t in tris) == _signed_area2(pts)
 
     @settings(max_examples=500)
     @given(st.one_of(straight_vertex_polygons(), unit_edge_outlines()), _angles, _shifts, _shifts)
@@ -946,13 +916,7 @@ class TestEarClip:
         for poly in (pts, _turned(pts, angle, dx, dy)):
             assert _clip_outcome(_ear_clip, poly) == _clip_outcome(_scan_ear_clip, poly)
 
-    @settings(max_examples=300)
-    @given(st.one_of(straight_vertex_polygons(), unit_edge_outlines(), _lattice_lists))
-    def test_fattest_order_is_the_rescan(self, pts):
-        assert _clip_outcome(_ear_clip, pts, True) == _clip_outcome(_rescan_fattest, pts)
-
-    @pytest.mark.parametrize("fattest", [False, True], ids=["default", "fattest"])
-    def test_comb_work_is_bounded(self, monkeypatch, fattest):
+    def test_comb_work_is_bounded(self, monkeypatch):
         # the scan made 2,002,496 triangle tests on this comb
         calls = 0
         test = exact_geom._point_in_triangle_closed
@@ -964,7 +928,7 @@ class TestEarClip:
 
         p = comb(500)
         monkeypatch.setattr(exact_geom, "_point_in_triangle_closed", counted)
-        tris = _ear_clip(p, fattest)
+        tris = _ear_clip(p)
         assert len(p) == 2002 and len(tris) == 2000
         assert sum(_signed_area2(t) for t in tris) == _signed_area2(p)
         assert calls <= 100_000
@@ -1005,7 +969,7 @@ class TestOneNumberRule:
     def test_exact_producers_on_int_inputs(self, coords):
         p = exact_geom.polygon(coords)
         shifted = [(x + 1, y) for x, y in coords]
-        pieces, rect, motions = triangle_to_rectangle(triangulate_simple(p)[0])
+        pieces, rect, motions = triangle_to_rectangle(_ear_clip(p)[0])
         width_pieces, _, width_rect = rectangle_to_width(rect, 1)
         outputs = {
             "polygon_area": polygon_area(p),
