@@ -407,9 +407,9 @@ class TestRobustnessSweep:
         assert sum((polygon_area(q) for q in chart.pieces), Fraction(0)) == polygon_area(star)
 
     def test_skinny_triangle(self):
-        # the identity would cut it into 3,003 pieces, and the triangle
-        # path cut it into 3,855; a rotation that lays its long sides
-        # nearly flat leaves 16 bands of its one long trapezoid
+        # horizontal bands alone would cut it unturned into 3,003 pieces,
+        # and the triangle path cut it into 3,855; unturned, its one long
+        # trapezoid is cut into 2 bands across its flatter side, 12 pieces
         chart = polygon_to_canonical_chart(SKINNY_TRIANGLE, 1)
         assert len(chart.pieces) <= 56
         assert chart.source_exact and verify_chart(chart).accepted
