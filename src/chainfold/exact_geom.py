@@ -179,14 +179,17 @@ def _orient(a, b, c):
 
 
 def _signed_area2(pts) -> object:
-    """Twice the signed shoelace area of the vertex sequence."""
+    """Twice the signed shoelace area of the vertex sequence, its terms
+    added from the edge pts[0] -> pts[1] on, the closing edge last."""
     total = 0
-    n = len(pts)
-    for i in range(n):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % n]
+    if not pts:
+        return total
+    x0, y0 = pts[0]
+    for x1, y1 in pts[1:]:
         total += x0 * y1 - x1 * y0
-    return total
+        x0, y0 = x1, y1
+    x1, y1 = pts[0]
+    return total + (x0 * y1 - x1 * y0)
 
 
 def _bbox(pts):
@@ -253,6 +256,17 @@ def _edges(pts) -> list[tuple]:
     return out
 
 
+def _crossing(p, q, d_p, d_q):
+    """The point where the edge p -> q crosses a clip line, given the
+    sides d_p and d_q of its ends, strictly opposite; between int sides
+    the parameter is a Fraction, so int coordinates cross exactly."""
+    x, y = p
+    qx, qy = q
+    den = d_p - d_q
+    t = Fraction(d_p, den) if type(den) is int else d_p / den
+    return (x + (qx - x) * t, y + (qy - y) * t)
+
+
 def _clip_convex_raw(subject, edges):
     """The Sutherland-Hodgman loop of _convex_clip, without its final test:
     the subject cut, edge by edge, to the left of each line of _edges.
@@ -260,13 +274,14 @@ def _clip_convex_raw(subject, edges):
     A vertex's side, dx * (y - ay) - dy * (x - ax), is computed once per
     edge, as _orient(a, b, p) with the same operands in the same order, so
     float results match it bit for bit.  A vertex of side >= 0 is kept,
-    and a crossing follows each vertex whose successor lies strictly on
-    the other side; between int sides its parameter is a Fraction, so int
-    coordinates give exact crossings, never floats.  Two early-outs give
-    what the loop would: the polygon itself when no vertex is strictly
-    outside an edge, and [] when every vertex is; a NaN side is neither,
-    so it reaches the loop.  The result may have fewer than three vertices
-    or zero area, and may be the subject itself.
+    and a crossing (_crossing) follows each vertex whose successor lies
+    strictly on the other side.  Two early-outs give what the loop would:
+    the polygon itself when no vertex is strictly outside an edge, and []
+    when every vertex is; a NaN side is neither, so it reaches the loop,
+    which keeps nothing for it.  A pass over three vertices, the common
+    one on triangles, is written out vertex by vertex under the same
+    rule.  The result may have fewer than three vertices or zero area,
+    and may be the subject itself.
 
     On exact (int or Fraction) coordinates a strictly convex subject (no
     repeated vertex, no three collinear) gives a strictly convex result,
@@ -281,6 +296,32 @@ def _clip_convex_raw(subject, edges):
     """
     out = subject
     for ax, ay, dx, dy in edges:
+        if len(out) == 3:
+            p0, p1, p2 = out
+            x, y = p0
+            d0 = dx * (y - ay) - dy * (x - ax)
+            x, y = p1
+            d1 = dx * (y - ay) - dy * (x - ax)
+            x, y = p2
+            d2 = dx * (y - ay) - dy * (x - ax)
+            if d0 >= 0 and d1 >= 0 and d2 >= 0:
+                continue
+            if d0 < 0 and d1 < 0 and d2 < 0:
+                return []
+            out = []
+            if d0 >= 0:
+                out.append(p0)
+            if d0 > 0 and d1 < 0 or d0 < 0 and d1 > 0:
+                out.append(_crossing(p0, p1, d0, d1))
+            if d1 >= 0:
+                out.append(p1)
+            if d1 > 0 and d2 < 0 or d1 < 0 and d2 > 0:
+                out.append(_crossing(p1, p2, d1, d2))
+            if d2 >= 0:
+                out.append(p2)
+            if d2 > 0 and d0 < 0 or d2 < 0 and d0 > 0:
+                out.append(_crossing(p2, p0, d2, d0))
+            continue
         sides = [dx * (y - ay) - dy * (x - ax) for x, y in out]
         for d in sides:
             if not d >= 0:
@@ -307,11 +348,8 @@ def _clip_convex_raw(subject, edges):
                 if d_cur == 0:  # a NaN side keeps nothing
                     clipped.append(cur)
                 continue
-            x, y = cur  # the ends lie strictly on opposite sides: a crossing
-            nx, ny = out[i] if i < len(out) else out[0]
-            den = d_cur - d_nxt
-            t = Fraction(d_cur, den) if type(den) is int else d_cur / den
-            clipped.append((x + (nx - x) * t, y + (ny - y) * t))
+            # the ends lie strictly on opposite sides
+            clipped.append(_crossing(cur, out[i] if i < len(out) else out[0], d_cur, d_nxt))
         out = clipped
     return out
 

@@ -5,6 +5,11 @@ relative angle per uncut hinge; interpolating those angles swings the
 chain between two foldings.  Closure of the cut hinge is not maintained
 mid-motion and pieces are allowed to sweep through each other; overlaps
 are measured and reported per frame rather than avoided.
+
+The sampler takes each hinge's shortest-arc turn once per motion, and
+places each piece once per frame: the walk down the chain moves the
+piece's outline by the cos and sin it computes for the placement, and
+the overlap engine reads those outlines.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 from typing import NamedTuple
 
 from .figures import Configuration, CountMismatch, HingedFigure
-from .numeric import NumericMotion, apply_numeric_points, float_polygon, numeric_from_rigid
+from .numeric import NumericMotion, float_polygon, numeric_from_rigid
 from .numeric import wrap_angle
 from .numeric import float_overlap_area  # noqa: F401 - looked up by perfbench/tracing.py
 from .overlap import overlap_sum2, overlapping_pairs, parts_and_bounds
@@ -85,50 +90,62 @@ def pose_placements(f: HingedFigure, pose: AnglePose) -> list[NumericMotion]:
     local vertex 2 onto the predecessor's placed vertex 1.
     """
     _require_cycle(f)
-    return _walk(pose, [float_polygon(p) for p in f.pieces])
+    return _walk(pose, [float_polygon(p) for p in f.pieces])[0]
 
 
-def _walk(pose: AnglePose, local_pts) -> list[NumericMotion]:
-    """pose_placements on float local outlines."""
+def _walk(pose: AnglePose, local_pts) -> tuple[list[NumericMotion], list[list]]:
+    """pose_placements on float local outlines, with each piece's placed
+    outline: each point moved as apply_numeric_points moves it, by the
+    cos and sin the walk already holds, so the bits are the same."""
     k = len(local_pts)
     placements: list[NumericMotion | None] = [None] * k
+    placed: list[list | None] = [None] * k
     current = pose.root_index
     m = pose.root_placement
     angle, tx, ty = m
     c, s = math.cos(angle), math.sin(angle)
     placements[current] = m
+    placed[current] = [(c * x - s * y + tx, s * x + c * y + ty) for x, y in local_pts[current]]
     relative = pose.relative_angles
     for step in range(k - 1):
         nxt = (current + 1) % k
-        x, y = local_pts[current][1]
-        pin_x, pin_y = c * x - s * y + tx, s * x + c * y + ty
+        pin_x, pin_y = placed[current][1]
         angle = angle + relative[step]
         # translation chosen so the successor's vertex 2 lands on the pin
         c, s = math.cos(angle), math.sin(angle)
         x, y = local_pts[nxt][2]
         tx, ty = pin_x - (c * x - s * y), pin_y - (s * x + c * y)
         placements[nxt] = NumericMotion(angle, tx, ty)
+        placed[nxt] = [(c * x - s * y + tx, s * x + c * y + ty) for x, y in local_pts[nxt]]
         current = nxt
-    return placements
+    return placements, placed
 
 
-def interpolate(pose_a: AnglePose, pose_b: AnglePose, t: float) -> AnglePose:
-    """Blend two poses: linear in translation, shortest arc in every angle."""
+def _steps(pose_a: AnglePose, pose_b: AnglePose):
+    """What interpolation adds, times t, to pose_a on the way to pose_b:
+    the root's shortest-arc turn and its translation, and each hinge's
+    shortest-arc turn."""
     if pose_a.cut_hinge != pose_b.cut_hinge:
         raise CutMismatch("poses cut different hinges")
     if len(pose_a.relative_angles) != len(pose_b.relative_angles):
         raise CutMismatch("poses have different chain lengths")
     ra, rb = pose_a.root_placement, pose_b.root_placement
-    root = NumericMotion(
-        ra.angle_rad + t * wrap_angle(rb.angle_rad - ra.angle_rad),
-        ra.tx + t * (rb.tx - ra.tx),
-        ra.ty + t * (rb.ty - ra.ty),
-    )
-    angles = tuple(
-        a + t * wrap_angle(b - a)
-        for a, b in zip(pose_a.relative_angles, pose_b.relative_angles)
-    )
+    root = (wrap_angle(rb.angle_rad - ra.angle_rad), rb.tx - ra.tx, rb.ty - ra.ty)
+    return root, [wrap_angle(b - a) for a, b in zip(pose_a.relative_angles, pose_b.relative_angles)]
+
+
+def _blend(pose_a: AnglePose, steps, t: float) -> AnglePose:
+    """pose_a moved by t times the _steps toward another pose."""
+    (turn, dx, dy), turns = steps
+    ra = pose_a.root_placement
+    root = NumericMotion(ra.angle_rad + t * turn, ra.tx + t * dx, ra.ty + t * dy)
+    angles = tuple(a + t * d for a, d in zip(pose_a.relative_angles, turns))
     return AnglePose(root, angles, pose_a.cut_hinge)
+
+
+def interpolate(pose_a: AnglePose, pose_b: AnglePose, t: float) -> AnglePose:
+    """Blend two poses: linear in translation, shortest arc in every angle."""
+    return _blend(pose_a, _steps(pose_a, pose_b), t)
 
 
 class MotionSample(NamedTuple):
@@ -149,8 +166,10 @@ def sample_motion(
     """Equally spaced samples of the hinge motion from config_a to config_b.
 
     The default cut hinge is the last one, making piece 0 the root.
-    Overlap areas above the reporting threshold are listed per frame,
-    deduplicated as i < j pairs.
+    Each frame is interpolate's pose at t, walked as pose_placements
+    walks it.  Overlap areas above the reporting threshold are listed
+    per frame, deduplicated as i < j pairs; only one frame's outlines
+    are held at a time.
     """
     _require_cycle(f)
     if frames < 2:
@@ -160,12 +179,12 @@ def sample_motion(
         cut = k - 1
     pose_a = extract_pose(f, config_a, cut)
     pose_b = extract_pose(f, config_b, cut)
+    steps = _steps(pose_a, pose_b)
     local_pts = [float_polygon(p) for p in f.pieces]
     samples = []
     for frame in range(frames):
         t = frame / (frames - 1)
-        placements = _walk(interpolate(pose_a, pose_b, t), local_pts)
-        placed = [apply_numeric_points(m, pts) for m, pts in zip(placements, local_pts)]
+        placements, placed = _walk(_blend(pose_a, steps, t), local_pts)
         parts, bounds = parts_and_bounds(placed)
         overlaps = []
         for i, j in overlapping_pairs(bounds):

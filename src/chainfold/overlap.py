@@ -29,11 +29,17 @@ float; callers compare doubled areas, or halve an exact one as
 - Convex parts: a polygon is split once per call, after each point
   equal to the one before it is dropped, into itself when it is convex
   and into its ear-clip triangles otherwise, each with its box and edges.
-  Parts live in the caller's lists, so nothing is cached across calls.
-- Narrow phase: one loop clips every part pair whose boxes overlap and
-  returns the list of fragments with their doubled areas, so area sums
-  measure each raw clip once.  Each clip is a plain Sutherland-Hodgman
-  pass, one half-plane per stored edge of the clipper part.
+  A triangle with no repeated point, as every piece of a chain fold is,
+  is its own part, built with its box, edges and bound in the one pass
+  that bounds it.  Parts live in the caller's lists, so nothing is
+  cached across calls.
+- Narrow phase: one loop, in two forms, clips every part pair whose
+  boxes overlap and measures each raw clip once: part_clips lists the
+  fragments with their doubled areas, which the overlay keeps, and
+  overlap_sum2 adds the areas as it measures them, with no list.  Each
+  clip is a plain Sutherland-Hodgman pass, one half-plane per stored
+  edge of the clipper part; a pass over three vertices is written out
+  vertex by vertex.
 - Cell partitions: verification against a polyomino, on int, Fraction
   or float pieces alike, first cancels the pieces' directed edges
   against each other and the cells', and runs the engine only on the
@@ -81,14 +87,28 @@ def parts_and_bounds(pieces):
     """Each piece's convex parts, and each piece's bound
     (x0, y0, x1, y1, s0, s1, d0, d1): its box, and the min and max of x + y
     and of x - y over its points, in one pass that keeps the first of equal
-    values as min() and max() do.  A convex piece's box is its part's."""
-    parts = [convex_parts(pts) for pts in pieces]
+    values as min() and max() do.  A convex piece's box is its part's.
+
+    A piece of three points, none equal to the one before it, is its own
+    part, as convex_parts has it; that pass's box is its part's, and its
+    edges are taken from the same three points."""
+    parts = []
     bounds = []
-    for p, pts in zip(parts, pieces):
+    for pts in pieces:
         x, y = pts[0]
+        x0 = x1 = x
+        y0 = y1 = y
         s0 = s1 = x + y
         d0 = d1 = x - y
         for x, y in pts:
+            if x < x0:
+                x0 = x
+            elif x > x1:
+                x1 = x
+            if y < y0:
+                y0 = y
+            elif y > y1:
+                y1 = y
             s = x + y
             if s < s0:
                 s0 = s
@@ -99,7 +119,17 @@ def parts_and_bounds(pieces):
                 d0 = d
             elif d > d1:
                 d1 = d
-        box = p[0][1] if len(p) == 1 else _bbox(pts)
+        box = (x0, y0, x1, y1)
+        if len(pts) == 3 and pts[0] != pts[2] and pts[1] != pts[0] and pts[2] != pts[1]:
+            (ax, ay), (bx, by), (cx, cy) = pts
+            edges = [(ax, ay, bx - ax, by - ay), (bx, by, cx - bx, cy - by),
+                     (cx, cy, ax - cx, ay - cy)]  # as _edges lists them
+            parts.append([(list(pts), box, edges)])
+        else:
+            p = convex_parts(pts)
+            parts.append(p)
+            if len(p) == 1:
+                box = p[0][1]
         bounds.append((*box, s0, s1, d0, d1))
     return parts, bounds
 
@@ -171,11 +201,18 @@ def part_clips(parts_a, parts_b) -> list[tuple]:
 
 def overlap_sum2(parts_a, parts_b):
     """Twice the area shared by two convex-part lists (0 when they do not
-    meet), added left to right: sum() compensates float sums from Python
-    3.12 on, so its last bit would depend on the Python."""
+    meet): the doubled areas part_clips would list, added left to right
+    as they are measured, without the list.  sum() compensates float sums
+    from Python 3.12 on, so its last bit would depend on the Python."""
     total2 = 0
-    for _, area2 in part_clips(parts_a, parts_b):
-        total2 += area2
+    for pa, (ax0, ay0, ax1, ay1), _ in parts_a:
+        for _, (bx0, by0, bx1, by1), edges in parts_b:
+            if ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1:
+                frag = _clip_convex_raw(pa, edges)
+                if len(frag) > 2:
+                    area2 = _signed_area2(frag)
+                    if area2 != 0:
+                        total2 += area2
     return total2
 
 

@@ -37,7 +37,7 @@ def _fmt(x: float) -> str:
 
 
 def _path_d(points) -> str:
-    coords = [f"{x:.6f},{y:.6f}" for x, y in points]  # _fmt on each coordinate
+    coords = ["%.6f,%.6f" % p for p in points]  # the bytes of _fmt on each coordinate
     return "M " + " L ".join(coords) + " Z"
 
 

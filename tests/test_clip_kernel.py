@@ -53,6 +53,17 @@ def reference_clip_halfplane(pts, e1, e2):
     return out
 
 
+def reference_signed_area2(pts):
+    """Twice the shoelace area, by index modulo the length."""
+    total = 0
+    n = len(pts)
+    for i in range(n):
+        x0, y0 = pts[i]
+        x1, y1 = pts[(i + 1) % n]
+        total += x0 * y1 - x1 * y0
+    return total
+
+
 def reference_convex_clip(subject, clipper):
     out = list(subject)
     n = len(clipper)
@@ -264,11 +275,72 @@ class TestEarlyOuts:
             out = _clip_convex_raw(subject, _edges([e1, e2])[:1])
             assert out is not subject
             assert bits(out) == bits(reference_clip_halfplane(subject, e1, e2))
+        # a triangle, the pass written out vertex by vertex: a NaN side
+        # first, second and third, the other two vertices inside, outside,
+        # or one on each side in either order
+        others = [((0.0, 1.0), (1.0, 1.0)), ((0.0, -1.0), (1.0, -1.0)),
+                  ((0.0, 1.0), (1.0, -1.0)), ((1.0, -1.0), (0.0, 1.0))]
+        for k in range(3):
+            for p, q in others:
+                subject = [p, q]
+                subject.insert(k, (0.5, nan))
+                out = _clip_convex_raw(subject, _edges([e1, e2])[:1])
+                assert out is not subject
+                assert bits(out) == bits(reference_clip_halfplane(subject, e1, e2))
+        # a -0.0 side, first, second and third, before a vertex inside and
+        # before one outside: kept as a 0 side is, with no crossing next to it
+        for k in range(3):
+            for p, q in others[2:]:
+                subject = [p, q]
+                subject.insert(k, (0.5, -0.0))
+                out = _clip_convex_raw(subject, _edges([e1, e2])[:1])
+                assert bits(out) == bits(reference_clip_halfplane(subject, e1, e2))
+                assert bits([(0.5, -0.0)])[0] in bits(out) and len(out) == 3
         # a NaN edge gives every vertex a NaN side
         subject = [(0.0, 0.0), (2.0, 0.0), (1.0, 2.0)]
         assert _clip_convex_raw(subject, _edges([(nan, 0.0), e2])[:1]) == []
         clipper = [(0.5, nan), (3.0, 0.5), (0.5, 3.0)]
         assert bits(_convex_clip(subject, clipper)) == bits(reference_convex_clip(subject, clipper))
+
+
+_FLOAT_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), 1.0, -1.0, 0.1, 3.5, 1e-300, 1e300]),
+    st.floats(allow_nan=True, allow_infinity=False),
+)
+
+
+@st.composite
+def area_cases(draw):
+    """Up to eight points as ints, Fractions or floats (-0.0 and NaN
+    among them), some repeated."""
+    kind = draw(_KINDS)
+    if kind == "float":
+        coords = _FLOAT_COORDS
+    elif kind == "int":
+        coords = st.integers(-10**20, 10**20)
+    else:
+        coords = _coords
+    pts = draw(st.lists(st.tuples(coords, coords), max_size=8))
+    for k in draw(st.lists(st.integers(0, max(len(pts) - 1, 0)), max_size=3)):
+        if pts:
+            pts.insert(k, pts[k])
+    return pts
+
+
+class TestSignedArea:
+    @settings(max_examples=500)
+    @given(area_cases())
+    def test_matches_the_indexed_form(self, pts):
+        assert number_bits(_signed_area2(pts)) == number_bits(reference_signed_area2(pts))
+
+    def test_order_of_the_terms(self):
+        # float terms whose sum rounds differently when the closing edge
+        # is added first
+        pts = [(1.0, 1e8), (1.0, 0.0), (-1.0, -1.0), (-1e8, 0.5)]
+        assert _signed_area2(pts) == reference_signed_area2(pts) == -1.0000000200000002e16
+        assert _signed_area2(pts[-1:] + pts[:-1]) == -1.00000002e16
+        for pts in ([], [(3, 4)], [(-0.0, 0.0)], [(1.0, float("nan")), (2.0, 3.0)]):
+            assert number_bits(_signed_area2(pts)) == number_bits(reference_signed_area2(pts))
 
 
 @st.composite

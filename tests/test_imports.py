@@ -87,6 +87,8 @@ def test_the_check_finds_an_unused_import():
 REACH_ALLOWED = {
     ("equidecompose", "chart_from_json"): "the chart reader; the roadmap gives it a CLI caller",
     ("kinematics", "pose_placements"): "forward kinematics, which tests hold sample_motion to",
+    ("kinematics", "interpolate"): "the public pose blend; sample_motion blends by the same "
+    "helpers with the hinge turns computed once per motion",
     ("chain", "load_sample_shape"): "the library's one reader of the shipped glyph corpus",
     ("exact_geom", "apply_motion"): "the public exact motion map; charts map pieces by int matrices, "
     "and the verifiers move pieces in the tuple core",

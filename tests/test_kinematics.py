@@ -4,13 +4,14 @@ import math
 
 import pytest
 
-from chainfold.chain import dissect_pair, fold_chain
+from chainfold.chain import dissect_pair, fold_chain, load_sample_shape
 from chainfold.figures import Configuration, CountMismatch
 from chainfold.kinematics import (
     AnglePose,
     CutMismatch,
     NotCycle,
     TooFewFrames,
+    _walk,
     extract_pose,
     interpolate,
     motion_frame_json,
@@ -18,7 +19,14 @@ from chainfold.kinematics import (
     sample_motion,
     write_motion_report,
 )
-from chainfold.numeric import apply_numeric, numeric_from_rigid
+from chainfold.numeric import (
+    NumericMotion,
+    apply_numeric,
+    apply_numeric_points,
+    float_polygon,
+    numeric_from_rigid,
+    wrap_angle,
+)
 from chainfold.polyomino import parse_grid
 from conftest import TETROMINO_GRIDS
 
@@ -185,3 +193,69 @@ class TestSampleMotion:
         assert report == {"frames": [motion_frame_json(s) for s in samples]}
         assert len(report["frames"]) == 3
         assert len(report["frames"][0]["placements"]) == 4
+
+
+def reference_placements(pose, local_pts):
+    """The chain walk as it was before it placed outlines: each pin by
+    apply_numeric_points on the placement the walk just built."""
+    k = len(local_pts)
+    placements = [None] * k
+    current = pose.root_index
+    placements[current] = pose.root_placement
+    angle = pose.root_placement.angle_rad
+    for step in range(k - 1):
+        nxt = (current + 1) % k
+        (pin_x, pin_y), = apply_numeric_points(placements[current], [local_pts[current][1]])
+        angle = angle + pose.relative_angles[step]
+        c, s = math.cos(angle), math.sin(angle)
+        x, y = local_pts[nxt][2]
+        placements[nxt] = NumericMotion(angle, pin_x - (c * x - s * y), pin_y - (s * x + c * y))
+        current = nxt
+    return placements
+
+
+def reference_interpolate(pose_a, pose_b, t):
+    """interpolate as it was before the sampler computed each hinge's
+    turn once per motion."""
+    ra, rb = pose_a.root_placement, pose_b.root_placement
+    root = NumericMotion(
+        ra.angle_rad + t * wrap_angle(rb.angle_rad - ra.angle_rad),
+        ra.tx + t * (rb.tx - ra.tx),
+        ra.ty + t * (rb.ty - ra.ty),
+    )
+    angles = tuple(
+        a + t * wrap_angle(b - a) for a, b in zip(pose_a.relative_angles, pose_b.relative_angles)
+    )
+    return AnglePose(root, angles, pose_a.cut_hinge)
+
+
+def float_bits(values):
+    return [v.hex() for v in values]
+
+
+class TestFusedWalk:
+    def test_outlines_are_the_placed_points_bit_for_bit(self):
+        # every piece of every frame of the I-T glyph pair: the outline the
+        # walk places is apply_numeric_points on its placement, and the
+        # placements, pose_placements' and the sampler's alike, are the
+        # reference walk's on the reference blend at each t
+        hd = dissect_pair(load_sample_shape("I"), load_sample_shape("T"))
+        f = hd.figure
+        cut = len(f.pieces) - 1
+        pose_a, pose_b = extract_pose(f, hd.config_a, cut), extract_pose(f, hd.config_b, cut)
+        local = [float_polygon(p) for p in f.pieces]
+        frames = 60  # the animate workload's count
+        samples = sample_motion(f, hd.config_a, hd.config_b, frames)
+        for frame, sample in enumerate(samples):
+            pose = reference_interpolate(pose_a, pose_b, frame / (frames - 1))
+            got = interpolate(pose_a, pose_b, frame / (frames - 1))
+            assert float_bits(got.root_placement) == float_bits(pose.root_placement)
+            assert float_bits(got.relative_angles) == float_bits(pose.relative_angles)
+            placements, placed = _walk(pose, local)
+            want = reference_placements(pose, local)
+            assert [float_bits(m) for m in placements] == [float_bits(m) for m in want]
+            assert [float_bits(m) for m in pose_placements(f, pose)] == [float_bits(m) for m in want]
+            assert [float_bits(m) for m in sample.placements] == [float_bits(m) for m in want]
+            for m, pts, outline in zip(placements, local, placed):
+                assert [float_bits(p) for p in outline] == [
+                    float_bits(p) for p in apply_numeric_points(m, pts)]
